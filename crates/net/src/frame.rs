@@ -176,6 +176,55 @@ fn split_body(version: u8, mut body: Vec<u8>) -> (u64, Vec<u8>) {
     (u64::from_le_bytes(hint), body)
 }
 
+/// A decoded frame whose payload still lives in the receive buffer.
+///
+/// The reactor's inbound path peels frames off a connection buffer as
+/// views, so a protocol message is decoded straight out of that buffer
+/// instead of through a per-frame payload copy. [`Frame`] is the owning
+/// form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// The frame kind.
+    pub kind: FrameKind,
+    /// Per-link sequence number (0 for handshake frames).
+    pub seq: u64,
+    /// Causal-trace hint (0 when untraced or decoded from a v1 frame).
+    pub trace: u64,
+    /// The kind-specific body (trace hint stripped).
+    pub payload: &'a [u8],
+}
+
+impl<'a> FrameRef<'a> {
+    /// Decodes one frame from the **front** of an accumulation buffer:
+    /// the borrowing form of [`decode_prefix`], same contract.
+    pub fn decode_prefix(buf: &'a [u8]) -> Result<Option<(Self, usize)>, DecodeError> {
+        let Some(head) = buf.get(..HEADER_LEN) else { return Ok(None) };
+        let header = parse_header(&mut Reader::new(head))?;
+        // `len` is capped at MAX_PAYLOAD + TRACE_HINT_LEN by parse_header,
+        // so this sum is far from usize overflow.
+        let trailer_at = HEADER_LEN + header.len as usize;
+        let total = trailer_at + TRAILER_LEN;
+        let Some(frame) = buf.get(..total) else { return Ok(None) };
+        let (covered, trailer) = frame.split_at(trailer_at);
+        let got = Reader::new(trailer).u64()?;
+        let expected = crate::hash::fnv1a64(covered);
+        if expected != got {
+            return Err(DecodeError::Checksum { expected, got });
+        }
+        let mut body = Reader::new(covered.get(HEADER_LEN..).unwrap_or_default());
+        // A version-1 body is all payload with hint 0; `parse_header` has
+        // already enforced `len ≥ TRACE_HINT_LEN` for version 2.
+        let trace = if header.version == VERSION_V1 { 0 } else { body.u64()? };
+        let payload = body.take(body.remaining())?;
+        Ok(Some((FrameRef { kind: header.kind, seq: header.seq, trace, payload }, total)))
+    }
+
+    /// Copies the view into an owning [`Frame`].
+    pub fn to_frame(self) -> Frame {
+        Frame { kind: self.kind, seq: self.seq, trace: self.trace, payload: self.payload.to_vec() }
+    }
+}
+
 /// The typed encode-side failure: the payload exceeds [`MAX_PAYLOAD`].
 ///
 /// Encoding enforces the same hard cap that [`parse_header`] enforces on
@@ -208,21 +257,37 @@ pub fn encode_frame(
     trace: u64,
     payload: &[u8],
 ) -> Result<Vec<u8>, PayloadTooLarge> {
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    encode_frame_into(&mut out, kind, seq, trace, payload)?;
+    Ok(out)
+}
+
+/// Appends one encoded version-2 frame to `out` — [`encode_frame`]
+/// without the per-frame allocation, for callers that already own an
+/// output buffer (the reactor's per-connection write buffer). Bytes
+/// already in `out` are untouched, and nothing is appended on error.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    seq: u64,
+    trace: u64,
+    payload: &[u8],
+) -> Result<(), PayloadTooLarge> {
     if payload.len() > MAX_PAYLOAD as usize {
         return Err(PayloadTooLarge { len: payload.len() });
     }
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    put_u16(&mut out, MAGIC);
+    let start = out.len();
+    out.reserve(FRAME_OVERHEAD + payload.len());
+    put_u16(out, MAGIC);
     out.push(VERSION);
     out.push(kind.wire_byte());
-    put_u64(&mut out, seq);
-    put_u32(&mut out, (TRACE_HINT_LEN + payload.len()) as u32);
-    put_u64(&mut out, trace);
+    put_u64(out, seq);
+    put_u32(out, (TRACE_HINT_LEN + payload.len()) as u32);
+    put_u64(out, trace);
     out.extend_from_slice(payload);
-    let mut h = Fnv64::new();
-    h.write(&out);
-    put_u64(&mut out, h.finish());
-    Ok(out)
+    let checksum = crate::hash::fnv1a64(out.get(start..).unwrap_or_default());
+    put_u64(out, checksum);
+    Ok(())
 }
 
 /// The parsed fixed header.
@@ -339,32 +404,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Header validation runs as soon as `HEADER_LEN` bytes are present, so
 /// a corrupt or oversize header is rejected before any body buffering.
 pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let header = {
-        let mut hr = Reader::new(&buf[..HEADER_LEN]);
-        parse_header(&mut hr)?
-    };
-    // `len` is capped at MAX_PAYLOAD + TRACE_HINT_LEN by parse_header,
-    // so this sum is far from usize overflow.
-    let total = HEADER_LEN + header.len as usize + TRAILER_LEN;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let trailer_at = HEADER_LEN + header.len as usize;
-    let mut trailer = [0u8; TRAILER_LEN];
-    trailer.copy_from_slice(&buf[trailer_at..total]);
-    let got = u64::from_le_bytes(trailer);
-    let mut h = Fnv64::new();
-    h.write(&buf[..trailer_at]);
-    let expected = h.finish();
-    if expected != got {
-        return Err(DecodeError::Checksum { expected, got });
-    }
-    let body = buf[HEADER_LEN..trailer_at].to_vec();
-    let (trace, payload) = split_body(header.version, body);
-    Ok(Some((Frame { kind: header.kind, seq: header.seq, trace, payload }, total)))
+    Ok(FrameRef::decode_prefix(buf)?.map(|(frame, used)| (frame.to_frame(), used)))
 }
 
 /// Reads one frame from the stream, blocking until it is complete.

@@ -39,7 +39,7 @@ use crate::frame::{decode_prefix, encode_frame, FrameKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Why a submission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,7 +204,9 @@ struct PipeInner {
     intake: Mutex<VecDeque<ClientSubmit>>,
     notices: Mutex<VecDeque<GatewayNotice>>,
     addr: Mutex<Option<SocketAddr>>,
-    waker: Mutex<Option<crate::reactor::ReactorWaker>>,
+    /// Set once, by the runtime that serves this pipe, and read without
+    /// a lock on every notice.
+    waker: OnceLock<crate::reactor::ReactorWaker>,
 }
 
 /// The rendezvous between one node's reactor thread and its actor
@@ -233,7 +235,7 @@ impl GatewayPipe {
                 intake: Mutex::new(VecDeque::new()),
                 notices: Mutex::new(VecDeque::new()),
                 addr: Mutex::new(None),
-                waker: Mutex::new(None),
+                waker: OnceLock::new(),
             }),
         }
     }
@@ -248,8 +250,10 @@ impl GatewayPipe {
         *crate::runtime::locked(&self.inner.addr) = Some(addr);
     }
 
+    /// Wires the pipe to the reactor that serves it. A pipe serves one
+    /// run: a second call is ignored.
     pub(crate) fn set_waker(&self, waker: crate::reactor::ReactorWaker) {
-        *crate::runtime::locked(&self.inner.waker) = Some(waker);
+        let _ = self.inner.waker.set(waker);
     }
 
     /// Queues a decoded submission for the process side; `false` means
@@ -280,15 +284,13 @@ impl GatewayPipe {
     }
 
     /// Queues a completion notice for the reactor and wakes its poll
-    /// loop. Called by the process side.
+    /// loop if it may be parked (see [`crate::reactor`]'s wake flag: a
+    /// burst of notices costs one wake-up write). Called by the process
+    /// side.
     pub fn push_notice(&self, notice: GatewayNotice) {
-        {
-            let mut q = crate::runtime::locked(&self.inner.notices);
-            q.push_back(notice);
-        }
-        let waker = crate::runtime::locked(&self.inner.waker).clone();
-        if let Some(w) = waker {
-            w.wake();
+        crate::runtime::locked(&self.inner.notices).push_back(notice);
+        if let Some(waker) = self.inner.waker.get() {
+            waker.wake();
         }
     }
 

@@ -73,8 +73,9 @@ pub mod runtime;
 pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
 pub use codec::{Codec, DecodeError, Reader};
 pub use frame::{
-    encode_frame, read_frame, write_frame, Frame, FrameError, FrameKind, PayloadTooLarge,
-    FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
+    encode_frame, encode_frame_into, read_frame, write_frame, Frame, FrameError, FrameKind,
+    FrameRef, PayloadTooLarge, FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN,
+    VERSION,
 };
 pub use gateway::{
     run_load, ClientSubmit, GatewayNotice, GatewayPipe, LoadGenConfig, LoadGenReport, NackReason,

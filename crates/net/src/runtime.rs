@@ -159,6 +159,14 @@ impl LinkFanout {
     fn local(txs: Vec<Option<Sender<FrameBody>>>) -> Self {
         LinkFanout { txs, waker: None }
     }
+
+    /// Nudges the reactor that owns the links, if there is one, after
+    /// frames were queued.
+    fn wake(&self) {
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
 }
 
 /// One directed link's writer input: `(from, to, queue of frame bodies)`.
@@ -1250,6 +1258,12 @@ fn writer_loop(rx: Receiver<FrameBody>, mut ctx: WriterCtx) {
     ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::LinkLogPeak { peer, frames });
 }
 
+/// How many queued controls an actor handles before it wakes its reactor
+/// and looks at the crash/restart deadlines again. Frames queued during
+/// a burst reach a *parked* reactor together, so one pass and one write
+/// per link carry them; a running reactor picks them up regardless.
+const ACTOR_BURST: usize = 64;
+
 /// The body of one actor thread (mirrors `bft-runtime`'s actor loop;
 /// the only difference is where effects go — the net fan-out). Shared
 /// verbatim by both drivers.
@@ -1275,7 +1289,9 @@ pub(crate) fn actor_loop<M, O>(
     // of *this* step, not whatever the monitor loop last wrote.
     obs.set_now(clock.now_us());
     let effects = proc_.on_start();
-    apply(me, effects, self_tx, links, outputs, &mut halted, obs);
+    if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
+        links.wake();
+    }
 
     // One loop until Stop: live deliveries are processed, post-halt and
     // post-crash deliveries are drained and dropped (same discipline as
@@ -1300,11 +1316,13 @@ pub(crate) fn actor_loop<M, O>(
                     locked(outputs).remove(&me);
                     obs.set_now(clock.now_us());
                     let effects = proc_.on_start();
-                    apply(me, effects, self_tx, links, outputs, &mut halted, obs);
+                    if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
+                        links.wake();
+                    }
                 }
             }
         }
-        let ctrl = if let Some(spec) = restart.as_ref() {
+        let first = if let Some(spec) = restart.as_ref() {
             // A crash or restart deadline is pending: wake for it even
             // if no delivery arrives.
             let deadline = if crashed { spec.restart_at_ms } else { spec.crash_at_ms };
@@ -1320,28 +1338,43 @@ pub(crate) fn actor_loop<M, O>(
                 Err(_) => break,
             }
         };
-        match ctrl {
-            Ctrl::Deliver(env) => {
-                obs.set_now(clock.now_us());
-                if crashed || halted || proc_.is_halted() {
+        // One burst: the control that ended the wait plus whatever else
+        // is already queued, each handled exactly as if it had been
+        // waited for, then a single wake-up for all the frames queued.
+        let mut queued = false;
+        let mut stop = false;
+        let mut next = Some(first);
+        let mut taken = 0;
+        while let Some(ctrl) = next {
+            obs.set_now(clock.now_us());
+            let dead = crashed || halted || proc_.is_halted();
+            let effects = match ctrl {
+                Ctrl::Deliver(env) if dead => {
                     obs.emit(me, || ObsEvent::MessageDropped { from: env.from });
-                    continue;
+                    Vec::new()
                 }
-                obs.emit(me, || ObsEvent::MessageDelivered { from: env.from, kind: "net" });
-                let effects = proc_.on_message(env.from, &env.msg);
-                apply(me, effects, self_tx, links, outputs, &mut halted, obs);
-            }
-            Ctrl::Tick => {
+                Ctrl::Deliver(env) => {
+                    obs.emit(me, || ObsEvent::MessageDelivered { from: env.from, kind: "net" });
+                    proc_.on_message(env.from, &env.msg)
+                }
                 // Out-of-band input is queued (gateway intake): give the
                 // process a turn even though no message arrived.
-                obs.set_now(clock.now_us());
-                if crashed || halted || proc_.is_halted() {
-                    continue;
+                Ctrl::Tick if dead => Vec::new(),
+                Ctrl::Tick => proc_.on_tick(),
+                Ctrl::Stop => {
+                    stop = true;
+                    break;
                 }
-                let effects = proc_.on_tick();
-                apply(me, effects, self_tx, links, outputs, &mut halted, obs);
-            }
-            Ctrl::Stop => break,
+            };
+            queued |= apply(me, effects, self_tx, links, outputs, &mut halted, obs);
+            taken += 1;
+            next = if taken < ACTOR_BURST { rx.try_recv().ok() } else { None };
+        }
+        if queued {
+            links.wake();
+        }
+        if stop {
+            break;
         }
     }
 }
@@ -1360,6 +1393,9 @@ fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
     false
 }
 
+/// Carries out one step's effects. Returns whether a frame was queued
+/// on a link — under the reactor driver the node's poll loop may be
+/// parked, so the caller owes it one [`LinkFanout::wake`] per burst.
 fn apply<M, O>(
     me: NodeId,
     effects: Vec<Effect<M, O>>,
@@ -1368,7 +1404,8 @@ fn apply<M, O>(
     outputs: &Mutex<BTreeMap<NodeId, O>>,
     halted: &mut bool,
     obs: &Obs,
-) where
+) -> bool
+where
     M: Codec + Clone,
 {
     let mut queued = false;
@@ -1430,13 +1467,7 @@ fn apply<M, O>(
             }
         }
     }
-    // Under the reactor driver the node's poll loop may be parked;
-    // freshly queued frames warrant one nudge.
-    if queued {
-        if let Some(waker) = &links.waker {
-            waker.wake();
-        }
-    }
+    queued
 }
 
 #[cfg(test)]

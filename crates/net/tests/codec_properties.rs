@@ -6,8 +6,8 @@
 use bft_ec::Fragment;
 use bft_net::codec::Codec;
 use bft_net::{
-    encode_frame, fnv1a64, DecodeError, Frame, FrameKind, PayloadTooLarge, FRAME_OVERHEAD,
-    MAX_PAYLOAD,
+    encode_frame, encode_frame_into, fnv1a64, DecodeError, Frame, FrameKind, FrameRef,
+    PayloadTooLarge, FRAME_OVERHEAD, MAX_PAYLOAD,
 };
 use bft_rbc::{RbcMessage, RbcMuxMessage};
 use bft_types::{NodeId, Round, Step, Value};
@@ -79,7 +79,16 @@ proptest! {
         let frame = frame.unwrap_or_else(|_| Frame::new(FrameKind::Msg, 0, Vec::new()));
         prop_assert_eq!(frame.seq, seq);
         prop_assert_eq!(frame.trace, seq ^ 0xAB84);
-        prop_assert_eq!(Wire::from_bytes(&frame.payload), Ok(wire));
+        prop_assert_eq!(Wire::from_bytes(&frame.payload), Ok(wire.clone()));
+
+        // The reactor's allocation-free paths are the same codec:
+        // encoding into a buffer appends the same bytes, and the
+        // borrowed view decodes the same frame.
+        let mut buf = vec![0xEE];
+        prop_assert!(encode_frame_into(&mut buf, FrameKind::Msg, seq, seq ^ 0xAB84, &wire.to_bytes()).is_ok());
+        prop_assert_eq!(&buf[1..], &framed[..]);
+        let view = FrameRef::decode_prefix(&framed);
+        prop_assert_eq!(view.map(|o| o.map(|(f, used)| (f.to_frame(), used))), Ok(Some((frame, framed.len()))));
     }
 
     /// Decoding arbitrary garbage must return an error, never panic and
@@ -88,6 +97,8 @@ proptest! {
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(0u8..=255, 0..128)) {
         let _ = Frame::decode(&bytes);
         let _ = Wire::from_bytes(&bytes);
+        let view = FrameRef::decode_prefix(&bytes).map(|o| o.map(|(f, used)| (f.to_frame(), used)));
+        prop_assert_eq!(view, bft_net::frame::decode_prefix(&bytes));
     }
 
     /// Single-byte corruption of a valid frame is always *detected*: the

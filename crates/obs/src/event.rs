@@ -33,6 +33,74 @@ impl fmt::Display for RbcPhase {
     }
 }
 
+/// Syscall and frame counts of a reactor thread (`bft-net`): plain
+/// integers bumped where the work happens. Ratios of these say what a
+/// frame costs below the protocol — frames per write, wake-ups per
+/// frame, the share of reads that found nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReactorStats {
+    /// `poll(2)` calls (one per reactor pass).
+    pub polls: u64,
+    /// Wake-up bytes the actor side wrote to rouse the reactor.
+    pub wakes_written: u64,
+    /// Wake-up requests absorbed by the armed flag (no syscall).
+    pub wakes_skipped: u64,
+    /// `read(2)` calls, the wake channel's included.
+    pub reads: u64,
+    /// Reads that returned `WouldBlock`.
+    pub reads_blocked: u64,
+    /// `write(2)` calls on peer and client connections.
+    pub writes: u64,
+    /// Frames decoded off a connection.
+    pub frames_in: u64,
+    /// Frames encoded onto a connection.
+    pub frames_out: u64,
+}
+
+impl ReactorStats {
+    /// Adds another reactor's counts to these.
+    pub fn add(&mut self, other: &ReactorStats) {
+        self.polls += other.polls;
+        self.wakes_written += other.wakes_written;
+        self.wakes_skipped += other.wakes_skipped;
+        self.reads += other.reads;
+        self.reads_blocked += other.reads_blocked;
+        self.writes += other.writes;
+        self.frames_in += other.frames_in;
+        self.frames_out += other.frames_out;
+    }
+
+    /// Mean frames carried per `write(2)` (0 before any write).
+    pub fn frames_per_write(&self) -> f64 {
+        if self.writes == 0 {
+            return 0.0;
+        }
+        self.frames_out as f64 / self.writes as f64
+    }
+
+    /// Wake-up writes per thousand frames sent (0 before any frame).
+    pub fn wakes_per_kframe(&self) -> f64 {
+        if self.frames_out == 0 {
+            return 0.0;
+        }
+        self.wakes_written as f64 * 1000.0 / self.frames_out as f64
+    }
+
+    /// The counts as named JSON fields (event line and metrics report).
+    pub(crate) fn json_fields(&self) -> [(&'static str, JsonValue); 8] {
+        [
+            ("polls", JsonValue::U64(self.polls)),
+            ("wakes_written", JsonValue::U64(self.wakes_written)),
+            ("wakes_skipped", JsonValue::U64(self.wakes_skipped)),
+            ("reads", JsonValue::U64(self.reads)),
+            ("reads_blocked", JsonValue::U64(self.reads_blocked)),
+            ("writes", JsonValue::U64(self.writes)),
+            ("frames_in", JsonValue::U64(self.frames_in)),
+            ("frames_out", JsonValue::U64(self.frames_out)),
+        ]
+    }
+}
+
 /// One protocol-level event, as observed at a single node.
 ///
 /// Events fall into three layers:
@@ -149,6 +217,9 @@ pub enum Event {
         /// Peak number of frames held in the log.
         frames: u64,
     },
+    /// What one node's reactor thread did over the whole run, emitted
+    /// once at exit next to its `LinkLogPeak`s.
+    ReactorStats(ReactorStats),
     /// A transport worker thread panicked and poisoned shared runtime
     /// state. The runtime rides through the poison to keep the report
     /// usable, but the panic must not be silent: hung-test triage starts
@@ -450,6 +521,7 @@ impl Event {
             Event::FrameSequenceGap { .. } => "frame_sequence_gap",
             Event::PayloadRejected { .. } => "payload_rejected",
             Event::LinkLogPeak { .. } => "link_log_peak",
+            Event::ReactorStats(_) => "reactor_stats",
             Event::PoisonDetected { .. } => "poison_detected",
             Event::GatewayAccepted { .. } => "gateway_accepted",
             Event::GatewayNacked { .. } => "gateway_nacked",
@@ -541,6 +613,11 @@ impl Event {
             Event::LinkLogPeak { peer, frames } => {
                 field("peer", JsonValue::U64(peer.index() as u64));
                 field("frames", JsonValue::U64(*frames));
+            }
+            Event::ReactorStats(stats) => {
+                for (key, value) in stats.json_fields() {
+                    field(key, value);
+                }
             }
             Event::PoisonDetected { context } => {
                 field("context", JsonValue::str(*context));
@@ -709,6 +786,7 @@ mod tests {
             Event::FrameSequenceGap { from: NodeId::new(0), expected: 1, got: 3 },
             Event::PayloadRejected { len: 9 },
             Event::LinkLogPeak { peer: NodeId::new(0), frames: 17 },
+            Event::ReactorStats(ReactorStats::default()),
             Event::PoisonDetected { context: "writer" },
             Event::GatewayAccepted { client: 7, seq: 1 },
             Event::GatewayNacked { client: 7, seq: 2, reason: "backpressure" },

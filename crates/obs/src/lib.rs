@@ -51,7 +51,7 @@ mod metrics_sink;
 mod sinks;
 pub mod trace;
 
-pub use event::{Event, RbcPhase};
+pub use event::{Event, RbcPhase, ReactorStats};
 pub use invariant::InvariantSink;
 pub use jsonl::JsonlSink;
 pub use metrics_sink::MetricsSink;

@@ -1,7 +1,7 @@
 //! Per-round / per-phase metrics aggregation.
 
 use crate::json::JsonValue;
-use crate::{Event, Sink};
+use crate::{Event, ReactorStats, Sink};
 use bft_stats::{Histogram, Samples};
 use bft_types::{NodeId, Step};
 use std::collections::BTreeMap;
@@ -45,6 +45,7 @@ pub struct MetricsSink {
     frame_sequence_gaps: u64,
     payloads_rejected: u64,
     peak_link_log: u64,
+    reactor: ReactorStats,
     chaos_frames_dropped: u64,
     epochs_started: u64,
     epochs_committed: u64,
@@ -186,6 +187,12 @@ impl MetricsSink {
     /// High-water mark of any directed link's replay log, in frames.
     pub fn peak_link_log(&self) -> u64 {
         self.peak_link_log
+    }
+
+    /// Reactor syscall and frame counts, summed over the nodes that
+    /// reported them.
+    pub fn reactor(&self) -> ReactorStats {
+        self.reactor
     }
 
     /// Outbound frame transmissions dropped by the chaos layer.
@@ -360,6 +367,7 @@ impl MetricsSink {
         self.frame_sequence_gaps += other.frame_sequence_gaps;
         self.payloads_rejected += other.payloads_rejected;
         self.peak_link_log = self.peak_link_log.max(other.peak_link_log);
+        self.reactor.add(&other.reactor);
         self.chaos_frames_dropped += other.chaos_frames_dropped;
         self.epochs_started += other.epochs_started;
         self.epochs_committed += other.epochs_committed;
@@ -470,6 +478,10 @@ impl MetricsSink {
         obj.push(("coin_flips".into(), JsonValue::U64(self.coin_flips)));
         obj.push(("value_locks".into(), JsonValue::U64(self.locks)));
         obj.push(("max_queue_depth".into(), JsonValue::U64(self.max_queue_depth)));
+        let mut reactor: Vec<(String, JsonValue)> =
+            self.reactor.json_fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        reactor.push(("frames_per_write".into(), JsonValue::F64(self.reactor.frames_per_write())));
+        reactor.push(("wakes_per_kframe".into(), JsonValue::F64(self.reactor.wakes_per_kframe())));
         obj.push((
             "transport".into(),
             JsonValue::Obj(vec![
@@ -482,6 +494,7 @@ impl MetricsSink {
                 ("payloads_rejected".into(), JsonValue::U64(self.payloads_rejected)),
                 ("peak_link_log".into(), JsonValue::U64(self.peak_link_log)),
                 ("chaos_frames_dropped".into(), JsonValue::U64(self.chaos_frames_dropped)),
+                ("reactor".into(), JsonValue::Obj(reactor)),
             ]),
         ));
         let mut commit_latency = Vec::new();
@@ -837,6 +850,7 @@ impl Sink for MetricsSink {
             Event::LinkLogPeak { frames, .. } => {
                 self.peak_link_log = self.peak_link_log.max(*frames)
             }
+            Event::ReactorStats(stats) => self.reactor.add(stats),
             Event::FrameDropped { .. } => self.chaos_frames_dropped += 1,
             Event::EpochStarted { epoch } => {
                 self.epochs_started += 1;

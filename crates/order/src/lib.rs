@@ -282,6 +282,10 @@ pub struct OrderProcess<C> {
     opts: OrderOptions,
     coin_for: Box<dyn FnMut(u64) -> C + Send>,
     pending: VecDeque<Vec<u8>>,
+    /// Own non-empty proposals per epoch between proposal and log
+    /// append: a batch whose slot the epoch's ACS left out goes back to
+    /// the mempool instead of being lost. Bounded by the pipeline depth.
+    proposed: BTreeMap<u64, Vec<Vec<u8>>>,
     rbc: RbcMux<u64, Vec<u8>>,
     epochs: BTreeMap<u64, EpochState<C>>,
     /// Next epoch this node will propose.
@@ -325,6 +329,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             opts,
             coin_for: Box::new(coin_for),
             pending: workload.into(),
+            proposed: BTreeMap::new(),
             rbc,
             epochs: BTreeMap::new(),
             next_epoch: 0,
@@ -470,6 +475,9 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.log_next = target;
         self.next_epoch = self.next_epoch.max(target);
         self.rbc.retain(move |_, tag| *tag >= target);
+        // Whether a skipped epoch took our batch is unknowable from here;
+        // re-proposing could order it twice, so it is dropped.
+        self.proposed = self.proposed.split_off(&target);
         let dropped: Vec<u64> = self.epochs.range(..target).map(|(&e, _)| e).collect();
         for e in dropped {
             if self.trace_on {
@@ -594,6 +602,9 @@ impl<C: CoinScheme> OrderProcess<C> {
                 self.obs.span_end(self.me, ctx, TracePhase::BatchWait);
                 self.open_roots.insert(e);
             }
+            if !batch.is_empty() {
+                self.proposed.insert(e, batch);
+            }
             self.ensure_epoch(e);
             let actions = self.rbc.broadcast(e, body);
             self.lift_rbc(actions, out);
@@ -673,6 +684,19 @@ impl<C: CoinScheme> OrderProcess<C> {
             let Some(set) = self.epochs.get(&e).and_then(|s| s.committed.clone()) else { break };
             let before = self.log.len();
             let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
+            if let Some(batch) = self.proposed.remove(&e) {
+                if !proposers.contains(&self.me) {
+                    // Our slot decided 0 (we lagged behind n − f others):
+                    // the batch is in no log, so it goes back to the
+                    // *front* of the mempool, ahead of younger payloads.
+                    if self.trace_on && self.pending.is_empty() {
+                        self.mempool_since = Some(self.obs.now());
+                    }
+                    for tx in batch.into_iter().rev() {
+                        self.pending.push_front(tx);
+                    }
+                }
+            }
             for (proposer, body) in set {
                 for tx in decode_batch(&body) {
                     self.log.push(LogEntry { epoch: e, proposer, tx });

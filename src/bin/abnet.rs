@@ -123,6 +123,26 @@ fn export_obs(opts: &Options, run: u64) -> (Obs, SharedSink<ExportSink>) {
     Obs::new(Tee(MetricsSink::new(), jsonl))
 }
 
+/// The reactors' layer-ledger rows for a run line: what a frame cost
+/// below the protocol (all zero under `--driver threads`).
+fn reactor_summary(m: &MetricsSink) -> String {
+    let r = m.reactor();
+    let blocked = if r.reads == 0 { 0.0 } else { 100.0 * r.reads_blocked as f64 / r.reads as f64 };
+    format!(
+        "frames_per_write = {:.2}, wakes_per_kframe = {:.2}, blocked reads = {blocked:.1}% \
+         (polls {}, wakes {} written / {} skipped, reads {}, writes {}, frames {} in / {} out)",
+        r.frames_per_write(),
+        r.wakes_per_kframe(),
+        r.polls,
+        r.wakes_written,
+        r.wakes_skipped,
+        r.reads,
+        r.writes,
+        r.frames_in,
+        r.frames_out,
+    )
+}
+
 /// Writes the Prometheus snapshot at exit when `--metrics-out` is set.
 fn write_metrics_out(opts: &Options, total: &mut MetricsSink) {
     if let Some(path) = &opts.metrics_out {
@@ -322,6 +342,7 @@ fn run_gateway(opts: &Options) {
     }
     write_metrics_out(opts, &mut m.0);
     let anomalies = outcome.anomalies();
+    println!("reactor: {}", reactor_summary(&m.0));
     println!(
         "{{\"mode\":\"gateway\",\"n\":{},\"clients\":{},\"submitted\":{},\"committed\":{},\
          \"nacked\":{},\"rejected\":{},\"throttled\":{},\"p50_us\":{},\"p99_us\":{},\
@@ -411,12 +432,13 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
         }
         println!(
             "run {run:>3} (seed {seed}): txs ordered = {txs}, elapsed = {:?}, connects = {}, \
-             epochs committed = {}, max pipeline occupancy = {}, seq gaps = {}",
+             epochs committed = {}, max pipeline occupancy = {}, seq gaps = {}, {}",
             report.elapsed,
             m.0.peer_connects(),
             m.0.epochs_committed(),
             m.0.max_pipeline_occupancy(),
             m.0.frame_sequence_gaps(),
+            reactor_summary(&m.0),
         );
     }
     write_metrics_out(opts, &mut total);

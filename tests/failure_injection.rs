@@ -113,3 +113,63 @@ fn coordinated_liars_and_scheduler() {
         );
     }
 }
+
+/// A proposer whose batch misses an epoch must not lose it. Node 3's
+/// outbound links are slow for the first 200 ticks, so the other three
+/// commit the early epochs with its slot decided 0; everything it
+/// proposed there — its epoch-0 batch included — has to come back in a
+/// later epoch, exactly once, in every log.
+#[test]
+fn a_lagging_proposers_batch_is_reproposed_not_lost() {
+    use async_bft::coin::CommonCoin;
+    use async_bft::order::{OrderLog, OrderMessage, OrderOptions, OrderProcess};
+    use async_bft::sim::{FnScheduler, SimTime, World, WorldConfig};
+    use async_bft::types::{Config, Envelope, NodeId};
+
+    let n = 4;
+    let slow = NodeId::new(3);
+    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
+    let opts =
+        OrderOptions { batch_max: 2, pipeline_depth: 2, epochs: 40, ..OrderOptions::default() };
+    let per_node = 6u8;
+    let scheduler =
+        FnScheduler::new(
+            move |env: &Envelope<OrderMessage>, now: SimTime| {
+                if env.from == slow && now.ticks() < 200 {
+                    201 - now.ticks()
+                } else {
+                    1
+                }
+            },
+        );
+    let mut world: World<OrderMessage, OrderLog, _> = World::new(WorldConfig::new(n), scheduler);
+    for id in cfg.nodes() {
+        let workload = (0..per_node).map(|i| vec![id.index() as u8, i]).collect();
+        world.add_process(Box::new(OrderProcess::new(cfg, id, opts, workload, |inst| {
+            CommonCoin::new(21, inst)
+        })));
+    }
+    let report = world.run();
+    assert!(report.all_correct_decided());
+    assert!(report.agreement_holds());
+    let log = report.unanimous_output().expect("every node outputs the same log");
+
+    // The scenario really excluded node 3 from epoch 0 …
+    assert!(
+        !log.iter().any(|entry| entry.epoch == 0 && entry.proposer == slow),
+        "node 3 was meant to miss epoch 0"
+    );
+    // … and every payload of every node, node 3's first batch included,
+    // is in the log exactly once.
+    for id in cfg.nodes() {
+        for i in 0..per_node {
+            let tx = vec![id.index() as u8, i];
+            let hits: Vec<u64> =
+                log.iter().filter(|entry| entry.tx == tx).map(|entry| entry.epoch).collect();
+            assert_eq!(hits.len(), 1, "payload {tx:?} ordered {} times: {hits:?}", hits.len());
+            if id == slow && i < opts.batch_max as u8 {
+                assert!(hits[0] > 0, "node 3's epoch-0 batch must land in a later epoch");
+            }
+        }
+    }
+}

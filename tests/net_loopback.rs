@@ -388,16 +388,18 @@ fn crashed_node_rejoins_via_state_transfer_over_tcp() {
         })
         .with_obs(obs)
     };
-    // Crash long before the victim can finish; restart once the
-    // survivors have had time to certify (and truncate below) at least
-    // the first checkpoint boundary, so live replay is impossible.
+    // Crash long before the victim can finish (an undisturbed run of
+    // this size takes ~100 ms in a debug build, so the crash must come
+    // well inside that); restart once the survivors have had time to
+    // certify (and truncate below) at least the first checkpoint
+    // boundary, so live replay is impossible.
     let obs_replacement = obs.clone();
     let factory: RestartFactory<SmrMessage, SmrOutput> =
         Box::new(move || Box::new(make(victim, obs_replacement).recovering(true)));
     let mut rt: NetRuntime<SmrMessage, SmrOutput> = NetRuntime::new(n)
         .timeout(TIMEOUT)
         .observer(obs.clone())
-        .restart_node(victim, 100, 3_000, factory);
+        .restart_node(victim, 20, 3_000, factory);
     for id in cfg.nodes() {
         rt.add_process(Box::new(make(id, obs.clone())));
     }
