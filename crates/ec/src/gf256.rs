@@ -3,8 +3,10 @@
 //! The field is GF(2)[x] modulo the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (0x11d), the same polynomial QR codes and
 //! most storage erasure codes use. Addition is XOR; multiplication goes
-//! through compile-time exp/log tables of the generator `x` (= 2), so the
-//! hot encode/reconstruct loops are two table reads and an add.
+//! through compile-time exp/log tables of the generator `x` (= 2). The
+//! bulk encode/reconstruct loops multiply whole shards by one coefficient
+//! at a time, so they expand that coefficient into a 256-byte
+//! [`product_row`] once and then pay one table read per byte.
 
 /// The exp table holds `2^i` for `i` in `0..255`, repeated twice so that
 /// `exp[log(a) + log(b)]` never needs a modulo reduction.
@@ -49,6 +51,18 @@ pub fn mul(a: u8, b: u8) -> u8 {
     }
     let idx = LOG[a as usize] as usize + LOG[b as usize] as usize;
     EXP[idx]
+}
+
+/// The multiplication table row of `coeff`: `row[b] == mul(coeff, b)` for
+/// every byte `b`. [`mul`] stays the definition (and the test oracle);
+/// the row only hoists the log lookup and the zero branch out of the
+/// per-byte loop.
+pub fn product_row(coeff: u8) -> [u8; 256] {
+    let mut row = [0u8; 256];
+    for (b, slot) in row.iter_mut().enumerate() {
+        *slot = mul(coeff, b as u8);
+    }
+    row
 }
 
 /// Multiplicative inverse. `inv(0)` is defined as 0 so the function is

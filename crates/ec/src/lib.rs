@@ -167,33 +167,62 @@ fn lagrange_coeffs(xs: &[u8], x: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Evaluates the interpolation of (`xs`, `shards`) at `x`, byte-wise over
-/// shards of length `len`.
-fn interpolate_shard(xs: &[u8], shards: &[&[u8]], x: u8, len: usize) -> Vec<u8> {
-    let coeffs = lagrange_coeffs(xs, x);
-    let mut out = vec![0u8; len];
-    for (coeff, shard) in coeffs.iter().zip(shards) {
-        if *coeff == 0 {
-            continue;
+/// Positions each pass over the sources covers: small enough that the
+/// block being accumulated stays in L1 while every source streams past it.
+const BLOCK: usize = 512;
+
+/// Outputs evaluated per pass: one byte lane of a `u64` each.
+const LANES: usize = 8;
+
+/// Evaluates the interpolation of (`xs`, `shards`) at every point of
+/// `targets`, byte-wise, into the matching buffer of `outs`. Every shard
+/// must be at least as long as the outputs (callers validate the geometry
+/// first).
+///
+/// A byte of source `j` contributes `coeff(t, j) · byte` to every target
+/// `t`. The 256-byte product rows of up to [`LANES`] targets' coefficients
+/// are packed side by side into one row of `u64`s per source, so one
+/// table read multiplies a source byte for all of those targets at once:
+/// the per-byte work is `acc[i] ^= row[src[i]]`, then one shift per
+/// target to unpack.
+fn interpolate_into(xs: &[u8], shards: &[&[u8]], targets: &[u8], outs: &mut [&mut [u8]]) {
+    for (targets, outs) in targets.chunks(LANES).zip(outs.chunks_mut(LANES)) {
+        let mut rows = vec![[0u64; 256]; shards.len()];
+        for (lane, &x) in targets.iter().enumerate() {
+            for (row, &coeff) in rows.iter_mut().zip(&lagrange_coeffs(xs, x)) {
+                for (wide, &product) in row.iter_mut().zip(&gf256::product_row(coeff)) {
+                    *wide |= u64::from(product) << (8 * lane);
+                }
+            }
         }
-        for (o, &b) in out.iter_mut().zip(shard.iter()) {
-            *o = gf256::add(*o, gf256::mul(*coeff, b));
+        let len = outs.first().map_or(0, |out| out.len());
+        let mut acc = [0u64; BLOCK];
+        for start in (0..len).step_by(BLOCK) {
+            let acc = &mut acc[..BLOCK.min(len - start)];
+            acc.fill(0);
+            for (row, shard) in rows.iter().zip(shards) {
+                let src = shard.get(start..start + acc.len()).unwrap_or(&[]);
+                for (a, &b) in acc.iter_mut().zip(src) {
+                    *a ^= row[b as usize];
+                }
+            }
+            for (lane, out) in outs.iter_mut().enumerate() {
+                let out = out.get_mut(start..start + acc.len()).unwrap_or(&mut []);
+                for (o, &a) in out.iter_mut().zip(acc.iter()) {
+                    *o = (a >> (8 * lane)) as u8;
+                }
+            }
         }
     }
-    out
 }
 
-/// Extends `k` data shards to the full `n`-shard codeword (positions
-/// `0..k` are the data shards themselves — the code is systematic).
-fn extend(data: &[Vec<u8>], n: usize, len: usize) -> Vec<Vec<u8>> {
+/// Evaluates the parity positions `k..k + outs.len()` of the systematic
+/// code from its `k` data shards (which sit at positions `0..k`).
+fn parity_into(data: &[&[u8]], outs: &mut [&mut [u8]]) {
     let k = data.len();
     let xs: Vec<u8> = (0..k as u8).collect();
-    let views: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-    let mut shards: Vec<Vec<u8>> = data.to_vec();
-    for x in k..n {
-        shards.push(interpolate_shard(&xs, &views, x as u8, len));
-    }
-    shards
+    let targets: Vec<u8> = (k..k + outs.len()).map(|x| x as u8).collect();
+    interpolate_into(&xs, data, &targets, outs);
 }
 
 /// Binds the Merkle root over the fragment leaves together with the
@@ -210,12 +239,6 @@ fn commitment(leaves_root: u64, total_len: u32, n: usize, k: usize) -> u64 {
     h.finish()
 }
 
-fn shards_commitment(shards: &[Vec<u8>], total_len: u32, n: usize, k: usize) -> u64 {
-    let leaves: Vec<u64> =
-        shards.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect();
-    commitment(merkle::root(&leaves), total_len, n, k)
-}
-
 /// Encodes `payload` into `n` committed fragments, any `k` of which
 /// reconstruct it.
 pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
@@ -223,16 +246,22 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     let total_len = u32::try_from(payload.len())
         .map_err(|_| EcError::PayloadTooLarge { len: payload.len() })?;
     let len = shard_len(payload.len(), k);
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| {
-            let start = (i * len).min(payload.len());
-            let end = ((i + 1) * len).min(payload.len());
-            let mut shard = payload[start..end].to_vec();
+    // Each shard is built once, in the buffer its fragment will own.
+    let mut shards: Vec<Vec<u8>> = payload
+        .chunks(len)
+        .chain(std::iter::repeat(&[][..]))
+        .take(k)
+        .map(|chunk| {
+            let mut shard = Vec::with_capacity(len);
+            shard.extend_from_slice(chunk);
             shard.resize(len, 0);
             shard
         })
         .collect();
-    let shards = extend(&data, n, len);
+    let data: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+    let mut parity = vec![vec![0u8; len]; n - k];
+    parity_into(&data, &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+    shards.extend(parity);
     let leaves: Vec<u64> =
         shards.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect();
     let leaves_root = merkle::root(&leaves);
@@ -250,25 +279,66 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     Ok(Coded { root, fragments })
 }
 
-/// Checks a fragment against a commitment: geometry, shard length, and
-/// Merkle inclusion. A fragment that passes is exactly what the sender
-/// committed for that index.
-pub fn verify(root: u64, n: usize, k: usize, frag: &Fragment) -> bool {
-    if check_geometry(n, k).is_err() {
-        return false;
-    }
+/// The one fragment check: geometry, shard length, and Merkle inclusion.
+/// Returns the fragment's leaf hash — the only pass over the shard bytes
+/// — when the fragment is exactly what the sender committed for its index.
+fn verified_leaf(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<u64> {
+    check_geometry(n, k).ok()?;
     let index = frag.index as usize;
     if index >= n || frag.shard.len() != shard_len(frag.total_len as usize, k) {
-        return false;
+        return None;
     }
     if frag.proof.len() != merkle::depth(n) {
-        return false;
+        return None;
     }
     // Recompute what the commitment's Merkle root must have been, then
     // re-bind it: the proof authenticates the leaf under that root.
     let leaf = merkle::leaf_hash(frag.index, &frag.shard);
     let leaves_root = merkle::fold(index, leaf, &frag.proof);
-    commitment(leaves_root, frag.total_len, n, k) == root
+    (commitment(leaves_root, frag.total_len, n, k) == root).then_some(leaf)
+}
+
+/// Checks a fragment against a commitment: geometry, shard length, and
+/// Merkle inclusion. A fragment that passes is exactly what the sender
+/// committed for that index.
+pub fn verify(root: u64, n: usize, k: usize, frag: &Fragment) -> bool {
+    verified_leaf(root, n, k, frag).is_some()
+}
+
+/// A fragment that passed [`verify`], kept together with the leaf hash
+/// verification computed over its shard, so that reconstruction
+/// ([`reconstruct_verified`]) need not hash the same bytes again.
+///
+/// Both fields are private and [`VerifiedFragment::check`] is the only
+/// constructor: the stored leaf is always the hash of the stored bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VerifiedFragment {
+    fragment: Fragment,
+    leaf: u64,
+}
+
+impl VerifiedFragment {
+    /// [`verify`]s `frag` against a commitment and, if it passes, keeps a
+    /// copy of it with its leaf hash.
+    pub fn check(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<Self> {
+        let leaf = verified_leaf(root, n, k, frag)?;
+        Some(VerifiedFragment { fragment: frag.clone(), leaf })
+    }
+
+    /// The verified fragment.
+    pub fn fragment(&self) -> &Fragment {
+        &self.fragment
+    }
+}
+
+/// A successfully reconstructed payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Decoded {
+    /// The sender's payload, byte for byte.
+    pub payload: Vec<u8>,
+    /// How many of the `n` leaf hashes of the codeword check had to be
+    /// recomputed from shard bytes rather than reused from verification.
+    pub hashed_shards: usize,
 }
 
 /// Reconstructs the payload from at least `k` verified fragments of one
@@ -285,18 +355,57 @@ pub fn reconstruct(
     k: usize,
     fragments: &[Fragment],
 ) -> Result<Vec<u8>, EcError> {
+    let supplied: Vec<(&Fragment, Option<u64>)> = fragments.iter().map(|f| (f, None)).collect();
+    decode(root, n, k, &supplied).map(|decoded| decoded.payload)
+}
+
+/// [`reconstruct`] for fragments whose leaf hashes are already known from
+/// verification: same decode, same codeword check, same result for every
+/// input — but a shard whose re-encoded bytes equal a supplied verified
+/// fragment's bytes reuses that fragment's leaf instead of being hashed
+/// again. The first `k` distinct indices decode; every further fragment
+/// only spares its index a hash.
+pub fn reconstruct_verified<'a>(
+    root: u64,
+    n: usize,
+    k: usize,
+    fragments: impl IntoIterator<Item = &'a VerifiedFragment>,
+) -> Result<Decoded, EcError> {
+    let supplied: Vec<(&Fragment, Option<u64>)> =
+        fragments.into_iter().map(|v| (&v.fragment, Some(v.leaf))).collect();
+    decode(root, n, k, &supplied)
+}
+
+/// The decode core behind [`reconstruct`] and [`reconstruct_verified`]:
+/// each supplied fragment comes with the leaf hash of its shard if the
+/// caller knows it.
+///
+/// The codeword check recomputes the commitment over all `n` re-encoded
+/// shards. A known leaf stands in for hashing a re-encoded shard only when
+/// the two shards are byte-equal — it is then the hash of identical bytes
+/// — so the recomputed commitment is value for value the one a full
+/// re-hash yields, and [`EcError::RootMismatch`] stays uniform across
+/// subsets whatever the caller knows.
+fn decode(
+    root: u64,
+    n: usize,
+    k: usize,
+    supplied: &[(&Fragment, Option<u64>)],
+) -> Result<Decoded, EcError> {
     check_geometry(n, k)?;
-    // Deduplicate by index, keeping the first occurrence of each.
-    let mut seen = [false; 256];
+    // Per index, the first fragment supplied for it. The first `k`
+    // distinct indices are the interpolation points; later ones are kept
+    // only if they can spare their index a hash.
+    let mut by_index: Vec<Option<(&Fragment, Option<u64>)>> = vec![None; n];
     let mut picked: Vec<&Fragment> = Vec::with_capacity(k);
-    for frag in fragments {
-        let idx = frag.index as usize;
-        if idx < n && !seen[idx] {
-            seen[idx] = true;
+    for &(frag, leaf) in supplied {
+        let Some(slot) = by_index.get_mut(frag.index as usize) else { continue };
+        if slot.is_some() || (picked.len() == k && leaf.is_none()) {
+            continue;
+        }
+        *slot = Some((frag, leaf));
+        if picked.len() < k {
             picked.push(frag);
-            if picked.len() == k {
-                break;
-            }
         }
     }
     if picked.len() < k {
@@ -314,24 +423,50 @@ pub fn reconstruct(
         return Err(EcError::InconsistentFragments);
     }
 
-    // Interpolate the data shards from the picked k points (systematic:
-    // points already in 0..k pass through).
+    // Decode the data shards straight into the payload buffer: a picked
+    // data position is a copy (the code is systematic), any other is
+    // interpolated from the picked `k` points.
     let xs: Vec<u8> = picked.iter().map(|f| f.index as u8).collect();
     let views: Vec<&[u8]> = picked.iter().map(|f| f.shard.as_slice()).collect();
-    let data: Vec<Vec<u8>> = (0..k).map(|x| interpolate_shard(&xs, &views, x as u8, len)).collect();
+    let mut payload = vec![0u8; k * len];
+    let mut missing: Vec<u8> = Vec::new();
+    let mut missing_outs: Vec<&mut [u8]> = Vec::new();
+    for (x, out) in payload.chunks_mut(len).enumerate() {
+        match picked.iter().find(|f| f.index as usize == x) {
+            Some(frag) => out.copy_from_slice(&frag.shard),
+            None => {
+                missing.push(x as u8);
+                missing_outs.push(out);
+            }
+        }
+    }
+    interpolate_into(&xs, &views, &missing, &mut missing_outs);
 
     // Codeword check: the decoded payload must re-commit to `root`.
-    let shards = extend(&data, n, len);
-    if shards_commitment(&shards, total_len, n, k) != root {
+    let data: Vec<&[u8]> = payload.chunks(len).collect();
+    let mut parity = vec![0u8; (n - k) * len];
+    parity_into(&data, &mut parity.chunks_mut(len).collect::<Vec<_>>());
+    let mut hashed_shards = 0;
+    let leaves: Vec<u64> = data
+        .iter()
+        .copied()
+        .chain(parity.chunks(len))
+        .zip(&by_index)
+        .enumerate()
+        .map(|(x, (shard, known))| match known {
+            Some((frag, Some(leaf))) if frag.shard == shard => *leaf,
+            _ => {
+                hashed_shards += 1;
+                merkle::leaf_hash(x as u16, shard)
+            }
+        })
+        .collect();
+    if commitment(merkle::root(&leaves), total_len, n, k) != root {
         return Err(EcError::RootMismatch);
     }
 
-    let mut payload: Vec<u8> = Vec::with_capacity(k * len);
-    for shard in &data {
-        payload.extend_from_slice(shard);
-    }
     payload.truncate(total_len as usize);
-    Ok(payload)
+    Ok(Decoded { payload, hashed_shards })
 }
 
 #[cfg(test)]

@@ -392,6 +392,10 @@ pub enum Event {
         fragments: u64,
         /// Byte length of the decoded payload.
         bytes: u64,
+        /// Shards whose commitment leaf the codeword check recomputed by
+        /// hashing rather than reused from fragment verification (0 when
+        /// the decode failed).
+        hashed_shards: u64,
         /// Whether the decoded payload re-encoded to the commitment.
         consistent: bool,
     },
@@ -697,11 +701,19 @@ impl Event {
                 field("index", JsonValue::U64(*index));
                 field("verified", JsonValue::Bool(*verified));
             }
-            Event::RbcReconstructed { origin, tag, fragments, bytes, consistent } => {
+            Event::RbcReconstructed {
+                origin,
+                tag,
+                fragments,
+                bytes,
+                hashed_shards,
+                consistent,
+            } => {
                 field("origin", JsonValue::U64(origin.index() as u64));
                 field("tag", JsonValue::str(tag));
                 field("fragments", JsonValue::U64(*fragments));
                 field("bytes", JsonValue::U64(*bytes));
+                field("hashed_shards", JsonValue::U64(*hashed_shards));
                 field("consistent", JsonValue::Bool(*consistent));
             }
             Event::RoundStarted { round } | Event::RoundCompleted { round } => {
@@ -811,6 +823,7 @@ mod tests {
                 tag: String::new(),
                 fragments: 2,
                 bytes: 64,
+                hashed_shards: 2,
                 consistent: true,
             },
             Event::SpanStart { trace: 1, span: 2, parent: 0, phase: TracePhase::Submit },

@@ -56,6 +56,7 @@ pub struct MetricsSink {
     rbc_fragments_rejected: u64,
     rbc_reconstructions: u64,
     rbc_reconstruct_bytes: u64,
+    rbc_hashed_shards: u64,
     epoch_commit_latency: Samples,
     open_epochs: BTreeMap<(NodeId, u64), u64>,
     inflight_epochs: BTreeMap<NodeId, u64>,
@@ -245,6 +246,12 @@ impl MetricsSink {
         self.rbc_reconstruct_bytes
     }
 
+    /// Shards re-hashed by reconstructions' codeword checks (the rest of
+    /// each codeword's `n` leaves were reused from fragment verification).
+    pub fn rbc_hashed_shards(&self) -> u64 {
+        self.rbc_hashed_shards
+    }
+
     /// `EpochCommitted − EpochStarted` durations, one sample per
     /// `(node, epoch)` pair that committed.
     pub fn epoch_commit_latency(&self) -> &Samples {
@@ -378,6 +385,7 @@ impl MetricsSink {
         self.rbc_fragments_rejected += other.rbc_fragments_rejected;
         self.rbc_reconstructions += other.rbc_reconstructions;
         self.rbc_reconstruct_bytes += other.rbc_reconstruct_bytes;
+        self.rbc_hashed_shards += other.rbc_hashed_shards;
         self.epoch_commit_latency.merge(&other.epoch_commit_latency);
         self.occupancy.merge(&other.occupancy);
         self.max_pipeline_occupancy = self.max_pipeline_occupancy.max(other.max_pipeline_occupancy);
@@ -522,6 +530,9 @@ impl MetricsSink {
                 ("batches_submitted".into(), JsonValue::U64(self.batches_submitted)),
                 ("txs_submitted".into(), JsonValue::U64(self.txs_submitted)),
                 ("txs_delivered".into(), JsonValue::U64(self.txs_delivered)),
+                ("rbc_reconstructions".into(), JsonValue::U64(self.rbc_reconstructions)),
+                ("rbc_reconstruct_bytes".into(), JsonValue::U64(self.rbc_reconstruct_bytes)),
+                ("rbc_hashed_shards".into(), JsonValue::U64(self.rbc_hashed_shards)),
                 ("epoch_commit_latency".into(), JsonValue::Obj(commit_latency)),
                 ("pipeline_occupancy".into(), JsonValue::Obj(occupancy)),
             ]),
@@ -674,6 +685,12 @@ impl MetricsSink {
             "bft_rbc_reconstruct_bytes_total",
             "Bytes recovered by reconstruction",
             self.rbc_reconstruct_bytes,
+        );
+        prom_counter(
+            &mut out,
+            "bft_rbc_hashed_shards_total",
+            "Shards re-hashed by reconstruction",
+            self.rbc_hashed_shards,
         );
         prom_gauge(
             &mut out,
@@ -900,8 +917,9 @@ impl Sink for MetricsSink {
                     self.rbc_fragments_rejected += 1;
                 }
             }
-            Event::RbcReconstructed { bytes, consistent, .. } => {
+            Event::RbcReconstructed { bytes, hashed_shards, consistent, .. } => {
                 self.rbc_reconstructions += 1;
+                self.rbc_hashed_shards += hashed_shards;
                 if *consistent {
                     self.rbc_reconstruct_bytes += bytes;
                 }

@@ -208,30 +208,47 @@ pub fn encode_batch(txs: &[Vec<u8>]) -> Vec<u8> {
 /// decodes as a single opaque payload, so all correct nodes still
 /// append identical entries.
 pub fn decode_batch(bytes: &[u8]) -> Vec<Vec<u8>> {
-    fn parse(bytes: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let mut r = Reader::new(bytes);
-        let count = r.u32().ok()? as usize;
-        // Each entry costs at least its 4-byte length prefix, so a count
-        // the remaining bytes cannot possibly hold is malformed — reject
-        // before looping (a hostile count must not drive the loop).
-        if count > r.remaining() / 4 {
+    match walk_batch(bytes) {
+        Some(txs) => txs.into_iter().map(<[u8]>::to_vec).collect(),
+        None => vec![bytes.to_vec()],
+    }
+}
+
+/// How many payloads [`decode_batch`] yields for `bytes`, without copying
+/// any of them (a malformed body counts as its one opaque payload).
+pub fn batch_tx_count(bytes: &[u8]) -> usize {
+    walk_batch(bytes).map_or(1, |txs| txs.len())
+}
+
+/// The one batch-body parser: the payloads of a well-formed body, borrowed
+/// from it; `None` if the body is malformed.
+fn walk_batch(bytes: &[u8]) -> Option<Vec<&[u8]>> {
+    let mut r = Reader::new(bytes);
+    let count = r.u32().ok()? as usize;
+    // Each entry costs at least its 4-byte length prefix, so a count
+    // the remaining bytes cannot possibly hold is malformed — reject
+    // before looping (a hostile count must not drive the loop).
+    if count > r.remaining() / 4 {
+        return None;
+    }
+    let mut txs = Vec::new();
+    for _ in 0..count {
+        let len = r.u32().ok()? as usize;
+        if len > r.remaining() {
             return None;
         }
-        let mut txs = Vec::new();
-        for _ in 0..count {
-            let len = r.u32().ok()? as usize;
-            if len > r.remaining() {
-                return None;
-            }
-            txs.push(r.take(len).ok()?.to_vec());
-        }
-        r.finish().ok()?;
-        Some(txs)
+        txs.push(r.take(len).ok()?);
     }
-    parse(bytes).unwrap_or_else(|| vec![bytes.to_vec()])
+    r.finish().ok()?;
+    Some(txs)
 }
 
 /// Per-epoch ACS state: `n` agreement instances plus the RBC deliveries.
+///
+/// A batch body lives in exactly one place: `delivered` until the epoch
+/// commits, `committed` until it is appended, the log's entries after
+/// that (an appended epoch lingering for its halting gadget keeps only
+/// the accepted proposer ids).
 struct EpochState<C> {
     abas: Vec<BrachaNode<C>>,
     aba_started: Vec<bool>,
@@ -257,6 +274,11 @@ impl<C: CoinScheme> EpochState<C> {
 
     fn all_halted(&self) -> bool {
         self.abas.iter().all(|a| a.is_halted())
+    }
+
+    fn batch_bytes(&self) -> usize {
+        let committed = self.committed.iter().flatten().map(|(_, body)| body.len());
+        self.delivered.values().map(Vec::len).chain(committed).sum()
     }
 }
 
@@ -442,6 +464,13 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.epochs.values().map(|s| s.abas.len()).sum()
     }
 
+    /// Batch-body bytes held in per-epoch ACS state (delivered or
+    /// committed, not yet appended). Bounded by the epochs in flight: an
+    /// appended epoch's bodies have moved into the log.
+    pub fn retained_batch_bytes(&self) -> usize {
+        self.epochs.values().map(EpochState::batch_bytes).sum()
+    }
+
     /// Forgets log entries below `epoch`, returning how many were
     /// dropped. The append cursor is untouched: epochs below it stay
     /// appended, their *payloads* are simply no longer retained. This is
@@ -449,10 +478,17 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// certified snapshot at `epoch`, the prefix below it is dead weight
     /// (any peer that needs it catches up by state transfer, not
     /// replay).
+    ///
+    /// The log is in epoch order, so the dead entries are a prefix: the
+    /// call costs one comparison when the floor has not moved (the state
+    /// machine asks after every delivered message) and one prefix drain
+    /// when it has.
     pub fn truncate_below(&mut self, epoch: u64) -> usize {
-        let before = self.log.len();
-        self.log.retain(|entry| entry.epoch >= epoch);
-        before - self.log.len()
+        if self.log.first().is_none_or(|entry| entry.epoch >= epoch) {
+            return 0;
+        }
+        let cut = self.log.partition_point(|entry| entry.epoch < epoch);
+        self.log.drain(..cut).count()
     }
 
     /// Jumps the append cursor forward to `epoch` (clamped to the
@@ -471,7 +507,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             return out;
         }
         let target = epoch.min(self.opts.epochs);
-        self.log.retain(|entry| entry.epoch >= target);
+        self.truncate_below(target);
         self.log_next = target;
         self.next_epoch = self.next_epoch.max(target);
         self.rbc.retain(move |_, tag| *tag >= target);
@@ -653,10 +689,10 @@ impl<C: CoinScheme> OrderProcess<C> {
             if accepted.iter().all(|id| state.delivered.contains_key(id)) {
                 let set: Vec<(NodeId, Vec<u8>)> = accepted
                     .into_iter()
-                    .filter_map(|id| state.delivered.get(&id).map(|b| (id, b.clone())))
+                    .filter_map(|id| state.delivered.remove(&id).map(|b| (id, b)))
                     .collect();
                 let (slots, txs) =
-                    (set.len() as u64, set.iter().map(|(_, b)| decode_batch(b).len() as u64).sum());
+                    (set.len() as u64, set.iter().map(|(_, b)| batch_tx_count(b) as u64).sum());
                 let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
                 state.committed = Some(set);
                 self.obs.emit(self.me, || Event::EpochCommitted { epoch: e, slots, txs });
@@ -681,7 +717,14 @@ impl<C: CoinScheme> OrderProcess<C> {
         let mut changed = false;
         loop {
             let e = self.log_next;
-            let Some(set) = self.epochs.get(&e).and_then(|s| s.committed.clone()) else { break };
+            let Some(state) = self.epochs.get_mut(&e) else { break };
+            let Some(committed) = state.committed.as_mut() else { break };
+            // The bodies move out into the log; the proposer ids stay for
+            // the trace and `fast_forward` readers. Batches the ACS left
+            // out are dead from here on.
+            let set: Vec<(NodeId, Vec<u8>)> =
+                committed.iter_mut().map(|(id, body)| (*id, std::mem::take(body))).collect();
+            state.delivered.clear();
             let before = self.log.len();
             let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
             if let Some(batch) = self.proposed.remove(&e) {

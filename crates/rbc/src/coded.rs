@@ -27,7 +27,7 @@
 //! and totality intact.
 
 use crate::{RbcAction, RbcMessage};
-use bft_ec::{self as ec, Fragment};
+use bft_ec::{self as ec, Fragment, VerifiedFragment};
 use bft_obs::{Event as ObsEvent, Obs, RbcPhase, TraceCtx, TracePhase};
 use bft_types::{Config, NodeBitset, NodeId};
 use std::collections::BTreeMap;
@@ -87,10 +87,14 @@ pub struct CodedInstance<P> {
     started: bool,
     sent_echo: bool,
     sent_ready: bool,
-    /// Verified echo fragments, grouped by commitment root then keyed by
-    /// fragment index (≡ echoing peer). BTree for replay-stable order.
+    /// This node's own fragment as verified on `CodedSend`, with its root,
+    /// until the echo of it loops back: the bytes were hashed then.
+    own: Option<(u64, VerifiedFragment)>,
+    /// Verified echo fragments, each with the leaf hash its verification
+    /// computed, grouped by commitment root then keyed by fragment index
+    /// (≡ echoing peer). BTree for replay-stable order.
     // lint: allow(unbounded-map) — one echo per peer (≤ n roots of ≤ n fragments); RbcMux::retain drops the instance at the GC horizon
-    echoes: BTreeMap<u64, BTreeMap<u16, Fragment>>,
+    echoes: BTreeMap<u64, BTreeMap<u16, VerifiedFragment>>,
     /// Peers whose (first) echo has been counted, any root.
     echoed_peers: NodeBitset,
     /// Peers whose (first) ready has been counted, any root.
@@ -122,6 +126,7 @@ where
             started: false,
             sent_echo: false,
             sent_ready: false,
+            own: None,
             echoes: BTreeMap::new(),
             echoed_peers: NodeBitset::new(config.n()),
             readied_peers: NodeBitset::new(config.n()),
@@ -183,7 +188,7 @@ where
     /// Fragment bytes currently buffered — the coded instance's analogue
     /// of Bracha's per-payload Echo copies, used by memory-bound tests.
     pub fn buffered_fragment_bytes(&self) -> usize {
-        self.echoes.values().flat_map(|frags| frags.values()).map(Fragment::weight).sum()
+        self.echoes.values().flat_map(|frags| frags.values()).map(|v| v.fragment().weight()).sum()
     }
 
     fn k(&self) -> usize {
@@ -250,10 +255,11 @@ where
         if from != self.sender || self.sent_echo {
             return;
         }
-        if frag.index as usize != self.me.index() || !self.verify(root, frag) {
+        let Some(verified) = self.check(root, frag, self.me) else {
             self.emit_fragment(frag.index, false);
             return;
-        }
+        };
+        self.own = Some((root, verified));
         self.sent_echo = true;
         self.emit_phase(RbcPhase::Send);
         self.emit_phase(RbcPhase::Echo);
@@ -265,19 +271,30 @@ where
     }
 
     fn on_echo(&mut self, from: NodeId, root: u64, frag: &Fragment, out: &mut Vec<RbcAction<P>>) {
+        // Verification hashes the whole shard, so echoes that can no
+        // longer matter are dropped before it: a peer's echo counts once
+        // (a replay must not buy a hash per copy), and after delivery the
+        // Ready is out and nothing reads fragments any more.
+        if self.delivered.is_some() || self.echoed_peers.contains(from) {
+            return;
+        }
         // An echo must carry the echoing peer's own fragment and verify
-        // against its commitment. Verification precedes the first-wins
-        // peer dedup, so junk cannot burn a correct peer's slot.
-        if frag.index as usize != from.index() || !self.verify(root, frag) {
+        // against its commitment. The peer's slot is taken only after
+        // verification, so junk cannot burn a correct peer's slot.
+        let verified = match self.own.take_if(|_| from == self.me) {
+            // Our own echo looping back, byte for byte what `on_send`
+            // verified under this root: the verdict and the leaf stand.
+            Some((own_root, own)) if own_root == root && own.fragment() == frag => Some(own),
+            _ => self.check(root, frag, from),
+        };
+        let Some(verified) = verified else {
             self.emit_fragment(frag.index, false);
             return;
-        }
-        if !self.echoed_peers.insert(from) {
-            return;
-        }
+        };
+        self.echoed_peers.insert(from);
         self.emit_fragment(frag.index, true);
         let frags = self.echoes.entry(root).or_default();
-        frags.entry(frag.index).or_insert_with(|| frag.clone());
+        frags.entry(frag.index).or_insert(verified);
         let support = frags.len();
         if support >= self.config.quorum() {
             self.maybe_send_ready(root, RbcPhase::Echo, support, out);
@@ -316,22 +333,22 @@ where
         if frags.len() < self.k() {
             return;
         }
-        let fragments: Vec<Fragment> = frags.values().cloned().collect();
-        let n = self.config.n();
-        let k = self.k();
-        let (bytes, consistent) = match ec::reconstruct(root, n, k, &fragments) {
-            Ok(bytes) => (bytes, true),
+        let fragments = frags.len() as u64;
+        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), frags.values());
+        let (bytes, hashed_shards, consistent) = match decoded {
+            Ok(decoded) => (decoded.payload, decoded.hashed_shards as u64, true),
             // The sender committed to a non-codeword (or inconsistent
             // geometry): uniform across subsets, so every correct node
             // takes this branch — deliver the canonical empty fallback to
             // preserve totality.
-            Err(_) => (Vec::new(), false),
+            Err(_) => (Vec::new(), 0, false),
         };
         self.obs.emit(self.me, || ObsEvent::RbcReconstructed {
             origin: self.sender,
             tag: self.tag_label.clone(),
-            fragments: fragments.len() as u64,
+            fragments,
             bytes: bytes.len() as u64,
+            hashed_shards,
             consistent,
         });
         let support =
@@ -356,8 +373,13 @@ where
         out.push(RbcAction::Deliver(payload));
     }
 
-    fn verify(&self, root: u64, frag: &Fragment) -> bool {
-        ec::verify(root, self.config.n(), self.k(), frag)
+    /// Verifies `frag` as `owner`'s fragment under `root`: it must sit at
+    /// the owner's codeword index and check out against the commitment.
+    fn check(&self, root: u64, frag: &Fragment, owner: NodeId) -> Option<VerifiedFragment> {
+        if frag.index as usize != owner.index() {
+            return None;
+        }
+        VerifiedFragment::check(root, self.config.n(), self.k(), frag)
     }
 
     fn bump(counts: &mut Vec<(u64, usize)>, root: u64) -> usize {
@@ -546,6 +568,50 @@ mod tests {
         // Still only two distinct echoers.
         let a = inst.on_message(n(3), &echo(c.root, &c.fragments[3]));
         assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn replayed_echo_from_a_counted_peer_is_dropped_unhashed() {
+        use bft_obs::VecSink;
+        let (obs, sink) = Obs::new(VecSink::new());
+        let c = coded();
+        let mut inst = Inst::new(cfg(), n(1), n(0));
+        inst.set_obs(obs, "t".into());
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        let fragment_events = |sink: &bft_obs::SharedSink<VecSink>| {
+            let events = sink.lock().take();
+            events.iter().filter(|(_, _, e)| matches!(e, ObsEvent::RbcFragment { .. })).count()
+        };
+        assert_eq!(fragment_events(&sink), 1, "the first echo is checked and counted");
+        // A replay — byte-identical or corrupted — is neither verified
+        // (no fragment event, so no shard hash) nor acted on.
+        let mut corrupted = c.fragments[2].clone();
+        corrupted.shard[0] ^= 1;
+        for replay in [&c.fragments[2], &corrupted] {
+            assert!(inst.on_message(n(2), &echo(c.root, replay)).is_empty());
+            assert_eq!(fragment_events(&sink), 0);
+        }
+        assert_eq!(inst.buffered_fragment_bytes(), c.fragments[2].weight());
+    }
+
+    #[test]
+    fn own_echo_looping_back_reuses_the_send_verification() {
+        let c = coded();
+        let mut inst = Inst::new(cfg(), n(1), n(0));
+        let send = RbcMessage::CodedSend { root: c.root, fragment: c.fragments[1].clone() };
+        assert_eq!(inst.on_message(n(0), &send).len(), 1);
+        assert!(inst.own.is_some());
+        // The loop-back consumes the remembered fragment and counts it.
+        assert!(inst.on_message(n(1), &echo(c.root, &c.fragments[1])).is_empty());
+        assert!(inst.own.is_none());
+        assert_eq!(inst.buffered_fragment_bytes(), c.fragments[1].weight());
+        // A self-echo that is not what was verified takes the normal path.
+        let mut other = Inst::new(cfg(), n(1), n(0));
+        assert_eq!(other.on_message(n(0), &send).len(), 1);
+        let mut corrupted = c.fragments[1].clone();
+        corrupted.shard[0] ^= 1;
+        assert!(other.on_message(n(1), &echo(c.root, &corrupted)).is_empty());
+        assert_eq!(other.buffered_fragment_bytes(), 0, "a corrupted self-echo is rejected");
     }
 
     #[test]

@@ -48,10 +48,17 @@ impl fmt::Display for RbcKind {
 }
 
 /// One instance of either implementation, behind a uniform surface.
+///
+/// The coded state is boxed: it is the larger variant, and the agreement
+/// layer keeps thousands of Bracha instances live per epoch in maps of
+/// this enum — they must not pay for fragment bookkeeping they never use.
+/// The Bracha state stays inline for the same reason: boxing the common
+/// variant would cost those instances an allocation and a hop each.
 #[derive(Clone, Debug)]
+#[allow(clippy::large_enum_variant)]
 enum Inst<P> {
     Bracha(RbcInstance<P>),
-    Coded(CodedInstance<P>),
+    Coded(Box<CodedInstance<P>>),
 }
 
 impl<P> Inst<P>
@@ -257,7 +264,7 @@ where
                             inst.set_trace(ctx);
                         }
                     }
-                    Inst::Coded(inst)
+                    Inst::Coded(Box::new(inst))
                 }
             }
         })

@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 use bft_coin::CoinScheme;
-use bft_ec::{encode as ec_encode, reconstruct as ec_reconstruct, verify as ec_verify, Fragment};
+use bft_ec::{encode as ec_encode, reconstruct_verified, Fragment, VerifiedFragment};
 use bft_net::codec::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_obs::{Event, Obs, TraceCtx, TracePhase};
 use bft_order::{Backpressure, LogEntry, OrderLog, OrderMessage, OrderOptions, OrderProcess};
@@ -448,11 +448,19 @@ pub struct SmrOutput {
 }
 
 /// An in-progress snapshot fetch: the certified target and the per-peer
-/// fragments collected so far (at most one per peer, keyed by sender).
+/// verified fragments collected so far (each peer's first, keyed by
+/// sender, with the root it claimed).
 struct FetchState {
     epoch: u64,
     hash: u64,
-    frags: BTreeMap<NodeId, (u64, Fragment)>,
+    frags: BTreeMap<NodeId, (u64, VerifiedFragment)>,
+}
+
+/// A canonical snapshot together with its [`snapshot_hash`], computed
+/// once when the snapshot is taken (or verified, for a fetched one).
+struct Snapshot {
+    hash: u64,
+    bytes: Vec<u8>,
 }
 
 type SmrEffect = Effect<SmrMessage, SmrOutput>;
@@ -474,7 +482,7 @@ pub struct SmrProcess<C> {
     ckpt: RbcMux<u64, Vec<u8>>,
     /// Own snapshots by checkpoint epoch; pruned below the latest
     /// certificate once one exists.
-    snapshots: BTreeMap<u64, Vec<u8>>,
+    snapshots: BTreeMap<u64, Snapshot>,
     /// The highest boundary already proposed (or skipped by a restore).
     ckpt_cursor: u64,
     /// The latest checkpoint certificate `(epoch, hash)` this node
@@ -674,10 +682,12 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
         while self.state.applied_epoch() < self.order.committed_epochs() {
             let e = self.state.applied_epoch();
-            let slots: Vec<LogEntry> =
-                self.order.log().iter().filter(|s| s.epoch == e).cloned().collect();
+            // The log is in epoch order: epoch `e` is one contiguous range.
+            let log = self.order.log();
+            let slots = &log[log.partition_point(|s| s.epoch < e)..];
+            let slots = &slots[..slots.partition_point(|s| s.epoch == e)];
             let mut spanned: BTreeSet<NodeId> = BTreeSet::new();
-            for slot in &slots {
+            for slot in slots {
                 self.state.apply_slot(slot);
                 let (proposer, bytes) = (slot.proposer, slot.tx.len() as u64);
                 self.obs.emit(self.me, || Event::SlotApplied { epoch: e, proposer, bytes });
@@ -692,7 +702,8 @@ impl<C: CoinScheme> SmrProcess<C> {
             self.state.seal_epoch();
             let sealed = self.state.applied_epoch();
             if self.is_boundary(sealed) {
-                self.snapshots.insert(sealed, self.state.snapshot());
+                let bytes = self.state.snapshot();
+                self.snapshots.insert(sealed, Snapshot { hash: snapshot_hash(&bytes), bytes });
             }
         }
     }
@@ -705,8 +716,7 @@ impl<C: CoinScheme> SmrProcess<C> {
                 break;
             }
             self.ckpt_cursor = c;
-            let Some(snap) = self.snapshots.get(&c) else { continue };
-            let hash = snapshot_hash(snap);
+            let Some(hash) = self.snapshots.get(&c).map(|snap| snap.hash) else { continue };
             self.obs.emit(self.me, || Event::CheckpointProposed { epoch: c, hash });
             let actions = self.ckpt.broadcast(c, hash.to_le_bytes().to_vec());
             self.lift_ckpt(actions, out);
@@ -739,7 +749,7 @@ impl<C: CoinScheme> SmrProcess<C> {
         self.cert = Some((epoch, hash));
         self.obs.emit(self.me, || Event::CheckpointCertified { epoch, hash, support });
         if let Some(own) = self.snapshots.get(&epoch) {
-            if snapshot_hash(own) != hash {
+            if own.hash != hash {
                 // The cluster certified a state this node does not hold
                 // — with a deterministic apply this is unreachable for a
                 // correct node, so surface it instead of serving a
@@ -839,7 +849,7 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
         let Some(snap) = self.snapshots.get(&ce) else { return };
         let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
-        let Ok(coded) = ec_encode(snap, n, k) else { return };
+        let Ok(coded) = ec_encode(&snap.bytes, n, k) else { return };
         let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
         out.push(Effect::Send {
             to: from,
@@ -858,13 +868,16 @@ impl<C: CoinScheme> SmrProcess<C> {
         let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
         let installed = {
             let Some(fetch) = self.fetch.as_mut() else { return };
+            // One chunk per peer per target, first wins: a replay must
+            // not buy a shard hash and a reconstruction attempt per copy.
             if fetch.epoch != epoch
                 || fragment.index as usize != from.index()
-                || !ec_verify(root, n, k, fragment)
+                || fetch.frags.contains_key(&from)
             {
                 return;
             }
-            fetch.frags.insert(from, (root, fragment.clone()));
+            let Some(verified) = VerifiedFragment::check(root, n, k, fragment) else { return };
+            fetch.frags.insert(from, (root, verified));
             // Group collected fragments by claimed root; the first root
             // with k fragments whose reconstruction matches the
             // certified hash wins. A Byzantine peer lying about the root
@@ -873,16 +886,12 @@ impl<C: CoinScheme> SmrProcess<C> {
             let roots: BTreeSet<u64> = fetch.frags.values().map(|&(r, _)| r).collect();
             let mut found = None;
             for r in roots {
-                let frags: Vec<Fragment> = fetch
-                    .frags
-                    .values()
-                    .filter(|&&(fr, _)| fr == r)
-                    .map(|(_, f)| f.clone())
-                    .collect();
-                if frags.len() < k {
+                let frags = || fetch.frags.values().filter(|(fr, _)| *fr == r).map(|(_, f)| f);
+                if frags().count() < k {
                     continue;
                 }
-                let Ok(bytes) = ec_reconstruct(r, n, k, &frags) else { continue };
+                let Ok(decoded) = reconstruct_verified(r, n, k, frags()) else { continue };
+                let bytes = decoded.payload;
                 if snapshot_hash(&bytes) != fetch.hash {
                     continue;
                 }
@@ -890,18 +899,18 @@ impl<C: CoinScheme> SmrProcess<C> {
                 if state.applied_epoch() != fetch.epoch {
                     continue;
                 }
-                found = Some((state, bytes));
+                found = Some((state, Snapshot { hash: fetch.hash, bytes }));
                 break;
             }
             found
         };
-        let Some((state, bytes)) = installed else { return };
+        let Some((state, snapshot)) = installed else { return };
         let target = epoch;
-        let size = bytes.len() as u64;
+        let size = snapshot.bytes.len() as u64;
         self.fetch = None;
         self.state = state;
         self.recovering = false;
-        self.snapshots.insert(target, bytes);
+        self.snapshots.insert(target, snapshot);
         self.ckpt_cursor = self.ckpt_cursor.max(target);
         let effects = self.order.fast_forward(target);
         self.lift_order(effects, out);
@@ -1132,6 +1141,34 @@ mod tests {
             SmrMessage::from_bytes(&[9]),
             Err(DecodeError::Invalid { what: "smr message discriminant", .. })
         ));
+    }
+
+    #[test]
+    fn repeated_chunk_from_one_peer_keeps_the_first_and_is_not_reverified() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let mut p = SmrProcess::new(cfg, NodeId::new(0), SmrOptions::default(), Vec::new(), |i| {
+            CommonCoin::new(1, i)
+        });
+        let (n, k) = (cfg.n(), cfg.reconstruct_threshold());
+        let Ok(first) = ec_encode(b"one snapshot", n, k) else { return };
+        let Ok(second) = ec_encode(b"another snapshot", n, k) else { return };
+        p.fetch = Some(FetchState { epoch: 4, hash: 0, frags: BTreeMap::new() });
+        let peer = NodeId::new(2);
+        let chunk = |coded: &bft_ec::Coded| SmrMessage::Chunk {
+            epoch: 4,
+            root: coded.root,
+            fragment: coded.fragments[peer.index()].clone(),
+        };
+        let held = |p: &SmrProcess<CommonCoin>| -> Vec<(NodeId, u64)> {
+            p.fetch.iter().flat_map(|f| f.frags.iter().map(|(id, (r, _))| (*id, *r))).collect()
+        };
+        let _ = p.on_message(peer, &chunk(&first));
+        assert_eq!(held(&p), vec![(peer, first.root)]);
+        // A replay, and a different (valid) chunk from the same peer, are
+        // both dropped before verification: the first one stands.
+        let _ = p.on_message(peer, &chunk(&first));
+        let _ = p.on_message(peer, &chunk(&second));
+        assert_eq!(held(&p), vec![(peer, first.root)]);
     }
 
     fn kv_workload(id: NodeId, count: usize) -> Vec<Vec<u8>> {

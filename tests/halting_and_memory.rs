@@ -120,13 +120,16 @@ fn pump_ordering(epochs: u64, depth: usize) -> (usize, usize, usize) {
 }
 
 /// Like [`pump_ordering`], with a selectable RBC kind. Also returns the
-/// ordered log and the peak bytes of buffered coded fragments at any
-/// node (zero for Bracha).
+/// ordered log, the peak bytes of buffered coded fragments at any node
+/// (zero for Bracha), and the peak batch-body bytes any node held in
+/// per-epoch ACS state. Asserts along the way that a node that has
+/// appended every epoch holds no batch bytes, however many epochs still
+/// linger for their halting gadgets.
 fn pump_ordering_with(
     epochs: u64,
     depth: usize,
     rbc: async_bft::rbc::RbcKind,
-) -> ((usize, usize, usize), async_bft::order::OrderLog, usize) {
+) -> ((usize, usize, usize), async_bft::order::OrderLog, usize, usize) {
     use async_bft::order::{OrderOptions, OrderProcess};
     use async_bft::types::{Effect, Process};
     use std::collections::VecDeque;
@@ -160,6 +163,8 @@ fn pump_ordering_with(
     }
     let (mut max_rbc, mut max_epochs, mut max_abas) = (0usize, 0usize, 0usize);
     let mut max_frag_bytes = 0usize;
+    let mut max_batch_bytes = 0usize;
+    let mut lingering_seen = false;
     let mut steps = 0usize;
     while let Some((from, to, msg)) = queue.pop_front() {
         steps += 1;
@@ -181,7 +186,18 @@ fn pump_ordering_with(
         max_epochs = max_epochs.max(node.live_epochs());
         max_abas = max_abas.max(node.retained_aba_count());
         max_frag_bytes = max_frag_bytes.max(node.rbc_fragment_bytes());
+        max_batch_bytes = max_batch_bytes.max(node.retained_batch_bytes());
+        if node.committed_epochs() == epochs {
+            lingering_seen |= node.live_epochs() > 0;
+            assert_eq!(
+                node.retained_batch_bytes(),
+                0,
+                "appended epochs must hold no batch bytes ({} still linger)",
+                node.live_epochs()
+            );
+        }
     }
+    assert!(lingering_seen, "the run never exercised an appended-but-not-halted epoch");
 
     // The full run completed and all logs agree.
     let first = nodes[0].output().expect("node 0 must finish all epochs");
@@ -197,7 +213,7 @@ fn pump_ordering_with(
             "fragment buffers must be collected with their instances"
         );
     }
-    ((max_epochs, max_abas, max_rbc), first, max_frag_bytes)
+    ((max_epochs, max_abas, max_rbc), first, max_frag_bytes, max_batch_bytes)
 }
 
 /// The ordering engine's tentpole memory property: over a long run
@@ -347,8 +363,10 @@ fn checkpointed_smr_state_is_bounded_by_the_interval() {
 fn coded_ordering_collects_fragment_buffers() {
     use async_bft::rbc::RbcKind;
     let depth = 2usize;
-    let (short_state, short_log, short_frag) = pump_ordering_with(8, depth, RbcKind::Coded);
-    let (long_state, _long_log, long_frag) = pump_ordering_with(16, depth, RbcKind::Coded);
+    let (short_state, short_log, short_frag, short_batch) =
+        pump_ordering_with(8, depth, RbcKind::Coded);
+    let (long_state, _long_log, long_frag, long_batch) =
+        pump_ordering_with(16, depth, RbcKind::Coded);
     assert!(short_frag > 0, "coded runs must actually buffer fragments");
     assert_eq!(
         short_frag, long_frag,
@@ -359,9 +377,22 @@ fn coded_ordering_collects_fragment_buffers() {
         "retained state grew with the epoch horizon: a per-epoch leak"
     );
 
+    // Batch bodies move delivered → committed → log and are never held
+    // twice: per-epoch state holds them only for epochs still in flight
+    // (the pump asserts appended epochs hold none), so the peak is at
+    // most one body per proposer per pipeline slot.
+    let (n, batch) = (4usize, async_bft::order::encode_batch(&[vec![0u8; 2], vec![0u8; 2]]).len());
+    assert!(short_batch > 0, "batches must pass through per-epoch state");
+    assert_eq!(short_batch, long_batch, "peak batch bytes grew with the horizon");
+    assert!(
+        long_batch <= depth * n * batch,
+        "peak batch bytes {long_batch} exceed depth·n·batch = {}",
+        depth * n * batch
+    );
+
     // Differential: same epochs, same workload, same coins — the coded
     // engine's ordered log is byte-identical to the Bracha engine's.
-    let (_, bracha_log, bracha_frag) = pump_ordering_with(8, depth, RbcKind::Bracha);
+    let (_, bracha_log, bracha_frag, _) = pump_ordering_with(8, depth, RbcKind::Bracha);
     assert_eq!(bracha_frag, 0, "bracha broadcasts never buffer fragments");
     assert_eq!(short_log, bracha_log, "coded and bracha engines must order identical logs");
 }
