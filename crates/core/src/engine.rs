@@ -21,7 +21,17 @@ pub struct BrachaOptions {
     pub max_rounds: u64,
     /// How many rounds to keep participating after deciding, so that
     /// slower nodes can still collect quorums. One round suffices for the
-    /// protocol's proof; two adds margin at negligible cost.
+    /// protocol's proof; the default of two adds margin — and the margin is
+    /// not cheap. Every post-decision round is a full round of traffic
+    /// (three steps, each an `n`-way reliable broadcast per node), and when
+    /// the inputs agree an instance decides in round 1: with the default it
+    /// then runs rounds 2 *and* 3 in full, so the halting gadget is 2/3 of
+    /// all agreement messages (that is the case on every `abbench`
+    /// workload, `core.aba_rounds_mean` = 1). One round fewer is a third
+    /// of the agreement traffic; a scratch run of `tcp10_sat` with
+    /// `extra_rounds: 1` commits ≈ 1.6× the transactions per second
+    /// (DESIGN.md "The n⁴ wall"). Lowering it is a protocol-parameter
+    /// change with its own proof obligation, not a tuning knob.
     pub extra_rounds: u64,
     /// Garbage-collect validator and RBC state for rounds that are more
     /// than two behind the current round.

@@ -325,6 +325,8 @@ pub struct OrderProcess<C> {
     mempool_since: Option<u64>,
     /// Epochs this node proposed whose root `submit` span is still open.
     open_roots: BTreeSet<u64>,
+    /// How many times the ACS fixpoint ([`Self::progress`]) ran.
+    fixpoint_runs: u64,
 }
 
 impl<C: CoinScheme> OrderProcess<C> {
@@ -363,6 +365,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             trace_on: false,
             mempool_since: None,
             open_roots: BTreeSet::new(),
+            fixpoint_runs: 0,
         }
     }
 
@@ -471,6 +474,15 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.epochs.values().map(EpochState::batch_bytes).sum()
     }
 
+    /// How many times the ACS fixpoint has run (diagnostic). It runs on
+    /// start, on [`poke`](Self::poke) and [`fast_forward`](Self::fast_forward),
+    /// and after the messages that can change a rule's input — a batch
+    /// delivery, an agreement decision, an agreement halt — so it grows
+    /// with the epochs appended (≈ 3n each), not with the messages handled.
+    pub fn fixpoint_runs(&self) -> u64 {
+        self.fixpoint_runs
+    }
+
     /// Forgets log entries below `epoch`, returning how many were
     /// dropped. The append cursor is untouched: epochs below it stay
     /// appended, their *payloads* are simply no longer retained. This is
@@ -576,7 +588,15 @@ impl<C: CoinScheme> OrderProcess<C> {
         })
     }
 
-    fn lift_rbc(&mut self, actions: Vec<RbcMuxAction<u64, Vec<u8>>>, out: &mut Vec<OrderEffect>) {
+    /// Lifts RBC actions into effects; returns whether a batch was
+    /// delivered into an epoch's state (the one RBC outcome the ACS rules
+    /// read).
+    fn lift_rbc(
+        &mut self,
+        actions: Vec<RbcMuxAction<u64, Vec<u8>>>,
+        out: &mut Vec<OrderEffect>,
+    ) -> bool {
+        let mut delivered = false;
         for a in actions {
             match a {
                 RbcMuxAction::Broadcast(m) => {
@@ -588,21 +608,29 @@ impl<C: CoinScheme> OrderProcess<C> {
                 RbcMuxAction::Deliver { sender, tag, payload } => {
                     if self.accepts(tag) {
                         self.ensure_epoch(tag).delivered.entry(sender).or_insert(payload);
+                        delivered = true;
                     }
                 }
             }
         }
+        delivered
     }
 
-    fn lift_aba(epoch: u64, index: usize, ts: Vec<Transition>, out: &mut Vec<OrderEffect>) {
+    /// Lifts an agreement instance's broadcasts into effects; returns
+    /// whether the instance decided or halted in this step. The values
+    /// themselves are read through the node's getters by the ACS rules —
+    /// the flag only says that those rules have something new to read.
+    fn lift_aba(epoch: u64, index: usize, ts: Vec<Transition>, out: &mut Vec<OrderEffect>) -> bool {
+        let mut decided_or_halted = false;
         for t in ts {
-            if let Transition::Broadcast(wire) = t {
-                out.push(Effect::Broadcast {
+            match t {
+                Transition::Broadcast(wire) => out.push(Effect::Broadcast {
                     msg: OrderMessage::Aba { epoch, index: index as u32, wire },
-                });
+                }),
+                Transition::Decide(_) | Transition::Halt => decided_or_halted = true,
             }
-            // Decide/Halt are consumed via the node's getters.
         }
+        decided_or_halted
     }
 
     /// Proposes epochs while the pipeline has room.
@@ -775,8 +803,17 @@ impl<C: CoinScheme> OrderProcess<C> {
     }
 
     /// Drives proposal, per-epoch ACS rules, log append and wind-down to
-    /// a fixpoint.
+    /// a fixpoint — the only place the ACS rules live.
+    ///
+    /// The rules read `delivered` (Rule 1, Rule 3), the agreement
+    /// instances' `decided()` (Rule 2, Rule 3) and `is_halted()` (epoch
+    /// GC, wind-down), and the proposal/append cursors, which only the
+    /// rules themselves move. A state that is a fixpoint therefore stays
+    /// one until a batch is delivered or an instance decides or halts:
+    /// [`Process::on_message`] calls this after exactly those events, and
+    /// every other message costs its one instance step.
     fn progress(&mut self, out: &mut Vec<OrderEffect>) {
+        self.fixpoint_runs += 1;
         loop {
             let mut changed = self.maybe_propose(out);
             let live: Vec<u64> = self.epochs.keys().copied().collect();
@@ -834,22 +871,26 @@ impl<C: CoinScheme> Process for OrderProcess<C> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        match msg {
-            OrderMessage::Batch(m) => {
-                if self.accepts(m.tag) {
-                    let actions = self.rbc.on_message(from, m);
-                    self.lift_rbc(actions, &mut out);
-                }
+        // Whether the message changed something the ACS rules read (see
+        // `progress`); if not, the state is still the fixpoint it was.
+        let rules_input_changed = match msg {
+            OrderMessage::Batch(m) if self.accepts(m.tag) => {
+                let actions = self.rbc.on_message(from, m);
+                self.lift_rbc(actions, &mut out)
             }
-            OrderMessage::Aba { epoch, index, wire } => {
-                if self.accepts_aba(*epoch) && (*index as usize) < self.config.n() {
-                    let i = *index as usize;
-                    let ts = self.ensure_epoch(*epoch).abas[i].on_message(from, wire);
-                    Self::lift_aba(*epoch, i, ts, &mut out);
-                }
+            OrderMessage::Aba { epoch, index, wire }
+                if self.accepts_aba(*epoch) && (*index as usize) < self.config.n() =>
+            {
+                let i = *index as usize;
+                let ts = self.ensure_epoch(*epoch).abas[i].on_message(from, wire);
+                Self::lift_aba(*epoch, i, ts, &mut out)
             }
+            // Not an epoch or slot this node keeps state for: dropped.
+            _ => false,
+        };
+        if rules_input_changed {
+            self.progress(&mut out);
         }
-        self.progress(&mut out);
         out
     }
 

@@ -396,3 +396,83 @@ fn coded_ordering_collects_fragment_buffers() {
     assert_eq!(bracha_frag, 0, "bracha broadcasts never buffer fragments");
     assert_eq!(short_log, bracha_log, "coded and bracha engines must order identical logs");
 }
+
+/// The ordering core's ACS fixpoint runs per *event that feeds a rule* — a
+/// batch delivery, an agreement decision, an agreement halt: 3n an epoch,
+/// plus start-up — not per message handled (an epoch is thousands of
+/// messages at n=7). Pinned on a pipelined simulator run of bare
+/// `OrderProcess`es.
+#[test]
+fn acs_fixpoint_runs_per_rule_event_not_per_message() {
+    use async_bft::order::{OrderLog, OrderMessage, OrderOptions, OrderProcess};
+    use async_bft::types::{Effect, Process};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Publishes the wrapped node's fixpoint count (the simulator owns the
+    /// process, so the count leaves through a shared cell).
+    struct Counted {
+        inner: OrderProcess<CommonCoin>,
+        fixpoint_runs: Arc<AtomicU64>,
+    }
+    impl Process for Counted {
+        type Msg = OrderMessage;
+        type Output = OrderLog;
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn on_start(&mut self) -> Vec<Effect<OrderMessage, OrderLog>> {
+            self.inner.on_start()
+        }
+        fn on_message(
+            &mut self,
+            from: NodeId,
+            msg: &OrderMessage,
+        ) -> Vec<Effect<OrderMessage, OrderLog>> {
+            let effects = self.inner.on_message(from, msg);
+            self.fixpoint_runs.store(self.inner.fixpoint_runs(), Ordering::Relaxed);
+            effects
+        }
+        fn output(&self) -> Option<OrderLog> {
+            self.inner.output()
+        }
+        fn is_halted(&self) -> bool {
+            self.inner.is_halted()
+        }
+    }
+
+    let (n, epochs) = (7usize, 6u64);
+    let cfg = Config::new(n, 2).unwrap();
+    let opts = OrderOptions { batch_max: 2, pipeline_depth: 3, epochs, ..OrderOptions::default() };
+    let mut world = World::new(
+        WorldConfig::new(n).stop_policy(StopPolicy::AllCorrectHalted),
+        UniformDelay::new(1, 10, 11),
+    );
+    let mut counts = Vec::new();
+    for id in cfg.nodes() {
+        let workload = (0..2 * epochs).map(|t| vec![id.index() as u8, t as u8]).collect();
+        let inner = OrderProcess::new(cfg, id, opts, workload, |inst| CommonCoin::new(5, inst));
+        let fixpoint_runs = Arc::new(AtomicU64::new(0));
+        counts.push(Arc::clone(&fixpoint_runs));
+        world.add_process(Box::new(Counted { inner, fixpoint_runs }));
+    }
+    let report = world.run();
+    assert_eq!(report.stop, async_bft::sim::StopReason::Completed);
+    assert!(report.all_correct_decided() && report.agreement_holds());
+
+    // n deliveries, n decisions and n halts an epoch, the proposals, slack.
+    let bound = (4 * n as u64 + 8) * epochs;
+    let per_node_messages = report.metrics.delivered / n as u64;
+    for (i, count) in counts.iter().enumerate() {
+        let runs = count.load(Ordering::Relaxed);
+        println!(
+            "node {i}: {runs} fixpoint runs over {epochs} epochs, ~{per_node_messages} messages"
+        );
+        assert!(runs >= 3 * epochs, "node {i}: the fixpoint must still run ({runs})");
+        assert!(
+            runs <= bound,
+            "node {i}: {runs} fixpoint runs for {epochs} epochs exceeds (4n+8)·epochs = {bound} \
+             (~{per_node_messages} messages handled)"
+        );
+    }
+}
