@@ -419,6 +419,11 @@ impl<C: CoinScheme> BrachaNode<C> {
         let out_of_rounds = self.round.get() >= self.options.max_rounds;
         if done_participating || out_of_rounds {
             self.halted = true;
+            // Every entry point returns before touching either from here
+            // on, and a host may keep the halted node around (an epoch's
+            // instances wait for its slowest one): free them now.
+            self.rbc.retain(|_, _| false);
+            self.validator.prune_before(Round::new(u64::MAX));
             out.push(Transition::Halt);
             return false;
         }

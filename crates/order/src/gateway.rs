@@ -10,9 +10,11 @@
 //!   advances the window, committed submissions re-acknowledge
 //!   idempotently). Pure so it can be property-tested without sockets.
 //! * [`GatewayProcess`] — wraps an [`OrderProcess`], draining the pipe
-//!   from [`Process::on_tick`] / `on_message`, stamping each accepted
-//!   payload with its `(client, seq)` identity, and watching the
-//!   replicated log for the stamped entries to surface commit acks.
+//!   on [`Process::on_tick`] and whenever a message appends an epoch,
+//!   stamping each accepted payload with its `(client, seq)` identity,
+//!   and reading newly appended log slots for the stamped payloads to
+//!   surface commit acks. A message that appends nothing costs the
+//!   inner process's step and one comparison.
 //!
 //! The stamp is `0xC3 ‖ client ‖ seq ‖ body` (little-endian words).
 //! Stamping happens *before* ordering, so the identity rides through
@@ -172,8 +174,8 @@ pub struct GatewayProcess<C> {
     inner: OrderProcess<C>,
     pipe: GatewayPipe,
     core: GatewayCore,
-    /// Log entries scanned for commit acks so far.
-    log_seen: usize,
+    /// Epochs whose log slots have been scanned for commit acks.
+    scanned_epochs: u64,
     /// Largest stamped payload accepted (keeps batches under the frame
     /// layer's hard cap with headroom for the batch encoding).
     max_tx: usize,
@@ -188,7 +190,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
             inner,
             pipe,
             core: GatewayCore::new(),
-            log_seen: 0,
+            scanned_epochs: 0,
             max_tx: per_slot.saturating_sub(64),
             obs: Obs::disabled(),
         }
@@ -212,14 +214,13 @@ impl<C: CoinScheme> GatewayProcess<C> {
         &self.core
     }
 
-    /// Drains queued client submissions into the mempool, NACKing what
-    /// the sequencing contract or the mempool refuses.
+    /// Drains every queued client submission into the mempool, NACKing
+    /// what the sequencing contract or the mempool refuses. One pass
+    /// empties the intake (itself bounded by the pipe): the next pass may
+    /// be an append or a tick away, and after wind-down never comes.
     fn drain_clients(&mut self) {
-        // Bounded per pass: whatever is left stays in the pipe for the
-        // next tick or message (message traffic is constant while the
-        // cluster makes progress, so the intake always drains).
         let capacity = self.inner.batch_max().saturating_mul(self.inner.pipeline_depth()).max(1);
-        for ClientSubmit { client, seq, tx } in self.pipe.drain_intake(capacity) {
+        for ClientSubmit { client, seq, tx } in self.pipe.drain_intake(usize::MAX) {
             if tx.len() > self.max_tx {
                 self.pipe.push_notice(GatewayNotice::Rejected {
                     client,
@@ -281,25 +282,20 @@ impl<C: CoinScheme> GatewayProcess<C> {
         }
     }
 
-    /// Scans newly appended log entries for stamped payloads and
+    /// Scans the slots of newly appended epochs for stamped payloads and
     /// acknowledges the ones belonging to this node's clients.
     fn scan_log(&mut self) {
-        let log = self.inner.log();
-        let fresh: Vec<(u64, u64, u64)> = log
-            .get(self.log_seen..)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|entry| {
-                parse_stamp(&entry.tx).map(|(client, seq, _)| (client, seq, entry.epoch))
-            })
-            .collect();
-        self.log_seen = log.len();
-        for (client, seq, epoch) in fresh {
-            if self.core.mark_committed(client, seq) {
-                self.pipe.push_notice(GatewayNotice::Committed { client, seq });
-                self.obs.emit(self.inner.id(), || Event::GatewayCommitted { client, seq, epoch });
+        let me = self.inner.id();
+        for slot in self.inner.log().slots_from(self.scanned_epochs) {
+            let epoch = slot.epoch();
+            for (client, seq, _) in slot.txs().filter_map(parse_stamp) {
+                if self.core.mark_committed(client, seq) {
+                    self.pipe.push_notice(GatewayNotice::Committed { client, seq });
+                    self.obs.emit(me, || Event::GatewayCommitted { client, seq, epoch });
+                }
             }
         }
+        self.scanned_epochs = self.inner.committed_epochs();
     }
 }
 
@@ -308,7 +304,7 @@ impl<C> fmt::Debug for GatewayProcess<C> {
         f.debug_struct("GatewayProcess")
             .field("inner", &self.inner)
             .field("clients", &self.core.client_count())
-            .field("log_seen", &self.log_seen)
+            .field("scanned_epochs", &self.scanned_epochs)
             .finish_non_exhaustive()
     }
 }
@@ -332,13 +328,18 @@ impl<C: CoinScheme> Process for GatewayProcess<C> {
         from: NodeId,
         msg: &OrderMessage,
     ) -> Vec<Effect<OrderMessage, OrderLog>> {
-        // Piggyback intake draining on protocol traffic: commits free
-        // mempool slots, and the freed capacity should admit waiting
-        // clients without waiting for the next external tick.
-        self.drain_clients();
-        let mut out = self.inner.on_message(from, msg);
-        out.extend(self.inner.poke());
-        self.scan_log();
+        let appended = self.inner.committed_epochs();
+        let out = self.inner.on_message(from, msg);
+        // The gateway's own work hangs off one event, an epoch reaching the
+        // log: new slots to acknowledge, and mempool room for waiting
+        // clients (the proposal that follows an append is what empties
+        // it). The inner process has already run its rules to a fixpoint,
+        // and a submission is input to none of them, so there is nothing
+        // to poke.
+        if self.inner.committed_epochs() != appended {
+            self.scan_log();
+            self.drain_clients();
+        }
         out
     }
 
@@ -432,6 +433,56 @@ mod tests {
             }]
         );
         assert_eq!(gp.core().expected(5), 2, "seq 1 admitted, seq 3 refused");
+    }
+
+    #[test]
+    fn one_tick_empties_an_over_capacity_intake() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let opts = crate::OrderOptions {
+            batch_max: 2,
+            pipeline_depth: 2,
+            epochs: 4,
+            ..crate::OrderOptions::default()
+        };
+        let capacity = (opts.batch_max * opts.pipeline_depth) as u64;
+        let pipe = GatewayPipe::new();
+        let inner =
+            OrderProcess::new(cfg, NodeId::new(0), opts, Vec::new(), |i| CommonCoin::new(1, i));
+        let mut gp = GatewayProcess::new(inner, pipe.clone());
+
+        // 3 × capacity submissions: clients 1 and 2 fill the mempool with
+        // two seqs each, then 2 × capacity more clients find it full.
+        for client in 1..=2 {
+            for seq in 1..=capacity / 2 {
+                assert!(pipe.push_intake(ClientSubmit { client, seq, tx: vec![seq as u8] }));
+            }
+        }
+        let late = 3..3 + 2 * capacity;
+        for client in late.clone() {
+            assert!(pipe.push_intake(ClientSubmit { client, seq: 1, tx: vec![0] }));
+        }
+        let _ = gp.on_tick();
+
+        assert!(pipe.drain_intake(usize::MAX).is_empty(), "one pass must leave no tail");
+        for client in 1..=2 {
+            assert_eq!(gp.core().expected(client), capacity / 2 + 1, "admitted 1..=capacity/2");
+        }
+        let refused: Vec<u64> = pipe
+            .drain_notices()
+            .into_iter()
+            .map(|notice| match notice {
+                GatewayNotice::Rejected {
+                    client,
+                    seq: 1,
+                    reason: NackReason::Backpressure { pending, capacity: cap },
+                } if pending == capacity && cap == capacity => client,
+                other => panic!("only backpressure NACKs are due, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(refused, late.clone().collect::<Vec<_>>(), "every late client, in order");
+        for client in late {
+            assert_eq!(gp.core().expected(client), 1, "a refused seq stays expected");
+        }
     }
 
     #[test]

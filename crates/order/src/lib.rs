@@ -108,7 +108,8 @@ impl fmt::Display for Backpressure {
 
 impl std::error::Error for Backpressure {}
 
-/// One slot of the totally ordered log.
+/// One entry of the totally ordered log: a payload with the slot that
+/// carried it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogEntry {
     /// The epoch whose ACS included this payload.
@@ -119,8 +120,83 @@ pub struct LogEntry {
     pub tx: Vec<u8>,
 }
 
-/// The totally ordered log: identical at every correct node.
+/// The totally ordered log, one owned entry per payload: identical at
+/// every correct node. What a process *outputs*; what it retains while
+/// running is the slots behind [`OrderProcess::log`].
 pub type OrderLog = Vec<LogEntry>;
+
+/// One committed `(epoch, proposer)` slot of the log, retained as the
+/// batch body reliable broadcast delivered — the payloads are read out of
+/// it, never copied per payload. Holds at least one payload: empty
+/// batches are not retained.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LogSlot {
+    epoch: u64,
+    proposer: NodeId,
+    /// Payloads in `body`, counted once at append so that truncation does
+    /// not walk the bodies it frees.
+    txs: u32,
+    body: Vec<u8>,
+}
+
+impl LogSlot {
+    /// The epoch whose ACS accepted this slot.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The node that proposed the slot's batch.
+    pub fn proposer(&self) -> NodeId {
+        self.proposer
+    }
+
+    /// The slot's payloads in log order, borrowed from the batch body.
+    pub fn txs(&self) -> BatchTxs<'_> {
+        batch_txs(&self.body)
+    }
+}
+
+/// A borrowed view of the log a process retains: committed slots in
+/// `(epoch, proposer)` order, from the truncation floor to the append
+/// cursor.
+#[derive(Clone, Copy, Debug)]
+pub struct LogView<'a> {
+    slots: &'a [LogSlot],
+    txs: usize,
+}
+
+impl<'a> LogView<'a> {
+    /// Retained entries (payloads, not slots).
+    pub fn len(&self) -> usize {
+        self.txs
+    }
+
+    /// Whether no entry is retained.
+    pub fn is_empty(&self) -> bool {
+        self.txs == 0
+    }
+
+    /// The retained slots in log order. Slots whose batch was empty
+    /// carry no entry and are not kept.
+    pub fn slots(&self) -> &'a [LogSlot] {
+        self.slots
+    }
+
+    /// The retained slots of epochs `epoch..`, in log order.
+    pub fn slots_from(&self, epoch: u64) -> &'a [LogSlot] {
+        &self.slots[self.slots.partition_point(|slot| slot.epoch < epoch)..]
+    }
+
+    /// The retained log as owned entries, one per payload.
+    pub fn to_vec(&self) -> OrderLog {
+        let mut entries = Vec::with_capacity(self.txs);
+        for slot in self.slots {
+            let (epoch, proposer) = (slot.epoch, slot.proposer);
+            entries.extend(slot.txs().map(|tx| LogEntry { epoch, proposer, tx: tx.to_vec() }));
+        }
+        entries
+    }
+}
 
 /// A wire message of the ordering protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,7 +268,8 @@ impl Codec for OrderMessage {
 
 /// Encodes a batch of payloads into one RBC proposal body.
 pub fn encode_batch(txs: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Sized once: the proposer's own body stays in its log as allocated.
+    let mut out = Vec::with_capacity(4 + txs.iter().map(|tx| 4 + tx.len()).sum::<usize>());
     put_u32(&mut out, txs.len() as u32);
     for tx in txs {
         put_u32(&mut out, tx.len() as u32);
@@ -208,21 +285,29 @@ pub fn encode_batch(txs: &[Vec<u8>]) -> Vec<u8> {
 /// decodes as a single opaque payload, so all correct nodes still
 /// append identical entries.
 pub fn decode_batch(bytes: &[u8]) -> Vec<Vec<u8>> {
-    match walk_batch(bytes) {
-        Some(txs) => txs.into_iter().map(<[u8]>::to_vec).collect(),
-        None => vec![bytes.to_vec()],
-    }
+    batch_txs(bytes).map(<[u8]>::to_vec).collect()
 }
 
 /// How many payloads [`decode_batch`] yields for `bytes`, without copying
 /// any of them (a malformed body counts as its one opaque payload).
 pub fn batch_tx_count(bytes: &[u8]) -> usize {
-    walk_batch(bytes).map_or(1, |txs| txs.len())
+    batch_txs(bytes).len()
 }
 
-/// The one batch-body parser: the payloads of a well-formed body, borrowed
-/// from it; `None` if the body is malformed.
-fn walk_batch(bytes: &[u8]) -> Option<Vec<&[u8]>> {
+/// The payloads of a batch body, borrowed from it in order — what
+/// [`decode_batch`] copies out.
+pub fn batch_txs(bytes: &[u8]) -> BatchTxs<'_> {
+    match framed_tx_count(bytes) {
+        Some(left) => {
+            BatchTxs { body: Reader::new(bytes.get(4..).unwrap_or_default()), left, framed: true }
+        }
+        None => BatchTxs { body: Reader::new(bytes), left: 1, framed: false },
+    }
+}
+
+/// The one batch-body parser: the payload count of a well-formed body,
+/// `None` if the body is malformed.
+fn framed_tx_count(bytes: &[u8]) -> Option<usize> {
     let mut r = Reader::new(bytes);
     let count = r.u32().ok()? as usize;
     // Each entry costs at least its 4-byte length prefix, so a count
@@ -231,24 +316,50 @@ fn walk_batch(bytes: &[u8]) -> Option<Vec<&[u8]>> {
     if count > r.remaining() / 4 {
         return None;
     }
-    let mut txs = Vec::new();
     for _ in 0..count {
         let len = r.u32().ok()? as usize;
-        if len > r.remaining() {
-            return None;
-        }
-        txs.push(r.take(len).ok()?);
+        r.take(len).ok()?;
     }
     r.finish().ok()?;
-    Some(txs)
+    Some(count)
 }
+
+/// Iterator over the payloads of one batch body (see [`batch_txs`]).
+#[derive(Debug)]
+pub struct BatchTxs<'a> {
+    body: Reader<'a>,
+    /// Payloads still to yield.
+    left: usize,
+    /// Whether `body` is length-prefixed payloads (a well-formed batch) or
+    /// a malformed body to yield whole.
+    framed: bool,
+}
+
+impl<'a> Iterator for BatchTxs<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let len = if self.framed { self.body.u32().ok()? as usize } else { self.body.remaining() };
+        self.body.take(len).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for BatchTxs<'_> {}
 
 /// Per-epoch ACS state: `n` agreement instances plus the RBC deliveries.
 ///
 /// A batch body lives in exactly one place: `delivered` until the epoch
-/// commits, `committed` until it is appended, the log's entries after
-/// that (an appended epoch lingering for its halting gadget keeps only
-/// the accepted proposer ids).
+/// commits, `committed` until it is appended, its log slot after that (an
+/// appended epoch lingering for its halting gadget keeps only the
+/// accepted proposer ids).
 struct EpochState<C> {
     abas: Vec<BrachaNode<C>>,
     aba_started: Vec<bool>,
@@ -312,7 +423,11 @@ pub struct OrderProcess<C> {
     epochs: BTreeMap<u64, EpochState<C>>,
     /// Next epoch this node will propose.
     next_epoch: u64,
-    log: Vec<LogEntry>,
+    /// Committed slots in `(epoch, proposer)` order, each still the body
+    /// RBC delivered; empty batches are dropped at append.
+    log: Vec<LogSlot>,
+    /// Payloads across `log` (what [`LogView::len`] reports).
+    log_txs: usize,
     /// Next epoch to append to the log (everything below is appended).
     log_next: u64,
     output_emitted: bool,
@@ -358,6 +473,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             epochs: BTreeMap::new(),
             next_epoch: 0,
             log: Vec::new(),
+            log_txs: 0,
             log_next: 0,
             output_emitted: false,
             halted: false,
@@ -424,9 +540,9 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.opts.pipeline_depth
     }
 
-    /// The ordered log as appended so far.
-    pub fn log(&self) -> &[LogEntry] {
-        &self.log
+    /// The ordered log as appended so far (and not yet truncated).
+    pub fn log(&self) -> LogView<'_> {
+        LogView { slots: &self.log, txs: self.log_txs }
     }
 
     /// Number of epochs fully appended to the log.
@@ -474,6 +590,13 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.epochs.values().map(EpochState::batch_bytes).sum()
     }
 
+    /// Bytes the retained log holds: each slot's batch body plus its
+    /// fixed-size header. Grows by a payload's length and 4-byte prefix
+    /// per logged payload, falls with [`truncate_below`](Self::truncate_below).
+    pub fn retained_log_bytes(&self) -> usize {
+        self.log.iter().map(|slot| std::mem::size_of::<LogSlot>() + slot.body.len()).sum()
+    }
+
     /// How many times the ACS fixpoint has run (diagnostic). It runs on
     /// start, on [`poke`](Self::poke) and [`fast_forward`](Self::fast_forward),
     /// and after the messages that can change a rule's input — a batch
@@ -491,16 +614,18 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// (any peer that needs it catches up by state transfer, not
     /// replay).
     ///
-    /// The log is in epoch order, so the dead entries are a prefix: the
+    /// The log is in epoch order, so the dead slots are a prefix: the
     /// call costs one comparison when the floor has not moved (the state
-    /// machine asks after every delivered message) and one prefix drain
-    /// when it has.
+    /// machine asks after every delivered message) and one prefix drain,
+    /// freeing the dropped slots' batch bodies, when it has.
     pub fn truncate_below(&mut self, epoch: u64) -> usize {
-        if self.log.first().is_none_or(|entry| entry.epoch >= epoch) {
+        if self.log.first().is_none_or(|slot| slot.epoch >= epoch) {
             return 0;
         }
-        let cut = self.log.partition_point(|entry| entry.epoch < epoch);
-        self.log.drain(..cut).count()
+        let cut = self.log.partition_point(|slot| slot.epoch < epoch);
+        let dropped = self.log.drain(..cut).map(|slot| slot.txs as usize).sum();
+        self.log_txs -= dropped;
+        dropped
     }
 
     /// Jumps the append cursor forward to `epoch` (clamped to the
@@ -747,13 +872,13 @@ impl<C: CoinScheme> OrderProcess<C> {
             let e = self.log_next;
             let Some(state) = self.epochs.get_mut(&e) else { break };
             let Some(committed) = state.committed.as_mut() else { break };
-            // The bodies move out into the log; the proposer ids stay for
-            // the trace and `fast_forward` readers. Batches the ACS left
-            // out are dead from here on.
+            // The bodies move out into the log as they are; the proposer
+            // ids stay for the trace and `fast_forward` readers. Batches
+            // the ACS left out are dead from here on.
             let set: Vec<(NodeId, Vec<u8>)> =
                 committed.iter_mut().map(|(id, body)| (*id, std::mem::take(body))).collect();
             state.delivered.clear();
-            let before = self.log.len();
+            let before = self.log_txs;
             let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
             if let Some(batch) = self.proposed.remove(&e) {
                 if !proposers.contains(&self.me) {
@@ -769,16 +894,19 @@ impl<C: CoinScheme> OrderProcess<C> {
                 }
             }
             for (proposer, body) in set {
-                for tx in decode_batch(&body) {
-                    self.log.push(LogEntry { epoch: e, proposer, tx });
+                let txs = batch_tx_count(&body);
+                if txs > 0 {
+                    self.log_txs += txs;
+                    // The count is a body's `u32` prefix, or 1.
+                    self.log.push(LogSlot { epoch: e, proposer, txs: txs as u32, body });
                 }
             }
             self.log_next = e + 1;
             // An epoch can commit before we ever proposed it (our own
             // pipeline lagged behind the cluster); never re-propose it.
             self.next_epoch = self.next_epoch.max(self.log_next);
-            let entries = (self.log.len() - before) as u64;
-            let total = self.log.len() as u64;
+            let entries = (self.log_txs - before) as u64;
+            let total = self.log_txs as u64;
             self.obs.emit(self.me, || Event::LogDelivered { epoch: e, entries, total });
             if self.trace_on {
                 for id in proposers {
@@ -827,7 +955,7 @@ impl<C: CoinScheme> OrderProcess<C> {
         }
         if !self.output_emitted && self.log_next >= self.opts.epochs {
             self.output_emitted = true;
-            out.push(Effect::Output(self.log.clone()));
+            out.push(Effect::Output(self.log().to_vec()));
         }
         if self.output_emitted && !self.halted && self.epochs.is_empty() {
             self.halted = true;
@@ -845,7 +973,7 @@ impl<C> fmt::Debug for OrderProcess<C> {
             .field("me", &self.me)
             .field("next_epoch", &self.next_epoch)
             .field("log_next", &self.log_next)
-            .field("log_len", &self.log.len())
+            .field("log_len", &self.log_txs)
             .field("pending", &self.pending.len())
             .field("live_epochs", &self.epochs.len())
             .finish_non_exhaustive()
@@ -896,7 +1024,7 @@ impl<C: CoinScheme> Process for OrderProcess<C> {
 
     fn output(&self) -> Option<OrderLog> {
         if self.output_emitted {
-            Some(self.log.clone())
+            Some(self.log().to_vec())
         } else {
             None
         }

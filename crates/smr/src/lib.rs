@@ -226,20 +226,20 @@ impl KvState {
         self.map.get(key).map(Vec::as_slice)
     }
 
-    /// Folds one committed log slot into the state. The hash chain
+    /// Folds one committed log entry into the state. The hash chain
     /// covers the raw `(epoch, proposer, tx)` bytes regardless of
     /// whether the payload parses, so Byzantine garbage cannot make
     /// correct nodes diverge — it just wastes a slot.
     ///
-    /// Slots must arrive in log order within `applied_epoch`; the caller
+    /// Entries must arrive in log order within `applied_epoch`; the caller
     /// ([`SmrProcess`]) seals epochs with [`KvState::seal_epoch`].
-    pub fn apply_slot(&mut self, entry: &LogEntry) {
-        let mut h = fnv1a(self.chain, &entry.epoch.to_le_bytes());
-        h = fnv1a(h, &(entry.proposer.index() as u64).to_le_bytes());
-        h = fnv1a(h, &entry.tx);
+    pub fn apply_tx(&mut self, epoch: u64, proposer: NodeId, tx: &[u8]) {
+        let mut h = fnv1a(self.chain, &epoch.to_le_bytes());
+        h = fnv1a(h, &(proposer.index() as u64).to_le_bytes());
+        h = fnv1a(h, tx);
         self.chain = h;
         self.applied_slots += 1;
-        match KvOp::decode(&entry.tx) {
+        match KvOp::decode(tx) {
             Some(KvOp::Put { key, value }) => {
                 self.map.insert(key, value);
             }
@@ -254,6 +254,11 @@ impl KvState {
             Some(KvOp::Cas { .. }) => {}
             None => {}
         }
+    }
+
+    /// [`apply_tx`](Self::apply_tx) for an owned log entry.
+    pub fn apply_slot(&mut self, entry: &LogEntry) {
+        self.apply_tx(entry.epoch, entry.proposer, &entry.tx);
     }
 
     /// Marks the current epoch fully applied and advances the cursor.
@@ -682,21 +687,22 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
         while self.state.applied_epoch() < self.order.committed_epochs() {
             let e = self.state.applied_epoch();
-            // The log is in epoch order: epoch `e` is one contiguous range.
-            let log = self.order.log();
-            let slots = &log[log.partition_point(|s| s.epoch < e)..];
-            let slots = &slots[..slots.partition_point(|s| s.epoch == e)];
-            let mut spanned: BTreeSet<NodeId> = BTreeSet::new();
-            for slot in slots {
-                self.state.apply_slot(slot);
-                let (proposer, bytes) = (slot.proposer, slot.tx.len() as u64);
-                self.obs.emit(self.me, || Event::SlotApplied { epoch: e, proposer, bytes });
-                if self.trace_on && spanned.insert(proposer) {
-                    // One instantaneous apply span per (epoch, proposer)
-                    // slot group, anchored in the batch's causal trace.
-                    let ctx = TraceCtx::derive(proposer, e, e);
-                    self.obs.span_start(self.me, ctx, TracePhase::Apply, ctx.root);
-                    self.obs.span_end(self.me, ctx, TracePhase::Apply);
+            // The log is in epoch order: epoch `e` is one contiguous run
+            // of slots, each applied straight out of its batch body.
+            let slots = self.order.log().slots_from(e);
+            for slot in slots.iter().take_while(|slot| slot.epoch() == e) {
+                let proposer = slot.proposer();
+                for (i, tx) in slot.txs().enumerate() {
+                    self.state.apply_tx(e, proposer, tx);
+                    let bytes = tx.len() as u64;
+                    self.obs.emit(self.me, || Event::SlotApplied { epoch: e, proposer, bytes });
+                    if self.trace_on && i == 0 {
+                        // One instantaneous apply span per (epoch, proposer)
+                        // slot, anchored in the batch's causal trace.
+                        let ctx = TraceCtx::derive(proposer, e, e);
+                        self.obs.span_start(self.me, ctx, TracePhase::Apply, ctx.root);
+                        self.obs.span_end(self.me, ctx, TracePhase::Apply);
+                    }
                 }
             }
             self.state.seal_epoch();

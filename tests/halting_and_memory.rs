@@ -85,6 +85,56 @@ fn validator_state_is_bounded_with_pruning() {
     }
 }
 
+/// A halted node frees its broadcast and validator state at the halt, not
+/// when its host drops it (the ordering layer keeps an epoch's halted
+/// instances until the slowest one is done) — and freeing it changes
+/// nothing anyone else sees: same decisions, same number of messages.
+#[test]
+fn halted_node_holds_no_round_state() {
+    use std::collections::VecDeque;
+    let n = 7;
+    let cfg = Config::new(n, 2).unwrap();
+    let mut nodes: Vec<BrachaNode<CommonCoin>> = (0..n)
+        .map(|i| BrachaNode::new(cfg, NodeId::new(i), CommonCoin::new(9, 0), Default::default()))
+        .collect();
+    let mut queue = VecDeque::new();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        for t in node.start(Value::from_bool(i < 3)) {
+            if let Transition::Broadcast(w) = t {
+                queue.push_back((NodeId::new(i), w));
+            }
+        }
+    }
+    let (mut broadcasts, mut live_peak) = (0usize, 0usize);
+    while let Some((from, wire)) = queue.pop_front() {
+        broadcasts += 1;
+        for node in nodes.iter_mut() {
+            let me = node.me();
+            for t in node.on_message(from, &wire) {
+                if let Transition::Broadcast(w) = t {
+                    queue.push_back((me, w));
+                }
+            }
+            if node.is_halted() {
+                assert_eq!(node.tracked_rounds(), 0, "{me} halted with round state");
+            } else {
+                live_peak = live_peak.max(node.tracked_rounds());
+            }
+        }
+    }
+    assert!(live_peak >= 2, "the run must have had round state to free");
+    let decided = nodes[0].decided().expect("decides");
+    for node in &nodes {
+        assert!(node.is_halted());
+        assert_eq!(node.decided(), Some(decided));
+        assert_eq!(node.decided_round(), nodes[0].decided_round());
+    }
+    // As before the halt-time free: decision in round 1 and two more rounds
+    // of the halting gadget, each node's three steps a round RBC'd at one
+    // Send, n Echoes and n Readys.
+    assert_eq!(broadcasts, n * 3 * 3 * (2 * n + 1), "message total moved");
+}
+
 /// The common coin converges even when inputs and schedule conspire; and
 /// once all correct halt, the queue drains without further protocol
 /// activity (no zombie chatter).
@@ -130,6 +180,18 @@ fn pump_ordering_with(
     depth: usize,
     rbc: async_bft::rbc::RbcKind,
 ) -> ((usize, usize, usize), async_bft::order::OrderLog, usize, usize) {
+    let (peaks, nodes, frag, batch) = pump_ordering_nodes(epochs, depth, rbc);
+    use async_bft::types::Process;
+    (peaks, nodes[0].output().expect("asserted by the pump"), frag, batch)
+}
+
+/// [`pump_ordering_with`], handing back the wound-down nodes themselves
+/// instead of their common log.
+fn pump_ordering_nodes(
+    epochs: u64,
+    depth: usize,
+    rbc: async_bft::rbc::RbcKind,
+) -> ((usize, usize, usize), Vec<async_bft::order::OrderProcess<CommonCoin>>, usize, usize) {
     use async_bft::order::{OrderOptions, OrderProcess};
     use async_bft::types::{Effect, Process};
     use std::collections::VecDeque;
@@ -213,7 +275,43 @@ fn pump_ordering_with(
             "fragment buffers must be collected with their instances"
         );
     }
-    ((max_epochs, max_abas, max_rbc), first, max_frag_bytes, max_batch_bytes)
+    ((max_epochs, max_abas, max_rbc), nodes, max_frag_bytes, max_batch_bytes)
+}
+
+/// The log retains committed slots as the batch bodies RBC delivered, not a
+/// copy per payload: a logged payload costs its bytes and its 4-byte length
+/// prefix, a slot (≤ `batch_max` payloads) one fixed header on top, and
+/// `truncate_below` gives all of it back.
+#[test]
+fn retained_log_costs_a_length_prefix_per_tx_and_a_header_per_slot() {
+    use async_bft::order::LogSlot;
+    let (epochs, batch_max) = (6u64, 2usize); // the pump's batch_max
+    let (_, mut nodes, _, _) = pump_ordering_nodes(epochs, 2, async_bft::rbc::RbcKind::Bracha);
+    let node = &mut nodes[0];
+
+    let entries = node.log().to_vec();
+    assert_eq!(entries.len(), node.log().len());
+    assert_eq!(entries.len(), 4 * 2 * epochs as usize, "every node's workload is ordered");
+    let slots = node.log().slots().len();
+    assert!(node.log().slots().iter().all(|slot| (1..=batch_max).contains(&slot.txs().len())));
+    // Header: the slot record plus the body's 4-byte payload count.
+    let header = std::mem::size_of::<LogSlot>() + 4;
+    let payload_bytes: usize = entries.iter().map(|entry| entry.tx.len() + 4).sum();
+    assert_eq!(node.retained_log_bytes(), payload_bytes + slots * header);
+
+    // Truncating in the middle drops exactly the entries below the floor …
+    let mid = epochs / 2;
+    let below = entries.iter().filter(|entry| entry.epoch < mid).count();
+    assert!(below > 0 && below < entries.len());
+    let before = node.retained_log_bytes();
+    assert_eq!(node.truncate_below(mid), below);
+    assert_eq!(node.log().to_vec(), entries[below..]);
+    assert!(node.retained_log_bytes() < before);
+    assert_eq!(node.truncate_below(mid), 0, "idempotent");
+    // … and truncating at the cursor leaves nothing retained.
+    assert_eq!(node.truncate_below(epochs), entries.len() - below);
+    assert_eq!((node.log().len(), node.retained_log_bytes()), (0, 0));
+    assert_eq!(node.committed_epochs(), epochs, "the append cursor is untouched");
 }
 
 /// The ordering engine's tentpole memory property: over a long run
