@@ -356,7 +356,8 @@ pub struct LoadGenReport {
     pub submitted: u64,
     /// Submissions acknowledged as committed.
     pub committed: u64,
-    /// Backpressure NACKs received (each retried).
+    /// Backpressure NACKs received (each retried, unless the seq had
+    /// committed by the time the NACK arrived).
     pub nacked: u64,
     /// Non-retryable rejections (oversize — should stay zero).
     pub rejected: u64,
@@ -372,13 +373,24 @@ pub struct LoadGenReport {
 
 /// Per-simulated-client cursor state.
 struct ClientState {
-    /// Next seq to submit (1-based). Pulled *back* by NACKs.
+    /// Next seq to submit (1-based). Pulled *back* by NACKs, never to
+    /// or below `acked` (see [`rewound`]).
     next: u64,
     /// Highest seq acknowledged as committed.
     acked: u64,
     /// Earliest time this client's slot may fire again (backoff after a
     /// backpressure NACK), ms on the generator clock.
     retry_at_ms: u64,
+}
+
+/// Where a NACK leaves a client's submit cursor `next`: pulled back to
+/// `resume`, the seq the gateway asks for again (the refused seq, or a
+/// gap's `expected`) — unless `resume` is at or below `acked`. Such a
+/// NACK is stale: it was sent before a retry of that seq got through and
+/// committed, and rewinding to it would resend, re-stamp and re-count a
+/// committed submission. `None` leaves the cursor alone.
+fn rewound(next: u64, acked: u64, resume: u64) -> Option<u64> {
+    (resume > acked).then_some(next.min(resume))
 }
 
 /// One gateway connection owned by the generator.
@@ -602,11 +614,18 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
                                     match reason {
                                         NackReason::Backpressure { .. } => {
                                             report.nacked += 1;
-                                            cs.next = cs.next.min(frame.seq);
-                                            cs.retry_at_ms = now_ms + 5;
+                                            if let Some(next) =
+                                                rewound(cs.next, cs.acked, frame.seq)
+                                            {
+                                                cs.next = next;
+                                                cs.retry_at_ms = now_ms + 5;
+                                            }
                                         }
                                         NackReason::SequenceGap { expected } => {
-                                            cs.next = cs.next.min(expected);
+                                            if let Some(next) = rewound(cs.next, cs.acked, expected)
+                                            {
+                                                cs.next = next;
+                                            }
                                         }
                                         NackReason::Oversize { .. } => report.rejected += 1,
                                     }
@@ -733,6 +752,19 @@ mod tests {
         let notices = pipe.drain_notices();
         assert_eq!(notices.len(), 2);
         assert!(matches!(notices.first(), Some(GatewayNotice::Committed { seq: 1, .. })));
+    }
+
+    #[test]
+    fn a_nack_rewinds_the_cursor_unless_its_seq_already_committed() {
+        // Current NACKs pull the cursor back to the refused seq, never
+        // forward.
+        assert_eq!(rewound(10, 7, 8), Some(8));
+        assert_eq!(rewound(8, 7, 9), Some(8));
+        // Stale ones — the retry got through and committed before the
+        // NACK of the first attempt (or a gap NACK for a seq sent behind
+        // it) arrived — must not reopen a committed seq.
+        assert_eq!(rewound(10, 7, 7), None);
+        assert_eq!(rewound(10, 7, 3), None);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   advances the window, committed submissions re-acknowledge
 //!   idempotently). Pure so it can be property-tested without sockets.
 //! * [`GatewayProcess`] — wraps an [`OrderProcess`], draining the pipe
-//!   on [`Process::on_tick`] and whenever a message appends an epoch,
-//!   stamping each accepted payload with its `(client, seq)` identity,
-//!   and reading newly appended log slots for the stamped payloads to
-//!   surface commit acks. A message that appends nothing costs the
-//!   inner process's step and one comparison.
+//!   on [`Process::on_tick`] and whenever a message appends an epoch
+//!   (poking the inner process if the drain admitted anything: a full
+//!   batch opens an epoch), stamping each accepted payload with its
+//!   `(client, seq)` identity, and reading newly appended log slots for
+//!   the stamped payloads to surface commit acks. A message that appends
+//!   nothing costs the inner process's step and one comparison.
 //!
 //! The stamp is `0xC3 ‖ client ‖ seq ‖ body` (little-endian words).
 //! Stamping happens *before* ordering, so the identity rides through
@@ -215,10 +216,12 @@ impl<C: CoinScheme> GatewayProcess<C> {
     }
 
     /// Drains every queued client submission into the mempool, NACKing
-    /// what the sequencing contract or the mempool refuses. One pass
-    /// empties the intake (itself bounded by the pipe): the next pass may
-    /// be an append or a tick away, and after wind-down never comes.
-    fn drain_clients(&mut self) {
+    /// what the sequencing contract or the mempool refuses; returns
+    /// whether the mempool took any. One pass empties the intake (itself
+    /// bounded by the pipe): the next pass may be an append or a tick
+    /// away, and after wind-down never comes.
+    fn drain_clients(&mut self) -> bool {
+        let mut admitted = false;
         let capacity = self.inner.batch_max().saturating_mul(self.inner.pipeline_depth()).max(1);
         for ClientSubmit { client, seq, tx } in self.pipe.drain_intake(usize::MAX) {
             if tx.len() > self.max_tx {
@@ -244,6 +247,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
             };
             match outcome {
                 OfferOutcome::Accepted => {
+                    admitted = true;
                     self.obs.emit(self.inner.id(), || Event::GatewayAccepted { client, seq });
                 }
                 OfferOutcome::Backpressured(bp) => {
@@ -280,6 +284,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
                 }
             }
         }
+        admitted
     }
 
     /// Scans the slots of newly appended epochs for stamped payloads and
@@ -329,16 +334,19 @@ impl<C: CoinScheme> Process for GatewayProcess<C> {
         msg: &OrderMessage,
     ) -> Vec<Effect<OrderMessage, OrderLog>> {
         let appended = self.inner.committed_epochs();
-        let out = self.inner.on_message(from, msg);
+        let mut out = self.inner.on_message(from, msg);
         // The gateway's own work hangs off one event, an epoch reaching the
         // log: new slots to acknowledge, and mempool room for waiting
         // clients (the proposal that follows an append is what empties
-        // it). The inner process has already run its rules to a fixpoint,
-        // and a submission is input to none of them, so there is nothing
-        // to poke.
+        // it). The inner process has already run its rules to a fixpoint;
+        // payloads admitted here can complete a full batch, which opens
+        // the next epoch — in this step, not at the next tick.
         if self.inner.committed_epochs() != appended {
             self.scan_log();
-            self.drain_clients();
+            if self.drain_clients() {
+                out.extend(self.inner.poke());
+                self.scan_log();
+            }
         }
         out
     }

@@ -8,16 +8,22 @@
 //! ordered log — the HoneyBadgerBFT construction, on Bracha's 1984
 //! machinery.
 //!
-//! Pipelining: epoch `e + 1` starts while epoch `e` is still deciding,
-//! up to a configured depth. Because each epoch's ACS is independent
-//! (its RBC instances are tagged by epoch, its agreement instances are
-//! per `(epoch, proposer)`), overlapping epochs costs no safety: the
-//! log order is fixed by `(epoch, proposer)` regardless of commit
-//! order. The pipeline gate applies **backpressure** at two points:
-//! [`OrderProcess::submit`] refuses payloads once the mempool covers
-//! every in-flight slot, and a node never *proposes* epoch `e` until
-//! fewer than `pipeline_depth` of its own epochs are between proposal
-//! and log append.
+//! Pipelining: epoch `e + 1` may start while epoch `e` is still
+//! deciding, up to a configured depth. Because each epoch's ACS is
+//! independent (its RBC instances are tagged by epoch, its agreement
+//! instances are per `(epoch, proposer)`), overlapping epochs costs no
+//! safety: the log order is fixed by `(epoch, proposer)` regardless of
+//! commit order. An epoch costs the same Θ(n⁴) messages whether it
+//! carries `batch_max` payloads or none, so the pipeline is only as deep
+//! as the load asks for — Nagle's rule applied to epochs: with room, a
+//! node opens its next epoch when nothing of its own is in flight
+//! (**idle**: epochs advance under any load), when a full batch is
+//! waiting (**full**), or when a peer already opened it (**join**); see
+//! [`OpenCounts`]. The pipeline gate applies **backpressure** at two
+//! points: [`OrderProcess::submit`] refuses payloads once the mempool
+//! covers every in-flight slot, and a node never *proposes* epoch `e`
+//! until fewer than `pipeline_depth` of its own epochs are between
+//! proposal and log append.
 //!
 //! Garbage collection: when an epoch is appended to the log, its RBC
 //! instances are dropped via [`RbcMux::retain`], and its agreement
@@ -68,12 +74,14 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OrderOptions {
     /// Maximum number of payloads drained from the mempool into one
-    /// epoch's batch. An epoch whose mempool is empty proposes an empty
-    /// batch (epochs advance regardless of load).
+    /// epoch's batch — and the mempool size at which a node opens another
+    /// epoch beside the ones in flight. An idle node whose mempool is
+    /// empty proposes an empty batch (epochs advance regardless of load).
     pub batch_max: usize,
-    /// Number of own epochs allowed between proposal and log append.
+    /// Maximum number of own epochs between proposal and log append.
     /// Depth 1 is strictly sequential ACS; deeper pipelines overlap the
-    /// broadcast of epoch `e + 1` with the agreement of epoch `e`.
+    /// broadcast of epoch `e + 1` with the agreement of epoch `e` when a
+    /// full batch is waiting or a peer opened `e + 1`.
     pub pipeline_depth: usize,
     /// Total number of epochs to run; the process outputs its log and
     /// winds down after epoch `epochs − 1` is appended.
@@ -107,6 +115,28 @@ impl fmt::Display for Backpressure {
 }
 
 impl std::error::Error for Backpressure {}
+
+/// Why a node opened its epochs: how many under each trigger of the
+/// pipeline's opening rule (diagnostic; see [`OrderProcess::opened`]).
+/// When several triggers hold the first in field order is counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpenCounts {
+    /// Nothing of this node's own was in flight: the epoch that keeps the
+    /// log advancing under any load, empty mempool included.
+    pub idle: u64,
+    /// A full batch (`batch_max` payloads) was waiting beside the epochs
+    /// in flight.
+    pub full: u64,
+    /// A peer had opened the epoch: this node already held broadcast or
+    /// agreement state for it.
+    pub joined: u64,
+}
+
+impl fmt::Display for OpenCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} idle, {} full, {} joined", self.idle, self.full, self.joined)
+    }
+}
 
 /// One entry of the totally ordered log: a payload with the slot that
 /// carried it.
@@ -442,6 +472,8 @@ pub struct OrderProcess<C> {
     open_roots: BTreeSet<u64>,
     /// How many times the ACS fixpoint ([`Self::progress`]) ran.
     fixpoint_runs: u64,
+    /// Epochs opened so far, by trigger.
+    opened: OpenCounts,
 }
 
 impl<C: CoinScheme> OrderProcess<C> {
@@ -482,6 +514,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             mempool_since: None,
             open_roots: BTreeSet::new(),
             fixpoint_runs: 0,
+            opened: OpenCounts::default(),
         }
     }
 
@@ -504,7 +537,10 @@ impl<C: CoinScheme> OrderProcess<C> {
     }
 
     /// Queues a payload for ordering, refusing once the mempool already
-    /// covers every pipeline slot (`batch_max × pipeline_depth`).
+    /// covers every pipeline slot (`batch_max × pipeline_depth`). The
+    /// payload rides in the next epoch this node opens; a submission can
+    /// also complete a full batch, which opens one — follow a burst of
+    /// submissions with [`poke`](Self::poke) so it does in that step.
     pub fn submit(&mut self, tx: Vec<u8>) -> Result<(), Backpressure> {
         let capacity = self.opts.batch_max.saturating_mul(self.opts.pipeline_depth);
         if self.pending.len() >= capacity {
@@ -535,7 +571,7 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.opts.batch_max
     }
 
-    /// The configured pipeline depth.
+    /// The configured pipeline depth: the most epochs in flight.
     pub fn pipeline_depth(&self) -> usize {
         self.opts.pipeline_depth
     }
@@ -600,10 +636,18 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// How many times the ACS fixpoint has run (diagnostic). It runs on
     /// start, on [`poke`](Self::poke) and [`fast_forward`](Self::fast_forward),
     /// and after the messages that can change a rule's input — a batch
-    /// delivery, an agreement decision, an agreement halt — so it grows
-    /// with the epochs appended (≈ 3n each), not with the messages handled.
+    /// delivery, an agreement decision, an agreement halt, the first
+    /// message of the next epoch to open — so it grows with the epochs
+    /// appended (≈ 3n each), not with the messages handled.
     pub fn fixpoint_runs(&self) -> u64 {
         self.fixpoint_runs
+    }
+
+    /// How many epochs this node opened under each trigger (diagnostic):
+    /// mostly `idle` means load below one batch an epoch, `full` a
+    /// saturated mempool, `joined` that peers carry the load.
+    pub fn opened(&self) -> OpenCounts {
+        self.opened
     }
 
     /// Forgets log entries below `epoch`, returning how many were
@@ -758,13 +802,45 @@ impl<C: CoinScheme> OrderProcess<C> {
         decided_or_halted
     }
 
-    /// Proposes epochs while the pipeline has room.
+    /// Whether the pipeline can take another of this node's epochs.
+    fn has_room(&self) -> bool {
+        self.next_epoch < self.opts.epochs && self.in_flight() < self.opts.pipeline_depth as u64
+    }
+
+    /// Whether a peer has opened epoch `e`: this node holds broadcast or
+    /// agreement state for it. Asked of `next_epoch` only, whose state
+    /// cannot be this node's own. Both maps are collected per epoch and
+    /// accept nothing past the horizon, so the evidence is as bounded as
+    /// they are, and what a faulty peer plants for a far epoch is read
+    /// only once the pipeline has reached it.
+    fn peer_opened(&self, e: u64) -> bool {
+        self.epochs.contains_key(&e) || self.rbc.has_tag(&e)
+    }
+
+    /// Opens epochs while the pipeline has room and one is called for.
+    ///
+    /// An epoch costs its Θ(n⁴) messages whatever it carries, so with
+    /// room the next one opens only if nothing of ours is in flight (the
+    /// depth-1 pipeline: every correct node opens the oldest unappended
+    /// epoch as soon as it has appended the one before, which is all
+    /// liveness and a finite horizon's wind-down need), or a full batch
+    /// is waiting (a saturated node fills the pipeline), or a peer opened
+    /// it (it gets its n − f proposals one hop later). A faulty peer that
+    /// opens every epoch as early as it may drives the others to exactly
+    /// that schedule, never past `pipeline_depth`.
     fn maybe_propose(&mut self, out: &mut Vec<OrderEffect>) -> bool {
         let mut changed = false;
-        while self.next_epoch < self.opts.epochs
-            && self.in_flight() < self.opts.pipeline_depth as u64
-        {
+        while self.has_room() {
             let e = self.next_epoch;
+            if self.in_flight() == 0 {
+                self.opened.idle += 1;
+            } else if self.pending.len() >= self.opts.batch_max {
+                self.opened.full += 1;
+            } else if self.peer_opened(e) {
+                self.opened.joined += 1;
+            } else {
+                break;
+            }
             self.next_epoch += 1;
             let submitted = self.mempool_since.unwrap_or_else(|| self.obs.now());
             let take = self.opts.batch_max.min(self.pending.len());
@@ -935,11 +1011,15 @@ impl<C: CoinScheme> OrderProcess<C> {
     ///
     /// The rules read `delivered` (Rule 1, Rule 3), the agreement
     /// instances' `decided()` (Rule 2, Rule 3) and `is_halted()` (epoch
-    /// GC, wind-down), and the proposal/append cursors, which only the
-    /// rules themselves move. A state that is a fixpoint therefore stays
-    /// one until a batch is delivered or an instance decides or halts:
-    /// [`Process::on_message`] calls this after exactly those events, and
-    /// every other message costs its one instance step.
+    /// GC, wind-down), whether state exists for the next epoch to open
+    /// and whether the mempool holds a full batch (opening), and the
+    /// proposal/append cursors, which only the rules themselves move. A
+    /// state that is a fixpoint therefore stays one until a batch is
+    /// delivered, an instance decides or halts, or the next epoch's first
+    /// message arrives — [`Process::on_message`] calls this after exactly
+    /// those events, and every other message costs its one instance step
+    /// — or a payload is submitted, after which the host calls
+    /// [`poke`](Self::poke).
     fn progress(&mut self, out: &mut Vec<OrderEffect>) {
         self.fixpoint_runs += 1;
         loop {
@@ -1001,21 +1081,26 @@ impl<C: CoinScheme> Process for OrderProcess<C> {
         let mut out = Vec::new();
         // Whether the message changed something the ACS rules read (see
         // `progress`); if not, the state is still the fixpoint it was.
-        let rules_input_changed = match msg {
+        let (epoch, mut rules_input_changed) = match msg {
             OrderMessage::Batch(m) if self.accepts(m.tag) => {
                 let actions = self.rbc.on_message(from, m);
-                self.lift_rbc(actions, &mut out)
+                (m.tag, self.lift_rbc(actions, &mut out))
             }
             OrderMessage::Aba { epoch, index, wire }
                 if self.accepts_aba(*epoch) && (*index as usize) < self.config.n() =>
             {
                 let i = *index as usize;
                 let ts = self.ensure_epoch(*epoch).abas[i].on_message(from, wire);
-                Self::lift_aba(*epoch, i, ts, &mut out)
+                (*epoch, Self::lift_aba(*epoch, i, ts, &mut out))
             }
             // Not an epoch or slot this node keeps state for: dropped.
-            _ => false,
+            _ => return out,
         };
+        // The join trigger's event: the first state held for the next
+        // epoch to open. Opening it moves `next_epoch` on, so this is one
+        // comparison for every other message.
+        rules_input_changed |=
+            epoch == self.next_epoch && self.has_room() && self.peer_opened(epoch);
         if rules_input_changed {
             self.progress(&mut out);
         }

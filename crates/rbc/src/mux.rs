@@ -236,6 +236,13 @@ where
         self.instances.len()
     }
 
+    /// Whether any instance under `tag` has state, whoever its designated
+    /// sender: someone has broadcast, or sent this node a message, under
+    /// that tag.
+    pub fn has_tag(&self, tag: &T) -> bool {
+        self.config.nodes().any(|sender| self.instances.contains_key(&(sender, tag.clone())))
+    }
+
     fn instance(&mut self, sender: NodeId, tag: T) -> &mut Inst<P> {
         let config = self.config;
         let me = self.me;
@@ -513,6 +520,9 @@ mod tests {
         assert_eq!(mux.delivered(n(0), &1), Some(&"m".to_string()));
         assert_eq!(mux.delivered(n(0), &2), None);
         assert_eq!(mux.instance_count(), 1);
+        assert!(mux.has_tag(&1) && !mux.has_tag(&2));
+        mux.retain(|_, tag| *tag != 1);
+        assert!(!mux.has_tag(&1), "a collected tag leaves no trace");
     }
 
     #[test]

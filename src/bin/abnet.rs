@@ -25,8 +25,10 @@
 //!
 //! With `--epochs E` (E > 0) the binary runs the **atomic-broadcast**
 //! engine (`bft-order`) over TCP instead of single-shot consensus: E
-//! epochs of batched ACS, pipeline depth D (`--pipeline`), batches of
-//! up to B payloads (`--batch`). Chaos flags compose with it;
+//! epochs of batched ACS, at most D epochs in flight (`--pipeline`; a
+//! node opens one beside those in flight only for a full batch or after
+//! a peer), batches of up to B payloads (`--batch`). The run line
+//! reports the epochs opened, by trigger. Chaos flags compose with it;
 //! `--fault`/`--ones` apply to the consensus mode only.
 //!
 //! With `--kv-workload` the binary runs the **replicated KV state
@@ -43,9 +45,9 @@
 //! processes, each with a real client-facing listener, driven by the
 //! open-loop load generator (C simulated clients at `--rate`
 //! submissions/s aggregate for `--load-ms`). The final line is a JSON
-//! summary (`committed`, `nacked`, latency percentiles, `anomalies`)
-//! for the CI smoke job; the exit code is nonzero when nothing
-//! committed or an anomaly surfaced.
+//! summary (`committed`, `nacked`, latency percentiles, epochs `opened`
+//! by trigger, `anomalies`) for the CI smoke job; the exit code is
+//! nonzero when nothing committed or an anomaly surfaced.
 //!
 //! Examples:
 //!
@@ -275,7 +277,9 @@ fn parse_args() -> Result<Options, String> {
                      [--epochs E] [--batch B] [--pipeline D] [--rbc bracha|coded] \
                      [--kv-workload] [--checkpoint-interval C] [--restart-node] \
                      [--driver threads|reactor] [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
-                     [--trace-out FILE] [--metrics-out FILE]"
+                     [--trace-out FILE] [--metrics-out FILE]\n\
+                     --pipeline D is the maximum number of epochs in flight; beside those \
+                     in flight a node opens another only for a full --batch or after a peer"
                 );
                 std::process::exit(0);
             }
@@ -346,7 +350,9 @@ fn run_gateway(opts: &Options) {
     println!(
         "{{\"mode\":\"gateway\",\"n\":{},\"clients\":{},\"submitted\":{},\"committed\":{},\
          \"nacked\":{},\"rejected\":{},\"throttled\":{},\"p50_us\":{},\"p99_us\":{},\
-         \"ordered_txs\":{},\"epochs\":{epochs},\"anomalies\":{anomalies},\"elapsed_ms\":{}}}",
+         \"ordered_txs\":{},\"epochs\":{epochs},\
+         \"opened\":{{\"idle\":{},\"full\":{},\"joined\":{}}},\
+         \"anomalies\":{anomalies},\"elapsed_ms\":{}}}",
         gl.n,
         gl.load.clients,
         outcome.load.submitted,
@@ -357,6 +363,9 @@ fn run_gateway(opts: &Options) {
         outcome.load.p50_us,
         outcome.load.p99_us,
         outcome.ordered_txs.map_or(-1i64, |t| t as i64),
+        outcome.opened.idle,
+        outcome.opened.full,
+        outcome.opened.joined,
         outcome.report.elapsed.as_millis(),
     );
     if anomalies > 0 || outcome.load.committed == 0 {
@@ -369,6 +378,7 @@ fn run_gateway(opts: &Options) {
 fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
     use async_bft::coin::CommonCoin;
     use async_bft::order::{OrderLog, OrderMessage, OrderOptions, OrderProcess};
+    use async_bft::OpenTally;
 
     if !opts.faults.is_empty() || opts.ones.is_some() {
         eprintln!("error: --fault/--ones apply to consensus mode, not --epochs ordering mode");
@@ -400,6 +410,7 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
     for run in 0..opts.runs {
         let seed = opts.seed + run;
         let (obs, metrics) = export_obs(opts, run);
+        let opened = OpenTally::new();
         let mut rt: NetRuntime<OrderMessage, OrderLog> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
@@ -409,12 +420,11 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
             let workload: Vec<Vec<u8>> = (0..order.epochs * order.batch_max as u64)
                 .map(|i| format!("tx-{}-{i}", id.index()).into_bytes())
                 .collect();
-            rt.add_process(Box::new(
-                OrderProcess::new(cfg, id, order, workload, move |inst| {
-                    CommonCoin::new(seed, inst)
-                })
-                .with_obs(obs.clone()),
-            ));
+            let node = OrderProcess::new(cfg, id, order, workload, move |inst| {
+                CommonCoin::new(seed, inst)
+            })
+            .with_obs(obs.clone());
+            rt.add_process(Box::new(opened.watch(node, OrderProcess::opened)));
         }
         let report = rt.run();
         drop(obs);
@@ -432,11 +442,12 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
         }
         println!(
             "run {run:>3} (seed {seed}): txs ordered = {txs}, elapsed = {:?}, connects = {}, \
-             epochs committed = {}, max pipeline occupancy = {}, seq gaps = {}, {}",
+             epochs committed = {}, max pipeline occupancy = {}, opened = {}, seq gaps = {}, {}",
             report.elapsed,
             m.0.peer_connects(),
             m.0.epochs_committed(),
             m.0.max_pipeline_occupancy(),
+            opened.total(),
             m.0.frame_sequence_gaps(),
             reactor_summary(&m.0),
         );

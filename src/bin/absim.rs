@@ -20,8 +20,10 @@
 //!
 //! With `--epochs E` (E > 0) the binary switches from single-shot binary
 //! consensus to the **atomic-broadcast** engine (`bft-order`): E epochs
-//! of batched ACS with a pipeline of depth D (`--pipeline`), batches of
-//! up to B payloads (`--batch`), over the uniform 1–20 tick schedule.
+//! of batched ACS with at most D epochs in flight (`--pipeline`; a node
+//! opens one beside those in flight only for a full batch or after a
+//! peer), batches of up to B payloads (`--batch`), over the uniform 1–20
+//! tick schedule. The run line ends with the epochs opened, by trigger.
 //! `--fault`/`--ones`/`--schedule` apply to the consensus mode only.
 //!
 //! With `--kv-workload` the ordered log feeds the **replicated key-value
@@ -212,7 +214,9 @@ fn parse_args() -> Result<Options, String> {
                      [--schedule fixed|uniform|split|partition|favor] [--fault KIND]... \
                      [--runs R] [--epochs E] [--batch B] [--pipeline D] \
                      [--rbc bracha|coded] [--kv-workload] [--checkpoint-interval C] \
-                     [--restart-node] [--trace-out FILE] [--metrics-out FILE]"
+                     [--restart-node] [--trace-out FILE] [--metrics-out FILE]\n\
+                     --pipeline D is the maximum number of epochs in flight; beside those \
+                     in flight a node opens another only for a full --batch or after a peer"
                 );
                 std::process::exit(0);
             }
@@ -229,6 +233,7 @@ fn run_ordering(opts: &Options) {
     use async_bft::order::{OrderOptions, OrderProcess};
     use async_bft::sim::{StopReason, UniformDelay, World, WorldConfig};
     use async_bft::types::Config;
+    use async_bft::OpenTally;
 
     if !opts.faults.is_empty() || opts.ones.is_some() {
         eprintln!("error: --fault/--ones apply to consensus mode, not --epochs ordering mode");
@@ -260,6 +265,7 @@ fn run_ordering(opts: &Options) {
     for run in 0..opts.runs {
         let seed = opts.seed + run;
         let (obs, export) = export_obs(opts, run);
+        let opened = OpenTally::new();
         let mut world = World::new(WorldConfig::new(opts.n), UniformDelay::new(1, 20, seed));
         world.set_observer(obs.clone());
         for id in cfg.nodes() {
@@ -267,22 +273,21 @@ fn run_ordering(opts: &Options) {
                 .map(|i| format!("tx-{}-{i}", id.index()).into_bytes())
                 .collect();
             let common = matches!(opts.coin, CoinChoice::Common);
-            world.add_process(Box::new(
-                OrderProcess::new(
-                    cfg,
-                    id,
-                    order,
-                    workload,
-                    move |inst| -> Box<dyn async_bft::coin::CoinScheme + Send> {
-                        if common {
-                            Box::new(CommonCoin::new(seed, inst))
-                        } else {
-                            Box::new(LocalCoin::for_instance(seed, id, inst))
-                        }
-                    },
-                )
-                .with_obs(obs.clone()),
-            ));
+            let node = OrderProcess::new(
+                cfg,
+                id,
+                order,
+                workload,
+                move |inst| -> Box<dyn async_bft::coin::CoinScheme + Send> {
+                    if common {
+                        Box::new(CommonCoin::new(seed, inst))
+                    } else {
+                        Box::new(LocalCoin::for_instance(seed, id, inst))
+                    }
+                },
+            )
+            .with_obs(obs.clone());
+            world.add_process(Box::new(opened.watch(node, OrderProcess::opened)));
         }
         let report = world.run();
         fold_export(&mut total, &export);
@@ -296,9 +301,10 @@ fn run_ordering(opts: &Options) {
         }
         println!(
             "run {run:>3} (seed {seed}): txs ordered = {txs}, ticks = {ticks}, \
-             tx/kilotick = {:.2}, msgs = {}",
+             tx/kilotick = {:.2}, msgs = {}, opened = {}",
             txs as f64 * 1000.0 / ticks as f64,
             report.metrics.sent,
+            opened.total(),
         );
     }
     write_metrics_out(opts, &mut total);

@@ -22,9 +22,10 @@ use crate::coin::CommonCoin;
 use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetDriver, NetRuntime, SetupError};
 use crate::obs::Obs;
 use crate::order::gateway::GatewayProcess;
-use crate::order::{OrderLog, OrderOptions, OrderProcess};
+use crate::order::{OpenCounts, OrderLog, OrderOptions, OrderProcess};
 use crate::runtime::RuntimeReport;
 use crate::types::{Config, NodeId};
+use crate::OpenTally;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,6 +71,9 @@ pub struct GatewayLoadOutcome {
     pub load: LoadGenReport,
     /// Length of the unanimous ordered log, when there is one.
     pub ordered_txs: Option<usize>,
+    /// Epochs opened across the cluster, by trigger: why the pipeline was
+    /// as deep as it was.
+    pub opened: OpenCounts,
 }
 
 impl GatewayLoadOutcome {
@@ -119,12 +123,14 @@ pub fn run_gateway_load(
     for (i, pipe) in pipes.iter().enumerate() {
         rt = rt.gateway(NodeId::new(i), pipe.clone());
     }
+    let opened = OpenTally::new();
     for id in cfg.nodes() {
         let inner =
             OrderProcess::new(cfg, id, order, Vec::new(), move |inst| CommonCoin::new(seed, inst))
                 .with_obs(obs.clone());
         let pipe = pipes.get(id.index()).cloned().unwrap_or_default();
-        rt.add_process(Box::new(GatewayProcess::new(inner, pipe).with_obs(obs.clone())));
+        let gateway = GatewayProcess::new(inner, pipe).with_obs(obs.clone());
+        rt.add_process(Box::new(opened.watch(gateway, |g| g.inner().opened())));
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -156,5 +162,5 @@ pub fn run_gateway_load(
     let load = generator.join().unwrap_or_default();
     let report = ran?;
     let ordered_txs = report.unanimous_output().map(|log| log.len());
-    Ok(GatewayLoadOutcome { report, load, ordered_txs })
+    Ok(GatewayLoadOutcome { report, load, ordered_txs, opened: opened.total() })
 }

@@ -70,9 +70,11 @@
 
 mod cluster;
 pub mod gateway_load;
+mod opened;
 
 pub use cluster::{Cluster, CoinChoice, Schedule};
 pub use gateway_load::{run_gateway_load, GatewayLoadOptions, GatewayLoadOutcome};
+pub use opened::{OpenTally, Watched};
 
 pub use bft_adversary::FaultKind;
 

@@ -180,19 +180,23 @@ fn pump_ordering_with(
     depth: usize,
     rbc: async_bft::rbc::RbcKind,
 ) -> ((usize, usize, usize), async_bft::order::OrderLog, usize, usize) {
-    let (peaks, nodes, frag, batch) = pump_ordering_nodes(epochs, depth, rbc);
+    let (peaks, nodes, frag, batch) = pump_ordering_nodes(epochs, depth, rbc, false);
     use async_bft::types::Process;
     (peaks, nodes[0].output().expect("asserted by the pump"), frag, batch)
 }
 
 /// [`pump_ordering_with`], handing back the wound-down nodes themselves
-/// instead of their common log.
+/// instead of their common log. Every node's mempool is preloaded with a
+/// full batch per epoch — or, with `trickle`, starts empty and is handed
+/// one payload each time the node appends an epoch: a load below a batch
+/// an epoch, arriving as the run goes.
 fn pump_ordering_nodes(
     epochs: u64,
     depth: usize,
     rbc: async_bft::rbc::RbcKind,
+    trickle: bool,
 ) -> ((usize, usize, usize), Vec<async_bft::order::OrderProcess<CommonCoin>>, usize, usize) {
-    use async_bft::order::{OrderOptions, OrderProcess};
+    use async_bft::order::{OrderLog, OrderMessage, OrderOptions, OrderProcess};
     use async_bft::types::{Effect, Process};
     use std::collections::VecDeque;
 
@@ -201,17 +205,17 @@ fn pump_ordering_nodes(
     let opts = OrderOptions { batch_max: 2, pipeline_depth: depth, epochs, rbc };
     let mut nodes: Vec<OrderProcess<CommonCoin>> = (0..n)
         .map(|i| {
-            let workload = (0..2 * epochs).map(|t| vec![i as u8, t as u8]).collect();
+            let preloaded = if trickle { 0 } else { 2 * epochs };
+            let workload = (0..preloaded).map(|t| vec![i as u8, t as u8]).collect();
             OrderProcess::new(cfg, NodeId::new(i), opts, workload, |inst| CommonCoin::new(5, inst))
         })
         .collect();
 
     // Synchronous FIFO pump; broadcasts reach every node (sender
     // included), unicasts only their target.
-    let mut queue = VecDeque::new();
-    for node in nodes.iter_mut() {
-        let me = node.id();
-        for e in node.on_start() {
+    type Queue = VecDeque<(NodeId, NodeId, OrderMessage)>;
+    fn send(queue: &mut Queue, n: usize, me: NodeId, effects: Vec<Effect<OrderMessage, OrderLog>>) {
+        for e in effects {
             match e {
                 Effect::Broadcast { msg } => {
                     for to in 0..n {
@@ -223,6 +227,10 @@ fn pump_ordering_nodes(
             }
         }
     }
+    let mut queue = VecDeque::new();
+    for node in nodes.iter_mut() {
+        send(&mut queue, n, node.id(), node.on_start());
+    }
     let (mut max_rbc, mut max_epochs, mut max_abas) = (0usize, 0usize, 0usize);
     let mut max_frag_bytes = 0usize;
     let mut max_batch_bytes = 0usize;
@@ -232,18 +240,14 @@ fn pump_ordering_nodes(
         steps += 1;
         assert!(steps < 3_000_000, "pump did not quiesce");
         let node = &mut nodes[to.index()];
-        let me = node.id();
-        for e in node.on_message(from, &msg) {
-            match e {
-                Effect::Broadcast { msg } => {
-                    for t in 0..n {
-                        queue.push_back((me, NodeId::new(t), msg.clone()));
-                    }
-                }
-                Effect::Send { to, msg } => queue.push_back((me, to, msg)),
-                _ => {}
-            }
+        let appended = node.committed_epochs();
+        send(&mut queue, n, to, node.on_message(from, &msg));
+        if trickle && node.committed_epochs() > appended {
+            let tx = vec![to.index() as u8, appended as u8];
+            node.submit(tx).expect("one payload an epoch never fills the mempool");
+            send(&mut queue, n, to, node.poke());
         }
+        assert!(node.in_flight() <= depth as u64);
         max_rbc = max_rbc.max(node.rbc_instance_count());
         max_epochs = max_epochs.max(node.live_epochs());
         max_abas = max_abas.max(node.retained_aba_count());
@@ -286,7 +290,8 @@ fn pump_ordering_nodes(
 fn retained_log_costs_a_length_prefix_per_tx_and_a_header_per_slot() {
     use async_bft::order::LogSlot;
     let (epochs, batch_max) = (6u64, 2usize); // the pump's batch_max
-    let (_, mut nodes, _, _) = pump_ordering_nodes(epochs, 2, async_bft::rbc::RbcKind::Bracha);
+    let (_, mut nodes, _, _) =
+        pump_ordering_nodes(epochs, 2, async_bft::rbc::RbcKind::Bracha, false);
     let node = &mut nodes[0];
 
     let entries = node.log().to_vec();
@@ -337,6 +342,36 @@ fn ordering_state_is_bounded_by_pipeline_depth() {
     assert!(max_epochs <= slack, "retained epochs {max_epochs} exceed 2·depth+2 = {slack}");
     assert!(max_abas <= n * slack, "retained ABA state {max_abas} exceeds n·(2·depth+2)");
     assert!(max_rbc <= n * slack, "live RBC instances {max_rbc} exceed n·(2·depth+2)");
+}
+
+/// The pipeline is as deep as the load asks for, so a load that trickles in
+/// below a batch an epoch retains no more state at its peak than the
+/// preloaded one that fills a depth-4 pipeline — in fact about what a
+/// depth-1 pipeline would — and costs no more fixpoint runs an epoch.
+#[test]
+fn a_trickle_load_retains_no_more_than_a_preloaded_one() {
+    use async_bft::rbc::RbcKind;
+    let (n, depth, epochs) = (4u64, 4usize, 12u64);
+    let (preloaded, full_nodes, _, full_batch) =
+        pump_ordering_nodes(epochs, depth, RbcKind::Bracha, false);
+    let (trickle, nodes, _, batch) = pump_ordering_nodes(epochs, depth, RbcKind::Bracha, true);
+    println!("peak retained state at depth {depth}: preloaded {preloaded:?}, trickle {trickle:?}");
+    assert!(trickle.0 <= preloaded.0, "live epochs: {trickle:?} vs {preloaded:?}");
+    assert!(trickle.1 <= preloaded.1, "ABA instances: {trickle:?} vs {preloaded:?}");
+    assert!(trickle.2 <= preloaded.2, "RBC instances: {trickle:?} vs {preloaded:?}");
+    assert!(batch <= full_batch, "batch bytes: {batch} vs {full_batch}");
+
+    for node in &nodes {
+        // A payload handed over at the append of epoch `e` finds `e + 1`
+        // open already and rides in `e + 2`: all but each node's last two
+        // are ordered, and nobody filled a batch.
+        assert_eq!(node.log().len() as u64, n * (epochs - 2));
+        assert_eq!(node.opened().full, 0);
+    }
+    for node in nodes.iter().chain(&full_nodes) {
+        let (runs, bound) = (node.fixpoint_runs(), (4 * n + 8) * epochs);
+        assert!(runs <= bound, "{runs} fixpoint runs exceed (4n+8)·epochs = {bound}");
+    }
 }
 
 /// Pumps a full replicated-state-machine run synchronously and returns

@@ -1,13 +1,17 @@
 //! The ordering core runs its ACS fixpoint only after the events that can
 //! change a rule's input (a batch delivery, an agreement decision, an
-//! agreement halt); the client gateway in front of it does its own work
-//! only when an epoch reaches the log; and the log keeps committed slots
-//! as their batch bodies instead of a copy per payload. The properties
-//! here pin that each is only *fewer calls* or *fewer copies*, never
-//! different behaviour:
+//! agreement halt, the first message of the next epoch to open); the
+//! client gateway in front of it does its own work only when an epoch
+//! reaches the log; and the log keeps committed slots as their batch
+//! bodies instead of a copy per payload. The properties here pin that each
+//! is only *fewer calls* or *fewer copies*, never different behaviour:
 //!
 //! * **fixpoint invariant** — after every single `on_message`, a full
-//!   `poke()` finds nothing to do;
+//!   `poke()` finds nothing to do, whatever the mempools hold;
+//! * **opening rule** — an epoch opens when its node is idle, holds a full
+//!   batch, or has a peer's message for it, in exactly the step that makes
+//!   that so and never past the pipeline depth, scripted one trigger at a
+//!   time on the same pump;
 //! * **differential** — against a reference that pokes after every
 //!   delivery (the behaviour before the gating), a simulated cluster
 //!   produces the same logs, the same per-node effect sequences and the
@@ -24,7 +28,7 @@ use async_bft::coin::CommonCoin;
 use async_bft::net::{ClientSubmit, GatewayNotice, GatewayPipe};
 use async_bft::order::gateway::GatewayProcess;
 use async_bft::order::{
-    encode_batch, LogEntry, OrderLog, OrderMessage, OrderOptions, OrderProcess,
+    encode_batch, LogEntry, OpenCounts, OrderLog, OrderMessage, OrderOptions, OrderProcess,
 };
 use async_bft::rbc::{RbcMessage, RbcMuxMessage};
 use async_bft::sim::{StopPolicy, UniformDelay, World, WorldConfig};
@@ -36,9 +40,42 @@ use std::sync::{Arc, Mutex};
 
 type OrderEffect = Effect<OrderMessage, OrderLog>;
 
-fn node(cfg: Config, id: NodeId, opts: OrderOptions, seed: u64) -> OrderProcess<CommonCoin> {
-    let per_node = 2 * opts.epochs;
-    let workload = (0..per_node).map(|t| vec![id.index() as u8, t as u8]).collect();
+fn options(batch_max: usize, pipeline_depth: usize, epochs: u64) -> OrderOptions {
+    OrderOptions { batch_max, pipeline_depth, epochs, ..OrderOptions::default() }
+}
+
+/// How much each node's mempool holds at the start of a run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Load {
+    /// `epochs × batch_max` payloads: a full batch for every epoch.
+    Full,
+    /// Node `i` holds `(i mod 3) × epochs` payloads: full batches next to
+    /// half-empty and empty mempools, so epochs open under every trigger.
+    Uneven,
+    /// Nothing: every epoch is an empty one.
+    Idle,
+}
+
+impl Load {
+    /// Payloads preloaded at node `i`.
+    fn at(self, i: usize, opts: OrderOptions) -> u64 {
+        match self {
+            Load::Full => opts.epochs * opts.batch_max as u64,
+            Load::Uneven => (i % 3) as u64 * opts.epochs,
+            Load::Idle => 0,
+        }
+    }
+}
+
+/// A node whose mempool is preloaded with `txs` payloads `[id, t]`.
+fn node_with(
+    cfg: Config,
+    id: NodeId,
+    opts: OrderOptions,
+    seed: u64,
+    txs: u64,
+) -> OrderProcess<CommonCoin> {
+    let workload = (0..txs).map(|t| vec![id.index() as u8, t as u8]).collect();
     OrderProcess::new(cfg, id, opts, workload, move |inst| CommonCoin::new(seed, inst))
 }
 
@@ -65,80 +102,448 @@ fn fan_out(pool: &mut Vec<InFlight>, live: usize, me: NodeId, effects: Vec<Order
     }
 }
 
-/// Pumps a cluster by hand in a seeded random delivery order and checks the
-/// fixpoint invariant after every delivery. The last `silent` nodes never
-/// take a step; everything node 0 sends during the first `lag_steps`
-/// deliveries is held back until then, so the others commit early epochs
-/// with its slot decided 0 (the input-0 path and the re-proposal path).
-fn pump_checking_fixpoint(n: usize, depth: usize, silent: usize, lag_steps: u64, seed: u64) {
-    let cfg = Config::max_resilience(n).expect("n >= 4");
-    let live = n - silent;
-    let epochs = depth as u64 + 1;
-    let opts =
-        OrderOptions { batch_max: 2, pipeline_depth: depth, epochs, ..OrderOptions::default() };
-    let mut nodes: Vec<_> = (0..live).map(|i| node(cfg, NodeId::new(i), opts, seed)).collect();
+/// The epoch a message belongs to.
+fn epoch_of(msg: &OrderMessage) -> u64 {
+    match msg {
+        OrderMessage::Batch(m) => m.tag,
+        OrderMessage::Aba { epoch, .. } => *epoch,
+    }
+}
 
-    let mut rng = proptest::TestRng::deterministic(seed);
-    let (mut net, mut held): (Vec<InFlight>, Vec<InFlight>) = (Vec::new(), Vec::new());
-    let mut step = 0u64;
-    for p in nodes.iter_mut() {
-        let lagging = p.id().index() == 0 && step < lag_steps;
-        fan_out(if lagging { &mut held } else { &mut net }, live, p.id(), p.on_start());
+/// The batch `Send` that opens `sender`'s epoch `epoch` with `txs`.
+fn opening(sender: NodeId, epoch: u64, txs: &[Vec<u8>]) -> OrderMessage {
+    let msg = RbcMessage::Send(encode_batch(txs));
+    OrderMessage::Batch(RbcMuxMessage { sender, tag: epoch, msg })
+}
+
+/// The epochs `me` opens in `effects`: its own batch `Send`s, in order.
+fn opened_in(me: NodeId, effects: &[OrderEffect]) -> Vec<u64> {
+    let own_send = |effect: &OrderEffect| match effect {
+        Effect::Broadcast {
+            msg: OrderMessage::Batch(RbcMuxMessage { sender, tag, msg: RbcMessage::Send(_) }),
+        } if *sender == me => Some(*tag),
+        _ => None,
+    };
+    effects.iter().filter_map(own_send).collect()
+}
+
+/// A cluster of bare ordering nodes pumped by hand: messages wait in `net`
+/// until the test delivers them, one at a time, in the order it chooses,
+/// and the fixpoint invariant is checked after every delivery. The last
+/// `silent` of the `n` nodes never take a step. Everything node 0 sends
+/// during the first `lag_steps` deliveries is held back until then, so the
+/// others commit early epochs with its slot decided 0 (the input-0 path and
+/// the re-proposal path).
+struct Pumped {
+    nodes: Vec<OrderProcess<CommonCoin>>,
+    net: Vec<InFlight>,
+    held: Vec<InFlight>,
+    lag_steps: u64,
+    step: u64,
+    rng: proptest::TestRng,
+    /// The run's parameters, for assertion messages.
+    at: String,
+}
+
+impl Pumped {
+    /// Builds and starts the cluster; node `i`'s mempool is preloaded with
+    /// `preload(i)` payloads.
+    fn start(
+        (n, silent): (usize, usize),
+        opts: OrderOptions,
+        lag_steps: u64,
+        seed: u64,
+        preload: impl Fn(usize) -> u64,
+    ) -> Pumped {
+        let cfg = Config::max_resilience(n).expect("n >= 4");
+        let nodes = (0..n - silent)
+            .map(|i| node_with(cfg, NodeId::new(i), opts, seed, preload(i)))
+            .collect();
+        let at = format!("n={n} depth={} seed={seed}", opts.pipeline_depth);
+        let rng = proptest::TestRng::deterministic(seed);
+        let mut pumped =
+            Pumped { nodes, net: Vec::new(), held: Vec::new(), lag_steps, step: 0, rng, at };
+        for i in 0..pumped.nodes.len() {
+            let effects = pumped.nodes[i].on_start();
+            pumped.send(NodeId::new(i), effects);
+        }
+        pumped
     }
 
-    loop {
-        if step >= lag_steps || net.is_empty() {
-            net.append(&mut held);
-        }
-        if net.is_empty() {
-            break;
-        }
-        // A uniformly random deliverable message.
-        let (from, to, msg) = net.swap_remove(rng.below(net.len() as u64) as usize);
-        step += 1;
-        let p = &mut nodes[to.index()];
+    fn send(&mut self, me: NodeId, effects: Vec<OrderEffect>) {
+        let lagging = me.index() == 0 && self.step < self.lag_steps;
+        let pool = if lagging { &mut self.held } else { &mut self.net };
+        fan_out(pool, self.nodes.len(), me, effects);
+    }
+
+    /// Delivers `net[at]`; returns its recipient and the epochs that
+    /// recipient opened in the step.
+    fn deliver(&mut self, at: usize) -> (NodeId, Vec<u64>) {
+        let (from, to, msg) = self.net.swap_remove(at);
+        self.step += 1;
+        let p = &mut self.nodes[to.index()];
         let effects = p.on_message(from, &msg);
 
         let before = getters(p);
         let extra = p.poke();
         assert!(
             extra.is_empty(),
-            "n={n} depth={depth} seed={seed} step={step}: {msg} to {to} left {} effects to poke()",
+            "{} step={}: {msg} to {to} left {} effects to poke()",
+            self.at,
+            self.step,
             extra.len()
         );
-        assert_eq!(getters(p), before, "n={n} depth={depth} seed={seed}: poke() moved a getter");
+        assert_eq!(getters(p), before, "{}: poke() moved a getter", self.at);
 
-        let lagging = to.index() == 0 && step < lag_steps;
-        fan_out(if lagging { &mut held } else { &mut net }, live, to, effects);
+        let opened = opened_in(to, &effects);
+        self.send(to, effects);
+        (to, opened)
     }
 
-    let first = nodes[0].output().expect("the run completes");
-    for p in &nodes {
-        assert_eq!(p.committed_epochs(), epochs);
-        assert_eq!(p.output().as_ref(), Some(&first));
-        assert!(p.is_halted() && p.live_epochs() == 0, "wind-down collects every epoch");
+    /// Delivers the first waiting message that `pick` accepts, if any.
+    fn deliver_first(&mut self, pick: impl Fn(&InFlight) -> bool) -> Option<(NodeId, Vec<u64>)> {
+        let at = self.net.iter().position(pick)?;
+        Some(self.deliver(at))
+    }
+
+    /// Delivers uniformly random waiting messages until none is left;
+    /// `each` sees the nodes and which of them stepped after every step.
+    fn run(&mut self, mut each: impl FnMut(&[OrderProcess<CommonCoin>], usize)) {
+        self.run_until(|nodes, stepped| {
+            each(nodes, stepped);
+            false
+        });
+    }
+
+    /// [`Pumped::run`] that stops early once `done` says so.
+    fn run_until(&mut self, mut done: impl FnMut(&[OrderProcess<CommonCoin>], usize) -> bool) {
+        loop {
+            if self.step >= self.lag_steps || self.net.is_empty() {
+                self.net.append(&mut self.held);
+            }
+            if self.net.is_empty() {
+                break;
+            }
+            let at = self.rng.below(self.net.len() as u64) as usize;
+            let (to, _) = self.deliver(at);
+            if done(&self.nodes, to.index()) {
+                break;
+            }
+        }
+    }
+
+    /// Runs to the end and checks that every node reached the horizon,
+    /// output the same log and wound down; returns that log.
+    fn finish(mut self, epochs: u64) -> OrderLog {
+        self.run(|_, _| {});
+        let first = self.nodes[0].output().expect("the run completes");
+        for p in &self.nodes {
+            assert_eq!(p.committed_epochs(), epochs, "{}", self.at);
+            assert_eq!(p.output().as_ref(), Some(&first), "{}", self.at);
+            assert!(p.is_halted() && p.live_epochs() == 0, "wind-down collects every epoch");
+        }
+        first
     }
 }
 
+/// Pumps a cluster in a seeded random delivery order, the fixpoint invariant
+/// checked after every delivery.
+fn pump_checking_fixpoint(
+    (n, silent): (usize, usize),
+    depth: usize,
+    load: Load,
+    lag_steps: u64,
+    seed: u64,
+) {
+    let epochs = depth as u64 + 1;
+    let opts = options(2, depth, epochs);
+    let mut pumped = Pumped::start((n, silent), opts, lag_steps, seed, |i| load.at(i, opts));
+    pumped.run(|nodes, i| assert!(nodes[i].in_flight() <= depth as u64));
+    if load == Load::Full {
+        // A node that always holds a full batch never waits for a peer to
+        // open an epoch (idle, full, join is the order of precedence): such
+        // runs keep the schedule of a pipeline that opens every epoch as
+        // soon as it has room.
+        for p in &pumped.nodes {
+            assert_eq!(p.opened().joined, 0, "{}: {:?}", pumped.at, p.opened());
+        }
+    }
+    pumped.finish(epochs);
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// After every `on_message`, `poke()` returns no effects and moves no
     /// getter: the early return never leaves work a full fixpoint pass
-    /// would have done.
+    /// would have done — every input of a rule has its trigger.
     #[test]
     fn every_message_leaves_a_fixpoint(
         n_pick in 0usize..3,
         depth_pick in 0usize..3,
+        load_pick in 0usize..3,
         silent_all in proptest::bool::ANY,
         lag in proptest::bool::ANY,
         seed in 0u64..100_000,
     ) {
         let (n, depth) = ([4, 7, 10][n_pick], [1, 2, 4][depth_pick]);
+        let load = [Load::Full, Load::Uneven, Load::Idle][load_pick];
         let silent = if silent_all { (n - 1) / 3 } else { 0 };
         let lag_steps = if lag { 40 * (n * n) as u64 } else { 0 };
-        pump_checking_fixpoint(n, depth, silent, lag_steps, seed);
+        pump_checking_fixpoint((n, silent), depth, load, lag_steps, seed);
     }
+}
+
+/// Idle trigger: with nothing to order, a cluster advances one epoch at a
+/// time however deep its pipeline may go — no node opens epoch `e + 1`
+/// before some node has appended `e`, so a node holds a second epoch in
+/// flight only while it trails the one that opened it — and it still
+/// reaches a finite horizon, outputs and halts (`finish`).
+#[test]
+fn an_idle_cluster_opens_no_epoch_before_the_last_is_appended_and_reaches_its_horizon() {
+    for (n, silent, seed) in [(4, 0, 7u64), (4, 1, 8), (7, 0, 9), (7, 2, 10)] {
+        let epochs = 4;
+        let mut pumped = Pumped::start((n, silent), options(2, 4, epochs), 0, seed, |_| 0);
+        let mut in_flight = Vec::new();
+        pumped.run(|nodes, i| {
+            let appended = nodes.iter().map(|p| p.committed_epochs()).max().unwrap_or(0);
+            let opened = nodes[i].committed_epochs() + nodes[i].in_flight();
+            assert!(opened <= appended + 1, "n={n}: epoch {opened} raced epoch {appended}");
+            in_flight.push(nodes[i].in_flight());
+        });
+        // One epoch in flight, more only while trailing the peer that
+        // opened them: about one step in a hundred under this schedule.
+        let deeper = in_flight.iter().filter(|&&open| open > 1).count();
+        assert!(deeper * 10 < in_flight.len(), "n={n}: {deeper} of {}", in_flight.len());
+        for p in &pumped.nodes {
+            assert_eq!((p.opened().full, p.opened().idle + p.opened().joined), (0, epochs));
+        }
+        assert!(pumped.finish(epochs).is_empty());
+    }
+}
+
+/// Full trigger: a node opens an epoch beside those in flight for every
+/// full batch it holds, up to the pipeline depth, and for nothing less.
+#[test]
+fn a_full_batch_opens_an_epoch_beside_those_in_flight() {
+    let cfg = Config::new(4, 1).expect("valid");
+    let (batch_max, depth) = (3usize, 4usize);
+    let opts = options(batch_max, depth, 9);
+    let started = |txs: usize| {
+        let mut p = node_with(cfg, NodeId::new(0), opts, 1, txs as u64);
+        let opened = opened_in(p.id(), &p.on_start());
+        assert_eq!(opened.len() as u64, p.in_flight());
+        (p.in_flight(), p.pending_len(), p.opened())
+    };
+    let counts = |idle, full| OpenCounts { idle, full, joined: 0 };
+    // The first epoch opens because nothing is in flight, whatever waits.
+    assert_eq!(started(0), (1, 0, counts(1, 0)));
+    assert_eq!(started(batch_max + 2), (1, 2, counts(1, 0)));
+    assert_eq!(started(2 * batch_max), (2, 0, counts(1, 1)));
+    assert_eq!(started(depth * batch_max - 1), (3, batch_max - 1, counts(1, 2)));
+    // `depth × batch_max` preloaded fill the pipeline at the start …
+    assert_eq!(started(depth * batch_max), (4, 0, counts(1, 3)));
+    // … and no further: the depth stays the cap.
+    assert_eq!(started((depth + 2) * batch_max), (4, 2 * batch_max, counts(1, 3)));
+
+    // A submission can complete the batch; the host's `poke()` opens it.
+    let mut p = node_with(cfg, NodeId::new(0), opts, 1, batch_max as u64 - 1);
+    let _ = p.on_start();
+    for t in 0..batch_max as u8 {
+        assert!(p.poke().is_empty(), "{t} payloads of {batch_max} open nothing");
+        p.submit(vec![9, t]).expect("room in the mempool");
+    }
+    assert_eq!(opened_in(p.id(), &p.poke()), vec![1]);
+    assert_eq!((p.in_flight(), p.pending_len(), p.opened()), (2, 0, counts(1, 1)));
+}
+
+/// Node 0 of a four-node cluster with empty mempools, cut off: the other
+/// three ran to the horizon without it, and every message they sent it is
+/// still waiting in `net` for the test to deliver in the order it likes.
+fn node_0_cut_off(depth: usize, epochs: u64, seed: u64) -> Pumped {
+    let mut pumped = Pumped::start((4, 0), options(2, depth, epochs), 0, seed, |_| 0);
+    while pumped.deliver_first(|(_, to, _)| to.index() != 0).is_some() {}
+    assert!(pumped.nodes[1..].iter().all(|p| p.committed_epochs() == epochs));
+    assert_eq!((pumped.nodes[0].committed_epochs(), pumped.nodes[0].in_flight()), (0, 1));
+    pumped
+}
+
+/// Which kind of message carries the evidence in a join scenario.
+#[derive(Clone, Copy, Debug)]
+enum Evidence {
+    Batch,
+    Aba,
+}
+
+impl Evidence {
+    /// Matches a message of this kind for `epoch` waiting for node 0.
+    fn of(self, epoch: u64) -> impl Fn(&InFlight) -> bool {
+        move |(_, to, msg)| {
+            to.index() == 0
+                && epoch_of(msg) == epoch
+                && match self {
+                    Evidence::Batch => matches!(msg, OrderMessage::Batch(_)),
+                    Evidence::Aba => matches!(msg, OrderMessage::Aba { .. }),
+                }
+        }
+    }
+}
+
+/// Join trigger: a node with an epoch in flight and nothing to order opens
+/// the next one in the very step that delivers a peer's first message for
+/// it — broadcast or agreement — not before and not after.
+#[test]
+fn a_peers_opening_is_joined_in_the_step_that_delivers_its_first_message() {
+    for kind in [Evidence::Batch, Evidence::Aba] {
+        let epochs = 3;
+        let mut pumped = node_0_cut_off(4, epochs, 31);
+        let opened = |step: Option<(NodeId, Vec<u64>)>| step.expect("such a message waits").1;
+        // Not before: epoch 0's own traffic opens nothing.
+        for _ in 0..3 {
+            assert!(opened(pumped.deliver_first(kind.of(0))).is_empty(), "{kind:?}");
+        }
+        assert_eq!(opened(pumped.deliver_first(kind.of(1))), vec![1], "{kind:?}");
+        assert_eq!(pumped.nodes[0].opened(), OpenCounts { idle: 1, full: 0, joined: 1 });
+        // Not after: epoch 1's later messages open nothing more.
+        for _ in 0..3 {
+            assert!(opened(pumped.deliver_first(kind.of(1))).is_empty(), "{kind:?}");
+        }
+        assert_eq!(pumped.nodes[0].in_flight(), 2);
+        pumped.finish(epochs);
+    }
+}
+
+/// Evidence is read for the next epoch to open only: epoch 2's arriving
+/// first opens nothing until epoch 1's does, and then both open.
+#[test]
+fn evidence_for_a_later_epoch_waits_for_the_one_before() {
+    for (later, next) in [(Evidence::Batch, Evidence::Aba), (Evidence::Aba, Evidence::Batch)] {
+        let epochs = 4;
+        let mut pumped = node_0_cut_off(4, epochs, 32);
+        let (_, opened) = pumped.deliver_first(later.of(2)).expect("epoch 2 ran");
+        assert!(opened.is_empty() && pumped.nodes[0].in_flight() == 1);
+        let (_, opened) = pumped.deliver_first(next.of(1)).expect("epoch 1 ran");
+        assert_eq!(opened, vec![1, 2]);
+        assert_eq!(pumped.nodes[0].opened(), OpenCounts { idle: 1, full: 0, joined: 2 });
+        pumped.finish(epochs);
+    }
+}
+
+/// Evidence that arrives while the pipeline is full is acted on by the
+/// append that makes room, in that step.
+#[test]
+fn evidence_that_meets_a_full_pipeline_is_joined_at_the_append_that_makes_room() {
+    for kind in [Evidence::Batch, Evidence::Aba] {
+        let epochs = 4;
+        let mut pumped = node_0_cut_off(2, epochs, 33);
+        let (_, opened) = pumped.deliver_first(kind.of(1)).expect("epoch 1 ran");
+        assert_eq!((opened, pumped.nodes[0].in_flight()), (vec![1], 2), "the pipeline is full");
+        let (_, opened) = pumped.deliver_first(kind.of(2)).expect("epoch 2 ran");
+        assert!(opened.is_empty(), "{kind:?}: depth 2 is the cap");
+        // Epoch 0 alone runs at node 0 until it reaches the log.
+        loop {
+            let epoch_0 = |(_, to, msg): &InFlight| to.index() == 0 && epoch_of(msg) == 0;
+            let (_, opened) = pumped.deliver_first(epoch_0).expect("epoch 0 appends");
+            if pumped.nodes[0].committed_epochs() == 1 {
+                assert_eq!(opened, vec![2], "{kind:?}: the append opens the waiting epoch");
+                break;
+            }
+            assert!(opened.is_empty(), "{kind:?}: opened {opened:?} with a full pipeline");
+        }
+        assert_eq!(pumped.nodes[0].opened(), OpenCounts { idle: 1, full: 0, joined: 2 });
+        pumped.finish(epochs);
+    }
+}
+
+/// A payload submitted while an epoch is in flight rides in the next one:
+/// it is in the log exactly one epoch later (with f nodes silent every
+/// live proposer's slot is accepted, so the epoch is exact).
+#[test]
+fn a_payload_submitted_mid_epoch_is_in_the_log_one_epoch_later() {
+    let epochs = 5;
+    let mut pumped = Pumped::start((4, 1), options(2, 4, epochs), 0, 41, |_| 0);
+    let mut steps = 0;
+    pumped.run_until(|_, _| {
+        steps += 1;
+        steps == 200
+    });
+    let tx = b"mid-epoch".to_vec();
+    let p = &mut pumped.nodes[1];
+    let (submitter, epoch) = (p.id(), p.committed_epochs());
+    assert_eq!(p.in_flight(), 1, "epoch {epoch} is in flight");
+    p.submit(tx.clone()).expect("an empty mempool takes it");
+    assert!(p.poke().is_empty(), "one payload opens no epoch beside the one in flight");
+    let log = pumped.finish(epochs);
+    assert_eq!(log, vec![LogEntry { epoch: epoch + 1, proposer: submitter, tx }]);
+}
+
+/// A batch whose slot was decided 0 goes back to the mempool and rides in
+/// the next epoch its node opens: node 0 lags, the others commit epoch 0
+/// without it, and its payloads still commit, once.
+#[test]
+fn a_batch_left_out_of_its_epoch_is_opened_again_and_commits() {
+    let (epochs, lag_steps) = (6, 3_000);
+    let mut pumped =
+        Pumped::start((4, 0), options(2, 2, epochs), lag_steps, 43, |i| if i == 0 { 2 } else { 0 });
+    pumped.run(|nodes, i| assert!(nodes[i].in_flight() <= 2));
+    let log = pumped.finish(epochs);
+    let node_0 = NodeId::new(0);
+    assert_eq!(
+        log.iter().map(|entry| (entry.proposer, entry.tx.clone())).collect::<Vec<_>>(),
+        vec![(node_0, vec![0, 0]), (node_0, vec![0, 1])],
+    );
+    assert!(log[0].epoch > 0, "node 0 was meant to miss epoch 0");
+    assert_eq!(log[0].epoch, log[1].epoch, "the batch stays together");
+}
+
+/// A faulty node that opens every epoch as early as it can — its batch
+/// `Send` for each one is on the wire from the start — and is silent
+/// otherwise. The correct nodes join each epoch as soon as they have room:
+/// the schedule of a pipeline that opens eagerly, never deeper than
+/// `pipeline_depth`; their logs agree and hold every payload they
+/// submitted.
+#[test]
+fn a_faulty_early_opener_drives_the_pipeline_to_its_depth_and_no_further() {
+    let (n, depth, epochs, per_node) = (4usize, 2usize, 8u64, 3u64);
+    let faulty = NodeId::new(n - 1);
+    let mut pumped = Pumped::start((n, 1), options(2, depth, epochs), 0, 51, |_| per_node);
+    for epoch in 0..epochs {
+        let send = Effect::Broadcast { msg: opening(faulty, epoch, &[b"faulty".to_vec()]) };
+        pumped.send(faulty, vec![send]);
+    }
+    let mut deepest = 0;
+    pumped.run(|nodes, i| {
+        assert!(nodes[i].in_flight() <= depth as u64, "past the pipeline depth");
+        deepest = deepest.max(nodes[i].in_flight());
+    });
+    assert_eq!(deepest, depth as u64, "the opener's epochs are joined while there is room");
+    assert!(pumped.nodes.iter().all(|p| p.opened().joined > 0));
+    let log = pumped.finish(epochs);
+    for i in 0..n - 1 {
+        for t in 0..per_node {
+            let tx = vec![i as u8, t as u8];
+            assert_eq!(log.iter().filter(|entry| entry.tx == tx).count(), 1, "payload {tx:?}");
+        }
+    }
+}
+
+/// What a faulty node sends for an epoch far ahead is state like any other
+/// (the horizon bounds it) but opens nothing: evidence is read for the
+/// next epoch only.
+#[test]
+fn a_send_for_a_far_epoch_opens_nothing_early() {
+    let cfg = Config::new(4, 1).expect("valid");
+    let far = 1_000_000;
+    let mut p = node_with(cfg, NodeId::new(0), options(2, 4, 2 * far), 1, 0);
+    assert_eq!(opened_in(p.id(), &p.on_start()), vec![0]);
+    let faulty = NodeId::new(3);
+    let effects = p.on_message(faulty, &opening(faulty, far, &[]));
+    assert!(opened_in(p.id(), &effects).is_empty());
+    assert!(p.poke().is_empty());
+    assert_eq!((p.in_flight(), p.opened().joined), (1, 0));
+    // The next epoch's opening is still joined.
+    let effects = p.on_message(faulty, &opening(faulty, 1, &[]));
+    assert_eq!(opened_in(p.id(), &effects), vec![1]);
 }
 
 /// An `OrderProcess` as the simulator sees it, recording every effect it
@@ -195,18 +600,12 @@ impl Process for Recorded {
 /// One simulated run: the unanimous log, each node's effect sequence, and
 /// the `(sent, delivered)` totals.
 fn simulate(
-    n: usize,
-    depth: usize,
+    (n, depth, load): (usize, usize, Load),
     seed: u64,
     poke_every_message: bool,
 ) -> (OrderLog, Vec<Vec<OrderEffect>>, (u64, u64)) {
     let cfg = Config::max_resilience(n).expect("n >= 4");
-    let opts = OrderOptions {
-        batch_max: 2,
-        pipeline_depth: depth,
-        epochs: depth as u64 + 2,
-        ..OrderOptions::default()
-    };
+    let opts = options(2, depth, depth as u64 + 2);
     // Run to the last halt, so the wind-down (epoch GC after the halting
     // gadget, the final `Halt` effect) is part of what is compared.
     let world_cfg = WorldConfig::new(n).stop_policy(StopPolicy::AllCorrectHalted);
@@ -215,7 +614,7 @@ fn simulate(
     for id in cfg.nodes() {
         let effects = Arc::new(Mutex::new(Vec::new()));
         recorders.push(Arc::clone(&effects));
-        let inner = node(cfg, id, opts, seed);
+        let inner = node_with(cfg, id, opts, seed, load.at(id.index(), opts));
         world.add_process(Box::new(Recorded { inner, poke_every_message, effects }));
     }
     let report = world.run();
@@ -232,15 +631,15 @@ fn simulate(
 /// reference, same seeds, under `World` + `UniformDelay`.
 #[test]
 fn gated_fixpoint_matches_a_poke_after_every_message_reference() {
-    for (n, depth) in [(4, 1), (4, 4), (7, 2)] {
+    for run in [(4, 1, Load::Full), (4, 4, Load::Full), (7, 2, Load::Full), (4, 4, Load::Uneven)] {
         for seed in [3u64, 17, 4242] {
-            let (log, effects, totals) = simulate(n, depth, seed, false);
-            let (ref_log, ref_effects, ref_totals) = simulate(n, depth, seed, true);
+            let (log, effects, totals) = simulate(run, seed, false);
+            let (ref_log, ref_effects, ref_totals) = simulate(run, seed, true);
             assert!(!log.is_empty());
-            assert_eq!(log, ref_log, "n={n} depth={depth} seed={seed}: logs differ");
-            assert_eq!(totals, ref_totals, "n={n} depth={depth} seed={seed}: sent/delivered");
+            assert_eq!(log, ref_log, "{run:?} seed={seed}: logs differ");
+            assert_eq!(totals, ref_totals, "{run:?} seed={seed}: sent/delivered");
             for (i, (got, want)) in effects.iter().zip(&ref_effects).enumerate() {
-                assert!(got == want, "n={n} depth={depth} seed={seed}: node {i}'s effects differ");
+                assert!(got == want, "{run:?} seed={seed}: node {i}'s effects differ");
             }
         }
     }
@@ -290,23 +689,20 @@ impl GatewayNode {
     }
 }
 
-/// Hand-pumps a gateway-fronted cluster in a seeded random delivery order
-/// with scripted client intake — every `period` deliveries the next node
-/// in turn gets a burst from its four clients, over capacity every third
-/// time — until the horizon is reached and the network is empty, then
-/// offers one more burst to the wound-down nodes. The last `silent` nodes
-/// never take a step.
-fn pump_gateways(n: usize, silent: usize, seed: u64, per_message: bool) -> Vec<GatewayNode> {
+/// The first `live` of `n` gateway-fronted nodes with empty mempools,
+/// started, and what they sent.
+fn start_gateways(
+    n: usize,
+    live: usize,
+    opts: OrderOptions,
+    seed: u64,
+    per_message: bool,
+) -> (Vec<GatewayNode>, Vec<InFlight>) {
     let cfg = Config::max_resilience(n).expect("n >= 4");
-    let live = n - silent;
-    let opts =
-        OrderOptions { batch_max: 2, pipeline_depth: 2, epochs: 5, ..OrderOptions::default() };
     let mut nodes: Vec<GatewayNode> = (0..live)
         .map(|i| {
             let pipe = GatewayPipe::new();
-            let inner = OrderProcess::new(cfg, NodeId::new(i), opts, Vec::new(), move |inst| {
-                CommonCoin::new(seed, inst)
-            });
+            let inner = node_with(cfg, NodeId::new(i), opts, seed, 0);
             GatewayNode {
                 gp: GatewayProcess::new(inner, pipe.clone()),
                 pipe,
@@ -317,15 +713,26 @@ fn pump_gateways(n: usize, silent: usize, seed: u64, per_message: bool) -> Vec<G
             }
         })
         .collect();
-    let clients_of = |i: usize| (4 * i as u64)..(4 * i as u64 + 4);
-
-    let mut rng = proptest::TestRng::deterministic(seed);
     let mut net: Vec<InFlight> = Vec::new();
     for (i, node) in nodes.iter_mut().enumerate() {
         let effects = node.gp.on_start();
         let effects = node.record(effects);
         fan_out(&mut net, live, NodeId::new(i), effects);
     }
+    (nodes, net)
+}
+
+/// Hand-pumps a gateway-fronted cluster in a seeded random delivery order
+/// with scripted client intake — every `period` deliveries the next node
+/// in turn gets a burst from its four clients, over capacity every third
+/// time — until the horizon is reached and the network is empty, then
+/// offers one more burst to the wound-down nodes. The last `silent` nodes
+/// never take a step.
+fn pump_gateways(n: usize, silent: usize, seed: u64, per_message: bool) -> Vec<GatewayNode> {
+    let live = n - silent;
+    let (mut nodes, mut net) = start_gateways(n, live, options(2, 2, 5), seed, per_message);
+    let clients_of = |i: usize| (4 * i as u64)..(4 * i as u64 + 4);
+    let mut rng = proptest::TestRng::deterministic(seed);
 
     let period = (n * n) as u64;
     let (mut step, mut bursts) = (0u64, 0usize);
@@ -384,6 +791,45 @@ fn gated_gateway_matches_a_drain_poke_scan_per_message_reference() {
             assert!(ref_runs > 4 * bound, "{at}: the reference pokes per message ({ref_runs})");
         }
     }
+}
+
+/// The append path's drain is a rule input: node 0 holds `batch_max − 1`
+/// payloads beside two epochs in flight and one more submission is parked
+/// in its pipe, un-ticked, when epoch 0 reaches its log. That drain
+/// completes a batch, and the epoch it opens is among that step's effects —
+/// not left for the next tick, which finds nothing to do.
+#[test]
+fn a_drain_at_an_append_that_completes_a_batch_opens_its_epoch_in_that_step() {
+    let (n, live, seed) = (4, 3, 61);
+    let (mut nodes, mut net) = start_gateways(n, live, options(2, 3, 6), seed, false);
+    let node_0 = NodeId::new(0);
+
+    // Two payloads are a full batch: epoch 1 opens beside epoch 0.
+    let effects = nodes[0].intake(0..2, 1);
+    assert_eq!(opened_in(node_0, &effects), vec![1]);
+    fan_out(&mut net, live, node_0, effects);
+    // A third waits alone (`batch_max − 1`), a fourth in the pipe.
+    assert!(nodes[0].intake(2..3, 1).is_empty());
+    assert!(nodes[0].pipe.push_intake(ClientSubmit { client: 3, seq: 1, tx: vec![3, 1] }));
+    let inner = nodes[0].gp.inner();
+    assert_eq!((inner.in_flight(), inner.pending_len()), (2, 1));
+
+    // Epoch 0 runs alone, so that it is the only one to append.
+    loop {
+        let at = net.iter().position(|(_, _, msg)| epoch_of(msg) == 0).expect("epoch 0 appends");
+        let (from, to, msg) = net.swap_remove(at);
+        let effects = nodes[to.index()].deliver(from, &msg);
+        let opened = opened_in(to, &effects);
+        fan_out(&mut net, live, to, effects);
+        if to == node_0 && nodes[0].gp.inner().committed_epochs() == 1 {
+            assert_eq!(opened, vec![2], "the append's drain opens epoch 2");
+            break;
+        }
+        assert!(to != node_0 || opened.is_empty(), "node 0 opened {opened:?} before the append");
+    }
+    let inner = nodes[0].gp.inner();
+    assert_eq!((inner.in_flight(), inner.pending_len(), inner.opened().full), (2, 0, 2));
+    assert!(nodes[0].gp.on_tick().is_empty(), "the step left the tick nothing to do");
 }
 
 /// What appending used to do to a committed body: one owned payload per
