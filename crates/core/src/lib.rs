@@ -75,7 +75,6 @@
 
 pub mod acs;
 pub mod benor;
-pub mod crash;
 pub mod mmr;
 pub mod multivalue;
 pub mod validation;

@@ -31,7 +31,6 @@
 
 use crate::codec::{put_u16, put_u32, put_u64, DecodeError, Reader};
 use crate::hash::Fnv64;
-use std::io::{self, Read, Write};
 
 /// Frame magic: `0xAB84`.
 pub const MAGIC: u16 = 0xAB84;
@@ -145,7 +144,7 @@ impl Frame {
     /// Decodes a frame that must span the whole buffer.
     ///
     /// This is the strict single-buffer entry point (tests, fuzzing); the
-    /// stream path is [`read_frame`].
+    /// stream path is [`decode_prefix`].
     pub fn decode(buf: &[u8]) -> Result<Frame, DecodeError> {
         let mut r = Reader::new(buf);
         let header = parse_header(&mut r)?;
@@ -323,77 +322,12 @@ fn parse_header(r: &mut Reader<'_>) -> Result<Header, DecodeError> {
     Ok(Header { version, kind, seq, len })
 }
 
-/// A failure while reading a frame off a stream.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The transport failed (or was shut down under the reader).
-    Io(io::Error),
-    /// The bytes arrived but did not form a valid frame.
-    Decode(DecodeError),
-    /// The peer closed the stream cleanly at a frame boundary.
-    Closed,
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "transport error: {e}"),
-            FrameError::Decode(e) => write!(f, "frame decode error: {e}"),
-            FrameError::Closed => f.write_str("stream closed"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-impl From<DecodeError> for FrameError {
-    fn from(e: DecodeError) -> Self {
-        FrameError::Decode(e)
-    }
-}
-
-/// Fills `buf` completely. `Ok(false)` means the stream hit EOF before
-/// the *first* byte (a clean close); EOF mid-buffer is an
-/// `UnexpectedEof` I/O error.
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Writes one frame to the stream.
-///
-/// An oversize payload surfaces as an `InvalidInput` I/O error carrying
-/// [`PayloadTooLarge`]; nothing is written in that case.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let bytes = frame.encode().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    w.write_all(&bytes)
-}
-
 /// Attempts to decode one frame from the **front** of an accumulation
 /// buffer, without blocking.
 ///
-/// This is the reactor driver's entry point: nonblocking reads append
-/// raw bytes to a per-connection buffer, and this peels complete frames
-/// off the front.
+/// Nonblocking reads append raw bytes to a per-connection buffer, and
+/// this peels complete frames off the front (the reactor itself uses the
+/// borrowing [`FrameRef::decode_prefix`]).
 ///
 /// * `Ok(Some((frame, consumed)))` — a complete frame; the caller must
 ///   drain `consumed` bytes from the front of the buffer.
@@ -407,36 +341,6 @@ pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> 
     Ok(FrameRef::decode_prefix(buf)?.map(|(frame, used)| (frame.to_frame(), used)))
 }
 
-/// Reads one frame from the stream, blocking until it is complete.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    if !fill(r, &mut header_bytes)? {
-        return Err(FrameError::Closed);
-    }
-    let header = {
-        let mut hr = Reader::new(&header_bytes);
-        parse_header(&mut hr)?
-    };
-    let mut rest = vec![0u8; header.len as usize + TRAILER_LEN];
-    if !fill(r, &mut rest)? {
-        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
-    }
-    let trailer_at = header.len as usize;
-    let mut trailer = [0u8; TRAILER_LEN];
-    trailer.copy_from_slice(&rest[trailer_at..]);
-    let got = u64::from_le_bytes(trailer);
-    let mut h = Fnv64::new();
-    h.write(&header_bytes);
-    h.write(&rest[..trailer_at]);
-    let expected = h.finish();
-    if expected != got {
-        return Err(FrameError::Decode(DecodeError::Checksum { expected, got }));
-    }
-    rest.truncate(trailer_at);
-    let (trace, payload) = split_body(header.version, rest);
-    Ok(Frame { kind: header.kind, seq: header.seq, trace, payload })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,18 +351,14 @@ mod tests {
         let bytes = f.encode().unwrap_or_default();
         assert_eq!(bytes.len(), FRAME_OVERHEAD + 3);
         assert_eq!(Frame::decode(&bytes), Ok(f.clone()));
-
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(f));
+        assert_eq!(decode_prefix(&bytes), Ok(Some((f, bytes.len()))));
     }
 
     #[test]
     fn ack_frame_round_trips_at_fixed_size() {
         let f = Frame::new(FrameKind::Ack, 48, Vec::new());
         let bytes = f.encode().unwrap_or_default();
-        // Empty payload ⇒ an ack is exactly the framing overhead, which
-        // is what the writer's nonblocking drain peeks for.
+        // Empty payload ⇒ an ack is exactly the framing overhead.
         assert_eq!(bytes.len(), FRAME_OVERHEAD);
         assert_eq!(Frame::decode(&bytes), Ok(f));
     }
@@ -469,9 +369,7 @@ mod tests {
         let bytes = f.encode().unwrap_or_default();
         assert_eq!(bytes[2], VERSION);
         assert_eq!(Frame::decode(&bytes), Ok(f.clone()));
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(f));
+        assert_eq!(decode_prefix(&bytes), Ok(Some((f, bytes.len()))));
     }
 
     /// Hand-builds a version-1 frame (no trace hint) byte-by-byte.
@@ -494,9 +392,7 @@ mod tests {
         let bytes = v1_frame(FrameKind::Msg, 3, &[7, 8, 9]);
         let expected = Frame::new(FrameKind::Msg, 3, vec![7, 8, 9]);
         assert_eq!(Frame::decode(&bytes), Ok(expected.clone()));
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(expected));
+        assert_eq!(decode_prefix(&bytes), Ok(Some((expected, bytes.len()))));
         // An empty v1 body is legal; an empty v2 body (no room for the
         // hint) is not.
         let empty = v1_frame(FrameKind::Hello, 0, &[]);
@@ -599,12 +495,13 @@ mod tests {
     }
 
     #[test]
-    fn clean_close_vs_truncation() {
-        let mut empty = io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame(&mut empty), Err(FrameError::Closed)));
+    fn empty_and_cut_buffers_need_more_and_corruption_is_typed() {
+        assert_eq!(decode_prefix(&[]), Ok(None));
 
-        let full = Frame::new(FrameKind::Msg, 3, vec![5; 10]).encode().unwrap_or_default();
-        let mut cut = io::Cursor::new(full[..full.len() - 4].to_vec());
-        assert!(matches!(read_frame(&mut cut), Err(FrameError::Io(_))));
+        let mut full = Frame::new(FrameKind::Msg, 3, vec![5; 10]).encode().unwrap_or_default();
+        assert_eq!(decode_prefix(&full[..full.len() - 4]), Ok(None));
+
+        full[HEADER_LEN + TRACE_HINT_LEN] ^= 0xff;
+        assert!(matches!(decode_prefix(&full), Err(DecodeError::Checksum { .. })));
     }
 }

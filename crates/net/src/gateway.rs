@@ -214,8 +214,8 @@ struct PipeInner {
 ///
 /// Built by the harness, handed to [`crate::NetRuntime::gateway`] *and*
 /// kept by the caller: after the runtime starts, [`GatewayPipe::addr`]
-/// is the socket address clients connect to. Gateways are a reactor
-/// feature — the thread driver ignores them.
+/// is the socket address clients connect to; the node's reactor serves
+/// it.
 #[derive(Clone)]
 pub struct GatewayPipe {
     inner: Arc<PipeInner>,

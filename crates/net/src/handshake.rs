@@ -28,10 +28,8 @@
 //! construction consumes.
 
 use crate::codec::{Codec, DecodeError, Reader};
-use crate::frame::{read_frame, write_frame, Frame, FrameError, FrameKind};
 use bft_types::NodeId;
 use std::fmt;
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The cluster's preshared key.
@@ -82,8 +80,6 @@ const DIR_DIALER: &[u8] = b"c->s";
 /// A handshake failure.
 #[derive(Debug)]
 pub enum HandshakeError {
-    /// Frame transport failed mid-handshake.
-    Frame(FrameError),
     /// A handshake payload failed to decode.
     Decode(DecodeError),
     /// The peer presented a tag that does not verify under the preshared
@@ -92,29 +88,19 @@ pub enum HandshakeError {
     /// The peer claimed an identity outside the cluster (or the dialed
     /// node answered with an unexpected id).
     BadPeer(u32),
-    /// An out-of-order frame kind arrived mid-handshake.
-    UnexpectedKind(FrameKind),
 }
 
 impl fmt::Display for HandshakeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HandshakeError::Frame(e) => write!(f, "handshake transport error: {e}"),
             HandshakeError::Decode(e) => write!(f, "handshake payload error: {e}"),
             HandshakeError::BadTag => f.write_str("handshake tag verification failed"),
             HandshakeError::BadPeer(id) => write!(f, "peer claimed invalid identity {id}"),
-            HandshakeError::UnexpectedKind(k) => write!(f, "unexpected handshake frame {k:?}"),
         }
     }
 }
 
 impl std::error::Error for HandshakeError {}
-
-impl From<FrameError> for HandshakeError {
-    fn from(e: FrameError) -> Self {
-        HandshakeError::Frame(e)
-    }
-}
 
 impl From<DecodeError> for HandshakeError {
     fn from(e: DecodeError) -> Self {
@@ -122,18 +108,11 @@ impl From<DecodeError> for HandshakeError {
     }
 }
 
-pub(crate) fn expect_kind(frame: &Frame, kind: FrameKind) -> Result<(), HandshakeError> {
-    if frame.kind != kind {
-        return Err(HandshakeError::UnexpectedKind(frame.kind));
-    }
-    Ok(())
-}
-
 // ---- pure handshake steps -------------------------------------------------
 //
-// The blocking entry points below and the reactor driver's nonblocking
-// handshake state machine share these payload builders/parsers, so both
-// paths speak byte-identical handshakes by construction.
+// The reactor's nonblocking handshake state machines (the dialer's link,
+// the accepter's inbound connection) build and check every payload with
+// these; framing and frame-kind checks stay with the reactor.
 
 /// Builds the Hello body: `me ‖ nonce_me`.
 pub(crate) fn hello_payload(me: NodeId, nonce_me: u64) -> Vec<u8> {
@@ -221,96 +200,50 @@ pub(crate) fn parse_auth(
     Ok(())
 }
 
-/// Dialer side: authenticate ourselves as `me` to the node we dialed
-/// (`expect` — its identity is checked against the Challenge).
-pub fn dial_handshake(
-    stream: &mut (impl Read + Write),
-    me: NodeId,
-    expect: NodeId,
-    secret: Secret,
-) -> Result<(), HandshakeError> {
-    let nonce_me = next_nonce();
-    let hello = hello_payload(me, nonce_me);
-    write_frame(stream, &Frame::new(FrameKind::Hello, 0, hello)).map_err(FrameError::Io)?;
-
-    let challenge = read_frame(stream)?;
-    expect_kind(&challenge, FrameKind::Challenge)?;
-    let nonce_peer = parse_challenge(&challenge.payload, secret, expect, nonce_me)?;
-
-    let auth = auth_payload(secret, nonce_peer, me);
-    write_frame(stream, &Frame::new(FrameKind::Auth, 0, auth)).map_err(FrameError::Io)?;
-    Ok(())
-}
-
-/// Accepter side: run the handshake as node `me` in an `n`-node cluster
-/// and return the authenticated dialer identity.
-pub fn accept_handshake(
-    stream: &mut (impl Read + Write),
-    me: NodeId,
-    n: usize,
-    secret: Secret,
-) -> Result<NodeId, HandshakeError> {
-    let hello = read_frame(stream)?;
-    expect_kind(&hello, FrameKind::Hello)?;
-    let (peer, nonce_peer) = parse_hello(&hello.payload, me, n)?;
-
-    let nonce_me = next_nonce();
-    let challenge = challenge_payload(secret, me, nonce_me, nonce_peer);
-    write_frame(stream, &Frame::new(FrameKind::Challenge, 0, challenge)).map_err(FrameError::Io)?;
-
-    let auth = read_frame(stream)?;
-    expect_kind(&auth, FrameKind::Auth)?;
-    parse_auth(&auth.payload, secret, peer, nonce_me)?;
-    Ok(peer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
-
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let dial = TcpStream::connect(addr).expect("connect");
-        let (accept, _) = listener.accept().expect("accept");
-        (dial, accept)
-    }
 
     #[test]
     fn matching_keys_authenticate() {
-        let (mut dial, mut accept) = loopback_pair();
         let secret = Secret::from_passphrase("test cluster");
-        let server = std::thread::spawn(move || {
-            accept_handshake(&mut accept, NodeId::new(1), 4, secret).map_err(|e| e.to_string())
-        });
-        dial_handshake(&mut dial, NodeId::new(2), NodeId::new(1), secret).expect("dial side");
-        assert_eq!(server.join().expect("join"), Ok(NodeId::new(2)));
+        let (dialer, accepter) = (NodeId::new(2), NodeId::new(1));
+        let nonce_d = next_nonce();
+        let hello = hello_payload(dialer, nonce_d);
+        let (peer, nonce_seen) = parse_hello(&hello, accepter, 4).expect("accepter reads Hello");
+        assert_eq!((peer, nonce_seen), (dialer, nonce_d));
+        let nonce_a = next_nonce();
+        let challenge = challenge_payload(secret, accepter, nonce_a, nonce_seen);
+        let nonce_peer = parse_challenge(&challenge, secret, accepter, nonce_d).expect("dial side");
+        assert_eq!(nonce_peer, nonce_a);
+        let auth = auth_payload(secret, nonce_peer, dialer);
+        assert!(parse_auth(&auth, secret, peer, nonce_a).is_ok(), "accept side");
     }
 
     #[test]
-    fn wrong_key_is_rejected_by_dialer() {
-        let (mut dial, mut accept) = loopback_pair();
-        let server = std::thread::spawn(move || {
-            let _ = accept_handshake(&mut accept, NodeId::new(0), 4, Secret::from_raw(1));
-        });
-        let got = dial_handshake(&mut dial, NodeId::new(1), NodeId::new(0), Secret::from_raw(2));
+    fn wrong_key_is_rejected_by_dialer_and_accepter() {
+        let (key_a, key_d) = (Secret::from_raw(1), Secret::from_raw(2));
+        let (dialer, accepter) = (NodeId::new(1), NodeId::new(0));
+        let (nonce_d, nonce_a) = (next_nonce(), next_nonce());
+        let challenge = challenge_payload(key_a, accepter, nonce_a, nonce_d);
+        let got = parse_challenge(&challenge, key_d, accepter, nonce_d);
         assert!(matches!(got, Err(HandshakeError::BadTag)));
-        // The accepter is still blocked on the Auth frame; closing the
-        // dialer's socket unblocks it with a clean EOF.
-        drop(dial);
-        server.join().expect("join");
+        // A dialer that pressed on regardless fails at the accepter.
+        let auth = auth_payload(key_d, nonce_a, dialer);
+        assert!(matches!(parse_auth(&auth, key_a, dialer, nonce_a), Err(HandshakeError::BadTag)));
     }
 
     #[test]
     fn out_of_cluster_identity_is_rejected() {
-        let (mut dial, mut accept) = loopback_pair();
-        let secret = Secret::default();
-        let server =
-            std::thread::spawn(move || accept_handshake(&mut accept, NodeId::new(0), 4, secret));
         // Claim node id 9 in a 4-node cluster.
-        let _ = dial_handshake(&mut dial, NodeId::new(9), NodeId::new(0), secret);
-        assert!(matches!(server.join().expect("join"), Err(HandshakeError::BadPeer(9))));
+        let hello = hello_payload(NodeId::new(9), next_nonce());
+        assert!(matches!(parse_hello(&hello, NodeId::new(0), 4), Err(HandshakeError::BadPeer(9))));
+    }
+
+    #[test]
+    fn dialer_claiming_the_accepters_own_id_is_rejected() {
+        let hello = hello_payload(NodeId::new(2), next_nonce());
+        assert!(matches!(parse_hello(&hello, NodeId::new(2), 4), Err(HandshakeError::BadPeer(2))));
     }
 
     #[test]

@@ -22,13 +22,14 @@
 //!   (drop/retransmit, duplication, delay, partitions) applied *under*
 //!   the reliable-link contract.
 //! * [`runtime`] — [`NetRuntime`], mirroring `bft_runtime::Runtime`'s
-//!   builder API: full-mesh peer manager, reconnect with capped
-//!   exponential backoff, cross-connection replay/dedup, and the same
-//!   `RuntimeReport` output. The thread-per-link engine lives here.
-//! * [`reactor`] — the default I/O engine behind [`NetRuntime`]: one
-//!   nonblocking `poll(2)` loop per node drives every socket the node
-//!   touches, so the per-node thread count is a small constant instead
-//!   of growing with the cluster (select with [`NetDriver`]).
+//!   builder API and returning the same `RuntimeReport`: socket setup,
+//!   the per-node actor loop, and the link contract (cross-connection
+//!   replay/dedup, reconnect with capped exponential backoff).
+//! * [`reactor`] — the I/O engine behind [`NetRuntime`]: one nonblocking
+//!   `poll(2)` loop per node drives every socket the node touches (the
+//!   full-mesh peer links and the client gateway), so the per-node
+//!   thread count is a small constant instead of growing with the
+//!   cluster.
 //! * [`gateway`] — the client-facing submit/ack protocol served by the
 //!   reactor (typed backpressure NACKs, per-client sequencing) plus an
 //!   open-loop load generator for driving a cluster externally.
@@ -73,14 +74,13 @@ pub mod runtime;
 pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
 pub use codec::{Codec, DecodeError, Reader};
 pub use frame::{
-    encode_frame, encode_frame_into, read_frame, write_frame, Frame, FrameError, FrameKind,
-    FrameRef, PayloadTooLarge, FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN,
-    VERSION,
+    encode_frame, encode_frame_into, Frame, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
 };
 pub use gateway::{
     run_load, ClientSubmit, GatewayNotice, GatewayPipe, LoadGenConfig, LoadGenReport, NackReason,
 };
-pub use handshake::{accept_handshake, dial_handshake, HandshakeError, Secret};
+pub use handshake::{HandshakeError, Secret};
 pub use hash::fnv1a64;
 pub use runtime::{
     BackoffPolicy, ListenerBounce, NetDriver, NetRuntime, RestartFactory, SetupError,

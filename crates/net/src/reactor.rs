@@ -1,33 +1,28 @@
-//! The reactor transport driver: one nonblocking poll loop per node.
+//! The TCP transport's I/O engine: one nonblocking poll loop per node.
 //!
-//! The thread driver ([`crate::runtime`]) spends two OS threads per
-//! *directed link* (a blocking reader and a blocking writer), which is
-//! `2n(n-1)` threads for an `n`-node cluster — fine at n=4, hopeless at
-//! n=64. This module drives the identical wire protocol with a **fixed
-//! small thread count per node**: one reactor thread owning every socket
-//! the node touches (peer listener, inbound connections, outbound links,
-//! the client gateway, and the wake channel its actor nudges it through —
-//! see [`WakeShared`] for that hand-off), plus the actor thread running
-//! the sans-io process. Readiness comes from
-//! `poll(2)` via the dependency-free [`poll`] shim.
+//! Each node gets a **fixed small thread count**, whatever `n`: one
+//! reactor thread owning every socket the node touches (peer listener,
+//! inbound connections, outbound links, the client gateway, and the wake
+//! channel its actor nudges it through — see [`WakeShared`] for that
+//! hand-off), plus the actor thread running the sans-io process.
+//! Readiness comes from `poll(2)` via the dependency-free [`poll`] shim.
 //!
-//! # Driver-swap seam
+//! # What the links guarantee
 //!
-//! The reactor replaces only the *I/O strategy*. Everything observable is
-//! preserved from the thread driver so the two are interchangeable under
-//! [`crate::NetRuntime`] (see `NetDriver`):
+//! Per directed link the reactor keeps the contract [`crate::runtime`]
+//! documents: authenticated by the handshake (the pure helpers in
+//! [`crate::handshake`]), contiguous sequence numbers, a replay log
+//! trimmed by cumulative acks, and a per-peer dedup floor that survives
+//! reconnects. Chaos sits under that contract with a fixed per-frame draw
+//! order (outage → delay → drop loop → duplicate), so a seeded chaos
+//! schedule produces the same per-link fault pattern on every run. The
+//! full transport event vocabulary (`PeerConnected`, `FrameSequenceGap`,
+//! `LinkLogPeak`, …) is emitted from here. The deterministic simulator is
+//! the differential oracle: `tests/net_reactor.rs` and
+//! `tests/net_loopback.rs` require the logs a seeded workload commits over
+//! these sockets to equal the ones it commits in `bft-sim`.
 //!
-//! * the frame codec, handshake bytes (the pure helpers in
-//!   [`crate::handshake`] are shared by both drivers), and per-link
-//!   sequence/replay/ack-trim discipline;
-//! * the per-frame chaos draw order (outage → delay → drop loop →
-//!   duplicate), so a seeded chaos schedule produces the same per-link
-//!   fault pattern under either driver;
-//! * reconnect backoff, the `skip_first_replay` sequence-gap chaos, and
-//!   the full transport event vocabulary (`PeerConnected`,
-//!   `FrameSequenceGap`, `LinkLogPeak`, …).
-//!
-//! Blocking reads/writes become per-connection state machines: an
+//! Every connection is a state machine: an
 //! outbound link is `Idle → Hello → Up` (with a head-of-line chaos
 //! machine `Start → Delayed → Dropping` per frame), an inbound
 //! connection is `AwaitHello → AwaitAuth → Up`. Each `poll` both parks
@@ -199,10 +194,9 @@ enum FillEnd {
     /// Connection still open (nothing more to read right now).
     Open,
     /// Orderly FIN from the peer. For a dial connection this is *not*
-    /// immediate death: TCP half-close semantics (and thread-driver
-    /// parity) require pending frames to keep flowing until a write
-    /// fails, which is what turns a skipped replay into the sequence
-    /// gap the receiver must detect.
+    /// immediate death: TCP half-close semantics require pending frames
+    /// to keep flowing until a write fails, which is what turns a
+    /// skipped replay into the sequence gap the receiver must detect.
     Eof,
     /// Hard transport error.
     Error,
@@ -243,8 +237,7 @@ fn read_until_short(
     }
 }
 
-/// One nonblocking socket with explicit in/out buffering — the reactor's
-/// replacement for a blocking reader/writer thread pair.
+/// One nonblocking socket with explicit in/out buffering.
 struct BufConn {
     stream: TcpStream,
     inbuf: Vec<u8>,
@@ -425,7 +418,7 @@ enum Head {
 }
 
 /// Why an outbound connection died — determines the replay reset and
-/// the emitted event, mirroring the thread writer's paths.
+/// the emitted event.
 #[derive(Clone, Copy, Debug)]
 enum LinkDeath {
     /// Dial/handshake failure: back off and emit `ReconnectBackoff`.
@@ -452,8 +445,7 @@ struct LinkCtx<'a> {
 }
 
 /// One directed outbound link: the replay log, the connection state
-/// machine, and the chaos head machine — the reactor's equivalent of a
-/// whole writer thread.
+/// machine, and the chaos head machine.
 struct LinkState {
     peer: NodeId,
     rx: Receiver<FrameBody>,
@@ -478,8 +470,8 @@ struct LinkState {
 
 impl LinkState {
     fn new(me: NodeId, peer: NodeId, rx: Receiver<FrameBody>, chaos: LinkChaos) -> Self {
-        // Same jitter stream as the thread writer, so backoff schedules
-        // match across drivers.
+        // A per-link jitter stream, so backoff schedules repeat run to
+        // run.
         let mut h = crate::hash::Fnv64::new();
         h.write(b"backoff-jitter");
         h.write(&(me.index() as u32).to_le_bytes());
@@ -538,8 +530,8 @@ impl LinkState {
         }
 
         // The link is complete once the actor hung up and every frame is
-        // out of the socket, mirroring the writer thread's exit — which
-        // is also when the log peak is reported.
+        // out of the socket — which is also when the log peak is
+        // reported.
         let flushed = self.conn.as_ref().map(|c| !c.pending_out()).unwrap_or(true);
         if self.draining && self.sent == self.log.len() && flushed {
             self.finished = true;
@@ -574,7 +566,7 @@ impl LinkState {
                             return Some(LinkDeath::Handshake);
                         };
                         // The dialer considers the handshake done after
-                        // writing Auth — same as the blocking path.
+                        // writing Auth.
                         let body = auth_payload(ctx.secret, nonce_peer, ctx.me);
                         let _ = conn.queue_frame(io, FrameKind::Auth, 0, 0, &body);
                         self.established(ctx);
@@ -611,11 +603,11 @@ impl LinkState {
         }
         // Frames transmitted after the peer's FIN are doomed: peers
         // never half-close in this protocol, so nobody will read them.
-        // The thread writer counts such frames `sent` (the kernel
-        // accepts them before the RST lands) and then dies on a write
-        // failure with `sent` preserved — which is exactly what lets
-        // `skip_first_replay` manufacture a sequence gap. Mirror that:
-        // queueing anything onto an EOF'd connection is a Write death.
+        // The kernel accepts them before the RST lands, so they count
+        // as `sent`, and the link dies as on a write failure with `sent`
+        // preserved — which is exactly what lets `skip_first_replay`
+        // manufacture a sequence gap: queueing anything onto an EOF'd
+        // connection is a Write death.
         let queued_to_dead = conn.peer_eof && self.sent > sent_before;
 
         if !conn.flush(io) {
@@ -633,8 +625,9 @@ impl LinkState {
             }),
             FillEnd::Eof => match self.phase {
                 LinkPhase::Up if queued_to_dead => Some(LinkDeath::Write),
-                // An idle, fully-flushed link whose peer closed is dead —
-                // the thread driver's `conn_dead` probe equivalent.
+                // An idle, fully-flushed link whose peer closed is dead
+                // (a receiver that saw a sequence gap closed it): redial
+                // and replay, or the peer starves.
                 LinkPhase::Up if self.sent == self.log.len() && !conn.pending_out() => {
                     Some(LinkDeath::Idle)
                 }
@@ -647,8 +640,7 @@ impl LinkState {
     }
 
     /// The transmit machine: encodes head frames into the output buffer
-    /// under the chaos head machine, preserving the thread writer's
-    /// draw order per frame.
+    /// under the chaos head machine, in its fixed draw order per frame.
     fn transmit(
         &mut self,
         conn: &mut BufConn,
@@ -722,8 +714,7 @@ impl LinkState {
         }
     }
 
-    /// Marks the link authenticated and applies the replay policy —
-    /// byte-for-byte the thread dialer's post-handshake block.
+    /// Marks the link authenticated and applies the replay policy.
     fn established(&mut self, ctx: &LinkCtx<'_>) {
         let was_reconnect = self.ever_connected;
         let peer = self.peer;
@@ -746,8 +737,7 @@ impl LinkState {
         self.head = Head::Start;
     }
 
-    /// Tears the connection down along one of the writer-thread death
-    /// paths.
+    /// Tears the connection down along one of the [`LinkDeath`] paths.
     fn die(&mut self, death: LinkDeath, ctx: &LinkCtx<'_>, now_ms: u64) {
         self.conn = None;
         self.head = Head::Start;
@@ -780,12 +770,11 @@ impl LinkState {
             }
             LinkDeath::Write => {
                 // The frame in flight when the link died was never
-                // really sent — uncount it (the thread writer's failed
-                // `write_all` does not increment `sent` either). This
-                // keeps `sent < log.len()`, which is what arms the
-                // redial; the surviving prefix of `sent` is what a
-                // chaos-skipped replay resumes from, manufacturing the
-                // receiver-visible sequence gap.
+                // really sent — uncount it. This keeps
+                // `sent < log.len()`, which is what arms the redial; the
+                // surviving prefix of `sent` is what a chaos-skipped
+                // replay resumes from, manufacturing the receiver-visible
+                // sequence gap.
                 self.sent = self.sent.saturating_sub(1);
                 if !shutdown && was_up {
                     ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
@@ -976,7 +965,7 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
             self.sleep(deadline);
         }
         // Report the replay-log peaks the finished-link path did not get
-        // to (the writer thread emits these unconditionally at exit).
+        // to: every link reports one at exit.
         let ctx = self.link_ctx();
         for link in &self.links {
             if !link.finished {
@@ -1176,8 +1165,8 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
             }
         }
         c.conn.compact_in();
-        // Ack write failures are tolerated (as in the thread reader):
-        // link death surfaces on the read side.
+        // Ack write failures are tolerated: link death surfaces on the
+        // read side.
         let _ = c.conn.flush(&mut self.io);
         match end {
             FillEnd::Open => match c.phase {
@@ -1419,11 +1408,11 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
     }
 }
 
-// ---- the driver entry point -----------------------------------------------
+// ---- the entry point ------------------------------------------------------
 
-/// Runs the cluster under the reactor driver. Mirrors the thread
-/// driver's scaffolding (inboxes, monitor, teardown, report) with the
-/// per-link threads replaced by one reactor thread per node.
+/// Runs the cluster: one reactor and one actor thread per node, plus the
+/// calling thread as completion monitor (inboxes, monitor, teardown,
+/// report).
 pub(crate) fn run<M, O>(
     mut rt: NetRuntime<M, O>,
     bound: Vec<TcpListener>,
@@ -1546,14 +1535,14 @@ where
             scope.spawn(move || supervised(&ledger, "reactor", || node.run()));
         }
 
-        // Actor threads — identical to the thread driver, except the
-        // fan-out wakes this node's reactor after enqueueing frames.
+        // Actor threads: the fan-out wakes this node's reactor after
+        // enqueueing frames.
         for (idx, (slot, rx)) in rt.procs.iter_mut().zip(inbox_rxs).enumerate() {
             let Some((mut proc_, _)) = slot.take() else { continue };
             let Some(self_tx) = inbox_txs.get(idx).cloned() else { continue };
             let links = LinkFanout {
                 txs: link_txs.get_mut(idx).map(std::mem::take).unwrap_or_default(),
-                waker: wakers.get(idx).cloned(),
+                waker: wakers.get(idx).cloned().unwrap_or_else(ReactorWaker::disconnected),
             };
             let outputs = Arc::clone(&outputs);
             let obs = obs.clone();

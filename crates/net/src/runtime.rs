@@ -1,10 +1,12 @@
 //! The TCP transport runtime: `bft-runtime`'s API over real sockets.
 //!
 //! [`NetRuntime`] runs the *unmodified* sans-io processes over loopback
-//! TCP, one listener + one actor thread per node and one writer + one
-//! reader thread per directed link, and returns the same
-//! [`RuntimeReport`] the thread runtime produces — the third execution
-//! substrate next to `bft-sim` and `bft-runtime`.
+//! TCP — one actor thread per node plus one reactor thread
+//! ([`crate::reactor`]) owning every socket the node touches — and
+//! returns the same [`RuntimeReport`] the thread runtime produces: the
+//! third execution substrate next to `bft-sim` and `bft-runtime`. This
+//! module holds the builder, socket setup, the actor loop and the panic
+//! ledger; the reactor holds the I/O.
 //!
 //! # Link discipline
 //!
@@ -16,7 +18,7 @@
 //!
 //! * every frame on link `u → v` carries a contiguous sequence number
 //!   starting at 1;
-//! * the writer keeps a per-link frame log for replay (bodies are
+//! * the sender keeps a per-link frame log for replay (bodies are
 //!   `Arc`-shared with the broadcast fan-out, so the log stores
 //!   pointers, not copies); after a reconnect it replays the log from
 //!   its trimmed base;
@@ -24,36 +26,36 @@
 //!   connections, so replayed and duplicated frames are discarded and
 //!   exactly-once, in-order delivery holds end-to-end;
 //! * the receiver acks every [`ACK_EVERY`]-th processed frame back on
-//!   the same connection (a cumulative [`FrameKind::Ack`]), and the
-//!   writer drains acks while idle and drops acked prefixes from the
-//!   log — so resident log size is bounded by the ack cadence plus the
-//!   in-flight window instead of growing with the run length.
+//!   the same connection (a cumulative [`crate::FrameKind::Ack`]), and
+//!   the sender drops acked prefixes from the log — so resident log size
+//!   is bounded by the ack cadence plus the in-flight window instead of
+//!   growing with the run length.
 //!
 //! # Shutdown
 //!
-//! Threads block in `accept`/`read`/`write`/`recv`. The supervisor
-//! flips a shutdown flag, sends one `Stop` per actor inbox, and then
-//! severs every registered socket (`Shutdown::Both`), which unblocks
-//! the I/O-bound threads; everything runs under `std::thread::scope`,
-//! so `run` returns only after every thread has exited.
+//! Nothing blocks on I/O: every socket is nonblocking and each reactor
+//! parks in `poll(2)` for at most its poll cap. The supervisor flips a
+//! shutdown flag, sends one `Stop` per actor inbox and wakes every
+//! reactor; everything runs under `std::thread::scope`, so `run` returns
+//! only after every thread has exited.
 
-use crate::chaos::{ChaosConfig, LinkChaos, XorShift};
+use crate::chaos::{ChaosConfig, XorShift};
 use crate::clock::{sleep_ms, Clock};
 use crate::codec::Codec;
-use crate::frame::{encode_frame, read_frame, FrameError, FrameKind, FRAME_OVERHEAD};
+use crate::frame::FRAME_OVERHEAD;
 use crate::gateway::GatewayPipe;
-use crate::handshake::{accept_handshake, dial_handshake, Secret};
+use crate::handshake::Secret;
 use crate::reactor::ReactorWaker;
 use bft_obs::{Event as ObsEvent, Obs};
 use bft_runtime::{BoxedProcess, RuntimeReport};
 use bft_types::{Effect, Envelope, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -113,22 +115,6 @@ pub(crate) fn supervised<F: FnOnce()>(ledger: &PanicLedger, context: &'static st
     }
 }
 
-/// Sleeps in short slices until `wake_at_ms` on the runtime clock,
-/// returning early (with `false`) the moment the shutdown flag flips —
-/// chaos delays and retransmission timeouts must never stall teardown.
-pub(crate) fn wait_until(clock: Clock, shutdown: &AtomicBool, wake_at_ms: u64) -> bool {
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return false;
-        }
-        let now = clock.now_ms();
-        if now >= wake_at_ms {
-            return true;
-        }
-        sleep_ms((wake_at_ms - now).clamp(1, 2));
-    }
-}
-
 /// Control messages on a node's actor inbox.
 pub(crate) enum Ctrl<M> {
     /// Deliver one authenticated protocol message.
@@ -143,34 +129,15 @@ pub(crate) enum Ctrl<M> {
 /// plus the causal-trace hint stamped into its frame header.
 pub(crate) type FrameBody = (Arc<Vec<u8>>, u64);
 
-/// A node's outbound fan-out: one frame queue per directed link, plus —
-/// under the reactor driver — the waker that nudges the poll loop after
-/// frames are enqueued (the thread driver's writers block on the queues
-/// themselves and need no wakeup).
+/// A node's outbound fan-out: one frame queue per directed link, plus
+/// the waker that nudges the node's poll loop after frames are enqueued.
 pub(crate) struct LinkFanout {
     /// `txs[i]` feeds the link to node `i`; `None` on the self slot.
     pub(crate) txs: Vec<Option<Sender<FrameBody>>>,
-    /// The owning node's reactor waker, if one is attached.
-    pub(crate) waker: Option<ReactorWaker>,
+    /// The owning node's reactor waker ([`ReactorWaker::disconnected`]
+    /// when the wake channel could not be set up).
+    pub(crate) waker: ReactorWaker,
 }
-
-impl LinkFanout {
-    /// Fan-out for the thread driver (no wakeups needed).
-    fn local(txs: Vec<Option<Sender<FrameBody>>>) -> Self {
-        LinkFanout { txs, waker: None }
-    }
-
-    /// Nudges the reactor that owns the links, if there is one, after
-    /// frames were queued.
-    fn wake(&self) {
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-    }
-}
-
-/// One directed link's writer input: `(from, to, queue of frame bodies)`.
-type WriterSpec = (usize, usize, Receiver<FrameBody>);
 
 /// The paired send/receive halves of every node's actor inbox.
 pub(crate) type InboxChannels<M> = (Vec<Sender<Ctrl<M>>>, Vec<Receiver<Ctrl<M>>>);
@@ -232,19 +199,13 @@ pub struct ListenerBounce {
     pub down_ms: u64,
 }
 
-/// Which I/O engine drives the TCP cluster.
+/// The I/O engine behind the TCP cluster. There is one; the enum exists
+/// only so that callers of [`NetRuntime::driver`] still compile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetDriver {
-    /// The original thread-per-link engine: one blocking reader and one
-    /// blocking writer thread per *directed link* (`2n(n-1)` threads for
-    /// `n` nodes), plus one listener and one actor thread per node.
-    /// Simple, but the thread count grows quadratically with the
-    /// cluster size.
-    Threads,
     /// The event-driven engine ([`crate::reactor`]): one `poll(2)` loop
     /// per node owning every socket the node touches, so the thread
-    /// count per node is a small constant regardless of `n`. The only
-    /// engine that serves client gateways.
+    /// count per node is a small constant regardless of `n`.
     #[default]
     Reactor,
 }
@@ -304,27 +265,6 @@ impl std::error::Error for SetupError {
     }
 }
 
-/// Registered socket clones for a shutdown domain; severing them
-/// unblocks any thread parked in `read`/`write` on the originals.
-#[derive(Clone, Default)]
-struct StreamRegistry(Arc<Mutex<Vec<TcpStream>>>);
-
-impl StreamRegistry {
-    fn register(&self, stream: &TcpStream) {
-        if let Ok(clone) = stream.try_clone() {
-            locked(&self.0).push(clone);
-        }
-    }
-
-    fn shutdown_all(&self) {
-        let mut streams = locked(&self.0);
-        for s in streams.iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        streams.clear();
-    }
-}
-
 /// A thread-per-node runtime over loopback TCP sockets, mirroring
 /// [`bft_runtime::Runtime`]'s builder API.
 ///
@@ -342,7 +282,6 @@ pub struct NetRuntime<M, O> {
     pub(crate) backoff: BackoffPolicy,
     pub(crate) bounces: Vec<ListenerBounce>,
     pub(crate) restarts: Vec<RestartSpec<M, O>>,
-    driver: NetDriver,
     bind_addr: SocketAddr,
     gateways: Vec<Option<GatewayPipe>>,
 }
@@ -376,15 +315,15 @@ where
             backoff: BackoffPolicy::default(),
             bounces: Vec::new(),
             restarts: Vec::new(),
-            driver: NetDriver::default(),
             bind_addr: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
             gateways: (0..n).map(|_| None).collect(),
         }
     }
 
-    /// Selects the I/O engine (default: [`NetDriver::Reactor`]).
-    pub fn driver(mut self, driver: NetDriver) -> Self {
-        self.driver = driver;
+    /// Does nothing: [`NetDriver::Reactor`] is the only engine. Kept only
+    /// so that the frozen `benchmark/` crate, which calls it, compiles;
+    /// remove it in the next change allowed to touch `benchmark/`.
+    pub fn driver(self, _driver: NetDriver) -> Self {
         self
     }
 
@@ -398,11 +337,11 @@ where
         self
     }
 
-    /// Attaches a client gateway to `node`: the reactor driver binds a
-    /// gateway listener for it and serves the framed submit/ack protocol
-    /// over the pipe (see [`crate::gateway`]). The bound address is
-    /// published via [`GatewayPipe::addr`] once [`NetRuntime::try_run`]
-    /// has set the cluster up. Ignored by [`NetDriver::Threads`].
+    /// Attaches a client gateway to `node`: the runtime binds a gateway
+    /// listener for it and the node's reactor serves the framed
+    /// submit/ack protocol over the pipe (see [`crate::gateway`]). The
+    /// bound address is published via [`GatewayPipe::addr`] once
+    /// [`NetRuntime::try_run`] has set the cluster up.
     ///
     /// # Panics
     ///
@@ -517,7 +456,7 @@ where
     }
 
     /// Binds every socket the run needs, then drives the cluster to
-    /// completion under the configured [`NetDriver`].
+    /// completion on the reactors.
     ///
     /// Socket setup failures (a listener that cannot bind because its
     /// port is already claimed, a gateway listener without a local
@@ -549,230 +488,25 @@ where
             addrs.push(addr);
         }
 
-        match self.driver {
-            NetDriver::Threads => Ok(self.run_threads(bound, addrs)),
-            NetDriver::Reactor => {
-                let gateway_bind = SocketAddr::new(self.bind_addr.ip(), 0);
-                let pipes = std::mem::take(&mut self.gateways);
-                let mut fronts = Vec::with_capacity(n);
-                for (node, pipe) in pipes.into_iter().enumerate() {
-                    match pipe {
-                        Some(pipe) => {
-                            let listener = TcpListener::bind(gateway_bind)
-                                .map_err(|source| SetupError::GatewayBind { node, source })?;
-                            let addr = listener
-                                .local_addr()
-                                .map_err(|source| SetupError::GatewayBind { node, source })?;
-                            let _ = listener.set_nonblocking(true);
-                            pipe.set_addr(addr);
-                            fronts.push(Some((listener, pipe)));
-                        }
-                        None => fronts.push(None),
-                    }
+        let gateway_bind = SocketAddr::new(self.bind_addr.ip(), 0);
+        let pipes = std::mem::take(&mut self.gateways);
+        let mut fronts = Vec::with_capacity(n);
+        for (node, pipe) in pipes.into_iter().enumerate() {
+            match pipe {
+                Some(pipe) => {
+                    let listener = TcpListener::bind(gateway_bind)
+                        .map_err(|source| SetupError::GatewayBind { node, source })?;
+                    let addr = listener
+                        .local_addr()
+                        .map_err(|source| SetupError::GatewayBind { node, source })?;
+                    let _ = listener.set_nonblocking(true);
+                    pipe.set_addr(addr);
+                    fronts.push(Some((listener, pipe)));
                 }
-                Ok(crate::reactor::run(self, bound, addrs, fronts))
+                None => fronts.push(None),
             }
         }
-    }
-
-    /// The thread-per-link engine (see [`NetDriver::Threads`]).
-    fn run_threads(mut self, bound: Vec<TcpListener>, addrs: Vec<SocketAddr>) -> RuntimeReport<O> {
-        let n = self.n;
-        let clock = Clock::new();
-        let obs = self.obs.clone();
-        let secret = self.secret;
-        let backoff = self.backoff;
-        let addr_table = Arc::new(Mutex::new(addrs));
-
-        // Actor inboxes and per-link writer queues.
-        let (inbox_txs, inbox_rxs): InboxChannels<M> = (0..n).map(|_| mpsc::channel()).unzip();
-        let mut link_txs: Vec<Vec<Option<Sender<FrameBody>>>> = Vec::with_capacity(n);
-        let mut writer_specs: Vec<WriterSpec> = Vec::new();
-        for from in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for to in 0..n {
-                if to == from {
-                    row.push(None);
-                } else {
-                    let (tx, rx) = mpsc::channel();
-                    row.push(Some(tx));
-                    writer_specs.push((from, to, rx));
-                }
-            }
-            link_txs.push(row);
-        }
-
-        let outputs: Arc<Mutex<BTreeMap<NodeId, O>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ledger = PanicLedger::default();
-        // Per-receiver `next expected seq` per peer: survives connection
-        // churn, so replayed frames dedup exactly-once.
-        let expected: Vec<Arc<Mutex<BTreeMap<usize, u64>>>> =
-            (0..n).map(|_| Arc::new(Mutex::new(BTreeMap::new()))).collect();
-        let inbound_regs: Vec<StreamRegistry> = (0..n).map(|_| StreamRegistry::default()).collect();
-        let outbound_reg = StreamRegistry::default();
-
-        let correct: Vec<NodeId> = self
-            .procs
-            .iter()
-            .enumerate()
-            // lint: allow(panic) — every slot was asserted populated at the top of run()
-            .filter(|(_, p)| !p.as_ref().expect("slot populated").1)
-            .map(|(i, _)| NodeId::new(i))
-            .collect();
-
-        let mut restart_specs: BTreeMap<usize, RestartSpec<M, O>> = BTreeMap::new();
-        for spec in self.restarts.drain(..) {
-            restart_specs.insert(spec.node.index(), spec);
-        }
-
-        let mut timed_out = false;
-        std::thread::scope(|scope| {
-            // Listener threads (each spawns one reader per accepted
-            // connection).
-            for (j, listener) in bound.into_iter().enumerate() {
-                let me = NodeId::new(j);
-                let bounce = self.bounces.iter().copied().find(|b| b.node == me);
-                let inbound_reg = inbound_regs.get(j).cloned().unwrap_or_default();
-                let shared = ReaderShared {
-                    me,
-                    n,
-                    secret,
-                    inbox: inbox_txs.get(j).cloned(),
-                    expected: expected.get(j).cloned().unwrap_or_default(),
-                    shutdown: Arc::clone(&shutdown),
-                    obs: obs.clone(),
-                    clock,
-                };
-                let addr_table = Arc::clone(&addr_table);
-                let shutdown = Arc::clone(&shutdown);
-                let ledger = ledger.clone();
-                scope.spawn(move || {
-                    let reader_ledger = ledger.clone();
-                    supervised(&ledger, "listener", move || {
-                        let mut listener_opt = Some(listener);
-                        let mut pending_bounce = bounce;
-                        loop {
-                            if shutdown.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if let Some(b) = pending_bounce {
-                                if clock.now_ms() >= b.at_ms {
-                                    pending_bounce = None;
-                                    drop(listener_opt.take());
-                                    inbound_reg.shutdown_all();
-                                    let up_at = b.at_ms + b.down_ms;
-                                    while clock.now_ms() < up_at {
-                                        if shutdown.load(Ordering::Relaxed) {
-                                            return;
-                                        }
-                                        sleep_ms(2);
-                                    }
-                                    let Some((l, addr)) = rebind(&shutdown) else { return };
-                                    if let Some(slot) = locked(&addr_table).get_mut(j) {
-                                        *slot = addr;
-                                    }
-                                    listener_opt = Some(l);
-                                }
-                            }
-                            let Some(listener) = listener_opt.as_ref() else {
-                                sleep_ms(1);
-                                continue;
-                            };
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    let _ = stream.set_nodelay(true);
-                                    inbound_reg.register(&stream);
-                                    let shared = shared.clone();
-                                    let ledger = reader_ledger.clone();
-                                    scope.spawn(move || {
-                                        supervised(&ledger, "reader", || {
-                                            reader_loop(stream, shared)
-                                        });
-                                    });
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => sleep_ms(1),
-                                Err(_) => sleep_ms(1),
-                            }
-                        }
-                    });
-                });
-            }
-
-            // Actor threads.
-            for (idx, (slot, rx)) in self.procs.iter_mut().zip(inbox_rxs).enumerate() {
-                // lint: allow(panic) — every slot was asserted populated at the top of run()
-                let (mut proc_, _) = slot.take().expect("slot populated");
-                let self_tx = inbox_txs.get(idx).cloned();
-                let links = LinkFanout::local(
-                    link_txs.get_mut(idx).map(std::mem::take).unwrap_or_default(),
-                );
-                let outputs = Arc::clone(&outputs);
-                let obs = obs.clone();
-                let restart = restart_specs.remove(&idx);
-                let ledger = ledger.clone();
-                scope.spawn(move || {
-                    supervised(&ledger, "actor", move || {
-                        if let Some(self_tx) = self_tx {
-                            actor_loop(
-                                &mut proc_, rx, &self_tx, &links, &outputs, &obs, clock, restart,
-                            );
-                        }
-                    });
-                });
-            }
-
-            // Writer threads, one per directed link.
-            for (from, to, rx) in writer_specs {
-                let ctx = WriterCtx {
-                    me: NodeId::new(from),
-                    peer: NodeId::new(to),
-                    addr_table: Arc::clone(&addr_table),
-                    outbound_reg: outbound_reg.clone(),
-                    shutdown: Arc::clone(&shutdown),
-                    obs: obs.clone(),
-                    clock,
-                    secret,
-                    backoff,
-                    chaos: self.chaos.link(NodeId::new(from), NodeId::new(to)),
-                };
-                let ledger = ledger.clone();
-                scope.spawn(move || supervised(&ledger, "writer", || writer_loop(rx, ctx)));
-            }
-
-            // Completion monitor: poll until all correct nodes decided
-            // or the timeout fires, then tear everything down.
-            loop {
-                obs.set_now(clock.now_us());
-                {
-                    let outs = locked(&outputs);
-                    if correct.iter().all(|id| outs.contains_key(id)) {
-                        break;
-                    }
-                }
-                if clock.elapsed() > self.timeout {
-                    timed_out = true;
-                    break;
-                }
-                sleep_ms(1);
-            }
-            shutdown.store(true, Ordering::Relaxed);
-            for tx in &inbox_txs {
-                let _ = tx.send(Ctrl::Stop);
-            }
-            // Sever every socket: unblocks reads/writes so the scope can
-            // join promptly.
-            for reg in &inbound_regs {
-                reg.shutdown_all();
-            }
-            outbound_reg.shutdown_all();
-        });
-
-        let outputs = Arc::try_unwrap(outputs)
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .unwrap_or_else(|arc| locked(&arc).clone());
-        let poisoned = ledger.finish(&obs);
-        RuntimeReport { outputs, correct, timed_out, elapsed: clock.elapsed(), poisoned }
+        Ok(crate::reactor::run(self, bound, addrs, fronts))
     }
 }
 
@@ -794,169 +528,8 @@ pub(crate) fn rebind(shutdown: &AtomicBool) -> Option<(TcpListener, SocketAddr)>
     }
 }
 
-/// Everything a per-connection reader thread needs.
-struct ReaderShared<M> {
-    me: NodeId,
-    n: usize,
-    secret: Secret,
-    inbox: Option<Sender<Ctrl<M>>>,
-    // lint: allow(unbounded-map) — keys are handshake-authenticated peer indices < n; the next-seq dedup floor must never be GC'd
-    expected: Arc<Mutex<BTreeMap<usize, u64>>>,
-    shutdown: Arc<AtomicBool>,
-    obs: Obs,
-    clock: Clock,
-}
-
-impl<M> Clone for ReaderShared<M> {
-    fn clone(&self) -> Self {
-        ReaderShared {
-            me: self.me,
-            n: self.n,
-            secret: self.secret,
-            inbox: self.inbox.clone(),
-            expected: Arc::clone(&self.expected),
-            shutdown: Arc::clone(&self.shutdown),
-            obs: self.obs.clone(),
-            clock: self.clock,
-        }
-    }
-}
-
-/// One inbound connection: authenticate the dialer, then deliver its
-/// frames (deduplicated by sequence number) to the actor inbox.
-fn reader_loop<M: Codec + Clone + fmt::Debug>(mut stream: TcpStream, ctx: ReaderShared<M>) {
-    reader_session(&mut stream, ctx);
-    // The inbound registry holds a cloned fd of this stream (for
-    // shutdown severing), so merely dropping our handle does not close
-    // the connection. Sever explicitly: without the FIN the dialer can
-    // never learn we abandoned the link (e.g. on a sequence gap) and
-    // would block forever writing into a connection nobody reads.
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// The body of [`reader_loop`]; returning (on any path) abandons the
-/// connection, which the caller then severs.
-fn reader_session<M: Codec + Clone + fmt::Debug>(stream: &mut TcpStream, ctx: ReaderShared<M>) {
-    let Some(inbox) = ctx.inbox else { return };
-    let Ok(peer) = accept_handshake(stream, ctx.me, ctx.n, ctx.secret) else {
-        // A failed handshake surfaces on the dialer side as backoff; the
-        // accepter just drops the connection.
-        return;
-    };
-    // First-ever connection from this peer ⇒ PeerConnected; later
-    // accepts are reconnects, which the dialer side reports with its
-    // attempt count.
-    //
-    // Reader threads stamp events with the monotonic clock *at emit
-    // time* (`emit_at`): the shared `Obs` clock is only refreshed by
-    // the actor and monitor loops, so reading it here would attach a
-    // stale previous stamp to transport events.
-    if !locked(&ctx.expected).contains_key(&peer.index()) {
-        ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerConnected { peer });
-    }
-    loop {
-        if ctx.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match read_frame(stream) {
-            Ok(frame) => {
-                if frame.kind != FrameKind::Msg {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::FrameDecodeError {
-                        reason: "unexpected_kind",
-                    });
-                    return;
-                }
-                {
-                    let mut exp = locked(&ctx.expected);
-                    let next = exp.entry(peer.index()).or_insert(1);
-                    if frame.seq < *next {
-                        // Duplicate (chaos) or replayed after reconnect.
-                        continue;
-                    }
-                    if frame.seq > *next {
-                        // Contiguity violation: drop the connection; the
-                        // dialer will reconnect and replay. This is a
-                        // transport-ordering fault, not a decode failure,
-                        // so it gets its own event (and counter).
-                        let expected = *next;
-                        let got = frame.seq;
-                        ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || {
-                            ObsEvent::FrameSequenceGap { from: peer, expected, got }
-                        });
-                        return;
-                    }
-                    *next += 1;
-                }
-                // Cumulative ack back to the writer, on the same
-                // connection, so it can trim its replay log. Write
-                // failures are ignored: link death surfaces on the next
-                // read, and the writer falls back to retaining its log.
-                if frame.seq % ACK_EVERY == 0 {
-                    if let Ok(ack) = encode_frame(FrameKind::Ack, frame.seq, 0, &[]) {
-                        let _ = stream.write_all(&ack);
-                    }
-                }
-                match M::from_bytes(&frame.payload) {
-                    Ok(msg) => {
-                        let env = Envelope::new(peer, ctx.me, msg);
-                        if inbox.send(Ctrl::Deliver(env)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(err) => {
-                        ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || {
-                            ObsEvent::FrameDecodeError { reason: err.label() }
-                        });
-                        return;
-                    }
-                }
-            }
-            Err(FrameError::Closed) => {
-                if !ctx.shutdown.load(Ordering::Relaxed) {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "closed",
-                    });
-                }
-                return;
-            }
-            Err(FrameError::Decode(err)) => {
-                ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::FrameDecodeError {
-                    reason: err.label(),
-                });
-                return;
-            }
-            Err(FrameError::Io(_)) => {
-                if !ctx.shutdown.load(Ordering::Relaxed) {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "read_failed",
-                    });
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Everything a per-link writer thread needs.
-struct WriterCtx {
-    me: NodeId,
-    peer: NodeId,
-    addr_table: Arc<Mutex<Vec<SocketAddr>>>,
-    outbound_reg: StreamRegistry,
-    shutdown: Arc<AtomicBool>,
-    obs: Obs,
-    clock: Clock,
-    secret: Secret,
-    backoff: BackoffPolicy,
-    chaos: LinkChaos,
-}
-
-/// How long the writer waits on its queue before re-checking shutdown.
-const WRITER_POLL_MS: u64 = 10;
 /// The receiver acks every `ACK_EVERY`-th processed frame (cumulative),
-/// letting the writer trim its replay log. Small enough to bound the
+/// letting the sender trim its replay log. Small enough to bound the
 /// log, large enough that ack traffic stays negligible.
 pub(crate) const ACK_EVERY: u64 = 16;
 /// Retransmission timeout after a chaos-dropped attempt.
@@ -966,298 +539,6 @@ pub(crate) const RETRANSMIT_RTO_MS: u64 = 2;
 /// sent anyway (mirroring a real link-layer giving way to delivery).
 pub(crate) const MAX_RETRANSMIT: u32 = 64;
 
-/// One directed link: drain the queue, keep the connection alive
-/// (redialing with capped backoff), apply chaos, and write framed
-/// messages with contiguous sequence numbers.
-/// Whether an outbound stream's peer has gone away: a pending socket
-/// error (e.g. a RST) or EOF on a non-blocking peek. The writer never
-/// reads application data on this stream, so any readable EOF means the
-/// receiver closed its end.
-fn conn_dead(stream: &TcpStream) -> bool {
-    if !matches!(stream.take_error(), Ok(None)) {
-        return true;
-    }
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let dead = match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e) => e.kind() != io::ErrorKind::WouldBlock,
-    };
-    let _ = stream.set_nonblocking(false);
-    dead
-}
-
-/// Nonblockingly consumes any *complete* ack frames buffered on the
-/// writer's stream and returns the highest cumulative ack seen (`None`
-/// if none arrived). A partial frame is left buffered for next time; a
-/// non-ack frame or transport error is surfaced as `Err` so the caller
-/// treats the connection as dead.
-fn drain_acks(stream: &mut TcpStream) -> io::Result<Option<u64>> {
-    // An ack is an empty-payload frame: header + trace hint + trailer.
-    let mut best = None;
-    loop {
-        stream.set_nonblocking(true)?;
-        let mut probe = [0u8; FRAME_OVERHEAD];
-        let peeked = stream.peek(&mut probe);
-        let _ = stream.set_nonblocking(false);
-        match peeked {
-            // A whole ack is buffered: this read cannot block.
-            Ok(n) if n >= FRAME_OVERHEAD => match read_frame(stream) {
-                Ok(f) if f.kind == FrameKind::Ack => {
-                    best = Some(best.unwrap_or(0).max(f.seq));
-                }
-                _ => return Err(io::Error::from(io::ErrorKind::InvalidData)),
-            },
-            // EOF (0) or a partial frame: nothing (more) to consume now.
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(best)
-}
-
-fn writer_loop(rx: Receiver<FrameBody>, mut ctx: WriterCtx) {
-    let me = ctx.me;
-    let peer = ctx.peer;
-    let mut jitter_rng = {
-        let mut h = crate::hash::Fnv64::new();
-        h.write(b"backoff-jitter");
-        h.write(&(me.index() as u32).to_le_bytes());
-        h.write(&(peer.index() as u32).to_le_bytes());
-        XorShift::new(h.finish())
-    };
-    // The per-link frame log: seq of log[i] is i + 1. Bodies are shared
-    // with the broadcast fan-out (Arc), so this stores pointers (plus
-    // each body's trace hint for the frame header).
-    let mut log: Vec<FrameBody> = Vec::new();
-    // Sequence numbers already acked and dropped from the log's front:
-    // `log[i]` carries seq `log_base + i + 1`, and replay after a
-    // reconnect starts at `log_base + 1` (the receiver acked everything
-    // at or below `log_base`, so nothing earlier can be needed).
-    let mut log_base: u64 = 0;
-    let mut peak: usize = 0;
-    let mut conn: Option<TcpStream> = None;
-    let mut sent = 0usize;
-    let mut ever_connected = false;
-    let mut draining = false;
-    'main: loop {
-        if ctx.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        if !draining {
-            match rx.recv_timeout(Duration::from_millis(WRITER_POLL_MS)) {
-                Ok(body) => {
-                    log.push(body);
-                    while let Ok(more) = rx.try_recv() {
-                        log.push(more);
-                    }
-                    peak = peak.max(log.len());
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => draining = true,
-            }
-        }
-        if sent == log.len() {
-            // Consume cumulative acks first (they share the stream, so
-            // buffered ack bytes must not be mistaken for peer liveness
-            // data by the probe below) and drop the acked prefix.
-            if let Some(stream) = conn.as_mut() {
-                match drain_acks(stream) {
-                    Ok(Some(acked)) if acked > log_base => {
-                        let k = ((acked - log_base) as usize).min(sent);
-                        log.drain(..k);
-                        sent -= k;
-                        log_base += k as u64;
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        conn = None;
-                        sent = 0;
-                        if !ctx.shutdown.load(Ordering::Relaxed) {
-                            ctx.obs.emit_at(ctx.clock.now_us(), me, || {
-                                ObsEvent::PeerDisconnected { peer, reason: "ack_failed" }
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-            // An idle link can die silently: a receiver that detected a
-            // sequence gap (or was severed) closes its end, but with no
-            // pending frames the writer would never hit a write error and
-            // never redial — starving the peer of the replay it needs.
-            // Probe the socket; on a dead link force a full replay.
-            if conn.as_ref().is_some_and(conn_dead) {
-                conn = None;
-                sent = 0;
-                if !ctx.shutdown.load(Ordering::Relaxed) {
-                    // Writer threads, like readers, stamp transport
-                    // events at emit time — the shared clock is not
-                    // refreshed from this thread.
-                    ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "peer_closed",
-                    });
-                }
-                continue;
-            }
-            if draining {
-                break;
-            }
-            continue;
-        }
-
-        // Pending frames: make sure we hold an authenticated stream.
-        if conn.is_none() {
-            let mut attempt: u64 = 0;
-            conn = loop {
-                if ctx.shutdown.load(Ordering::Relaxed) {
-                    break None;
-                }
-                let addr = locked(&ctx.addr_table).get(peer.index()).copied();
-                let Some(addr) = addr else { break None };
-                if let Ok(mut stream) = TcpStream::connect(addr) {
-                    let _ = stream.set_nodelay(true);
-                    if dial_handshake(&mut stream, me, peer, ctx.secret).is_ok() {
-                        ctx.outbound_reg.register(&stream);
-                        let was_reconnect = ever_connected;
-                        let at = ctx.clock.now_us();
-                        if was_reconnect {
-                            let attempts = attempt;
-                            ctx.obs
-                                .emit_at(at, me, || ObsEvent::PeerReconnected { peer, attempts });
-                        } else {
-                            ctx.obs.emit_at(at, me, || ObsEvent::PeerConnected { peer });
-                        }
-                        ever_connected = true;
-                        if was_reconnect && ctx.chaos.skip_replay_once() {
-                            // Chaos: the writer "lost" its replay log and
-                            // resumes from its send counter. Writes that
-                            // died in the previous socket's buffers were
-                            // counted as sent, so the receiver sees the
-                            // stream jump ahead, reports a sequence gap
-                            // and drops the connection; the next dial
-                            // replays in full.
-                        } else {
-                            // Fresh connection ⇒ replay the whole log; the
-                            // receiver dedups by sequence number.
-                            sent = 0;
-                        }
-                        break Some(stream);
-                    }
-                }
-                attempt += 1;
-                let delay_ms = ctx.backoff.delay_ms(attempt, &mut jitter_rng);
-                let shown_attempt = attempt;
-                ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::ReconnectBackoff {
-                    peer,
-                    attempt: shown_attempt,
-                    delay_ms,
-                });
-                if !wait_until(ctx.clock, &ctx.shutdown, ctx.clock.now_ms() + delay_ms) {
-                    break None;
-                }
-            };
-            if conn.is_none() {
-                break 'main; // only reachable on shutdown
-            }
-        }
-
-        // Drain acks during sustained sends too, not just when idle: a
-        // receiver blocked writing an ack into a full socket buffer
-        // would stop reading and stall the link — and the log would
-        // never trim under a one-way flood.
-        if sent.is_multiple_of(ACK_EVERY as usize) {
-            if let Some(stream) = conn.as_mut() {
-                match drain_acks(stream) {
-                    Ok(Some(acked)) if acked > log_base => {
-                        let k = ((acked - log_base) as usize).min(sent);
-                        log.drain(..k);
-                        sent -= k;
-                        log_base += k as u64;
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        conn = None;
-                        sent = 0;
-                        if !ctx.shutdown.load(Ordering::Relaxed) {
-                            ctx.obs.emit_at(ctx.clock.now_us(), me, || {
-                                ObsEvent::PeerDisconnected { peer, reason: "ack_failed" }
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-        }
-
-        let seq = log_base + sent as u64 + 1;
-
-        // Partition window: frames wait out the outage (they are not
-        // lost — the reliable-link contract still holds).
-        while let Some(until) = ctx.chaos.outage_until(ctx.clock.now_ms()) {
-            if ctx.shutdown.load(Ordering::Relaxed) {
-                break 'main;
-            }
-            let now = ctx.clock.now_ms();
-            sleep_ms(until.saturating_sub(now).clamp(1, 5));
-        }
-
-        // Injected delay (head-of-line: per-link FIFO is preserved).
-        // Waited out in shutdown-aware slices: a long chaos delay must
-        // not outlive the run's teardown.
-        let delay = ctx.chaos.delay_ms();
-        if delay > 0 && !wait_until(ctx.clock, &ctx.shutdown, ctx.clock.now_ms() + delay) {
-            break 'main;
-        }
-
-        // Wire loss: the attempt is dropped, and the *same* frame is
-        // retransmitted after an RTO — sequence numbers stay contiguous.
-        let mut attempts = 0u32;
-        while attempts < MAX_RETRANSMIT && ctx.chaos.attempt_dropped() {
-            ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::FrameDropped { to: peer, seq });
-            attempts += 1;
-            if !wait_until(ctx.clock, &ctx.shutdown, ctx.clock.now_ms() + RETRANSMIT_RTO_MS) {
-                break 'main;
-            }
-        }
-
-        let Some((body, trace)) = log.get(sent) else { continue };
-        let Ok(bytes) = encode_frame(FrameKind::Msg, seq, *trace, body) else {
-            // Unreachable: oversize bodies are rejected at enqueue time in
-            // `apply` and never enter the log. Skipping (rather than
-            // spinning on the same frame forever) keeps the writer live if
-            // that invariant is ever broken.
-            ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::FrameDecodeError {
-                reason: "payload_too_large",
-            });
-            sent += 1;
-            continue;
-        };
-        let duplicate = ctx.chaos.duplicate();
-        let Some(stream) = conn.as_mut() else { continue };
-        let ok =
-            stream.write_all(&bytes).is_ok() && (!duplicate || stream.write_all(&bytes).is_ok());
-        if ok {
-            sent += 1;
-        } else {
-            conn = None;
-            if !ctx.shutdown.load(Ordering::Relaxed) {
-                ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::PeerDisconnected {
-                    peer,
-                    reason: "write_failed",
-                });
-            }
-        }
-    }
-    let frames = peak as u64;
-    ctx.obs.emit_at(ctx.clock.now_us(), me, || ObsEvent::LinkLogPeak { peer, frames });
-}
-
 /// How many queued controls an actor handles before it wakes its reactor
 /// and looks at the crash/restart deadlines again. Frames queued during
 /// a burst reach a *parked* reactor together, so one pass and one write
@@ -1265,8 +546,7 @@ fn writer_loop(rx: Receiver<FrameBody>, mut ctx: WriterCtx) {
 const ACTOR_BURST: usize = 64;
 
 /// The body of one actor thread (mirrors `bft-runtime`'s actor loop;
-/// the only difference is where effects go — the net fan-out). Shared
-/// verbatim by both drivers.
+/// the only difference is where effects go — the net fan-out).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn actor_loop<M, O>(
     proc_: &mut BoxedProcess<M, O>,
@@ -1290,7 +570,7 @@ pub(crate) fn actor_loop<M, O>(
     obs.set_now(clock.now_us());
     let effects = proc_.on_start();
     if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
-        links.wake();
+        links.waker.wake();
     }
 
     // One loop until Stop: live deliveries are processed, post-halt and
@@ -1317,7 +597,7 @@ pub(crate) fn actor_loop<M, O>(
                     obs.set_now(clock.now_us());
                     let effects = proc_.on_start();
                     if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
-                        links.wake();
+                        links.waker.wake();
                     }
                 }
             }
@@ -1371,7 +651,7 @@ pub(crate) fn actor_loop<M, O>(
             next = if taken < ACTOR_BURST { rx.try_recv().ok() } else { None };
         }
         if queued {
-            links.wake();
+            links.waker.wake();
         }
         if stop {
             break;
@@ -1381,7 +661,7 @@ pub(crate) fn actor_loop<M, O>(
 
 /// Rejects bodies that cannot be framed ([`crate::frame::MAX_PAYLOAD`])
 /// at the send boundary, before they are assigned a sequence number.
-/// Letting one into a writer log would wedge the link: the frame can
+/// Letting one into a link's replay log would wedge the link: the frame can
 /// never be transmitted, and skipping it would leave a permanent
 /// sequence gap on replay.
 fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
@@ -1394,8 +674,8 @@ fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
 }
 
 /// Carries out one step's effects. Returns whether a frame was queued
-/// on a link — under the reactor driver the node's poll loop may be
-/// parked, so the caller owes it one [`LinkFanout::wake`] per burst.
+/// on a link — the node's poll loop may be parked, so the caller owes
+/// it one [`ReactorWaker::wake`] per burst.
 fn apply<M, O>(
     me: NodeId,
     effects: Vec<Effect<M, O>>,

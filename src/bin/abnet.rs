@@ -41,7 +41,7 @@
 //! state transfer from the latest certified checkpoint.
 //!
 //! With `--clients C` (C > 0) the binary runs the **client gateway**
-//! scenario: a reactor-driver cluster of gateway-wrapped ordering
+//! scenario: a TCP cluster of gateway-wrapped ordering
 //! processes, each with a real client-facing listener, driven by the
 //! open-loop load generator (C simulated clients at `--rate`
 //! submissions/s aggregate for `--load-ms`). The final line is a JSON
@@ -62,7 +62,7 @@
 use async_bft::adversary::{make_bracha_adversary, FaultKind};
 use async_bft::coin::LocalCoin;
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
-use async_bft::net::{ChaosConfig, NetDriver, NetRuntime};
+use async_bft::net::{ChaosConfig, NetRuntime};
 use async_bft::obs::{JsonlSink, MetricsSink, Obs, SharedSink, Tee};
 use async_bft::rbc::RbcKind;
 use async_bft::types::{Config, Value};
@@ -87,7 +87,6 @@ struct Options {
     kv_workload: bool,
     checkpoint_interval: u64,
     restart_node: bool,
-    driver: NetDriver,
     clients: u64,
     rate: u64,
     load_ms: u64,
@@ -126,7 +125,7 @@ fn export_obs(opts: &Options, run: u64) -> (Obs, SharedSink<ExportSink>) {
 }
 
 /// The reactors' layer-ledger rows for a run line: what a frame cost
-/// below the protocol (all zero under `--driver threads`).
+/// below the protocol.
 fn reactor_summary(m: &MetricsSink) -> String {
     let r = m.reactor();
     let blocked = if r.reads == 0 { 0.0 } else { 100.0 * r.reads_blocked as f64 / r.reads as f64 };
@@ -186,7 +185,6 @@ fn parse_args() -> Result<Options, String> {
         kv_workload: false,
         checkpoint_interval: 4,
         restart_node: false,
-        driver: NetDriver::default(),
         clients: 0,
         rate: 2000,
         load_ms: 2000,
@@ -246,16 +244,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--checkpoint-interval: {e}"))?
             }
             "--restart-node" => opts.restart_node = true,
-            "--driver" => {
-                let v = value("--driver")?;
-                opts.driver = match v.as_str() {
-                    "threads" => NetDriver::Threads,
-                    "reactor" => NetDriver::Reactor,
-                    other => {
-                        return Err(format!("--driver: expected threads or reactor, got {other}"))
-                    }
-                };
-            }
             "--clients" => {
                 opts.clients = value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
             }
@@ -276,7 +264,7 @@ fn parse_args() -> Result<Options, String> {
                      [--max-delay-ms MS] [--timeout-secs T] [--runs R] \
                      [--epochs E] [--batch B] [--pipeline D] [--rbc bracha|coded] \
                      [--kv-workload] [--checkpoint-interval C] [--restart-node] \
-                     [--driver threads|reactor] [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
+                     [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
                      [--trace-out FILE] [--metrics-out FILE]\n\
                      --pipeline D is the maximum number of epochs in flight; beside those \
                      in flight a node opens another only for a full --batch or after a peer"
@@ -414,7 +402,6 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
         let mut rt: NetRuntime<OrderMessage, OrderLog> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         for id in cfg.nodes() {
             let workload: Vec<Vec<u8>> = (0..order.epochs * order.batch_max as u64)
@@ -517,7 +504,6 @@ fn run_smr(opts: &Options, chaos: &ChaosConfig) {
         let mut rt: NetRuntime<SmrMessage, SmrOutput> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         let count = (epochs * smr.order.batch_max as u64) as usize;
         let make = move |id: NodeId, obs: Obs| {
@@ -662,7 +648,6 @@ fn main() {
         let mut rt: NetRuntime<Wire, Value> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         // Faults corrupt the lowest-indexed nodes, matching absim.
         for id in cfg.nodes() {

@@ -19,7 +19,7 @@
 //! and the CI smoke job.
 
 use crate::coin::CommonCoin;
-use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetDriver, NetRuntime, SetupError};
+use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetRuntime, SetupError};
 use crate::obs::Obs;
 use crate::order::gateway::GatewayProcess;
 use crate::order::{OpenCounts, OrderLog, OrderOptions, OrderProcess};
@@ -116,10 +116,8 @@ pub fn run_gateway_load(
     let order = opts.order;
 
     let pipes: Vec<GatewayPipe> = (0..opts.n).map(|_| GatewayPipe::new()).collect();
-    let mut rt: NetRuntime<_, OrderLog> = NetRuntime::new(opts.n)
-        .timeout(opts.timeout)
-        .observer(obs.clone())
-        .driver(NetDriver::Reactor);
+    let mut rt: NetRuntime<_, OrderLog> =
+        NetRuntime::new(opts.n).timeout(opts.timeout).observer(obs.clone());
     for (i, pipe) in pipes.iter().enumerate() {
         rt = rt.gateway(NodeId::new(i), pipe.clone());
     }

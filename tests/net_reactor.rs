@@ -1,14 +1,15 @@
-//! Regression and differential gates for the reactor transport driver
-//! and the client gateway.
+//! Regression and differential gates for the reactor transport and the
+//! client gateway.
 //!
-//! The reactor replaced the thread-per-link transport; the proof that it
-//! preserved the wire semantics is differential: the same seeded
-//! workload under the same chaos schedule must end in byte-identical
-//! delivered logs under [`NetDriver::Threads`] and
-//! [`NetDriver::Reactor`]. Alongside, the three bugfix regressions from
-//! the same change ride here: bind failures surface as typed
-//! [`SetupError`]s instead of panics, shutdown is never stalled by
-//! in-flight chaos/backoff sleeps, and a panicked runtime thread is
+//! The oracle is the deterministic simulator: the same seeded ordering
+//! workload must commit the identical log in `bft-sim` and over loopback
+//! TCP under a chaos schedule of drops and duplicates, and the reactor
+//! alone must deliver a 64 KiB erasure-coded broadcast byte for byte at
+//! n=16 under drops (sim-vs-TCP equality at that geometry is
+//! `tests/net_loopback.rs::coded_rbc_delivers_identical_log_on_sim_and_tcp`).
+//! Alongside ride three bugfix regressions: bind failures surface as
+//! typed [`SetupError`]s instead of panics, shutdown is never stalled by
+//! in-flight chaos/backoff waits, and a panicked runtime thread is
 //! reported via `RuntimeReport::poisoned` instead of being masked by
 //! poison-riding mutex locks.
 //!
@@ -25,13 +26,14 @@ use async_bft::coin::{CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
 use async_bft::net::frame::decode_prefix;
 use async_bft::net::{
-    encode_frame, encode_frame_into, ChaosConfig, Frame, FrameKind, FrameRef, NetDriver,
-    NetRuntime, SetupError,
+    encode_frame, encode_frame_into, ChaosConfig, Frame, FrameKind, FrameRef, NetRuntime,
+    SetupError,
 };
 use async_bft::obs::{Event, MetricsSink, Obs, Sink};
 use async_bft::order::gateway::{GatewayCore, OfferOutcome};
 use async_bft::order::{Backpressure, OrderLog, OrderMessage, OrderOptions, OrderProcess};
-use async_bft::rbc::CodedProcess;
+use async_bft::rbc::{CodedProcess, RbcKind};
+use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, Effect, NodeId, Process, Value};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -39,84 +41,96 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 // ---------------------------------------------------------------------
-// Differential gates: Threads vs Reactor
+// Differential gates: the simulator as oracle
 // ---------------------------------------------------------------------
 
-/// Runs a seeded n=4 ordering cluster over loopback TCP under `driver`
-/// and returns the unanimous committed log.
-fn ordered_log_under(driver: NetDriver, seed: u64, chaos: ChaosConfig) -> OrderLog {
-    let n = 4;
-    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
-    let opts =
-        OrderOptions { batch_max: 2, pipeline_depth: 2, epochs: 3, ..OrderOptions::default() };
-    let per_node = opts.epochs as usize * opts.batch_max;
-    let mut rt: NetRuntime<OrderMessage, OrderLog> =
-        NetRuntime::new(n).timeout(TIMEOUT).driver(driver).chaos(chaos);
-    for id in cfg.nodes() {
-        // A deterministic per-node workload: the log contents depend
-        // only on (seed, node), never on the substrate's scheduling.
-        let workload: Vec<Vec<u8>> =
-            (0..per_node).map(|i| format!("tx-{seed}-{}-{i}", id.index()).into_bytes()).collect();
-        rt.add_process(Box::new(OrderProcess::new(cfg, id, opts, workload, move |inst| {
-            CommonCoin::new(seed, inst)
-        })));
-    }
-    let report = rt.run();
-    assert!(!report.timed_out, "{driver:?} ordering run stalled");
-    assert!(report.agreement_holds(), "{driver:?} nodes diverged");
-    assert!(!report.poisoned, "{driver:?} run recorded a thread panic");
-    report.unanimous_output().unwrap_or_else(|| panic!("{driver:?} nodes never agreed on a log"))
+/// The n=4 ordering cluster's options: batches of 2, 2 epochs in
+/// flight, 3 epochs — room for 6 payloads per node.
+const ORDERING: OrderOptions =
+    OrderOptions { batch_max: 2, pipeline_depth: 2, epochs: 3, rbc: RbcKind::Bracha };
+
+/// A node's 6 payloads: a function of `(seed, node)` only, never of the
+/// substrate's scheduling.
+fn workload(seed: u64, id: NodeId) -> Vec<Vec<u8>> {
+    (0..6).map(|i| format!("tx-{seed}-{}-{i}", id.index()).into_bytes()).collect()
 }
 
-/// The ordering differential at n=4: same seed, same chaos schedule,
-/// byte-identical committed logs under the thread-per-link driver and
-/// the reactor.
+fn ordering_node(cfg: Config, id: NodeId, seed: u64) -> OrderProcess<CommonCoin> {
+    OrderProcess::new(cfg, id, ORDERING, workload(seed, id), move |inst| {
+        CommonCoin::new(seed, inst)
+    })
+}
+
+/// The ordering differential at n=4: the log the simulator commits is
+/// the log the reactor commits over loopback TCP while chaos drops 5% and
+/// duplicates 2.5% of frame transmissions — and it holds every payload
+/// of the workload exactly once.
 #[test]
-fn reactor_matches_threads_on_ordered_log_under_chaos() {
+fn reactor_matches_sim_on_ordered_log_under_chaos() {
+    let n = 4;
+    let seed = 17;
+    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
+
+    // The simulator is deterministic, so its log is fixed by the delay
+    // seed. Under seed 3 every proposer's batch makes it into every epoch
+    // (no slot is excluded; nor is one under seeds 0–19 at this delay
+    // range), so all 4 × 3 × 2 = 24 payloads commit within the 3 epochs.
+    // A TCP run that excludes no slot commits that same log.
+    let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 20, 3));
+    for id in cfg.nodes() {
+        world.add_process(Box::new(ordering_node(cfg, id, seed)));
+    }
+    let sim_report = world.run();
+    assert!(sim_report.all_correct_decided(), "sim ordering run stalled");
+    let sim: OrderLog = sim_report.unanimous_output().expect("sim nodes must agree on one log");
+
     let chaos = ChaosConfig {
         seed: 0xD1FF,
         drop_per_mille: 50,
         dup_per_mille: 25,
         ..ChaosConfig::default()
     };
-    let threads = ordered_log_under(NetDriver::Threads, 17, chaos.clone());
-    let reactor = ordered_log_under(NetDriver::Reactor, 17, chaos);
-    assert!(!threads.is_empty(), "committed log must carry the workload");
-    assert_eq!(threads, reactor, "drivers committed different logs from identical inputs");
+    let mut rt: NetRuntime<OrderMessage, OrderLog> =
+        NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
+    for id in cfg.nodes() {
+        rt.add_process(Box::new(ordering_node(cfg, id, seed)));
+    }
+    let report = rt.run();
+    assert!(!report.timed_out, "ordering run stalled over TCP");
+    assert!(report.agreement_holds(), "TCP nodes diverged");
+    assert!(!report.poisoned, "TCP run recorded a thread panic");
+    let tcp = report.unanimous_output().expect("TCP nodes never agreed on a log");
+
+    assert_eq!(sim, tcp, "sim and TCP committed different logs from identical inputs");
+    let mut committed: Vec<Vec<u8>> = tcp.into_iter().map(|e| e.tx).collect();
+    committed.sort_unstable();
+    let mut offered: Vec<Vec<u8>> = cfg.nodes().flat_map(|id| workload(seed, id)).collect();
+    offered.sort_unstable();
+    assert_eq!(committed.len(), 24);
+    assert_eq!(committed, offered, "every payload must commit exactly once");
 }
 
-/// Runs the n=16 coded broadcast under `driver` and returns the
-/// unanimously delivered payload.
-fn coded_log_under(driver: NetDriver, payload: &[u8], chaos: ChaosConfig) -> Vec<u8> {
+/// The n=16 coded broadcast over the reactor: a 64 KiB erasure-coded
+/// payload, 3% of frame transmissions dropped, delivered byte for byte
+/// at the full f=5 mesh geometry (240 directed links).
+#[test]
+fn reactor_delivers_coded_rbc_at_n16_under_drops() {
     let n = 16;
     let cfg = Config::max_resilience(n).expect("16 >= 3f + 1");
     let sender = NodeId::new(0);
-    let mut rt: NetRuntime<_, Vec<u8>> =
-        NetRuntime::new(n).timeout(TIMEOUT).driver(driver).chaos(chaos);
-    for id in cfg.nodes() {
-        let mine = (id == sender).then(|| payload.to_vec());
-        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
-    }
-    let report = rt.run();
-    assert!(!report.timed_out, "{driver:?} coded broadcast stalled at n=16");
-    assert!(!report.poisoned, "{driver:?} run recorded a thread panic");
-    report.unanimous_output().unwrap_or_else(|| panic!("{driver:?} nodes diverged at n=16"))
-}
-
-/// The n=16 differential: a 64 KiB erasure-coded broadcast under frame
-/// drops delivers the identical byte string under both drivers — the
-/// reactor at the full f=5 mesh geometry (240 directed links per
-/// driver), not just the n=4 smoke mesh.
-#[test]
-fn reactor_matches_threads_on_coded_rbc_at_n16() {
     let payload: Vec<u8> =
         (0..64 * 1024).map(|i| (i as u8).wrapping_mul(97).wrapping_add(13)).collect();
     let chaos = ChaosConfig { seed: 0xAB16, drop_per_mille: 30, ..ChaosConfig::default() };
-    let threads = coded_log_under(NetDriver::Threads, &payload, chaos.clone());
-    let reactor = coded_log_under(NetDriver::Reactor, &payload, chaos);
-    assert_eq!(threads, payload, "threads driver corrupted the payload");
-    assert_eq!(reactor, payload, "reactor driver corrupted the payload");
-    assert_eq!(threads, reactor);
+    let mut rt: NetRuntime<_, Vec<u8>> = NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
+    for id in cfg.nodes() {
+        let mine = (id == sender).then(|| payload.clone());
+        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+    }
+    let report = rt.run();
+    assert!(!report.timed_out, "coded broadcast stalled at n=16");
+    assert!(!report.poisoned, "run recorded a thread panic");
+    let delivered = report.unanimous_output().expect("nodes diverged at n=16");
+    assert_eq!(delivered, payload, "the reactor corrupted the payload");
 }
 
 // ---------------------------------------------------------------------
@@ -165,8 +179,7 @@ impl Process for PingPong {
 #[test]
 fn sequential_ping_pong_never_waits_out_the_poll_cap() {
     let hops = 500;
-    let mut rt: NetRuntime<u64, u64> =
-        NetRuntime::new(2).timeout(TIMEOUT).driver(NetDriver::Reactor);
+    let mut rt: NetRuntime<u64, u64> = NetRuntime::new(2).timeout(TIMEOUT);
     for i in 0..2 {
         rt.add_process(Box::new(PingPong { id: NodeId::new(i), hops }));
     }
@@ -192,7 +205,7 @@ fn reactor_stats_show_coalesced_wakes_and_few_blocked_reads() {
         OrderOptions { batch_max: 4, pipeline_depth: 2, epochs: 12, ..OrderOptions::default() };
     let (obs, metrics) = Obs::new(MetricsSink::new());
     let mut rt: NetRuntime<OrderMessage, OrderLog> =
-        NetRuntime::new(n).timeout(TIMEOUT).driver(NetDriver::Reactor).observer(obs.clone());
+        NetRuntime::new(n).timeout(TIMEOUT).observer(obs.clone());
     for id in cfg.nodes() {
         let workload: Vec<Vec<u8>> = (0..48).map(|i| vec![id.index() as u8, i]).collect();
         rt.add_process(Box::new(OrderProcess::new(cfg, id, opts, workload, |inst| {
@@ -413,29 +426,26 @@ fn claimed_port_is_a_typed_setup_error_not_a_panic() {
     let claimed = std::net::TcpListener::bind("127.0.0.1:0").expect("claim a port");
     let addr = claimed.local_addr().expect("claimed port has an address");
 
-    for driver in [NetDriver::Threads, NetDriver::Reactor] {
-        let mut rt: NetRuntime<Vec<u8>, u64> =
-            NetRuntime::new(2).timeout(TIMEOUT).driver(driver).bind_addr(addr);
-        for i in 0..2 {
-            rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
+    let mut rt: NetRuntime<Vec<u8>, u64> = NetRuntime::new(2).timeout(TIMEOUT).bind_addr(addr);
+    for i in 0..2 {
+        rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
+    }
+    match rt.try_run() {
+        Err(SetupError::Bind { node, source }) => {
+            assert_eq!(node, 0, "the first bind attempt must fail");
+            assert_eq!(source.kind(), std::io::ErrorKind::AddrInUse);
         }
-        match rt.try_run() {
-            Err(SetupError::Bind { node, source }) => {
-                assert_eq!(node, 0, "{driver:?}: the first bind attempt must fail");
-                assert_eq!(source.kind(), std::io::ErrorKind::AddrInUse, "{driver:?}");
-            }
-            Err(other) => panic!("{driver:?}: wrong setup error: {other}"),
-            Ok(_) => panic!("{driver:?}: binding a claimed port succeeded?"),
-        }
+        Err(other) => panic!("wrong setup error: {other}"),
+        Ok(_) => panic!("binding a claimed port succeeded?"),
     }
 }
 
 /// Regression for the uninterruptible-sleep bugfix: with every frame
-/// delayed five seconds by chaos, the transport threads sit parked in
-/// delay waits when the run times out. Shutdown must interrupt those
-/// waits: the whole run — teardown included — finishes in a fraction of
-/// one injected delay, where the old blocking sleeps stalled teardown
-/// for the full five seconds per parked thread.
+/// delayed five seconds by chaos, every link's head frame sits in a
+/// chaos delay when the run times out. Shutdown must not wait those out:
+/// the whole run — teardown included — finishes in a fraction of one
+/// injected delay, where blocking sleeps would stall teardown for the
+/// full five seconds.
 #[test]
 fn shutdown_interrupts_chaos_and_backoff_sleeps() {
     let chaos = ChaosConfig {
@@ -444,23 +454,19 @@ fn shutdown_interrupts_chaos_and_backoff_sleeps() {
         max_delay_ms: 5_000,
         ..ChaosConfig::default()
     };
-    for driver in [NetDriver::Threads, NetDriver::Reactor] {
-        let started = Instant::now();
-        let mut rt: NetRuntime<Vec<u8>, u64> = NetRuntime::new(2)
-            .timeout(Duration::from_millis(500))
-            .driver(driver)
-            .chaos(chaos.clone());
-        for i in 0..2 {
-            rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
-        }
-        let report = rt.run();
-        let total = started.elapsed();
-        assert!(report.timed_out, "{driver:?}: a chatter run can only end by timeout");
-        assert!(
-            total < Duration::from_secs(4),
-            "{driver:?}: teardown took {total:?} — shutdown stalled in a chaos/backoff sleep"
-        );
+    let started = Instant::now();
+    let mut rt: NetRuntime<Vec<u8>, u64> =
+        NetRuntime::new(2).timeout(Duration::from_millis(500)).chaos(chaos);
+    for i in 0..2 {
+        rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
     }
+    let report = rt.run();
+    let total = started.elapsed();
+    assert!(report.timed_out, "a chatter run can only end by timeout");
+    assert!(
+        total < Duration::from_secs(4),
+        "teardown took {total:?} — shutdown stalled in a chaos/backoff wait"
+    );
 }
 
 /// A recording sink that panics on the first `LinkLogPeak` it sees —
