@@ -131,7 +131,7 @@ pub fn run_config_outcome(cfg: BenchConfig, jobs: usize) -> ConfigOutcome {
         // only into its own slice of the results, so no locks are needed
         // and the output layout is independent of scheduling.
         let chunk = outcomes.len().div_ceil(jobs);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (w, slice) in outcomes.chunks_mut(chunk).enumerate() {
                 s.spawn(move || {
                     for (i, slot) in slice.iter_mut().enumerate() {

@@ -1,25 +1,35 @@
 //! T6 — the modern-BFT extension: asynchronous common subset (ACS) built
 //! from n reliable broadcasts + n binary agreements, as in HoneyBadgerBFT.
+//!
+//! The ACS is the ordering engine's, run for one epoch: each node's
+//! proposal is its one-payload workload, and the log is the agreed set in
+//! proposer order.
 
 use crate::common::{ExperimentReport, Mode, Tally};
 use bft_adversary::Silent;
 use bft_coin::CommonCoin;
+use bft_order::{OrderLog, OrderMessage, OrderOptions, OrderProcess};
 use bft_sim::{Report, UniformDelay, World, WorldConfig};
 use bft_stats::{Samples, Table};
 use bft_types::Config;
-use bracha::acs::{AcsMessage, AcsOutput, AcsProcess};
 
-fn run_acs(n: usize, crash_last: bool, payload_bytes: usize, seed: u64) -> Report<AcsOutput> {
+fn run_acs(n: usize, crash_last: bool, payload_bytes: usize, seed: u64) -> Report<OrderLog> {
     let cfg = Config::max_resilience(n).expect("n >= 1");
+    let opts = OrderOptions { epochs: 1, ..OrderOptions::default() };
     let mut world =
         World::new(WorldConfig::new(n).max_delivered(5_000_000), UniformDelay::new(1, 10, seed));
     for id in cfg.nodes() {
         if crash_last && id.index() == n - 1 {
-            world.add_faulty_process(Box::new(Silent::<AcsMessage, AcsOutput>::new(id)));
+            world.add_faulty_process(Box::new(Silent::<OrderMessage, OrderLog>::new(id)));
         } else {
             let proposal = vec![id.index() as u8; payload_bytes];
-            let coins = (0..n).map(|i| CommonCoin::new(seed, i as u64)).collect();
-            world.add_process(Box::new(AcsProcess::new(cfg, id, proposal, coins)));
+            world.add_process(Box::new(OrderProcess::new(
+                cfg,
+                id,
+                opts,
+                vec![proposal],
+                move |i| CommonCoin::new(seed, i),
+            )));
         }
     }
     world.run()

@@ -35,10 +35,14 @@
 //!   key idea) with its existential quorum-subset predicates.
 //! * [`benor`] — Ben-Or's 1983 protocol (`n > 5f`), the baseline the paper
 //!   improves on.
-//! * [`acs`] + [`multivalue`] — the "basis of modern async BFT" layer:
-//!   asynchronous common subset (HoneyBadger-style) and multi-value
-//!   consensus built from `n` reliable broadcasts and `n` binary
-//!   agreement instances.
+//! * [`mmr`] — the signature-free common-coin binary agreement of
+//!   Mostéfaoui, Moumen and Raynal.
+//!
+//! The "basis of modern async BFT" layer — asynchronous common subset
+//! (`n` reliable broadcasts plus `n` binary agreements, HoneyBadger-style)
+//! — lives in `bft-order`: its `OrderProcess` runs one ACS per epoch, and
+//! a one-epoch run is the single-shot ACS (its log is the agreed set in
+//! proposer order; multi-value consensus is that log's first entry).
 //!
 //! # Example
 //!
@@ -73,10 +77,8 @@
 #![allow(clippy::int_plus_one)]
 #![warn(missing_docs)]
 
-pub mod acs;
 pub mod benor;
 pub mod mmr;
-pub mod multivalue;
 pub mod validation;
 
 mod engine;

@@ -274,13 +274,12 @@ impl GatewayPipe {
         crate::runtime::locked(&self.inner.intake).len()
     }
 
-    /// Drains up to `max` queued submissions, FIFO. Called by the
-    /// process side (e.g. `bft_order::gateway::GatewayProcess`) from its
-    /// tick/message hooks.
-    pub fn drain_intake(&self, max: usize) -> Vec<ClientSubmit> {
+    /// Drains every queued submission, FIFO. Called by the process side
+    /// (e.g. `bft_order::gateway::GatewayProcess`) from its tick/message
+    /// hooks.
+    pub fn drain_intake(&self) -> Vec<ClientSubmit> {
         let mut q = crate::runtime::locked(&self.inner.intake);
-        let take = q.len().min(max);
-        q.drain(..take).collect()
+        q.drain(..).collect()
     }
 
     /// Queues a completion notice for the reactor and wakes its poll
@@ -371,10 +370,12 @@ pub struct LoadGenReport {
     pub elapsed_ms: u64,
 }
 
-/// Per-simulated-client cursor state.
+/// Per-simulated-client cursor state. The cursor stays above `acked`
+/// (`next > acked` always): a committed seq is never sent, stamped or
+/// counted again.
 struct ClientState {
-    /// Next seq to submit (1-based). Pulled *back* by NACKs, never to
-    /// or below `acked` (see [`rewound`]).
+    /// Next seq to submit (1-based). Pulled *back* by NACKs, pushed past
+    /// every acknowledged seq by acks.
     next: u64,
     /// Highest seq acknowledged as committed.
     acked: u64,
@@ -383,14 +384,37 @@ struct ClientState {
     retry_at_ms: u64,
 }
 
-/// Where a NACK leaves a client's submit cursor `next`: pulled back to
-/// `resume`, the seq the gateway asks for again (the refused seq, or a
-/// gap's `expected`) — unless `resume` is at or below `acked`. Such a
-/// NACK is stale: it was sent before a retry of that seq got through and
-/// committed, and rewinding to it would resend, re-stamp and re-count a
-/// committed submission. `None` leaves the cursor alone.
-fn rewound(next: u64, acked: u64, resume: u64) -> Option<u64> {
-    (resume > acked).then_some(next.min(resume))
+impl ClientState {
+    fn new() -> Self {
+        ClientState { next: 1, acked: 0, retry_at_ms: 0 }
+    }
+
+    /// Takes the seq to submit now.
+    fn fire(&mut self) -> u64 {
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// A `SubmitOk` for `seq`: it and everything below it are committed.
+    /// A NACK of an earlier attempt may have pulled the cursor back to
+    /// `seq`; resending it would only earn a duplicate re-ack.
+    fn on_ack(&mut self, seq: u64) {
+        self.acked = self.acked.max(seq);
+        self.next = self.next.max(seq + 1);
+    }
+
+    /// A NACK asking for `resume` again (the refused seq, or a gap's
+    /// `expected`): pulls the cursor back to it — unless it is at or below
+    /// `acked`. Such a NACK is stale: it was sent before a retry of that
+    /// seq got through and committed. Returns whether the NACK was
+    /// current (the caller then backs off a refused client).
+    fn on_nack(&mut self, resume: u64) -> bool {
+        if resume <= self.acked {
+            return false;
+        }
+        self.next = self.next.min(resume);
+        true
+    }
 }
 
 /// One gateway connection owned by the generator.
@@ -507,8 +531,7 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
             next_dial_at_ms: 0,
         })
         .collect();
-    let mut clients: Vec<ClientState> =
-        (0..cfg.clients).map(|_| ClientState { next: 1, acked: 0, retry_at_ms: 0 }).collect();
+    let mut clients: Vec<ClientState> = (0..cfg.clients).map(|_| ClientState::new()).collect();
     // First-submission stamps, removed on commit ack; resends keep the
     // original stamp so latency covers the full retry story.
     let mut stamps: BTreeMap<(u64, u64), u64> = BTreeMap::new();
@@ -568,8 +591,7 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
                 report.throttled += 1;
                 continue;
             }
-            let seq = client.next;
-            client.next += 1;
+            let seq = client.fire();
             let tx = gen_tx(c, seq, cfg.tx_bytes);
             let payload = submit_payload(c, &tx);
             if let Ok(bytes) = encode_frame(FrameKind::Submit, seq, 0, &payload) {
@@ -602,7 +624,7 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
                                         report.committed += 1;
                                     }
                                     if let Some(cs) = clients.get_mut(client_id as usize) {
-                                        cs.acked = cs.acked.max(frame.seq);
+                                        cs.on_ack(frame.seq);
                                     }
                                 }
                             }
@@ -614,18 +636,12 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
                                     match reason {
                                         NackReason::Backpressure { .. } => {
                                             report.nacked += 1;
-                                            if let Some(next) =
-                                                rewound(cs.next, cs.acked, frame.seq)
-                                            {
-                                                cs.next = next;
+                                            if cs.on_nack(frame.seq) {
                                                 cs.retry_at_ms = now_ms + 5;
                                             }
                                         }
                                         NackReason::SequenceGap { expected } => {
-                                            if let Some(next) = rewound(cs.next, cs.acked, expected)
-                                            {
-                                                cs.next = next;
-                                            }
+                                            cs.on_nack(expected);
                                         }
                                         NackReason::Oversize { .. } => report.rejected += 1,
                                     }
@@ -730,10 +746,9 @@ mod tests {
         let pipe = GatewayPipe::new();
         assert!(pipe.push_intake(ClientSubmit { client: 1, seq: 1, tx: vec![1] }));
         assert!(pipe.push_intake(ClientSubmit { client: 1, seq: 2, tx: vec![2] }));
-        let drained = pipe.drain_intake(1);
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained.first().map(|s| s.seq), Some(1));
-        assert_eq!(pipe.drain_intake(10).first().map(|s| s.seq), Some(2));
+        let drained = pipe.drain_intake();
+        assert_eq!(drained.iter().map(|s| s.seq).collect::<Vec<_>>(), [1, 2]);
+        assert!(pipe.drain_intake().is_empty());
 
         for i in 0..super::INTAKE_CAP {
             assert!(pipe.push_intake(ClientSubmit { client: 0, seq: i as u64, tx: Vec::new() }));
@@ -756,15 +771,33 @@ mod tests {
 
     #[test]
     fn a_nack_rewinds_the_cursor_unless_its_seq_already_committed() {
+        let mut c = ClientState { next: 10, acked: 7, retry_at_ms: 0 };
         // Current NACKs pull the cursor back to the refused seq, never
         // forward.
-        assert_eq!(rewound(10, 7, 8), Some(8));
-        assert_eq!(rewound(8, 7, 9), Some(8));
+        assert!(c.on_nack(9));
+        assert!(c.on_nack(8));
+        assert!(c.on_nack(9));
+        assert_eq!(c.next, 8);
         // Stale ones — the retry got through and committed before the
         // NACK of the first attempt (or a gap NACK for a seq sent behind
         // it) arrived — must not reopen a committed seq.
-        assert_eq!(rewound(10, 7, 7), None);
-        assert_eq!(rewound(10, 7, 3), None);
+        assert!(!c.on_nack(7));
+        assert!(!c.on_nack(3));
+        assert_eq!(c.next, 8);
+    }
+
+    #[test]
+    fn an_ack_after_a_nack_of_the_same_seq_is_never_resent() {
+        let mut c = ClientState::new();
+        assert_eq!([c.fire(), c.fire(), c.fire()], [1, 2, 3]);
+        c.on_ack(1);
+        // Seq 2's first attempt is refused while a retry of it is already
+        // in flight: the NACK pulls the cursor back to 2 …
+        assert!(c.on_nack(2));
+        // … and then the retry commits. Resending 2 would stamp it anew
+        // and count its duplicate re-ack as a second commit.
+        c.on_ack(2);
+        assert_eq!(c.fire(), 3, "a committed seq is never resent");
     }
 
     #[test]

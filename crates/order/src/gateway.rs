@@ -223,7 +223,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
     fn drain_clients(&mut self) -> bool {
         let mut admitted = false;
         let capacity = self.inner.batch_max().saturating_mul(self.inner.pipeline_depth()).max(1);
-        for ClientSubmit { client, seq, tx } in self.pipe.drain_intake(usize::MAX) {
+        for ClientSubmit { client, seq, tx } in self.pipe.drain_intake() {
             if tx.len() > self.max_tx {
                 self.pipe.push_notice(GatewayNotice::Rejected {
                     client,
@@ -471,7 +471,7 @@ mod tests {
         }
         let _ = gp.on_tick();
 
-        assert!(pipe.drain_intake(usize::MAX).is_empty(), "one pass must leave no tail");
+        assert!(pipe.drain_intake().is_empty(), "one pass must leave no tail");
         for client in 1..=2 {
             assert_eq!(gp.core().expected(client), capacity / 2 + 1, "admitted 1..=capacity/2");
         }

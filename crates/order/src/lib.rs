@@ -521,10 +521,13 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// Attaches an observer: epoch lifecycle events are emitted here,
     /// batch dissemination events at the underlying RBC layer. The
     /// per-epoch agreement instances' *metrics* are deliberately not
-    /// observed (they share this node's id; see `AcsProcess::with_obs`),
-    /// but they do emit `aba_round` / `coin_wait` trace spans, and the
-    /// RBC layer emits `rbc_echo` / `rbc_ready` spans under the trace
-    /// context derived from each instance's `(proposer, epoch)` key.
+    /// observed — the `n` instances of an epoch all share this node's id,
+    /// so their per-round event streams would interleave
+    /// indistinguishably and their per-instance `Decided` events would
+    /// read as consensus disagreements — but they do emit `aba_round` /
+    /// `coin_wait` trace spans, and the RBC layer emits `rbc_echo` /
+    /// `rbc_ready` spans under the trace context derived from each
+    /// instance's `(proposer, epoch)` key.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.rbc.set_obs(obs.clone());
         self.rbc.set_tracer(batch_trace);

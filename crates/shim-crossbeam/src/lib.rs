@@ -1,7 +1,6 @@
-//! Offline stand-in for the `crossbeam` crate: the `channel` and
-//! `thread` module surfaces this workspace uses (`unbounded`, cloneable
-//! `Sender` / `Receiver`, scoped threads), implemented over
-//! `std::sync::mpsc` and `std::thread::scope`.
+//! Offline stand-in for the `crossbeam` crate: the `channel` module
+//! surface this workspace uses (`unbounded`, cloneable `Sender` /
+//! `Receiver`), implemented over `std::sync::mpsc`.
 
 #![forbid(unsafe_code)]
 
@@ -95,57 +94,6 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(tx);
             assert!(rx.recv().is_err());
-        }
-    }
-}
-
-/// Scoped threads (subset of `crossbeam::thread`), backed by
-/// `std::thread::scope`.
-///
-/// Unlike the real crossbeam — which predates `std` scoped threads — a
-/// panicking child propagates when the scope closes, so `scope` returns
-/// the closure's value directly instead of a `Result`.
-pub mod thread {
-    /// Re-export of the underlying scope handle; spawn via
-    /// [`Scope::spawn`], join via the returned handle or implicitly at
-    /// scope exit.
-    pub use std::thread::Scope;
-
-    /// Runs `f` inside a thread scope: every thread spawned on the scope
-    /// is joined before `scope` returns, so borrows of stack data may
-    /// cross into the children.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// let mut outputs = vec![0u64; 4];
-    /// crossbeam::thread::scope(|s| {
-    ///     for (i, slot) in outputs.iter_mut().enumerate() {
-    ///         s.spawn(move || *slot = i as u64 * 10);
-    ///     }
-    /// });
-    /// assert_eq!(outputs, vec![0, 10, 20, 30]);
-    /// ```
-    pub fn scope<'env, F, T>(f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        std::thread::scope(f)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn scoped_threads_borrow_and_join() {
-            let data = [1u32, 2, 3, 4];
-            let mut partial = vec![0u32; 2];
-            super::scope(|s| {
-                let (lo, hi) = partial.split_at_mut(1);
-                let (a, b) = data.split_at(2);
-                s.spawn(|| lo[0] = a.iter().sum());
-                s.spawn(|| hi[0] = b.iter().sum());
-            });
-            assert_eq!(partial, vec![3, 7]);
         }
     }
 }

@@ -6,10 +6,10 @@ use std::ops::Not;
 /// A binary consensus value, `0` or `1`.
 ///
 /// Bracha's consensus protocol (like Ben-Or's) is a *binary* Byzantine
-/// agreement protocol; multi-value consensus is layered on top (see the
-/// `bracha` crate's `multivalue` module). Using a dedicated enum instead of
-/// `bool` keeps protocol code legible and prevents accidental boolean logic
-/// on consensus values (C-CUSTOM-TYPE).
+/// agreement protocol; multi-value consensus is layered on top (the first
+/// entry of a one-epoch `bft_order::OrderProcess` log). Using a dedicated
+/// enum instead of `bool` keeps protocol code legible and prevents
+/// accidental boolean logic on consensus values (C-CUSTOM-TYPE).
 ///
 /// # Example
 ///

@@ -8,9 +8,11 @@
 //! * [`bft_ec`] — the dependency-free **Reed–Solomon** codec and Merkle
 //!   fragment commitments behind the coded broadcast.
 //! * [`bracha`] — the **randomized Byzantine consensus** protocol with its
-//!   message-validation discipline, the Ben-Or baseline, and the
-//!   ACS/multi-value extensions that make it "the basis of modern async
-//!   BFT".
+//!   message-validation discipline and the Ben-Or baseline.
+//! * [`bft_order`] — **atomic broadcast**: one asynchronous common subset
+//!   (ACS) per epoch, the composition that makes Bracha's primitives "the
+//!   basis of modern async BFT". A one-epoch run is the single-shot ACS;
+//!   its log's first entry is multi-value consensus.
 //! * [`bft_sim`] — a deterministic discrete-event **simulator** whose
 //!   pluggable schedulers play the asynchronous network adversary.
 //! * [`bft_runtime`] — a thread-per-node **actor runtime** running the
