@@ -70,21 +70,5 @@ fn bench_ingest_reversed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sustained multi-round ingest via the shared hotpath routines — the
-/// exact code whose ns/msg figures land in `BENCH_bracha.json`.
-fn bench_ingest_sustained(c: &mut Criterion) {
-    let mut group = c.benchmark_group("validator_ingest_sustained");
-    group.sample_size(10);
-    for n in [4usize, 16, 64] {
-        group.bench_with_input(BenchmarkId::new("in_order", n), &n, |b, &n| {
-            b.iter(|| bft_bench::hotpath::validator_ingest_ns_per_msg(n, 200));
-        });
-        group.bench_with_input(BenchmarkId::new("reversed", n), &n, |b, &n| {
-            b.iter(|| bft_bench::hotpath::validator_pending_ns_per_msg(n, 200));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_ingest_round, bench_ingest_reversed, bench_ingest_sustained);
+criterion_group!(benches, bench_ingest_round, bench_ingest_reversed);
 criterion_main!(benches);

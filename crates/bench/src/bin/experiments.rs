@@ -1,27 +1,18 @@
-//! The experiment harness binary: regenerates every table (T1–T8) and
+//! The experiment harness binary: regenerates every table (T1–T9) and
 //! figure (F1–F4) of the reproduction.
 //!
 //! ```text
-//! experiments [--full] [--csv DIR] [--jobs N] [--smoke] [IDS...]
+//! experiments [--full] [--csv DIR] [IDS...]
 //!
 //!   --full      publication-size sample counts (default: quick)
 //!   --csv DIR   also write each table as DIR/<id>.csv
-//!   --jobs N    worker threads for the per-seed BENCH runs
-//!               (default: available parallelism; aggregates are
-//!               byte-identical for every N)
-//!   --smoke     CI smoke mode: skip the tables, write a small
-//!               BENCH_bracha.json (n=4/f=1, 5 seeds) only
-//!   IDS         subset of experiments to run (t1..t8, f1..f4);
+//!   IDS         subset of experiments to run (t1..t9, f1..f4);
 //!               default: all
 //! ```
 //!
-//! Every invocation also writes `BENCH_bracha.json` to the working
-//! directory: machine-readable aggregated observer metrics (per-round
-//! latency histograms, per-kind message/byte counts) for the headline
-//! Bracha configurations n=4/f=1 and n=16/f=5, plus wall-clock timing
-//! and hot-path microbench sections.
+//! Performance is measured by `abbench` (`benchmark/`), not here.
 
-use bft_bench::{all_experiments, json_report, Mode};
+use bft_bench::{all_experiments, Mode};
 use std::io::Write;
 
 fn main() {
@@ -29,9 +20,6 @@ fn main() {
     let mut mode = Mode::Quick;
     let mut csv_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
-    let mut smoke = false;
-    let mut jobs: usize =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -43,40 +31,12 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--jobs" => {
-                jobs = it.next().and_then(|v| v.parse().ok()).filter(|&j| j >= 1).unwrap_or_else(
-                    || {
-                        eprintln!("--jobs requires a positive integer argument");
-                        std::process::exit(2);
-                    },
-                );
-            }
-            "--smoke" => smoke = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [--full] [--csv DIR] [--jobs N] [--smoke] [t1..t8 f1..f4]"
-                );
+                println!("usage: experiments [--full] [--csv DIR] [t1..t9 f1..f4]");
                 return;
             }
             id => wanted.push(id.to_ascii_lowercase()),
         }
-    }
-
-    if smoke {
-        let started = std::time::Instant::now();
-        let json =
-            json_report::report_for(&json_report::smoke_configs(), "smoke", jobs).to_string();
-        let path = "BENCH_bracha.json";
-        match std::fs::write(path, format!("{json}\n")) {
-            Ok(()) => {
-                println!("wrote {path} ({} bytes) in {:.1?}", json.len() + 1, started.elapsed());
-            }
-            Err(e) => {
-                eprintln!("failed writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
 
     if let Some(dir) = &csv_dir {
@@ -90,7 +50,7 @@ fn main() {
     let unknown: Vec<&String> =
         wanted.iter().filter(|w| !experiments.iter().any(|(id, _)| id == w)).collect();
     if !unknown.is_empty() {
-        eprintln!("unknown experiment ids: {unknown:?} (expected t1..t8, f1..f4)");
+        eprintln!("unknown experiment ids: {unknown:?} (expected t1..t9, f1..f4)");
         std::process::exit(2);
     }
 
@@ -117,17 +77,6 @@ fn main() {
                 }
                 Err(e) => eprintln!("failed creating {path}: {e}"),
             }
-        }
-    }
-
-    let started = std::time::Instant::now();
-    let json = json_report::bracha_report(mode, jobs).to_string();
-    let path = "BENCH_bracha.json";
-    match std::fs::write(path, format!("{json}\n")) {
-        Ok(()) => println!("wrote {path} ({} bytes) in {:.1?}", json.len() + 1, started.elapsed()),
-        Err(e) => {
-            eprintln!("failed writing {path}: {e}");
-            std::process::exit(1);
         }
     }
 }

@@ -5,6 +5,17 @@ use crate::common::{ExperimentReport, Mode};
 use async_bft::{Cluster, CoinChoice, Schedule};
 use bft_stats::{Histogram, Table};
 
+/// F4's cluster: `n / 2` nodes start from 1, the rest from 0, with the
+/// common coin, under the anti-coin split schedule.
+fn cluster(n: usize, seed: u64) -> Cluster {
+    Cluster::new(n)
+        .expect("n >= 1")
+        .seed(seed)
+        .split_inputs(n / 2)
+        .coin(CoinChoice::Common)
+        .schedule(Schedule::Split { fast: 1, slow: 8 })
+}
+
 /// Runs the F4 sweep.
 pub fn run(mode: Mode) -> ExperimentReport {
     let seeds = mode.seeds(25, 80);
@@ -19,13 +30,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     for &n in &sizes {
         let mut hist = Histogram::new();
         for seed in 0..seeds as u64 {
-            let report = Cluster::new(n)
-                .expect("n >= 1")
-                .seed(seed)
-                .split_inputs(n / 2)
-                .coin(CoinChoice::Common)
-                .schedule(Schedule::Split { fast: 1, slow: 8 })
-                .run();
+            let report = cluster(n, seed).run();
             let r = report.decision_round().expect("common-coin runs decide within budget");
             hist.add(r);
         }
@@ -62,6 +67,35 @@ pub fn run(mode: Mode) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_coin::{CoinScheme, CommonCoin};
+    use bft_types::Value;
+
+    /// F4's outcome is a function of the coin stream alone. `Cluster`
+    /// seeds the common coin with `(seed, 0)` whatever `n` is, so:
+    /// * odd n: 0 is the majority input; every run decides 0, in round
+    ///   1 + the first round r ≥ 1 whose flip is 0 (the round tail is the
+    ///   coin's geometric tail, identical seed for seed at every odd n);
+    /// * even n: the inputs tie; every run decides `flip(1)` in round 2.
+    ///
+    /// That is why odd n shows a higher mean and a longer tail than even n.
+    #[test]
+    fn decisions_follow_the_common_coin_stream() {
+        for n in [4usize, 7, 10, 13, 16] {
+            for seed in 0..80u64 {
+                let mut coin = CommonCoin::new(seed, 0);
+                let (value, round) = if n % 2 == 1 {
+                    let first_zero = (1..).find(|&r| coin.flip(r) == Value::Zero);
+                    (Value::Zero, 1 + first_zero.expect("the coin lands 0 eventually"))
+                } else {
+                    (coin.flip(1), 2)
+                };
+                let report = cluster(n, seed).run();
+                let at = format!("n={n} seed={seed}");
+                assert_eq!(report.unanimous_output(), Some(value), "{at}");
+                assert_eq!(report.decision_round(), Some(round), "{at}");
+            }
+        }
+    }
 
     #[test]
     fn mean_rounds_are_flat_and_small() {

@@ -6,7 +6,8 @@
 //! sample sizes) to a rendered report: a [`bft_stats::Table`] plus
 //! free-text commentary. The `experiments` binary prints them and dumps
 //! CSVs; the criterion benches under `benches/` measure the wall-clock
-//! cost of the same code paths.
+//! cost of the same code paths. End-to-end and per-layer performance is
+//! `abbench`'s job (`benchmark/`), not this crate's.
 
 #![forbid(unsafe_code)]
 // Quorum thresholds are deliberately spelled `f + 1`, `2f + 1`, `3f + 1`
@@ -19,8 +20,6 @@ pub mod f1;
 pub mod f2;
 pub mod f3;
 pub mod f4;
-pub mod hotpath;
-pub mod json_report;
 pub mod t1;
 pub mod t2;
 pub mod t3;

@@ -623,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
+    fn json_render_shape() {
         let (findings, _) = analyze_source("a.rs", "fn live() { x.unwrap(); }\n", OPTS);
         let report = Report { findings, allowed: Vec::new(), files_scanned: 1 };
         let json = render_json(&report, &BTreeSet::new());

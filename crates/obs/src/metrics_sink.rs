@@ -334,11 +334,11 @@ impl MetricsSink {
 
     /// Folds another aggregate into this one.
     ///
-    /// This is the deterministic multi-run combiner behind the parallel
-    /// experiment driver: each run (seed) feeds its own `MetricsSink`, and
-    /// the per-run sinks are merged **in a pinned order** (ascending seed)
-    /// so the result is independent of how the runs were scheduled across
-    /// worker threads. Sample sequences are appended in merge-call order,
+    /// This is the deterministic multi-run combiner behind the `absim` and
+    /// `abnet` exit totals (`--runs`, `--metrics-out`): each run feeds its
+    /// own `MetricsSink`, and the per-run sinks are merged **in run order**,
+    /// so the total equals one sink fed every run's events in sequence
+    /// (pinned by a test). Sample sequences are appended in merge-call order,
     /// histograms and counters are summed, and gauge-style maxima take the
     /// pointwise max. `other`'s still-open rounds are discarded: a round
     /// that never completed within its own run has no latency sample, and
@@ -956,7 +956,7 @@ mod tests {
 
     /// Merging per-run sinks in a pinned order must be indistinguishable
     /// from feeding all the runs' events into one sink run-by-run — the
-    /// property the parallel experiment driver's determinism rests on.
+    /// property the CLIs' multi-run totals rest on.
     #[test]
     fn merge_equals_sequential_feed() {
         let n0 = NodeId::new(0);

@@ -2,7 +2,7 @@
 //! export and print a latency-attribution report.
 //!
 //! ```text
-//! abtrace [FILE] [--bench BENCH_JSON] [--json] [--canonical]
+//! abtrace [FILE] [--json] [--canonical]
 //! ```
 //!
 //! Reads the JSONL stream written by `absim --trace-out` / `abnet
@@ -20,16 +20,13 @@
 //! `--json` prints the same analysis as the deterministic `"tracing"`
 //! JSON object instead of the human-readable table. `--canonical`
 //! prints one sorted line per span (byte-identical across same-seed
-//! simulator runs — the determinism check). `--bench FILE` additionally
-//! merges the `"tracing"` object into an existing benchmark report
-//! (e.g. `results/BENCH_bracha.json`), replacing any previous section.
+//! simulator runs — the determinism check).
 //!
 //! Examples:
 //!
 //! ```text
 //! absim --n 4 --epochs 4 --trace-out /tmp/trace.jsonl
 //! abtrace /tmp/trace.jsonl
-//! abtrace /tmp/trace.jsonl --bench results/BENCH_bracha.json
 //! ```
 
 use async_bft::obs::json::JsonValue;
@@ -39,23 +36,18 @@ use std::io::{BufRead, Read};
 
 struct Options {
     input: Option<String>,
-    bench: Option<String>,
     json: bool,
     canonical: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options { input: None, bench: None, json: false, canonical: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut opts = Options { input: None, json: false, canonical: false };
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--bench" => {
-                opts.bench = Some(args.next().ok_or("--bench requires a value")?);
-            }
             "--json" => opts.json = true,
             "--canonical" => opts.canonical = true,
             "--help" | "-h" => {
-                println!("usage: abtrace [FILE] [--bench BENCH_JSON] [--json] [--canonical]");
+                println!("usage: abtrace [FILE] [--json] [--canonical]");
                 std::process::exit(0);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown argument: {flag}")),
@@ -114,21 +106,6 @@ fn ingest(reader: impl BufRead, asm: &mut TraceAssembler) -> Result<Ingest, Stri
     Ok(stats)
 }
 
-/// Replaces (or appends) the `"tracing"` section of a benchmark report.
-fn merge_bench(path: &str, tracing: JsonValue) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let report = JsonValue::parse(&text).map_err(|e| format!("{path}: {e:?}"))?;
-    let JsonValue::Obj(mut fields) = report else {
-        return Err(format!("{path}: expected a JSON object at top level"));
-    };
-    match fields.iter_mut().find(|(key, _)| key == "tracing") {
-        Some((_, slot)) => *slot = tracing,
-        None => fields.push(("tracing".to_string(), tracing)),
-    }
-    let merged = JsonValue::Obj(fields).to_string();
-    std::fs::write(path, merged + "\n").map_err(|e| format!("{path}: {e}"))
-}
-
 fn run() -> Result<(), String> {
     let opts = parse_args()?;
     let mut asm = TraceAssembler::new();
@@ -164,11 +141,6 @@ fn run() -> Result<(), String> {
         println!("{}", asm.to_json());
     } else {
         print!("{}", asm.render_report());
-    }
-
-    if let Some(bench) = &opts.bench {
-        merge_bench(bench, asm.to_json())?;
-        eprintln!("merged \"tracing\" section into {bench}");
     }
     Ok(())
 }
