@@ -313,7 +313,8 @@ pub enum Event {
     },
     /// The observing node collected a `2f + 1`-matching checkpoint
     /// certificate: that many distinct nodes RBC-delivered the same state
-    /// hash for the epoch, so history below it can be truncated.
+    /// hash for the epoch, so older snapshots can be dropped and a peer
+    /// behind it can catch up by fetching this one.
     CheckpointCertified {
         /// The certified checkpoint epoch.
         epoch: u64,

@@ -611,8 +611,9 @@ impl<C: CoinScheme> OrderProcess<C> {
     }
 
     /// Bytes of erasure-coded fragments buffered across live RBC
-    /// instances (always zero under [`RbcKind::Bracha`]). Bounded by the
-    /// pipeline depth via the same per-epoch GC that collects instances.
+    /// instances (always zero under [`RbcKind::Bracha`]): an instance
+    /// frees its own at delivery, and the per-epoch GC that collects
+    /// instances drops those that never delivered.
     pub fn rbc_fragment_bytes(&self) -> usize {
         self.rbc.buffered_fragment_bytes()
     }
@@ -656,15 +657,14 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// Forgets log entries below `epoch`, returning how many were
     /// dropped. The append cursor is untouched: epochs below it stay
     /// appended, their *payloads* are simply no longer retained. This is
-    /// the checkpoint-truncation hook — once a state machine holds a
-    /// certified snapshot at `epoch`, the prefix below it is dead weight
-    /// (any peer that needs it catches up by state transfer, not
+    /// the state machine's consume hook — once it has applied the epochs
+    /// below `epoch`, their slots are dead weight (any peer that needs
+    /// them catches up by state transfer from a certified snapshot, not
     /// replay).
     ///
     /// The log is in epoch order, so the dead slots are a prefix: the
-    /// call costs one comparison when the floor has not moved (the state
-    /// machine asks after every delivered message) and one prefix drain,
-    /// freeing the dropped slots' batch bodies, when it has.
+    /// call costs one comparison when the floor has not moved and one
+    /// prefix drain, freeing the dropped slots' batch bodies, when it has.
     pub fn truncate_below(&mut self, epoch: u64) -> usize {
         if self.log.first().is_none_or(|slot| slot.epoch >= epoch) {
             return 0;

@@ -32,6 +32,7 @@ use bft_obs::{Event as ObsEvent, Obs, RbcPhase, TraceCtx, TracePhase};
 use bft_types::{Config, NodeBitset, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// A payload type that can cross the erasure-coding boundary: coded
 /// instances fragment the byte form and rebuild the payload from decoded
@@ -79,6 +80,11 @@ impl CodedPayload for String {
 ///   against its root. At most one echo and one ready per peer are
 ///   counted (first-wins, like Bracha), so `f` Byzantine peers can buffer
 ///   at most `f` junk fragments here — state stays O(n) fragments.
+///
+/// Delivery frees the fragments and keeps no copy of the payload: the
+/// payload moves out in [`RbcAction::Deliver`], and nothing buffered can
+/// change an output already delivered. What remains is a flag and the
+/// Ready bookkeeping, until the host collects the instance.
 #[derive(Clone, Debug)]
 pub struct CodedInstance<P> {
     config: Config,
@@ -92,8 +98,7 @@ pub struct CodedInstance<P> {
     own: Option<(u64, VerifiedFragment)>,
     /// Verified echo fragments, each with the leaf hash its verification
     /// computed, grouped by commitment root then keyed by fragment index
-    /// (≡ echoing peer). BTree for replay-stable order.
-    // lint: allow(unbounded-map) — one echo per peer (≤ n roots of ≤ n fragments); RbcMux::retain drops the instance at the GC horizon
+    /// (≡ echoing peer), until delivery. BTree for replay-stable order.
     echoes: BTreeMap<u64, BTreeMap<u16, VerifiedFragment>>,
     /// Peers whose (first) echo has been counted, any root.
     echoed_peers: NodeBitset,
@@ -104,7 +109,9 @@ pub struct CodedInstance<P> {
     /// Root that reached the delivery quorum; delivery then waits only on
     /// the `n − 2f`-th verified fragment.
     deliver_root: Option<u64>,
-    delivered: Option<P>,
+    delivered: bool,
+    /// The payload type delivered; no payload is ever stored.
+    payload: PhantomData<fn() -> P>,
     obs: Obs,
     tag_label: String,
     trace: Option<TraceCtx>,
@@ -132,7 +139,8 @@ where
             readied_peers: NodeBitset::new(config.n()),
             readies: Vec::new(),
             deliver_root: None,
-            delivered: None,
+            delivered: false,
+            payload: PhantomData,
             obs: Obs::disabled(),
             tag_label: String::new(),
             trace: None,
@@ -180,15 +188,19 @@ where
         self.sender
     }
 
-    /// The delivered payload, if delivery has occurred.
-    pub fn delivered(&self) -> Option<&P> {
-        self.delivered.as_ref()
+    /// Whether the instance has delivered. The payload itself is not
+    /// kept: it left in the [`RbcAction::Deliver`] action.
+    pub fn is_delivered(&self) -> bool {
+        self.delivered
     }
 
     /// Fragment bytes currently buffered — the coded instance's analogue
     /// of Bracha's per-payload Echo copies, used by memory-bound tests.
+    /// Zero once delivered.
     pub fn buffered_fragment_bytes(&self) -> usize {
-        self.echoes.values().flat_map(|frags| frags.values()).map(|v| v.fragment().weight()).sum()
+        let own = self.own.iter().map(|(_, v)| v.fragment().weight());
+        let echoes = self.echoes.values().flat_map(|frags| frags.values());
+        echoes.map(|v| v.fragment().weight()).chain(own).sum()
     }
 
     fn k(&self) -> usize {
@@ -275,7 +287,7 @@ where
         // longer matter are dropped before it: a peer's echo counts once
         // (a replay must not buy a hash per copy), and after delivery the
         // Ready is out and nothing reads fragments any more.
-        if self.delivered.is_some() || self.echoed_peers.contains(from) {
+        if self.delivered || self.echoed_peers.contains(from) {
             return;
         }
         // An echo must carry the echoing peer's own fragment and verify
@@ -313,7 +325,7 @@ where
         if count >= self.config.decide_threshold() && self.deliver_root.is_none() {
             self.deliver_root = Some(root);
             if let Some(ctx) = self.trace {
-                if self.delivered.is_none() {
+                if !self.delivered {
                     self.reconstruct_span_open = true;
                     self.obs.span_start(self.me, ctx, TracePhase::RbcReconstruct, ctx.root);
                 }
@@ -323,9 +335,10 @@ where
     }
 
     /// Delivers once both conditions hold: a root reached `2f + 1` Readys
-    /// and `n − 2f` verified fragments of it are buffered.
+    /// and `n − 2f` verified fragments of it are buffered. Delivery frees
+    /// every buffered fragment and hands the payload over by move.
     fn maybe_deliver(&mut self, out: &mut Vec<RbcAction<P>>) {
-        if self.delivered.is_some() {
+        if self.delivered {
             return;
         }
         let Some(root) = self.deliver_root else { return };
@@ -353,8 +366,11 @@ where
         });
         let support =
             self.readies.iter().find(|(r, _)| *r == root).map(|(_, c)| *c).unwrap_or_default();
-        let payload = P::from_coded_bytes(bytes);
-        self.delivered = Some(payload.clone());
+        // Nothing buffered can change the output from here on (later
+        // echoes are dropped unread), so the fragments go now.
+        self.delivered = true;
+        self.echoes.clear();
+        self.own = None;
         self.obs.emit(self.me, || ObsEvent::RbcDelivered {
             origin: self.sender,
             tag: self.tag_label.clone(),
@@ -370,7 +386,7 @@ where
                 self.obs.span_end(self.me, ctx, TracePhase::RbcReconstruct);
             }
         }
-        out.push(RbcAction::Deliver(payload));
+        out.push(RbcAction::Deliver(P::from_coded_bytes(bytes)));
     }
 
     /// Verifies `frag` as `owner`'s fragment under `root`: it must sit at
@@ -633,12 +649,12 @@ mod tests {
         assert_eq!(inst.on_message(n(0), &ready).len(), 0);
         assert_eq!(inst.on_message(n(2), &ready).len(), 1, "amplified own ready");
         assert_eq!(inst.on_message(n(3), &ready).len(), 0);
-        assert_eq!(inst.delivered(), None);
+        assert!(!inst.is_delivered());
         // k = n−2f = 2 verified fragments complete the delivery.
         assert!(inst.on_message(n(0), &echo(c.root, &c.fragments[0])).is_empty());
         let a = inst.on_message(n(2), &echo(c.root, &c.fragments[2]));
         assert_eq!(a, vec![RbcAction::Deliver(payload())]);
-        assert_eq!(inst.delivered(), Some(&payload()));
+        assert!(inst.is_delivered());
     }
 
     #[test]
@@ -650,9 +666,40 @@ mod tests {
             let _ = inst.on_message(n(i), &ready);
         }
         let _ = inst.on_message(n(0), &echo(c.root, &c.fragments[0]));
-        let _ = inst.on_message(n(2), &echo(c.root, &c.fragments[2]));
-        assert_eq!(inst.delivered(), Some(&payload()));
+        let a = inst.on_message(n(2), &echo(c.root, &c.fragments[2]));
+        assert_eq!(a, vec![RbcAction::Deliver(payload())]);
         assert!(inst.on_message(n(3), &echo(c.root, &c.fragments[3])).is_empty());
+        assert!(inst.on_message(n(3), &ready).is_empty());
+    }
+
+    #[test]
+    fn a_delivered_instance_holds_no_fragment_and_no_payload() {
+        let c = coded();
+        let mut inst = Inst::new(cfg(), n(1), n(0));
+        // Our own fragment, awaiting its echo's loop-back, plus two echoes.
+        let send = RbcMessage::CodedSend { root: c.root, fragment: c.fragments[1].clone() };
+        assert_eq!(inst.on_message(n(0), &send).len(), 1);
+        let _ = inst.on_message(n(0), &echo(c.root, &c.fragments[0]));
+        let _ = inst.on_message(n(2), &echo(c.root, &c.fragments[2]));
+        let held = [0, 1, 2].map(|i| c.fragments[i].weight()).iter().sum::<usize>();
+        assert_eq!(inst.buffered_fragment_bytes(), held);
+
+        let mut delivered = Vec::new();
+        for i in [0usize, 2, 3] {
+            for a in inst.on_message(n(i), &RbcMessage::CodedReady { root: c.root }) {
+                if let RbcAction::Deliver(p) = a {
+                    delivered.push(p);
+                }
+            }
+        }
+        // The payload left in the action; the instance kept a flag only.
+        assert_eq!(delivered, vec![payload()]);
+        assert!(inst.is_delivered());
+        assert_eq!(inst.buffered_fragment_bytes(), 0);
+        assert!(inst.own.is_none() && inst.echoes.is_empty());
+        // The own echo looping back late is dropped unread.
+        assert!(inst.on_message(n(1), &echo(c.root, &c.fragments[1])).is_empty());
+        assert_eq!(inst.buffered_fragment_bytes(), 0);
     }
 
     #[test]
@@ -662,7 +709,7 @@ mod tests {
         let _ = inst.on_message(n(2), &RbcMessage::CodedReady { root: 2 });
         let _ = inst.on_message(n(3), &RbcMessage::CodedReady { root: 1 });
         let _ = inst.on_message(n(1), &RbcMessage::CodedReady { root: 2 });
-        assert_eq!(inst.delivered(), None);
+        assert!(!inst.is_delivered());
         assert_eq!(inst.deliver_root, None);
     }
 
@@ -671,18 +718,20 @@ mod tests {
         let mut insts: Vec<Inst> = (0..4).map(|i| Inst::new(cfg(), n(i), n(0))).collect();
         let mut unicasts: Vec<(NodeId, NodeId, RbcMessage<Vec<u8>>)> = Vec::new();
         let mut broadcasts: Vec<(NodeId, RbcMessage<Vec<u8>>)> = Vec::new();
-        let sink = |from: NodeId,
-                    actions: Vec<RbcAction<Vec<u8>>>,
-                    unicasts: &mut Vec<(NodeId, NodeId, RbcMessage<Vec<u8>>)>,
-                    broadcasts: &mut Vec<(NodeId, RbcMessage<Vec<u8>>)>| {
-            for a in actions {
-                match a {
-                    RbcAction::Send { to, msg } => unicasts.push((from, to, msg)),
-                    RbcAction::Broadcast(msg) => broadcasts.push((from, msg)),
-                    RbcAction::Deliver(_) => {}
+        let mut delivered: Vec<Option<Vec<u8>>> = vec![None; 4];
+        let mut sink =
+            |from: NodeId,
+             actions: Vec<RbcAction<Vec<u8>>>,
+             unicasts: &mut Vec<(NodeId, NodeId, RbcMessage<Vec<u8>>)>,
+             broadcasts: &mut Vec<(NodeId, RbcMessage<Vec<u8>>)>| {
+                for a in actions {
+                    match a {
+                        RbcAction::Send { to, msg } => unicasts.push((from, to, msg)),
+                        RbcAction::Broadcast(msg) => broadcasts.push((from, msg)),
+                        RbcAction::Deliver(p) => delivered[from.index()] = Some(p),
+                    }
                 }
-            }
-        };
+            };
         let start = insts[0].start(payload());
         sink(n(0), start, &mut unicasts, &mut broadcasts);
         // Synchronous pump until quiescent.
@@ -698,8 +747,8 @@ mod tests {
                 }
             }
         }
-        for (i, inst) in insts.iter().enumerate() {
-            assert_eq!(inst.delivered(), Some(&payload()), "node {i}");
+        for (i, got) in delivered.iter().enumerate() {
+            assert_eq!(got.as_ref(), Some(&payload()), "node {i}");
         }
     }
 
@@ -792,7 +841,7 @@ mod tests {
         for i in [0usize, 2, 3] {
             let _ = inst.on_message(n(i), &RbcMessage::CodedReady { root: c.root });
         }
-        assert!(inst.delivered().is_some());
+        assert!(inst.is_delivered());
         let events = sink.lock().take();
         let mut open = 0i64;
         let mut starts = 0;

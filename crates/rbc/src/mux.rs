@@ -79,10 +79,12 @@ where
         }
     }
 
+    /// The payload a Bracha instance delivered; a coded instance hands
+    /// its payload over in the `Deliver` action and keeps none.
     fn delivered(&self) -> Option<&P> {
         match self {
             Inst::Bracha(i) => i.delivered(),
-            Inst::Coded(i) => i.delivered(),
+            Inst::Coded(_) => None,
         }
     }
 
@@ -277,8 +279,9 @@ where
         })
     }
 
-    /// Fragment bytes buffered across all coded instances — what
-    /// [`RbcMux::retain`] reclaims; memory-bound tests watch the peak.
+    /// Fragment bytes buffered across all coded instances — held until an
+    /// instance delivers (or [`RbcMux::retain`] collects an undelivered
+    /// one); memory-bound tests watch the peak.
     pub fn buffered_fragment_bytes(&self) -> usize {
         self.instances.values().map(Inst::buffered_fragment_bytes).sum()
     }
@@ -310,11 +313,17 @@ where
     }
 
     /// The payload delivered by instance `(sender, tag)`, if any.
+    ///
+    /// Only [`RbcKind::Bracha`] instances keep their payload: a coded
+    /// instance frees its state at delivery and hands the payload over in
+    /// [`RbcMuxAction::Deliver`] alone, so this is always `None` for one.
     pub fn delivered(&self, sender: NodeId, tag: &T) -> Option<&P> {
         self.instances.get(&(sender, tag.clone())).and_then(|i| i.delivered())
     }
 
-    /// Iterates over all delivered `(sender, tag, payload)` triples.
+    /// Iterates over all delivered `(sender, tag, payload)` triples of
+    /// [`RbcKind::Bracha`] instances; coded instances keep no payload to
+    /// read back (see [`RbcMux::delivered`]).
     pub fn deliveries(&self) -> impl Iterator<Item = (NodeId, &T, &P)> {
         self.instances
             .iter()
@@ -423,9 +432,10 @@ mod tests {
     }
 
     /// The same pump, but over coded muxes: unicasts go to their target,
-    /// broadcasts fan out to everyone, and delivery + GC are checked.
+    /// broadcasts fan out to everyone, and delivery frees the fragments
+    /// before any GC, which then drops the instances.
     #[test]
-    fn four_coded_muxes_deliver_and_retain_reclaims_fragments() {
+    fn four_coded_muxes_free_fragments_at_delivery() {
         let payload: String = "x".repeat(500);
         let mut muxes: Vec<RbcMux<u8, String>> = (0..4)
             .map(|i| {
@@ -468,11 +478,13 @@ mod tests {
 
         assert_eq!(delivered.len(), 4, "every node delivers: {delivered:?}");
         assert!(delivered.iter().all(|(_, p)| *p == payload));
-        // Fragments stay buffered until the host garbage-collects.
+        // Delivery already freed every fragment, and no payload is kept;
+        // the host's GC is left only the delivered instances' shells.
         for mux in &mut muxes {
-            assert!(mux.buffered_fragment_bytes() > 0);
+            assert_eq!(mux.buffered_fragment_bytes(), 0, "delivery reclaims fragment buffers");
+            assert_eq!(mux.delivered(n(0), &9), None, "a coded instance keeps no payload");
+            assert_eq!(mux.instance_count(), 1);
             mux.retain(|_, _| false);
-            assert_eq!(mux.buffered_fragment_bytes(), 0, "retain reclaims fragment buffers");
             assert_eq!(mux.instance_count(), 0);
         }
     }

@@ -102,6 +102,8 @@ pub struct CodedProcess<P> {
     id: NodeId,
     instance: CodedInstance<P>,
     payload: Option<P>,
+    /// The delivered payload: the instance hands it over and keeps none.
+    output: Option<P>,
 }
 
 impl<P> CodedProcess<P>
@@ -111,7 +113,16 @@ where
     /// Creates a participant. `payload` must be `Some` exactly at the
     /// designated sender (it is ignored elsewhere).
     pub fn new(config: Config, id: NodeId, sender: NodeId, payload: Option<P>) -> Self {
-        CodedProcess { id, instance: CodedInstance::new(config, id, sender), payload }
+        CodedProcess { id, instance: CodedInstance::new(config, id, sender), payload, output: None }
+    }
+
+    fn lift_and_record(&mut self, actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
+        for a in &actions {
+            if let RbcAction::Deliver(p) = a {
+                self.output = Some(p.clone());
+            }
+        }
+        lift(actions)
     }
 }
 
@@ -128,7 +139,10 @@ where
 
     fn on_start(&mut self) -> Vec<Effect<Self::Msg, Self::Output>> {
         match self.payload.take() {
-            Some(p) => lift(self.instance.start(p)),
+            Some(p) => {
+                let actions = self.instance.start(p);
+                self.lift_and_record(actions)
+            }
             None => Vec::new(),
         }
     }
@@ -138,11 +152,12 @@ where
         from: NodeId,
         msg: &Self::Msg,
     ) -> Vec<Effect<Self::Msg, Self::Output>> {
-        lift(self.instance.on_message(from, msg))
+        let actions = self.instance.on_message(from, msg);
+        self.lift_and_record(actions)
     }
 
     fn output(&self) -> Option<P> {
-        self.instance.delivered().cloned()
+        self.output.clone()
     }
 }
 

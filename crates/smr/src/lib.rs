@@ -12,16 +12,23 @@
 //!   payloads (a Byzantine proposer controls those bytes) are folded
 //!   into the hash chain but applied as no-ops, keeping all correct
 //!   nodes byte-identical without trusting the payload.
+//! * **A consumed log** — a replica needs the state, not the log that
+//!   produced it, so each epoch's slots are dropped from the ordered log
+//!   as soon as they are applied ([`OrderProcess::truncate_below`]): the
+//!   log holds only what is committed and not yet applied, zero once
+//!   apply has caught up.
 //! * **Checkpoints** — every `checkpoint_interval` epochs (and at the
 //!   run horizon) a node snapshots its state, RBC-broadcasts the
 //!   snapshot hash, and waits for `2f + 1` *matching* delivered hashes —
-//!   a checkpoint certificate. Certified history is dead: the ordered
-//!   log below the checkpoint is truncated
-//!   ([`OrderProcess::truncate_below`]), bounding retained state by the
-//!   checkpoint interval instead of the run length.
+//!   a checkpoint certificate. A snapshot is a [`KvState`] clone whose
+//!   values are shared with the live map (`Arc`s that apply replaces,
+//!   never mutates), so it costs the keys, not a serialised copy; older
+//!   snapshots and checkpoint-RBC state are dropped at certification,
+//!   bounding retained state by the checkpoint interval instead of the
+//!   run length.
 //! * **State transfer** — a node that restarts (or falls behind a
 //!   certified checkpoint it can no longer replay to, because its peers
-//!   truncated that history) fetches the snapshot from its peers in
+//!   consumed that history) fetches the snapshot from its peers in
 //!   erasure-coded chunks: each peer sends its own Reed–Solomon fragment
 //!   of the snapshot, `k = n − 2f` verified fragments reconstruct it,
 //!   and the FNV hash is checked against the certificate before the
@@ -46,6 +53,7 @@ use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
 use bft_types::{Config, Effect, NodeId, Process};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -98,14 +106,37 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn take_bytes(r: &mut Reader<'_>) -> Option<Vec<u8>> {
+/// A `u32`-length-prefixed field, borrowed. `take` checks the length
+/// against the buffer, so a hostile prefix never drives an allocation.
+fn take_bytes<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
     let len = r.u32().ok()? as usize;
-    // A hostile length prefix must not drive an allocation: cap it by
-    // what the buffer can actually hold before taking.
-    if len > r.remaining() {
-        return None;
+    r.take(len).ok()
+}
+
+/// A decoded [`KvOp`] whose fields borrow the payload: what apply reads,
+/// so that a put's value is copied once, straight into the map.
+enum OpRef<'a> {
+    Put { key: &'a [u8], value: &'a [u8] },
+    Del { key: &'a [u8] },
+    Cas { key: &'a [u8], expect: &'a [u8], value: &'a [u8] },
+}
+
+impl<'a> OpRef<'a> {
+    fn decode(bytes: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        let op = match r.u8().ok()? {
+            0 => OpRef::Put { key: take_bytes(&mut r)?, value: take_bytes(&mut r)? },
+            1 => OpRef::Del { key: take_bytes(&mut r)? },
+            2 => OpRef::Cas {
+                key: take_bytes(&mut r)?,
+                expect: take_bytes(&mut r)?,
+                value: take_bytes(&mut r)?,
+            },
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(op)
     }
-    Some(r.take(len).ok()?.to_vec())
 }
 
 impl KvOp {
@@ -137,19 +168,13 @@ impl KvOp {
     /// length prefix, trailing bytes — is `None`, which the state
     /// machine applies as a deterministic no-op.
     pub fn decode(bytes: &[u8]) -> Option<KvOp> {
-        let mut r = Reader::new(bytes);
-        let op = match r.u8().ok()? {
-            0 => KvOp::Put { key: take_bytes(&mut r)?, value: take_bytes(&mut r)? },
-            1 => KvOp::Del { key: take_bytes(&mut r)? },
-            2 => KvOp::Cas {
-                key: take_bytes(&mut r)?,
-                expect: take_bytes(&mut r)?,
-                value: take_bytes(&mut r)?,
-            },
-            _ => return None,
-        };
-        r.finish().ok()?;
-        Some(op)
+        Some(match OpRef::decode(bytes)? {
+            OpRef::Put { key, value } => KvOp::Put { key: key.to_vec(), value: value.to_vec() },
+            OpRef::Del { key } => KvOp::Del { key: key.to_vec() },
+            OpRef::Cas { key, expect, value } => {
+                KvOp::Cas { key: key.to_vec(), expect: expect.to_vec(), value: value.to_vec() }
+            }
+        })
     }
 }
 
@@ -182,9 +207,14 @@ pub fn seeded_workload(seed: u64, node: NodeId, count: usize) -> Vec<Vec<u8>> {
 ///
 /// Two correct nodes that applied the same log prefix are byte-identical
 /// here — the property the checkpoint certificates rest on.
+///
+/// Values are immutable shared buffers: a put or cas binds a fresh `Arc`
+/// and never writes through an existing one, so a clone (a checkpoint)
+/// copies the keys, shares every value, and stays the state it was when
+/// taken whatever is applied afterwards.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvState {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    map: BTreeMap<Vec<u8>, Arc<[u8]>>,
     chain: u64,
     applied_epoch: u64,
     applied_slots: u64,
@@ -223,7 +253,19 @@ impl KvState {
 
     /// The value currently bound to `key`.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.map.get(key).map(Vec::as_slice)
+        self.map.get(key).map(|value| &**value)
+    }
+
+    /// Binds `key` to a copy of `value`, replacing (not mutating) any
+    /// value a snapshot may share.
+    fn bind(&mut self, key: &[u8], value: &[u8]) {
+        let value = Arc::from(value);
+        match self.map.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.map.insert(key.to_vec(), value);
+            }
+        }
     }
 
     /// Folds one committed log entry into the state. The hash chain
@@ -239,20 +281,15 @@ impl KvState {
         h = fnv1a(h, tx);
         self.chain = h;
         self.applied_slots += 1;
-        match KvOp::decode(tx) {
-            Some(KvOp::Put { key, value }) => {
-                self.map.insert(key, value);
+        match OpRef::decode(tx) {
+            Some(OpRef::Put { key, value }) => self.bind(key, value),
+            Some(OpRef::Del { key }) => {
+                self.map.remove(key);
             }
-            Some(KvOp::Del { key }) => {
-                self.map.remove(&key);
+            Some(OpRef::Cas { key, expect, value }) if self.get(key) == Some(expect) => {
+                self.bind(key, value);
             }
-            Some(KvOp::Cas { key, expect, value })
-                if self.map.get(&key).is_some_and(|cur| *cur == expect) =>
-            {
-                self.map.insert(key, value);
-            }
-            Some(KvOp::Cas { .. }) => {}
-            None => {}
+            Some(OpRef::Cas { .. }) | None => {}
         }
     }
 
@@ -266,20 +303,29 @@ impl KvState {
         self.applied_epoch += 1;
     }
 
+    /// Feeds the canonical encoding to `emit` piece by piece: the one
+    /// definition [`snapshot`](Self::snapshot) collects and
+    /// [`state_hash`](Self::state_hash) folds.
+    fn canonical(&self, mut emit: impl FnMut(&[u8])) {
+        emit(&self.applied_epoch.to_le_bytes());
+        emit(&self.applied_slots.to_le_bytes());
+        emit(&self.chain.to_le_bytes());
+        emit(&(self.map.len() as u32).to_le_bytes());
+        for (k, v) in &self.map {
+            emit(&(k.len() as u32).to_le_bytes());
+            emit(k);
+            emit(&(v.len() as u32).to_le_bytes());
+            emit(v);
+        }
+    }
+
     /// The canonical snapshot: cursor, slot count, hash chain, then the
     /// sorted key-value pairs with `u32` length prefixes. Identical
     /// states serialize byte-identically (the map iterates in key
     /// order), so the snapshot hash is a state fingerprint.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.applied_epoch);
-        put_u64(&mut out, self.applied_slots);
-        put_u64(&mut out, self.chain);
-        put_u32(&mut out, self.map.len() as u32);
-        for (k, v) in &self.map {
-            put_bytes(&mut out, k);
-            put_bytes(&mut out, v);
-        }
+        self.canonical(|bytes| out.extend_from_slice(bytes));
         out
     }
 
@@ -303,15 +349,18 @@ impl KvState {
         for _ in 0..count {
             let k = take_bytes(&mut r)?;
             let v = take_bytes(&mut r)?;
-            map.insert(k, v);
+            map.insert(k.to_vec(), Arc::from(v));
         }
         r.finish().ok()?;
         Some(KvState { map, chain, applied_epoch, applied_slots })
     }
 
-    /// The state fingerprint: the snapshot hash of the current state.
+    /// The state fingerprint: the snapshot hash of the current state,
+    /// folded over the canonical bytes as they stream, never collected.
     pub fn state_hash(&self) -> u64 {
-        snapshot_hash(&self.snapshot())
+        let mut hash = FNV_OFFSET;
+        self.canonical(|bytes| hash = fnv1a(hash, bytes));
+        hash
     }
 }
 
@@ -461,11 +510,14 @@ struct FetchState {
     frags: BTreeMap<NodeId, (u64, VerifiedFragment)>,
 }
 
-/// A canonical snapshot together with its [`snapshot_hash`], computed
-/// once when the snapshot is taken (or verified, for a fetched one).
+/// A checkpoint: the state at a boundary together with its
+/// [`snapshot_hash`], computed once when the snapshot is taken (or
+/// verified, for a fetched one). The state is a [`KvState`] clone that
+/// shares its values with the live map, so a checkpoint costs its keys
+/// and map nodes; the canonical bytes are built only to serve a fetch.
 struct Snapshot {
     hash: u64,
-    bytes: Vec<u8>,
+    state: KvState,
 }
 
 type SmrEffect = Effect<SmrMessage, SmrOutput>;
@@ -484,6 +536,8 @@ pub struct SmrProcess<C> {
     opts: SmrOptions,
     order: OrderProcess<C>,
     state: KvState,
+    /// Checkpoint-hash RBC, of the Bracha kind: its instances keep their
+    /// payloads for [`RbcMux::deliveries`] to read back at certification.
     ckpt: RbcMux<u64, Vec<u8>>,
     /// Own snapshots by checkpoint epoch; pruned below the latest
     /// certificate once one exists.
@@ -597,8 +651,10 @@ impl<C: CoinScheme> SmrProcess<C> {
         self.order.committed_epochs()
     }
 
-    /// Ordered-log slots currently retained (bounded by the checkpoint
-    /// interval once certificates flow).
+    /// Ordered-log entries currently retained: those committed but not
+    /// yet applied, since apply consumes the log epoch by epoch. Zero
+    /// whenever apply has caught up with the order layer; a recovering
+    /// node retains what it commits until the state transfer lands.
     pub fn retained_log_slots(&self) -> usize {
         self.order.log().len()
     }
@@ -680,7 +736,8 @@ impl<C: CoinScheme> SmrProcess<C> {
     }
 
     /// Applies every epoch the order layer has appended, sealing epochs
-    /// in order and snapshotting at checkpoint boundaries.
+    /// in order, snapshotting at checkpoint boundaries and consuming the
+    /// applied slots from the log.
     fn apply_committed(&mut self) {
         if self.recovering {
             return;
@@ -708,9 +765,12 @@ impl<C: CoinScheme> SmrProcess<C> {
             self.state.seal_epoch();
             let sealed = self.state.applied_epoch();
             if self.is_boundary(sealed) {
-                let bytes = self.state.snapshot();
-                self.snapshots.insert(sealed, Snapshot { hash: snapshot_hash(&bytes), bytes });
+                let state = self.state.clone();
+                self.snapshots.insert(sealed, Snapshot { hash: state.state_hash(), state });
             }
+            // Applied slots are dead: the state (and, at a boundary, the
+            // snapshot a lagging peer fetches) is all anyone reads again.
+            self.order.truncate_below(sealed);
         }
     }
 
@@ -768,20 +828,11 @@ impl<C: CoinScheme> SmrProcess<C> {
             }
         }
         // Certified history is dead: prune snapshots and checkpoint RBC
-        // state below the certificate, truncate the ordered log below
-        // whatever both the certificate and the apply cursor cover.
+        // state below the certificate.
         self.snapshots.retain(|&b, _| b >= epoch);
         self.ckpt.retain(move |_, tag| *tag >= epoch);
         for peer in self.subscribers.iter().copied().filter(|&p| p != self.me) {
             out.push(Effect::Send { to: peer, msg: SmrMessage::CkptInfo { epoch, hash } });
-        }
-    }
-
-    /// Truncates the ordered log below everything both certified and
-    /// applied.
-    fn maybe_truncate(&mut self) {
-        if let Some((epoch, _)) = self.cert {
-            self.order.truncate_below(epoch.min(self.state.applied_epoch()));
         }
     }
 
@@ -855,7 +906,7 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
         let Some(snap) = self.snapshots.get(&ce) else { return };
         let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
-        let Ok(coded) = ec_encode(&snap.bytes, n, k) else { return };
+        let Ok(coded) = ec_encode(&snap.state.snapshot(), n, k) else { return };
         let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
         out.push(Effect::Send {
             to: from,
@@ -905,16 +956,15 @@ impl<C: CoinScheme> SmrProcess<C> {
                 if state.applied_epoch() != fetch.epoch {
                     continue;
                 }
-                found = Some((state, Snapshot { hash: fetch.hash, bytes }));
+                found = Some((Snapshot { hash: fetch.hash, state }, bytes.len() as u64));
                 break;
             }
             found
         };
-        let Some((state, snapshot)) = installed else { return };
+        let Some((snapshot, size)) = installed else { return };
         let target = epoch;
-        let size = snapshot.bytes.len() as u64;
         self.fetch = None;
-        self.state = state;
+        self.state = snapshot.state.clone();
         self.recovering = false;
         self.snapshots.insert(target, snapshot);
         self.ckpt_cursor = self.ckpt_cursor.max(target);
@@ -938,14 +988,14 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
     }
 
-    /// Drives apply, checkpointing, certification, fetch and truncation
-    /// after any batch of order effects or service messages.
+    /// Drives apply (and with it truncation), checkpointing,
+    /// certification and fetch after any batch of order effects or
+    /// service messages.
     fn advance(&mut self, out: &mut Vec<SmrEffect>) {
         self.apply_committed();
         self.maybe_checkpoint(out);
         self.maybe_certify(out);
         self.maybe_fetch(out);
-        self.maybe_truncate();
         self.maybe_output(out);
     }
 }
@@ -1121,6 +1171,54 @@ mod tests {
         put_u64(&mut hostile, 7);
         put_u32(&mut hostile, u32::MAX);
         assert_eq!(KvState::restore(&hostile), None);
+    }
+
+    #[test]
+    fn streamed_state_hash_equals_the_hash_of_the_snapshot_bytes() {
+        for seed in 0..8u64 {
+            let mut s = KvState::new();
+            assert_eq!(s.state_hash(), snapshot_hash(&s.snapshot()));
+            let workload = seeded_workload(seed, NodeId::new(seed as usize % 4), 64);
+            for (i, tx) in workload.iter().enumerate() {
+                s.apply_tx(s.applied_epoch(), NodeId::new(i % 4), tx);
+                if i % 8 == 7 {
+                    s.seal_epoch();
+                }
+                assert_eq!(s.state_hash(), snapshot_hash(&s.snapshot()), "seed {seed}, op {i}");
+            }
+            assert!(!s.is_empty(), "seed {seed}: the mix must leave keys to hash");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_bytes_through_later_overwrites_and_deletes() {
+        let me = NodeId::new(0);
+        let put = |key: &[u8], value: &[u8]| {
+            KvOp::Put { key: key.to_vec(), value: value.to_vec() }.encode()
+        };
+        let mut s = KvState::new();
+        for i in 0..4u8 {
+            s.apply_tx(0, me, &put(&[i], &[i; 8]));
+        }
+        s.seal_epoch();
+        let snap = s.clone();
+        let (bytes, hash) = (snap.snapshot(), snap.state_hash());
+
+        // Every way a live value can change: put over it, a matching cas,
+        // a delete, and a new key.
+        s.apply_tx(1, me, &put(&[0], b"new"));
+        let cas = KvOp::Cas { key: vec![1], expect: vec![1; 8], value: b"swapped".to_vec() };
+        s.apply_tx(1, me, &cas.encode());
+        s.apply_tx(1, me, &KvOp::Del { key: vec![2] }.encode());
+        s.apply_tx(1, me, &put(&[9], b"added"));
+        s.seal_epoch();
+        assert_eq!(s.get(&[1]), Some(b"swapped".as_slice()), "the cas must match");
+        assert_ne!(s.snapshot(), bytes);
+
+        assert_eq!(snap.snapshot(), bytes, "the snapshot moved with the live state");
+        assert_eq!(snap.state_hash(), hash);
+        assert_eq!(snap.get(&[0]), Some([0u8; 8].as_slice()));
+        assert_eq!(KvState::restore(&bytes), Some(snap));
     }
 
     #[test]

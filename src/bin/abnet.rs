@@ -33,9 +33,9 @@
 //!
 //! With `--kv-workload` the binary runs the **replicated KV state
 //! machine** (`bft-smr`) over TCP: every node orders a seeded operation
-//! stream, applies it deterministically, and certifies an RBC-agreed
-//! checkpoint every `--checkpoint-interval` epochs (truncating the
-//! ordered log below it). `--restart-node` additionally crashes the
+//! stream, applies it deterministically (consuming the ordered log as it
+//! goes), and certifies an RBC-agreed checkpoint every
+//! `--checkpoint-interval` epochs. `--restart-node` additionally crashes the
 //! highest-indexed node early in the run and restarts it once the
 //! survivors are done, forcing recovery through erasure-coded peer
 //! state transfer from the latest certified checkpoint.

@@ -28,9 +28,9 @@
 //!
 //! With `--kv-workload` the ordered log feeds the **replicated key-value
 //! state machine** (`bft-smr`): nodes apply a seeded put/cas/del
-//! workload, RBC-agree on checkpoint hashes every
-//! `--checkpoint-interval` epochs and truncate the log below the
-//! certificate. `--restart-node` crashes the highest-indexed node early
+//! workload, consume the log as they apply it, and RBC-agree on
+//! checkpoint hashes every `--checkpoint-interval` epochs.
+//! `--restart-node` crashes the highest-indexed node early
 //! and restarts it with empty state, exercising erasure-coded peer state
 //! transfer.
 //!

@@ -438,6 +438,11 @@ fn pump_smr(epochs: u64, interval: u64) -> (usize, usize, usize, usize) {
                 _ => {}
             }
         }
+        if node.state().applied_epoch() == node.committed_epochs() {
+            // Apply consumes the log: once it has caught up, nothing is
+            // retained, certified or not.
+            assert_eq!(node.retained_log_slots(), 0, "{me} retains applied log entries");
+        }
         max_slots = max_slots.max(node.retained_log_slots());
         max_epochs = max_epochs.max(node.live_epochs());
         max_abas = max_abas.max(node.retained_aba_count());
@@ -459,11 +464,11 @@ fn pump_smr(epochs: u64, interval: u64) -> (usize, usize, usize, usize) {
     (max_slots, max_epochs, max_abas, max_rbc)
 }
 
-/// The state-machine tentpole memory property: checkpoint certification
-/// truncates the ordered log and collects per-epoch buffers, so over
-/// ≥ 4 checkpoint cycles the peak retained state is *flat* as the
-/// horizon doubles — nothing accretes per epoch beyond the window the
-/// checkpoint interval and pipeline depth define.
+/// The state-machine tentpole memory property: apply consumes the ordered
+/// log and checkpoint certification collects snapshots and per-epoch
+/// buffers, so over ≥ 4 checkpoint cycles the peak retained state is
+/// *flat* as the horizon doubles — nothing accretes per epoch beyond the
+/// window the checkpoint interval and pipeline depth define.
 #[test]
 fn checkpointed_smr_state_is_bounded_by_the_interval() {
     let interval = 2u64;
@@ -472,14 +477,12 @@ fn checkpointed_smr_state_is_bounded_by_the_interval() {
     println!("peak retained state: 8 epochs -> {short:?}, 16 epochs -> {long:?}");
     assert_eq!(short, long, "retained state grew with the epoch horizon: a per-epoch leak");
 
-    // The peak itself is a small window, nowhere near the horizon:
-    // slots from the un-truncated epochs (≤ (interval + depth + 1)
-    // epochs × n batches × 2 txs), and the usual pipeline-bounded
-    // protocol state.
+    // The peak itself is a small window, nowhere near the horizon: no log
+    // at all between steps (each step applies what it appended), and the
+    // usual pipeline-bounded protocol state.
     let (max_slots, max_epochs, max_abas, max_rbc) = long;
     let n = 4usize;
-    let window = (interval as usize + 2 + 1) * n * 2;
-    assert!(max_slots <= window, "retained log slots {max_slots} exceed the window {window}");
+    assert_eq!(max_slots, 0, "the log retained {max_slots} entries past apply");
     let slack = 2 * 2 + 2;
     assert!(max_epochs <= slack, "retained epochs {max_epochs} exceed 2·depth+2 = {slack}");
     assert!(max_abas <= n * slack, "retained ABA state {max_abas} exceeds n·(2·depth+2)");
@@ -488,10 +491,11 @@ fn checkpointed_smr_state_is_bounded_by_the_interval() {
     assert!(max_rbc <= 2 * n * slack, "live RBC instances {max_rbc} exceed 2n·(2·depth+2)");
 }
 
-/// The coded-RBC memory property: per-epoch GC (`RbcMux::retain`) drops
-/// fragment buffers along with their instances — peak buffered fragment
-/// bytes stay flat as the epoch horizon doubles, and the coded engine
-/// orders the exact log the Bracha engine does.
+/// The coded-RBC memory property: an instance frees its fragment buffers
+/// at delivery, and per-epoch GC (`RbcMux::retain`) drops the undelivered
+/// ones with their instances — peak buffered fragment bytes stay flat as
+/// the epoch horizon doubles, and the coded engine orders the exact log
+/// the Bracha engine does.
 #[test]
 fn coded_ordering_collects_fragment_buffers() {
     use async_bft::rbc::RbcKind;

@@ -356,8 +356,8 @@ fn smr_state_hash_matches_between_sim_and_tcp() {
 }
 
 /// The crash-restart acceptance gate: in a seeded n=4/f=1 TCP run the
-/// highest-indexed node is killed early and restarted after the
-/// survivors have certified checkpoints. It must rejoin via
+/// highest-indexed node is killed at start-up and restarted once the
+/// survivors have run ahead and certified checkpoints. It must rejoin via
 /// erasure-coded peer state transfer from a certified checkpoint,
 /// provably without replaying any epoch below it, and every correct
 /// node — victim included — must finish with the identical state hash.
@@ -388,18 +388,20 @@ fn crashed_node_rejoins_via_state_transfer_over_tcp() {
         })
         .with_obs(obs)
     };
-    // Crash long before the victim can finish (an undisturbed run of
-    // this size takes ~100 ms in a debug build, so the crash must come
-    // well inside that); restart once the survivors have had time to
-    // certify (and truncate below) at least the first checkpoint
-    // boundary, so live replay is impossible.
+    // Crash the victim right after its start-up step, so it can neither
+    // finish the run nor apply anything before the crash however fast the
+    // build is (an undisturbed run of this size takes ~100 ms in a debug
+    // build, ~50 ms in release: any later fixed crash time races it).
+    // The survivors (n − f) run on and certify checkpoints; the
+    // replacement comes up recovering, so it installs a certified
+    // snapshot by state transfer whenever it restarts relative to them.
     let obs_replacement = obs.clone();
     let factory: RestartFactory<SmrMessage, SmrOutput> =
         Box::new(move || Box::new(make(victim, obs_replacement).recovering(true)));
     let mut rt: NetRuntime<SmrMessage, SmrOutput> = NetRuntime::new(n)
         .timeout(TIMEOUT)
         .observer(obs.clone())
-        .restart_node(victim, 20, 3_000, factory);
+        .restart_node(victim, 0, 500, factory);
     for id in cfg.nodes() {
         rt.add_process(Box::new(make(id, obs.clone())));
     }
