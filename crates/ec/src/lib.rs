@@ -21,16 +21,17 @@
 //! committed leaves *is* a codeword), so correct nodes agree on
 //! success-with-identical-bytes or uniform failure — never a split.
 //!
-//! The crate is dependency-free and deterministic; the hash is the
-//! workspace's placeholder FNV-1a (see [`hash`] for the caveat).
+//! The crate is deterministic and depends only on `bft-types`, whose
+//! workspace-wide placeholder FNV-1a it uses (see [`bft_types::hash`] for
+//! the caveat).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gf256;
-pub mod hash;
 pub mod merkle;
 
+use bft_types::hash::Fnv64;
 use std::fmt;
 
 /// One erasure-coded fragment of a payload, as handed to (and echoed by)
@@ -231,7 +232,7 @@ fn parity_into(data: &[&[u8]], outs: &mut [&mut [u8]]) {
 /// shard length, and the same code — the precondition for reconstruction
 /// to be subset-independent.
 fn commitment(leaves_root: u64, total_len: u32, n: usize, k: usize) -> u64 {
-    let mut h = hash::Fnv64::new();
+    let mut h = Fnv64::new();
     h.update(b"ec-commit")
         .update_u64(leaves_root)
         .update_u64(u64::from(total_len))

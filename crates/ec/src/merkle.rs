@@ -9,7 +9,7 @@
 //! Leaf count is padded to the next power of two with a constant empty
 //! hash, which keeps proofs a fixed length `log2(padded)` for every index.
 
-use crate::hash::Fnv64;
+use bft_types::hash::Fnv64;
 
 const LEAF_DOMAIN: u8 = 0x4c;
 const INNER_DOMAIN: u8 = 0x49;

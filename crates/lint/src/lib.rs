@@ -30,6 +30,7 @@ pub mod rules;
 mod wire_rules;
 
 use bft_obs::json::JsonValue;
+use bft_types::hash::fnv1a64;
 use rules::{Rule, ScanOptions};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -270,15 +271,6 @@ fn assign_fingerprints(findings: &mut [Finding]) {
         let material = format!("{}|{}|{}|{}", f.rule, f.file, f.snippet, ordinal);
         f.fingerprint = format!("{:016x}", fnv1a64(material.as_bytes()));
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Extracts `lint: allow(...)` annotations from the per-line comments.

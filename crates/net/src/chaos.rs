@@ -15,6 +15,7 @@
 //! produces the same drop/duplicate/delay pattern per link on every run,
 //! independent of thread scheduling.
 
+use bft_types::hash::Fnv64;
 use bft_types::NodeId;
 
 /// A scheduled one-way link outage (partition window), in milliseconds
@@ -67,10 +68,10 @@ impl ChaosConfig {
 
     /// The chaos state for one directed link.
     pub fn link(&self, from: NodeId, to: NodeId) -> LinkChaos {
-        let mut h = crate::hash::Fnv64::new();
-        h.write_u64(self.seed);
-        h.write(&(from.index() as u32).to_le_bytes());
-        h.write(&(to.index() as u32).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.update_u64(self.seed);
+        h.update(&(from.index() as u32).to_le_bytes());
+        h.update(&(to.index() as u32).to_le_bytes());
         LinkChaos {
             rng: XorShift::new(h.finish()),
             drop_per_mille: self.drop_per_mille,

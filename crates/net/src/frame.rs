@@ -30,7 +30,7 @@
 //! are typed [`DecodeError`]s.
 
 use crate::codec::{put_u16, put_u32, put_u64, DecodeError, Reader};
-use crate::hash::Fnv64;
+use bft_types::hash::{fnv1a64, Fnv64};
 
 /// Frame magic: `0xAB84`.
 pub const MAGIC: u16 = 0xAB84;
@@ -152,7 +152,7 @@ impl Frame {
         let got = r.u64()?;
         r.finish()?;
         let mut h = Fnv64::new();
-        h.write(&buf[..HEADER_LEN + body.len()]);
+        h.update(&buf[..HEADER_LEN + body.len()]);
         let expected = h.finish();
         if expected != got {
             return Err(DecodeError::Checksum { expected, got });
@@ -206,7 +206,7 @@ impl<'a> FrameRef<'a> {
         let Some(frame) = buf.get(..total) else { return Ok(None) };
         let (covered, trailer) = frame.split_at(trailer_at);
         let got = Reader::new(trailer).u64()?;
-        let expected = crate::hash::fnv1a64(covered);
+        let expected = fnv1a64(covered);
         if expected != got {
             return Err(DecodeError::Checksum { expected, got });
         }
@@ -284,7 +284,7 @@ pub fn encode_frame_into(
     put_u32(out, (TRACE_HINT_LEN + payload.len()) as u32);
     put_u64(out, trace);
     out.extend_from_slice(payload);
-    let checksum = crate::hash::fnv1a64(out.get(start..).unwrap_or_default());
+    let checksum = fnv1a64(out.get(start..).unwrap_or_default());
     put_u64(out, checksum);
     Ok(())
 }
@@ -382,7 +382,7 @@ mod tests {
         put_u32(&mut out, payload.len() as u32);
         out.extend_from_slice(payload);
         let mut h = Fnv64::new();
-        h.write(&out);
+        h.update(&out);
         put_u64(&mut out, h.finish());
         out
     }
@@ -406,7 +406,7 @@ mod tests {
         bytes[12..16].copy_from_slice(&4u32.to_le_bytes());
         bytes.truncate(HEADER_LEN + 4);
         let mut h = Fnv64::new();
-        h.write(&bytes);
+        h.update(&bytes);
         let sum = h.finish();
         bytes.extend_from_slice(&sum.to_le_bytes());
         assert!(matches!(Frame::decode(&bytes), Err(DecodeError::Oversize(4))));

@@ -13,11 +13,11 @@
 //!   connection performs no handshake — the gateway trusts transport
 //!   integrity but nothing else, so every byte is parsed defensively
 //!   and per-client sequencing is enforced server-side.
-//! * **[`GatewayPipe`]** — the lock-bounded rendezvous between a node's
-//!   reactor thread (which owns the client sockets) and its actor
-//!   thread (which owns the `Process`). The reactor pushes decoded
-//!   submissions into the intake queue and drains completion notices
-//!   out; the process side does the reverse.
+//! * **[`GatewayPipe`]** — the queues between a node's reactor (which
+//!   owns the client sockets) and its `Process`, which the same node
+//!   thread steps. The reactor pushes decoded submissions into the
+//!   intake queue and drains completion notices out; the process side
+//!   does the reverse.
 //! * **[`run_load`]** — an open-loop load generator: thousands of
 //!   simulated clients submitting at a fixed aggregate rate from a
 //!   single thread, with per-(client, seq) latency stamps measured from
@@ -39,7 +39,7 @@ use crate::frame::{decode_prefix, encode_frame, FrameKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Why a submission was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,13 +204,10 @@ struct PipeInner {
     intake: Mutex<VecDeque<ClientSubmit>>,
     notices: Mutex<VecDeque<GatewayNotice>>,
     addr: Mutex<Option<SocketAddr>>,
-    /// Set once, by the runtime that serves this pipe, and read without
-    /// a lock on every notice.
-    waker: OnceLock<crate::reactor::ReactorWaker>,
 }
 
-/// The rendezvous between one node's reactor thread and its actor
-/// thread (cheaply cloneable; all clones share state).
+/// The queues between one node's reactor and its process (cheaply
+/// cloneable; all clones share state).
 ///
 /// Built by the harness, handed to [`crate::NetRuntime::gateway`] *and*
 /// kept by the caller: after the runtime starts, [`GatewayPipe::addr`]
@@ -235,7 +232,6 @@ impl GatewayPipe {
                 intake: Mutex::new(VecDeque::new()),
                 notices: Mutex::new(VecDeque::new()),
                 addr: Mutex::new(None),
-                waker: OnceLock::new(),
             }),
         }
     }
@@ -248,12 +244,6 @@ impl GatewayPipe {
 
     pub(crate) fn set_addr(&self, addr: SocketAddr) {
         *crate::runtime::locked(&self.inner.addr) = Some(addr);
-    }
-
-    /// Wires the pipe to the reactor that serves it. A pipe serves one
-    /// run: a second call is ignored.
-    pub(crate) fn set_waker(&self, waker: crate::reactor::ReactorWaker) {
-        let _ = self.inner.waker.set(waker);
     }
 
     /// Queues a decoded submission for the process side; `false` means
@@ -282,15 +272,11 @@ impl GatewayPipe {
         q.drain(..).collect()
     }
 
-    /// Queues a completion notice for the reactor and wakes its poll
-    /// loop if it may be parked (see [`crate::reactor`]'s wake flag: a
-    /// burst of notices costs one wake-up write). Called by the process
+    /// Queues a completion notice for the reactor, which answers it in
+    /// the same pass as the step that pushed it. Called by the process
     /// side.
     pub fn push_notice(&self, notice: GatewayNotice) {
         crate::runtime::locked(&self.inner.notices).push_back(notice);
-        if let Some(waker) = self.inner.waker.get() {
-            waker.wake();
-        }
     }
 
     /// Drains every queued notice, FIFO. Called by the reactor (and by

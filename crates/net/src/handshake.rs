@@ -21,13 +21,14 @@
 //!   |                                authenticated as coming from u
 //! ```
 //!
-//! `MAC` here is keyed FNV-1a (see [`crate::hash`]) — a documented
+//! `MAC` here is keyed FNV-1a (see [`bft_types::hash`]) — a documented
 //! placeholder for a real MAC, sufficient against misconfiguration but
 //! not against a cryptographic adversary. Nonces come from a process-wide
 //! counter: uniqueness (not unpredictability) is what the placeholder
 //! construction consumes.
 
 use crate::codec::{Codec, DecodeError, Reader};
+use bft_types::hash::{fnv1a64, Fnv64};
 use bft_types::NodeId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +40,7 @@ pub struct Secret(u64);
 impl Secret {
     /// Derives a key from a passphrase (FNV-1a of its bytes).
     pub fn from_passphrase(phrase: &str) -> Self {
-        Secret(crate::hash::fnv1a64(phrase.as_bytes()))
+        Secret(fnv1a64(phrase.as_bytes()))
     }
 
     /// Wraps a raw 64-bit key.
@@ -66,11 +67,11 @@ pub(crate) fn next_nonce() -> u64 {
 
 /// The keyed tag: FNV-1a over (direction label, key, nonce, claimed id).
 fn tag(secret: Secret, direction: &'static [u8], nonce: u64, id: NodeId) -> u64 {
-    let mut h = crate::hash::Fnv64::new();
-    h.write(direction);
-    h.write_u64(secret.0);
-    h.write_u64(nonce);
-    h.write(&(id.index() as u32).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.update(direction);
+    h.update_u64(secret.0);
+    h.update_u64(nonce);
+    h.update(&(id.index() as u32).to_le_bytes());
     h.finish()
 }
 

@@ -22,14 +22,14 @@
 //!   (drop/retransmit, duplication, delay, partitions) applied *under*
 //!   the reliable-link contract.
 //! * [`runtime`] — [`NetRuntime`], mirroring `bft_runtime::Runtime`'s
-//!   builder API and returning the same `RuntimeReport`: socket setup,
-//!   the per-node actor loop, and the link contract (cross-connection
-//!   replay/dedup, reconnect with capped exponential backoff).
-//! * [`reactor`] — the I/O engine behind [`NetRuntime`]: one nonblocking
+//!   builder API and returning the same `RuntimeReport`: socket setup
+//!   and the link contract (cross-connection replay/dedup, reconnect
+//!   with capped exponential backoff).
+//! * [`reactor`] — the engine behind [`NetRuntime`]: one nonblocking
 //!   `poll(2)` loop per node drives every socket the node touches (the
-//!   full-mesh peer links and the client gateway), so the per-node
-//!   thread count is a small constant instead of growing with the
-//!   cluster.
+//!   full-mesh peer links and the client gateway) and steps the node's
+//!   process as its frames arrive, so each node is one thread however
+//!   large the cluster.
 //! * [`gateway`] — the client-facing submit/ack protocol served by the
 //!   reactor (typed backpressure NACKs, per-client sequencing) plus an
 //!   open-loop load generator for driving a cluster externally.
@@ -67,10 +67,10 @@ pub mod codec;
 pub mod frame;
 pub mod gateway;
 pub mod handshake;
-mod hash;
 pub mod reactor;
 pub mod runtime;
 
+pub use bft_types::hash::fnv1a64;
 pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
 pub use codec::{Codec, DecodeError, Reader};
 pub use frame::{
@@ -81,7 +81,6 @@ pub use gateway::{
     run_load, ClientSubmit, GatewayNotice, GatewayPipe, LoadGenConfig, LoadGenReport, NackReason,
 };
 pub use handshake::{HandshakeError, Secret};
-pub use hash::fnv1a64;
 pub use runtime::{
     BackoffPolicy, ListenerBounce, NetDriver, NetRuntime, RestartFactory, SetupError,
 };

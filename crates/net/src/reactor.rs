@@ -1,11 +1,25 @@
-//! The TCP transport's I/O engine: one nonblocking poll loop per node.
+//! The TCP transport's engine: one nonblocking poll loop per node.
 //!
-//! Each node gets a **fixed small thread count**, whatever `n`: one
-//! reactor thread owning every socket the node touches (peer listener,
-//! inbound connections, outbound links, the client gateway, and the wake
-//! channel its actor nudges it through — see [`WakeShared`] for that
-//! hand-off), plus the actor thread running the sans-io process.
-//! Readiness comes from `poll(2)` via the dependency-free [`poll`] shim.
+//! Each node is **one thread**, whatever `n`. It owns every socket the
+//! node touches (peer listener, inbound connections, outbound links, the
+//! client gateway) and the node's sans-io process, which it steps in the
+//! same pass that reads the frames — as the simulator does, one
+//! `on_message` per delivery. Readiness comes from `poll(2)` via the
+//! dependency-free [`poll`] shim.
+//!
+//! # One pass
+//!
+//! A pass runs, in order: the scheduled crash/restart deadlines, the
+//! listener bounce, accepts, every inbound connection (each decoded
+//! frame is stepped at once, and the self-addressed messages the step
+//! queues are stepped before the next frame), the client gateway (read
+//! submissions, one `on_tick` if any was admitted, then every completion
+//! notice queued so far is written back), and finally every outbound link
+//! (encode what the steps queued, flush). So every frame and every
+//! gateway notice a step produces is on its connection before the loop
+//! parks in `poll` — no other thread feeds this loop, so there is nothing
+//! to wake it for. The one flag set from outside, shutdown, is read at
+//! the top of each pass: a node sees it within one poll cap (10 ms).
 //!
 //! # What the links guarantee
 //!
@@ -38,18 +52,18 @@
 //!
 //! A node configured with a [`GatewayPipe`] additionally owns a gateway
 //! listener. External clients connect without a handshake and speak
-//! `Submit`/`SubmitOk`/`SubmitNack` frames; decoded submissions flow to
-//! the actor through the pipe's bounded intake (refusals are answered
-//! with a typed backpressure NACK straight from the reactor), and
-//! completion notices flow back and are forwarded to the submitting
-//! client's connection. The actor learns about queued intake via
-//! `Ctrl::Tick`, which invokes the process's `on_tick` hook.
+//! `Submit`/`SubmitOk`/`SubmitNack` frames; decoded submissions go to the
+//! process through the pipe's bounded intake (refusals are answered
+//! with a typed backpressure NACK without a step), a pass that admitted
+//! any runs the process's `on_tick` hook, and the completion notices it
+//! and earlier steps pushed go back to the submitting clients'
+//! connections.
 
 use crate::chaos::{LinkChaos, XorShift};
 use crate::clock::{sleep_ms, Clock};
 use crate::codec::Codec;
 use crate::codec::DecodeError;
-use crate::frame::{encode_frame_into, FrameKind, FrameRef, PayloadTooLarge};
+use crate::frame::{encode_frame_into, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD};
 use crate::gateway::{
     parse_submit, submit_nack_payload, submit_ok_payload, ClientSubmit, GatewayNotice, GatewayPipe,
     NackReason, INTAKE_CAP,
@@ -59,21 +73,19 @@ use crate::handshake::{
     parse_hello, Secret,
 };
 use crate::runtime::{
-    actor_loop, locked, rebind, supervised, BackoffPolicy, Ctrl, FrameBody, InboxChannels,
-    LinkFanout, ListenerBounce, NetRuntime, PanicLedger, RestartSpec, ACK_EVERY, MAX_RETRANSMIT,
-    RETRANSMIT_RTO_MS,
+    locked, rebind, supervised, BackoffPolicy, ListenerBounce, NetRuntime, PanicLedger,
+    RestartSpec, ACK_EVERY, MAX_RETRANSMIT, RETRANSMIT_RTO_MS,
 };
 use bft_obs::{Event as ObsEvent, Obs, ReactorStats};
-use bft_runtime::RuntimeReport;
-use bft_types::{Envelope, NodeId};
+use bft_runtime::{BoxedProcess, RuntimeReport};
+use bft_types::hash::Fnv64;
+use bft_types::{Effect, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// How long a half-open handshake (either direction) may sit before the
@@ -82,109 +94,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 const HANDSHAKE_DEADLINE_MS: u64 = 2_000;
 
 /// Soft cap on a peer connection's pending output buffer: the transmit
-/// machine stops encoding past it and resumes once a flush drains it, so
-/// a slow receiver bounds our memory instead of growing it.
-const OUTBUF_SOFT_CAP: usize = 256 << 10;
+/// machine flushes each time it gets there and stops once the socket
+/// takes no more, so a slow receiver bounds our memory instead of growing
+/// it, and a busy link's buffer stays one cap deep.
+const OUTBUF_SOFT_CAP: usize = 16 << 10;
 
-/// Upper bound on one poll sleep, so shutdown and new actor output are
-/// observed promptly even if a wakeup is lost.
+/// Upper bound on one poll sleep: how long a parked node may take to see
+/// the shutdown flag.
 const POLL_CAP_MS: u64 = 10;
-
-// ---- wakeups --------------------------------------------------------------
-
-/// The wake channel one node's actor and reactor share: a socket pair
-/// the reactor polls, gated by a flag so that only a reactor that may be
-/// parked is ever written to.
-///
-/// The protocol is arm → drain → poll. At the top of every pass the
-/// reactor empties the wake socket, then *arms* the flag, and only then
-/// drains the actor-fed queues (link receivers, gateway notices) and
-/// parks in `poll`. A producer queues first and calls
-/// [`ReactorWaker::wake`] second, which writes one byte only if it could
-/// *disarm* the flag. Every access to the flag is a `SeqCst` swap, so
-/// for any queued item one of two things holds. Either the producer's
-/// swap precedes an arming in the flag's modification order: that
-/// arming reads from it (or from a later swap of the same release
-/// sequence), the push happens-before that pass's drain, and the drain
-/// sees the item. Or the last arming precedes the producer's swap: then
-/// the producer, or another producer since that arming, found the flag
-/// set and wrote a byte — after the pass's read of the socket, so the
-/// byte is still there when the reactor reaches `poll`, which returns
-/// at once. No wake-up is lost, and at most one byte is written per pass.
-struct WakeShared {
-    /// Written by wakers. Both ends live here so neither outlives the
-    /// other: a late wake can never hit a closed peer.
-    tx: UnixStream,
-    /// Read (and polled) by the reactor only.
-    rx: UnixStream,
-    armed: AtomicBool,
-    /// Wake requests that found the flag disarmed and wrote nothing.
-    skipped: AtomicU64,
-}
-
-/// A handle on a node's wake channel. Clones share the channel; wake
-/// errors are ignored (the poll cap bounds the added latency).
-#[derive(Clone)]
-pub(crate) struct ReactorWaker {
-    shared: Option<Arc<WakeShared>>,
-}
-
-impl ReactorWaker {
-    /// A waker wired to nothing — used when the wake pair could not be
-    /// set up; the reactor then relies on its capped poll timeout.
-    pub(crate) fn disconnected() -> Self {
-        ReactorWaker { shared: None }
-    }
-
-    /// Builds a wake channel (`None` when the socket pair cannot be
-    /// created).
-    fn pair() -> Option<Self> {
-        let (tx, rx) = UnixStream::pair().ok()?;
-        tx.set_nonblocking(true).ok()?;
-        rx.set_nonblocking(true).ok()?;
-        let shared =
-            WakeShared { tx, rx, armed: AtomicBool::new(false), skipped: AtomicU64::new(0) };
-        Some(ReactorWaker { shared: Some(Arc::new(shared)) })
-    }
-
-    /// Nudges the reactor after something was queued for it. Writes to
-    /// the channel only when the reactor armed the flag since the last
-    /// write. Nonblocking and infallible by design: a full wake socket
-    /// already guarantees a pending wakeup.
-    pub(crate) fn wake(&self) {
-        let Some(shared) = &self.shared else { return };
-        if shared.armed.swap(false, Ordering::SeqCst) {
-            let _ = (&shared.tx).write(&[1u8]);
-        } else {
-            shared.skipped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Reactor side: re-arms the flag — after the pass's read of the wake
-    /// socket, before its queue drains. A swap rather than a store: the
-    /// arming has to *read* the last waker's swap to synchronize with it.
-    fn arm(&self) {
-        if let Some(shared) = &self.shared {
-            shared.armed.swap(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Reactor side: the end to poll and drain.
-    fn rx(&self) -> Option<&UnixStream> {
-        self.shared.as_ref().map(|shared| &shared.rx)
-    }
-
-    /// Wake requests the flag absorbed so far.
-    fn skipped(&self) -> u64 {
-        self.shared.as_ref().map_or(0, |shared| shared.skipped.load(Ordering::Relaxed))
-    }
-}
-
-impl fmt::Debug for ReactorWaker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ReactorWaker(connected={})", self.shared.is_some())
-    }
-}
 
 // ---- buffered nonblocking connections -------------------------------------
 
@@ -205,38 +122,6 @@ enum FillEnd {
 /// Bytes asked of the kernel per connection `read`.
 const READ_CHUNK: usize = 16 << 10;
 
-/// Reads what a nonblocking socket holds, `chunk.len()` bytes at a time,
-/// handing each piece to `sink` and stopping at the first *short* read:
-/// a read that returns less than it asked for has emptied the kernel
-/// buffer, so asking again would only buy a `WouldBlock`.
-/// Level-triggered `poll` re-flags anything that arrives later, a FIN
-/// included — EOF is then reported by the next flagged pass.
-fn read_until_short(
-    mut src: impl Read,
-    chunk: &mut [u8],
-    io: &mut ReactorStats,
-    mut sink: impl FnMut(&[u8]),
-) -> FillEnd {
-    loop {
-        io.reads += 1;
-        match src.read(chunk) {
-            Ok(0) => return FillEnd::Eof,
-            Ok(k) => {
-                sink(chunk.get(..k).unwrap_or_default());
-                if k < chunk.len() {
-                    return FillEnd::Open;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                io.reads_blocked += 1;
-                return FillEnd::Open;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return FillEnd::Error,
-        }
-    }
-}
-
 /// One nonblocking socket with explicit in/out buffering.
 struct BufConn {
     stream: TcpStream,
@@ -248,7 +133,7 @@ struct BufConn {
     /// perpetually "readable" and would spin the loop).
     peer_eof: bool,
     /// The last poll flagged the socket readable (set via [`mark_ready`],
-    /// consumed by [`fill_ready`]). Starts `true` so a fresh connection
+    /// consumed by [`read_ready`]). Starts `true` so a fresh connection
     /// reads whatever raced in before its first poll.
     ready: bool,
 }
@@ -296,36 +181,65 @@ impl BufConn {
         Ok(())
     }
 
-    /// Appends what the socket holds to the input buffer (see
-    /// [`read_until_short`]). Skipped entirely once the peer has
-    /// half-closed.
-    fn fill(&mut self, io: &mut ReactorStats) -> FillEnd {
+    /// Appends up to one [`READ_CHUNK`] of what the socket holds to the
+    /// input buffer. Also returns whether the chunk came back full: a
+    /// *short* read has emptied the kernel buffer, so asking again would
+    /// only buy a `WouldBlock`. Level-triggered `poll` re-flags anything
+    /// that arrives later, a FIN included — EOF is then reported by the
+    /// next flagged pass. Skipped entirely once the peer has half-closed.
+    fn read_chunk(&mut self, io: &mut ReactorStats) -> (FillEnd, bool) {
         if self.peer_eof {
-            return FillEnd::Eof;
+            return (FillEnd::Eof, false);
         }
         let mut chunk = [0u8; READ_CHUNK];
-        let inbuf = &mut self.inbuf;
-        let end = read_until_short(&self.stream, &mut chunk, io, |bytes| {
-            inbuf.extend_from_slice(bytes);
-        });
-        self.peer_eof = end == FillEnd::Eof;
-        end
+        loop {
+            io.reads += 1;
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.peer_eof = true;
+                    return (FillEnd::Eof, false);
+                }
+                Ok(k) => {
+                    self.inbuf.extend_from_slice(chunk.get(..k).unwrap_or_default());
+                    return (FillEnd::Open, k == READ_CHUNK);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    io.reads_blocked += 1;
+                    return (FillEnd::Open, false);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return (FillEnd::Error, false),
+            }
+        }
     }
 
-    /// Readiness-gated [`fill`](Self::fill): issues the read syscall only
-    /// when the last poll flagged the socket (the flag is consumed here
-    /// and re-armed by the next poll — level-triggered, so bytes left in
-    /// the kernel re-flag immediately). This is what makes an idle
-    /// connection free per pass instead of one `EWOULDBLOCK` read.
-    fn fill_ready(&mut self, io: &mut ReactorStats) -> FillEnd {
+    /// Readiness-gated [`read_chunk`](Self::read_chunk): issues the read
+    /// syscall only when the last poll flagged the socket (the flag is
+    /// consumed here and re-armed by the next poll — level-triggered, so
+    /// bytes left in the kernel re-flag immediately), or when the last
+    /// chunk came back full. This is what makes an idle connection free
+    /// per pass instead of one `EWOULDBLOCK` read.
+    fn read_ready(&mut self, io: &mut ReactorStats) -> (FillEnd, bool) {
         if self.peer_eof {
-            return FillEnd::Eof;
+            return (FillEnd::Eof, false);
         }
         if !self.ready {
-            return FillEnd::Open;
+            return (FillEnd::Open, false);
         }
-        self.ready = false;
-        self.fill(io)
+        let (end, full) = self.read_chunk(io);
+        self.ready = full;
+        (end, full)
+    }
+
+    /// Readiness-gated: everything the socket holds, a chunk at a time
+    /// up to the first short read.
+    fn fill_ready(&mut self, io: &mut ReactorStats) -> FillEnd {
+        loop {
+            let (end, more) = self.read_ready(io);
+            if !more {
+                return end;
+            }
+        }
     }
 
     /// Peels the next complete frame off the input buffer, if one is
@@ -444,19 +358,20 @@ struct LinkCtx<'a> {
     addr_table: &'a Mutex<Vec<SocketAddr>>,
 }
 
+/// An encoded frame body (shared between the links of one broadcast)
+/// plus the causal-trace hint stamped into its frame header.
+type FrameBody = (Arc<Vec<u8>>, u64);
+
 /// One directed outbound link: the replay log, the connection state
 /// machine, and the chaos head machine.
 struct LinkState {
     peer: NodeId,
-    rx: Receiver<FrameBody>,
     /// The replay log; `log[i]` carries seq `log_base + i + 1`. A deque,
     /// so trimming an acked prefix costs that prefix, not the whole log.
     log: VecDeque<FrameBody>,
     log_base: u64,
     sent: usize,
     peak: usize,
-    draining: bool,
-    finished: bool,
     ever_connected: bool,
     /// Failed dial attempts in the current reconnect episode.
     attempt: u64,
@@ -469,22 +384,19 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(me: NodeId, peer: NodeId, rx: Receiver<FrameBody>, chaos: LinkChaos) -> Self {
+    fn new(me: NodeId, peer: NodeId, chaos: LinkChaos) -> Self {
         // A per-link jitter stream, so backoff schedules repeat run to
         // run.
-        let mut h = crate::hash::Fnv64::new();
-        h.write(b"backoff-jitter");
-        h.write(&(me.index() as u32).to_le_bytes());
-        h.write(&(peer.index() as u32).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.update(b"backoff-jitter");
+        h.update(&(me.index() as u32).to_le_bytes());
+        h.update(&(peer.index() as u32).to_le_bytes());
         LinkState {
             peer,
-            rx,
             log: VecDeque::new(),
             log_base: 0,
             sent: 0,
             peak: 0,
-            draining: false,
-            finished: false,
             ever_connected: false,
             attempt: 0,
             next_dial_at_ms: 0,
@@ -496,26 +408,14 @@ impl LinkState {
         }
     }
 
+    /// Appends a frame body to the replay log; the next pump sends it.
+    fn push(&mut self, body: FrameBody) {
+        self.log.push_back(body);
+        self.peak = self.peak.max(self.log.len());
+    }
+
     /// One nonblocking pass over this link.
     fn pump(&mut self, ctx: &LinkCtx<'_>, io: &mut ReactorStats, now_ms: u64, deadline: &mut u64) {
-        if self.finished {
-            return;
-        }
-        // Absorb newly queued frame bodies from the actor.
-        if !self.draining {
-            loop {
-                match self.rx.try_recv() {
-                    Ok(body) => self.log.push_back(body),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.draining = true;
-                        break;
-                    }
-                }
-            }
-            self.peak = self.peak.max(self.log.len());
-        }
-
         if let Some(mut conn) = self.conn.take() {
             match self.pump_conn(&mut conn, ctx, io, now_ms, deadline) {
                 None => self.conn = Some(conn),
@@ -527,15 +427,6 @@ impl LinkState {
             } else {
                 *deadline = (*deadline).min(self.next_dial_at_ms);
             }
-        }
-
-        // The link is complete once the actor hung up and every frame is
-        // out of the socket — which is also when the log peak is
-        // reported.
-        let flushed = self.conn.as_ref().map(|c| !c.pending_out()).unwrap_or(true);
-        if self.draining && self.sent == self.log.len() && flushed {
-            self.finished = true;
-            self.emit_peak(ctx);
         }
     }
 
@@ -599,7 +490,13 @@ impl LinkState {
 
         let sent_before = self.sent;
         if matches!(self.phase, LinkPhase::Up) {
-            self.transmit(conn, ctx, io, now_ms, deadline);
+            // Encode up to the soft cap and flush, for as long as the
+            // socket takes all of it: no frame waits for the next pass,
+            // and the buffer never holds more than the cap.
+            while self.transmit(conn, ctx, io, now_ms, deadline)
+                && conn.flush(io)
+                && !conn.pending_out()
+            {}
         }
         // Frames transmitted after the peer's FIN are doomed: peers
         // never half-close in this protocol, so nobody will read them.
@@ -641,6 +538,8 @@ impl LinkState {
 
     /// The transmit machine: encodes head frames into the output buffer
     /// under the chaos head machine, in its fixed draw order per frame.
+    /// Returns whether it stopped at [`OUTBUF_SOFT_CAP`] with frames left
+    /// to send (rather than on an empty log or a chaos wait).
     fn transmit(
         &mut self,
         conn: &mut BufConn,
@@ -648,10 +547,13 @@ impl LinkState {
         io: &mut ReactorStats,
         now_ms: u64,
         deadline: &mut u64,
-    ) {
+    ) -> bool {
         loop {
-            if self.sent >= self.log.len() || conn.out_len() >= OUTBUF_SOFT_CAP {
-                break;
+            if self.sent >= self.log.len() {
+                return false;
+            }
+            if conn.out_len() >= OUTBUF_SOFT_CAP {
+                return true;
             }
             let seq = self.log_base + self.sent as u64 + 1;
             match self.head {
@@ -659,7 +561,7 @@ impl LinkState {
                     // Partition window: frames wait out the outage.
                     if let Some(until) = self.chaos.outage_until(now_ms) {
                         *deadline = (*deadline).min(until);
-                        break;
+                        return false;
                     }
                     let delay = self.chaos.delay_ms();
                     self.head = if delay > 0 {
@@ -671,14 +573,14 @@ impl LinkState {
                 Head::Delayed { until_ms } => {
                     if now_ms < until_ms {
                         *deadline = (*deadline).min(until_ms);
-                        break;
+                        return false;
                     }
                     self.head = Head::Dropping { attempts: 0, retry_at_ms: now_ms };
                 }
                 Head::Dropping { attempts, retry_at_ms } => {
                     if now_ms < retry_at_ms {
                         *deadline = (*deadline).min(retry_at_ms);
-                        break;
+                        return false;
                     }
                     if attempts < MAX_RETRANSMIT && self.chaos.attempt_dropped() {
                         let peer = self.peer;
@@ -692,7 +594,7 @@ impl LinkState {
                         };
                         continue;
                     }
-                    let Some((body, trace)) = self.log.get(self.sent) else { break };
+                    let Some((body, trace)) = self.log.get(self.sent) else { return false };
                     match conn.queue_frame(io, FrameKind::Msg, seq, *trace, body) {
                         Ok(()) => {
                             if self.chaos.duplicate() {
@@ -818,8 +720,7 @@ impl LinkState {
         }
     }
 
-    /// Reports the link's replay-log high-water mark (the thread
-    /// writer's teardown event).
+    /// Reports the link's replay-log high-water mark (once, at teardown).
     fn emit_peak(&self, ctx: &LinkCtx<'_>) {
         let peer = self.peer;
         let frames = self.peak as u64;
@@ -861,14 +762,291 @@ struct GatewayFront {
     owner: BTreeMap<u64, u64>,
 }
 
+impl GatewayFront {
+    fn new(listener: TcpListener, pipe: GatewayPipe) -> Self {
+        GatewayFront {
+            listener,
+            listener_ready: true,
+            pipe,
+            conns: Vec::new(),
+            next_conn_id: 0,
+            owner: BTreeMap::new(),
+        }
+    }
+
+    /// Accepts new clients and reads every connection: decoded
+    /// submissions go to the pipe's intake, and a full intake is refused
+    /// with a typed NACK (queued here, written by [`reply`](Self::reply)).
+    /// A connection that fails, or sends anything but a well-formed
+    /// `Submit` — a confused or hostile peer — is closed. Returns whether
+    /// the intake took a submission.
+    fn read(&mut self, io: &mut ReactorStats, obs: &Obs, clock: Clock, me: NodeId) -> bool {
+        if self.listener_ready {
+            self.listener_ready = false;
+            while let Ok((stream, _)) = self.listener.accept() {
+                if let Ok(conn) = BufConn::new(stream) {
+                    self.conns.push((self.next_conn_id, conn));
+                    self.next_conn_id += 1;
+                }
+            }
+        }
+        let mut admitted = false;
+        let before = self.conns.len();
+        let (pipe, owner) = (&self.pipe, &mut self.owner);
+        self.conns.retain_mut(|(conn_id, conn)| {
+            if conn.fill_ready(io) == FillEnd::Error {
+                return false;
+            }
+            loop {
+                match conn.next_frame(io) {
+                    Ok(Some(frame)) => {
+                        if frame.kind != FrameKind::Submit {
+                            return false;
+                        }
+                        let Ok((client, tx)) = parse_submit(frame.payload) else { return false };
+                        let seq = frame.seq;
+                        owner.insert(client, *conn_id);
+                        if pipe.push_intake(ClientSubmit { client, seq, tx }) {
+                            admitted = true;
+                            continue;
+                        }
+                        // Intake full: external load must never grow node
+                        // memory without bound.
+                        let pending = pipe.intake_len() as u64;
+                        let reason =
+                            NackReason::Backpressure { pending, capacity: INTAKE_CAP as u64 };
+                        let body = submit_nack_payload(client, &reason);
+                        let _ = conn.queue_frame(io, FrameKind::SubmitNack, seq, 0, &body);
+                        let label = reason.label();
+                        obs.emit_at(clock.now_us(), me, || ObsEvent::GatewayNacked {
+                            client,
+                            seq,
+                            reason: label,
+                        });
+                    }
+                    Ok(None) => break,
+                    Err(_) => return false,
+                }
+            }
+            conn.compact_in();
+            true
+        });
+        if self.conns.len() < before {
+            self.forget_closed();
+        }
+        admitted
+    }
+
+    /// Queues every completion notice on the submitting client's most
+    /// recent connection (notices for vanished clients are dropped: the
+    /// client re-learns its state by resubmitting), then flushes each
+    /// connection once — a pass's replies in one write — and closes the
+    /// ones whose write failed or whose client hung up.
+    fn reply(&mut self, io: &mut ReactorStats) {
+        for notice in self.pipe.drain_notices() {
+            let (client, kind, seq, body) = match notice {
+                GatewayNotice::Committed { client, seq } => {
+                    (client, FrameKind::SubmitOk, seq, submit_ok_payload(client))
+                }
+                GatewayNotice::Rejected { client, seq, reason } => {
+                    (client, FrameKind::SubmitNack, seq, submit_nack_payload(client, &reason))
+                }
+            };
+            let Some(conn_id) = self.owner.get(&client).copied() else { continue };
+            if let Some((_, conn)) = self.conns.iter_mut().find(|(id, _)| *id == conn_id) {
+                let _ = conn.queue_frame(io, kind, seq, 0, &body);
+            }
+        }
+        let before = self.conns.len();
+        self.conns.retain_mut(|(_, conn)| conn.flush(io) && !conn.peer_eof);
+        if self.conns.len() < before {
+            self.forget_closed();
+        }
+    }
+
+    /// Drops the routing entries of closed connections.
+    fn forget_closed(&mut self) {
+        let conns = &self.conns;
+        self.owner.retain(|_, conn_id| conns.iter().any(|(id, _)| id == conn_id));
+    }
+}
+
+// ---- the node's process ---------------------------------------------------
+
+/// The node's sans-io process and what its steps touch besides the
+/// links: the local delivery queue, the shared output map and the
+/// crash/restart schedule.
+struct Host<M, O> {
+    me: NodeId,
+    proc_: BoxedProcess<M, O>,
+    /// The process emitted `Halt`.
+    halted: bool,
+    /// The host is down: between a scheduled crash and its restart.
+    crashed: bool,
+    restart: Option<RestartSpec<M, O>>,
+    /// Self-addressed messages, stepped before the pass moves on.
+    local: VecDeque<M>,
+    outputs: Arc<Mutex<BTreeMap<NodeId, O>>>,
+    obs: Obs,
+    clock: Clock,
+}
+
+impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O> {
+    fn dead(&self) -> bool {
+        self.crashed || self.halted || self.proc_.is_halted()
+    }
+
+    /// Refreshes the shared stamp before a protocol step, so events
+    /// emitted from inside the process (spans included) carry the time of
+    /// *this* step.
+    fn stamp(&self) {
+        self.obs.set_now(self.clock.now_us());
+    }
+
+    /// Runs `on_start` (at launch and after a restart).
+    fn start(&mut self, links: &mut [LinkState]) {
+        self.stamp();
+        let effects = self.proc_.on_start();
+        self.apply(effects, links);
+        self.drain_local(links);
+    }
+
+    /// Delivers one message from a peer — dropped while the node is dead,
+    /// as a dead host would — then the self-addressed ones it queues.
+    fn deliver(&mut self, from: NodeId, msg: &M, links: &mut [LinkState]) {
+        self.step_message(from, msg, links);
+        self.drain_local(links);
+    }
+
+    /// Out-of-band input is queued (gateway intake): gives the process a
+    /// turn even though no message arrived.
+    fn tick(&mut self, links: &mut [LinkState]) {
+        if self.dead() {
+            return;
+        }
+        self.stamp();
+        let effects = self.proc_.on_tick();
+        self.apply(effects, links);
+        self.drain_local(links);
+    }
+
+    fn step_message(&mut self, from: NodeId, msg: &M, links: &mut [LinkState]) {
+        self.stamp();
+        let me = self.me;
+        if self.dead() {
+            self.obs.emit(me, || ObsEvent::MessageDropped { from });
+            return;
+        }
+        self.obs.emit(me, || ObsEvent::MessageDelivered { from, kind: "net" });
+        let effects = self.proc_.on_message(from, msg);
+        self.apply(effects, links);
+    }
+
+    fn drain_local(&mut self, links: &mut [LinkState]) {
+        while let Some(msg) = self.local.pop_front() {
+            self.step_message(self.me, &msg, links);
+        }
+    }
+
+    /// Fires the scheduled crash and restart once their deadlines pass,
+    /// and otherwise lowers the pass's poll deadline to the next one. A
+    /// crashed host drops every delivery; the restart builds a fresh
+    /// process, clears the node's output (the replacement must re-earn
+    /// it) and runs `on_start`.
+    fn step_restart(&mut self, now_ms: u64, deadline: &mut u64, links: &mut [LinkState]) {
+        let Some(spec) = self.restart.as_ref() else { return };
+        let (crash_at, restart_at) = (spec.crash_at_ms, spec.restart_at_ms);
+        if !self.crashed && now_ms >= crash_at {
+            self.crashed = true;
+            self.stamp();
+            self.obs.emit(self.me, || ObsEvent::NodeHalted);
+        }
+        if !self.crashed {
+            *deadline = (*deadline).min(crash_at);
+        } else if now_ms < restart_at {
+            *deadline = (*deadline).min(restart_at);
+        } else if let Some(spec) = self.restart.take() {
+            self.proc_ = (spec.factory)();
+            self.crashed = false;
+            self.halted = false;
+            locked(&self.outputs).remove(&self.me);
+            self.start(links);
+        }
+    }
+
+    /// Carries out one step's effects: frames go onto their links' replay
+    /// logs, self-addressed messages onto the local queue.
+    fn apply(&mut self, effects: Vec<Effect<M, O>>, links: &mut [LinkState]) {
+        let me = self.me;
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg } => {
+                    let body = msg.to_bytes();
+                    if oversize(me, &body, &self.obs) {
+                        continue;
+                    }
+                    let bytes = (body.len() + FRAME_OVERHEAD) as u64;
+                    self.obs.emit(me, || ObsEvent::MessageSent { to, kind: "net", bytes });
+                    if to == me {
+                        // Self-delivery short-circuits in-process (the
+                        // encoded size is still reported for parity).
+                        self.local.push_back(msg);
+                    } else if let Some(link) = links.iter_mut().find(|l| l.peer == to) {
+                        link.push((Arc::new(body), msg.trace_hint()));
+                    }
+                }
+                Effect::Broadcast { msg } => {
+                    // Encode once: every remote link's log entry shares one
+                    // body allocation.
+                    let body = Arc::new(msg.to_bytes());
+                    if oversize(me, &body, &self.obs) {
+                        continue;
+                    }
+                    let trace = msg.trace_hint();
+                    let bytes = (body.len() + FRAME_OVERHEAD) as u64;
+                    // `links` holds every peer but `me`.
+                    for to in NodeId::all(links.len() + 1) {
+                        self.obs.emit(me, || ObsEvent::MessageSent { to, kind: "net", bytes });
+                    }
+                    for link in links.iter_mut() {
+                        link.push((Arc::clone(&body), trace));
+                    }
+                    self.local.push_back(msg);
+                }
+                Effect::Output(o) => {
+                    locked(&self.outputs).entry(me).or_insert(o);
+                }
+                Effect::Halt => {
+                    if !self.halted {
+                        self.halted = true;
+                        self.obs.emit(me, || ObsEvent::NodeHalted);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Rejects bodies that cannot be framed ([`crate::frame::MAX_PAYLOAD`])
+/// at the send boundary, before they are assigned a sequence number.
+/// Letting one into a link's replay log would wedge the link: the frame can
+/// never be transmitted, and skipping it would leave a permanent
+/// sequence gap on replay.
+fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
+    if body.len() > crate::frame::MAX_PAYLOAD as usize {
+        let len = body.len() as u64;
+        obs.emit(me, || ObsEvent::PayloadRejected { len });
+        return true;
+    }
+    false
+}
+
 // ---- the per-node reactor -------------------------------------------------
 
 /// What one poll-set entry maps back to, so `revents` can be routed to
 /// the owning connection's readiness flag after `poll` returns.
 #[derive(Clone, Copy, Debug)]
 enum PollTarget {
-    /// The wake channel's read end.
-    Wake,
     /// The peer listener.
     Listener,
     /// `inbound[i]`.
@@ -881,8 +1059,8 @@ enum PollTarget {
     GwConn(usize),
 }
 
-/// Everything one node's reactor thread owns. `run` is the poll loop.
-struct NodeReactor<M> {
+/// Everything one node's thread owns. `run` is the poll loop.
+struct NodeReactor<M, O> {
     me: NodeId,
     n: usize,
     clock: Clock,
@@ -891,22 +1069,19 @@ struct NodeReactor<M> {
     backoff: BackoffPolicy,
     shutdown: Arc<AtomicBool>,
     addr_table: Arc<Mutex<Vec<SocketAddr>>>,
-    inbox: Sender<Ctrl<M>>,
+    host: Host<M, O>,
     listener: Option<TcpListener>,
     /// The last poll flagged the peer listener readable.
     listener_ready: bool,
     bounce: Option<ListenerBounce>,
     rebind_at_ms: Option<u64>,
-    /// This node's wake channel (see [`WakeShared`] for the protocol).
-    waker: ReactorWaker,
-    /// The last poll flagged the wake channel readable.
-    wake_ready: bool,
     /// Syscall and frame counts, reported once at exit.
     io: ReactorStats,
     /// The poll set and its routing table, kept across passes so a pass
     /// does not allocate them.
     fds: Vec<poll::PollFd>,
     targets: Vec<PollTarget>,
+    /// One per peer, in id order (`me` has none).
     links: Vec<LinkState>,
     inbound: Vec<InConn>,
     /// Per-peer next-expected seq; survives connection churn so replays
@@ -916,7 +1091,7 @@ struct NodeReactor<M> {
     gateway: Option<GatewayFront>,
 }
 
-impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
+impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReactor<M, O> {
     fn link_ctx(&self) -> LinkCtx<'_> {
         LinkCtx {
             me: self.me,
@@ -929,24 +1104,18 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
         }
     }
 
-    /// The node's whole I/O, one nonblocking pass per iteration, parked
-    /// in `poll` between passes.
+    /// The whole node, one nonblocking pass per iteration (in the order
+    /// the module docs give), parked in `poll` between passes.
     fn run(mut self) {
-        loop {
-            // Arm → drain → poll: empty the wake channel, re-arm its
-            // flag, and only then look at what other threads left for
-            // this one — the shutdown flag first, the actor's queues in
-            // the pumps below.
-            self.drain_wake();
-            self.waker.arm();
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
+        self.host.start(&mut self.links);
+        while !self.shutdown.load(Ordering::Relaxed) {
             let now_ms = self.clock.now_ms();
             let mut deadline = now_ms + POLL_CAP_MS;
+            self.host.step_restart(now_ms, &mut deadline, &mut self.links);
             self.step_bounce(now_ms, &mut deadline);
             self.accept_peers(now_ms);
             self.pump_inbound(now_ms);
+            self.pump_gateway();
             {
                 let ctx = LinkCtx {
                     me: self.me,
@@ -961,18 +1130,13 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
                     link.pump(&ctx, &mut self.io, now_ms, &mut deadline);
                 }
             }
-            self.pump_gateway();
             self.sleep(deadline);
         }
-        // Report the replay-log peaks the finished-link path did not get
-        // to: every link reports one at exit.
         let ctx = self.link_ctx();
         for link in &self.links {
-            if !link.finished {
-                link.emit_peak(&ctx);
-            }
+            link.emit_peak(&ctx);
         }
-        let stats = ReactorStats { wakes_skipped: self.waker.skipped(), ..self.io };
+        let stats = self.io;
         self.obs.emit_at(self.clock.now_us(), self.me, || ObsEvent::ReactorStats(stats));
     }
 
@@ -1030,27 +1194,6 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
         }
     }
 
-    /// Empties the wake channel (the bytes are meaningless; arrival was
-    /// the message). Skipped when the last poll saw it silent. One read
-    /// is enough: at most one byte is written per pass.
-    fn drain_wake(&mut self) {
-        if !self.wake_ready {
-            return;
-        }
-        self.wake_ready = false;
-        let Some(sock) = self.waker.rx() else { return };
-        let mut wakes = 0;
-        let end = read_until_short(sock, &mut [0u8; 256], &mut self.io, |bytes| {
-            wakes += bytes.len() as u64;
-        });
-        self.io.wakes_written += wakes;
-        if end != FillEnd::Open {
-            // Stop polling (and arming) a broken channel; wakers then
-            // never write, and the poll cap bounds the latency.
-            self.waker = ReactorWaker::disconnected();
-        }
-    }
-
     /// Pumps every inbound peer connection, closing the dead ones.
     fn pump_inbound(&mut self, now_ms: u64) {
         let mut i = 0;
@@ -1066,105 +1209,111 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
     /// One pass over inbound connection `i`; `true` means close it.
     fn pump_one_inbound(&mut self, i: usize, now_ms: u64) -> bool {
         let Some(c) = self.inbound.get_mut(i) else { return false };
-        let end = c.conn.fill_ready(&mut self.io);
-        loop {
-            match c.conn.next_frame(&mut self.io) {
-                Ok(Some(frame)) => match c.phase {
-                    InPhase::AwaitHello { .. } => {
-                        // Handshake failures are silent on the accepter
-                        // side; they surface as backoff on the dialer.
-                        if frame.kind != FrameKind::Hello {
-                            return true;
-                        }
-                        let Ok((peer, nonce_peer)) = parse_hello(frame.payload, self.me, self.n)
-                        else {
-                            return true;
-                        };
-                        let nonce_me = next_nonce();
-                        let body = challenge_payload(self.secret, self.me, nonce_me, nonce_peer);
-                        let _ = c.conn.queue_frame(&mut self.io, FrameKind::Challenge, 0, 0, &body);
-                        c.phase = InPhase::AwaitAuth { peer, nonce_me, since_ms: now_ms };
-                    }
-                    InPhase::AwaitAuth { peer, nonce_me, .. } => {
-                        if frame.kind != FrameKind::Auth {
-                            return true;
-                        }
-                        if parse_auth(frame.payload, self.secret, peer, nonce_me).is_err() {
-                            return true;
-                        }
-                        // First-ever connection from this peer ⇒
-                        // PeerConnected; later accepts are reconnects,
-                        // reported by the dialer with its attempt count.
-                        if !self.expected.contains_key(&peer.index()) {
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::PeerConnected { peer }
-                            });
-                        }
-                        c.phase = InPhase::Up { peer };
-                    }
-                    InPhase::Up { peer } => {
-                        if frame.kind != FrameKind::Msg {
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::FrameDecodeError { reason: "unexpected_kind" }
-                            });
-                            return true;
-                        }
-                        let seq = frame.seq;
-                        let next = self.expected.entry(peer.index()).or_insert(1);
-                        if seq < *next {
-                            // Duplicate (chaos) or replayed after
-                            // reconnect.
-                            continue;
-                        }
-                        if seq > *next {
-                            // Contiguity violation: drop the connection;
-                            // the dialer reconnects and replays.
-                            let expected = *next;
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::FrameSequenceGap { from: peer, expected, got: seq }
-                            });
-                            return true;
-                        }
-                        *next += 1;
-                        // The message is decoded out of the input buffer
-                        // before the ack below takes the connection's
-                        // other half.
-                        let msg = M::from_bytes(frame.payload);
-                        // Cumulative ack on the same connection so the
-                        // dialer can trim its replay log.
-                        if seq % ACK_EVERY == 0 {
-                            let _ = c.conn.queue_frame(&mut self.io, FrameKind::Ack, seq, 0, &[]);
-                        }
-                        match msg {
-                            Ok(msg) => {
-                                let env = Envelope::new(peer, self.me, msg);
-                                if self.inbox.send(Ctrl::Deliver(env)).is_err() {
-                                    return true;
-                                }
+        // Frames are stepped a read chunk at a time, so the input buffer
+        // holds one chunk and a partial frame, not all the socket had.
+        let end = loop {
+            let (end, more) = c.conn.read_ready(&mut self.io);
+            loop {
+                match c.conn.next_frame(&mut self.io) {
+                    Ok(Some(frame)) => match c.phase {
+                        InPhase::AwaitHello { .. } => {
+                            // Handshake failures are silent on the accepter
+                            // side; they surface as backoff on the dialer.
+                            if frame.kind != FrameKind::Hello {
+                                return true;
                             }
-                            Err(err) => {
-                                let reason = err.label();
+                            let Ok((peer, nonce_peer)) =
+                                parse_hello(frame.payload, self.me, self.n)
+                            else {
+                                return true;
+                            };
+                            let nonce_me = next_nonce();
+                            let body =
+                                challenge_payload(self.secret, self.me, nonce_me, nonce_peer);
+                            let _ =
+                                c.conn.queue_frame(&mut self.io, FrameKind::Challenge, 0, 0, &body);
+                            c.phase = InPhase::AwaitAuth { peer, nonce_me, since_ms: now_ms };
+                        }
+                        InPhase::AwaitAuth { peer, nonce_me, .. } => {
+                            if frame.kind != FrameKind::Auth {
+                                return true;
+                            }
+                            if parse_auth(frame.payload, self.secret, peer, nonce_me).is_err() {
+                                return true;
+                            }
+                            // First-ever connection from this peer ⇒
+                            // PeerConnected; later accepts are reconnects,
+                            // reported by the dialer with its attempt count.
+                            if !self.expected.contains_key(&peer.index()) {
                                 self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::FrameDecodeError { reason }
+                                    ObsEvent::PeerConnected { peer }
+                                });
+                            }
+                            c.phase = InPhase::Up { peer };
+                        }
+                        InPhase::Up { peer } => {
+                            if frame.kind != FrameKind::Msg {
+                                self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                    ObsEvent::FrameDecodeError { reason: "unexpected_kind" }
                                 });
                                 return true;
                             }
+                            let seq = frame.seq;
+                            let next = self.expected.entry(peer.index()).or_insert(1);
+                            if seq < *next {
+                                // Duplicate (chaos) or replayed after
+                                // reconnect.
+                                continue;
+                            }
+                            if seq > *next {
+                                // Contiguity violation: drop the connection;
+                                // the dialer reconnects and replays.
+                                let expected = *next;
+                                self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                    ObsEvent::FrameSequenceGap { from: peer, expected, got: seq }
+                                });
+                                return true;
+                            }
+                            *next += 1;
+                            // The message is decoded out of the input buffer
+                            // before the ack below takes the connection's
+                            // other half.
+                            let msg = M::from_bytes(frame.payload);
+                            // Cumulative ack on the same connection so the
+                            // dialer can trim its replay log.
+                            if seq % ACK_EVERY == 0 {
+                                let _ =
+                                    c.conn.queue_frame(&mut self.io, FrameKind::Ack, seq, 0, &[]);
+                            }
+                            match msg {
+                                Ok(msg) => self.host.deliver(peer, &msg, &mut self.links),
+                                Err(err) => {
+                                    let reason = err.label();
+                                    self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                        ObsEvent::FrameDecodeError { reason }
+                                    });
+                                    return true;
+                                }
+                            }
                         }
+                    },
+                    Ok(None) => break,
+                    Err(err) => {
+                        if matches!(c.phase, InPhase::Up { .. }) {
+                            let reason = err.label();
+                            self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                ObsEvent::FrameDecodeError { reason }
+                            });
+                        }
+                        return true;
                     }
-                },
-                Ok(None) => break,
-                Err(err) => {
-                    if matches!(c.phase, InPhase::Up { .. }) {
-                        let reason = err.label();
-                        self.obs.emit_at(self.clock.now_us(), self.me, || {
-                            ObsEvent::FrameDecodeError { reason }
-                        });
-                    }
-                    return true;
                 }
             }
-        }
-        c.conn.compact_in();
+            c.conn.compact_in();
+            if !more {
+                break end;
+            }
+        };
         // Ack write failures are tolerated: link death surfaces on the
         // read side.
         let _ = c.conn.flush(&mut self.io);
@@ -1199,123 +1348,20 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
         }
     }
 
-    /// Pumps the client gateway: accept, queue completion notices on
-    /// the owning connections, decode submissions into the pipe's intake
-    /// (refusing with a typed NACK when it is full), flush each
-    /// connection once, and nudge the actor once per pass with queued
-    /// work.
+    /// Pumps the client gateway: reads submissions into the intake, gives
+    /// the process one `on_tick` if any was admitted, then answers every
+    /// completion notice queued so far — this step's and the pass's
+    /// earlier ones.
     fn pump_gateway(&mut self) {
         let Some(gw) = self.gateway.as_mut() else { return };
-        if gw.listener_ready {
-            gw.listener_ready = false;
-            while let Ok((stream, _)) = gw.listener.accept() {
-                if let Ok(conn) = BufConn::new(stream) {
-                    gw.conns.push((gw.next_conn_id, conn));
-                    gw.next_conn_id += 1;
-                }
-            }
+        if gw.read(&mut self.io, &self.obs, self.clock, self.me) {
+            self.host.tick(&mut self.links);
         }
-        // Completion notices go back to the submitting client's most
-        // recent connection; notices for vanished clients are dropped
-        // (the client re-learns its state by resubmitting). They are
-        // only queued here: the connection loop below flushes a whole
-        // pass's replies with one write.
-        for notice in gw.pipe.drain_notices() {
-            let (client, kind, seq, body) = match notice {
-                GatewayNotice::Committed { client, seq } => {
-                    (client, FrameKind::SubmitOk, seq, submit_ok_payload(client))
-                }
-                GatewayNotice::Rejected { client, seq, reason } => {
-                    (client, FrameKind::SubmitNack, seq, submit_nack_payload(client, &reason))
-                }
-            };
-            let Some(conn_id) = gw.owner.get(&client).copied() else { continue };
-            if let Some((_, conn)) = gw.conns.iter_mut().find(|(id, _)| *id == conn_id) {
-                let _ = conn.queue_frame(&mut self.io, kind, seq, 0, &body);
-            }
-        }
-        let mut ticked = false;
-        let mut any_closed = false;
-        let mut i = 0;
-        while i < gw.conns.len() {
-            let mut closed = false;
-            if let Some((conn_id, conn)) = gw.conns.get_mut(i) {
-                let conn_id = *conn_id;
-                let end = conn.fill_ready(&mut self.io);
-                loop {
-                    match conn.next_frame(&mut self.io) {
-                        Ok(Some(frame)) => {
-                            // Clients speak Submit only; anything else
-                            // (or a malformed payload) is a confused or
-                            // hostile peer — drop the connection.
-                            if frame.kind != FrameKind::Submit {
-                                closed = true;
-                                break;
-                            }
-                            let Ok((client, tx)) = parse_submit(frame.payload) else {
-                                closed = true;
-                                break;
-                            };
-                            let seq = frame.seq;
-                            gw.owner.insert(client, conn_id);
-                            if gw.pipe.push_intake(ClientSubmit { client, seq, tx }) {
-                                ticked = true;
-                            } else {
-                                // Intake full: refuse straight from the
-                                // reactor — external load must never
-                                // grow node memory without bound.
-                                let pending = gw.pipe.intake_len() as u64;
-                                let reason = NackReason::Backpressure {
-                                    pending,
-                                    capacity: INTAKE_CAP as u64,
-                                };
-                                let body = submit_nack_payload(client, &reason);
-                                let _ = conn.queue_frame(
-                                    &mut self.io,
-                                    FrameKind::SubmitNack,
-                                    seq,
-                                    0,
-                                    &body,
-                                );
-                                let label = reason.label();
-                                self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::GatewayNacked { client, seq, reason: label }
-                                });
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                conn.compact_in();
-                if !closed && !conn.flush(&mut self.io) {
-                    closed = true;
-                }
-                if !closed && !matches!(end, FillEnd::Open) {
-                    closed = true;
-                }
-            }
-            if closed {
-                gw.conns.swap_remove(i);
-                any_closed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if any_closed {
-            let conns = &gw.conns;
-            gw.owner.retain(|_, conn_id| conns.iter().any(|(id, _)| id == conn_id));
-        }
-        if ticked {
-            let _ = self.inbox.send(Ctrl::Tick);
-        }
+        gw.reply(&mut self.io);
     }
 
-    /// Parks in `poll(2)` until the earliest deadline, a socket turns
-    /// ready, or the wake channel is written — then distributes the
+    /// Parks in `poll(2)` until the earliest deadline or a socket turns
+    /// ready — then distributes the
     /// returned `revents` as readiness flags, so the next pass issues
     /// read/accept syscalls only where poll saw something. A poll error
     /// degrades to flagging everything (one wasted `WouldBlock` per
@@ -1325,10 +1371,6 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
         let mut targets = std::mem::take(&mut self.targets);
         fds.clear();
         targets.clear();
-        if let Some(sock) = self.waker.rx() {
-            fds.push(poll::PollFd::new(sock.as_raw_fd(), poll::POLLIN));
-            targets.push(PollTarget::Wake);
-        }
         if let Some(listener) = &self.listener {
             fds.push(poll::PollFd::new(listener.as_raw_fd(), poll::POLLIN));
             targets.push(PollTarget::Listener);
@@ -1382,7 +1424,6 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
     /// between building the poll set and distributing its results.
     fn flag_ready(&mut self, target: PollTarget) {
         match target {
-            PollTarget::Wake => self.wake_ready = true,
             PollTarget::Listener => self.listener_ready = true,
             PollTarget::Inbound(i) => {
                 if let Some(c) = self.inbound.get_mut(i) {
@@ -1410,9 +1451,8 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
 
 // ---- the entry point ------------------------------------------------------
 
-/// Runs the cluster: one reactor and one actor thread per node, plus the
-/// calling thread as completion monitor (inboxes, monitor, teardown,
-/// report).
+/// Runs the cluster: one thread per node, plus the calling thread as
+/// completion monitor (monitor, teardown, report).
 pub(crate) fn run<M, O>(
     mut rt: NetRuntime<M, O>,
     bound: Vec<TcpListener>,
@@ -1426,33 +1466,8 @@ where
     let n = rt.n;
     let clock = Clock::new();
     let obs = rt.obs.clone();
-    let secret = rt.secret;
-    let backoff = rt.backoff;
     let timeout = rt.timeout;
     let addr_table = Arc::new(Mutex::new(addrs));
-
-    let (inbox_txs, inbox_rxs): InboxChannels<M> = (0..n).map(|_| mpsc::channel()).unzip();
-
-    // Per-link frame queues: senders fan out from each node's actor,
-    // receivers land in the owning node's reactor.
-    let mut link_txs: Vec<Vec<Option<Sender<FrameBody>>>> = Vec::with_capacity(n);
-    let mut link_rx_rows: Vec<Vec<(usize, Receiver<FrameBody>)>> = Vec::with_capacity(n);
-    for from in 0..n {
-        let mut tx_row = Vec::with_capacity(n);
-        let mut rx_row = Vec::new();
-        for to in 0..n {
-            if to == from {
-                tx_row.push(None);
-            } else {
-                let (tx, rx) = mpsc::channel();
-                tx_row.push(Some(tx));
-                rx_row.push((to, rx));
-            }
-        }
-        link_txs.push(tx_row);
-        link_rx_rows.push(rx_row);
-    }
-
     let outputs: Arc<Mutex<BTreeMap<NodeId, O>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let shutdown = Arc::new(AtomicBool::new(false));
     let ledger = PanicLedger::default();
@@ -1470,93 +1485,57 @@ where
         restart_specs.insert(spec.node.index(), spec);
     }
 
-    // One wake channel per node; failure degrades to capped poll sleeps.
-    let wakers: Vec<ReactorWaker> =
-        (0..n).map(|_| ReactorWaker::pair().unwrap_or_else(ReactorWaker::disconnected)).collect();
-
-    let mut fronts: Vec<Option<GatewayFront>> = Vec::with_capacity(n);
-    for (j, slot) in gateways.into_iter().enumerate() {
-        match slot {
-            Some((listener, pipe)) => {
-                pipe.set_waker(wakers.get(j).cloned().unwrap_or_else(ReactorWaker::disconnected));
-                fronts.push(Some(GatewayFront {
-                    listener,
-                    listener_ready: true,
-                    pipe,
-                    conns: Vec::new(),
-                    next_conn_id: 0,
-                    owner: BTreeMap::new(),
-                }));
-            }
-            None => fronts.push(None),
-        }
-    }
-
     let mut timed_out = false;
     std::thread::scope(|scope| {
-        // Reactor threads: one per node, owning every socket the node
-        // touches.
-        let per_node = bound.into_iter().zip(link_rx_rows).zip(&wakers).zip(fronts);
-        for (j, (((listener, rx_row), waker), front)) in per_node.enumerate() {
+        let procs = std::mem::take(&mut rt.procs);
+        for (j, ((slot, listener), front)) in procs.into_iter().zip(bound).zip(gateways).enumerate()
+        {
+            let Some((proc_, _)) = slot else { continue };
             let me = NodeId::new(j);
-            let links: Vec<LinkState> = rx_row
-                .into_iter()
-                .map(|(to, rx)| {
-                    let peer = NodeId::new(to);
-                    LinkState::new(me, peer, rx, rt.chaos.link(me, peer))
-                })
+            let links: Vec<LinkState> = NodeId::all(n)
+                .filter(|&peer| peer != me)
+                .map(|peer| LinkState::new(me, peer, rt.chaos.link(me, peer)))
                 .collect();
-            let Some(inbox) = inbox_txs.get(j).cloned() else { continue };
-            let node: NodeReactor<M> = NodeReactor {
+            let host = Host {
+                me,
+                proc_,
+                halted: false,
+                crashed: false,
+                restart: restart_specs.remove(&j),
+                local: VecDeque::new(),
+                outputs: Arc::clone(&outputs),
+                obs: obs.clone(),
+                clock,
+            };
+            let node: NodeReactor<M, O> = NodeReactor {
                 me,
                 n,
                 clock,
                 obs: obs.clone(),
-                secret,
-                backoff,
+                secret: rt.secret,
+                backoff: rt.backoff,
                 shutdown: Arc::clone(&shutdown),
                 addr_table: Arc::clone(&addr_table),
-                inbox,
+                host,
                 listener: Some(listener),
                 listener_ready: true,
                 bounce: rt.bounces.iter().copied().find(|b| b.node == me),
                 rebind_at_ms: None,
-                waker: waker.clone(),
-                wake_ready: true,
                 io: ReactorStats::default(),
                 fds: Vec::new(),
                 targets: Vec::new(),
                 links,
                 inbound: Vec::new(),
                 expected: BTreeMap::new(),
-                gateway: front,
+                gateway: front.map(|(listener, pipe)| GatewayFront::new(listener, pipe)),
             };
             let ledger = ledger.clone();
-            scope.spawn(move || supervised(&ledger, "reactor", || node.run()));
-        }
-
-        // Actor threads: the fan-out wakes this node's reactor after
-        // enqueueing frames.
-        for (idx, (slot, rx)) in rt.procs.iter_mut().zip(inbox_rxs).enumerate() {
-            let Some((mut proc_, _)) = slot.take() else { continue };
-            let Some(self_tx) = inbox_txs.get(idx).cloned() else { continue };
-            let links = LinkFanout {
-                txs: link_txs.get_mut(idx).map(std::mem::take).unwrap_or_default(),
-                waker: wakers.get(idx).cloned().unwrap_or_else(ReactorWaker::disconnected),
-            };
-            let outputs = Arc::clone(&outputs);
-            let obs = obs.clone();
-            let restart = restart_specs.remove(&idx);
-            let ledger = ledger.clone();
-            scope.spawn(move || {
-                supervised(&ledger, "actor", || {
-                    actor_loop(&mut proc_, rx, &self_tx, &links, &outputs, &obs, clock, restart);
-                });
-            });
+            scope.spawn(move || supervised(&ledger, "node", || node.run()));
         }
 
         // Completion monitor: poll until all correct nodes decided or
-        // the timeout fires, then tear everything down.
+        // the timeout fires, then tear everything down — every node sees
+        // the flag within one poll cap.
         loop {
             obs.set_now(clock.now_us());
             {
@@ -1572,14 +1551,6 @@ where
             sleep_ms(1);
         }
         shutdown.store(true, Ordering::Relaxed);
-        for tx in &inbox_txs {
-            let _ = tx.send(Ctrl::Stop);
-        }
-        // Wake every reactor so the ≤10ms poll sleeps cut short; no
-        // socket severing is needed — nothing blocks on I/O.
-        for waker in &wakers {
-            waker.wake();
-        }
     });
 
     let outputs = Arc::try_unwrap(outputs)
@@ -1597,35 +1568,6 @@ mod tests {
     fn readable_within(sock: &impl AsRawFd, timeout_ms: i32) -> bool {
         let mut fds = [poll::PollFd::new(sock.as_raw_fd(), poll::POLLIN)];
         poll::poll(&mut fds, timeout_ms).unwrap_or(0) == 1 && fds.iter().all(poll::PollFd::readable)
-    }
-
-    #[test]
-    fn wake_writes_only_when_the_flag_is_armed() {
-        let Some(waker) = ReactorWaker::pair() else {
-            return; // environment without socket pairs — nothing to test
-        };
-        let Some(rx) = waker.rx() else { return };
-        assert!(!readable_within(rx, 0), "fresh wake channel must be silent");
-        waker.wake();
-        assert!(!readable_within(rx, 0), "an unarmed flag must absorb the wake");
-        assert_eq!(waker.skipped(), 1);
-
-        waker.arm();
-        waker.wake();
-        waker.wake();
-        assert!(readable_within(rx, 1000), "an armed wake() must make the read end readable");
-        let mut buf = [0u8; 8];
-        assert_eq!((&*rx).read(&mut buf).ok(), Some(1), "one arming buys one byte");
-        assert_eq!(waker.skipped(), 2);
-    }
-
-    #[test]
-    fn disconnected_waker_is_inert() {
-        let waker = ReactorWaker::disconnected();
-        waker.arm();
-        waker.wake(); // must not panic
-        assert_eq!(waker.skipped(), 0);
-        assert_eq!(format!("{waker:?}"), "ReactorWaker(connected=false)");
     }
 
     fn conn_pair() -> Option<(BufConn, BufConn)> {
@@ -1661,7 +1603,7 @@ mod tests {
 
         let wire = encode_frame(FrameKind::Msg, 7, 0, b"hello reactor").unwrap_or_default();
         await_buffered(&b, wire.len());
-        assert_eq!(b.fill(&mut io), FillEnd::Open);
+        assert_eq!(b.read_chunk(&mut io), (FillEnd::Open, false));
         assert_eq!(b.inbuf, wire, "queue_frame puts encode_frame's bytes on the wire");
         let frame = b.next_frame(&mut io).ok().flatten().map(FrameRef::to_frame);
         assert_eq!(frame.map(|f| (f.seq, f.payload)), Some((7, b"hello reactor".to_vec())));
@@ -1670,8 +1612,8 @@ mod tests {
 
         drop(a);
         assert!(readable_within(&b.stream, 5000), "a FIN must flag the socket");
-        assert_eq!(b.fill(&mut io), FillEnd::Eof, "dropping the peer must surface as EOF");
-        assert_eq!(b.fill(&mut io), FillEnd::Eof, "EOF is sticky");
+        assert_eq!(b.read_chunk(&mut io), (FillEnd::Eof, false), "dropping the peer is EOF");
+        assert_eq!(b.read_chunk(&mut io), (FillEnd::Eof, false), "EOF is sticky");
         assert!(b.poll_fd().is_none(), "an EOF conn with nothing to write leaves the poll set");
     }
 

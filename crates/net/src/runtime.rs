@@ -1,12 +1,12 @@
 //! The TCP transport runtime: `bft-runtime`'s API over real sockets.
 //!
 //! [`NetRuntime`] runs the *unmodified* sans-io processes over loopback
-//! TCP — one actor thread per node plus one reactor thread
-//! ([`crate::reactor`]) owning every socket the node touches — and
-//! returns the same [`RuntimeReport`] the thread runtime produces: the
-//! third execution substrate next to `bft-sim` and `bft-runtime`. This
-//! module holds the builder, socket setup, the actor loop and the panic
-//! ledger; the reactor holds the I/O.
+//! TCP — one thread per node ([`crate::reactor`]), which owns every
+//! socket the node touches and steps the node's process as frames
+//! arrive — and returns the same [`RuntimeReport`] the thread runtime
+//! produces: the third execution substrate next to `bft-sim` and
+//! `bft-runtime`. This module holds the builder, socket setup and the
+//! panic ledger; the reactor holds the loop.
 //!
 //! # Link discipline
 //!
@@ -33,29 +33,26 @@
 //!
 //! # Shutdown
 //!
-//! Nothing blocks on I/O: every socket is nonblocking and each reactor
-//! parks in `poll(2)` for at most its poll cap. The supervisor flips a
-//! shutdown flag, sends one `Stop` per actor inbox and wakes every
-//! reactor; everything runs under `std::thread::scope`, so `run` returns
-//! only after every thread has exited.
+//! Nothing blocks on I/O: every socket is nonblocking and each node
+//! parks in `poll(2)` for at most its 10 ms poll cap. The supervisor
+//! flips a shutdown flag, which every node sees at the top of its next
+//! pass — within one poll cap, since nothing else wakes it; everything
+//! runs under `std::thread::scope`, so `run` returns only after every
+//! thread has exited.
 
 use crate::chaos::{ChaosConfig, XorShift};
-use crate::clock::{sleep_ms, Clock};
+use crate::clock::sleep_ms;
 use crate::codec::Codec;
-use crate::frame::FRAME_OVERHEAD;
 use crate::gateway::GatewayPipe;
 use crate::handshake::Secret;
-use crate::reactor::ReactorWaker;
 use bft_obs::{Event as ObsEvent, Obs};
 use bft_runtime::{BoxedProcess, RuntimeReport};
-use bft_types::{Effect, Envelope, NodeId};
-use std::collections::BTreeMap;
+use bft_types::NodeId;
 use std::fmt;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -115,38 +112,11 @@ pub(crate) fn supervised<F: FnOnce()>(ledger: &PanicLedger, context: &'static st
     }
 }
 
-/// Control messages on a node's actor inbox.
-pub(crate) enum Ctrl<M> {
-    /// Deliver one authenticated protocol message.
-    Deliver(Envelope<M>),
-    /// Out-of-band input is queued (gateway intake): run `on_tick`.
-    Tick,
-    /// Tear the actor down.
-    Stop,
-}
-
-/// An encoded frame body (shared between the links of one broadcast)
-/// plus the causal-trace hint stamped into its frame header.
-pub(crate) type FrameBody = (Arc<Vec<u8>>, u64);
-
-/// A node's outbound fan-out: one frame queue per directed link, plus
-/// the waker that nudges the node's poll loop after frames are enqueued.
-pub(crate) struct LinkFanout {
-    /// `txs[i]` feeds the link to node `i`; `None` on the self slot.
-    pub(crate) txs: Vec<Option<Sender<FrameBody>>>,
-    /// The owning node's reactor waker ([`ReactorWaker::disconnected`]
-    /// when the wake channel could not be set up).
-    pub(crate) waker: ReactorWaker,
-}
-
-/// The paired send/receive halves of every node's actor inbox.
-pub(crate) type InboxChannels<M> = (Vec<Sender<Ctrl<M>>>, Vec<Receiver<Ctrl<M>>>);
-
 /// Builds the replacement process for a scheduled node restart.
 pub type RestartFactory<M, O> = Box<dyn FnOnce() -> BoxedProcess<M, O> + Send>;
 
 /// A scheduled crash-and-restart of one node: at `crash_at_ms` the
-/// node's actor drops its process state and discards deliveries (the
+/// node drops its process state and discards deliveries (the
 /// host is dead; its TCP links stay up, which loopback cannot avoid
 /// without severing the whole cluster); at `restart_at_ms` the factory
 /// builds a replacement that starts from scratch and must recover
@@ -204,8 +174,8 @@ pub struct ListenerBounce {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetDriver {
     /// The event-driven engine ([`crate::reactor`]): one `poll(2)` loop
-    /// per node owning every socket the node touches, so the thread
-    /// count per node is a small constant regardless of `n`.
+    /// per node owning every socket the node touches and stepping its
+    /// process, so each node is one thread regardless of `n`.
     #[default]
     Reactor,
 }
@@ -539,221 +509,10 @@ pub(crate) const RETRANSMIT_RTO_MS: u64 = 2;
 /// sent anyway (mirroring a real link-layer giving way to delivery).
 pub(crate) const MAX_RETRANSMIT: u32 = 64;
 
-/// How many queued controls an actor handles before it wakes its reactor
-/// and looks at the crash/restart deadlines again. Frames queued during
-/// a burst reach a *parked* reactor together, so one pass and one write
-/// per link carry them; a running reactor picks them up regardless.
-const ACTOR_BURST: usize = 64;
-
-/// The body of one actor thread (mirrors `bft-runtime`'s actor loop;
-/// the only difference is where effects go — the net fan-out).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn actor_loop<M, O>(
-    proc_: &mut BoxedProcess<M, O>,
-    rx: Receiver<Ctrl<M>>,
-    self_tx: &Sender<Ctrl<M>>,
-    links: &LinkFanout,
-    outputs: &Mutex<BTreeMap<NodeId, O>>,
-    obs: &Obs,
-    clock: Clock,
-    mut restart: Option<RestartSpec<M, O>>,
-) where
-    M: Codec + Clone + fmt::Debug + Send + Sync + 'static,
-    O: Clone + fmt::Debug + PartialEq + Send + 'static,
-{
-    let me = proc_.id();
-    let mut halted = false;
-    let mut crashed = false;
-    // Refresh the shared stamp before every protocol step so events
-    // emitted from inside the process (spans included) carry the time
-    // of *this* step, not whatever the monitor loop last wrote.
-    obs.set_now(clock.now_us());
-    let effects = proc_.on_start();
-    if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
-        links.waker.wake();
-    }
-
-    // One loop until Stop: live deliveries are processed, post-halt and
-    // post-crash deliveries are drained and dropped (same discipline as
-    // bft-runtime), and a scheduled crash/restart fires by deadline.
-    loop {
-        if let Some(spec) = restart.as_ref() {
-            let now = clock.now_ms();
-            if !crashed && now >= spec.crash_at_ms {
-                // The host dies: from here every delivery is dropped and
-                // the process state is as good as gone.
-                crashed = true;
-                obs.set_now(clock.now_us());
-                obs.emit(me, || ObsEvent::NodeHalted);
-            }
-            if crashed && now >= spec.restart_at_ms {
-                if let Some(spec) = restart.take() {
-                    *proc_ = (spec.factory)();
-                    crashed = false;
-                    halted = false;
-                    // Any pre-crash output no longer reflects this
-                    // node's state; the replacement must re-earn it.
-                    locked(outputs).remove(&me);
-                    obs.set_now(clock.now_us());
-                    let effects = proc_.on_start();
-                    if apply(me, effects, self_tx, links, outputs, &mut halted, obs) {
-                        links.waker.wake();
-                    }
-                }
-            }
-        }
-        let first = if let Some(spec) = restart.as_ref() {
-            // A crash or restart deadline is pending: wake for it even
-            // if no delivery arrives.
-            let deadline = if crashed { spec.restart_at_ms } else { spec.crash_at_ms };
-            let wait = deadline.saturating_sub(clock.now_ms()).clamp(1, 50);
-            match rx.recv_timeout(Duration::from_millis(wait)) {
-                Ok(c) => c,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Ok(c) => c,
-                Err(_) => break,
-            }
-        };
-        // One burst: the control that ended the wait plus whatever else
-        // is already queued, each handled exactly as if it had been
-        // waited for, then a single wake-up for all the frames queued.
-        let mut queued = false;
-        let mut stop = false;
-        let mut next = Some(first);
-        let mut taken = 0;
-        while let Some(ctrl) = next {
-            obs.set_now(clock.now_us());
-            let dead = crashed || halted || proc_.is_halted();
-            let effects = match ctrl {
-                Ctrl::Deliver(env) if dead => {
-                    obs.emit(me, || ObsEvent::MessageDropped { from: env.from });
-                    Vec::new()
-                }
-                Ctrl::Deliver(env) => {
-                    obs.emit(me, || ObsEvent::MessageDelivered { from: env.from, kind: "net" });
-                    proc_.on_message(env.from, &env.msg)
-                }
-                // Out-of-band input is queued (gateway intake): give the
-                // process a turn even though no message arrived.
-                Ctrl::Tick if dead => Vec::new(),
-                Ctrl::Tick => proc_.on_tick(),
-                Ctrl::Stop => {
-                    stop = true;
-                    break;
-                }
-            };
-            queued |= apply(me, effects, self_tx, links, outputs, &mut halted, obs);
-            taken += 1;
-            next = if taken < ACTOR_BURST { rx.try_recv().ok() } else { None };
-        }
-        if queued {
-            links.waker.wake();
-        }
-        if stop {
-            break;
-        }
-    }
-}
-
-/// Rejects bodies that cannot be framed ([`crate::frame::MAX_PAYLOAD`])
-/// at the send boundary, before they are assigned a sequence number.
-/// Letting one into a link's replay log would wedge the link: the frame can
-/// never be transmitted, and skipping it would leave a permanent
-/// sequence gap on replay.
-fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
-    if body.len() > crate::frame::MAX_PAYLOAD as usize {
-        let len = body.len() as u64;
-        obs.emit(me, || ObsEvent::PayloadRejected { len });
-        return true;
-    }
-    false
-}
-
-/// Carries out one step's effects. Returns whether a frame was queued
-/// on a link — the node's poll loop may be parked, so the caller owes
-/// it one [`ReactorWaker::wake`] per burst.
-fn apply<M, O>(
-    me: NodeId,
-    effects: Vec<Effect<M, O>>,
-    self_tx: &Sender<Ctrl<M>>,
-    links: &LinkFanout,
-    outputs: &Mutex<BTreeMap<NodeId, O>>,
-    halted: &mut bool,
-    obs: &Obs,
-) -> bool
-where
-    M: Codec + Clone,
-{
-    let mut queued = false;
-    for effect in effects {
-        match effect {
-            Effect::Send { to, msg } => {
-                let body = msg.to_bytes();
-                if oversize(me, &body, obs) {
-                    continue;
-                }
-                let trace = msg.trace_hint();
-                let bytes = (body.len() + FRAME_OVERHEAD) as u64;
-                obs.emit(me, || ObsEvent::MessageSent { to, kind: "net", bytes });
-                match links.txs.get(to.index()).and_then(Option::as_ref) {
-                    Some(tx) => {
-                        let _ = tx.send((Arc::new(body), trace));
-                        queued = true;
-                    }
-                    None if to == me => {
-                        // Self-delivery short-circuits in-process (the
-                        // encoded size is still reported for parity).
-                        let _ = self_tx.send(Ctrl::Deliver(Envelope::new(me, me, msg)));
-                    }
-                    None => {}
-                }
-            }
-            Effect::Broadcast { msg } => {
-                // Encode once: every remote link's log entry shares one
-                // body allocation.
-                let body = Arc::new(msg.to_bytes());
-                if oversize(me, &body, obs) {
-                    continue;
-                }
-                let trace = msg.trace_hint();
-                let bytes = (body.len() + FRAME_OVERHEAD) as u64;
-                for (i, link) in links.txs.iter().enumerate() {
-                    let to = NodeId::new(i);
-                    obs.emit(me, || ObsEvent::MessageSent { to, kind: "net", bytes });
-                    match link {
-                        Some(tx) => {
-                            let _ = tx.send((Arc::clone(&body), trace));
-                            queued = true;
-                        }
-                        None => {
-                            let env = Envelope::new(me, to, msg.clone());
-                            let _ = self_tx.send(Ctrl::Deliver(env));
-                        }
-                    }
-                }
-            }
-            Effect::Output(o) => {
-                locked(outputs).entry(me).or_insert(o);
-            }
-            Effect::Halt => {
-                if !*halted {
-                    *halted = true;
-                    obs.emit(me, || ObsEvent::NodeHalted);
-                }
-            }
-        }
-    }
-    queued
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_types::Process;
+    use bft_types::{Effect, Process};
 
     struct Echo {
         id: NodeId,

@@ -33,19 +33,15 @@ impl fmt::Display for RbcPhase {
     }
 }
 
-/// Syscall and frame counts of a reactor thread (`bft-net`): plain
+/// Syscall and frame counts of a node's reactor (`bft-net`): plain
 /// integers bumped where the work happens. Ratios of these say what a
-/// frame costs below the protocol — frames per write, wake-ups per
-/// frame, the share of reads that found nothing.
+/// frame costs below the protocol — frames per write, the share of reads
+/// that found nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// `poll(2)` calls (one per reactor pass).
     pub polls: u64,
-    /// Wake-up bytes the actor side wrote to rouse the reactor.
-    pub wakes_written: u64,
-    /// Wake-up requests absorbed by the armed flag (no syscall).
-    pub wakes_skipped: u64,
-    /// `read(2)` calls, the wake channel's included.
+    /// `read(2)` calls.
     pub reads: u64,
     /// Reads that returned `WouldBlock`.
     pub reads_blocked: u64,
@@ -61,8 +57,6 @@ impl ReactorStats {
     /// Adds another reactor's counts to these.
     pub fn add(&mut self, other: &ReactorStats) {
         self.polls += other.polls;
-        self.wakes_written += other.wakes_written;
-        self.wakes_skipped += other.wakes_skipped;
         self.reads += other.reads;
         self.reads_blocked += other.reads_blocked;
         self.writes += other.writes;
@@ -78,20 +72,10 @@ impl ReactorStats {
         self.frames_out as f64 / self.writes as f64
     }
 
-    /// Wake-up writes per thousand frames sent (0 before any frame).
-    pub fn wakes_per_kframe(&self) -> f64 {
-        if self.frames_out == 0 {
-            return 0.0;
-        }
-        self.wakes_written as f64 * 1000.0 / self.frames_out as f64
-    }
-
     /// The counts as named JSON fields (event line and metrics report).
-    pub(crate) fn json_fields(&self) -> [(&'static str, JsonValue); 8] {
+    pub(crate) fn json_fields(&self) -> [(&'static str, JsonValue); 6] {
         [
             ("polls", JsonValue::U64(self.polls)),
-            ("wakes_written", JsonValue::U64(self.wakes_written)),
-            ("wakes_skipped", JsonValue::U64(self.wakes_skipped)),
             ("reads", JsonValue::U64(self.reads)),
             ("reads_blocked", JsonValue::U64(self.reads_blocked)),
             ("writes", JsonValue::U64(self.writes)),
@@ -217,7 +201,7 @@ pub enum Event {
         /// Peak number of frames held in the log.
         frames: u64,
     },
-    /// What one node's reactor thread did over the whole run, emitted
+    /// What one node's reactor did over the whole run, emitted
     /// once at exit next to its `LinkLogPeak`s.
     ReactorStats(ReactorStats),
     /// A transport worker thread panicked and poisoned shared runtime

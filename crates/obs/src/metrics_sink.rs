@@ -489,7 +489,6 @@ impl MetricsSink {
         let mut reactor: Vec<(String, JsonValue)> =
             self.reactor.json_fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         reactor.push(("frames_per_write".into(), JsonValue::F64(self.reactor.frames_per_write())));
-        reactor.push(("wakes_per_kframe".into(), JsonValue::F64(self.reactor.wakes_per_kframe())));
         obj.push((
             "transport".into(),
             JsonValue::Obj(vec![

@@ -35,6 +35,7 @@
 use crate::json::JsonValue;
 use crate::{Event, Obs, Sink};
 use bft_stats::{Histogram, Samples};
+use bft_types::hash::Fnv64;
 use bft_types::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -154,20 +155,14 @@ impl fmt::Display for TracePhase {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a word sequence — the same hash family the transport's
-/// frame trailer uses, applied to little-endian word bytes.
+/// FNV-1a over a word sequence — the hash the transport's frame
+/// trailer uses, applied to little-endian word bytes.
 fn fnv_words(words: &[u64]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+    let mut hash = Fnv64::new();
+    for &word in words {
+        hash.update_u64(word);
     }
-    hash
+    hash.finish()
 }
 
 /// The deterministic span id of `phase` observed at `node` within

@@ -792,7 +792,7 @@ mod tests {
             // same binding by checking verify() against candidate roots is
             // not possible — instead use the internal layout, pinned by
             // the cross-check below.
-            let mut h = ec::hash::Fnv64::new();
+            let mut h = bft_types::hash::Fnv64::new();
             h.update(b"ec-commit")
                 .update_u64(ec::merkle::root(&leaves))
                 .update_u64(100)

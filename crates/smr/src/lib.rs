@@ -50,26 +50,16 @@ use bft_net::codec::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_obs::{Event, Obs, TraceCtx, TracePhase};
 use bft_order::{Backpressure, LogEntry, OrderLog, OrderMessage, OrderOptions, OrderProcess};
 use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
+use bft_types::hash::{fnv1a64, Fnv64};
 use bft_types::{Config, Effect, NodeId, Process};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The FNV-1a hash of a canonical snapshot — the quantity checkpoint
 /// certificates agree on and state transfer verifies against.
 pub fn snapshot_hash(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
+    fnv1a64(bytes)
 }
 
 /// One operation of the replicated key-value service, with a canonical
@@ -187,9 +177,11 @@ impl KvOp {
 pub fn seeded_workload(seed: u64, node: NodeId, count: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|i| {
-            let mut x = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
-            x = fnv1a(x, &(node.index() as u64).to_le_bytes());
-            x = fnv1a(x, &(i as u64).to_le_bytes());
+            let x = Fnv64::new()
+                .update_u64(seed)
+                .update_u64(node.index() as u64)
+                .update_u64(i as u64)
+                .finish();
             let key = format!("k{}", x % 16).into_bytes();
             let value = x.to_le_bytes().to_vec();
             match x % 4 {
@@ -276,10 +268,11 @@ impl KvState {
     /// Entries must arrive in log order within `applied_epoch`; the caller
     /// ([`SmrProcess`]) seals epochs with [`KvState::seal_epoch`].
     pub fn apply_tx(&mut self, epoch: u64, proposer: NodeId, tx: &[u8]) {
-        let mut h = fnv1a(self.chain, &epoch.to_le_bytes());
-        h = fnv1a(h, &(proposer.index() as u64).to_le_bytes());
-        h = fnv1a(h, tx);
-        self.chain = h;
+        self.chain = Fnv64::resume(self.chain)
+            .update_u64(epoch)
+            .update_u64(proposer.index() as u64)
+            .update(tx)
+            .finish();
         self.applied_slots += 1;
         match OpRef::decode(tx) {
             Some(OpRef::Put { key, value }) => self.bind(key, value),
@@ -358,9 +351,11 @@ impl KvState {
     /// The state fingerprint: the snapshot hash of the current state,
     /// folded over the canonical bytes as they stream, never collected.
     pub fn state_hash(&self) -> u64 {
-        let mut hash = FNV_OFFSET;
-        self.canonical(|bytes| hash = fnv1a(hash, bytes));
-        hash
+        let mut hash = Fnv64::new();
+        self.canonical(|bytes| {
+            hash.update(bytes);
+        });
+        hash.finish()
     }
 }
 

@@ -16,6 +16,7 @@
 //!   state machines and transports. Both the deterministic discrete-event
 //!   simulator (`bft-sim`) and the thread actor runtime (`bft-runtime`)
 //!   drive the *same* protocol code through this interface.
+//! * [`hash`] — FNV-1a 64, the one hash every layer uses.
 //!
 //! # Example
 //!
@@ -40,6 +41,7 @@
 mod bitset;
 mod config;
 mod error;
+pub mod hash;
 mod id;
 mod process;
 mod round;

@@ -130,13 +130,10 @@ fn reactor_summary(m: &MetricsSink) -> String {
     let r = m.reactor();
     let blocked = if r.reads == 0 { 0.0 } else { 100.0 * r.reads_blocked as f64 / r.reads as f64 };
     format!(
-        "frames_per_write = {:.2}, wakes_per_kframe = {:.2}, blocked reads = {blocked:.1}% \
-         (polls {}, wakes {} written / {} skipped, reads {}, writes {}, frames {} in / {} out)",
+        "frames_per_write = {:.2}, blocked reads = {blocked:.1}% \
+         (polls {}, reads {}, writes {}, frames {} in / {} out)",
         r.frames_per_write(),
-        r.wakes_per_kframe(),
         r.polls,
-        r.wakes_written,
-        r.wakes_skipped,
         r.reads,
         r.writes,
         r.frames_in,

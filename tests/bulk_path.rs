@@ -3,9 +3,9 @@
 //! hash-once decode core must produce, byte for byte, what the plain
 //! `gf256::mul`-per-byte, hash-every-shard path produces.
 
-use async_bft::ec::hash::Fnv64;
 use async_bft::ec::{self, gf256, merkle, EcError, Fragment, VerifiedFragment};
 use async_bft::order::{batch_tx_count, decode_batch, encode_batch};
+use async_bft::types::hash::Fnv64;
 use proptest::prelude::*;
 
 /// A transliteration of the byte-at-a-time erasure-coding path this repo

@@ -13,11 +13,13 @@
 //! reported via `RuntimeReport::poisoned` instead of being masked by
 //! poison-riding mutex locks.
 //!
-//! The actor↔reactor seam rides here too: no wake-up is ever lost behind
-//! the armed wake flag, the allocation-free frame paths are the
-//! allocating ones byte for byte, and the reactor's own counters show
-//! the coalescing (the `BufConn` short-read cases are unit tests next to
-//! the private type, in `crates/net/src/reactor.rs`).
+//! The one-pass node loop rides here too: a frame a step produces leaves
+//! in the same pass (no hop waits out the poll cap), a scheduled restart
+//! fires on its deadline with no traffic to wake the node, the
+//! allocation-free frame paths are the allocating ones byte for byte, and
+//! the reactor's own counters show the batching (the `BufConn`
+//! short-read cases are unit tests next to the private type, in
+//! `crates/net/src/reactor.rs`).
 //!
 //! These tests open real sockets and real threads; CI runs them
 //! single-threaded (`--test-threads=1`) under a hard timeout.
@@ -134,11 +136,14 @@ fn reactor_delivers_coded_rbc_at_n16_under_drops() {
 }
 
 // ---------------------------------------------------------------------
-// The actor↔reactor seam
+// The node loop
 // ---------------------------------------------------------------------
 
+/// The poll cap of a node's loop (`POLL_CAP_MS` in the reactor).
+const POLL_CAP: Duration = Duration::from_millis(10);
+
 /// Two nodes bounce one counter back and forth: every hop finds the
-/// receiving node's reactor parked, so every hop needs its wake-up.
+/// receiving node parked in `poll`.
 struct PingPong {
     id: NodeId,
     hops: u64,
@@ -172,10 +177,10 @@ impl Process for PingPong {
     }
 }
 
-/// No lost wake-up: 500 strictly sequential hops, each queued for a
-/// reactor that is asleep in `poll`. A wake-up swallowed by the armed
-/// flag would cost that hop the full 10 ms poll cap; the whole exchange
-/// has to finish in a fraction of 500 such sleeps.
+/// No hop waits out the poll cap: 500 strictly sequential hops, each
+/// arriving at a node asleep in `poll`. A frame left queued behind the
+/// pass that stepped it would cost its hop the full 10 ms cap; the whole
+/// exchange has to finish in a fraction of 500 such sleeps.
 #[test]
 fn sequential_ping_pong_never_waits_out_the_poll_cap() {
     let hops = 500;
@@ -186,19 +191,71 @@ fn sequential_ping_pong_never_waits_out_the_poll_cap() {
     let report = rt.run();
     assert!(!report.timed_out);
     assert_eq!(report.unanimous_output(), Some(hops));
-    let poll_cap = Duration::from_millis(10);
     assert!(
-        report.elapsed < poll_cap * (hops as u32) / 4,
-        "{hops} hops took {:?}: wake-ups are being lost to the poll cap",
+        report.elapsed < POLL_CAP * (hops as u32) / 4,
+        "{hops} hops took {:?}: frames are waiting out the poll cap",
         report.elapsed
     );
 }
 
-/// The reactor's own counters on a loaded n=4 ordering run: a pass
-/// writes at most one wake-up byte (so wake writes never outnumber
-/// polls), and the short-read rule keeps empty-handed reads rare.
+/// A node that says nothing; as built by a restart, it outputs at start.
+struct Quiet {
+    id: NodeId,
+    restarted: bool,
+}
+
+impl Process for Quiet {
+    type Msg = u64;
+    type Output = u64;
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn on_start(&mut self) -> Vec<Effect<u64, u64>> {
+        if self.restarted {
+            vec![Effect::Output(1)]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn on_message(&mut self, _from: NodeId, _msg: &u64) -> Vec<Effect<u64, u64>> {
+        Vec::new()
+    }
+}
+
+/// A restart fires on its deadline with no traffic at all: the only
+/// output of the run is the one the restarted process emits from
+/// `on_start` at 50 ms, so the run ends only if the node's poll deadline
+/// covers the restart, not a frame's arrival.
 #[test]
-fn reactor_stats_show_coalesced_wakes_and_few_blocked_reads() {
+fn a_restart_fires_on_its_deadline_with_no_traffic() {
+    let restart_at = Duration::from_millis(50);
+    let victim = NodeId::new(0);
+    let mut rt: NetRuntime<u64, u64> = NetRuntime::new(2).timeout(TIMEOUT).restart_node(
+        victim,
+        0,
+        restart_at.as_millis() as u64,
+        Box::new(move || Box::new(Quiet { id: victim, restarted: true })),
+    );
+    rt.add_process(Box::new(Quiet { id: victim, restarted: false }));
+    rt.add_faulty_process(Box::new(Quiet { id: NodeId::new(1), restarted: false }));
+    let report = rt.run();
+    assert!(!report.timed_out, "the restarted node never produced its output");
+    assert_eq!(report.unanimous_output(), Some(1));
+    assert!(
+        report.elapsed < restart_at + 3 * POLL_CAP,
+        "the restart due at {restart_at:?} ended the run only at {:?}",
+        report.elapsed
+    );
+}
+
+/// The reactor's own counters on a loaded n=4 ordering run: the
+/// short-read rule keeps empty-handed reads rare, and a write carries
+/// more than one frame.
+#[test]
+fn reactor_stats_show_few_blocked_reads_and_batched_writes() {
     let n = 4;
     let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
     let opts =
@@ -219,7 +276,6 @@ fn reactor_stats_show_coalesced_wakes_and_few_blocked_reads() {
     let stats = metrics.lock().reactor();
     assert!(stats.polls > 0 && stats.frames_in > 1000, "every reactor reports: {stats:?}");
     assert!(stats.frames_out >= stats.frames_in, "nothing is received unsent: {stats:?}");
-    assert!(stats.wakes_written <= stats.polls, "more than one wake write per pass: {stats:?}");
     assert!(stats.reads_blocked * 4 <= stats.reads, "over 25% of reads found nothing: {stats:?}");
     assert!(stats.frames_per_write() > 1.0, "writes carry single frames: {stats:?}");
 }
