@@ -20,6 +20,11 @@
 //! parks in `poll` — no other thread feeds this loop, so there is nothing
 //! to wake it for. The one flag set from outside, shutdown, is read at
 //! the top of each pass: a node sees it within one poll cap (10 ms).
+//! Every connection — inbound peer, outbound link, gateway client — is
+//! read one [`READ_CHUNK`] at a time, and a chunk's frames are parsed
+//! (inbound: stepped) before the next read. Before its process starts, a
+//! node connects to every running peer, and no process starts until
+//! every node has ([`StartGate`]).
 //!
 //! # What the links guarantee
 //!
@@ -86,7 +91,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How long a half-open handshake (either direction) may sit before the
 /// connection is abandoned; the dialer treats expiry as a failed attempt
@@ -182,43 +187,15 @@ impl BufConn {
     }
 
     /// Appends up to one [`READ_CHUNK`] of what the socket holds to the
-    /// input buffer. Also returns whether the chunk came back full: a
-    /// *short* read has emptied the kernel buffer, so asking again would
-    /// only buy a `WouldBlock`. Level-triggered `poll` re-flags anything
-    /// that arrives later, a FIN included — EOF is then reported by the
-    /// next flagged pass. Skipped entirely once the peer has half-closed.
-    fn read_chunk(&mut self, io: &mut ReactorStats) -> (FillEnd, bool) {
-        if self.peer_eof {
-            return (FillEnd::Eof, false);
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            io.reads += 1;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.peer_eof = true;
-                    return (FillEnd::Eof, false);
-                }
-                Ok(k) => {
-                    self.inbuf.extend_from_slice(chunk.get(..k).unwrap_or_default());
-                    return (FillEnd::Open, k == READ_CHUNK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    io.reads_blocked += 1;
-                    return (FillEnd::Open, false);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return (FillEnd::Error, false),
-            }
-        }
-    }
-
-    /// Readiness-gated [`read_chunk`](Self::read_chunk): issues the read
-    /// syscall only when the last poll flagged the socket (the flag is
-    /// consumed here and re-armed by the next poll — level-triggered, so
-    /// bytes left in the kernel re-flag immediately), or when the last
-    /// chunk came back full. This is what makes an idle connection free
-    /// per pass instead of one `EWOULDBLOCK` read.
+    /// input buffer. The read syscall is issued only when the last poll
+    /// flagged the socket (the flag is consumed here and re-armed by the
+    /// next poll) or the last chunk came back full, so an idle connection
+    /// costs no `EWOULDBLOCK` read per pass. Also returns whether the chunk
+    /// came back full: a *short* read has emptied the kernel buffer, so
+    /// asking again would only buy a `WouldBlock`. Level-triggered `poll`
+    /// re-flags anything that arrives later, a FIN included — EOF is then
+    /// reported by the next flagged pass. Skipped entirely once the peer
+    /// has half-closed.
     fn read_ready(&mut self, io: &mut ReactorStats) -> (FillEnd, bool) {
         if self.peer_eof {
             return (FillEnd::Eof, false);
@@ -226,18 +203,46 @@ impl BufConn {
         if !self.ready {
             return (FillEnd::Open, false);
         }
-        let (end, full) = self.read_chunk(io);
+        let mut chunk = [0u8; READ_CHUNK];
+        let (end, full) = loop {
+            io.reads += 1;
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.peer_eof = true;
+                    break (FillEnd::Eof, false);
+                }
+                Ok(k) => {
+                    self.inbuf.extend_from_slice(chunk.get(..k).unwrap_or_default());
+                    break (FillEnd::Open, k == READ_CHUNK);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    io.reads_blocked += 1;
+                    break (FillEnd::Open, false);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break (FillEnd::Error, false),
+            }
+        };
         self.ready = full;
         (end, full)
     }
 
-    /// Readiness-gated: everything the socket holds, a chunk at a time
-    /// up to the first short read.
-    fn fill_ready(&mut self, io: &mut ReactorStats) -> FillEnd {
+    /// Reads the socket a chunk at a time, up to the first short read,
+    /// and lets `parse` take each chunk's complete frames before the next
+    /// read — so the input buffer holds one chunk and a partial frame, not
+    /// all the socket had. An `Err` from `parse` (close the connection)
+    /// stops the reading and is returned.
+    fn read_frames<E>(
+        &mut self,
+        io: &mut ReactorStats,
+        mut parse: impl FnMut(&mut Self, &mut ReactorStats) -> Result<(), E>,
+    ) -> Result<FillEnd, E> {
         loop {
             let (end, more) = self.read_ready(io);
+            parse(self, io)?;
+            self.compact_in();
             if !more {
-                return end;
+                return Ok(end);
             }
         }
     }
@@ -254,7 +259,7 @@ impl BufConn {
         Ok(Some(frame))
     }
 
-    /// Drops consumed input bytes (called once per pump pass, so frame
+    /// Drops consumed input bytes (called once per parsed chunk, so frame
     /// parsing stays O(bytes) instead of O(bytes × frames)).
     fn compact_in(&mut self) {
         if self.in_pos > 0 {
@@ -414,14 +419,16 @@ impl LinkState {
         self.peak = self.peak.max(self.log.len());
     }
 
-    /// One nonblocking pass over this link.
+    /// One nonblocking pass over this link. A link that never connected
+    /// dials with nothing to send: the node connects before its process
+    /// starts.
     fn pump(&mut self, ctx: &LinkCtx<'_>, io: &mut ReactorStats, now_ms: u64, deadline: &mut u64) {
         if let Some(mut conn) = self.conn.take() {
             match self.pump_conn(&mut conn, ctx, io, now_ms, deadline) {
                 None => self.conn = Some(conn),
                 Some(death) => self.die(death, ctx, now_ms),
             }
-        } else if self.sent < self.log.len() {
+        } else if self.sent < self.log.len() || !self.ever_connected {
             if now_ms >= self.next_dial_at_ms {
                 self.dial(ctx, io, now_ms, deadline);
             } else {
@@ -440,21 +447,19 @@ impl LinkState {
         now_ms: u64,
         deadline: &mut u64,
     ) -> Option<LinkDeath> {
-        let end = conn.fill_ready(io);
-
-        // Parse whatever arrived, under the current phase.
-        loop {
+        // Parse whatever arrives, under the current phase.
+        let parsed = conn.read_frames(io, |conn, io| loop {
             match self.phase {
-                LinkPhase::Idle => break,
+                LinkPhase::Idle => break Ok(()),
                 LinkPhase::Hello { nonce_me, started_ms } => match conn.next_frame(io) {
                     Ok(Some(frame)) => {
                         if frame.kind != FrameKind::Challenge {
-                            return Some(LinkDeath::Handshake);
+                            return Err(LinkDeath::Handshake);
                         }
                         let Ok(nonce_peer) =
                             parse_challenge(frame.payload, ctx.secret, self.peer, nonce_me)
                         else {
-                            return Some(LinkDeath::Handshake);
+                            return Err(LinkDeath::Handshake);
                         };
                         // The dialer considers the handshake done after
                         // writing Auth.
@@ -464,12 +469,12 @@ impl LinkState {
                     }
                     Ok(None) => {
                         if now_ms.saturating_sub(started_ms) >= HANDSHAKE_DEADLINE_MS {
-                            return Some(LinkDeath::Handshake);
+                            return Err(LinkDeath::Handshake);
                         }
                         *deadline = (*deadline).min(started_ms + HANDSHAKE_DEADLINE_MS);
-                        break;
+                        break Ok(());
                     }
-                    Err(_) => return Some(LinkDeath::Handshake),
+                    Err(_) => return Err(LinkDeath::Handshake),
                 },
                 LinkPhase::Up => match conn.next_frame(io) {
                     Ok(Some(frame)) if frame.kind == FrameKind::Ack => {
@@ -481,12 +486,15 @@ impl LinkState {
                             self.log_base += k as u64;
                         }
                     }
-                    Ok(Some(_)) | Err(_) => return Some(LinkDeath::Ack),
-                    Ok(None) => break,
+                    Ok(Some(_)) | Err(_) => return Err(LinkDeath::Ack),
+                    Ok(None) => break Ok(()),
                 },
             }
-        }
-        conn.compact_in();
+        });
+        let end = match parsed {
+            Ok(end) => end,
+            Err(death) => return Some(death),
+        };
 
         let sent_before = self.sent;
         if matches!(self.phase, LinkPhase::Up) {
@@ -794,16 +802,13 @@ impl GatewayFront {
         let before = self.conns.len();
         let (pipe, owner) = (&self.pipe, &mut self.owner);
         self.conns.retain_mut(|(conn_id, conn)| {
-            if conn.fill_ready(io) == FillEnd::Error {
-                return false;
-            }
-            loop {
+            let parsed = conn.read_frames(io, |conn, io| loop {
                 match conn.next_frame(io) {
                     Ok(Some(frame)) => {
                         if frame.kind != FrameKind::Submit {
-                            return false;
+                            return Err(());
                         }
-                        let Ok((client, tx)) = parse_submit(frame.payload) else { return false };
+                        let Ok((client, tx)) = parse_submit(frame.payload) else { return Err(()) };
                         let seq = frame.seq;
                         owner.insert(client, *conn_id);
                         if pipe.push_intake(ClientSubmit { client, seq, tx }) {
@@ -824,12 +829,11 @@ impl GatewayFront {
                             reason: label,
                         });
                     }
-                    Ok(None) => break,
-                    Err(_) => return false,
+                    Ok(None) => break Ok(()),
+                    Err(_) => return Err(()),
                 }
-            }
-            conn.compact_in();
-            true
+            });
+            !matches!(parsed, Ok(FillEnd::Error) | Err(()))
         });
         if self.conns.len() < before {
             self.forget_closed();
@@ -1104,10 +1108,25 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         }
     }
 
-    /// The whole node, one nonblocking pass per iteration (in the order
+    /// The whole node: first it connects to its `peers` (accepts,
+    /// handshakes, no process yet) and waits at `gate` for every node to
+    /// have done so; then one nonblocking pass per iteration (in the order
     /// the module docs give), parked in `poll` between passes.
-    fn run(mut self) {
-        self.host.start(&mut self.links);
+    fn run(mut self, gate: &StartGate, peers: usize) {
+        loop {
+            let now_ms = self.clock.now_ms();
+            let mut deadline = now_ms + POLL_CAP_MS;
+            self.accept_peers(now_ms);
+            self.pump_inbound(now_ms);
+            self.pump_links(now_ms, &mut deadline);
+            if self.meshed(peers) || self.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            self.sleep(deadline);
+        }
+        if gate.arrive(&self.shutdown) {
+            self.host.start(&mut self.links);
+        }
         while !self.shutdown.load(Ordering::Relaxed) {
             let now_ms = self.clock.now_ms();
             let mut deadline = now_ms + POLL_CAP_MS;
@@ -1116,20 +1135,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
             self.accept_peers(now_ms);
             self.pump_inbound(now_ms);
             self.pump_gateway();
-            {
-                let ctx = LinkCtx {
-                    me: self.me,
-                    obs: &self.obs,
-                    clock: self.clock,
-                    backoff: self.backoff,
-                    secret: self.secret,
-                    shutdown: &self.shutdown,
-                    addr_table: &self.addr_table,
-                };
-                for link in self.links.iter_mut() {
-                    link.pump(&ctx, &mut self.io, now_ms, &mut deadline);
-                }
-            }
+            self.pump_links(now_ms, &mut deadline);
             self.sleep(deadline);
         }
         let ctx = self.link_ctx();
@@ -1138,6 +1144,31 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         }
         let stats = self.io;
         self.obs.emit_at(self.clock.now_us(), self.me, || ObsEvent::ReactorStats(stats));
+    }
+
+    /// Whether this node has an authenticated link to and from each of
+    /// its running `peers` (a peer with no process never answers a dial).
+    fn meshed(&self, peers: usize) -> bool {
+        let dialled = self.links.iter().filter(|l| matches!(l.phase, LinkPhase::Up)).count();
+        let accepted =
+            self.inbound.iter().filter(|c| matches!(c.phase, InPhase::Up { .. })).count();
+        dialled >= peers && accepted >= peers
+    }
+
+    /// Pumps every outbound link: encode what the steps queued, flush.
+    fn pump_links(&mut self, now_ms: u64, deadline: &mut u64) {
+        let ctx = LinkCtx {
+            me: self.me,
+            obs: &self.obs,
+            clock: self.clock,
+            backoff: self.backoff,
+            secret: self.secret,
+            shutdown: &self.shutdown,
+            addr_table: &self.addr_table,
+        };
+        for link in self.links.iter_mut() {
+            link.pump(&ctx, &mut self.io, now_ms, deadline);
+        }
     }
 
     /// Applies a scheduled listener bounce: down at `at_ms` (severing
@@ -1209,111 +1240,99 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
     /// One pass over inbound connection `i`; `true` means close it.
     fn pump_one_inbound(&mut self, i: usize, now_ms: u64) -> bool {
         let Some(c) = self.inbound.get_mut(i) else { return false };
-        // Frames are stepped a read chunk at a time, so the input buffer
-        // holds one chunk and a partial frame, not all the socket had.
-        let end = loop {
-            let (end, more) = c.conn.read_ready(&mut self.io);
-            loop {
-                match c.conn.next_frame(&mut self.io) {
-                    Ok(Some(frame)) => match c.phase {
-                        InPhase::AwaitHello { .. } => {
-                            // Handshake failures are silent on the accepter
-                            // side; they surface as backoff on the dialer.
-                            if frame.kind != FrameKind::Hello {
-                                return true;
-                            }
-                            let Ok((peer, nonce_peer)) =
-                                parse_hello(frame.payload, self.me, self.n)
-                            else {
-                                return true;
-                            };
-                            let nonce_me = next_nonce();
-                            let body =
-                                challenge_payload(self.secret, self.me, nonce_me, nonce_peer);
-                            let _ =
-                                c.conn.queue_frame(&mut self.io, FrameKind::Challenge, 0, 0, &body);
-                            c.phase = InPhase::AwaitAuth { peer, nonce_me, since_ms: now_ms };
+        let parsed = c.conn.read_frames(&mut self.io, |conn, io| loop {
+            match conn.next_frame(io) {
+                Ok(Some(frame)) => match c.phase {
+                    InPhase::AwaitHello { .. } => {
+                        // Handshake failures are silent on the accepter
+                        // side; they surface as backoff on the dialer.
+                        if frame.kind != FrameKind::Hello {
+                            return Err(());
                         }
-                        InPhase::AwaitAuth { peer, nonce_me, .. } => {
-                            if frame.kind != FrameKind::Auth {
-                                return true;
-                            }
-                            if parse_auth(frame.payload, self.secret, peer, nonce_me).is_err() {
-                                return true;
-                            }
-                            // First-ever connection from this peer ⇒
-                            // PeerConnected; later accepts are reconnects,
-                            // reported by the dialer with its attempt count.
-                            if !self.expected.contains_key(&peer.index()) {
-                                self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::PeerConnected { peer }
-                                });
-                            }
-                            c.phase = InPhase::Up { peer };
+                        let Ok((peer, nonce_peer)) = parse_hello(frame.payload, self.me, self.n)
+                        else {
+                            return Err(());
+                        };
+                        let nonce_me = next_nonce();
+                        let body = challenge_payload(self.secret, self.me, nonce_me, nonce_peer);
+                        let _ = conn.queue_frame(io, FrameKind::Challenge, 0, 0, &body);
+                        c.phase = InPhase::AwaitAuth { peer, nonce_me, since_ms: now_ms };
+                    }
+                    InPhase::AwaitAuth { peer, nonce_me, .. } => {
+                        if frame.kind != FrameKind::Auth {
+                            return Err(());
                         }
-                        InPhase::Up { peer } => {
-                            if frame.kind != FrameKind::Msg {
-                                self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::FrameDecodeError { reason: "unexpected_kind" }
-                                });
-                                return true;
-                            }
-                            let seq = frame.seq;
-                            let next = self.expected.entry(peer.index()).or_insert(1);
-                            if seq < *next {
-                                // Duplicate (chaos) or replayed after
-                                // reconnect.
-                                continue;
-                            }
-                            if seq > *next {
-                                // Contiguity violation: drop the connection;
-                                // the dialer reconnects and replays.
-                                let expected = *next;
-                                self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::FrameSequenceGap { from: peer, expected, got: seq }
-                                });
-                                return true;
-                            }
-                            *next += 1;
-                            // The message is decoded out of the input buffer
-                            // before the ack below takes the connection's
-                            // other half.
-                            let msg = M::from_bytes(frame.payload);
-                            // Cumulative ack on the same connection so the
-                            // dialer can trim its replay log.
-                            if seq % ACK_EVERY == 0 {
-                                let _ =
-                                    c.conn.queue_frame(&mut self.io, FrameKind::Ack, seq, 0, &[]);
-                            }
-                            match msg {
-                                Ok(msg) => self.host.deliver(peer, &msg, &mut self.links),
-                                Err(err) => {
-                                    let reason = err.label();
-                                    self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                        ObsEvent::FrameDecodeError { reason }
-                                    });
-                                    return true;
-                                }
-                            }
+                        if parse_auth(frame.payload, self.secret, peer, nonce_me).is_err() {
+                            return Err(());
                         }
-                    },
-                    Ok(None) => break,
-                    Err(err) => {
-                        if matches!(c.phase, InPhase::Up { .. }) {
-                            let reason = err.label();
+                        // First-ever connection from this peer ⇒
+                        // PeerConnected; later accepts are reconnects,
+                        // reported by the dialer with its attempt count.
+                        if !self.expected.contains_key(&peer.index()) {
                             self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::FrameDecodeError { reason }
+                                ObsEvent::PeerConnected { peer }
                             });
                         }
-                        return true;
+                        c.phase = InPhase::Up { peer };
                     }
+                    InPhase::Up { peer } => {
+                        if frame.kind != FrameKind::Msg {
+                            self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                ObsEvent::FrameDecodeError { reason: "unexpected_kind" }
+                            });
+                            return Err(());
+                        }
+                        let seq = frame.seq;
+                        let next = self.expected.entry(peer.index()).or_insert(1);
+                        if seq < *next {
+                            // Duplicate (chaos) or replayed after
+                            // reconnect.
+                            continue;
+                        }
+                        if seq > *next {
+                            // Contiguity violation: drop the connection;
+                            // the dialer reconnects and replays.
+                            let expected = *next;
+                            self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                ObsEvent::FrameSequenceGap { from: peer, expected, got: seq }
+                            });
+                            return Err(());
+                        }
+                        *next += 1;
+                        // The message is decoded out of the input buffer
+                        // before the ack below takes the connection's
+                        // other half.
+                        let msg = M::from_bytes(frame.payload);
+                        // Cumulative ack on the same connection so the
+                        // dialer can trim its replay log.
+                        if seq % ACK_EVERY == 0 {
+                            let _ = conn.queue_frame(io, FrameKind::Ack, seq, 0, &[]);
+                        }
+                        match msg {
+                            Ok(msg) => self.host.deliver(peer, &msg, &mut self.links),
+                            Err(err) => {
+                                let reason = err.label();
+                                self.obs.emit_at(self.clock.now_us(), self.me, || {
+                                    ObsEvent::FrameDecodeError { reason }
+                                });
+                                return Err(());
+                            }
+                        }
+                    }
+                },
+                Ok(None) => return Ok(()),
+                Err(err) => {
+                    if matches!(c.phase, InPhase::Up { .. }) {
+                        let reason = err.label();
+                        self.obs.emit_at(self.clock.now_us(), self.me, || {
+                            ObsEvent::FrameDecodeError { reason }
+                        });
+                    }
+                    return Err(());
                 }
             }
-            c.conn.compact_in();
-            if !more {
-                break end;
-            }
-        };
+        });
+        let Ok(end) = parsed else { return true };
         // Ack write failures are tolerated: link death surfaces on the
         // read side.
         let _ = c.conn.flush(&mut self.io);
@@ -1451,6 +1470,42 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
 
 // ---- the entry point ------------------------------------------------------
 
+/// Holds every process back until every node has connected to every
+/// other. A node whose thread the host keeps off the CPU for a few
+/// milliseconds then delays everyone's start. If the others started
+/// without it, they would skip its links (still in the handshake), agree
+/// faster than the full cluster does, and the ACS would rightly leave its
+/// batch out. That outcome is correct but depends on timing, and the
+/// seeded differential tests against the simulator cannot expect it.
+struct StartGate {
+    meshed: Mutex<usize>,
+    all: Condvar,
+    nodes: usize,
+}
+
+impl StartGate {
+    /// Counts one node as connected and waits for the rest; `false`
+    /// means shutdown came first.
+    fn arrive(&self, shutdown: &AtomicBool) -> bool {
+        let mut meshed = locked(&self.meshed);
+        *meshed += 1;
+        if *meshed == self.nodes {
+            self.all.notify_all();
+        }
+        while *meshed < self.nodes {
+            if shutdown.load(Ordering::Relaxed) {
+                return false;
+            }
+            let cap = std::time::Duration::from_millis(POLL_CAP_MS);
+            meshed = match self.all.wait_timeout(meshed, cap) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
+        true
+    }
+}
+
 /// Runs the cluster: one thread per node, plus the calling thread as
 /// completion monitor (monitor, teardown, report).
 pub(crate) fn run<M, O>(
@@ -1485,9 +1540,13 @@ where
         restart_specs.insert(spec.node.index(), spec);
     }
 
+    let nodes = rt.procs.iter().flatten().count();
+    let peers = nodes.saturating_sub(1);
+    let gate = StartGate { meshed: Mutex::new(0), all: Condvar::new(), nodes };
     let mut timed_out = false;
     std::thread::scope(|scope| {
         let procs = std::mem::take(&mut rt.procs);
+        let gate = &gate;
         for (j, ((slot, listener), front)) in procs.into_iter().zip(bound).zip(gateways).enumerate()
         {
             let Some((proc_, _)) = slot else { continue };
@@ -1530,7 +1589,7 @@ where
                 gateway: front.map(|(listener, pipe)| GatewayFront::new(listener, pipe)),
             };
             let ledger = ledger.clone();
-            scope.spawn(move || supervised(&ledger, "node", || node.run()));
+            scope.spawn(move || supervised(&ledger, "node", || node.run(gate, peers)));
         }
 
         // Completion monitor: poll until all correct nodes decided or
@@ -1603,7 +1662,7 @@ mod tests {
 
         let wire = encode_frame(FrameKind::Msg, 7, 0, b"hello reactor").unwrap_or_default();
         await_buffered(&b, wire.len());
-        assert_eq!(b.read_chunk(&mut io), (FillEnd::Open, false));
+        assert_eq!(b.read_ready(&mut io), (FillEnd::Open, false));
         assert_eq!(b.inbuf, wire, "queue_frame puts encode_frame's bytes on the wire");
         let frame = b.next_frame(&mut io).ok().flatten().map(FrameRef::to_frame);
         assert_eq!(frame.map(|f| (f.seq, f.payload)), Some((7, b"hello reactor".to_vec())));
@@ -1612,8 +1671,9 @@ mod tests {
 
         drop(a);
         assert!(readable_within(&b.stream, 5000), "a FIN must flag the socket");
-        assert_eq!(b.read_chunk(&mut io), (FillEnd::Eof, false), "dropping the peer is EOF");
-        assert_eq!(b.read_chunk(&mut io), (FillEnd::Eof, false), "EOF is sticky");
+        b.mark_ready();
+        assert_eq!(b.read_ready(&mut io), (FillEnd::Eof, false), "dropping the peer is EOF");
+        assert_eq!(b.read_ready(&mut io), (FillEnd::Eof, false), "EOF is sticky");
         assert!(b.poll_fd().is_none(), "an EOF conn with nothing to write leaves the poll set");
     }
 
@@ -1629,15 +1689,21 @@ mod tests {
         // Pass 1 (fresh connections start flagged): two full chunks and
         // one short read empty the socket — no read comes back empty.
         let mut io = ReactorStats::default();
-        assert_eq!(b.fill_ready(&mut io), FillEnd::Open);
+        assert_eq!(fill(&mut b, &mut io), FillEnd::Open);
         assert_eq!(b.inbuf, a_pattern(burst));
         assert_eq!(io.reads, (burst / READ_CHUNK + 1) as u64);
         assert_eq!(io.reads_blocked, 0);
 
         // Pass 2: poll flagged nothing, so nothing is read.
         assert!(!readable_within(&b.stream, 0));
-        assert_eq!(b.fill_ready(&mut io), FillEnd::Open);
+        assert_eq!(fill(&mut b, &mut io), FillEnd::Open);
         assert_eq!(io.reads, (burst / READ_CHUNK + 1) as u64);
+    }
+
+    /// Reads what the socket holds and parses nothing, so `inbuf` keeps
+    /// every byte read.
+    fn fill(conn: &mut BufConn, io: &mut ReactorStats) -> FillEnd {
+        conn.read_frames(io, |_, _| Ok::<(), ()>(())).unwrap_or(FillEnd::Error)
     }
 
     fn a_pattern(len: usize) -> Vec<u8> {
@@ -1656,12 +1722,12 @@ mod tests {
         sleep_ms(20);
 
         // The short read stops before the FIN …
-        assert_eq!(b.fill_ready(&mut io), FillEnd::Open);
+        assert_eq!(fill(&mut b, &mut io), FillEnd::Open);
         assert_eq!(b.inbuf.len(), 100);
         assert!(!b.peer_eof);
         // … and level-triggered poll hands it to the next pass.
         assert!(readable_within(&b.stream, 5000), "a pending FIN must re-flag the socket");
         b.mark_ready();
-        assert_eq!(b.fill_ready(&mut io), FillEnd::Eof);
+        assert_eq!(fill(&mut b, &mut io), FillEnd::Eof);
     }
 }
