@@ -640,11 +640,45 @@ impl MetricsSink {
             "Peak frames resident in one link's replay log",
             self.peak_link_log,
         );
+        let r = &self.reactor;
+        prom_counter(&mut out, "bft_reactor_polls_total", "Reactor poll(2) calls", r.polls);
+        prom_counter(&mut out, "bft_reactor_reads_total", "Reactor read(2) calls", r.reads);
+        prom_counter(
+            &mut out,
+            "bft_reactor_reads_blocked_total",
+            "Reactor reads that would block",
+            r.reads_blocked,
+        );
+        prom_counter(&mut out, "bft_reactor_writes_total", "Reactor write(2) calls", r.writes);
+        prom_counter(
+            &mut out,
+            "bft_reactor_frames_in_total",
+            "Frames decoded by reactors",
+            r.frames_in,
+        );
+        prom_counter(
+            &mut out,
+            "bft_reactor_frames_out_total",
+            "Frames encoded by reactors",
+            r.frames_out,
+        );
+        out.push_str(&format!(
+            "# HELP bft_reactor_frames_per_write Mean frames per write(2)\n\
+             # TYPE bft_reactor_frames_per_write gauge\n\
+             bft_reactor_frames_per_write {}\n",
+            r.frames_per_write()
+        ));
         prom_counter(
             &mut out,
             "bft_chaos_frames_dropped_total",
             "Frames dropped by the chaos layer",
             self.chaos_frames_dropped,
+        );
+        prom_counter(
+            &mut out,
+            "bft_poison_detections_total",
+            "Transport worker panics detected",
+            self.poison_detections,
         );
         prom_counter(&mut out, "bft_epochs_started_total", "Epochs opened", self.epochs_started);
         prom_counter(
@@ -661,6 +695,24 @@ impl MetricsSink {
         );
         prom_counter(&mut out, "bft_txs_submitted_total", "Txs submitted", self.txs_submitted);
         prom_counter(&mut out, "bft_txs_delivered_total", "Txs ordered", self.txs_delivered);
+        prom_counter(
+            &mut out,
+            "bft_gateway_accepted_total",
+            "Client submissions accepted by gateways",
+            self.gateway_accepted,
+        );
+        prom_counter(
+            &mut out,
+            "bft_gateway_nacked_total",
+            "Client submissions refused with a NACK",
+            self.gateway_nacked,
+        );
+        prom_counter(
+            &mut out,
+            "bft_gateway_committed_total",
+            "Client submissions committed and acked",
+            self.gateway_committed,
+        );
         prom_counter(
             &mut out,
             "bft_rbc_fragments_ok_total",

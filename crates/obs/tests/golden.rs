@@ -227,9 +227,33 @@ bft_payloads_rejected_total 1
 # HELP bft_peak_link_log_frames Peak frames resident in one link's replay log
 # TYPE bft_peak_link_log_frames gauge
 bft_peak_link_log_frames 33
+# HELP bft_reactor_polls_total Reactor poll(2) calls
+# TYPE bft_reactor_polls_total counter
+bft_reactor_polls_total 100
+# HELP bft_reactor_reads_total Reactor read(2) calls
+# TYPE bft_reactor_reads_total counter
+bft_reactor_reads_total 80
+# HELP bft_reactor_reads_blocked_total Reactor reads that would block
+# TYPE bft_reactor_reads_blocked_total counter
+bft_reactor_reads_blocked_total 3
+# HELP bft_reactor_writes_total Reactor write(2) calls
+# TYPE bft_reactor_writes_total counter
+bft_reactor_writes_total 20
+# HELP bft_reactor_frames_in_total Frames decoded by reactors
+# TYPE bft_reactor_frames_in_total counter
+bft_reactor_frames_in_total 150
+# HELP bft_reactor_frames_out_total Frames encoded by reactors
+# TYPE bft_reactor_frames_out_total counter
+bft_reactor_frames_out_total 90
+# HELP bft_reactor_frames_per_write Mean frames per write(2)
+# TYPE bft_reactor_frames_per_write gauge
+bft_reactor_frames_per_write 4.5
 # HELP bft_chaos_frames_dropped_total Frames dropped by the chaos layer
 # TYPE bft_chaos_frames_dropped_total counter
 bft_chaos_frames_dropped_total 1
+# HELP bft_poison_detections_total Transport worker panics detected
+# TYPE bft_poison_detections_total counter
+bft_poison_detections_total 1
 # HELP bft_epochs_started_total Epochs opened
 # TYPE bft_epochs_started_total counter
 bft_epochs_started_total 1
@@ -245,6 +269,15 @@ bft_txs_submitted_total 4
 # HELP bft_txs_delivered_total Txs ordered
 # TYPE bft_txs_delivered_total counter
 bft_txs_delivered_total 12
+# HELP bft_gateway_accepted_total Client submissions accepted by gateways
+# TYPE bft_gateway_accepted_total counter
+bft_gateway_accepted_total 1
+# HELP bft_gateway_nacked_total Client submissions refused with a NACK
+# TYPE bft_gateway_nacked_total counter
+bft_gateway_nacked_total 1
+# HELP bft_gateway_committed_total Client submissions committed and acked
+# TYPE bft_gateway_committed_total counter
+bft_gateway_committed_total 1
 # HELP bft_rbc_fragments_ok_total Coded fragments verified
 # TYPE bft_rbc_fragments_ok_total counter
 bft_rbc_fragments_ok_total 1
