@@ -1143,7 +1143,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
             link.emit_peak(&ctx);
         }
         let stats = self.io;
-        self.obs.emit_at(self.clock.now_us(), self.me, || ObsEvent::ReactorStats(stats));
+        self.obs.emit_at(self.clock.now_us(), self.me, || ObsEvent::ReactorStats { stats });
     }
 
     /// Whether this node has an authenticated link to and from each of

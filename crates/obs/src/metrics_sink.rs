@@ -1,80 +1,226 @@
 //! Per-round / per-phase metrics aggregation.
+//!
+//! Every scalar the sink keeps — a sum or a running maximum — is one row
+//! of the `scalars` table in the `metrics_sink!` invocation below; the
+//! row generates the field, its accessor, its line in [`MetricsSink::merge`]
+//! and its Prometheus line. To add one, add a row and bump it in the
+//! matching `on_event` arm.
 
-use crate::json::JsonValue;
 use crate::{Event, ReactorStats, Sink};
 use bft_stats::{Histogram, Samples};
 use bft_types::{NodeId, Step};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
-/// Aggregates a run's event stream into per-round and per-phase
-/// statistics, built on `bft-stats`.
-///
-/// Tracked:
-///
-/// * decision latency ([`Samples`] of `Decided` timestamps) and decision
-///   rounds ([`Histogram`]);
-/// * per-round latency — for each round number, [`Samples`] of
-///   `RoundCompleted − RoundStarted` (or `Decided − RoundStarted`)
-///   across nodes;
-/// * message counts and bytes by classifier kind, plus delivered /
-///   dropped totals;
-/// * validated-message counts per step, rejection count, quorum count,
-///   coin flips, value locks;
-/// * maximum observed queue depth.
-#[derive(Debug, Default)]
-pub struct MetricsSink {
-    decide_times: Samples,
-    decide_rounds: Histogram,
-    round_latency: BTreeMap<u64, Samples>,
-    open_rounds: BTreeMap<(NodeId, u64), u64>,
-    msgs_by_kind: BTreeMap<&'static str, (u64, u64)>,
-    delivered: u64,
-    dropped: u64,
-    validated_by_step: [u64; 3],
-    rejected: u64,
-    quorums: u64,
-    coin_flips: u64,
-    locks: u64,
-    max_queue_depth: u64,
-    events_total: u64,
-    peer_connects: u64,
-    peer_disconnects: u64,
-    peer_reconnects: u64,
-    backoff_retries: u64,
-    frame_decode_errors: u64,
-    frame_sequence_gaps: u64,
-    payloads_rejected: u64,
-    peak_link_log: u64,
-    reactor: ReactorStats,
-    chaos_frames_dropped: u64,
-    epochs_started: u64,
-    epochs_committed: u64,
-    batches_submitted: u64,
-    txs_submitted: u64,
-    txs_delivered: u64,
-    rbc_fragments_ok: u64,
-    rbc_fragments_rejected: u64,
-    rbc_reconstructions: u64,
-    rbc_reconstruct_bytes: u64,
-    rbc_hashed_shards: u64,
-    epoch_commit_latency: Samples,
-    open_epochs: BTreeMap<(NodeId, u64), u64>,
-    inflight_epochs: BTreeMap<NodeId, u64>,
-    occupancy: Samples,
-    max_pipeline_occupancy: u64,
-    slots_applied: u64,
-    applied_bytes: u64,
-    checkpoints_proposed: u64,
-    checkpoints_certified: u64,
-    checkpoint_latency: Samples,
-    open_checkpoints: BTreeMap<(NodeId, u64), u64>,
-    state_transfers_started: u64,
-    state_transfers_completed: u64,
-    state_transfer_bytes: u64,
-    poison_detections: u64,
-    gateway_accepted: u64,
-    gateway_nacked: u64,
-    gateway_committed: u64,
+/// How a scalar row folds across merged sinks, and its Prometheus type.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A sum: merges add, renders as a counter.
+    Counter,
+    /// A running maximum: merges take the max, renders as a gauge.
+    Gauge,
+}
+
+impl Kind {
+    /// Folds `value` into `into`: the merge of two rows, and how a gauge
+    /// takes in a sample.
+    fn fold(self, into: &mut u64, value: u64) {
+        match self {
+            Kind::Counter => *into += value,
+            Kind::Gauge => *into = (*into).max(value),
+        }
+    }
+
+    fn prom_type(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// Declares [`MetricsSink`]: its hand-written aggregates, then one row per
+/// `u64` scalar — `field: Kind, "prometheus_name", "help"` — optionally
+/// followed by `then method` to render a labelled family after that row.
+macro_rules! metrics_sink {
+    (
+        $(#[$meta:meta])*
+        pub struct MetricsSink {
+            $( $field:ident: $ty:ty, )*
+        }
+        scalars {
+            $(
+                $(#[$smeta:meta])*
+                $scalar:ident: $kind:ident, $prom:literal, $help:literal $(, then $after:ident)?;
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct MetricsSink {
+            $( $field: $ty, )*
+            $( $scalar: u64, )*
+        }
+
+        impl MetricsSink {
+            $(
+                $(#[$smeta])*
+                pub fn $scalar(&self) -> u64 {
+                    self.$scalar
+                }
+            )*
+
+            fn merge_scalars(&mut self, other: &MetricsSink) {
+                $( Kind::$kind.fold(&mut self.$scalar, other.$scalar); )*
+            }
+
+            fn render_scalars(&self, out: &mut String) {
+                $(
+                    prom_scalar(out, $prom, $help, Kind::$kind.prom_type(), self.$scalar);
+                    $( self.$after(out); )?
+                )*
+            }
+        }
+    };
+}
+
+metrics_sink! {
+    /// Aggregates a run's event stream into per-round and per-phase
+    /// statistics, built on `bft-stats`.
+    ///
+    /// Tracked:
+    ///
+    /// * decision latency ([`Samples`] of `Decided` timestamps) and decision
+    ///   rounds ([`Histogram`]);
+    /// * per-round latency — for each round number, [`Samples`] of
+    ///   `RoundCompleted − RoundStarted` (or `Decided − RoundStarted`)
+    ///   across nodes;
+    /// * epoch commit and checkpoint latency, pipeline occupancy;
+    /// * message counts and bytes by classifier kind, validated-message
+    ///   counts per step, reactor syscall counts;
+    /// * the scalar sums and running maxima of the `scalars` table, one
+    ///   accessor each.
+    pub struct MetricsSink {
+        decide_times: Samples,
+        decide_rounds: Histogram,
+        round_latency: BTreeMap<u64, Samples>,
+        open_rounds: BTreeMap<(NodeId, u64), u64>,
+        msgs_by_kind: BTreeMap<&'static str, (u64, u64)>,
+        validated_by_step: [u64; 3],
+        reactor: ReactorStats,
+        epoch_commit_latency: Samples,
+        open_epochs: BTreeMap<(NodeId, u64), u64>,
+        inflight_epochs: BTreeMap<NodeId, u64>,
+        occupancy: Samples,
+        checkpoint_latency: Samples,
+        open_checkpoints: BTreeMap<(NodeId, u64), u64>,
+    }
+    scalars {
+        /// Total events consumed.
+        events_total: Counter, "bft_events_total", "Events consumed", then render_kinds;
+        /// Messages delivered.
+        delivered: Counter, "bft_delivered_total", "Messages delivered";
+        /// Messages dropped (halted destinations).
+        dropped: Counter, "bft_dropped_total", "Messages dropped", then render_validated;
+        /// Payloads rejected before validation.
+        rejected: Counter, "bft_rejected_total", "Payloads rejected";
+        /// Step quorums observed.
+        quorums: Counter, "bft_quorums_total", "Step quorums reached";
+        /// Coin flips observed.
+        coin_flips: Counter, "bft_coin_flips_total", "Coin flips";
+        /// Value locks observed.
+        locks: Counter, "bft_value_locks_total", "Value locks";
+        /// Highest queue-depth sample seen.
+        max_queue_depth: Gauge, "bft_max_queue_depth", "Peak queue depth";
+        /// First-time transport connections authenticated (net runtime).
+        peer_connects: Counter, "bft_peer_connects_total", "Peer connects";
+        /// Transport connections lost (closed, write failure, decode drop).
+        peer_disconnects: Counter, "bft_peer_disconnects_total", "Peer disconnects";
+        /// Links re-established after a disconnect.
+        peer_reconnects: Counter, "bft_peer_reconnects_total", "Peer reconnects";
+        /// Failed dial attempts that entered a backoff wait.
+        backoff_retries: Counter, "bft_backoff_retries_total", "Reconnect backoff retries";
+        /// Inbound frames rejected by the strict decoder.
+        frame_decode_errors: Counter,
+            "bft_frame_decode_errors_total", "Inbound frame decode errors";
+        /// Inbound frames that skipped ahead of the expected sequence number
+        /// (transport-ordering faults; the connection is dropped and replayed).
+        frame_sequence_gaps: Counter,
+            "bft_frame_sequence_gaps_total", "Inbound frame sequence gaps";
+        /// Outbound bodies rejected at the send boundary for exceeding the
+        /// frame cap.
+        payloads_rejected: Counter,
+            "bft_payloads_rejected_total", "Oversize outbound bodies rejected";
+        /// High-water mark of any directed link's replay log, in frames.
+        peak_link_log: Gauge,
+            "bft_peak_link_log_frames", "Peak frames resident in one link's replay log",
+            then render_reactor;
+        /// Outbound frame transmissions dropped by the chaos layer.
+        chaos_frames_dropped: Counter,
+            "bft_chaos_frames_dropped_total", "Frames dropped by the chaos layer";
+        /// Transport worker panics detected by the runtime's supervision
+        /// (each also sets `RuntimeReport::poisoned`).
+        poison_detections: Counter,
+            "bft_poison_detections_total", "Transport worker panics detected";
+        /// Ordering epochs opened across nodes.
+        epochs_started: Counter, "bft_epochs_started_total", "Epochs opened";
+        /// Ordering epochs whose ACS decided across nodes.
+        epochs_committed: Counter, "bft_epochs_committed_total", "Epochs committed";
+        /// Own batches proposed into epochs across nodes.
+        batches_submitted: Counter, "bft_batches_submitted_total", "Batches submitted";
+        /// Transactions carried by submitted batches across nodes.
+        txs_submitted: Counter, "bft_txs_submitted_total", "Txs submitted";
+        /// Transactions appended to totally-ordered logs across nodes.
+        txs_delivered: Counter, "bft_txs_delivered_total", "Txs ordered";
+        /// Client submissions the gateway accepted into mempools.
+        gateway_accepted: Counter,
+            "bft_gateway_accepted_total", "Client submissions accepted by gateways";
+        /// Client submissions the gateway rejected with a typed NACK.
+        gateway_nacked: Counter,
+            "bft_gateway_nacked_total", "Client submissions refused with a NACK";
+        /// Gateway-accepted transactions that committed and were acked.
+        gateway_committed: Counter,
+            "bft_gateway_committed_total", "Client submissions committed and acked";
+        /// Erasure-coded fragments that passed commitment verification.
+        rbc_fragments_ok: Counter, "bft_rbc_fragments_ok_total", "Coded fragments verified";
+        /// Erasure-coded fragments rejected (bad proof, wrong index, dup).
+        rbc_fragments_rejected: Counter,
+            "bft_rbc_fragments_rejected_total", "Coded fragments rejected";
+        /// Payload reconstructions attempted by the coded broadcast.
+        rbc_reconstructions: Counter,
+            "bft_rbc_reconstructions_total", "Coded payload reconstructions";
+        /// Bytes recovered by successful reconstructions.
+        rbc_reconstruct_bytes: Counter,
+            "bft_rbc_reconstruct_bytes_total", "Bytes recovered by reconstruction";
+        /// Shards re-hashed by reconstructions' codeword checks (the rest of
+        /// each codeword's `n` leaves were reused from fragment verification).
+        rbc_hashed_shards: Counter,
+            "bft_rbc_hashed_shards_total", "Shards re-hashed by reconstruction";
+        /// Highest number of concurrently in-flight epochs seen at one node.
+        max_pipeline_occupancy: Gauge,
+            "bft_max_pipeline_occupancy", "Peak concurrently in-flight epochs";
+        /// Log slots applied by replicated state machines across nodes.
+        slots_applied: Counter, "bft_slots_applied_total", "State-machine slots applied";
+        /// Payload bytes of applied slots across nodes.
+        applied_bytes: Counter, "bft_applied_bytes_total", "Payload bytes applied";
+        /// Checkpoint state hashes proposed (RBC-broadcast) across nodes.
+        checkpoints_proposed: Counter,
+            "bft_checkpoints_proposed_total", "Checkpoint hashes proposed";
+        /// Checkpoint certificates collected (`2f + 1` matching hashes)
+        /// across nodes.
+        checkpoints_certified: Counter,
+            "bft_checkpoints_certified_total", "Checkpoint certificates collected";
+        /// Peer state transfers initiated (catch-up fetches) across nodes.
+        state_transfers_started: Counter,
+            "bft_state_transfers_started_total", "Peer state transfers started";
+        /// Peer state transfers that reconstructed, verified and installed a
+        /// snapshot.
+        state_transfers_completed: Counter,
+            "bft_state_transfers_completed_total", "Peer state transfers completed";
+        /// Snapshot bytes installed by completed state transfers.
+        state_transfer_bytes: Counter,
+            "bft_state_transfer_bytes_total", "Snapshot bytes installed by state transfer";
+    }
 }
 
 impl MetricsSink {
@@ -103,153 +249,15 @@ impl MetricsSink {
         &self.msgs_by_kind
     }
 
-    /// Messages delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages dropped (halted destinations).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Validated-message counts indexed by [`Step::index`].
     pub fn validated_by_step(&self) -> [u64; 3] {
         self.validated_by_step
-    }
-
-    /// Payloads rejected before validation.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Step quorums observed.
-    pub fn quorums(&self) -> u64 {
-        self.quorums
-    }
-
-    /// Coin flips observed.
-    pub fn coin_flips(&self) -> u64 {
-        self.coin_flips
-    }
-
-    /// Value locks observed.
-    pub fn locks(&self) -> u64 {
-        self.locks
-    }
-
-    /// Highest queue-depth sample seen.
-    pub fn max_queue_depth(&self) -> u64 {
-        self.max_queue_depth
-    }
-
-    /// Total events consumed.
-    pub fn events_total(&self) -> u64 {
-        self.events_total
-    }
-
-    /// First-time transport connections authenticated (net runtime).
-    pub fn peer_connects(&self) -> u64 {
-        self.peer_connects
-    }
-
-    /// Transport connections lost (closed, write failure, decode drop).
-    pub fn peer_disconnects(&self) -> u64 {
-        self.peer_disconnects
-    }
-
-    /// Links re-established after a disconnect.
-    pub fn peer_reconnects(&self) -> u64 {
-        self.peer_reconnects
-    }
-
-    /// Failed dial attempts that entered a backoff wait.
-    pub fn backoff_retries(&self) -> u64 {
-        self.backoff_retries
-    }
-
-    /// Inbound frames rejected by the strict decoder.
-    pub fn frame_decode_errors(&self) -> u64 {
-        self.frame_decode_errors
-    }
-
-    /// Inbound frames that skipped ahead of the expected sequence number
-    /// (transport-ordering faults; the connection is dropped and replayed).
-    pub fn frame_sequence_gaps(&self) -> u64 {
-        self.frame_sequence_gaps
-    }
-
-    /// Outbound bodies rejected at the send boundary for exceeding the
-    /// frame cap.
-    pub fn payloads_rejected(&self) -> u64 {
-        self.payloads_rejected
-    }
-
-    /// High-water mark of any directed link's replay log, in frames.
-    pub fn peak_link_log(&self) -> u64 {
-        self.peak_link_log
     }
 
     /// Reactor syscall and frame counts, summed over the nodes that
     /// reported them.
     pub fn reactor(&self) -> ReactorStats {
         self.reactor
-    }
-
-    /// Outbound frame transmissions dropped by the chaos layer.
-    pub fn chaos_frames_dropped(&self) -> u64 {
-        self.chaos_frames_dropped
-    }
-
-    /// Ordering epochs opened across nodes.
-    pub fn epochs_started(&self) -> u64 {
-        self.epochs_started
-    }
-
-    /// Ordering epochs whose ACS decided across nodes.
-    pub fn epochs_committed(&self) -> u64 {
-        self.epochs_committed
-    }
-
-    /// Own batches proposed into epochs across nodes.
-    pub fn batches_submitted(&self) -> u64 {
-        self.batches_submitted
-    }
-
-    /// Transactions carried by submitted batches across nodes.
-    pub fn txs_submitted(&self) -> u64 {
-        self.txs_submitted
-    }
-
-    /// Transactions appended to totally-ordered logs across nodes.
-    pub fn txs_delivered(&self) -> u64 {
-        self.txs_delivered
-    }
-
-    /// Erasure-coded fragments that passed commitment verification.
-    pub fn rbc_fragments_ok(&self) -> u64 {
-        self.rbc_fragments_ok
-    }
-
-    /// Erasure-coded fragments rejected (bad proof, wrong index, dup).
-    pub fn rbc_fragments_rejected(&self) -> u64 {
-        self.rbc_fragments_rejected
-    }
-
-    /// Payload reconstructions attempted by the coded broadcast.
-    pub fn rbc_reconstructions(&self) -> u64 {
-        self.rbc_reconstructions
-    }
-
-    /// Bytes recovered by successful reconstructions.
-    pub fn rbc_reconstruct_bytes(&self) -> u64 {
-        self.rbc_reconstruct_bytes
-    }
-
-    /// Shards re-hashed by reconstructions' codeword checks (the rest of
-    /// each codeword's `n` leaves were reused from fragment verification).
-    pub fn rbc_hashed_shards(&self) -> u64 {
-        self.rbc_hashed_shards
     }
 
     /// `EpochCommitted − EpochStarted` durations, one sample per
@@ -263,73 +271,10 @@ impl MetricsSink {
         &self.occupancy
     }
 
-    /// Highest number of concurrently in-flight epochs seen at one node.
-    pub fn max_pipeline_occupancy(&self) -> u64 {
-        self.max_pipeline_occupancy
-    }
-
-    /// Log slots applied by replicated state machines across nodes.
-    pub fn slots_applied(&self) -> u64 {
-        self.slots_applied
-    }
-
-    /// Payload bytes of applied slots across nodes.
-    pub fn applied_bytes(&self) -> u64 {
-        self.applied_bytes
-    }
-
-    /// Checkpoint state hashes proposed (RBC-broadcast) across nodes.
-    pub fn checkpoints_proposed(&self) -> u64 {
-        self.checkpoints_proposed
-    }
-
-    /// Checkpoint certificates collected (`2f + 1` matching hashes)
-    /// across nodes.
-    pub fn checkpoints_certified(&self) -> u64 {
-        self.checkpoints_certified
-    }
-
     /// `CheckpointCertified − CheckpointProposed` durations, one sample
     /// per `(node, epoch)` pair that certified.
     pub fn checkpoint_latency(&self) -> &Samples {
         &self.checkpoint_latency
-    }
-
-    /// Peer state transfers initiated (catch-up fetches) across nodes.
-    pub fn state_transfers_started(&self) -> u64 {
-        self.state_transfers_started
-    }
-
-    /// Peer state transfers that reconstructed, verified and installed a
-    /// snapshot.
-    pub fn state_transfers_completed(&self) -> u64 {
-        self.state_transfers_completed
-    }
-
-    /// Snapshot bytes installed by completed state transfers.
-    pub fn state_transfer_bytes(&self) -> u64 {
-        self.state_transfer_bytes
-    }
-
-    /// Transport worker panics detected by the runtime's supervision
-    /// (each also sets `RuntimeReport::poisoned`).
-    pub fn poison_detections(&self) -> u64 {
-        self.poison_detections
-    }
-
-    /// Client submissions the gateway accepted into mempools.
-    pub fn gateway_accepted(&self) -> u64 {
-        self.gateway_accepted
-    }
-
-    /// Client submissions the gateway rejected with a typed NACK.
-    pub fn gateway_nacked(&self) -> u64 {
-        self.gateway_nacked
-    }
-
-    /// Gateway-accepted transactions that committed and were acked.
-    pub fn gateway_committed(&self) -> u64 {
-        self.gateway_committed
     }
 
     /// Folds another aggregate into this one.
@@ -345,6 +290,7 @@ impl MetricsSink {
     /// carrying the start marker across runs would let an unrelated run's
     /// `RoundCompleted` close it against a reset clock.
     pub fn merge(&mut self, other: &MetricsSink) {
+        self.merge_scalars(other);
         self.decide_times.merge(&other.decide_times);
         self.decide_rounds.merge(&other.decide_rounds);
         for (&round, samples) in &other.round_latency {
@@ -355,52 +301,13 @@ impl MetricsSink {
             entry.0 += count;
             entry.1 += bytes;
         }
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
         for (mine, theirs) in self.validated_by_step.iter_mut().zip(other.validated_by_step) {
             *mine += theirs;
         }
-        self.rejected += other.rejected;
-        self.quorums += other.quorums;
-        self.coin_flips += other.coin_flips;
-        self.locks += other.locks;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.events_total += other.events_total;
-        self.peer_connects += other.peer_connects;
-        self.peer_disconnects += other.peer_disconnects;
-        self.peer_reconnects += other.peer_reconnects;
-        self.backoff_retries += other.backoff_retries;
-        self.frame_decode_errors += other.frame_decode_errors;
-        self.frame_sequence_gaps += other.frame_sequence_gaps;
-        self.payloads_rejected += other.payloads_rejected;
-        self.peak_link_log = self.peak_link_log.max(other.peak_link_log);
         self.reactor.add(&other.reactor);
-        self.chaos_frames_dropped += other.chaos_frames_dropped;
-        self.epochs_started += other.epochs_started;
-        self.epochs_committed += other.epochs_committed;
-        self.batches_submitted += other.batches_submitted;
-        self.txs_submitted += other.txs_submitted;
-        self.txs_delivered += other.txs_delivered;
-        self.rbc_fragments_ok += other.rbc_fragments_ok;
-        self.rbc_fragments_rejected += other.rbc_fragments_rejected;
-        self.rbc_reconstructions += other.rbc_reconstructions;
-        self.rbc_reconstruct_bytes += other.rbc_reconstruct_bytes;
-        self.rbc_hashed_shards += other.rbc_hashed_shards;
         self.epoch_commit_latency.merge(&other.epoch_commit_latency);
         self.occupancy.merge(&other.occupancy);
-        self.max_pipeline_occupancy = self.max_pipeline_occupancy.max(other.max_pipeline_occupancy);
-        self.slots_applied += other.slots_applied;
-        self.applied_bytes += other.applied_bytes;
-        self.checkpoints_proposed += other.checkpoints_proposed;
-        self.checkpoints_certified += other.checkpoints_certified;
         self.checkpoint_latency.merge(&other.checkpoint_latency);
-        self.state_transfers_started += other.state_transfers_started;
-        self.state_transfers_completed += other.state_transfers_completed;
-        self.state_transfer_bytes += other.state_transfer_bytes;
-        self.poison_detections += other.poison_detections;
-        self.gateway_accepted += other.gateway_accepted;
-        self.gateway_nacked += other.gateway_nacked;
-        self.gateway_committed += other.gateway_committed;
         // `other`'s still-open epochs and checkpoints are discarded for
         // the same reason as its still-open rounds (see above).
     }
@@ -411,387 +318,15 @@ impl MetricsSink {
         }
     }
 
-    /// Serializes the aggregate as a JSON object (the per-config body of
-    /// the bench report).
-    pub fn to_json(&mut self) -> JsonValue {
-        let mut obj = Vec::new();
-        obj.push(("events_total".into(), JsonValue::U64(self.events_total)));
-
-        let mut latency = Vec::new();
-        if !self.decide_times.is_empty() {
-            latency.push(("mean".into(), JsonValue::F64(self.decide_times.mean())));
-            latency.push((
-                "p50".into(),
-                JsonValue::F64(self.decide_times.percentile(50.0).unwrap_or(0.0)),
-            ));
-            latency.push((
-                "p90".into(),
-                JsonValue::F64(self.decide_times.percentile(90.0).unwrap_or(0.0)),
-            ));
-            latency.push(("max".into(), JsonValue::F64(self.decide_times.max().unwrap_or(0.0))));
-        }
-        obj.push(("decision_latency".into(), JsonValue::Obj(latency)));
-
-        let rounds: Vec<JsonValue> = self
-            .decide_rounds
-            .iter()
-            .map(|(round, count)| {
-                JsonValue::Obj(vec![
-                    ("round".into(), JsonValue::U64(round)),
-                    ("nodes".into(), JsonValue::U64(count)),
-                ])
-            })
-            .collect();
-        obj.push(("decision_rounds".into(), JsonValue::Arr(rounds)));
-
-        let mut per_round = Vec::new();
-        for (&round, samples) in self.round_latency.iter_mut() {
-            per_round.push(JsonValue::Obj(vec![
-                ("round".into(), JsonValue::U64(round)),
-                ("nodes".into(), JsonValue::U64(samples.len() as u64)),
-                ("mean".into(), JsonValue::F64(samples.mean())),
-                ("p50".into(), JsonValue::F64(samples.percentile(50.0).unwrap_or(0.0))),
-                ("max".into(), JsonValue::F64(samples.max().unwrap_or(0.0))),
-            ]));
-        }
-        obj.push(("round_latency".into(), JsonValue::Arr(per_round)));
-
-        let kinds: Vec<JsonValue> = self
-            .msgs_by_kind
-            .iter()
-            .map(|(kind, (count, bytes))| {
-                JsonValue::Obj(vec![
-                    ("kind".into(), JsonValue::str(*kind)),
-                    ("count".into(), JsonValue::U64(*count)),
-                    ("bytes".into(), JsonValue::U64(*bytes)),
-                ])
-            })
-            .collect();
-        obj.push(("messages_by_kind".into(), JsonValue::Arr(kinds)));
-        obj.push(("delivered".into(), JsonValue::U64(self.delivered)));
-        obj.push(("dropped".into(), JsonValue::U64(self.dropped)));
-
-        let validated: Vec<JsonValue> = Step::ALL
-            .iter()
-            .map(|step| {
-                JsonValue::Obj(vec![
-                    ("step".into(), JsonValue::str(step.to_string())),
-                    ("count".into(), JsonValue::U64(self.validated_by_step[step.index()])),
-                ])
-            })
-            .collect();
-        obj.push(("validated_by_step".into(), JsonValue::Arr(validated)));
-        obj.push(("rejected".into(), JsonValue::U64(self.rejected)));
-        obj.push(("quorums".into(), JsonValue::U64(self.quorums)));
-        obj.push(("coin_flips".into(), JsonValue::U64(self.coin_flips)));
-        obj.push(("value_locks".into(), JsonValue::U64(self.locks)));
-        obj.push(("max_queue_depth".into(), JsonValue::U64(self.max_queue_depth)));
-        let mut reactor: Vec<(String, JsonValue)> =
-            self.reactor.json_fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        reactor.push(("frames_per_write".into(), JsonValue::F64(self.reactor.frames_per_write())));
-        obj.push((
-            "transport".into(),
-            JsonValue::Obj(vec![
-                ("connects".into(), JsonValue::U64(self.peer_connects)),
-                ("disconnects".into(), JsonValue::U64(self.peer_disconnects)),
-                ("reconnects".into(), JsonValue::U64(self.peer_reconnects)),
-                ("backoff_retries".into(), JsonValue::U64(self.backoff_retries)),
-                ("frame_decode_errors".into(), JsonValue::U64(self.frame_decode_errors)),
-                ("frame_sequence_gaps".into(), JsonValue::U64(self.frame_sequence_gaps)),
-                ("payloads_rejected".into(), JsonValue::U64(self.payloads_rejected)),
-                ("peak_link_log".into(), JsonValue::U64(self.peak_link_log)),
-                ("chaos_frames_dropped".into(), JsonValue::U64(self.chaos_frames_dropped)),
-                ("reactor".into(), JsonValue::Obj(reactor)),
-            ]),
-        ));
-        let mut commit_latency = Vec::new();
-        if !self.epoch_commit_latency.is_empty() {
-            commit_latency.push(("mean".into(), JsonValue::F64(self.epoch_commit_latency.mean())));
-            commit_latency.push((
-                "p50".into(),
-                JsonValue::F64(self.epoch_commit_latency.percentile(50.0).unwrap_or(0.0)),
-            ));
-            commit_latency.push((
-                "max".into(),
-                JsonValue::F64(self.epoch_commit_latency.max().unwrap_or(0.0)),
-            ));
-        }
-        let mut occupancy = Vec::new();
-        if !self.occupancy.is_empty() {
-            occupancy.push(("mean".into(), JsonValue::F64(self.occupancy.mean())));
-            occupancy.push(("max".into(), JsonValue::U64(self.max_pipeline_occupancy)));
-        }
-        obj.push((
-            "ordering".into(),
-            JsonValue::Obj(vec![
-                ("epochs_started".into(), JsonValue::U64(self.epochs_started)),
-                ("epochs_committed".into(), JsonValue::U64(self.epochs_committed)),
-                ("batches_submitted".into(), JsonValue::U64(self.batches_submitted)),
-                ("txs_submitted".into(), JsonValue::U64(self.txs_submitted)),
-                ("txs_delivered".into(), JsonValue::U64(self.txs_delivered)),
-                ("rbc_reconstructions".into(), JsonValue::U64(self.rbc_reconstructions)),
-                ("rbc_reconstruct_bytes".into(), JsonValue::U64(self.rbc_reconstruct_bytes)),
-                ("rbc_hashed_shards".into(), JsonValue::U64(self.rbc_hashed_shards)),
-                ("epoch_commit_latency".into(), JsonValue::Obj(commit_latency)),
-                ("pipeline_occupancy".into(), JsonValue::Obj(occupancy)),
-            ]),
-        ));
-        let mut ckpt_latency = Vec::new();
-        if !self.checkpoint_latency.is_empty() {
-            ckpt_latency.push(("mean".into(), JsonValue::F64(self.checkpoint_latency.mean())));
-            ckpt_latency.push((
-                "p50".into(),
-                JsonValue::F64(self.checkpoint_latency.percentile(50.0).unwrap_or(0.0)),
-            ));
-            ckpt_latency
-                .push(("max".into(), JsonValue::F64(self.checkpoint_latency.max().unwrap_or(0.0))));
-        }
-        obj.push((
-            "state_machine".into(),
-            JsonValue::Obj(vec![
-                ("slots_applied".into(), JsonValue::U64(self.slots_applied)),
-                ("applied_bytes".into(), JsonValue::U64(self.applied_bytes)),
-                ("checkpoints_proposed".into(), JsonValue::U64(self.checkpoints_proposed)),
-                ("checkpoints_certified".into(), JsonValue::U64(self.checkpoints_certified)),
-                ("checkpoint_latency".into(), JsonValue::Obj(ckpt_latency)),
-                ("state_transfers_started".into(), JsonValue::U64(self.state_transfers_started)),
-                (
-                    "state_transfers_completed".into(),
-                    JsonValue::U64(self.state_transfers_completed),
-                ),
-                ("state_transfer_bytes".into(), JsonValue::U64(self.state_transfer_bytes)),
-            ]),
-        ));
-        JsonValue::Obj(obj)
-    }
-
     /// Renders the aggregate in the Prometheus text exposition format
     /// (counters, gauges, summaries and one cumulative histogram), so
     /// external tooling can scrape a run snapshot without parsing JSONL.
     ///
-    /// Output order is pinned (struct field order; BTreeMap keys sort),
-    /// so same-seed runs render byte-identical snapshots.
+    /// Output order is pinned (table row order; BTreeMap keys sort), so
+    /// same-seed runs render byte-identical snapshots.
     pub fn render_prometheus(&mut self) -> String {
         let mut out = String::new();
-        prom_counter(&mut out, "bft_events_total", "Events consumed", self.events_total);
-        for (kind, (count, bytes)) in &self.msgs_by_kind {
-            out.push_str(&format!(
-                "bft_messages_total{{kind=\"{}\"}} {count}\n",
-                prom_escape(kind)
-            ));
-            out.push_str(&format!(
-                "bft_message_bytes_total{{kind=\"{}\"}} {bytes}\n",
-                prom_escape(kind)
-            ));
-        }
-        prom_counter(&mut out, "bft_delivered_total", "Messages delivered", self.delivered);
-        prom_counter(&mut out, "bft_dropped_total", "Messages dropped", self.dropped);
-        for step in Step::ALL.iter() {
-            out.push_str(&format!(
-                "bft_validated_total{{step=\"{step}\"}} {}\n",
-                self.validated_by_step[step.index()]
-            ));
-        }
-        prom_counter(&mut out, "bft_rejected_total", "Payloads rejected", self.rejected);
-        prom_counter(&mut out, "bft_quorums_total", "Step quorums reached", self.quorums);
-        prom_counter(&mut out, "bft_coin_flips_total", "Coin flips", self.coin_flips);
-        prom_counter(&mut out, "bft_value_locks_total", "Value locks", self.locks);
-        prom_gauge(&mut out, "bft_max_queue_depth", "Peak queue depth", self.max_queue_depth);
-        prom_counter(&mut out, "bft_peer_connects_total", "Peer connects", self.peer_connects);
-        prom_counter(
-            &mut out,
-            "bft_peer_disconnects_total",
-            "Peer disconnects",
-            self.peer_disconnects,
-        );
-        prom_counter(
-            &mut out,
-            "bft_peer_reconnects_total",
-            "Peer reconnects",
-            self.peer_reconnects,
-        );
-        prom_counter(
-            &mut out,
-            "bft_backoff_retries_total",
-            "Reconnect backoff retries",
-            self.backoff_retries,
-        );
-        prom_counter(
-            &mut out,
-            "bft_frame_decode_errors_total",
-            "Inbound frame decode errors",
-            self.frame_decode_errors,
-        );
-        prom_counter(
-            &mut out,
-            "bft_frame_sequence_gaps_total",
-            "Inbound frame sequence gaps",
-            self.frame_sequence_gaps,
-        );
-        prom_counter(
-            &mut out,
-            "bft_payloads_rejected_total",
-            "Oversize outbound bodies rejected",
-            self.payloads_rejected,
-        );
-        prom_gauge(
-            &mut out,
-            "bft_peak_link_log_frames",
-            "Peak frames resident in one link's replay log",
-            self.peak_link_log,
-        );
-        let r = &self.reactor;
-        prom_counter(&mut out, "bft_reactor_polls_total", "Reactor poll(2) calls", r.polls);
-        prom_counter(&mut out, "bft_reactor_reads_total", "Reactor read(2) calls", r.reads);
-        prom_counter(
-            &mut out,
-            "bft_reactor_reads_blocked_total",
-            "Reactor reads that would block",
-            r.reads_blocked,
-        );
-        prom_counter(&mut out, "bft_reactor_writes_total", "Reactor write(2) calls", r.writes);
-        prom_counter(
-            &mut out,
-            "bft_reactor_frames_in_total",
-            "Frames decoded by reactors",
-            r.frames_in,
-        );
-        prom_counter(
-            &mut out,
-            "bft_reactor_frames_out_total",
-            "Frames encoded by reactors",
-            r.frames_out,
-        );
-        out.push_str(&format!(
-            "# HELP bft_reactor_frames_per_write Mean frames per write(2)\n\
-             # TYPE bft_reactor_frames_per_write gauge\n\
-             bft_reactor_frames_per_write {}\n",
-            r.frames_per_write()
-        ));
-        prom_counter(
-            &mut out,
-            "bft_chaos_frames_dropped_total",
-            "Frames dropped by the chaos layer",
-            self.chaos_frames_dropped,
-        );
-        prom_counter(
-            &mut out,
-            "bft_poison_detections_total",
-            "Transport worker panics detected",
-            self.poison_detections,
-        );
-        prom_counter(&mut out, "bft_epochs_started_total", "Epochs opened", self.epochs_started);
-        prom_counter(
-            &mut out,
-            "bft_epochs_committed_total",
-            "Epochs committed",
-            self.epochs_committed,
-        );
-        prom_counter(
-            &mut out,
-            "bft_batches_submitted_total",
-            "Batches submitted",
-            self.batches_submitted,
-        );
-        prom_counter(&mut out, "bft_txs_submitted_total", "Txs submitted", self.txs_submitted);
-        prom_counter(&mut out, "bft_txs_delivered_total", "Txs ordered", self.txs_delivered);
-        prom_counter(
-            &mut out,
-            "bft_gateway_accepted_total",
-            "Client submissions accepted by gateways",
-            self.gateway_accepted,
-        );
-        prom_counter(
-            &mut out,
-            "bft_gateway_nacked_total",
-            "Client submissions refused with a NACK",
-            self.gateway_nacked,
-        );
-        prom_counter(
-            &mut out,
-            "bft_gateway_committed_total",
-            "Client submissions committed and acked",
-            self.gateway_committed,
-        );
-        prom_counter(
-            &mut out,
-            "bft_rbc_fragments_ok_total",
-            "Coded fragments verified",
-            self.rbc_fragments_ok,
-        );
-        prom_counter(
-            &mut out,
-            "bft_rbc_fragments_rejected_total",
-            "Coded fragments rejected",
-            self.rbc_fragments_rejected,
-        );
-        prom_counter(
-            &mut out,
-            "bft_rbc_reconstructions_total",
-            "Coded payload reconstructions",
-            self.rbc_reconstructions,
-        );
-        prom_counter(
-            &mut out,
-            "bft_rbc_reconstruct_bytes_total",
-            "Bytes recovered by reconstruction",
-            self.rbc_reconstruct_bytes,
-        );
-        prom_counter(
-            &mut out,
-            "bft_rbc_hashed_shards_total",
-            "Shards re-hashed by reconstruction",
-            self.rbc_hashed_shards,
-        );
-        prom_gauge(
-            &mut out,
-            "bft_max_pipeline_occupancy",
-            "Peak concurrently in-flight epochs",
-            self.max_pipeline_occupancy,
-        );
-        prom_counter(
-            &mut out,
-            "bft_slots_applied_total",
-            "State-machine slots applied",
-            self.slots_applied,
-        );
-        prom_counter(
-            &mut out,
-            "bft_applied_bytes_total",
-            "Payload bytes applied",
-            self.applied_bytes,
-        );
-        prom_counter(
-            &mut out,
-            "bft_checkpoints_proposed_total",
-            "Checkpoint hashes proposed",
-            self.checkpoints_proposed,
-        );
-        prom_counter(
-            &mut out,
-            "bft_checkpoints_certified_total",
-            "Checkpoint certificates collected",
-            self.checkpoints_certified,
-        );
-        prom_counter(
-            &mut out,
-            "bft_state_transfers_started_total",
-            "Peer state transfers started",
-            self.state_transfers_started,
-        );
-        prom_counter(
-            &mut out,
-            "bft_state_transfers_completed_total",
-            "Peer state transfers completed",
-            self.state_transfers_completed,
-        );
-        prom_counter(
-            &mut out,
-            "bft_state_transfer_bytes_total",
-            "Snapshot bytes installed by state transfer",
-            self.state_transfer_bytes,
-        );
-
+        self.render_scalars(&mut out);
         prom_summary(
             &mut out,
             "bft_decision_latency",
@@ -837,18 +372,45 @@ impl MetricsSink {
         );
         out
     }
+
+    fn render_kinds(&self, out: &mut String) {
+        for (kind, (count, bytes)) in &self.msgs_by_kind {
+            let kind = prom_escape(kind);
+            out.push_str(&format!("bft_messages_total{{kind=\"{kind}\"}} {count}\n"));
+            out.push_str(&format!("bft_message_bytes_total{{kind=\"{kind}\"}} {bytes}\n"));
+        }
+    }
+
+    fn render_validated(&self, out: &mut String) {
+        for step in Step::ALL.iter() {
+            out.push_str(&format!(
+                "bft_validated_total{{step=\"{step}\"}} {}\n",
+                self.validated_by_step[step.index()]
+            ));
+        }
+    }
+
+    fn render_reactor(&self, out: &mut String) {
+        for (key, help, count) in self.reactor.counts() {
+            prom_scalar(out, &format!("bft_reactor_{key}_total"), help, "counter", count);
+        }
+        let ratio = self.reactor.frames_per_write();
+        prom_scalar(
+            out,
+            "bft_reactor_frames_per_write",
+            "Mean frames per write(2)",
+            "gauge",
+            ratio,
+        );
+    }
 }
 
 fn prom_escape(label: &str) -> String {
     label.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-fn prom_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-}
-
-fn prom_gauge(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
+fn prom_scalar(out: &mut String, name: &str, help: &str, kind: &str, value: impl Display) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"));
 }
 
 fn prom_summary(out: &mut String, name: &str, help: &str, samples: &mut Samples) {
@@ -890,7 +452,7 @@ impl Sink for MetricsSink {
             Event::MessageDelivered { .. } => self.delivered += 1,
             Event::MessageDropped { .. } => self.dropped += 1,
             Event::QueueDepth { depth } => {
-                self.max_queue_depth = self.max_queue_depth.max(*depth);
+                Kind::Gauge.fold(&mut self.max_queue_depth, *depth);
             }
             Event::RoundStarted { round } => {
                 self.open_rounds.insert((node, *round), at);
@@ -915,10 +477,8 @@ impl Sink for MetricsSink {
             Event::FrameDecodeError { .. } => self.frame_decode_errors += 1,
             Event::FrameSequenceGap { .. } => self.frame_sequence_gaps += 1,
             Event::PayloadRejected { .. } => self.payloads_rejected += 1,
-            Event::LinkLogPeak { frames, .. } => {
-                self.peak_link_log = self.peak_link_log.max(*frames)
-            }
-            Event::ReactorStats(stats) => self.reactor.add(stats),
+            Event::LinkLogPeak { frames, .. } => Kind::Gauge.fold(&mut self.peak_link_log, *frames),
+            Event::ReactorStats { stats } => self.reactor.add(stats),
             Event::FrameDropped { .. } => self.chaos_frames_dropped += 1,
             Event::EpochStarted { epoch } => {
                 self.epochs_started += 1;
@@ -926,7 +486,7 @@ impl Sink for MetricsSink {
                 let inflight = self.inflight_epochs.entry(node).or_insert(0);
                 *inflight += 1;
                 self.occupancy.add(*inflight as f64);
-                self.max_pipeline_occupancy = self.max_pipeline_occupancy.max(*inflight);
+                Kind::Gauge.fold(&mut self.max_pipeline_occupancy, *inflight);
             }
             Event::EpochCommitted { epoch, .. } => {
                 self.epochs_committed += 1;
@@ -1040,13 +600,14 @@ mod tests {
             sequential.on_event(*at, *node, ev);
         }
 
-        assert_eq!(merged.to_json().to_string(), sequential.to_json().to_string());
-        assert_eq!(merged.events_total(), 9);
-        assert_eq!(merged.max_queue_depth(), 9);
+        let text = merged.render_prometheus();
+        assert_eq!(text, sequential.render_prometheus());
+        assert!(text.contains("\nbft_events_total 9\n"));
+        assert!(text.contains("\nbft_max_queue_depth 9\n"));
     }
 
     /// Merge order is observable (sample order) only up to statistics:
-    /// the JSON aggregate sorts/sums everything, but we still pin the
+    /// the Prometheus snapshot sorts/sums everything, but we still pin the
     /// order so raw sample dumps stay reproducible.
     #[test]
     fn merge_appends_samples_in_call_order() {
@@ -1099,8 +660,9 @@ mod tests {
         sink.on_event(0, n0, &Event::MessageSent { to: n0, kind: "echo/echo", bytes: 16 });
         sink.on_event(1, n0, &Event::MessageDelivered { from: n0, kind: "echo/echo" });
         assert_eq!(sink.msgs_by_kind()["echo/echo"], (2, 32));
-        assert_eq!(sink.delivered(), 1);
-        let json = sink.to_json().to_string();
-        assert!(json.contains(r#""messages_by_kind":[{"kind":"echo/echo","count":2,"bytes":32}]"#));
+        let text = sink.render_prometheus();
+        assert!(text.contains(r#"bft_messages_total{kind="echo/echo"} 2"#));
+        assert!(text.contains(r#"bft_message_bytes_total{kind="echo/echo"} 32"#));
+        assert!(text.contains("\nbft_delivered_total 1\n"));
     }
 }

@@ -1,6 +1,6 @@
 //! Protocol-level tracing: run a small cluster with an observer
 //! attached, stream every event as JSONL to stdout, and print the
-//! aggregated metrics report.
+//! aggregated metrics as a Prometheus text snapshot.
 //!
 //! ```bash
 //! cargo run --example observability
@@ -32,7 +32,7 @@ fn main() {
         println!("{line}");
     }
     println!("--- aggregated metrics ---");
-    println!("{}", metrics.to_json());
+    println!("{}", metrics.render_prometheus());
     println!("--- run report ---");
     println!("decided: {:?} in round {:?}", report.unanimous_output(), report.decision_round());
 }
