@@ -1185,6 +1185,54 @@ mod tests {
         ));
     }
 
+    /// Byte-exact encodings of both variants: a change here is a wire
+    /// break and must bump `frame::VERSION`.
+    #[test]
+    fn golden_order_message_encoding() {
+        let batch = OrderMessage::Batch(RbcMuxMessage {
+            sender: NodeId::new(2),
+            tag: 7,
+            msg: bft_rbc::RbcMessage::Send(vec![0xAA, 0xBB]),
+        });
+        #[rustfmt::skip]
+        let batch_bytes = vec![
+            0,                      // OrderMessage discriminant: Batch
+            2, 0, 0, 0,             // sender: NodeId 2, u32 LE
+            7, 0, 0, 0, 0, 0, 0, 0, // tag: epoch 7, u64 LE
+            0,                      // RbcMessage discriminant: Send
+            2, 0, 0, 0, 0xAA, 0xBB, // batch body: u32 LE length, bytes
+        ];
+        let aba = OrderMessage::Aba {
+            epoch: 5,
+            index: 3,
+            wire: Wire {
+                sender: NodeId::new(1),
+                tag: bracha::StepTag::new(bft_types::Round::new(2), bft_types::Step::Echo),
+                msg: bft_rbc::RbcMessage::Ready(bracha::StepPayload::Ready {
+                    value: Value::One,
+                    flagged: false,
+                }),
+            },
+        };
+        #[rustfmt::skip]
+        let aba_bytes = vec![
+            1,                      // OrderMessage discriminant: Aba
+            5, 0, 0, 0, 0, 0, 0, 0, // epoch 5, u64 LE
+            3, 0, 0, 0,             // proposer index 3, u32 LE
+            1, 0, 0, 0,             // wire sender: NodeId 1
+            2, 0, 0, 0, 0, 0, 0, 0, // wire round 2
+            1,                      // wire step: Echo
+            2,                      // RbcMessage discriminant: Ready
+            2,                      // StepPayload discriminant: Ready
+            1,                      // value bit: One
+            0,                      // flagged: false
+        ];
+        for (msg, bytes) in [(batch, batch_bytes), (aba, aba_bytes)] {
+            assert_eq!(msg.to_bytes(), bytes);
+            assert_eq!(OrderMessage::from_bytes(&bytes), Ok(msg));
+        }
+    }
+
     #[test]
     fn traced_sim_run_assembles_complete_balanced_trace_trees() {
         use bft_obs::{Obs, TraceSink};

@@ -1242,6 +1242,60 @@ mod tests {
         ));
     }
 
+    /// Byte-exact encodings of all six variants: a change here is a wire
+    /// break and must bump `frame::VERSION`.
+    #[test]
+    fn golden_smr_message_encoding() {
+        let ckpt = RbcMuxMessage {
+            sender: NodeId::new(1),
+            tag: 4,
+            msg: bft_rbc::RbcMessage::Echo(vec![9]),
+        };
+        let fragment = Fragment { index: 2, total_len: 300, shard: vec![7, 8], proof: vec![6] };
+        #[rustfmt::skip]
+        let cases = [
+            (SmrMessage::Order(OrderMessage::Batch(ckpt.clone())), vec![
+                0,                      // SmrMessage discriminant: Order
+                0,                      // OrderMessage discriminant: Batch
+                1, 0, 0, 0,             // sender: NodeId 1, u32 LE
+                4, 0, 0, 0, 0, 0, 0, 0, // tag: epoch 4, u64 LE
+                1,                      // RbcMessage discriminant: Echo
+                1, 0, 0, 0, 9,          // payload: u32 LE length, bytes
+            ]),
+            (SmrMessage::Ckpt(ckpt), vec![
+                1,                      // SmrMessage discriminant: Ckpt
+                1, 0, 0, 0,             // sender: NodeId 1
+                4, 0, 0, 0, 0, 0, 0, 0, // tag: checkpoint epoch 4
+                1,                      // RbcMessage discriminant: Echo
+                1, 0, 0, 0, 9,          // payload: u32 LE length, bytes
+            ]),
+            (SmrMessage::CkptQuery, vec![2]),
+            (SmrMessage::CkptInfo { epoch: 8, hash: 0x0102_0304_0506_0708 }, vec![
+                3,                      // SmrMessage discriminant: CkptInfo
+                8, 0, 0, 0, 0, 0, 0, 0, // epoch 8, u64 LE
+                8, 7, 6, 5, 4, 3, 2, 1, // hash, u64 LE
+            ]),
+            (SmrMessage::ChunkReq { epoch: 4 }, vec![
+                4,                      // SmrMessage discriminant: ChunkReq
+                4, 0, 0, 0, 0, 0, 0, 0, // epoch 4, u64 LE
+            ]),
+            (SmrMessage::Chunk { epoch: 4, root: 0xAB, fragment }, vec![
+                5,                         // SmrMessage discriminant: Chunk
+                4, 0, 0, 0, 0, 0, 0, 0,    // epoch 4, u64 LE
+                0xAB, 0, 0, 0, 0, 0, 0, 0, // Merkle root, u64 LE
+                2, 0,                      // fragment index 2, u16 LE
+                44, 1, 0, 0,               // total_len 300, u32 LE
+                2, 0, 0, 0, 7, 8,          // shard: u32 LE length, bytes
+                1, 0,                      // proof count 1, u16 LE
+                6, 0, 0, 0, 0, 0, 0, 0,    // proof hash 6, u64 LE
+            ]),
+        ];
+        for (msg, bytes) in cases {
+            assert_eq!(msg.to_bytes(), bytes);
+            assert_eq!(SmrMessage::from_bytes(&bytes), Ok(msg));
+        }
+    }
+
     #[test]
     fn repeated_chunk_from_one_peer_keeps_the_first_and_is_not_reverified() {
         let Ok(cfg) = Config::new(4, 1) else { return };
