@@ -1,6 +1,7 @@
 //! Wire types of the consensus protocol.
 
 use bft_rbc::{CodedPayload, RbcMuxMessage};
+use bft_types::wire::{Codec, DecodeError, Reader};
 use bft_types::{Round, Step, Value};
 use std::fmt;
 
@@ -37,6 +38,18 @@ impl StepTag {
 impl fmt::Display for StepTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.round, self.step)
+    }
+}
+
+impl Codec for StepTag {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.round.encode(out);
+        self.step.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let round = Round::decode(r)?;
+        let step = Step::decode(r)?;
+        Ok(StepTag::new(round, step))
     }
 }
 
@@ -117,6 +130,38 @@ impl fmt::Display for StepPayload {
     }
 }
 
+impl Codec for StepPayload {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            StepPayload::Initial(v) => {
+                out.push(0);
+                v.encode(out);
+            }
+            StepPayload::Echo(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+            StepPayload::Ready { value, flagged } => {
+                out.push(2);
+                value.encode(out);
+                flagged.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(StepPayload::Initial(Value::decode(r)?)),
+            1 => Ok(StepPayload::Echo(Value::decode(r)?)),
+            2 => {
+                let value = Value::decode(r)?;
+                let flagged = bool::decode(r)?;
+                Ok(StepPayload::Ready { value, flagged })
+            }
+            got => Err(DecodeError::Invalid { what: "step payload discriminant", got: got as u64 }),
+        }
+    }
+}
+
 /// The wire message of the consensus protocol: a reliable-broadcast
 /// message for instance `(origin node, round, step)`.
 pub type Wire = RbcMuxMessage<StepTag, StepPayload>;
@@ -163,6 +208,16 @@ mod tests {
     use super::*;
     use bft_rbc::RbcMessage;
     use bft_types::NodeId;
+
+    #[test]
+    fn wire_round_trips() {
+        let w: Wire = Wire {
+            sender: NodeId::new(3),
+            tag: StepTag::new(Round::new(2), Step::Echo),
+            msg: RbcMessage::Ready(StepPayload::Ready { value: Value::One, flagged: true }),
+        };
+        assert_eq!(Wire::from_bytes(&w.to_bytes()), Ok(w));
+    }
 
     #[test]
     fn payload_accessors() {

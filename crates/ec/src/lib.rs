@@ -32,6 +32,7 @@ pub mod gf256;
 pub mod merkle;
 
 use bft_types::hash::Fnv64;
+use bft_types::wire::{put_u16, put_u32, put_u64, Codec, DecodeError, Reader, MAX_PAYLOAD};
 use std::fmt;
 
 /// One erasure-coded fragment of a payload, as handed to (and echoed by)
@@ -52,6 +53,45 @@ impl Fragment {
     /// Wire/heap footprint estimate: shard bytes plus proof words.
     pub fn weight(&self) -> usize {
         self.shard.len() + self.proof.len() * 8
+    }
+}
+
+/// Erasure-coded fragments: index, original payload length, the shard
+/// bytes (length-prefixed) and the Merkle commitment path (count-prefixed
+/// `u64`s). The path count is capped well above any real tree depth
+/// (`log₂ 256 = 8` for the maximum supported `n`) so a hostile length
+/// prefix cannot drive a large allocation.
+impl Codec for Fragment {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u16(out, self.index);
+        put_u32(out, self.total_len);
+        put_u32(out, self.shard.len() as u32);
+        out.extend_from_slice(&self.shard);
+        put_u16(out, self.proof.len() as u16);
+        for hash in &self.proof {
+            put_u64(out, *hash);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let index = r.u16()?;
+        let total_len = r.u32()?;
+        let shard_len = r.u32()? as usize;
+        if shard_len > MAX_PAYLOAD as usize {
+            return Err(DecodeError::Oversize(shard_len as u32));
+        }
+        let shard = r.take(shard_len)?.to_vec();
+        let proof_len = r.u16()? as usize;
+        if proof_len > 64 {
+            return Err(DecodeError::Invalid {
+                what: "fragment proof length",
+                got: proof_len as u64,
+            });
+        }
+        let mut proof = Vec::with_capacity(proof_len);
+        for _ in 0..proof_len {
+            proof.push(r.u64()?);
+        }
+        Ok(Fragment { index, total_len, shard, proof })
     }
 }
 

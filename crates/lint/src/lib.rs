@@ -45,7 +45,6 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "ec",
     "coin",
     "sim",
-    "runtime",
     "adversary",
     "net",
     "order",

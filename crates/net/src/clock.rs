@@ -1,9 +1,8 @@
 //! The transport's wall-clock access, concentrated in one module.
 //!
-//! `bft-net` is a *host* crate like `bft-runtime`: real sockets imply
-//! real time (backoff delays, chaos windows, run timeouts). Protocol
-//! state machines never see this clock — they stay pure and replayable
-//! under `bft-sim`. Keeping every `Instant`/`sleep` here makes the
+//! `bft-net` is a *host* crate: real sockets imply real time (backoff
+//! delays, chaos windows, run timeouts). Protocol state machines never
+//! see this clock — they stay pure and replayable under `bft-sim`. Keeping every `Instant`/`sleep` here makes the
 //! lint escape hatches auditable in one place.
 
 use std::time::Duration;

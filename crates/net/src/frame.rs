@@ -29,8 +29,8 @@
 //! version/kind, oversize lengths, truncation and checksum mismatches
 //! are typed [`DecodeError`]s.
 
-use crate::codec::{put_u16, put_u32, put_u64, DecodeError, Reader};
 use bft_types::hash::{fnv1a64, Fnv64};
+use bft_types::wire::{put_u16, put_u32, put_u64, DecodeError, Reader, MAX_PAYLOAD};
 
 /// Frame magic: `0xAB84`.
 pub const MAGIC: u16 = 0xAB84;
@@ -40,8 +40,6 @@ pub const VERSION: u8 = 2;
 pub const VERSION_V1: u8 = 1;
 /// Size of the version-2 trace-hint body prefix in bytes.
 pub const TRACE_HINT_LEN: usize = 8;
-/// Hard cap on the payload length (1 MiB), excluding the trace hint.
-pub const MAX_PAYLOAD: u32 = 1 << 20;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Checksum trailer size in bytes.

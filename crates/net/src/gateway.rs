@@ -34,8 +34,8 @@
 //! the process-side state machine.
 
 use crate::clock::Clock;
-use crate::codec::{put_u64, DecodeError, Reader};
 use crate::frame::{decode_prefix, encode_frame, FrameKind};
+use bft_types::wire::{put_u64, DecodeError, Reader};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,7 +123,7 @@ pub enum GatewayNotice {
 //
 // The frame header already carries the sequence number; gateway payloads
 // add the client id (and, for NACKs, the typed reason). All integers are
-// little-endian, mirroring `crate::codec`.
+// little-endian, mirroring `bft_types::wire`.
 
 /// Builds a `Submit` payload: `client ‖ tx`.
 pub fn submit_payload(client: u64, tx: &[u8]) -> Vec<u8> {
@@ -138,7 +138,7 @@ pub fn parse_submit(payload: &[u8]) -> Result<(u64, Vec<u8>), DecodeError> {
     let mut r = Reader::new(payload);
     let client = r.u64()?;
     let rest = r.remaining();
-    if rest > crate::frame::MAX_PAYLOAD as usize {
+    if rest > bft_types::wire::MAX_PAYLOAD as usize {
         return Err(DecodeError::Oversize(rest as u32));
     }
     let tx = r.take(rest)?.to_vec();

@@ -27,8 +27,8 @@
 //! counter: uniqueness (not unpredictability) is what the placeholder
 //! construction consumes.
 
-use crate::codec::{Codec, DecodeError, Reader};
 use bft_types::hash::{fnv1a64, Fnv64};
+use bft_types::wire::{put_u64, Codec, DecodeError, Reader};
 use bft_types::NodeId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,7 +119,7 @@ impl From<DecodeError> for HandshakeError {
 pub(crate) fn hello_payload(me: NodeId, nonce_me: u64) -> Vec<u8> {
     let mut hello = Vec::new();
     me.encode(&mut hello);
-    crate::codec::put_u64(&mut hello, nonce_me);
+    put_u64(&mut hello, nonce_me);
     hello
 }
 
@@ -149,8 +149,8 @@ pub(crate) fn challenge_payload(
 ) -> Vec<u8> {
     let mut challenge = Vec::new();
     me.encode(&mut challenge);
-    crate::codec::put_u64(&mut challenge, nonce_me);
-    crate::codec::put_u64(&mut challenge, tag(secret, DIR_ACCEPTER, nonce_peer, me));
+    put_u64(&mut challenge, nonce_me);
+    put_u64(&mut challenge, tag(secret, DIR_ACCEPTER, nonce_peer, me));
     challenge
 }
 
@@ -180,7 +180,7 @@ pub(crate) fn parse_challenge(
 /// Builds the Auth body: `tag(K, "c->s", nonce_peer, me)`.
 pub(crate) fn auth_payload(secret: Secret, nonce_peer: u64, me: NodeId) -> Vec<u8> {
     let mut auth = Vec::new();
-    crate::codec::put_u64(&mut auth, tag(secret, DIR_DIALER, nonce_peer, me));
+    put_u64(&mut auth, tag(secret, DIR_DIALER, nonce_peer, me));
     auth
 }
 

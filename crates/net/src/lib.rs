@@ -1,18 +1,18 @@
 //! `bft-net` — a real TCP transport runtime for the Bracha stack.
 //!
-//! This crate is the third execution substrate for the *unmodified*
+//! This crate is the real execution substrate for the *unmodified*
 //! sans-io protocol state machines (`BrachaProcess`, `RbcProcess`):
 //!
-//! | substrate     | scheduling               | links                    |
-//! |---------------|--------------------------|--------------------------|
-//! | `bft-sim`     | deterministic, seeded    | in-memory queues         |
-//! | `bft-runtime` | OS threads + channels    | in-memory channels       |
-//! | `bft-net`     | OS threads + **sockets** | loopback TCP connections |
+//! | substrate | scheduling               | links                    |
+//! |-----------|--------------------------|--------------------------|
+//! | `bft-sim` | deterministic, seeded    | in-memory queues         |
+//! | `bft-net` | OS threads + **sockets** | loopback TCP connections |
 //!
 //! Layers, bottom-up:
 //!
-//! * [`codec`] — versioned little-endian binary encoding for protocol
-//!   messages (no serde; strict, typed decode errors).
+//! * `bft_types::wire` — little-endian binary encoding for protocol
+//!   messages (no serde; strict, typed decode errors). Each message type
+//!   implements it in its own crate; this crate moves the bytes.
 //! * [`frame`] — length-prefixed framing with a magic/version header and
 //!   an FNV-1a checksum trailer.
 //! * [`handshake`] — preshared-key challenge–response authentication, so
@@ -21,10 +21,10 @@
 //! * [`chaos`] — deterministic, seeded link-level fault injection
 //!   (drop/retransmit, duplication, delay, partitions) applied *under*
 //!   the reliable-link contract.
-//! * [`runtime`] — [`NetRuntime`], mirroring `bft_runtime::Runtime`'s
-//!   builder API and returning the same `RuntimeReport`: socket setup
-//!   and the link contract (cross-connection replay/dedup, reconnect
-//!   with capped exponential backoff).
+//! * [`runtime`] — [`NetRuntime`], its builder API and the
+//!   [`RuntimeReport`] it returns: socket setup and the link contract
+//!   (cross-connection replay/dedup, reconnect with capped exponential
+//!   backoff).
 //! * [`reactor`] — the engine behind [`NetRuntime`]: one nonblocking
 //!   `poll(2)` loop per node drives every socket the node touches (the
 //!   full-mesh peer links and the client gateway) and steps the node's
@@ -63,7 +63,6 @@
 
 pub mod chaos;
 mod clock;
-pub mod codec;
 pub mod frame;
 pub mod gateway;
 pub mod handshake;
@@ -71,16 +70,17 @@ pub mod reactor;
 pub mod runtime;
 
 pub use bft_types::hash::fnv1a64;
+pub use bft_types::wire::Codec;
 pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
-pub use codec::{Codec, DecodeError, Reader};
 pub use frame::{
     encode_frame, encode_frame_into, Frame, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
+    HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };
 pub use gateway::{
     run_load, ClientSubmit, GatewayNotice, GatewayPipe, LoadGenConfig, LoadGenReport, NackReason,
 };
 pub use handshake::{HandshakeError, Secret};
 pub use runtime::{
-    BackoffPolicy, ListenerBounce, NetDriver, NetRuntime, RestartFactory, SetupError,
+    BackoffPolicy, BoxedProcess, ListenerBounce, NetDriver, NetRuntime, RestartFactory,
+    RuntimeReport, SetupError,
 };

@@ -66,8 +66,6 @@
 
 use crate::chaos::{LinkChaos, XorShift};
 use crate::clock::{sleep_ms, Clock};
-use crate::codec::Codec;
-use crate::codec::DecodeError;
 use crate::frame::{encode_frame_into, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD};
 use crate::gateway::{
     parse_submit, submit_nack_payload, submit_ok_payload, ClientSubmit, GatewayNotice, GatewayPipe,
@@ -78,12 +76,12 @@ use crate::handshake::{
     parse_hello, Secret,
 };
 use crate::runtime::{
-    locked, rebind, supervised, BackoffPolicy, ListenerBounce, NetRuntime, PanicLedger,
-    RestartSpec, ACK_EVERY, MAX_RETRANSMIT, RETRANSMIT_RTO_MS,
+    locked, rebind, supervised, BackoffPolicy, BoxedProcess, ListenerBounce, NetRuntime,
+    PanicLedger, RestartSpec, RuntimeReport, ACK_EVERY, MAX_RETRANSMIT, RETRANSMIT_RTO_MS,
 };
 use bft_obs::{Event as ObsEvent, Obs, ReactorStats};
-use bft_runtime::{BoxedProcess, RuntimeReport};
 use bft_types::hash::Fnv64;
+use bft_types::wire::{Codec, DecodeError, MAX_PAYLOAD};
 use bft_types::{Effect, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -1031,13 +1029,13 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
     }
 }
 
-/// Rejects bodies that cannot be framed ([`crate::frame::MAX_PAYLOAD`])
+/// Rejects bodies that cannot be framed ([`MAX_PAYLOAD`])
 /// at the send boundary, before they are assigned a sequence number.
 /// Letting one into a link's replay log would wedge the link: the frame can
 /// never be transmitted, and skipping it would leave a permanent
 /// sequence gap on replay.
 fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
-    if body.len() > crate::frame::MAX_PAYLOAD as usize {
+    if body.len() > MAX_PAYLOAD as usize {
         let len = body.len() as u64;
         obs.emit(me, || ObsEvent::PayloadRejected { len });
         return true;

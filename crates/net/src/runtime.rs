@@ -1,12 +1,12 @@
-//! The TCP transport runtime: `bft-runtime`'s API over real sockets.
+//! The TCP transport runtime: the host substrate over real sockets.
 //!
 //! [`NetRuntime`] runs the *unmodified* sans-io processes over loopback
 //! TCP — one thread per node ([`crate::reactor`]), which owns every
 //! socket the node touches and steps the node's process as frames
-//! arrive — and returns the same [`RuntimeReport`] the thread runtime
-//! produces: the third execution substrate next to `bft-sim` and
-//! `bft-runtime`. This module holds the builder, socket setup and the
-//! panic ledger; the reactor holds the loop.
+//! arrive — and returns a [`RuntimeReport`]: the execution substrate
+//! next to the deterministic `bft-sim`. This module holds the builder,
+//! the report, socket setup and the panic ledger; the reactor holds the
+//! loop.
 //!
 //! # Link discipline
 //!
@@ -42,12 +42,12 @@
 
 use crate::chaos::{ChaosConfig, XorShift};
 use crate::clock::sleep_ms;
-use crate::codec::Codec;
 use crate::gateway::GatewayPipe;
 use crate::handshake::Secret;
 use bft_obs::{Event as ObsEvent, Obs};
-use bft_runtime::{BoxedProcess, RuntimeReport};
-use bft_types::NodeId;
+use bft_types::wire::Codec;
+use bft_types::{NodeId, Process};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
@@ -55,6 +55,60 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// A boxed, thread-movable process.
+pub type BoxedProcess<M, O> = Box<dyn Process<Msg = M, Output = O> + Send>;
+
+/// The result of a [`NetRuntime::run`].
+#[derive(Clone, Debug)]
+pub struct RuntimeReport<O> {
+    /// First output of each node that produced one.
+    pub outputs: BTreeMap<NodeId, O>,
+    /// The correct (non-faulty) nodes.
+    pub correct: Vec<NodeId>,
+    /// Whether the run hit the timeout before all correct nodes produced
+    /// an output.
+    pub timed_out: bool,
+    /// Wall-clock duration of the run.
+    pub elapsed: Duration,
+    /// Whether a runtime thread panicked during the run (shared state
+    /// may have been poisoned and ridden through). Every node and
+    /// transport thread is supervised and sets it, paired with a
+    /// `poison_detected` obs event, so a hung or short-delivering run can
+    /// be triaged instead of silently masked.
+    pub poisoned: bool,
+}
+
+impl<O: Clone + PartialEq> RuntimeReport<O> {
+    /// Whether every correct node produced an output.
+    pub fn all_correct_decided(&self) -> bool {
+        self.correct.iter().all(|id| self.outputs.contains_key(id))
+    }
+
+    /// Whether all correct nodes that produced an output agree.
+    pub fn agreement_holds(&self) -> bool {
+        let mut first: Option<&O> = None;
+        for id in &self.correct {
+            if let Some(o) = self.outputs.get(id) {
+                match first {
+                    None => first = Some(o),
+                    Some(f) if f == o => {}
+                    Some(_) => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// The unanimous output of the correct nodes, if all decided and
+    /// agree.
+    pub fn unanimous_output(&self) -> Option<O> {
+        if !self.all_correct_decided() || !self.agreement_holds() {
+            return None;
+        }
+        self.correct.first().and_then(|id| self.outputs.get(id)).cloned()
+    }
+}
 
 /// Locks a std mutex, riding through poisoning (a panicked peer thread
 /// must not cascade; the supervisor still needs the outputs). Riding
@@ -235,8 +289,7 @@ impl std::error::Error for SetupError {
     }
 }
 
-/// A thread-per-node runtime over loopback TCP sockets, mirroring
-/// [`bft_runtime::Runtime`]'s builder API.
+/// A thread-per-node runtime over loopback TCP sockets.
 ///
 /// Build with [`NetRuntime::new`], install one process per node id, then
 /// call [`NetRuntime::run`], which blocks until every correct node has
@@ -512,7 +565,7 @@ pub(crate) const MAX_RETRANSMIT: u32 = 64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_types::{Effect, Process};
+    use bft_types::Effect;
 
     struct Echo {
         id: NodeId,
@@ -625,6 +678,13 @@ mod tests {
         for (at, node, event) in &events {
             assert!(*at < FRESH_BOUND_US, "stale stamp {at} on {event:?} from node {node:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "never populated")]
+    fn run_requires_all_slots() {
+        let rt: NetRuntime<u64, usize> = NetRuntime::new(2);
+        let _ = rt.run();
     }
 
     #[test]

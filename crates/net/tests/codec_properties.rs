@@ -4,12 +4,12 @@
 //! any of these is a wire-format break and must bump `frame::VERSION`).
 
 use bft_ec::Fragment;
-use bft_net::codec::Codec;
 use bft_net::{
-    encode_frame, encode_frame_into, fnv1a64, DecodeError, Frame, FrameKind, FrameRef,
-    PayloadTooLarge, FRAME_OVERHEAD, MAX_PAYLOAD,
+    encode_frame, encode_frame_into, fnv1a64, Frame, FrameKind, FrameRef, PayloadTooLarge,
+    FRAME_OVERHEAD,
 };
 use bft_rbc::{RbcMessage, RbcMuxMessage};
+use bft_types::wire::{Codec, DecodeError, MAX_PAYLOAD};
 use bft_types::{NodeId, Round, Step, Value};
 use bracha::{StepPayload, StepTag, Wire};
 use proptest::prelude::*;

@@ -25,8 +25,9 @@
 
 use crate::{Backpressure, OrderLog, OrderMessage, OrderProcess};
 use bft_coin::CoinScheme;
-use bft_net::{ClientSubmit, GatewayNotice, GatewayPipe, NackReason, MAX_PAYLOAD};
+use bft_net::{ClientSubmit, GatewayNotice, GatewayPipe, NackReason};
 use bft_obs::{Event, Obs};
+use bft_types::wire::MAX_PAYLOAD;
 use bft_types::{Effect, NodeId, Process};
 use std::collections::BTreeMap;
 use std::fmt;

@@ -62,9 +62,9 @@
 pub mod gateway;
 
 use bft_coin::CoinScheme;
-use bft_net::codec::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_obs::{Event, Obs, TraceCtx, TracePhase};
 use bft_rbc::{RbcKind, RbcMux, RbcMuxAction, RbcMuxMessage};
+use bft_types::wire::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_types::{Config, Effect, NodeId, Process, Value};
 use bracha::{BrachaNode, BrachaOptions, Transition, Wire};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -433,8 +433,7 @@ fn batch_trace(proposer: NodeId, epoch: &u64) -> Option<TraceCtx> {
 }
 
 /// One node of the atomic-broadcast engine, packaged as a [`Process`]
-/// so it runs unmodified on all three substrates (`bft-sim`,
-/// `bft-runtime`, `bft-net`).
+/// so it runs unmodified on both substrates (`bft-sim`, `bft-net`).
 ///
 /// `coin_for` supplies the coin for agreement instance
 /// `epoch × n + proposer_index`; use [`bft_coin::CommonCoin`] keyed by

@@ -1,6 +1,7 @@
 //! Wire messages of one reliable-broadcast instance.
 
 use bft_ec::Fragment;
+use bft_types::wire::{put_u64, Codec, DecodeError, Reader};
 use std::fmt;
 
 /// A message of a reliable-broadcast instance — either of Bracha's
@@ -64,6 +65,58 @@ impl<P> RbcMessage<P> {
             RbcMessage::CodedSend { .. } => "rbc-csend",
             RbcMessage::CodedEcho { .. } => "rbc-cecho",
             RbcMessage::CodedReady { .. } => "rbc-cready",
+        }
+    }
+}
+
+impl<P: Codec> Codec for RbcMessage<P> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RbcMessage::Send(p) => {
+                out.push(0);
+                p.encode(out);
+            }
+            RbcMessage::Echo(p) => {
+                out.push(1);
+                p.encode(out);
+            }
+            RbcMessage::Ready(p) => {
+                out.push(2);
+                p.encode(out);
+            }
+            RbcMessage::CodedSend { root, fragment } => {
+                out.push(3);
+                put_u64(out, *root);
+                fragment.encode(out);
+            }
+            RbcMessage::CodedEcho { root, fragment } => {
+                out.push(4);
+                put_u64(out, *root);
+                fragment.encode(out);
+            }
+            RbcMessage::CodedReady { root } => {
+                out.push(5);
+                put_u64(out, *root);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(RbcMessage::Send(P::decode(r)?)),
+            1 => Ok(RbcMessage::Echo(P::decode(r)?)),
+            2 => Ok(RbcMessage::Ready(P::decode(r)?)),
+            3 => {
+                let root = r.u64()?;
+                let fragment = Fragment::decode(r)?;
+                Ok(RbcMessage::CodedSend { root, fragment })
+            }
+            4 => {
+                let root = r.u64()?;
+                let fragment = Fragment::decode(r)?;
+                Ok(RbcMessage::CodedEcho { root, fragment })
+            }
+            5 => Ok(RbcMessage::CodedReady { root: r.u64()? }),
+            got => Err(DecodeError::Invalid { what: "rbc phase discriminant", got: got as u64 }),
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::{CodedInstance, CodedPayload, RbcAction, RbcInstance, RbcMessage};
 use bft_obs::{Obs, TraceCtx};
+use bft_types::wire::{Codec, DecodeError, Reader};
 use bft_types::{Config, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -113,6 +114,20 @@ pub struct RbcMuxMessage<T, P> {
     pub tag: T,
     /// The inner protocol message.
     pub msg: RbcMessage<P>,
+}
+
+impl<T: Codec, P: Codec> Codec for RbcMuxMessage<T, P> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sender.encode(out);
+        self.tag.encode(out);
+        self.msg.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let sender = NodeId::decode(r)?;
+        let tag = T::decode(r)?;
+        let msg = RbcMessage::decode(r)?;
+        Ok(RbcMuxMessage { sender, tag, msg })
+    }
 }
 
 impl<T: fmt::Display, P: fmt::Display> fmt::Display for RbcMuxMessage<T, P> {

@@ -38,19 +38,18 @@
 //!   dissemination bound, not full-log replay.
 //!
 //! The whole machine is a sans-io [`Process`], so it runs unmodified on
-//! the deterministic simulator, the threaded runtime and the TCP
-//! transport; [`SmrMessage`] carries the wire arms through the v2 codec.
+//! the deterministic simulator and the TCP transport; [`SmrMessage`] carries the wire arms through the v2 codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use bft_coin::CoinScheme;
 use bft_ec::{encode as ec_encode, reconstruct_verified, Fragment, VerifiedFragment};
-use bft_net::codec::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_obs::{Event, Obs, TraceCtx, TracePhase};
 use bft_order::{Backpressure, LogEntry, OrderLog, OrderMessage, OrderOptions, OrderProcess};
 use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
 use bft_types::hash::{fnv1a64, Fnv64};
+use bft_types::wire::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_types::{Config, Effect, NodeId, Process};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -518,7 +517,7 @@ struct Snapshot {
 type SmrEffect = Effect<SmrMessage, SmrOutput>;
 
 /// One node of the replicated key-value service, packaged as a
-/// [`Process`] so it runs unmodified on all three substrates.
+/// [`Process`] so it runs unmodified on both substrates.
 ///
 /// A fresh node starts applying from epoch 0. A *recovering* replacement
 /// (see [`SmrProcess::recovering`]) instead suppresses live apply,

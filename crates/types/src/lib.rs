@@ -14,9 +14,12 @@
 //!   consensus protocol.
 //! * [`Process`] and [`Effect`] — the sans-io interface between protocol
 //!   state machines and transports. Both the deterministic discrete-event
-//!   simulator (`bft-sim`) and the thread actor runtime (`bft-runtime`)
-//!   drive the *same* protocol code through this interface.
+//!   simulator (`bft-sim`) and the TCP transport (`bft-net`) drive the
+//!   *same* protocol code through this interface.
 //! * [`hash`] — FNV-1a 64, the one hash every layer uses.
+//! * [`wire`] — the binary wire codec: the [`wire::Codec`] trait, its
+//!   strict [`wire::Reader`] and the encodings of the types above. Each
+//!   protocol crate implements it for its own message types.
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@ mod id;
 mod process;
 mod round;
 mod value;
+pub mod wire;
 
 pub use bitset::NodeBitset;
 pub use config::Config;

@@ -8,8 +8,7 @@
 //! are all typed [`DecodeError`]s, never panics — a Byzantine peer owns
 //! the bytes on the wire, so the decoder is protocol attack surface.
 
-use bft_rbc::{RbcMessage, RbcMuxMessage};
-use bft_types::{NodeId, Round, Step, Value};
+use crate::{NodeId, Round, Step, Value};
 use std::fmt;
 
 /// A strict decode failure.
@@ -23,7 +22,7 @@ pub enum DecodeError {
     BadMagic(u16),
     /// The frame advertised an unsupported codec version.
     BadVersion(u8),
-    /// The frame kind byte is not a known [`crate::frame::FrameKind`].
+    /// The frame kind byte is not a known frame kind.
     BadKind(u8),
     /// The advertised payload length exceeds the hard cap.
     Oversize(u32),
@@ -104,16 +103,19 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Wraps a byte slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Consumes exactly `n` bytes or fails with `Truncated`.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated { needed: n, available: self.remaining() });
@@ -124,12 +126,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         let b = self.take(1)?;
         Ok(b.first().copied().unwrap_or_default())
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
         let mut a = [0u8; 2];
         a.copy_from_slice(self.take(2)?);
@@ -137,6 +141,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         let mut a = [0u8; 4];
         a.copy_from_slice(self.take(4)?);
@@ -144,6 +149,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         let mut a = [0u8; 8];
         a.copy_from_slice(self.take(8)?);
@@ -151,6 +157,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Asserts the input was consumed exactly.
+    #[inline]
     pub fn finish(self) -> Result<(), DecodeError> {
         if self.remaining() > 0 {
             return Err(DecodeError::Trailing { unread: self.remaining() });
@@ -160,16 +167,19 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends a little-endian `u16`.
+#[inline]
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u32`.
+#[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -212,36 +222,44 @@ pub trait Codec: Sized {
 }
 
 impl Codec for u8 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.u8()
     }
 }
 
 impl Codec for u32 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.u32()
     }
 }
 
 impl Codec for u64 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, *self);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.u64()
     }
 }
 
 impl Codec for bool {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(false),
@@ -265,9 +283,11 @@ impl Codec for () {
 pub const MAX_WIRE_NODE_INDEX: usize = 4096;
 
 impl Codec for NodeId {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.index() as u32);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let index = r.u32()? as usize;
         if index > MAX_WIRE_NODE_INDEX {
@@ -278,9 +298,11 @@ impl Codec for NodeId {
 }
 
 impl Codec for Value {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.bit());
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(Value::Zero),
@@ -291,9 +313,11 @@ impl Codec for Value {
 }
 
 impl Codec for Round {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.get());
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u64()? {
             0 => Err(DecodeError::Invalid { what: "round (rounds are 1-based)", got: 0 }),
@@ -303,9 +327,11 @@ impl Codec for Round {
 }
 
 impl Codec for Step {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.index() as u8);
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
             0 => Ok(Step::Initial),
@@ -316,157 +342,12 @@ impl Codec for Step {
     }
 }
 
-impl Codec for bracha::StepTag {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.round.encode(out);
-        self.step.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let round = Round::decode(r)?;
-        let step = Step::decode(r)?;
-        Ok(bracha::StepTag::new(round, step))
-    }
-}
+/// Hard cap on a frame payload (1 MiB), excluding the trace hint; also
+/// the cap on every length prefix a decoder accepts.
+pub const MAX_PAYLOAD: u32 = 1 << 20;
 
-impl Codec for bracha::StepPayload {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            bracha::StepPayload::Initial(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            bracha::StepPayload::Echo(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            bracha::StepPayload::Ready { value, flagged } => {
-                out.push(2);
-                value.encode(out);
-                flagged.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(bracha::StepPayload::Initial(Value::decode(r)?)),
-            1 => Ok(bracha::StepPayload::Echo(Value::decode(r)?)),
-            2 => {
-                let value = Value::decode(r)?;
-                let flagged = bool::decode(r)?;
-                Ok(bracha::StepPayload::Ready { value, flagged })
-            }
-            got => Err(DecodeError::Invalid { what: "step payload discriminant", got: got as u64 }),
-        }
-    }
-}
-
-/// Erasure-coded fragments: index, original payload length, the shard
-/// bytes (length-prefixed) and the Merkle commitment path (count-prefixed
-/// `u64`s). The path count is capped well above any real tree depth
-/// (`log₂ 256 = 8` for the maximum supported `n`) so a hostile length
-/// prefix cannot drive a large allocation.
-impl Codec for bft_ec::Fragment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u16(out, self.index);
-        put_u32(out, self.total_len);
-        put_u32(out, self.shard.len() as u32);
-        out.extend_from_slice(&self.shard);
-        put_u16(out, self.proof.len() as u16);
-        for hash in &self.proof {
-            put_u64(out, *hash);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let index = r.u16()?;
-        let total_len = r.u32()?;
-        let shard_len = r.u32()? as usize;
-        if shard_len > crate::frame::MAX_PAYLOAD as usize {
-            return Err(DecodeError::Oversize(shard_len as u32));
-        }
-        let shard = r.take(shard_len)?.to_vec();
-        let proof_len = r.u16()? as usize;
-        if proof_len > 64 {
-            return Err(DecodeError::Invalid {
-                what: "fragment proof length",
-                got: proof_len as u64,
-            });
-        }
-        let mut proof = Vec::with_capacity(proof_len);
-        for _ in 0..proof_len {
-            proof.push(r.u64()?);
-        }
-        Ok(bft_ec::Fragment { index, total_len, shard, proof })
-    }
-}
-
-impl<P: Codec> Codec for RbcMessage<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RbcMessage::Send(p) => {
-                out.push(0);
-                p.encode(out);
-            }
-            RbcMessage::Echo(p) => {
-                out.push(1);
-                p.encode(out);
-            }
-            RbcMessage::Ready(p) => {
-                out.push(2);
-                p.encode(out);
-            }
-            RbcMessage::CodedSend { root, fragment } => {
-                out.push(3);
-                put_u64(out, *root);
-                fragment.encode(out);
-            }
-            RbcMessage::CodedEcho { root, fragment } => {
-                out.push(4);
-                put_u64(out, *root);
-                fragment.encode(out);
-            }
-            RbcMessage::CodedReady { root } => {
-                out.push(5);
-                put_u64(out, *root);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(RbcMessage::Send(P::decode(r)?)),
-            1 => Ok(RbcMessage::Echo(P::decode(r)?)),
-            2 => Ok(RbcMessage::Ready(P::decode(r)?)),
-            3 => {
-                let root = r.u64()?;
-                let fragment = bft_ec::Fragment::decode(r)?;
-                Ok(RbcMessage::CodedSend { root, fragment })
-            }
-            4 => {
-                let root = r.u64()?;
-                let fragment = bft_ec::Fragment::decode(r)?;
-                Ok(RbcMessage::CodedEcho { root, fragment })
-            }
-            5 => Ok(RbcMessage::CodedReady { root: r.u64()? }),
-            got => Err(DecodeError::Invalid { what: "rbc phase discriminant", got: got as u64 }),
-        }
-    }
-}
-
-impl<T: Codec, P: Codec> Codec for RbcMuxMessage<T, P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.tag.encode(out);
-        self.msg.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let sender = NodeId::decode(r)?;
-        let tag = T::decode(r)?;
-        let msg = RbcMessage::decode(r)?;
-        Ok(RbcMuxMessage { sender, tag, msg })
-    }
-}
-
-/// Strings are length-prefixed UTF-8 (used by the RBC examples whose
-/// payloads are text).
+/// Byte strings are length-prefixed (`u32` LE), capped at
+/// [`MAX_PAYLOAD`].
 impl Codec for Vec<u8> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.len() as u32);
@@ -474,13 +355,15 @@ impl Codec for Vec<u8> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = r.u32()? as usize;
-        if len > crate::frame::MAX_PAYLOAD as usize {
+        if len > MAX_PAYLOAD as usize {
             return Err(DecodeError::Oversize(len as u32));
         }
         Ok(r.take(len)?.to_vec())
     }
 }
 
+/// Strings are length-prefixed UTF-8 (used by the RBC examples whose
+/// payloads are text).
 impl Codec for String {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.len() as u32);
@@ -488,7 +371,7 @@ impl Codec for String {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = r.u32()? as usize;
-        if len > crate::frame::MAX_PAYLOAD as usize {
+        if len > MAX_PAYLOAD as usize {
             return Err(DecodeError::Oversize(len as u32));
         }
         let bytes = r.take(len)?;
@@ -502,7 +385,6 @@ impl Codec for String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bracha::{StepPayload, StepTag, Wire};
 
     fn round_trip<T: Codec + PartialEq + fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
@@ -520,16 +402,6 @@ mod tests {
         round_trip(Round::new(42));
         round_trip(Step::Ready);
         round_trip("héllo".to_string());
-    }
-
-    #[test]
-    fn wire_round_trips() {
-        let w: Wire = Wire {
-            sender: NodeId::new(3),
-            tag: StepTag::new(Round::new(2), Step::Echo),
-            msg: RbcMessage::Ready(StepPayload::Ready { value: Value::One, flagged: true }),
-        };
-        round_trip(w);
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! and the CI smoke job.
 
 use crate::coin::CommonCoin;
-use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetRuntime, SetupError};
+use crate::net::{
+    GatewayPipe, LoadGenConfig, LoadGenReport, NetRuntime, RuntimeReport, SetupError,
+};
 use crate::obs::Obs;
 use crate::order::gateway::GatewayProcess;
 use crate::order::{OpenCounts, OrderLog, OrderOptions, OrderProcess};
-use crate::runtime::RuntimeReport;
 use crate::types::{Config, NodeId};
 use crate::OpenTally;
 use std::sync::atomic::{AtomicBool, Ordering};

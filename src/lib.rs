@@ -15,12 +15,11 @@
 //!   its log's first entry is multi-value consensus.
 //! * [`bft_sim`] — a deterministic discrete-event **simulator** whose
 //!   pluggable schedulers play the asynchronous network adversary.
-//! * [`bft_runtime`] — a thread-per-node **actor runtime** running the
-//!   same protocol code on real concurrency.
-//! * [`bft_net`] — a real **TCP transport**: framed wire codec with
-//!   checksum trailer, preshared-key authenticated handshake, full-mesh
-//!   peer manager with reconnect/backoff, and deterministic link-level
-//!   chaos injection.
+//! * [`bft_net`] — a real **TCP transport**: frames with a checksum
+//!   trailer, preshared-key authenticated handshake, full-mesh peer
+//!   manager with reconnect/backoff, and deterministic link-level chaos
+//!   injection. Message formats live with their types
+//!   ([`bft_types::wire`]).
 //! * [`bft_adversary`] — a zoo of Byzantine behaviours and content-aware
 //!   adversarial schedulers.
 //! * [`bft_coin`] — local and (dealer-model) common coins.
@@ -32,17 +31,15 @@
 //!   event taxonomy with pluggable sinks (metrics aggregation, JSONL
 //!   export, online invariant checking).
 //!
-//! The same sans-io state machines run unmodified on **three execution
-//! substrates**, each trading determinism for realism:
+//! The same sans-io state machines run unmodified on **two execution
+//! substrates**, one deterministic, one real:
 //!
 //! 1. [`sim`] — deterministic discrete-event simulation: seeded,
 //!    replayable, adversarial schedulers (drive it via [`Cluster`] or the
 //!    `absim` binary);
-//! 2. [`runtime`] — OS threads exchanging messages over in-memory
-//!    channels: real concurrency, no wire;
-//! 3. [`net`] — OS threads exchanging authenticated framed messages over
-//!    loopback TCP sockets, with optional chaos injection (drive it via
-//!    the `abnet` binary).
+//! 2. [`net`] — one OS thread per node exchanging authenticated framed
+//!    messages over loopback TCP sockets, with optional chaos injection
+//!    (drive it via the `abnet` binary).
 //!
 //! This crate ties them together and adds [`Cluster`], a one-stop builder
 //! for simulated consensus experiments:
@@ -113,11 +110,6 @@ pub mod consensus {
 /// Re-export of the adversary crate.
 pub mod adversary {
     pub use bft_adversary::*;
-}
-
-/// Re-export of the thread runtime crate.
-pub mod runtime {
-    pub use bft_runtime::*;
 }
 
 /// Re-export of the TCP transport crate.

@@ -318,9 +318,9 @@ proptest! {
 const RBC_ENVELOPE_BYTES: usize = 12;
 
 /// Byte-exact wire classifier for reliable-broadcast messages: the
-/// `bft-net` codec encoding plus the mux envelope.
+/// wire codec's encoding plus the mux envelope.
 fn classify_rbc_bytes(msg: &RbcMessage<Vec<u8>>) -> MsgClass {
-    use async_bft::net::Codec;
+    use async_bft::types::wire::Codec;
     let mut buf = Vec::new();
     msg.encode(&mut buf);
     MsgClass { kind: msg.kind(), bytes: buf.len() + RBC_ENVELOPE_BYTES }

@@ -6,10 +6,9 @@
 //! lengths, the batch count bound, and `ec::MAX_TOTAL_LEN`).
 
 use async_bft::ec::{self, EcError, Fragment, MAX_TOTAL_LEN};
-use async_bft::net::codec::MAX_WIRE_NODE_INDEX;
-use async_bft::net::{Codec, DecodeError, Reader, MAX_PAYLOAD};
 use async_bft::order::{decode_batch, encode_batch};
 use async_bft::smr::{KvOp, SmrMessage};
+use async_bft::types::wire::{Codec, DecodeError, Reader, MAX_PAYLOAD, MAX_WIRE_NODE_INDEX};
 use async_bft::types::NodeId;
 use proptest::prelude::*;
 
