@@ -1,8 +1,8 @@
 //! End-to-end consensus over real loopback TCP — the acceptance gate for
 //! the `bft-net` transport.
 //!
-//! The *unmodified* protocol processes (the same boxes the simulator and
-//! the thread runtime drive) run over actual sockets: framed wire codec,
+//! The *unmodified* protocol processes (the same boxes the simulator
+//! drives) run over actual sockets: framed wire codec,
 //! authenticated handshake, full-mesh peer manager. The suite covers the
 //! happy path with a Byzantine node, the same run under 10% frame drop
 //! chaos, a mid-run listener outage that exercises the reconnect/replay
@@ -12,9 +12,9 @@
 //! single-threaded (`--test-threads=1`) under a hard timeout.
 
 use async_bft::adversary::{make_bracha_adversary, FaultKind};
-use async_bft::coin::LocalCoin;
+use async_bft::coin::{CoinScheme, CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
-use async_bft::net::{ChaosConfig, LinkOutage, ListenerBounce, NetRuntime};
+use async_bft::net::{ChaosConfig, LinkOutage, ListenerBounce, NetRuntime, RuntimeReport};
 use async_bft::obs::{Event, MetricsSink, Obs, VecSink};
 use async_bft::rbc::{CodedProcess, RbcProcess};
 use async_bft::types::{Config, NodeId, Value};
@@ -22,12 +22,17 @@ use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Builds the standard n=4, f=1 cluster: three correct nodes with
-/// unanimous input `One` and one Byzantine `FlipValue` node, all over
-/// loopback TCP.
-fn byzantine_cluster(rt: &mut NetRuntime<Wire, Value>, seed: u64) -> Config {
-    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
-    let liar = NodeId::new(3);
+/// Builds a Bracha cluster over loopback TCP whose last node is a
+/// Byzantine `FlipValue` liar; every other node starts from `input(id)`
+/// and flips `coin(id)`.
+fn byzantine_cluster<C: CoinScheme + Send + 'static>(
+    rt: &mut NetRuntime<Wire, Value>,
+    cfg: Config,
+    seed: u64,
+    input: fn(NodeId) -> Value,
+    coin: impl Fn(NodeId) -> C,
+) {
+    let liar = NodeId::new(cfg.n() - 1);
     for id in cfg.nodes() {
         if id == liar {
             rt.add_faulty_process(make_bracha_adversary(
@@ -41,35 +46,59 @@ fn byzantine_cluster(rt: &mut NetRuntime<Wire, Value>, seed: u64) -> Config {
             rt.add_process(Box::new(BrachaProcess::new(
                 cfg,
                 id,
-                Value::One,
-                LocalCoin::new(seed, id),
+                input(id),
+                coin(id),
                 BrachaOptions::default(),
             )));
         }
     }
-    cfg
 }
 
-/// The headline acceptance test: n=4/f=1 Bracha with a Byzantine liar
-/// completes over real TCP, and agreement + validity hold.
-#[test]
-fn bracha_decides_over_loopback_tcp_with_byzantine_node() {
+/// The standard n=4, f=1 cluster: three correct nodes with unanimous
+/// input `One` and local coins, and the liar.
+fn four_node_cluster(rt: &mut NetRuntime<Wire, Value>, seed: u64) {
+    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
+    byzantine_cluster(rt, cfg, seed, |_| Value::One, |id| LocalCoin::new(seed, id));
+}
+
+/// Runs a [`byzantine_cluster`] to completion and checks termination,
+/// agreement and a clean transport.
+fn decide_over_tcp<C: CoinScheme + Send + 'static>(
+    cfg: Config,
+    seed: u64,
+    input: fn(NodeId) -> Value,
+    coin: impl Fn(NodeId) -> C,
+) -> RuntimeReport<Value> {
     let (obs, shared) = Obs::new(MetricsSink::new());
-    let mut rt = NetRuntime::new(4).timeout(TIMEOUT).observer(obs.clone());
-    byzantine_cluster(&mut rt, 7);
+    let mut rt = NetRuntime::new(cfg.n()).timeout(TIMEOUT).observer(obs.clone());
+    byzantine_cluster(&mut rt, cfg, seed, input, coin);
     let report = rt.run();
     drop(obs);
 
     assert!(!report.timed_out, "cluster stalled over TCP");
     assert!(report.all_correct_decided());
     assert!(report.agreement_holds());
-    // Validity: unanimous correct input One must be the decision, no
-    // matter what the liar injects.
-    assert_eq!(report.unanimous_output(), Some(Value::One));
 
     let metrics = shared.lock();
     assert!(metrics.peer_connects() > 0, "transport never reported a connection");
     assert_eq!(metrics.frame_decode_errors(), 0, "clean run must not hit decode errors");
+    report
+}
+
+/// The headline acceptance test: Bracha with a Byzantine liar completes
+/// over real TCP, and agreement + validity hold — at n=4/f=1 with local
+/// coins, and at n=7/f=2 with split inputs and one common coin.
+#[test]
+fn bracha_decides_over_loopback_tcp_with_byzantine_node() {
+    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
+    let report = decide_over_tcp(cfg, 7, |_| Value::One, |id| LocalCoin::new(7, id));
+    // Validity: unanimous correct input One must be the decision, no
+    // matter what the liar injects.
+    assert_eq!(report.unanimous_output(), Some(Value::One));
+
+    let cfg = Config::new(7, 2).expect("7 >= 3f + 1");
+    let split = |id: NodeId| Value::from_bit(1 - (id.index() % 2) as u8);
+    decide_over_tcp(cfg, 9, split, |_| CommonCoin::new(9, 0));
 }
 
 /// The same cluster with the chaos layer dropping 10% of frame
@@ -85,7 +114,7 @@ fn bracha_decides_with_ten_percent_frame_drop() {
         ..ChaosConfig::default()
     };
     let mut rt = NetRuntime::new(4).timeout(TIMEOUT).observer(obs.clone()).chaos(chaos);
-    byzantine_cluster(&mut rt, 11);
+    four_node_cluster(&mut rt, 11);
     let report = rt.run();
     drop(obs);
 
@@ -128,7 +157,7 @@ fn cluster_survives_listener_bounce_and_reconnects() {
         .observer(obs.clone())
         .chaos(chaos)
         .bounce_listener(ListenerBounce { node: bounced, at_ms: 60, down_ms: 250 });
-    byzantine_cluster(&mut rt, 13);
+    four_node_cluster(&mut rt, 13);
     let report = rt.run();
     drop(obs);
 

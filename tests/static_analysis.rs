@@ -98,3 +98,37 @@ fn net_crate_is_walked_and_annotated() {
         "bft-net has unannotated lint findings"
     );
 }
+
+/// The dependency names a manifest's `[dependencies]` table lists.
+fn dependencies(manifest: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(workspace_root().join(manifest)).expect("manifest readable");
+    text.lines()
+        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
+        .filter_map(|l| l.split(['.', '=']).next().map(|k| k.trim().to_string()))
+        .collect()
+}
+
+#[test]
+fn transport_depends_on_no_protocol_crate() {
+    // The transport moves bytes; every message format lives with its type
+    // (`bft_types::wire` and the protocol crates), so bft-net needs none
+    // of them, and the replicated service reaches the wire without it.
+    let mut net = dependencies("crates/net/Cargo.toml");
+    net.sort();
+    assert_eq!(net, ["bft-obs", "bft-types", "poll"]);
+    assert!(!dependencies("crates/smr/Cargo.toml").iter().any(|d| d == "bft-net"));
+
+    let crates = std::fs::read_dir(workspace_root().join("crates")).expect("crates/ readable");
+    let manifests = crates
+        .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
+        .chain([workspace_root().join("Cargo.toml")]);
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("manifest readable");
+        for gone in ["bft-runtime", "crossbeam", "parking_lot"] {
+            assert!(!text.contains(gone), "{} names {gone}", manifest.display());
+        }
+    }
+}
