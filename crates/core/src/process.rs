@@ -1,5 +1,5 @@
 //! Transport adapter: running a [`BrachaNode`] under `bft-sim` or
-//! `bft-runtime`.
+//! `bft-net`.
 
 use crate::{BrachaNode, BrachaOptions, Transition, Wire};
 use bft_coin::CoinScheme;

@@ -198,8 +198,8 @@ events! {
     ///
     /// Events fall into layers, in declaration order:
     ///
-    /// * **Transport** — emitted by the hosts (`bft-sim::World`, the
-    ///   thread runtime, and `bft-net`'s reactor for the TCP-only link,
+    /// * **Transport** — emitted by the hosts (`bft-sim::World`, and
+    ///   `bft-net`'s reactor, which adds the TCP-only link,
     ///   frame and syscall events): message send/delivery/drop, queue
     ///   depth samples, node halts, connections, reconnects and frames.
     /// * **Gateway, ordering and state machine** — emitted by `bft-order`

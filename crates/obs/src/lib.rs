@@ -1,6 +1,6 @@
 //! Protocol-level observability for the `async-bft` workspace.
 //!
-//! Every host (the deterministic simulator, the thread runtime) and every
+//! Every host (the deterministic simulator, the TCP transport) and every
 //! protocol state machine (reliable broadcast, Bracha consensus, the
 //! baselines) can carry an [`Obs`] handle and emit structured [`Event`]s
 //! through it. The handle is **zero-cost when disabled**: a disabled
@@ -66,7 +66,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// A consumer of observability events.
 ///
 /// `at` is the host's timestamp (simulated ticks under `bft-sim`,
-/// microseconds since run start under `bft-runtime`); `node` is the node
+/// microseconds since run start under `bft-net`); `node` is the node
 /// at which the event was observed.
 pub trait Sink {
     /// Consumes one event.

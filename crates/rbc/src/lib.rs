@@ -27,7 +27,7 @@
 //!
 //! The state machine here is sans-io: it consumes messages and returns
 //! [`RbcAction`]s. Use [`RbcProcess`] to run one instance under `bft-sim`
-//! or `bft-runtime`, or [`RbcMux`] to run many concurrent instances (as the
+//! or `bft-net`, or [`RbcMux`] to run many concurrent instances (as the
 //! consensus protocol in the `bracha` crate does).
 //!
 //! Big payloads have a second implementation: [`CodedInstance`] speaks an

@@ -18,7 +18,7 @@ fn lift<P>(actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
 }
 
 /// One node participating in one reliable-broadcast instance, packaged as
-/// a [`Process`] so it can run under `bft-sim` or `bft-runtime`.
+/// a [`Process`] so it can run under `bft-sim` or `bft-net`.
 ///
 /// The designated sender is constructed with the payload it will
 /// broadcast; other nodes are constructed without one. The process output
@@ -95,8 +95,7 @@ where
 
 /// One node participating in one **erasure-coded** reliable-broadcast
 /// instance, packaged as a [`Process`] — the coded counterpart of
-/// [`RbcProcess`], runnable under `bft-sim`, `bft-runtime`, or `bft-net`
-/// unchanged.
+/// [`RbcProcess`], runnable under `bft-sim` or `bft-net` unchanged.
 #[derive(Clone, Debug)]
 pub struct CodedProcess<P> {
     id: NodeId,

@@ -4,7 +4,7 @@
 //! The real dependency this replaces would be `libc::poll` (or a
 //! higher-level reactor crate such as `polling`/`mio`). The container
 //! this repo builds in is offline, so — following the shim-crate
-//! pattern used for `rand`, `proptest`, `crossbeam`, … — this crate
+//! pattern used for `rand`, `proptest`, `criterion`, … — this crate
 //! provides the one syscall the transport reactor needs:
 //!
 //! * On `linux` + `x86_64` it issues the raw `poll` syscall (number 7)

@@ -5,8 +5,8 @@
 //! return a list of [`Effect`]s. They never touch sockets, threads, clocks
 //! or randomness sources directly (randomness is injected through the
 //! `bft-coin` crate). This makes the same protocol code runnable under the
-//! deterministic discrete-event simulator (`bft-sim`), under the thread
-//! actor runtime (`bft-runtime`), and directly inside unit tests.
+//! deterministic discrete-event simulator (`bft-sim`), over the TCP
+//! transport (`bft-net`), and directly inside unit tests.
 
 use crate::NodeId;
 use std::fmt;

@@ -2,8 +2,8 @@
 //! the `bft-net` transport.
 //!
 //! The *unmodified* protocol processes (the same boxes the simulator
-//! drives) run over actual sockets: framed wire codec,
-//! authenticated handshake, full-mesh peer manager. The suite covers the
+//! drives) run over actual sockets: framed wire codec, authenticated
+//! handshake, full-mesh peer manager. The suite covers the
 //! happy path with a Byzantine node, the same run under 10% frame drop
 //! chaos, a mid-run listener outage that exercises the reconnect/replay
 //! machinery, and reliable broadcast with a string payload.
@@ -54,13 +54,6 @@ fn byzantine_cluster<C: CoinScheme + Send + 'static>(
     }
 }
 
-/// The standard n=4, f=1 cluster: three correct nodes with unanimous
-/// input `One` and local coins, and the liar.
-fn four_node_cluster(rt: &mut NetRuntime<Wire, Value>, seed: u64) {
-    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
-    byzantine_cluster(rt, cfg, seed, |_| Value::One, |id| LocalCoin::new(seed, id));
-}
-
 /// Runs a [`byzantine_cluster`] to completion and checks termination,
 /// agreement and a clean transport.
 fn decide_over_tcp<C: CoinScheme + Send + 'static>(
@@ -86,8 +79,9 @@ fn decide_over_tcp<C: CoinScheme + Send + 'static>(
 }
 
 /// The headline acceptance test: Bracha with a Byzantine liar completes
-/// over real TCP, and agreement + validity hold — at n=4/f=1 with local
-/// coins, and at n=7/f=2 with split inputs and one common coin.
+/// over real TCP with agreement — at n=4/f=1 with local coins and
+/// unanimous inputs (so validity pins the decision), and at n=7/f=2 with
+/// inputs split by parity and one common coin.
 #[test]
 fn bracha_decides_over_loopback_tcp_with_byzantine_node() {
     let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
@@ -114,7 +108,8 @@ fn bracha_decides_with_ten_percent_frame_drop() {
         ..ChaosConfig::default()
     };
     let mut rt = NetRuntime::new(4).timeout(TIMEOUT).observer(obs.clone()).chaos(chaos);
-    four_node_cluster(&mut rt, 11);
+    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
+    byzantine_cluster(&mut rt, cfg, 11, |_| Value::One, |id| LocalCoin::new(11, id));
     let report = rt.run();
     drop(obs);
 
@@ -157,7 +152,8 @@ fn cluster_survives_listener_bounce_and_reconnects() {
         .observer(obs.clone())
         .chaos(chaos)
         .bounce_listener(ListenerBounce { node: bounced, at_ms: 60, down_ms: 250 });
-    four_node_cluster(&mut rt, 13);
+    let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
+    byzantine_cluster(&mut rt, cfg, 13, |_| Value::One, |id| LocalCoin::new(13, id));
     let report = rt.run();
     drop(obs);
 
