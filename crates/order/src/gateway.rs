@@ -10,12 +10,13 @@
 //!   advances the window, committed submissions re-acknowledge
 //!   idempotently). Pure so it can be property-tested without sockets.
 //! * [`GatewayProcess`] — wraps an [`OrderProcess`], draining the pipe
-//!   on [`Process::on_tick`] and whenever a message appends an epoch
+//!   on [`Process::on_tick`] and whenever a message completes an epoch
 //!   (poking the inner process if the drain admitted anything: a full
 //!   batch opens an epoch), stamping each accepted payload with its
-//!   `(client, seq)` identity, and reading newly appended log slots for
-//!   the stamped payloads to surface commit acks. A message that appends
-//!   nothing costs the inner process's step and one comparison.
+//!   `(client, seq)` identity, and reading each newly appended log slot
+//!   for the stamped payloads to surface commit acks as soon as the slot
+//!   is in. A message that appends nothing costs the inner process's
+//!   step and one cursor comparison.
 //!
 //! The stamp is `0xC3 ‖ client ‖ seq ‖ body` (little-endian words).
 //! Stamping happens *before* ordering, so the identity rides through
@@ -176,8 +177,8 @@ pub struct GatewayProcess<C> {
     inner: OrderProcess<C>,
     pipe: GatewayPipe,
     core: GatewayCore,
-    /// Epochs whose log slots have been scanned for commit acks.
-    scanned_epochs: u64,
+    /// The engine's append cursor at the last scan for commit acks.
+    scanned: (u64, usize),
     /// Largest stamped payload accepted (keeps batches under the frame
     /// layer's hard cap with headroom for the batch encoding).
     max_tx: usize,
@@ -192,7 +193,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
             inner,
             pipe,
             core: GatewayCore::new(),
-            scanned_epochs: 0,
+            scanned: (0, 0),
             max_tx: per_slot.saturating_sub(64),
             obs: Obs::disabled(),
         }
@@ -288,11 +289,13 @@ impl<C: CoinScheme> GatewayProcess<C> {
         admitted
     }
 
-    /// Scans the slots of newly appended epochs for stamped payloads and
+    /// Scans the newly appended log slots for stamped payloads and
     /// acknowledges the ones belonging to this node's clients.
     fn scan_log(&mut self) {
         let me = self.inner.id();
-        for slot in self.inner.log().slots_from(self.scanned_epochs) {
+        let slots = self.inner.log().slots();
+        let new = slots.partition_point(|s| (s.epoch(), s.proposer().index()) < self.scanned);
+        for slot in &slots[new..] {
             let epoch = slot.epoch();
             for (client, seq, _) in slot.txs().filter_map(parse_stamp) {
                 if self.core.mark_committed(client, seq) {
@@ -301,7 +304,7 @@ impl<C: CoinScheme> GatewayProcess<C> {
                 }
             }
         }
-        self.scanned_epochs = self.inner.committed_epochs();
+        self.scanned = self.inner.append_cursor();
     }
 }
 
@@ -310,7 +313,7 @@ impl<C> fmt::Debug for GatewayProcess<C> {
         f.debug_struct("GatewayProcess")
             .field("inner", &self.inner)
             .field("clients", &self.core.client_count())
-            .field("scanned_epochs", &self.scanned_epochs)
+            .field("scanned", &self.scanned)
             .finish_non_exhaustive()
     }
 }
@@ -334,17 +337,16 @@ impl<C: CoinScheme> Process for GatewayProcess<C> {
         from: NodeId,
         msg: &OrderMessage,
     ) -> Vec<Effect<OrderMessage, OrderLog>> {
-        let appended = self.inner.committed_epochs();
+        let cursor = self.inner.append_cursor();
         let mut out = self.inner.on_message(from, msg);
-        // The gateway's own work hangs off one event, an epoch reaching the
-        // log: new slots to acknowledge, and mempool room for waiting
-        // clients (the proposal that follows an append is what empties
-        // it). The inner process has already run its rules to a fixpoint;
-        // payloads admitted here can complete a full batch, which opens
-        // the next epoch — in this step, not at the next tick.
-        if self.inner.committed_epochs() != appended {
+        // The gateway's own work hangs off the append cursor: a new slot
+        // has payloads to acknowledge; a completed epoch makes mempool room
+        // for waiting clients (the proposal after it empties the mempool).
+        // Payloads admitted here can complete a full batch, which opens the
+        // next epoch — in this step, not at the next tick.
+        if self.inner.append_cursor() != cursor {
             self.scan_log();
-            if self.drain_clients() {
+            if self.inner.committed_epochs() != cursor.0 && self.drain_clients() {
                 out.extend(self.inner.poke());
                 self.scan_log();
             }
@@ -492,6 +494,58 @@ mod tests {
         for client in late {
             assert_eq!(gp.core().expected(client), 1, "a refused seq stays expected");
         }
+    }
+
+    /// A state machine truncates the log below every epoch it applied;
+    /// the scan cursor is the engine's append cursor, not a log index, so
+    /// each stamped payload is acknowledged once, however much of the log
+    /// went before the scan.
+    #[test]
+    fn the_scan_cursor_acks_every_stamped_payload_once_across_truncations() {
+        let Ok(cfg) = Config::new(7, 2) else { return };
+        let opts = crate::OrderOptions {
+            batch_max: 2,
+            pipeline_depth: 2,
+            epochs: 5,
+            ..crate::OrderOptions::default()
+        };
+        let pipe = GatewayPipe::new();
+        let nodes = (0..6)
+            .map(|i| {
+                let inner = OrderProcess::new(cfg, NodeId::new(i), opts, Vec::new(), |inst| {
+                    CommonCoin::new(2, inst)
+                });
+                GatewayProcess::new(inner, if i == 0 { pipe.clone() } else { GatewayPipe::new() })
+            })
+            .collect();
+        let mut fifo = crate::tests::Fifo::start(nodes);
+        // Two full batches, what the mempool takes: epochs 1 and 2 carry them.
+        let submitted: Vec<(u64, u64)> =
+            (1..=2).flat_map(|c| (1..=2).map(move |s| (c, s))).collect();
+        for &(client, seq) in &submitted {
+            assert!(pipe.push_intake(ClientSubmit {
+                client,
+                seq,
+                tx: vec![client as u8, seq as u8]
+            }));
+        }
+        let effects = fifo.nodes[0].on_tick();
+        fifo.send(NodeId::new(0), effects);
+        let mut acks = Vec::new();
+        let mut truncated = 0;
+        while fifo.step().is_some() {
+            let inner = &mut fifo.nodes[0].inner;
+            truncated += inner.truncate_below(inner.committed_epochs());
+            for notice in pipe.drain_notices() {
+                match notice {
+                    GatewayNotice::Committed { client, seq } => acks.push((client, seq)),
+                    other => panic!("only commit acks are due, got {other:?}"),
+                }
+            }
+        }
+        assert!(truncated > 0, "the log was never truncated under the scan");
+        acks.sort_unstable();
+        assert_eq!(acks, submitted, "every stamped payload acknowledged exactly once");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! reliable broadcasts with `n` agreement instances into set agreement.
 //! This crate takes the last step to a *replicated log*: an
 //! [`OrderProcess`] batches submitted payloads, runs one ACS instance
-//! per **epoch**, and appends each epoch's agreed batch set to a totally
-//! ordered log — the HoneyBadgerBFT construction, on Bracha's 1984
-//! machinery.
+//! per **epoch**, and appends each epoch's agreed batches to a totally
+//! ordered log, in proposer order and each as soon as it and every
+//! earlier slot of its epoch have decided (**prefix commit**) — the
+//! HoneyBadgerBFT construction, on Bracha's 1984 machinery.
 //!
 //! Pipelining: epoch `e + 1` may start while epoch `e` is still
 //! deciding, up to a configured depth. Because each epoch's ACS is
@@ -25,7 +26,7 @@
 //! until fewer than `pipeline_depth` of its own epochs are between
 //! proposal and log append.
 //!
-//! Garbage collection: when an epoch is appended to the log, its RBC
+//! Garbage collection: when an epoch's last slot is appended, its RBC
 //! instances are dropped via [`RbcMux::retain`], and its agreement
 //! state is dropped as soon as every instance has halted. Steady-state
 //! memory is therefore bounded by the pipeline depth, not by the length
@@ -386,15 +387,17 @@ impl ExactSizeIterator for BatchTxs<'_> {}
 
 /// Per-epoch ACS state: `n` agreement instances plus the RBC deliveries.
 ///
-/// A batch body lives in exactly one place: `delivered` until the epoch
-/// commits, `committed` until it is appended, its log slot after that (an
-/// appended epoch lingering for its halting gadget keeps only the
-/// accepted proposer ids).
+/// A batch body lives in exactly one place: `delivered` until its slot is
+/// appended, its log slot after that. A slot is `ready` once its instance
+/// decided 0, or decided 1 with the body delivered: nothing later in the
+/// epoch can change it, so the head epoch appends it as soon as every
+/// slot before it is ready too. `txs` counts the ready slots' payloads.
 struct EpochState<C> {
     abas: Vec<BrachaNode<C>>,
     aba_started: Vec<bool>,
     delivered: BTreeMap<NodeId, Vec<u8>>,
-    committed: Option<Vec<(NodeId, Vec<u8>)>>,
+    ready: Vec<bool>,
+    txs: u64,
 }
 
 impl<C: CoinScheme> EpochState<C> {
@@ -409,7 +412,8 @@ impl<C: CoinScheme> EpochState<C> {
             abas,
             aba_started: vec![false; n],
             delivered: BTreeMap::new(),
-            committed: None,
+            ready: vec![false; n],
+            txs: 0,
         }
     }
 
@@ -417,9 +421,8 @@ impl<C: CoinScheme> EpochState<C> {
         self.abas.iter().all(|a| a.is_halted())
     }
 
-    fn batch_bytes(&self) -> usize {
-        let committed = self.committed.iter().flatten().map(|(_, body)| body.len());
-        self.delivered.values().map(Vec::len).chain(committed).sum()
+    fn accepted(&self, i: usize) -> bool {
+        self.abas[i].decided() == Some(Value::One)
     }
 }
 
@@ -452,13 +455,15 @@ pub struct OrderProcess<C> {
     epochs: BTreeMap<u64, EpochState<C>>,
     /// Next epoch this node will propose.
     next_epoch: u64,
-    /// Committed slots in `(epoch, proposer)` order, each still the body
+    /// Appended slots in `(epoch, proposer)` order, each still the body
     /// RBC delivered; empty batches are dropped at append.
     log: Vec<LogSlot>,
     /// Payloads across `log` (what [`LogView::len`] reports).
     log_txs: usize,
-    /// Next epoch to append to the log (everything below is appended).
+    /// The append cursor: the head epoch (everything below is appended)
+    /// and its next slot (its slots below that are appended).
     log_next: u64,
+    log_slot: usize,
     output_emitted: bool,
     halted: bool,
     obs: Obs,
@@ -506,6 +511,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             log: Vec::new(),
             log_txs: 0,
             log_next: 0,
+            log_slot: 0,
             output_emitted: false,
             halted: false,
             obs: Obs::disabled(),
@@ -588,6 +594,12 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.log_next
     }
 
+    /// The append cursor: the head epoch and its next slot to append
+    /// (every slot before it is in the log, or was decided 0).
+    pub fn append_cursor(&self) -> (u64, usize) {
+        (self.log_next, self.log_slot)
+    }
+
     /// Own epochs currently between proposal and log append.
     pub fn in_flight(&self) -> u64 {
         self.next_epoch.saturating_sub(self.log_next)
@@ -622,11 +634,11 @@ impl<C: CoinScheme> OrderProcess<C> {
         self.epochs.values().map(|s| s.abas.len()).sum()
     }
 
-    /// Batch-body bytes held in per-epoch ACS state (delivered or
-    /// committed, not yet appended). Bounded by the epochs in flight: an
-    /// appended epoch's bodies have moved into the log.
+    /// Batch-body bytes held in per-epoch ACS state (delivered, not yet
+    /// appended). Bounded by the epochs in flight: an appended slot's body
+    /// has moved into the log.
     pub fn retained_batch_bytes(&self) -> usize {
-        self.epochs.values().map(EpochState::batch_bytes).sum()
+        self.epochs.values().flat_map(|s| s.delivered.values()).map(Vec::len).sum()
     }
 
     /// Bytes the retained log holds: each slot's batch body plus its
@@ -659,12 +671,14 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// the state machine's consume hook — once it has applied the epochs
     /// below `epoch`, their slots are dead weight (any peer that needs
     /// them catches up by state transfer from a certified snapshot, not
-    /// replay).
+    /// replay). The head epoch's appended slots are always kept: `epoch`
+    /// is clamped to the cursor.
     ///
     /// The log is in epoch order, so the dead slots are a prefix: the
     /// call costs one comparison when the floor has not moved and one
     /// prefix drain, freeing the dropped slots' batch bodies, when it has.
     pub fn truncate_below(&mut self, epoch: u64) -> usize {
+        let epoch = epoch.min(self.log_next);
         if self.log.first().is_none_or(|slot| slot.epoch >= epoch) {
             return 0;
         }
@@ -690,35 +704,25 @@ impl<C: CoinScheme> OrderProcess<C> {
             return out;
         }
         let target = epoch.min(self.opts.epochs);
+        (self.log_next, self.log_slot) = (target, 0);
         self.truncate_below(target);
-        self.log_next = target;
         self.next_epoch = self.next_epoch.max(target);
         self.rbc.retain(move |_, tag| *tag >= target);
         // Whether a skipped epoch took our batch is unknowable from here;
         // re-proposing could order it twice, so it is dropped.
         self.proposed = self.proposed.split_off(&target);
-        let dropped: Vec<u64> = self.epochs.range(..target).map(|(&e, _)| e).collect();
-        for e in dropped {
-            if self.trace_on {
-                if let Some(set) = self.epochs.get(&e).and_then(|s| s.committed.as_ref()) {
-                    // Committed-but-unappended epochs hold one open
-                    // commit span per accepted slot; close them so the
-                    // exported trace stays balanced.
-                    for (id, _) in set {
-                        let ctx = TraceCtx::derive(*id, e, e);
-                        self.obs.span_end(self.me, ctx, TracePhase::Commit);
-                    }
-                }
+        let kept = self.epochs.split_off(&target);
+        for (e, state) in std::mem::replace(&mut self.epochs, kept) {
+            // An accepted slot delivered but not appended holds an open
+            // commit span; close it so the exported trace stays balanced.
+            let open = state.delivered.keys().filter(|id| state.accepted(id.index()));
+            for &id in open.filter(|_| self.trace_on) {
+                self.obs.span_end(self.me, TraceCtx::derive(id, e, e), TracePhase::Commit);
             }
-            self.epochs.remove(&e);
         }
-        if self.trace_on {
-            let stale: Vec<u64> = self.open_roots.range(..target).copied().collect();
-            for e in stale {
-                self.open_roots.remove(&e);
-                let ctx = TraceCtx::derive(self.me, e, e);
-                self.obs.span_end(self.me, ctx, TracePhase::Submit);
-            }
+        let kept = self.open_roots.split_off(&target);
+        for e in std::mem::replace(&mut self.open_roots, kept) {
+            self.obs.span_end(self.me, TraceCtx::derive(self.me, e, e), TracePhase::Submit);
         }
         self.progress(&mut out);
         out
@@ -910,95 +914,88 @@ impl<C: CoinScheme> OrderProcess<C> {
             }
         }
 
-        // Rule 3: commit when every instance has decided and every
-        // accepted batch has been delivered.
-        if state.committed.is_none() && state.abas.iter().all(|a| a.decided().is_some()) {
-            let accepted: Vec<NodeId> = (0..n)
-                .filter(|&i| state.abas[i].decided() == Some(Value::One))
-                .map(NodeId::new)
-                .collect();
-            if accepted.iter().all(|id| state.delivered.contains_key(id)) {
-                let set: Vec<(NodeId, Vec<u8>)> = accepted
-                    .into_iter()
-                    .filter_map(|id| state.delivered.remove(&id).map(|b| (id, b)))
-                    .collect();
-                let (slots, txs) =
-                    (set.len() as u64, set.iter().map(|(_, b)| batch_tx_count(b) as u64).sum());
-                let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
-                state.committed = Some(set);
-                self.obs.emit(self.me, || Event::EpochCommitted { epoch: e, slots, txs });
-                if self.trace_on {
-                    // One commit span per accepted slot: ACS decided →
-                    // appended to this node's log (head-of-line waits on
-                    // earlier epochs show up as long commit spans).
-                    for id in proposers {
+        // Rule 3: a slot is ready once decided 0, or decided 1 and
+        // delivered (an accepted slot's commit span runs from here to its
+        // append); the epoch is committed once every slot is ready.
+        let mut readied = false;
+        for i in 0..n {
+            let id = NodeId::new(i);
+            match (state.ready[i], state.abas[i].decided(), state.delivered.get(&id)) {
+                (false, Some(Value::Zero), _) => {}
+                (false, Some(Value::One), Some(body)) => {
+                    state.txs += batch_tx_count(body) as u64;
+                    if self.trace_on {
                         let ctx = TraceCtx::derive(id, e, e);
                         self.obs.span_start(self.me, ctx, TracePhase::Commit, ctx.root);
                     }
                 }
-                changed = true;
+                _ => continue,
             }
+            (state.ready[i], readied) = (true, true);
         }
-        changed
+        if readied && state.ready.iter().all(|&r| r) {
+            let (slots, txs) = ((0..n).filter(|&i| state.accepted(i)).count() as u64, state.txs);
+            self.obs.emit(self.me, || Event::EpochCommitted { epoch: e, slots, txs });
+        }
+        changed || readied
     }
 
-    /// Appends committed epochs to the log in epoch order and
-    /// garbage-collects everything below the append cursor.
-    fn append_committed(&mut self) -> bool {
+    /// Appends the head epoch's ready slots in proposer order, completes
+    /// the epoch once all `n` are in, and garbage-collects everything below
+    /// the cursor.
+    fn append_ready(&mut self) -> bool {
         let mut changed = false;
-        loop {
+        while let Some(state) = self.epochs.get_mut(&self.log_next) {
             let e = self.log_next;
-            let Some(state) = self.epochs.get_mut(&e) else { break };
-            let Some(committed) = state.committed.as_mut() else { break };
-            // The bodies move out into the log as they are; the proposer
-            // ids stay for the trace and `fast_forward` readers. Batches
-            // the ACS left out are dead from here on.
-            let set: Vec<(NodeId, Vec<u8>)> =
-                committed.iter_mut().map(|(id, body)| (*id, std::mem::take(body))).collect();
-            state.delivered.clear();
-            let before = self.log_txs;
-            let proposers: Vec<NodeId> = set.iter().map(|(id, _)| *id).collect();
-            if let Some(batch) = self.proposed.remove(&e) {
-                if !proposers.contains(&self.me) {
-                    // Our slot decided 0 (we lagged behind n − f others):
-                    // the batch is in no log, so it goes back to the
-                    // *front* of the mempool, ahead of younger payloads.
-                    if self.trace_on && self.pending.is_empty() {
-                        self.mempool_since = Some(self.obs.now());
-                    }
-                    for tx in batch.into_iter().rev() {
-                        self.pending.push_front(tx);
-                    }
-                }
-            }
-            for (proposer, body) in set {
+            while state.ready.get(self.log_slot) == Some(&true) {
+                let id = NodeId::new(self.log_slot);
+                self.log_slot += 1;
+                changed = true;
+                // Batches the ACS left out are dead from here on.
+                let body = state.delivered.remove(&id).filter(|_| state.accepted(id.index()));
+                let Some(body) = body else { continue };
                 let txs = batch_tx_count(&body);
                 if txs > 0 {
                     self.log_txs += txs;
                     // The count is a body's `u32` prefix, or 1.
-                    self.log.push(LogSlot { epoch: e, proposer, txs: txs as u32, body });
+                    self.log.push(LogSlot { epoch: e, proposer: id, txs: txs as u32, body });
+                }
+                if self.trace_on {
+                    let ctx = TraceCtx::derive(id, e, e);
+                    self.obs.span_end(self.me, ctx, TracePhase::Commit);
+                    if id == self.me && self.open_roots.remove(&e) {
+                        self.obs.span_end(self.me, ctx, TracePhase::Submit);
+                    }
                 }
             }
-            self.log_next = e + 1;
+            if self.log_slot < state.ready.len() {
+                break;
+            }
+            state.delivered.clear();
+            let requeue = self.proposed.remove(&e).filter(|_| !state.accepted(self.me.index()));
+            if let Some(batch) = requeue {
+                // Our slot decided 0 (we lagged behind n − f others): the
+                // batch is in no log, so it goes back to the *front* of the
+                // mempool, ahead of younger payloads.
+                if self.trace_on && self.pending.is_empty() {
+                    self.mempool_since = Some(self.obs.now());
+                }
+                for tx in batch.into_iter().rev() {
+                    self.pending.push_front(tx);
+                }
+            }
+            (self.log_next, self.log_slot) = (e + 1, 0);
             // An epoch can commit before we ever proposed it (our own
             // pipeline lagged behind the cluster); never re-propose it.
             self.next_epoch = self.next_epoch.max(self.log_next);
-            let entries = (self.log_txs - before) as u64;
-            let total = self.log_txs as u64;
+            let (entries, total) = (state.txs, self.log_txs as u64);
             self.obs.emit(self.me, || Event::LogDelivered { epoch: e, entries, total });
-            if self.trace_on {
-                for id in proposers {
-                    let ctx = TraceCtx::derive(id, e, e);
-                    self.obs.span_end(self.me, ctx, TracePhase::Commit);
-                }
-                if self.open_roots.remove(&e) {
-                    let ctx = TraceCtx::derive(self.me, e, e);
-                    self.obs.span_end(self.me, ctx, TracePhase::Submit);
-                }
+            if self.open_roots.remove(&e) {
+                // Our slot decided 0: the root ends with the epoch.
+                self.obs.span_end(self.me, TraceCtx::derive(self.me, e, e), TracePhase::Submit);
             }
             let keep_from = self.log_next;
             self.rbc.retain(move |_, tag| *tag >= keep_from);
-            changed = true;
         }
         // Appended epochs linger only until their agreement instances
         // halt (the halting gadget needs a few more message rounds).
@@ -1030,7 +1027,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             for e in live {
                 changed |= self.epoch_rules(e, out);
             }
-            changed |= self.append_committed();
+            changed |= self.append_ready();
             if !changed {
                 break;
             }
@@ -1127,8 +1124,116 @@ impl<C: CoinScheme> Process for OrderProcess<C> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A cluster pumped by hand in FIFO order: nodes past `nodes` never
+    /// take a step.
+    pub(crate) struct Fifo<P> {
+        pub(crate) nodes: Vec<P>,
+        queue: VecDeque<(NodeId, NodeId, OrderMessage)>,
+    }
+
+    impl<P: Process<Msg = OrderMessage>> Fifo<P> {
+        pub(crate) fn start(nodes: Vec<P>) -> Fifo<P> {
+            let mut fifo = Fifo { nodes, queue: VecDeque::new() };
+            for i in 0..fifo.nodes.len() {
+                let effects = fifo.nodes[i].on_start();
+                fifo.send(NodeId::new(i), effects);
+            }
+            fifo
+        }
+
+        pub(crate) fn send(&mut self, me: NodeId, effects: Vec<Effect<OrderMessage, P::Output>>) {
+            let live = self.nodes.len();
+            for effect in effects {
+                match effect {
+                    Effect::Broadcast { msg } => {
+                        let to = (0..live).map(NodeId::new);
+                        self.queue.extend(to.map(|to| (me, to, msg.clone())));
+                    }
+                    Effect::Send { to, msg } if to.index() < live => {
+                        self.queue.push_back((me, to, msg));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Delivers the oldest message; returns its recipient, or `None`
+        /// once nothing is left.
+        pub(crate) fn step(&mut self) -> Option<usize> {
+            let (from, to, msg) = self.queue.pop_front()?;
+            let effects = self.nodes[to.index()].on_message(from, &msg);
+            self.send(to, effects);
+            Some(to.index())
+        }
+    }
+
+    /// Nodes `0..live` of an `n = 7` cluster with a full batch for each of
+    /// `epochs` epochs; nodes `live..7` are silent.
+    fn seven(live: usize, epochs: u64) -> Fifo<OrderProcess<bft_coin::CommonCoin>> {
+        let Ok(cfg) = Config::new(7, 2) else { unreachable!("n = 7 tolerates f = 2") };
+        let opts =
+            OrderOptions { batch_max: 2, pipeline_depth: 2, epochs, ..OrderOptions::default() };
+        let nodes = (0..live)
+            .map(|i| {
+                let workload = (0..2 * epochs as u8).map(|t| vec![i as u8, t]).collect();
+                OrderProcess::new(cfg, NodeId::new(i), opts, workload, |inst| {
+                    bft_coin::CommonCoin::new(3, inst)
+                })
+            })
+            .collect();
+        Fifo::start(nodes)
+    }
+
+    /// Pumps until node 0 holds part of a head epoch past the first.
+    fn until_mid_epoch(fifo: &mut Fifo<OrderProcess<bft_coin::CommonCoin>>) -> u64 {
+        loop {
+            let (head, slot) = fifo.nodes[0].append_cursor();
+            let holds = fifo.nodes[0].log().slots().last().is_some_and(|s| s.epoch == head);
+            if head >= 1 && slot > 0 && holds {
+                return head;
+            }
+            assert!(fifo.step().is_some(), "no partly appended head epoch at node 0");
+        }
+    }
+
+    /// Node 1's retained slots of epochs `from..`: what a node that joined
+    /// at `from` must end with.
+    fn slots_from(fifo: &Fifo<OrderProcess<bft_coin::CommonCoin>>, from: u64) -> Vec<LogSlot> {
+        fifo.nodes[1].log().slots_from(from).to_vec()
+    }
+
+    #[test]
+    fn fast_forward_past_a_partly_appended_head_epoch_resets_the_slot_cursor() {
+        let mut fifo = seven(6, 3);
+        let head = until_mid_epoch(&mut fifo);
+        let effects = fifo.nodes[0].fast_forward(head + 1);
+        fifo.send(NodeId::new(0), effects);
+        // The new head starts from its first slot: nothing of the old
+        // head epoch's prefix is left, and none of the new one is skipped.
+        assert_eq!(fifo.nodes[0].append_cursor().0, head + 1);
+        assert!(fifo.nodes[0].log().slots().iter().all(|s| s.epoch > head));
+        while fifo.step().is_some() {}
+        assert_eq!(fifo.nodes[0].log().slots(), &slots_from(&fifo, head + 1)[..]);
+        assert!(fifo.nodes[0].is_halted());
+    }
+
+    #[test]
+    fn truncate_below_keeps_the_head_epochs_appended_prefix() {
+        let mut fifo = seven(6, 3);
+        let head = until_mid_epoch(&mut fifo);
+        let node = &mut fifo.nodes[0];
+        let before = node.log().to_vec();
+        let below = before.iter().filter(|entry| entry.epoch < head).count();
+        // A floor past the cursor is clamped to it.
+        assert_eq!(node.truncate_below(head + 2), below);
+        assert_eq!(node.log().to_vec(), before[below..]);
+        assert!(!node.log().is_empty());
+        while fifo.step().is_some() {}
+        assert_eq!(fifo.nodes[0].log().slots(), &slots_from(&fifo, head)[..]);
+    }
 
     #[test]
     fn batch_codec_round_trips() {

@@ -46,7 +46,9 @@
 use bft_coin::CoinScheme;
 use bft_ec::{encode as ec_encode, reconstruct_verified, Fragment, VerifiedFragment};
 use bft_obs::{Event, Obs, TraceCtx, TracePhase};
-use bft_order::{Backpressure, LogEntry, OrderLog, OrderMessage, OrderOptions, OrderProcess};
+use bft_order::{
+    Backpressure, LogEntry, LogView, OrderLog, OrderMessage, OrderOptions, OrderProcess,
+};
 use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
 use bft_types::hash::{fnv1a64, Fnv64};
 use bft_types::wire::{put_u32, put_u64, Codec, DecodeError, Reader};
@@ -645,12 +647,18 @@ impl<C: CoinScheme> SmrProcess<C> {
         self.order.committed_epochs()
     }
 
-    /// Ordered-log entries currently retained: those committed but not
-    /// yet applied, since apply consumes the log epoch by epoch. Zero
-    /// whenever apply has caught up with the order layer; a recovering
-    /// node retains what it commits until the state transfer lands.
+    /// Ordered-log entries currently retained: those appended but not
+    /// yet applied, since apply consumes the log epoch by epoch. Whenever
+    /// apply has caught up with the order layer only the appended prefix
+    /// of the unfinished head epoch is left; a recovering node retains
+    /// what it commits until the state transfer lands.
     pub fn retained_log_slots(&self) -> usize {
         self.order.log().len()
+    }
+
+    /// The order layer's retained log (see [`Self::retained_log_slots`]).
+    pub fn log(&self) -> LogView<'_> {
+        self.order.log()
     }
 
     /// Live RBC instances across the batch and checkpoint muxes.

@@ -1,7 +1,7 @@
 //! The ordering core runs its ACS fixpoint only after the events that can
 //! change a rule's input (a batch delivery, an agreement decision, an
 //! agreement halt, the first message of the next epoch to open); the
-//! client gateway in front of it does its own work only when an epoch
+//! client gateway in front of it does its own work only when a slot
 //! reaches the log; and the log keeps committed slots as their batch
 //! bodies instead of a copy per payload. The properties here pin that each
 //! is only *fewer calls* or *fewer copies*, never different behaviour:
@@ -21,15 +21,22 @@
 //! * **gateway differential** — a gated `GatewayProcess` cluster against
 //!   one that drains, pokes and scans after every message: same logs,
 //!   same client notices, same effects;
+//! * **prefix commit** — a slot is appended once it and every earlier slot
+//!   of its epoch have decided: every log is a prefix of the final one
+//!   after every message, a gateway acks a payload before its epoch
+//!   completes, and a payload's slot is appended before its epoch
+//!   completes when the silent nodes hold the high indices, at completion
+//!   when they hold the low ones;
 //! * **log view** — `log().to_vec()` is the per-payload log an
 //!   append-time `decode_batch` used to build, for any committed body;
 //! * **apply** — `KvState` folds a borrowed payload exactly as it folds
 //!   an owned entry.
 
+use async_bft::adversary::Silent;
 use async_bft::coin::CommonCoin;
 use async_bft::net::{ClientSubmit, GatewayNotice, GatewayPipe};
 use async_bft::obs::{MetricsSink, Obs};
-use async_bft::order::gateway::GatewayProcess;
+use async_bft::order::gateway::{parse_stamp, GatewayProcess};
 use async_bft::order::{
     encode_batch, LogEntry, OpenCounts, OrderLog, OrderMessage, OrderOptions, OrderProcess,
 };
@@ -547,6 +554,186 @@ fn a_send_for_a_far_epoch_opens_nothing_early() {
     // The next epoch's opening is still joined.
     let effects = p.on_message(faulty, &opening(faulty, 1, &[]));
     assert_eq!(opened_in(p.id(), &effects), vec![1]);
+}
+
+/// Prefix commit: a slot reaches the log once it and every earlier slot of
+/// its epoch have decided (and the accepted ones delivered), so after every
+/// delivered message each node's log is a prefix of the log the run ends
+/// with. The silent nodes hold the highest indices, so the last slots of
+/// every epoch decide 0 one agreement later than the rest, and logs do hold
+/// part of their head epoch.
+#[test]
+fn after_every_message_each_log_is_a_prefix_of_the_final_log() {
+    for (n, silent, seed) in [(4, 1, 71u64), (7, 2, 72), (10, 3, 73)] {
+        let (epochs, opts) = (3, options(2, 2, 3));
+        let start = || Pumped::start((n, silent), opts, 0, seed, |i| Load::Full.at(i, opts));
+        let last = start().finish(epochs);
+        let mut pumped = start();
+        // Logs only grow here, so one whose length a step left alone is
+        // still the prefix it was.
+        let (mut checked, mut mid_epoch) = (vec![0; n - silent], 0);
+        pumped.run(|nodes, i| {
+            let len = nodes[i].log().len();
+            if len == checked[i] {
+                return;
+            }
+            checked[i] = len;
+            let log = nodes[i].log().to_vec();
+            assert_eq!(last.get(..log.len()), Some(&log[..]), "n={n}: node {i} left the prefix");
+            let head = nodes[i].committed_epochs();
+            mid_epoch += usize::from(log.last().is_some_and(|entry| entry.epoch == head));
+        });
+        assert!(mid_epoch > 0, "n={n}: no log ever held part of its head epoch");
+    }
+}
+
+/// The gateway acknowledges a payload as soon as its slot is in the log: with
+/// node 3 silent its slot decides 0 one agreement after the other three
+/// decided 1, and node 0 has acked its client's payload while that payload's
+/// epoch is still the head — not yet counted in `committed_epochs()`.
+#[test]
+fn a_gateway_acks_a_payload_before_its_epoch_completes() {
+    let (n, live, seed) = (4, 3, 81);
+    let (mut nodes, mut net) = start_gateways(n, live, options(2, 2, 3), seed, false);
+    let node_0 = NodeId::new(0);
+    let effects = nodes[0].intake(7..8, 1);
+    fan_out(&mut net, live, node_0, effects);
+    let mut rng = proptest::TestRng::deterministic(seed);
+    while nodes[0].notices.is_empty() {
+        let (from, to, msg) = net.swap_remove(rng.below(net.len() as u64) as usize);
+        let effects = nodes[to.index()].deliver(from, &msg);
+        fan_out(&mut net, live, to, effects);
+    }
+    assert_eq!(nodes[0].notices, vec![GatewayNotice::Committed { client: 7, seq: 1 }]);
+    let inner = nodes[0].gp.inner();
+    let log = inner.log().to_vec();
+    let entry = log.iter().find(|entry| parse_stamp(&entry.tx).is_some()).expect("acked is logged");
+    assert_eq!(inner.committed_epochs(), entry.epoch, "acked only once its epoch completed");
+}
+
+/// What [`Stamped`] nodes record: the simulated tick at which each
+/// `(epoch, slot)` reached the append cursor and each epoch completed.
+#[derive(Default)]
+struct AppendTicks {
+    slots: BTreeMap<(u64, usize), u64>,
+    epochs: BTreeMap<u64, u64>,
+}
+
+/// An `OrderProcess` that stamps simulated time, read off the world's
+/// observer clock, on every move of its append cursor.
+struct Stamped {
+    inner: OrderProcess<CommonCoin>,
+    n: usize,
+    clock: Obs,
+    cursor: (u64, usize),
+    ticks: Arc<Mutex<AppendTicks>>,
+}
+
+impl Stamped {
+    fn stamp(&mut self, effects: Vec<OrderEffect>) -> Vec<OrderEffect> {
+        let now = self.clock.now();
+        let mut ticks = self.ticks.lock().expect("no panics hold this lock");
+        while self.cursor < self.inner.append_cursor() {
+            let (epoch, slot) = self.cursor;
+            ticks.slots.insert(self.cursor, now);
+            self.cursor = if slot + 1 == self.n {
+                ticks.epochs.insert(epoch, now);
+                (epoch + 1, 0)
+            } else {
+                (epoch, slot + 1)
+            };
+        }
+        effects
+    }
+}
+
+impl Process for Stamped {
+    type Msg = OrderMessage;
+    type Output = OrderLog;
+
+    fn id(&self) -> NodeId {
+        self.inner.id()
+    }
+
+    fn on_start(&mut self) -> Vec<OrderEffect> {
+        let effects = self.inner.on_start();
+        self.stamp(effects)
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: &OrderMessage) -> Vec<OrderEffect> {
+        let effects = self.inner.on_message(from, msg);
+        self.stamp(effects)
+    }
+
+    fn output(&self) -> Option<OrderLog> {
+        self.inner.output()
+    }
+
+    fn is_halted(&self) -> bool {
+        self.inner.is_halted()
+    }
+
+    fn round(&self) -> u64 {
+        self.inner.round()
+    }
+}
+
+/// One seeded simulated run at n = 7 with the two nodes `silent` never
+/// sending: over every payload at every correct node, the mean tick at
+/// which its slot was appended and the mean tick at which its epoch
+/// completed.
+fn append_and_completion_ticks(silent: [usize; 2]) -> (f64, f64) {
+    let cfg = Config::new(7, 2).expect("valid");
+    let (seed, opts) = (5, options(2, 2, 6));
+    let (clock, _sink) = Obs::new(MetricsSink::new());
+    let mut world = World::new(WorldConfig::new(cfg.n()), UniformDelay::new(1, 20, seed));
+    world.set_observer(clock.clone());
+    let mut recorders = Vec::new();
+    for id in cfg.nodes() {
+        if silent.contains(&id.index()) {
+            world.add_faulty_process(Box::new(Silent::<OrderMessage, OrderLog>::new(id)));
+            continue;
+        }
+        let ticks = Arc::new(Mutex::new(AppendTicks::default()));
+        recorders.push(Arc::clone(&ticks));
+        let inner = node_with(cfg, id, opts, seed, Load::Full.at(id.index(), opts));
+        world.add_process(Box::new(Stamped {
+            inner,
+            n: 7,
+            clock: clock.clone(),
+            cursor: (0, 0),
+            ticks,
+        }));
+    }
+    let report = world.run();
+    let log = report.unanimous_output().expect("every correct node outputs the same log");
+    let (mut appended, mut completed) = (0u64, 0u64);
+    for ticks in &recorders {
+        let ticks = ticks.lock().expect("no panics hold this lock");
+        for entry in &log {
+            appended += ticks.slots[&(entry.epoch, entry.proposer.index())];
+            completed += ticks.epochs[&entry.epoch];
+        }
+    }
+    let payloads = (log.len() * recorders.len()) as f64;
+    (appended as f64 / payloads, completed as f64 / payloads)
+}
+
+/// Fairness of a fixed slot order (n = 7, f = 2 silent): with the silent
+/// nodes at the highest indices every live slot is appended before its
+/// epoch completes; with them at the lowest, every live slot waits for the
+/// two that decide 0 last, so a payload is appended exactly when its epoch
+/// completes — when it was appended before prefix commit.
+#[test]
+fn silent_high_indices_append_before_completion_and_silent_low_ones_at_it() {
+    let (high_appended, high_completed) = append_and_completion_ticks([5, 6]);
+    let (low_appended, low_completed) = append_and_completion_ticks([0, 1]);
+    println!(
+        "silent {{5,6}}: appended {high_appended:.1}, completed {high_completed:.1}; \
+         silent {{0,1}}: appended {low_appended:.1}, completed {low_completed:.1}"
+    );
+    assert!(high_appended < high_completed);
+    assert_eq!(low_appended, low_completed);
 }
 
 /// One seeded simulated run of `epochs` epochs (n = 4, batches of 4, a
