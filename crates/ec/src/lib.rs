@@ -303,8 +303,7 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     let mut parity = vec![vec![0u8; len]; n - k];
     parity_into(&data, &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
     shards.extend(parity);
-    let leaves: Vec<u64> =
-        shards.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect();
+    let leaves = merkle::leaf_hashes((0u16..).zip(shards.iter().map(Vec::as_slice)));
     let leaves_root = merkle::root(&leaves);
     let root = commitment(leaves_root, total_len, n, k);
     let fragments = shards
@@ -320,23 +319,32 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     Ok(Coded { root, fragments })
 }
 
+/// The shape half of the fragment check, which reads no shard byte:
+/// geometry, index range, shard length and proof length.
+fn well_formed(n: usize, k: usize, frag: &Fragment) -> bool {
+    check_geometry(n, k).is_ok()
+        && (frag.index as usize) < n
+        && frag.shard.len() == shard_len(frag.total_len as usize, k)
+        && frag.proof.len() == merkle::depth(n)
+}
+
+/// The inclusion half: recompute what the commitment's Merkle root must
+/// have been from the fragment's `leaf`, then re-bind it — the proof
+/// authenticates the leaf under that root.
+fn binds(root: u64, n: usize, k: usize, frag: &Fragment, leaf: u64) -> bool {
+    let leaves_root = merkle::fold(frag.index as usize, leaf, &frag.proof);
+    commitment(leaves_root, frag.total_len, n, k) == root
+}
+
 /// The one fragment check: geometry, shard length, and Merkle inclusion.
 /// Returns the fragment's leaf hash — the only pass over the shard bytes
 /// — when the fragment is exactly what the sender committed for its index.
 fn verified_leaf(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<u64> {
-    check_geometry(n, k).ok()?;
-    let index = frag.index as usize;
-    if index >= n || frag.shard.len() != shard_len(frag.total_len as usize, k) {
+    if !well_formed(n, k, frag) {
         return None;
     }
-    if frag.proof.len() != merkle::depth(n) {
-        return None;
-    }
-    // Recompute what the commitment's Merkle root must have been, then
-    // re-bind it: the proof authenticates the leaf under that root.
     let leaf = merkle::leaf_hash(frag.index, &frag.shard);
-    let leaves_root = merkle::fold(index, leaf, &frag.proof);
-    (commitment(leaves_root, frag.total_len, n, k) == root).then_some(leaf)
+    binds(root, n, k, frag, leaf).then_some(leaf)
 }
 
 /// Checks a fragment against a commitment: geometry, shard length, and
@@ -350,8 +358,9 @@ pub fn verify(root: u64, n: usize, k: usize, frag: &Fragment) -> bool {
 /// verification computed over its shard, so that reconstruction
 /// ([`reconstruct_verified`]) need not hash the same bytes again.
 ///
-/// Both fields are private and [`VerifiedFragment::check`] is the only
-/// constructor: the stored leaf is always the hash of the stored bytes.
+/// Both fields are private and [`VerifiedFragment::check`] and
+/// [`VerifiedFragment::check_many`] are the only constructors: the stored
+/// leaf is always the hash of the stored bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifiedFragment {
     fragment: Fragment,
@@ -364,6 +373,26 @@ impl VerifiedFragment {
     pub fn check(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<Self> {
         let leaf = verified_leaf(root, n, k, frag)?;
         Some(VerifiedFragment { fragment: frag.clone(), leaf })
+    }
+
+    /// [`check`](Self::check) for several fragments of one commitment,
+    /// taking them by value: entry `i` of the result is the verdict on
+    /// `frags[i]`, the same one `check` gives. The well-formed fragments'
+    /// shards are hashed together, four at a time
+    /// ([`merkle::leaf_hashes`]); a malformed one is rejected unhashed.
+    pub fn check_many(root: u64, n: usize, k: usize, frags: Vec<Fragment>) -> Vec<Option<Self>> {
+        let shaped: Vec<bool> = frags.iter().map(|f| well_formed(n, k, f)).collect();
+        let hashed = frags.iter().zip(&shaped).filter(|(_, &ok)| ok);
+        let leaves = merkle::leaf_hashes(hashed.map(|(f, _)| (f.index, f.shard.as_slice())));
+        let mut leaves = leaves.into_iter();
+        frags
+            .into_iter()
+            .zip(shaped)
+            .map(|(fragment, ok)| {
+                let leaf = if ok { leaves.next()? } else { return None };
+                binds(root, n, k, &fragment, leaf).then_some(VerifiedFragment { fragment, leaf })
+            })
+            .collect()
     }
 
     /// The verified fragment.
@@ -487,21 +516,21 @@ fn decode(
     let data: Vec<&[u8]> = payload.chunks(len).collect();
     let mut parity = vec![0u8; (n - k) * len];
     parity_into(&data, &mut parity.chunks_mut(len).collect::<Vec<_>>());
-    let mut hashed_shards = 0;
-    let leaves: Vec<u64> = data
+    let shards: Vec<&[u8]> = data.iter().copied().chain(parity.chunks(len)).collect();
+    let reused: Vec<Option<u64>> = shards
         .iter()
-        .copied()
-        .chain(parity.chunks(len))
         .zip(&by_index)
-        .enumerate()
-        .map(|(x, (shard, known))| match known {
-            Some((frag, Some(leaf))) if frag.shard == shard => *leaf,
-            _ => {
-                hashed_shards += 1;
-                merkle::leaf_hash(x as u16, shard)
-            }
+        .map(|(&shard, known)| match known {
+            Some((frag, Some(leaf))) if frag.shard == shard => Some(*leaf),
+            _ => None,
         })
         .collect();
+    let unknown = (0u16..).zip(shards).zip(&reused).filter(|(_, leaf)| leaf.is_none());
+    let fresh = merkle::leaf_hashes(unknown.map(|(item, _)| item));
+    let hashed_shards = fresh.len();
+    let mut fresh = fresh.into_iter();
+    let leaves: Vec<u64> =
+        reused.iter().map(|leaf| leaf.or_else(|| fresh.next()).unwrap_or_default()).collect();
     if commitment(merkle::root(&leaves), total_len, n, k) != root {
         return Err(EcError::RootMismatch);
     }
@@ -550,6 +579,36 @@ mod tests {
             }
             assert!(!verify(coded.root, 10, 4, &bad), "broken proof must fail");
         }
+    }
+
+    #[test]
+    fn check_many_agrees_with_check_fragment_by_fragment() {
+        let coded = encode(&payload(100), 10, 4).unwrap();
+        let other = encode(&payload(90), 10, 4).unwrap();
+        let mut mixed = Vec::new();
+        for (i, frag) in coded.fragments.iter().enumerate() {
+            let mut f = frag.clone();
+            match i % 5 {
+                0 => {}
+                1 => f.shard[0] ^= 1,
+                2 => f.index = (f.index + 1) % 10,
+                3 => f.shard.push(0),
+                // Another commitment's fragment: well formed, wrong root.
+                _ => f = other.fragments[i].clone(),
+            }
+            mixed.push(f);
+        }
+        // Sizes that leave 1, 2 and 3 in the last group of four, and one.
+        for len in [1, 5, 6, 7, 10] {
+            let input = mixed[..len].to_vec();
+            let one_by_one: Vec<Option<VerifiedFragment>> =
+                input.iter().map(|f| VerifiedFragment::check(coded.root, 10, 4, f)).collect();
+            assert_eq!(VerifiedFragment::check_many(coded.root, 10, 4, input), one_by_one);
+        }
+        let verdicts = VerifiedFragment::check_many(coded.root, 10, 4, mixed);
+        let passed: Vec<usize> = (0..10).filter(|&i| verdicts[i].is_some()).collect();
+        assert_eq!(passed, vec![0, 5], "only the untouched fragments pass");
+        assert!(VerifiedFragment::check_many(coded.root, 10, 4, Vec::new()).is_empty());
     }
 
     #[test]

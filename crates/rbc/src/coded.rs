@@ -66,6 +66,37 @@ impl CodedPayload for String {
     }
 }
 
+/// One peer's echo as buffered: held unhashed until its root's quorum is
+/// in reach, or verified.
+#[derive(Clone, Debug)]
+enum Echo {
+    Held(Fragment),
+    Verified(VerifiedFragment),
+}
+
+impl Echo {
+    fn fragment(&self) -> &Fragment {
+        match self {
+            Echo::Held(frag) => frag,
+            Echo::Verified(v) => v.fragment(),
+        }
+    }
+
+    fn verified(&self) -> Option<&VerifiedFragment> {
+        match self {
+            Echo::Held(_) => None,
+            Echo::Verified(v) => Some(v),
+        }
+    }
+
+    fn into_held(self) -> Option<Fragment> {
+        match self {
+            Echo::Held(frag) => Some(frag),
+            Echo::Verified(_) => None,
+        }
+    }
+}
+
 /// The state machine of one erasure-coded reliable-broadcast instance at
 /// one node. Mirrors [`RbcInstance`](crate::RbcInstance) — same action
 /// surface, same observer/trace hooks — but speaks the coded message
@@ -78,8 +109,12 @@ impl CodedPayload for String {
 ///   verifies; the first valid one wins.
 /// * An echo from peer `p` must carry fragment index `p` and verify
 ///   against its root. At most one echo and one ready per peer are
-///   counted (first-wins, like Bracha), so `f` Byzantine peers can buffer
-///   at most `f` junk fragments here — state stays O(n) fragments.
+///   counted (first valid wins, like Bracha).
+/// * A peer's echo is held unhashed until it can matter, and each peer
+///   has at most one held echo: its next echo settles the held one
+///   first. So a Byzantine peer buffers at most one junk fragment here —
+///   state stays O(n) fragments — and pays for each replay with at most
+///   the one hash its held echo would have cost anyway.
 ///
 /// Delivery frees the fragments and keeps no copy of the payload: the
 /// payload moves out in [`RbcAction::Deliver`], and nothing buffered can
@@ -96,11 +131,12 @@ pub struct CodedInstance<P> {
     /// This node's own fragment as verified on `CodedSend`, with its root,
     /// until the echo of it loops back: the bytes were hashed then.
     own: Option<(u64, VerifiedFragment)>,
-    /// Verified echo fragments, each with the leaf hash its verification
-    /// computed, grouped by commitment root then keyed by fragment index
-    /// (≡ echoing peer), until delivery. BTree for replay-stable order.
-    echoes: BTreeMap<u64, BTreeMap<u16, VerifiedFragment>>,
-    /// Peers whose (first) echo has been counted, any root.
+    /// Echo fragments grouped by commitment root then keyed by fragment
+    /// index (≡ echoing peer), until delivery: verified ones with the leaf
+    /// hash their verification computed, and at most one held, unhashed
+    /// echo per peer. BTree for replay-stable order.
+    echoes: BTreeMap<u64, BTreeMap<u16, Echo>>,
+    /// Peers whose (first valid) echo has been counted, any root.
     echoed_peers: NodeBitset,
     /// Peers whose (first) ready has been counted, any root.
     readied_peers: NodeBitset,
@@ -282,36 +318,108 @@ where
         out.push(RbcAction::Broadcast(RbcMessage::CodedEcho { root, fragment: frag.clone() }));
     }
 
+    /// Takes in an echo. A peer's echo is held unhashed until its root's
+    /// held and verified echoes together reach the `n − f` Ready quorum,
+    /// or `k` at the delivery root ([`Self::settle_if_due`]): before that,
+    /// no verdict on it could change an outcome. Then the held echoes are
+    /// verified together, so every Ready and Deliver fires at the message
+    /// it would if each echo were verified on arrival; only the
+    /// `RbcFragment` verdicts move later.
     fn on_echo(&mut self, from: NodeId, root: u64, frag: &Fragment, out: &mut Vec<RbcAction<P>>) {
-        // Verification hashes the whole shard, so echoes that can no
-        // longer matter are dropped before it: a peer's echo counts once
-        // (a replay must not buy a hash per copy), and after delivery the
-        // Ready is out and nothing reads fragments any more.
+        // Echoes that can no longer matter are dropped unread: a peer's
+        // echo counts once, and after delivery the Ready is out and
+        // nothing reads fragments any more.
         if self.delivered || self.echoed_peers.contains(from) {
+            return;
+        }
+        // A second echo from a peer settles its held one, which may fill
+        // the peer's slot: a replay costs the held echo's hash at most and
+        // is never hashed itself.
+        self.settle_held_of(from);
+        if self.echoed_peers.contains(from) {
             return;
         }
         // An echo must carry the echoing peer's own fragment and verify
         // against its commitment. The peer's slot is taken only after
         // verification, so junk cannot burn a correct peer's slot.
-        let verified = match self.own.take_if(|_| from == self.me) {
-            // Our own echo looping back, byte for byte what `on_send`
-            // verified under this root: the verdict and the leaf stand.
-            Some((own_root, own)) if own_root == root && own.fragment() == frag => Some(own),
-            _ => self.check(root, frag, from),
-        };
-        let Some(verified) = verified else {
+        let echo = if from == self.me {
+            // A self-echo is checked at once. Our own echo looping back,
+            // byte for byte what `on_send` verified under this root, keeps
+            // that verdict and leaf.
+            let verified = match self.own.take() {
+                Some((own_root, own)) if own_root == root && own.fragment() == frag => Some(own),
+                _ => self.check(root, frag, from),
+            };
+            let Some(verified) = verified else {
+                self.emit_fragment(frag.index, false);
+                return;
+            };
+            self.echoed_peers.insert(from);
+            self.emit_fragment(frag.index, true);
+            Echo::Verified(verified)
+        } else if usize::from(frag.index) == from.index() {
+            Echo::Held(frag.clone())
+        } else {
             self.emit_fragment(frag.index, false);
             return;
         };
-        self.echoed_peers.insert(from);
-        self.emit_fragment(frag.index, true);
-        let frags = self.echoes.entry(root).or_default();
-        frags.entry(frag.index).or_insert(verified);
-        let support = frags.len();
+        self.echoes.entry(root).or_default().entry(frag.index).or_insert(echo);
+        self.settle_if_due(root);
+        let support = self
+            .echoes
+            .get(&root)
+            .map_or(0, |frags| frags.values().filter(|echo| echo.verified().is_some()).count());
         if support >= self.config.quorum() {
             self.maybe_send_ready(root, RbcPhase::Echo, support, out);
         }
         self.maybe_deliver(out);
+    }
+
+    /// Verifies `root`'s held echoes together once held and verified echoes
+    /// reach the `n − f` Ready quorum, or `k` at the delivery root. Before
+    /// that even all of them passing would change no outcome; from then on
+    /// every echo of that root is settled the moment it arrives.
+    fn settle_if_due(&mut self, root: u64) {
+        let (quorum, k) = (self.config.quorum(), self.k());
+        let at_delivery = self.deliver_root == Some(root);
+        let Some(frags) = self.echoes.get_mut(&root) else { return };
+        if frags.len() < quorum && !(at_delivery && frags.len() >= k) {
+            return;
+        }
+        let held = frags.extract_if(.., |_, echo| echo.verified().is_none());
+        let held = held.filter_map(|(index, echo)| Some((index, echo.into_held()?))).collect();
+        self.settle(root, held);
+    }
+
+    /// Settles `peer`'s held echo, if it has one, on its own.
+    fn settle_held_of(&mut self, peer: NodeId) {
+        let Ok(index) = u16::try_from(peer.index()) else { return };
+        let held = self.echoes.iter_mut().find_map(|(&root, frags)| {
+            let mut held = frags.extract_if(index..=index, |_, echo| echo.verified().is_none());
+            Some((root, held.next()?.1.into_held()?))
+        });
+        if let Some((root, frag)) = held {
+            self.settle(root, vec![(index, frag)]);
+        }
+    }
+
+    /// Verifies `held` echoes of `root` in one batch: a valid one is
+    /// counted for its peer, an invalid one is dropped and leaves the
+    /// peer's slot open. A root left with no echo is forgotten, so junk
+    /// roots cannot pile up.
+    fn settle(&mut self, root: u64, held: Vec<(u16, Fragment)>) {
+        let (indices, frags): (Vec<u16>, Vec<Fragment>) = held.into_iter().unzip();
+        let verdicts = VerifiedFragment::check_many(root, self.config.n(), self.k(), frags);
+        for (index, verdict) in indices.into_iter().zip(verdicts) {
+            self.emit_fragment(index, verdict.is_some());
+            if let Some(verified) = verdict {
+                self.echoed_peers.insert(NodeId::new(usize::from(index)));
+                self.echoes.entry(root).or_default().insert(index, Echo::Verified(verified));
+            }
+        }
+        if self.echoes.get(&root).is_some_and(BTreeMap::is_empty) {
+            self.echoes.remove(&root);
+        }
     }
 
     fn on_ready(&mut self, from: NodeId, root: u64, out: &mut Vec<RbcAction<P>>) {
@@ -342,12 +450,14 @@ where
             return;
         }
         let Some(root) = self.deliver_root else { return };
+        self.settle_if_due(root);
         let Some(frags) = self.echoes.get(&root) else { return };
-        if frags.len() < self.k() {
+        let verified: Vec<&VerifiedFragment> = frags.values().filter_map(Echo::verified).collect();
+        if verified.len() < self.k() {
             return;
         }
-        let fragments = frags.len() as u64;
-        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), frags.values());
+        let fragments = verified.len() as u64;
+        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), verified);
         let (bytes, hashed_shards, consistent) = match decoded {
             Ok(decoded) => (decoded.payload, decoded.hashed_shards as u64, true),
             // The sender committed to a non-codeword (or inconsistent
@@ -586,6 +696,12 @@ mod tests {
         assert_eq!(a.len(), 1);
     }
 
+    /// How many `RbcFragment` verdicts the sink collected since last asked.
+    fn fragment_events(sink: &bft_obs::SharedSink<bft_obs::VecSink>) -> usize {
+        let events = sink.lock().take();
+        events.iter().filter(|(_, _, e)| matches!(e, ObsEvent::RbcFragment { .. })).count()
+    }
+
     #[test]
     fn replayed_echo_from_a_counted_peer_is_dropped_unhashed() {
         use bft_obs::VecSink;
@@ -593,21 +709,80 @@ mod tests {
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
         inst.set_obs(obs, "t".into());
+        let one = c.fragments[2].weight();
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
-        let fragment_events = |sink: &bft_obs::SharedSink<VecSink>| {
-            let events = sink.lock().take();
-            events.iter().filter(|(_, _, e)| matches!(e, ObsEvent::RbcFragment { .. })).count()
-        };
-        assert_eq!(fragment_events(&sink), 1, "the first echo is checked and counted");
-        // A replay — byte-identical or corrupted — is neither verified
-        // (no fragment event, so no shard hash) nor acted on.
+        assert_eq!(fragment_events(&sink), 0, "the first echo is held, not yet hashed");
+        assert_eq!(inst.buffered_fragment_bytes(), one);
+        // The first replay settles the held echo: one hash, one verdict,
+        // and the peer is counted. The replay itself is not hashed.
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        let events = sink.lock().take();
+        let verdicts: Vec<_> = events
+            .iter()
+            .filter_map(|(_, _, e)| match e {
+                ObsEvent::RbcFragment { index, verified, .. } => Some((*index, *verified)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(verdicts, vec![(2, true)], "the held echo's verdict, alone");
+        assert_eq!(inst.buffered_fragment_bytes(), one);
+        // Further replays — byte-identical or corrupted — are neither
+        // verified (no fragment event, so no shard hash) nor acted on.
         let mut corrupted = c.fragments[2].clone();
         corrupted.shard[0] ^= 1;
         for replay in [&c.fragments[2], &corrupted] {
             assert!(inst.on_message(n(2), &echo(c.root, replay)).is_empty());
             assert_eq!(fragment_events(&sink), 0);
+            assert_eq!(inst.buffered_fragment_bytes(), one);
         }
+    }
+
+    #[test]
+    fn a_replay_from_a_held_peer_costs_only_the_held_echos_hash() {
+        use bft_obs::VecSink;
+        let (obs, sink) = Obs::new(VecSink::new());
+        let c = coded();
+        let mut inst = Inst::new(cfg(), n(1), n(0));
+        inst.set_obs(obs, "t".into());
+        let mut corrupted = c.fragments[2].clone();
+        corrupted.shard[0] ^= 1;
+        // Junk, then its replay: the replay settles the junk (one hash, a
+        // rejection, the slot stays open) and is itself held, unhashed.
+        assert!(inst.on_message(n(2), &echo(c.root, &corrupted)).is_empty());
+        assert_eq!(fragment_events(&sink), 0);
+        assert!(inst.on_message(n(2), &echo(c.root, &corrupted)).is_empty());
+        assert_eq!(fragment_events(&sink), 1);
+        // A valid echo settles the held replay — again exactly one hash —
+        // and is held in its place.
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        assert_eq!(fragment_events(&sink), 1);
+        assert!(inst.echoed_peers.is_empty(), "no junk took the peer's slot");
+        // Its replay settles it: the peer is counted, the replay unhashed.
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        assert_eq!(fragment_events(&sink), 1);
+        assert!(inst.echoed_peers.contains(n(2)));
         assert_eq!(inst.buffered_fragment_bytes(), c.fragments[2].weight());
+    }
+
+    #[test]
+    fn a_junk_flood_from_one_peer_buffers_at_most_one_fragment() {
+        let c = ec::encode(&payload(), 7, 3).unwrap();
+        let mut inst = Inst::new(cfg7(), n(1), n(0));
+        let one = c.fragments[2].weight();
+        for i in 0..40u64 {
+            // Corrupted shards under the real root and under junk roots.
+            let mut junk = c.fragments[2].clone();
+            junk.shard[(i % 7) as usize] ^= 1 + i as u8;
+            let root = if i % 2 == 0 { c.root } else { c.root ^ (i + 1) };
+            assert!(inst.on_message(n(2), &echo(root, &junk)).is_empty());
+            assert!(inst.buffered_fragment_bytes() <= one, "flood message {i}");
+            assert!(inst.echoes.len() <= 1, "no junk root outlives its echo");
+        }
+        // The flood burned nothing: the peer's valid echo still counts.
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
+        assert!(inst.echoed_peers.contains(n(2)));
+        assert_eq!(inst.buffered_fragment_bytes(), one);
     }
 
     #[test]
@@ -878,5 +1053,112 @@ mod tests {
             events.iter().filter(|(_, _, e)| matches!(e, ObsEvent::SpanStart { .. })).count();
         let ends = events.iter().filter(|(_, _, e)| matches!(e, ObsEvent::SpanEnd { .. })).count();
         assert_eq!(starts, ends, "balanced after GC: {events:?}");
+    }
+
+    /// n = 7, f = 2: Ready at 5 valid echoes or 3 Readys, Deliver at 5
+    /// Readys and 3 verified fragments.
+    fn cfg7() -> Config {
+        Config::new(7, 2).unwrap()
+    }
+
+    fn corrupt(frag: &Fragment) -> Fragment {
+        let mut bad = frag.clone();
+        bad.shard[0] ^= 1;
+        bad
+    }
+
+    /// Feeds `script` to node 1 of an n = 7 instance with sender 0 and
+    /// returns the indices of the messages whose actions broadcast a Ready
+    /// and deliver.
+    fn ready_and_deliver_indices(
+        script: &[(usize, RbcMessage<Vec<u8>>)],
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut inst = Inst::new(cfg7(), n(1), n(0));
+        let (mut ready, mut deliver) = (Vec::new(), Vec::new());
+        for (i, (from, msg)) in script.iter().enumerate() {
+            for a in inst.on_message(n(*from), msg) {
+                match a {
+                    RbcAction::Broadcast(RbcMessage::CodedReady { .. }) => ready.push(i),
+                    RbcAction::Deliver(_) => deliver.push(i),
+                    _ => {}
+                }
+            }
+        }
+        (ready, deliver)
+    }
+
+    fn junk_then_valid_script() -> Vec<(usize, RbcMessage<Vec<u8>>)> {
+        let c = ec::encode(&payload(), 7, 3).unwrap();
+        let (root, f) = (c.root, &c.fragments);
+        let ready = || RbcMessage::CodedReady { root };
+        vec![
+            (2, echo(root, &corrupt(&f[2]))),
+            (3, echo(root, &f[3])),
+            (2, echo(root, &f[2])),
+            (4, echo(root, &corrupt(&f[4]))),
+            (0, echo(root, &f[0])),
+            (4, echo(root, &corrupt(&f[4]))),
+            (5, ready()),
+            (6, echo(root, &corrupt(&f[6]))),
+            (4, echo(root, &f[4])),
+            (4, echo(root, &f[4])),
+            (6, echo(root, &f[6])),
+            (6, ready()),
+            (2, ready()),
+            (3, ready()),
+            (5, echo(root, &f[5])),
+            (4, ready()),
+            (0, ready()),
+        ]
+    }
+
+    fn equivocating_roots_script() -> Vec<(usize, RbcMessage<Vec<u8>>)> {
+        let a = ec::encode(&payload(), 7, 3).unwrap();
+        let b = ec::encode(&[7u8; 80], 7, 3).unwrap();
+        let (ra, rb, fa, fb) = (a.root, b.root, &a.fragments, &b.fragments);
+        vec![
+            (0, echo(ra, &fa[0])),
+            (2, echo(rb, &fb[2])),
+            (3, echo(ra, &corrupt(&fa[3]))),
+            (3, echo(rb, &fb[3])),
+            (4, echo(ra, &fa[4])),
+            (2, echo(ra, &fa[2])),
+            (5, echo(rb, &corrupt(&fb[5]))),
+            (5, echo(ra, &fa[5])),
+            (2, RbcMessage::CodedReady { root: rb }),
+            (6, echo(rb, &fb[6])),
+            (3, RbcMessage::CodedReady { root: ra }),
+            (4, RbcMessage::CodedReady { root: ra }),
+            (5, RbcMessage::CodedReady { root: ra }),
+            (6, RbcMessage::CodedReady { root: ra }),
+            (0, RbcMessage::CodedReady { root: ra }),
+            (1, RbcMessage::CodedReady { root: ra }),
+        ]
+    }
+
+    fn readys_first_script() -> Vec<(usize, RbcMessage<Vec<u8>>)> {
+        let c = ec::encode(&payload(), 7, 3).unwrap();
+        let (root, f) = (c.root, &c.fragments);
+        let mut script: Vec<_> =
+            [2, 3, 4, 5, 6].map(|i| (i, RbcMessage::CodedReady { root })).to_vec();
+        script.extend([
+            (2, echo(root, &corrupt(&f[2]))),
+            (3, echo(root, &f[3])),
+            (2, echo(root, &f[2])),
+            (4, echo(root, &corrupt(&f[4]))),
+            (4, echo(root, &f[4])),
+            (5, echo(root, &f[5])),
+        ]);
+        script
+    }
+
+    /// The message indices at which Ready and Deliver fire on these
+    /// scripts were recorded from the implementation that verified every
+    /// echo on arrival; holding echoes must not move them.
+    #[test]
+    fn held_echoes_move_no_ready_and_no_deliver() {
+        assert_eq!(ready_and_deliver_indices(&junk_then_valid_script()), (vec![10], vec![15]));
+        assert_eq!(ready_and_deliver_indices(&equivocating_roots_script()), (vec![12], vec![14]));
+        assert_eq!(ready_and_deliver_indices(&readys_first_script()), (vec![2], vec![9]));
     }
 }

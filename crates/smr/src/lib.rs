@@ -983,11 +983,14 @@ impl<C: CoinScheme> SmrProcess<C> {
     }
 
     fn snapshot_output(&self) -> SmrOutput {
-        SmrOutput {
-            state_hash: self.state.state_hash(),
-            epochs: self.state.applied_epoch(),
-            keys: self.state.len() as u64,
-        }
+        // The horizon is a checkpoint boundary, so the snapshot taken (or
+        // installed) at this applied epoch holds this very state and has
+        // hashed it already. Only a snapshot `adopt_certificate` dropped
+        // as contradicting is streamed again.
+        let epoch = self.state.applied_epoch();
+        let state_hash =
+            self.snapshots.get(&epoch).map_or_else(|| self.state.state_hash(), |snap| snap.hash);
+        SmrOutput { state_hash, epochs: self.state.applied_epoch(), keys: self.state.len() as u64 }
     }
 
     /// Drives apply (and with it truncation), checkpointing,
@@ -1368,6 +1371,124 @@ mod tests {
         assert!(report.agreement_holds(), "state hashes must match");
         let output = report.unanimous_output().expect("unanimous output");
         assert_eq!(output.epochs, 6);
+    }
+
+    type Node = SmrProcess<CommonCoin>;
+
+    fn node(cfg: Config, id: NodeId, opts: SmrOptions) -> Node {
+        SmrProcess::new(cfg, id, opts, kv_workload(id, 12), |i| CommonCoin::new(3, i))
+    }
+
+    /// Starts the `start` nodes and delivers messages in FIFO order until
+    /// none is left; messages to a node not in `live` are dropped.
+    /// Returns the output each node emitted, when it emitted it.
+    fn pump(nodes: &mut [Node], start: &[usize], live: &[usize]) -> BTreeMap<usize, SmrOutput> {
+        let mut queue = std::collections::VecDeque::new();
+        let mut emitted = BTreeMap::new();
+        let mut steps: Vec<(usize, Vec<SmrEffect>)> =
+            start.iter().map(|&i| (i, nodes[i].on_start())).collect();
+        loop {
+            for (from, effects) in steps.drain(..) {
+                for e in effects {
+                    match e {
+                        Effect::Send { to, msg } => queue.push_back((from, to.index(), msg)),
+                        Effect::Broadcast { msg } => {
+                            queue.extend(live.iter().map(|&to| (from, to, msg.clone())));
+                        }
+                        Effect::Output(output) => {
+                            emitted.insert(from, output);
+                        }
+                        Effect::Halt => {}
+                    }
+                }
+            }
+            let Some((from, to, msg)) = queue.pop_front() else { return emitted };
+            if live.contains(&to) {
+                steps.push((to, nodes[to].on_message(NodeId::new(from), &msg)));
+            }
+        }
+    }
+
+    /// The output's state hash — as emitted at the horizon, when older
+    /// snapshots may still be held, and as read back at the end — against
+    /// the state's own streamed one.
+    fn assert_output_hash_is_fresh(node: &Node, emitted: Option<&SmrOutput>, horizon: u64) {
+        let output = node.output().expect("the node reached the horizon");
+        assert_eq!(Some(&output), emitted, "node {:?}", node.me);
+        assert_eq!(output.epochs, horizon);
+        assert_eq!(output.state_hash, node.state().state_hash(), "node {:?}", node.me);
+    }
+
+    #[test]
+    fn output_hash_equals_a_fresh_state_hash_at_every_horizon() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        // A horizon on a multiple of the interval, and one between two.
+        for (epochs, interval) in [(6, 2), (5, 2), (3, 4)] {
+            let opts = SmrOptions {
+                order: OrderOptions {
+                    batch_max: 2,
+                    pipeline_depth: 2,
+                    epochs,
+                    ..OrderOptions::default()
+                },
+                checkpoint_interval: interval,
+            };
+            let mut nodes: Vec<Node> = cfg.nodes().map(|id| node(cfg, id, opts)).collect();
+            let emitted = pump(&mut nodes, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+            for (i, node) in nodes.iter().enumerate() {
+                assert!(node.snapshots.contains_key(&epochs), "the horizon is a boundary");
+                assert_output_hash_is_fresh(node, emitted.get(&i), epochs);
+            }
+        }
+    }
+
+    #[test]
+    fn output_hash_equals_a_fresh_state_hash_after_state_transfer() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let opts = SmrOptions {
+            order: OrderOptions {
+                batch_max: 2,
+                pipeline_depth: 2,
+                epochs: 5,
+                ..OrderOptions::default()
+            },
+            checkpoint_interval: 2,
+        };
+        let mut nodes: Vec<Node> = cfg.nodes().map(|id| node(cfg, id, opts)).collect();
+        let mut emitted = pump(&mut nodes, &[0, 1, 2], &[0, 1, 2]);
+        // Node 3 was never live: its replacement installs the horizon
+        // checkpoint from its peers and outputs straight from it.
+        nodes[3] = node(cfg, NodeId::new(3), opts).recovering(true);
+        emitted.extend(pump(&mut nodes, &[3], &[0, 1, 2, 3]));
+        assert_eq!(nodes[3].state().applied_epoch(), 5, "installed, not replayed");
+        for (i, node) in nodes.iter().enumerate() {
+            assert_output_hash_is_fresh(node, emitted.get(&i), 5);
+        }
+        assert_eq!(nodes[3].output(), nodes[0].output());
+    }
+
+    #[test]
+    fn output_hash_is_streamed_once_a_contradicted_snapshot_is_dropped() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let opts = SmrOptions {
+            order: OrderOptions {
+                batch_max: 2,
+                pipeline_depth: 2,
+                epochs: 4,
+                ..OrderOptions::default()
+            },
+            checkpoint_interval: 2,
+        };
+        let mut nodes: Vec<Node> = cfg.nodes().map(|id| node(cfg, id, opts)).collect();
+        let emitted = pump(&mut nodes, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+        let before = nodes[0].output();
+        let own = nodes[0].snapshots.get(&4).map(|snap| snap.hash).expect("horizon snapshot");
+        // A certificate contradicting the node's own horizon snapshot:
+        // the snapshot goes, and the output must stream the state.
+        nodes[0].adopt_certificate(4, own ^ 1, 3, &mut Vec::new());
+        assert!(!nodes[0].snapshots.contains_key(&4));
+        assert_output_hash_is_fresh(&nodes[0], emitted.get(&0), 4);
+        assert_eq!(nodes[0].output(), before);
     }
 
     #[test]

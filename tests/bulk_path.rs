@@ -1,7 +1,8 @@
 //! The bulk data path — coded-RBC fragment → decoded batch → log entry —
-//! against its definitions: the table-driven Reed–Solomon kernels and the
-//! hash-once decode core must produce, byte for byte, what the plain
-//! `gf256::mul`-per-byte, hash-every-shard path produces.
+//! against its definitions: the table-driven Reed–Solomon kernels, the
+//! four-lane leaf hashing and the hash-once decode core must produce,
+//! byte for byte, what the plain `gf256::mul`-per-byte, hash-every-shard,
+//! one-byte-at-a-time FNV-1a path produces.
 
 use async_bft::ec::{self, gf256, merkle, EcError, Fragment, VerifiedFragment};
 use async_bft::order::{batch_tx_count, decode_batch, encode_batch};
@@ -10,9 +11,25 @@ use proptest::prelude::*;
 
 /// A transliteration of the byte-at-a-time erasure-coding path this repo
 /// shipped before the table-driven kernels: one `gf256::mul` per byte,
-/// every shard of the codeword hashed on every reconstruction.
+/// every shard of the codeword hashed on every reconstruction, each leaf
+/// by its own serial FNV-1a chain.
 mod reference {
     use super::*;
+
+    /// FNV-1a 64, one byte at a time, from `state`.
+    fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        state
+    }
+
+    /// The leaf committing shard `index`: FNV-1a over the leaf domain
+    /// byte, the little-endian index, then the shard.
+    pub fn leaf_hash(index: u16, shard: &[u8]) -> u64 {
+        let head = fnv1a(0xcbf2_9ce4_8422_2325, &[0x4c]);
+        fnv1a(fnv1a(head, &index.to_le_bytes()), shard)
+    }
 
     fn lagrange_coeffs(xs: &[u8], x: u8) -> Vec<u8> {
         xs.iter()
@@ -62,7 +79,7 @@ mod reference {
     }
 
     pub fn leaves(shards: &[Vec<u8>]) -> Vec<u64> {
-        shards.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect()
+        shards.iter().enumerate().map(|(i, s)| leaf_hash(i as u16, s)).collect()
     }
 
     pub fn encode(payload: &[u8], n: usize, k: usize) -> ec::Coded {
@@ -163,12 +180,14 @@ fn thresholds(n: usize) -> Vec<usize> {
     ks
 }
 
+/// Every fragment of `coded`, verified in one batch — which must agree
+/// with verifying them one at a time.
 fn verified(coded: &ec::Coded, n: usize, k: usize) -> Vec<VerifiedFragment> {
-    coded
-        .fragments
-        .iter()
-        .map(|f| VerifiedFragment::check(coded.root, n, k, f).expect("committed fragment verifies"))
-        .collect()
+    let one_by_one: Vec<Option<VerifiedFragment>> =
+        coded.fragments.iter().map(|f| VerifiedFragment::check(coded.root, n, k, f)).collect();
+    let batched = VerifiedFragment::check_many(coded.root, n, k, coded.fragments.clone());
+    assert_eq!(batched, one_by_one, "batched and single verification disagree");
+    batched.into_iter().map(|v| v.expect("committed fragment verifies")).collect()
 }
 
 /// Decodes `subset` of `coded` every way the crate offers — no leaf known,
@@ -285,6 +304,22 @@ fn a_stale_extra_fragment_spares_no_hash_and_changes_no_verdict() {
     let decoded = ec::reconstruct_verified(good.root, n, k, supplied).expect("codeword");
     assert_eq!(decoded.payload, payload(300, 3));
     assert_eq!(decoded.hashed_shards, n - k, "the foreign leaf spared nothing");
+}
+
+#[test]
+fn batched_leaf_hashes_equal_the_serial_reference() {
+    for count in 1..=9usize {
+        for len in [0usize, 1, 3, 64, 1000] {
+            let shards: Vec<Vec<u8>> =
+                (0..count).map(|i| payload(len + i % 2, (count * 10 + i) as u64)).collect();
+            let expect = reference::leaves(&shards);
+            let got = merkle::leaf_hashes((0u16..).zip(shards.iter().map(Vec::as_slice)));
+            assert_eq!(got, expect, "{count} leaves of ~{len} B");
+            let single: Vec<u64> =
+                (0u16..).zip(&shards).map(|(i, s)| merkle::leaf_hash(i, s)).collect();
+            assert_eq!(single, expect, "{count} single leaves of ~{len} B");
+        }
+    }
 }
 
 #[test]
