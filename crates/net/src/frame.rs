@@ -245,7 +245,7 @@ impl std::error::Error for PayloadTooLarge {}
 /// Encodes a version-2 frame from a borrowed payload.
 ///
 /// This is the hot-path entry point: broadcast bodies are `Arc`-shared
-/// between per-link writers and must not be cloned per frame. Payloads
+/// between the links' replay logs and must not be cloned per frame. Payloads
 /// above [`MAX_PAYLOAD`] fail with a typed [`PayloadTooLarge`] error
 /// instead of silently emitting a frame every receiver must reject.
 pub fn encode_frame(

@@ -18,18 +18,24 @@
 //! * [`handshake`] — preshared-key challenge–response authentication, so
 //!   every connection carries a verified sender identity (envelopes are
 //!   stamped by the transport, never trusted from message bodies).
-//! * [`chaos`] — deterministic, seeded link-level fault injection
-//!   (drop/retransmit, duplication, delay, partitions) applied *under*
-//!   the reliable-link contract.
+//! * [`chaos`] — a deterministic, seeded per-link delay, the one fault
+//!   injected on real sockets; it holds frames back, never reorders or
+//!   loses them.
+//! * `link` (crate-private) — the link contract as two sans-io machines
+//!   with no socket or clock inside: the dialer-side `Sender` (handshake,
+//!   ack-trimmed replay log, backoff, the chaos delay) and the
+//!   accepter-side `Receiver` (handshake, per-peer dedup floor, acks,
+//!   severing on a gap). Its tests drive both over a seeded in-memory
+//!   byte pipe that cuts connections at any byte offset.
 //! * [`runtime`] — [`NetRuntime`], its builder API and the
-//!   [`RuntimeReport`] it returns: socket setup and the link contract
-//!   (cross-connection replay/dedup, reconnect with capped exponential
-//!   backoff).
+//!   [`RuntimeReport`] it returns: socket setup, backoff policy, the
+//!   panic ledger.
 //! * [`reactor`] — the engine behind [`NetRuntime`]: one nonblocking
-//!   `poll(2)` loop per node drives every socket the node touches (the
-//!   full-mesh peer links and the client gateway) and steps the node's
-//!   process as its frames arrive, so each node is one thread however
-//!   large the cluster.
+//!   `poll(2)` loop per node owns every socket the node touches (the
+//!   full-mesh peer links and the client gateway), moves bytes between
+//!   them and the link machines, and steps the node's process as its
+//!   frames arrive, so each node is one thread however large the
+//!   cluster.
 //! * [`gateway`] — the client-facing submit/ack protocol served by the
 //!   reactor (typed backpressure NACKs, per-client sequencing) plus an
 //!   open-loop load generator for driving a cluster externally.
@@ -66,12 +72,13 @@ mod clock;
 pub mod frame;
 pub mod gateway;
 pub mod handshake;
+mod link;
 pub mod reactor;
 pub mod runtime;
 
 pub use bft_types::hash::fnv1a64;
 pub use bft_types::wire::Codec;
-pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
+pub use chaos::ChaosConfig;
 pub use frame::{
     encode_frame, encode_frame_into, Frame, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD,
     HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,

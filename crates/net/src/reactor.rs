@@ -28,30 +28,28 @@
 //!
 //! # What the links guarantee
 //!
-//! Per directed link the reactor keeps the contract [`crate::runtime`]
-//! documents: authenticated by the handshake (the pure helpers in
-//! [`crate::handshake`]), contiguous sequence numbers, a replay log
-//! trimmed by cumulative acks, and a per-peer dedup floor that survives
-//! reconnects. Chaos sits under that contract with a fixed per-frame draw
-//! order (outage → delay → drop loop → duplicate), so a seeded chaos
-//! schedule produces the same per-link fault pattern on every run. The
-//! full transport event vocabulary (`PeerConnected`, `FrameSequenceGap`,
-//! `LinkLogPeak`, …) is emitted from here. The deterministic simulator is
-//! the differential oracle: `tests/net_reactor.rs` and
-//! `tests/net_loopback.rs` require the logs a seeded workload commits over
-//! these sockets to equal the ones it commits in `bft-sim`.
+//! The link contract [`crate::runtime`] documents (the handshake,
+//! contiguous sequence numbers, the ack-trimmed replay log, the per-peer
+//! dedup floor, backoff, severing on a gap, the chaos delay) is not kept
+//! here: it is the sans-io `Sender` and `Receiver` machines of
+//! `link.rs`. The reactor owns the sockets and moves bytes: each outbound
+//! [`Link`] pairs a sender with its connection, each [`InConn`] pairs an
+//! accepted connection with its handshake state, and the node's one
+//! receiver holds the floors. Decoded frames go in as `FrameRef` views of
+//! the connection's input buffer, and the machines encode straight into
+//! its output buffer. The deterministic simulator is the differential
+//! oracle: `tests/net_reactor.rs` and `tests/net_loopback.rs` require the
+//! logs a seeded workload commits over these sockets to equal the ones
+//! it commits in `bft-sim`.
 //!
-//! Every connection is a state machine: an
-//! outbound link is `Idle → Hello → Up` (with a head-of-line chaos
-//! machine `Start → Delayed → Dropping` per frame), an inbound
-//! connection is `AwaitHello → AwaitAuth → Up`. Each `poll` both parks
-//! the loop and reports per-descriptor readiness; the next pass issues
-//! read/accept syscalls **only on the descriptors `revents` flagged**,
-//! so an idle connection costs one poll-set entry, not a `read(2)` that
-//! returns `EWOULDBLOCK`. Readiness is still only a gate, never a proof:
-//! `poll(2)` is level-triggered, every socket is nonblocking, and every
-//! pump handles `WouldBlock`, so a spurious bit costs one wasted syscall
-//! and a missed bit is re-reported by the next poll — never a stall.
+//! Each `poll` both parks the loop and reports per-descriptor readiness;
+//! the next pass makes read/accept syscalls **only on the descriptors
+//! `revents` flagged**, so an idle connection costs one poll-set entry,
+//! not a `read(2)` that returns `EWOULDBLOCK`. Readiness is still only a
+//! gate, never a proof: `poll(2)` is level-triggered, every socket is
+//! nonblocking, and every pump handles `WouldBlock`, so a spurious bit
+//! costs one wasted syscall and a missed bit is re-reported by the next
+//! poll — never a stall.
 //!
 //! # The client gateway
 //!
@@ -64,23 +62,18 @@
 //! and earlier steps pushed go back to the submitting clients'
 //! connections.
 
-use crate::chaos::{LinkChaos, XorShift};
 use crate::clock::{sleep_ms, Clock};
 use crate::frame::{encode_frame_into, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD};
 use crate::gateway::{
     parse_submit, submit_nack_payload, submit_ok_payload, ClientSubmit, GatewayNotice, GatewayPipe,
     NackReason, INTAKE_CAP,
 };
-use crate::handshake::{
-    auth_payload, challenge_payload, hello_payload, next_nonce, parse_auth, parse_challenge,
-    parse_hello, Secret,
-};
+use crate::link::{InLink, Reason, Receiver, Sender};
 use crate::runtime::{
-    locked, rebind, supervised, BackoffPolicy, BoxedProcess, ListenerBounce, NetRuntime,
-    PanicLedger, RestartSpec, RuntimeReport, ACK_EVERY, MAX_RETRANSMIT, RETRANSMIT_RTO_MS,
+    locked, rebind, supervised, BoxedProcess, ListenerBounce, NetRuntime, PanicLedger, RestartSpec,
+    RuntimeReport,
 };
 use bft_obs::{Event as ObsEvent, Obs, ReactorStats};
-use bft_types::hash::Fnv64;
 use bft_types::wire::{Codec, DecodeError, MAX_PAYLOAD};
 use bft_types::{Effect, NodeId};
 use std::collections::{BTreeMap, VecDeque};
@@ -90,11 +83,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// How long a half-open handshake (either direction) may sit before the
-/// connection is abandoned; the dialer treats expiry as a failed attempt
-/// and backs off, the accepter just drops the straggler.
-const HANDSHAKE_DEADLINE_MS: u64 = 2_000;
 
 /// Soft cap on a peer connection's pending output buffer: the transmit
 /// machine flushes each time it gets there and stops once the socket
@@ -113,10 +101,8 @@ const POLL_CAP_MS: u64 = 10;
 enum FillEnd {
     /// Connection still open (nothing more to read right now).
     Open,
-    /// Orderly FIN from the peer. For a dial connection this is *not*
-    /// immediate death: TCP half-close semantics require pending frames
-    /// to keep flowing until a write fails, which is what turns a
-    /// skipped replay into the sequence gap the receiver must detect.
+    /// Orderly FIN from the peer (peers never half-close here, so the
+    /// connection is done).
     Eof,
     /// Hard transport error.
     Error,
@@ -164,10 +150,6 @@ impl BufConn {
 
     fn pending_out(&self) -> bool {
         self.out_pos < self.outbuf.len()
-    }
-
-    fn out_len(&self) -> usize {
-        self.outbuf.len() - self.out_pos
     }
 
     /// Encodes one frame straight into the output buffer.
@@ -246,15 +228,20 @@ impl BufConn {
     }
 
     /// Peels the next complete frame off the input buffer, if one is
-    /// fully buffered, as a view into that buffer.
-    fn next_frame(&mut self, io: &mut ReactorStats) -> Result<Option<FrameRef<'_>>, DecodeError> {
+    /// fully buffered, as a view into that buffer — paired with the
+    /// output buffer, so a link machine can answer while it holds the
+    /// frame.
+    fn next_frame(
+        &mut self,
+        io: &mut ReactorStats,
+    ) -> Result<Option<(FrameRef<'_>, &mut Vec<u8>)>, DecodeError> {
         let rest = self.inbuf.get(self.in_pos..).unwrap_or_default();
         let Some((frame, used)) = FrameRef::decode_prefix(rest)? else { return Ok(None) };
         // `used` is bounded by the bytes actually buffered, but keep the
         // cursor arithmetic non-wrapping regardless.
         self.in_pos = self.in_pos.saturating_add(used);
         io.frames_in += 1;
-        Ok(Some(frame))
+        Ok(Some((frame, &mut self.outbuf)))
     }
 
     /// Drops consumed input bytes (called once per parsed chunk, so frame
@@ -309,448 +296,98 @@ impl BufConn {
 
 // ---- outbound links -------------------------------------------------------
 
-/// Where an outbound connection is in its lifecycle.
-#[derive(Clone, Copy, Debug)]
-enum LinkPhase {
-    /// No connection (between dials).
-    Idle,
-    /// Hello sent; waiting for the accepter's Challenge.
-    Hello { nonce_me: u64, started_ms: u64 },
-    /// Authenticated; frames flow.
-    Up,
-}
-
-/// The chaos machine for the head-of-line frame, mirroring the thread
-/// writer's per-frame draw order exactly: outage wait (no draw) → one
-/// `delay_ms` draw → an `attempt_dropped` loop (≤ [`MAX_RETRANSMIT`],
-/// RTO-spaced) → one `duplicate` draw at transmission.
-#[derive(Clone, Copy, Debug)]
-enum Head {
-    /// Nothing drawn yet for the current head frame.
-    Start,
-    /// Chaos delay in progress.
-    Delayed { until_ms: u64 },
-    /// Retransmission loop: `attempts` wire losses so far.
-    Dropping { attempts: u32, retry_at_ms: u64 },
-}
-
-/// Why an outbound connection died — determines the replay reset and
-/// the emitted event.
-#[derive(Clone, Copy, Debug)]
-enum LinkDeath {
-    /// Dial/handshake failure: back off and emit `ReconnectBackoff`.
-    Handshake,
-    /// Peer closed a fully-drained link: full replay (`"peer_closed"`).
-    Idle,
-    /// Write failure with frames in flight: `sent` is preserved so a
-    /// chaos-skipped replay exposes the gap (`"write_failed"`).
-    Write,
-    /// The ack stream broke or carried a non-ack frame: full replay
-    /// (`"ack_failed"`).
-    Ack,
-}
-
-/// Shared per-node context handed to every link pump.
-struct LinkCtx<'a> {
-    me: NodeId,
-    obs: &'a Obs,
-    clock: Clock,
-    backoff: BackoffPolicy,
-    secret: Secret,
-    shutdown: &'a AtomicBool,
-    addr_table: &'a Mutex<Vec<SocketAddr>>,
-}
-
-/// An encoded frame body (shared between the links of one broadcast)
-/// plus the causal-trace hint stamped into its frame header.
-type FrameBody = (Arc<Vec<u8>>, u64);
-
-/// One directed outbound link: the replay log, the connection state
-/// machine, and the chaos head machine.
-struct LinkState {
-    peer: NodeId,
-    /// The replay log; `log[i]` carries seq `log_base + i + 1`. A deque,
-    /// so trimming an acked prefix costs that prefix, not the whole log.
-    log: VecDeque<FrameBody>,
-    log_base: u64,
-    sent: usize,
-    peak: usize,
-    ever_connected: bool,
-    /// Failed dial attempts in the current reconnect episode.
-    attempt: u64,
-    next_dial_at_ms: u64,
-    chaos: LinkChaos,
-    jitter: XorShift,
+/// One directed outbound link: the sender machine and its connection.
+struct Link {
+    tx: Sender,
     conn: Option<BufConn>,
-    phase: LinkPhase,
-    head: Head,
 }
 
-impl LinkState {
-    fn new(me: NodeId, peer: NodeId, chaos: LinkChaos) -> Self {
-        // A per-link jitter stream, so backoff schedules repeat run to
-        // run.
-        let mut h = Fnv64::new();
-        h.update(b"backoff-jitter");
-        h.update(&(me.index() as u32).to_le_bytes());
-        h.update(&(peer.index() as u32).to_le_bytes());
-        LinkState {
-            peer,
-            log: VecDeque::new(),
-            log_base: 0,
-            sent: 0,
-            peak: 0,
-            ever_connected: false,
-            attempt: 0,
-            next_dial_at_ms: 0,
-            chaos,
-            jitter: XorShift::new(h.finish()),
-            conn: None,
-            phase: LinkPhase::Idle,
-            head: Head::Start,
-        }
-    }
-
-    /// Appends a frame body to the replay log; the next pump sends it.
-    fn push(&mut self, body: FrameBody) {
-        self.log.push_back(body);
-        self.peak = self.peak.max(self.log.len());
-    }
-
-    /// One nonblocking pass over this link. A link that never connected
-    /// dials with nothing to send: the node connects before its process
-    /// starts.
-    fn pump(&mut self, ctx: &LinkCtx<'_>, io: &mut ReactorStats, now_ms: u64, deadline: &mut u64) {
-        if let Some(mut conn) = self.conn.take() {
-            match self.pump_conn(&mut conn, ctx, io, now_ms, deadline) {
-                None => self.conn = Some(conn),
-                Some(death) => self.die(death, ctx, now_ms),
-            }
-        } else if self.sent < self.log.len() || !self.ever_connected {
-            if now_ms >= self.next_dial_at_ms {
-                self.dial(ctx, io, now_ms, deadline);
-            } else {
-                *deadline = (*deadline).min(self.next_dial_at_ms);
-            }
-        }
-    }
-
-    /// Pumps a live connection; `Some(death)` means it must be torn
-    /// down (the connection is dropped by the caller).
-    fn pump_conn(
+impl Link {
+    /// One nonblocking pass: with no connection, dial if the machine asks
+    /// to; with one, feed it the accepter's frames, then write what it
+    /// transmits. A connection that ends is reported to the machine.
+    fn pump(
         &mut self,
-        conn: &mut BufConn,
-        ctx: &LinkCtx<'_>,
+        addr_table: &Mutex<Vec<SocketAddr>>,
         io: &mut ReactorStats,
         now_ms: u64,
         deadline: &mut u64,
-    ) -> Option<LinkDeath> {
-        // Parse whatever arrives, under the current phase.
-        let parsed = conn.read_frames(io, |conn, io| loop {
-            match self.phase {
-                LinkPhase::Idle => break Ok(()),
-                LinkPhase::Hello { nonce_me, started_ms } => match conn.next_frame(io) {
-                    Ok(Some(frame)) => {
-                        if frame.kind != FrameKind::Challenge {
-                            return Err(LinkDeath::Handshake);
-                        }
-                        let Ok(nonce_peer) =
-                            parse_challenge(frame.payload, ctx.secret, self.peer, nonce_me)
-                        else {
-                            return Err(LinkDeath::Handshake);
-                        };
-                        // The dialer considers the handshake done after
-                        // writing Auth.
-                        let body = auth_payload(ctx.secret, nonce_peer, ctx.me);
-                        let _ = conn.queue_frame(io, FrameKind::Auth, 0, 0, &body);
-                        self.established(ctx);
-                    }
-                    Ok(None) => {
-                        if now_ms.saturating_sub(started_ms) >= HANDSHAKE_DEADLINE_MS {
-                            return Err(LinkDeath::Handshake);
-                        }
-                        *deadline = (*deadline).min(started_ms + HANDSHAKE_DEADLINE_MS);
-                        break Ok(());
-                    }
-                    Err(_) => return Err(LinkDeath::Handshake),
-                },
-                LinkPhase::Up => match conn.next_frame(io) {
-                    Ok(Some(frame)) if frame.kind == FrameKind::Ack => {
-                        // Cumulative ack: trim the acked prefix.
-                        if frame.seq > self.log_base {
-                            let k = ((frame.seq - self.log_base) as usize).min(self.sent);
-                            self.log.drain(..k);
-                            self.sent -= k;
-                            self.log_base += k as u64;
-                        }
-                    }
-                    Ok(Some(_)) | Err(_) => return Err(LinkDeath::Ack),
-                    Ok(None) => break Ok(()),
-                },
+        emit: &mut impl FnMut(ObsEvent),
+    ) {
+        let result = match self.conn.as_mut() {
+            Some(conn) => exchange(&mut self.tx, conn, io, now_ms, deadline, emit),
+            None if self.tx.wants_dial(now_ms, deadline) => {
+                self.dial(addr_table, io, now_ms, deadline)
             }
-        });
-        let end = match parsed {
-            Ok(end) => end,
-            Err(death) => return Some(death),
+            None => Ok(()),
         };
-
-        let sent_before = self.sent;
-        if matches!(self.phase, LinkPhase::Up) {
-            // Encode up to the soft cap and flush, for as long as the
-            // socket takes all of it: no frame waits for the next pass,
-            // and the buffer never holds more than the cap.
-            while self.transmit(conn, ctx, io, now_ms, deadline)
-                && conn.flush(io)
-                && !conn.pending_out()
-            {}
-        }
-        // Frames transmitted after the peer's FIN are doomed: peers
-        // never half-close in this protocol, so nobody will read them.
-        // The kernel accepts them before the RST lands, so they count
-        // as `sent`, and the link dies as on a write failure with `sent`
-        // preserved — which is exactly what lets `skip_first_replay`
-        // manufacture a sequence gap: queueing anything onto an EOF'd
-        // connection is a Write death.
-        let queued_to_dead = conn.peer_eof && self.sent > sent_before;
-
-        if !conn.flush(io) {
-            return Some(match self.phase {
-                LinkPhase::Up => LinkDeath::Write,
-                _ => LinkDeath::Handshake,
-            });
-        }
-        match end {
-            FillEnd::Open => None,
-            FillEnd::Error => Some(match self.phase {
-                LinkPhase::Up if conn.peer_eof => LinkDeath::Write,
-                LinkPhase::Up => LinkDeath::Ack,
-                _ => LinkDeath::Handshake,
-            }),
-            FillEnd::Eof => match self.phase {
-                LinkPhase::Up if queued_to_dead => Some(LinkDeath::Write),
-                // An idle, fully-flushed link whose peer closed is dead
-                // (a receiver that saw a sequence gap closed it): redial
-                // and replay, or the peer starves.
-                LinkPhase::Up if self.sent == self.log.len() && !conn.pending_out() => {
-                    Some(LinkDeath::Idle)
-                }
-                // Pending work blocked on chaos (outage/delay): hold the
-                // connection so those frames still get counted against it.
-                LinkPhase::Up => None,
-                _ => Some(LinkDeath::Handshake),
-            },
+        if let Err(reason) = result {
+            self.conn = None;
+            self.tx.on_closed(reason, now_ms, emit);
         }
     }
 
-    /// The transmit machine: encodes head frames into the output buffer
-    /// under the chaos head machine, in its fixed draw order per frame.
-    /// Returns whether it stopped at [`OUTBUF_SOFT_CAP`] with frames left
-    /// to send (rather than on an empty log or a chaos wait).
-    fn transmit(
+    /// Connects and writes the machine's Hello.
+    fn dial(
         &mut self,
-        conn: &mut BufConn,
-        ctx: &LinkCtx<'_>,
+        addr_table: &Mutex<Vec<SocketAddr>>,
         io: &mut ReactorStats,
         now_ms: u64,
         deadline: &mut u64,
-    ) -> bool {
-        loop {
-            if self.sent >= self.log.len() {
-                return false;
-            }
-            if conn.out_len() >= OUTBUF_SOFT_CAP {
-                return true;
-            }
-            let seq = self.log_base + self.sent as u64 + 1;
-            match self.head {
-                Head::Start => {
-                    // Partition window: frames wait out the outage.
-                    if let Some(until) = self.chaos.outage_until(now_ms) {
-                        *deadline = (*deadline).min(until);
-                        return false;
-                    }
-                    let delay = self.chaos.delay_ms();
-                    self.head = if delay > 0 {
-                        Head::Delayed { until_ms: now_ms + delay }
-                    } else {
-                        Head::Dropping { attempts: 0, retry_at_ms: now_ms }
-                    };
-                }
-                Head::Delayed { until_ms } => {
-                    if now_ms < until_ms {
-                        *deadline = (*deadline).min(until_ms);
-                        return false;
-                    }
-                    self.head = Head::Dropping { attempts: 0, retry_at_ms: now_ms };
-                }
-                Head::Dropping { attempts, retry_at_ms } => {
-                    if now_ms < retry_at_ms {
-                        *deadline = (*deadline).min(retry_at_ms);
-                        return false;
-                    }
-                    if attempts < MAX_RETRANSMIT && self.chaos.attempt_dropped() {
-                        let peer = self.peer;
-                        ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::FrameDropped {
-                            to: peer,
-                            seq,
-                        });
-                        self.head = Head::Dropping {
-                            attempts: attempts + 1,
-                            retry_at_ms: now_ms + RETRANSMIT_RTO_MS,
-                        };
-                        continue;
-                    }
-                    let Some((body, trace)) = self.log.get(self.sent) else { return false };
-                    match conn.queue_frame(io, FrameKind::Msg, seq, *trace, body) {
-                        Ok(()) => {
-                            if self.chaos.duplicate() {
-                                let _ = conn.queue_frame(io, FrameKind::Msg, seq, *trace, body);
-                            }
-                        }
-                        Err(_) => {
-                            // Unreachable (oversize is rejected at the
-                            // send boundary); skip to keep the link live.
-                            ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || {
-                                ObsEvent::FrameDecodeError { reason: "payload_too_large" }
-                            });
-                        }
-                    }
-                    self.sent += 1;
-                    self.head = Head::Start;
-                }
-            }
-        }
-    }
-
-    /// Marks the link authenticated and applies the replay policy.
-    fn established(&mut self, ctx: &LinkCtx<'_>) {
-        let was_reconnect = self.ever_connected;
-        let peer = self.peer;
-        let at = ctx.clock.now_us();
-        if was_reconnect {
-            let attempts = self.attempt;
-            ctx.obs.emit_at(at, ctx.me, || ObsEvent::PeerReconnected { peer, attempts });
+    ) -> Result<(), Reason> {
+        let addr = locked(addr_table).get(self.tx.peer().index()).copied();
+        let conn = addr.and_then(|addr| TcpStream::connect(addr).and_then(BufConn::new).ok());
+        let conn = self.conn.insert(conn.ok_or("dial_failed")?);
+        self.tx.on_connected(&mut conn.outbuf, now_ms, deadline);
+        if conn.flush(io) {
+            Ok(())
         } else {
-            ctx.obs.emit_at(at, ctx.me, || ObsEvent::PeerConnected { peer });
-        }
-        self.ever_connected = true;
-        if !(was_reconnect && self.chaos.skip_replay_once()) {
-            // Fresh connection ⇒ replay the whole log; the receiver
-            // dedups by sequence number. The chaos branch resumes from
-            // the send counter instead, manufacturing a sequence gap.
-            self.sent = 0;
-        }
-        self.attempt = 0;
-        self.phase = LinkPhase::Up;
-        self.head = Head::Start;
-    }
-
-    /// Tears the connection down along one of the [`LinkDeath`] paths.
-    fn die(&mut self, death: LinkDeath, ctx: &LinkCtx<'_>, now_ms: u64) {
-        self.conn = None;
-        self.head = Head::Start;
-        let was_up = matches!(self.phase, LinkPhase::Up);
-        self.phase = LinkPhase::Idle;
-        let peer = self.peer;
-        let shutdown = ctx.shutdown.load(Ordering::Relaxed);
-        match death {
-            LinkDeath::Handshake => {
-                self.attempt += 1;
-                let delay_ms = ctx.backoff.delay_ms(self.attempt, &mut self.jitter);
-                self.next_dial_at_ms = now_ms + delay_ms;
-                if !shutdown {
-                    let attempt = self.attempt;
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::ReconnectBackoff {
-                        peer,
-                        attempt,
-                        delay_ms,
-                    });
-                }
-            }
-            LinkDeath::Idle => {
-                self.sent = 0;
-                if !shutdown && was_up {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "peer_closed",
-                    });
-                }
-            }
-            LinkDeath::Write => {
-                // The frame in flight when the link died was never
-                // really sent — uncount it. This keeps
-                // `sent < log.len()`, which is what arms the redial; the
-                // surviving prefix of `sent` is what a chaos-skipped
-                // replay resumes from, manufacturing the receiver-visible
-                // sequence gap.
-                self.sent = self.sent.saturating_sub(1);
-                if !shutdown && was_up {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "write_failed",
-                    });
-                }
-            }
-            LinkDeath::Ack => {
-                self.sent = 0;
-                if !shutdown && was_up {
-                    ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::PeerDisconnected {
-                        peer,
-                        reason: "ack_failed",
-                    });
-                }
-            }
+            Err("write_failed")
         }
     }
+}
 
-    /// Starts a fresh dial: connect (loopback fails fast), queue Hello,
-    /// enter the Hello phase with a deadline.
-    fn dial(&mut self, ctx: &LinkCtx<'_>, io: &mut ReactorStats, now_ms: u64, deadline: &mut u64) {
-        let addr = locked(ctx.addr_table).get(self.peer.index()).copied();
-        let Some(addr) = addr else { return };
-        let conn = TcpStream::connect(addr).and_then(BufConn::new);
-        match conn {
-            Ok(mut conn) => {
-                let nonce_me = next_nonce();
-                let body = hello_payload(ctx.me, nonce_me);
-                let _ = conn.queue_frame(io, FrameKind::Hello, 0, 0, &body);
-                if conn.flush(io) {
-                    self.conn = Some(conn);
-                    self.phase = LinkPhase::Hello { nonce_me, started_ms: now_ms };
-                    *deadline = (*deadline).min(now_ms + HANDSHAKE_DEADLINE_MS);
-                } else {
-                    self.die(LinkDeath::Handshake, ctx, now_ms);
-                }
-            }
-            Err(_) => self.die(LinkDeath::Handshake, ctx, now_ms),
+/// Reads the accepter's frames into the sender, then encodes up to the
+/// soft cap and flushes, for as long as the socket takes all of it: no
+/// frame waits for the next pass, and the buffer never holds more than
+/// the cap. `Err` closes the connection.
+fn exchange(
+    tx: &mut Sender,
+    conn: &mut BufConn,
+    io: &mut ReactorStats,
+    now_ms: u64,
+    deadline: &mut u64,
+    emit: &mut impl FnMut(ObsEvent),
+) -> Result<(), Reason> {
+    let end = conn.read_frames(io, |conn, io| loop {
+        match conn.next_frame(io) {
+            Ok(Some((frame, out))) => tx.on_frame(frame, out, emit)?,
+            Ok(None) => break Ok(()),
+            Err(_) => break Err("ack_failed"),
         }
+    })?;
+    match end {
+        FillEnd::Open => {}
+        FillEnd::Eof => return Err("peer_closed"),
+        FillEnd::Error => return Err("read_failed"),
     }
-
-    /// Reports the link's replay-log high-water mark (once, at teardown).
-    fn emit_peak(&self, ctx: &LinkCtx<'_>) {
-        let peer = self.peer;
-        let frames = self.peak as u64;
-        ctx.obs.emit_at(ctx.clock.now_us(), ctx.me, || ObsEvent::LinkLogPeak { peer, frames });
+    while tx.transmit(&mut conn.outbuf, conn.out_pos + OUTBUF_SOFT_CAP, now_ms, deadline)?
+        && conn.flush(io)
+        && !conn.pending_out()
+    {}
+    if conn.flush(io) {
+        Ok(())
+    } else {
+        Err("write_failed")
     }
 }
 
 // ---- inbound connections --------------------------------------------------
 
-/// Accepter-side handshake progress for one inbound connection.
-#[derive(Clone, Copy, Debug)]
-enum InPhase {
-    /// Waiting for the dialer's Hello.
-    AwaitHello { since_ms: u64 },
-    /// Challenge sent; waiting for the Auth proof.
-    AwaitAuth { peer: NodeId, nonce_me: u64, since_ms: u64 },
-    /// Authenticated: `Msg` frames are delivered, acks flow back.
-    Up { peer: NodeId },
-}
-
 /// One accepted peer connection.
 struct InConn {
     conn: BufConn,
-    phase: InPhase,
+    link: InLink,
 }
 
 // ---- the client gateway front ---------------------------------------------
@@ -802,7 +439,7 @@ impl GatewayFront {
         self.conns.retain_mut(|(conn_id, conn)| {
             let parsed = conn.read_frames(io, |conn, io| loop {
                 match conn.next_frame(io) {
-                    Ok(Some(frame)) => {
+                    Ok(Some((frame, _))) => {
                         if frame.kind != FrameKind::Submit {
                             return Err(());
                         }
@@ -906,7 +543,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
     }
 
     /// Runs `on_start` (at launch and after a restart).
-    fn start(&mut self, links: &mut [LinkState]) {
+    fn start(&mut self, links: &mut [Link]) {
         self.stamp();
         let effects = self.proc_.on_start();
         self.apply(effects, links);
@@ -915,14 +552,14 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
 
     /// Delivers one message from a peer — dropped while the node is dead,
     /// as a dead host would — then the self-addressed ones it queues.
-    fn deliver(&mut self, from: NodeId, msg: &M, links: &mut [LinkState]) {
+    fn deliver(&mut self, from: NodeId, msg: &M, links: &mut [Link]) {
         self.step_message(from, msg, links);
         self.drain_local(links);
     }
 
     /// Out-of-band input is queued (gateway intake): gives the process a
     /// turn even though no message arrived.
-    fn tick(&mut self, links: &mut [LinkState]) {
+    fn tick(&mut self, links: &mut [Link]) {
         if self.dead() {
             return;
         }
@@ -932,7 +569,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
         self.drain_local(links);
     }
 
-    fn step_message(&mut self, from: NodeId, msg: &M, links: &mut [LinkState]) {
+    fn step_message(&mut self, from: NodeId, msg: &M, links: &mut [Link]) {
         self.stamp();
         let me = self.me;
         if self.dead() {
@@ -944,7 +581,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
         self.apply(effects, links);
     }
 
-    fn drain_local(&mut self, links: &mut [LinkState]) {
+    fn drain_local(&mut self, links: &mut [Link]) {
         while let Some(msg) = self.local.pop_front() {
             self.step_message(self.me, &msg, links);
         }
@@ -955,7 +592,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
     /// crashed host drops every delivery; the restart builds a fresh
     /// process, clears the node's output (the replacement must re-earn
     /// it) and runs `on_start`.
-    fn step_restart(&mut self, now_ms: u64, deadline: &mut u64, links: &mut [LinkState]) {
+    fn step_restart(&mut self, now_ms: u64, deadline: &mut u64, links: &mut [Link]) {
         let Some(spec) = self.restart.as_ref() else { return };
         let (crash_at, restart_at) = (spec.crash_at_ms, spec.restart_at_ms);
         if !self.crashed && now_ms >= crash_at {
@@ -978,7 +615,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
 
     /// Carries out one step's effects: frames go onto their links' replay
     /// logs, self-addressed messages onto the local queue.
-    fn apply(&mut self, effects: Vec<Effect<M, O>>, links: &mut [LinkState]) {
+    fn apply(&mut self, effects: Vec<Effect<M, O>>, links: &mut [Link]) {
         let me = self.me;
         for effect in effects {
             match effect {
@@ -993,8 +630,8 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
                         // Self-delivery short-circuits in-process (the
                         // encoded size is still reported for parity).
                         self.local.push_back(msg);
-                    } else if let Some(link) = links.iter_mut().find(|l| l.peer == to) {
-                        link.push((Arc::new(body), msg.trace_hint()));
+                    } else if let Some(link) = links.iter_mut().find(|l| l.tx.peer() == to) {
+                        link.tx.push((Arc::new(body), msg.trace_hint()));
                     }
                 }
                 Effect::Broadcast { msg } => {
@@ -1011,7 +648,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
                         self.obs.emit(me, || ObsEvent::MessageSent { to, kind: "net", bytes });
                     }
                     for link in links.iter_mut() {
-                        link.push((Arc::clone(&body), trace));
+                        link.tx.push((Arc::clone(&body), trace));
                     }
                     self.local.push_back(msg);
                 }
@@ -1043,6 +680,22 @@ fn oversize(me: NodeId, body: &[u8], obs: &Obs) -> bool {
     false
 }
 
+/// The callback the link machines report through: each event stamped
+/// when it happens, and none once shutdown is set (teardown closes every
+/// connection, and those closes are not faults).
+fn reporter<'a>(
+    obs: &'a Obs,
+    clock: Clock,
+    me: NodeId,
+    shutdown: &'a AtomicBool,
+) -> impl FnMut(ObsEvent) + 'a {
+    move |event| {
+        if !shutdown.load(Ordering::Relaxed) {
+            obs.emit_at(clock.now_us(), me, || event);
+        }
+    }
+}
+
 // ---- the per-node reactor -------------------------------------------------
 
 /// What one poll-set entry maps back to, so `revents` can be routed to
@@ -1064,11 +717,8 @@ enum PollTarget {
 /// Everything one node's thread owns. `run` is the poll loop.
 struct NodeReactor<M, O> {
     me: NodeId,
-    n: usize,
     clock: Clock,
     obs: Obs,
-    secret: Secret,
-    backoff: BackoffPolicy,
     shutdown: Arc<AtomicBool>,
     addr_table: Arc<Mutex<Vec<SocketAddr>>>,
     host: Host<M, O>,
@@ -1084,28 +734,14 @@ struct NodeReactor<M, O> {
     fds: Vec<poll::PollFd>,
     targets: Vec<PollTarget>,
     /// One per peer, in id order (`me` has none).
-    links: Vec<LinkState>,
+    links: Vec<Link>,
     inbound: Vec<InConn>,
-    /// Per-peer next-expected seq; survives connection churn so replays
-    /// dedup exactly-once (local to this thread — no lock needed).
-    // lint: allow(unbounded-map) — keys are handshake-authenticated peer indices < n; the next-seq dedup floor must never be GC'd
-    expected: BTreeMap<usize, u64>,
+    /// The accepter side of every inbound link, dedup floors included.
+    receiver: Receiver,
     gateway: Option<GatewayFront>,
 }
 
 impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReactor<M, O> {
-    fn link_ctx(&self) -> LinkCtx<'_> {
-        LinkCtx {
-            me: self.me,
-            obs: &self.obs,
-            clock: self.clock,
-            backoff: self.backoff,
-            secret: self.secret,
-            shutdown: &self.shutdown,
-            addr_table: &self.addr_table,
-        }
-    }
-
     /// The whole node: first it connects to its `peers` (accepts,
     /// handshakes, no process yet) and waits at `gate` for every node to
     /// have done so; then one nonblocking pass per iteration (in the order
@@ -1136,36 +772,30 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
             self.pump_links(now_ms, &mut deadline);
             self.sleep(deadline);
         }
-        let ctx = self.link_ctx();
+        let mut stats = self.io;
+        stats.frames_out += self.receiver.frames_out;
         for link in &self.links {
-            link.emit_peak(&ctx);
+            stats.frames_out += link.tx.frames_out;
+            let (peer, frames) = (link.tx.peer(), link.tx.peak() as u64);
+            self.obs
+                .emit_at(self.clock.now_us(), self.me, || ObsEvent::LinkLogPeak { peer, frames });
         }
-        let stats = self.io;
         self.obs.emit_at(self.clock.now_us(), self.me, || ObsEvent::ReactorStats { stats });
     }
 
     /// Whether this node has an authenticated link to and from each of
     /// its running `peers` (a peer with no process never answers a dial).
     fn meshed(&self, peers: usize) -> bool {
-        let dialled = self.links.iter().filter(|l| matches!(l.phase, LinkPhase::Up)).count();
-        let accepted =
-            self.inbound.iter().filter(|c| matches!(c.phase, InPhase::Up { .. })).count();
+        let dialled = self.links.iter().filter(|l| l.tx.is_up()).count();
+        let accepted = self.inbound.iter().filter(|c| c.link.is_up()).count();
         dialled >= peers && accepted >= peers
     }
 
     /// Pumps every outbound link: encode what the steps queued, flush.
     fn pump_links(&mut self, now_ms: u64, deadline: &mut u64) {
-        let ctx = LinkCtx {
-            me: self.me,
-            obs: &self.obs,
-            clock: self.clock,
-            backoff: self.backoff,
-            secret: self.secret,
-            shutdown: &self.shutdown,
-            addr_table: &self.addr_table,
-        };
+        let mut emit = reporter(&self.obs, self.clock, self.me, &self.shutdown);
         for link in self.links.iter_mut() {
-            link.pump(&ctx, &mut self.io, now_ms, deadline);
+            link.pump(&self.addr_table, &mut self.io, now_ms, deadline, &mut emit);
         }
     }
 
@@ -1177,14 +807,9 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
             if now_ms >= b.at_ms {
                 self.bounce = None;
                 self.listener = None;
+                let mut emit = reporter(&self.obs, self.clock, self.me, &self.shutdown);
                 for c in self.inbound.drain(..) {
-                    if let InPhase::Up { peer } = c.phase {
-                        if !self.shutdown.load(Ordering::Relaxed) {
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::PeerDisconnected { peer, reason: "read_failed" }
-                            });
-                        }
-                    }
+                    c.link.on_closed("read_failed", &mut emit);
                 }
                 self.rebind_at_ms = Some(b.at_ms + b.down_ms);
             } else {
@@ -1218,7 +843,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         let Some(listener) = self.listener.as_ref() else { return };
         while let Ok((stream, _)) = listener.accept() {
             if let Ok(conn) = BufConn::new(stream) {
-                self.inbound.push(InConn { conn, phase: InPhase::AwaitHello { since_ms: now_ms } });
+                self.inbound.push(InConn { conn, link: InLink::new(now_ms) });
             }
         }
     }
@@ -1238,94 +863,25 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
     /// One pass over inbound connection `i`; `true` means close it.
     fn pump_one_inbound(&mut self, i: usize, now_ms: u64) -> bool {
         let Some(c) = self.inbound.get_mut(i) else { return false };
+        let mut emit = reporter(&self.obs, self.clock, self.me, &self.shutdown);
+        let (receiver, host, links) = (&mut self.receiver, &mut self.host, &mut self.links);
         let parsed = c.conn.read_frames(&mut self.io, |conn, io| loop {
-            match conn.next_frame(io) {
-                Ok(Some(frame)) => match c.phase {
-                    InPhase::AwaitHello { .. } => {
-                        // Handshake failures are silent on the accepter
-                        // side; they surface as backoff on the dialer.
-                        if frame.kind != FrameKind::Hello {
-                            return Err(());
-                        }
-                        let Ok((peer, nonce_peer)) = parse_hello(frame.payload, self.me, self.n)
-                        else {
-                            return Err(());
-                        };
-                        let nonce_me = next_nonce();
-                        let body = challenge_payload(self.secret, self.me, nonce_me, nonce_peer);
-                        let _ = conn.queue_frame(io, FrameKind::Challenge, 0, 0, &body);
-                        c.phase = InPhase::AwaitAuth { peer, nonce_me, since_ms: now_ms };
-                    }
-                    InPhase::AwaitAuth { peer, nonce_me, .. } => {
-                        if frame.kind != FrameKind::Auth {
-                            return Err(());
-                        }
-                        if parse_auth(frame.payload, self.secret, peer, nonce_me).is_err() {
-                            return Err(());
-                        }
-                        // First-ever connection from this peer ⇒
-                        // PeerConnected; later accepts are reconnects,
-                        // reported by the dialer with its attempt count.
-                        if !self.expected.contains_key(&peer.index()) {
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::PeerConnected { peer }
-                            });
-                        }
-                        c.phase = InPhase::Up { peer };
-                    }
-                    InPhase::Up { peer } => {
-                        if frame.kind != FrameKind::Msg {
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::FrameDecodeError { reason: "unexpected_kind" }
-                            });
-                            return Err(());
-                        }
-                        let seq = frame.seq;
-                        let next = self.expected.entry(peer.index()).or_insert(1);
-                        if seq < *next {
-                            // Duplicate (chaos) or replayed after
-                            // reconnect.
-                            continue;
-                        }
-                        if seq > *next {
-                            // Contiguity violation: drop the connection;
-                            // the dialer reconnects and replays.
-                            let expected = *next;
-                            self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                ObsEvent::FrameSequenceGap { from: peer, expected, got: seq }
-                            });
-                            return Err(());
-                        }
-                        *next += 1;
-                        // The message is decoded out of the input buffer
-                        // before the ack below takes the connection's
-                        // other half.
-                        let msg = M::from_bytes(frame.payload);
-                        // Cumulative ack on the same connection so the
-                        // dialer can trim its replay log.
-                        if seq % ACK_EVERY == 0 {
-                            let _ = conn.queue_frame(io, FrameKind::Ack, seq, 0, &[]);
-                        }
-                        match msg {
-                            Ok(msg) => self.host.deliver(peer, &msg, &mut self.links),
-                            Err(err) => {
-                                let reason = err.label();
-                                self.obs.emit_at(self.clock.now_us(), self.me, || {
-                                    ObsEvent::FrameDecodeError { reason }
-                                });
-                                return Err(());
-                            }
-                        }
-                    }
-                },
+            let (frame, out) = match conn.next_frame(io) {
+                Ok(Some(next)) => next,
                 Ok(None) => return Ok(()),
                 Err(err) => {
-                    if matches!(c.phase, InPhase::Up { .. }) {
-                        let reason = err.label();
-                        self.obs.emit_at(self.clock.now_us(), self.me, || {
-                            ObsEvent::FrameDecodeError { reason }
-                        });
+                    if c.link.is_up() {
+                        emit(ObsEvent::FrameDecodeError { reason: err.label() });
                     }
+                    return Err(());
+                }
+            };
+            let delivery = receiver.on_frame(&mut c.link, frame, out, now_ms, &mut emit);
+            let Some((from, payload)) = delivery.map_err(|_| ())? else { continue };
+            match M::from_bytes(payload) {
+                Ok(msg) => host.deliver(from, &msg, links),
+                Err(err) => {
+                    emit(ObsEvent::FrameDecodeError { reason: err.label() });
                     return Err(());
                 }
             }
@@ -1334,35 +890,13 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         // Ack write failures are tolerated: link death surfaces on the
         // read side.
         let _ = c.conn.flush(&mut self.io);
-        match end {
-            FillEnd::Open => match c.phase {
-                // Handshake stragglers time out silently.
-                InPhase::AwaitHello { since_ms } | InPhase::AwaitAuth { since_ms, .. } => {
-                    now_ms.saturating_sub(since_ms) >= HANDSHAKE_DEADLINE_MS
-                }
-                InPhase::Up { .. } => false,
-            },
-            FillEnd::Eof => {
-                if let InPhase::Up { peer } = c.phase {
-                    if !self.shutdown.load(Ordering::Relaxed) {
-                        self.obs.emit_at(self.clock.now_us(), self.me, || {
-                            ObsEvent::PeerDisconnected { peer, reason: "closed" }
-                        });
-                    }
-                }
-                true
-            }
-            FillEnd::Error => {
-                if let InPhase::Up { peer } = c.phase {
-                    if !self.shutdown.load(Ordering::Relaxed) {
-                        self.obs.emit_at(self.clock.now_us(), self.me, || {
-                            ObsEvent::PeerDisconnected { peer, reason: "read_failed" }
-                        });
-                    }
-                }
-                true
-            }
-        }
+        let reason = match end {
+            FillEnd::Open => return c.link.on_timer(now_ms).is_err(),
+            FillEnd::Eof => "closed",
+            FillEnd::Error => "read_failed",
+        };
+        c.link.on_closed(reason, &mut emit);
+        true
     }
 
     /// Pumps the client gateway: reads submissions into the intake, gives
@@ -1549,9 +1083,12 @@ where
         {
             let Some((proc_, _)) = slot else { continue };
             let me = NodeId::new(j);
-            let links: Vec<LinkState> = NodeId::all(n)
+            let links: Vec<Link> = NodeId::all(n)
                 .filter(|&peer| peer != me)
-                .map(|peer| LinkState::new(me, peer, rt.chaos.link(me, peer)))
+                .map(|peer| Link {
+                    tx: Sender::new(me, peer, rt.secret, rt.backoff, rt.chaos.link(me, peer)),
+                    conn: None,
+                })
                 .collect();
             let host = Host {
                 me,
@@ -1566,11 +1103,8 @@ where
             };
             let node: NodeReactor<M, O> = NodeReactor {
                 me,
-                n,
                 clock,
                 obs: obs.clone(),
-                secret: rt.secret,
-                backoff: rt.backoff,
                 shutdown: Arc::clone(&shutdown),
                 addr_table: Arc::clone(&addr_table),
                 host,
@@ -1583,7 +1117,7 @@ where
                 targets: Vec::new(),
                 links,
                 inbound: Vec::new(),
-                expected: BTreeMap::new(),
+                receiver: Receiver::new(me, n, rt.secret),
                 gateway: front.map(|(listener, pipe)| GatewayFront::new(listener, pipe)),
             };
             let ledger = ledger.clone();
@@ -1662,9 +1196,9 @@ mod tests {
         await_buffered(&b, wire.len());
         assert_eq!(b.read_ready(&mut io), (FillEnd::Open, false));
         assert_eq!(b.inbuf, wire, "queue_frame puts encode_frame's bytes on the wire");
-        let frame = b.next_frame(&mut io).ok().flatten().map(FrameRef::to_frame);
+        let frame = b.next_frame(&mut io).ok().flatten().map(|(frame, _)| frame.to_frame());
         assert_eq!(frame.map(|f| (f.seq, f.payload)), Some((7, b"hello reactor".to_vec())));
-        assert_eq!(b.next_frame(&mut io), Ok(None));
+        assert!(matches!(b.next_frame(&mut io), Ok(None)));
         assert_eq!(io.frames_in, 1);
 
         drop(a);

@@ -14,22 +14,13 @@
 //! links. Here those properties come from TCP (FIFO, integrity within a
 //! connection), the handshake (authenticated sender identity per
 //! connection — see [`crate::handshake`]) and a replay/dedup layer that
-//! extends them *across* connections:
-//!
-//! * every frame on link `u → v` carries a contiguous sequence number
-//!   starting at 1;
-//! * the sender keeps a per-link frame log for replay (bodies are
-//!   `Arc`-shared with the broadcast fan-out, so the log stores
-//!   pointers, not copies); after a reconnect it replays the log from
-//!   its trimmed base;
-//! * the receiver keeps a per-peer `next expected` counter that survives
-//!   connections, so replayed and duplicated frames are discarded and
-//!   exactly-once, in-order delivery holds end-to-end;
-//! * the receiver acks every [`ACK_EVERY`]-th processed frame back on
-//!   the same connection (a cumulative [`crate::FrameKind::Ack`]), and
-//!   the sender drops acked prefixes from the log — so resident log size
-//!   is bounded by the ack cadence plus the in-flight window instead of
-//!   growing with the run length.
+//! extends them *across* connections: contiguous per-link sequence
+//! numbers, a sender-side replay log trimmed by cumulative acks and
+//! replayed in full on every new connection (bodies are `Arc`-shared with
+//! the broadcast fan-out, so the log stores pointers, not copies), and a
+//! receiver-side dedup floor per peer that survives connections — so
+//! delivery is exactly once and in order end to end. That layer is two
+//! sans-io machines in `link.rs`, which the reactor feeds from sockets.
 //!
 //! # Shutdown
 //!
@@ -551,17 +542,6 @@ pub(crate) fn rebind(shutdown: &AtomicBool) -> Option<(TcpListener, SocketAddr)>
     }
 }
 
-/// The receiver acks every `ACK_EVERY`-th processed frame (cumulative),
-/// letting the sender trim its replay log. Small enough to bound the
-/// log, large enough that ack traffic stays negligible.
-pub(crate) const ACK_EVERY: u64 = 16;
-/// Retransmission timeout after a chaos-dropped attempt.
-pub(crate) const RETRANSMIT_RTO_MS: u64 = 2;
-/// Cap on chaos retransmissions of a single frame: the chaos layer sits
-/// *under* the reliable-link contract, so after the cap the frame is
-/// sent anyway (mirroring a real link-layer giving way to delivery).
-pub(crate) const MAX_RETRANSMIT: u32 = 64;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,14 +614,7 @@ mod tests {
     #[test]
     fn echo_completes_under_chaos() {
         let n = 3;
-        let chaos = ChaosConfig {
-            seed: 11,
-            drop_per_mille: 150,
-            dup_per_mille: 100,
-            delay_per_mille: 200,
-            max_delay_ms: 2,
-            ..ChaosConfig::default()
-        };
+        let chaos = ChaosConfig { seed: 11, delay_per_mille: 200, max_delay_ms: 2 };
         let mut rt = NetRuntime::new(n).timeout(Duration::from_secs(20)).chaos(chaos);
         for id in NodeId::all(n) {
             rt.add_process(Box::new(Echo { id, n, heard: 0 }));

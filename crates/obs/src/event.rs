@@ -280,14 +280,6 @@ events! {
             /// A stable short reason label (`"checksum"`, `"truncated"`, …).
             reason: &'static str,
         },
-        /// The chaos layer dropped an outbound frame transmission attempt
-        /// (the link re-transmits after a timeout).
-        "frame_dropped" => FrameDropped {
-            /// Destination of the frame.
-            to: NodeId,
-            /// Per-link sequence number of the frame.
-            seq: u64,
-        },
         /// An inbound frame from `from` skipped ahead of the expected per-link
         /// sequence number. Frames decoded fine — the *ordering* contract was
         /// violated, so the connection is dropped and the dialer replays.

@@ -155,9 +155,6 @@ metrics_sink! {
         peak_link_log: Gauge,
             "bft_peak_link_log_frames", "Peak frames resident in one link's replay log",
             then render_reactor;
-        /// Outbound frame transmissions dropped by the chaos layer.
-        chaos_frames_dropped: Counter,
-            "bft_chaos_frames_dropped_total", "Frames dropped by the chaos layer";
         /// Transport worker panics detected by the runtime's supervision
         /// (each also sets `RuntimeReport::poisoned`).
         poison_detections: Counter,
@@ -479,7 +476,6 @@ impl Sink for MetricsSink {
             Event::PayloadRejected { .. } => self.payloads_rejected += 1,
             Event::LinkLogPeak { frames, .. } => Kind::Gauge.fold(&mut self.peak_link_log, *frames),
             Event::ReactorStats { stats } => self.reactor.add(stats),
-            Event::FrameDropped { .. } => self.chaos_frames_dropped += 1,
             Event::EpochStarted { epoch } => {
                 self.epochs_started += 1;
                 self.open_epochs.insert((node, *epoch), at);

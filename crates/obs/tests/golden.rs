@@ -20,7 +20,6 @@ fn stream() -> Vec<(u64, NodeId, Event)> {
         (n0, Event::ReconnectBackoff { peer: n1, attempt: 2, delay_ms: 40 }),
         (n0, Event::PeerReconnected { peer: n1, attempts: 2 }),
         (n1, Event::FrameDecodeError { reason: "checksum" }),
-        (n0, Event::FrameDropped { to: n2, seq: 17 }),
         (n1, Event::FrameSequenceGap { from: n2, expected: 5, got: 7 }),
         (n0, Event::PayloadRejected { len: 9_000_000 }),
         (n0, Event::LinkLogPeak { peer: n1, frames: 33 }),
@@ -136,47 +135,46 @@ const JSONL: &str = r#"{"t":10,"node":0,"ev":"message_sent","to":1,"kind":"send/
 {"t":80,"node":0,"ev":"reconnect_backoff","peer":1,"attempt":2,"delay_ms":40}
 {"t":90,"node":0,"ev":"peer_reconnected","peer":1,"attempts":2}
 {"t":100,"node":1,"ev":"frame_decode_error","reason":"checksum"}
-{"t":110,"node":0,"ev":"frame_dropped","to":2,"seq":17}
-{"t":120,"node":1,"ev":"frame_sequence_gap","from":2,"expected":5,"got":7}
-{"t":130,"node":0,"ev":"payload_rejected","len":9000000}
-{"t":140,"node":0,"ev":"link_log_peak","peer":1,"frames":33}
-{"t":150,"node":0,"ev":"reactor_stats","polls":100,"reads":80,"reads_blocked":3,"writes":20,"frames_in":150,"frames_out":90}
-{"t":160,"node":1,"ev":"poison_detected","context":"writer"}
-{"t":170,"node":0,"ev":"gateway_accepted","client":7,"seq":1}
-{"t":180,"node":0,"ev":"gateway_nacked","client":7,"seq":2,"reason":"backpressure"}
-{"t":190,"node":0,"ev":"gateway_committed","client":7,"seq":1,"epoch":0}
-{"t":200,"node":0,"ev":"epoch_started","epoch":0}
-{"t":210,"node":0,"ev":"epoch_committed","epoch":0,"slots":3,"txs":12}
-{"t":220,"node":0,"ev":"batch_submitted","epoch":0,"txs":4,"bytes":64}
-{"t":230,"node":0,"ev":"log_delivered","epoch":0,"entries":12,"total":12}
-{"t":240,"node":0,"ev":"slot_applied","epoch":0,"proposer":1,"bytes":16}
-{"t":250,"node":0,"ev":"checkpoint_proposed","epoch":4,"hash":65261}
-{"t":260,"node":0,"ev":"checkpoint_certified","epoch":4,"hash":65261,"support":3}
-{"t":270,"node":2,"ev":"state_transfer_started","epoch":4}
-{"t":280,"node":2,"ev":"state_transfer_completed","epoch":4,"bytes":128}
-{"t":290,"node":0,"ev":"rbc_phase_entered","origin":1,"tag":"Batch(0)","phase":"echo"}
-{"t":300,"node":0,"ev":"rbc_quorum_reached","origin":1,"tag":"Batch(0)","phase":"ready","support":3}
-{"t":310,"node":0,"ev":"rbc_delivered","origin":1,"tag":"Batch(0)","support":3}
-{"t":320,"node":0,"ev":"rbc_fragment","origin":1,"tag":"Batch(0)","index":2,"verified":true}
-{"t":330,"node":0,"ev":"rbc_reconstructed","origin":1,"tag":"Batch(0)","fragments":3,"bytes":64,"hashed_shards":2,"consistent":true}
-{"t":340,"node":0,"ev":"round_started","round":1}
-{"t":350,"node":0,"ev":"round_completed","round":1}
-{"t":360,"node":0,"ev":"step_entered","round":2,"step":"echo"}
-{"t":370,"node":0,"ev":"quorum_reached","round":2,"step":"echo","support":3}
-{"t":380,"node":0,"ev":"message_validated","origin":2,"round":2,"step":"ready","value":1,"flagged":true}
-{"t":390,"node":0,"ev":"message_rejected","origin":2,"round":2,"reason":"equivocation"}
-{"t":400,"node":0,"ev":"coin_flipped","round":2,"value":0,"scheme":"local"}
-{"t":410,"node":0,"ev":"value_locked","round":2,"value":0,"support":3}
-{"t":420,"node":0,"ev":"decided","round":2,"value":0}
-{"t":430,"node":0,"ev":"span_start","trace":7,"span":9,"parent":0,"phase":"aba_round","round":2}
-{"t":440,"node":0,"ev":"span_end","trace":7,"span":9}
-{"t":450,"node":0,"ev":"invariant_violated","round":2,"detail":"two \"Ready\" values"}
+{"t":110,"node":1,"ev":"frame_sequence_gap","from":2,"expected":5,"got":7}
+{"t":120,"node":0,"ev":"payload_rejected","len":9000000}
+{"t":130,"node":0,"ev":"link_log_peak","peer":1,"frames":33}
+{"t":140,"node":0,"ev":"reactor_stats","polls":100,"reads":80,"reads_blocked":3,"writes":20,"frames_in":150,"frames_out":90}
+{"t":150,"node":1,"ev":"poison_detected","context":"writer"}
+{"t":160,"node":0,"ev":"gateway_accepted","client":7,"seq":1}
+{"t":170,"node":0,"ev":"gateway_nacked","client":7,"seq":2,"reason":"backpressure"}
+{"t":180,"node":0,"ev":"gateway_committed","client":7,"seq":1,"epoch":0}
+{"t":190,"node":0,"ev":"epoch_started","epoch":0}
+{"t":200,"node":0,"ev":"epoch_committed","epoch":0,"slots":3,"txs":12}
+{"t":210,"node":0,"ev":"batch_submitted","epoch":0,"txs":4,"bytes":64}
+{"t":220,"node":0,"ev":"log_delivered","epoch":0,"entries":12,"total":12}
+{"t":230,"node":0,"ev":"slot_applied","epoch":0,"proposer":1,"bytes":16}
+{"t":240,"node":0,"ev":"checkpoint_proposed","epoch":4,"hash":65261}
+{"t":250,"node":0,"ev":"checkpoint_certified","epoch":4,"hash":65261,"support":3}
+{"t":260,"node":2,"ev":"state_transfer_started","epoch":4}
+{"t":270,"node":2,"ev":"state_transfer_completed","epoch":4,"bytes":128}
+{"t":280,"node":0,"ev":"rbc_phase_entered","origin":1,"tag":"Batch(0)","phase":"echo"}
+{"t":290,"node":0,"ev":"rbc_quorum_reached","origin":1,"tag":"Batch(0)","phase":"ready","support":3}
+{"t":300,"node":0,"ev":"rbc_delivered","origin":1,"tag":"Batch(0)","support":3}
+{"t":310,"node":0,"ev":"rbc_fragment","origin":1,"tag":"Batch(0)","index":2,"verified":true}
+{"t":320,"node":0,"ev":"rbc_reconstructed","origin":1,"tag":"Batch(0)","fragments":3,"bytes":64,"hashed_shards":2,"consistent":true}
+{"t":330,"node":0,"ev":"round_started","round":1}
+{"t":340,"node":0,"ev":"round_completed","round":1}
+{"t":350,"node":0,"ev":"step_entered","round":2,"step":"echo"}
+{"t":360,"node":0,"ev":"quorum_reached","round":2,"step":"echo","support":3}
+{"t":370,"node":0,"ev":"message_validated","origin":2,"round":2,"step":"ready","value":1,"flagged":true}
+{"t":380,"node":0,"ev":"message_rejected","origin":2,"round":2,"reason":"equivocation"}
+{"t":390,"node":0,"ev":"coin_flipped","round":2,"value":0,"scheme":"local"}
+{"t":400,"node":0,"ev":"value_locked","round":2,"value":0,"support":3}
+{"t":410,"node":0,"ev":"decided","round":2,"value":0}
+{"t":420,"node":0,"ev":"span_start","trace":7,"span":9,"parent":0,"phase":"aba_round","round":2}
+{"t":430,"node":0,"ev":"span_end","trace":7,"span":9}
+{"t":440,"node":0,"ev":"invariant_violated","round":2,"detail":"two \"Ready\" values"}
 "#;
 
 /// The aggregate of [`stream`].
 const PROMETHEUS: &str = r#"# HELP bft_events_total Events consumed
 # TYPE bft_events_total counter
-bft_events_total 45
+bft_events_total 44
 bft_messages_total{kind="send/initial"} 1
 bft_message_bytes_total{kind="send/initial"} 16
 # HELP bft_delivered_total Messages delivered
@@ -248,9 +246,6 @@ bft_reactor_frames_out_total 90
 # HELP bft_reactor_frames_per_write Mean frames per write(2)
 # TYPE bft_reactor_frames_per_write gauge
 bft_reactor_frames_per_write 4.5
-# HELP bft_chaos_frames_dropped_total Frames dropped by the chaos layer
-# TYPE bft_chaos_frames_dropped_total counter
-bft_chaos_frames_dropped_total 1
 # HELP bft_poison_detections_total Transport worker panics detected
 # TYPE bft_poison_detections_total counter
 bft_poison_detections_total 1
@@ -319,10 +314,10 @@ bft_state_transfers_completed_total 1
 bft_state_transfer_bytes_total 128
 # HELP bft_decision_latency Decision timestamps across nodes
 # TYPE bft_decision_latency summary
-bft_decision_latency{quantile="0.5"} 420
-bft_decision_latency{quantile="0.9"} 420
-bft_decision_latency{quantile="0.99"} 420
-bft_decision_latency_sum 420
+bft_decision_latency{quantile="0.5"} 410
+bft_decision_latency{quantile="0.9"} 410
+bft_decision_latency{quantile="0.99"} 410
+bft_decision_latency_sum 410
 bft_decision_latency_count 1
 # HELP bft_epoch_commit_latency Epoch start-to-commit durations
 # TYPE bft_epoch_commit_latency summary

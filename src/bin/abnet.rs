@@ -4,12 +4,11 @@
 //! The sibling of `absim`: same protocol processes, but instead of the
 //! deterministic simulator they run on the `bft-net` transport — framed
 //! wire codec, authenticated handshake, full-mesh peer manager with
-//! reconnect/backoff, and optional link-level chaos.
+//! reconnect/backoff, and an optional per-link chaos delay.
 //!
 //! ```text
 //! abnet [--n N] [--seed S] [--ones K] [--fault KIND]...
-//!       [--drop PER_MILLE] [--dup PER_MILLE] [--delay PER_MILLE]
-//!       [--max-delay-ms MS] [--timeout-secs T] [--runs R]
+//!       [--delay PER_MILLE] [--max-delay-ms MS] [--timeout-secs T] [--runs R]
 //!       [--epochs E] [--batch B] [--pipeline D] [--rbc bracha|coded]
 //!       [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B]
 //!       [--trace-out FILE] [--metrics-out FILE]
@@ -28,7 +27,7 @@
 //! epochs of batched ACS, at most D epochs in flight (`--pipeline`; a
 //! node opens one beside those in flight only for a full batch or after
 //! a peer), batches of up to B payloads (`--batch`). The run line
-//! reports the epochs opened, by trigger. Chaos flags compose with it;
+//! reports the epochs opened, by trigger. The delay flags compose with it;
 //! `--fault`/`--ones` apply to the consensus mode only.
 //!
 //! With `--kv-workload` the binary runs the **replicated KV state
@@ -53,8 +52,8 @@
 //!
 //! ```text
 //! abnet --n 4 --fault flip-value
-//! abnet --n 7 --ones 3 --drop 100 --dup 50 --runs 5
-//! abnet --n 4 --epochs 5 --batch 4 --pipeline 3 --drop 50
+//! abnet --n 7 --ones 3 --delay 100 --max-delay-ms 5 --runs 5
+//! abnet --n 4 --epochs 5 --batch 4 --pipeline 3 --delay 100 --max-delay-ms 5
 //! abnet --n 4 --kv-workload --checkpoint-interval 4 --restart-node
 //! abnet --n 16 --clients 200 --rate 2000 --load-ms 2000
 //! ```
@@ -74,8 +73,6 @@ struct Options {
     seed: u64,
     ones: Option<usize>,
     faults: Vec<FaultKind>,
-    drop_per_mille: u16,
-    dup_per_mille: u16,
     delay_per_mille: u16,
     max_delay_ms: u64,
     timeout_secs: u64,
@@ -169,8 +166,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 0,
         ones: None,
         faults: Vec::new(),
-        drop_per_mille: 0,
-        dup_per_mille: 0,
         delay_per_mille: 0,
         max_delay_ms: 2,
         timeout_secs: 60,
@@ -199,13 +194,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.ones = Some(value("--ones")?.parse().map_err(|e| format!("--ones: {e}"))?)
             }
             "--fault" => opts.faults.push(parse_fault(&value("--fault")?)?),
-            "--drop" => {
-                opts.drop_per_mille =
-                    value("--drop")?.parse().map_err(|e| format!("--drop: {e}"))?
-            }
-            "--dup" => {
-                opts.dup_per_mille = value("--dup")?.parse().map_err(|e| format!("--dup: {e}"))?
-            }
             "--delay" => {
                 opts.delay_per_mille =
                     value("--delay")?.parse().map_err(|e| format!("--delay: {e}"))?
@@ -257,8 +245,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: abnet [--n N] [--seed S] [--ones K] [--fault KIND]... \
-                     [--drop PER_MILLE] [--dup PER_MILLE] [--delay PER_MILLE] \
-                     [--max-delay-ms MS] [--timeout-secs T] [--runs R] \
+                     [--delay PER_MILLE] [--max-delay-ms MS] [--timeout-secs T] [--runs R] \
                      [--epochs E] [--batch B] [--pipeline D] [--rbc bracha|coded] \
                      [--kv-workload] [--checkpoint-interval C] [--restart-node] \
                      [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
@@ -568,27 +555,16 @@ fn main() {
         run_gateway(&opts);
         return;
     }
+    let chaos = ChaosConfig {
+        seed: opts.seed,
+        delay_per_mille: opts.delay_per_mille,
+        max_delay_ms: opts.max_delay_ms,
+    };
     if opts.kv_workload {
-        let chaos = ChaosConfig {
-            seed: opts.seed,
-            drop_per_mille: opts.drop_per_mille,
-            dup_per_mille: opts.dup_per_mille,
-            delay_per_mille: opts.delay_per_mille,
-            max_delay_ms: opts.max_delay_ms,
-            ..ChaosConfig::default()
-        };
         run_smr(&opts, &chaos);
         return;
     }
     if opts.epochs > 0 {
-        let chaos = ChaosConfig {
-            seed: opts.seed,
-            drop_per_mille: opts.drop_per_mille,
-            dup_per_mille: opts.dup_per_mille,
-            delay_per_mille: opts.delay_per_mille,
-            max_delay_ms: opts.max_delay_ms,
-            ..ChaosConfig::default()
-        };
         run_ordering(&opts, &chaos);
         return;
     }
@@ -610,26 +586,12 @@ fn main() {
         }
     };
 
-    let chaos = ChaosConfig {
-        seed: opts.seed,
-        drop_per_mille: opts.drop_per_mille,
-        dup_per_mille: opts.dup_per_mille,
-        delay_per_mille: opts.delay_per_mille,
-        max_delay_ms: opts.max_delay_ms,
-        ..ChaosConfig::default()
-    };
     println!(
         "n = {}, f-bound = {f_max}, actual faults = {}, chaos = {}",
         opts.n,
         opts.faults.len(),
         if chaos.enabled() {
-            format!(
-                "drop {}‰, dup {}‰, delay {}‰ (≤{} ms)",
-                chaos.drop_per_mille,
-                chaos.dup_per_mille,
-                chaos.delay_per_mille,
-                chaos.max_delay_ms
-            )
+            format!("delay {}‰ (≤{} ms)", chaos.delay_per_mille, chaos.max_delay_ms)
         } else {
             "off".to_string()
         }
@@ -677,13 +639,12 @@ fn main() {
         }
         println!(
             "run {run:>3} (seed {seed}): decision = {:?}, elapsed = {:?}, connects = {}, \
-             reconnects = {}, backoff retries = {}, frames dropped = {}, decode errors = {}",
+             reconnects = {}, backoff retries = {}, decode errors = {}",
             report.unanimous_output(),
             report.elapsed,
             m.0.peer_connects(),
             m.0.peer_reconnects(),
             m.0.backoff_retries(),
-            m.0.chaos_frames_dropped(),
             m.0.frame_decode_errors(),
         );
     }

@@ -4,9 +4,12 @@
 //! The *unmodified* protocol processes (the same boxes the simulator
 //! drives) run over actual sockets: framed wire codec, authenticated
 //! handshake, full-mesh peer manager. The suite covers the
-//! happy path with a Byzantine node, the same run under 10% frame drop
-//! chaos, a mid-run listener outage that exercises the reconnect/replay
-//! machinery, and reliable broadcast with a string payload.
+//! happy path with a Byzantine node, the same run with 10% of frames
+//! delayed by chaos, a mid-run listener outage that exercises the
+//! reconnect/replay machinery, and reliable broadcast with a string
+//! payload. Lost, duplicated and out-of-order bytes, and connections cut
+//! at every byte offset, are checked on the link machines themselves
+//! (`crates/net/src/link.rs`), where they are deterministic.
 //!
 //! These tests open real sockets and real threads; CI runs them
 //! single-threaded (`--test-threads=1`) under a hard timeout.
@@ -14,7 +17,7 @@
 use async_bft::adversary::{make_bracha_adversary, FaultKind};
 use async_bft::coin::{CoinScheme, CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
-use async_bft::net::{ChaosConfig, LinkOutage, ListenerBounce, NetRuntime, RuntimeReport};
+use async_bft::net::{ChaosConfig, ListenerBounce, NetRuntime, RuntimeReport};
 use async_bft::obs::{Event, MetricsSink, Obs, VecSink};
 use async_bft::rbc::{CodedProcess, RbcProcess};
 use async_bft::types::{Config, NodeId, Value};
@@ -95,18 +98,13 @@ fn bracha_decides_over_loopback_tcp_with_byzantine_node() {
     decide_over_tcp(cfg, 9, split, |_| CommonCoin::new(9, 0));
 }
 
-/// The same cluster with the chaos layer dropping 10% of frame
-/// transmission attempts (plus duplication): consensus still terminates
-/// and the drops really happened.
+/// The same cluster with chaos holding back 10% of frames by up to 5 ms
+/// (and the frames queued behind them): consensus still terminates, and
+/// the delay never breaks a link's sequence.
 #[test]
-fn bracha_decides_with_ten_percent_frame_drop() {
+fn bracha_decides_with_ten_percent_frame_delay() {
     let (obs, shared) = Obs::new(MetricsSink::new());
-    let chaos = ChaosConfig {
-        seed: 0xC0FFEE,
-        drop_per_mille: 100,
-        dup_per_mille: 50,
-        ..ChaosConfig::default()
-    };
+    let chaos = ChaosConfig { seed: 0xC0FFEE, delay_per_mille: 100, max_delay_ms: 5 };
     let mut rt = NetRuntime::new(4).timeout(TIMEOUT).observer(obs.clone()).chaos(chaos);
     let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
     byzantine_cluster(&mut rt, cfg, 11, |_| Value::One, |id| LocalCoin::new(11, id));
@@ -119,39 +117,26 @@ fn bracha_decides_with_ten_percent_frame_drop() {
     assert_eq!(report.unanimous_output(), Some(Value::One));
 
     let metrics = shared.lock();
-    assert!(
-        metrics.chaos_frames_dropped() > 0,
-        "10% drop rate over a full consensus run must drop at least one frame"
-    );
+    assert_eq!(metrics.frame_sequence_gaps(), 0, "a delay must not reorder a link");
+    assert_eq!(metrics.frame_decode_errors(), 0);
 }
 
-/// Reconnect path: node 2's listener dies mid-run and rebinds on a fresh
-/// port 250 ms later, while outage windows hold back all traffic towards
-/// it until after the listener is gone. The dialers must back off,
-/// reconnect, and replay their logs — and the cluster must still decide.
-///
-/// `skip_first_replay` additionally makes each writer's *first* reconnect
-/// resume from its send counter instead of replaying its log, so the
-/// frames queued while the link was down never cross the wire. The
-/// receiver must notice the stream jumping ahead (`FrameSequenceGap`),
-/// drop the connection, and recover via the second dial's full replay.
+/// Reconnect path: node 2's listener dies and rebinds on a fresh port
+/// 250 ms later. The bounce is due at 0 ms, so it fires on node 2's
+/// first pass after the start gate, before node 2 has read a single
+/// protocol message and so before it can decide. It severs every link
+/// into node 2; the dialers find the port dead, back off, reconnect and
+/// replay their logs — and the cluster must still decide. (That a replay
+/// fills every gap and skips every duplicate, wherever a connection is
+/// cut, is checked byte by byte in `crates/net/src/link.rs`.)
 #[test]
 fn cluster_survives_listener_bounce_and_reconnects() {
     let bounced = NodeId::new(2);
     let (obs, shared) = Obs::new(VecSink::new());
-    // Hold back every link towards node 2 until its listener is already
-    // down, so the first data frames hit a dead port and the writers go
-    // through the full backoff/reconnect cycle.
-    let outages = [0usize, 1, 3]
-        .into_iter()
-        .map(|from| LinkOutage { from: NodeId::new(from), to: bounced, start_ms: 0, end_ms: 120 })
-        .collect();
-    let chaos = ChaosConfig { seed: 3, outages, skip_first_replay: true, ..ChaosConfig::default() };
     let mut rt = NetRuntime::new(4)
         .timeout(TIMEOUT)
         .observer(obs.clone())
-        .chaos(chaos)
-        .bounce_listener(ListenerBounce { node: bounced, at_ms: 60, down_ms: 250 });
+        .bounce_listener(ListenerBounce { node: bounced, at_ms: 0, down_ms: 250 });
     let cfg = Config::new(4, 1).expect("4 >= 3f + 1");
     byzantine_cluster(&mut rt, cfg, 13, |_| Value::One, |id| LocalCoin::new(13, id));
     let report = rt.run();
@@ -173,13 +158,6 @@ fn cluster_survives_listener_bounce_and_reconnects() {
         .count();
     assert!(reconnects > 0, "no dialer ever reported PeerReconnected to the bounced node");
     assert!(backoffs > 0, "reconnection succeeded without any backoff retries?");
-
-    // The skipped replay left the stream non-contiguous: at least one
-    // receiver must have reported the gap (and survived it — the decide
-    // assertions above already proved recovery).
-    let gaps =
-        events.iter().filter(|(_, _, ev)| matches!(ev, Event::FrameSequenceGap { .. })).count();
-    assert!(gaps > 0, "skip_first_replay never produced a FrameSequenceGap event");
 }
 
 /// The erasure-coded broadcast at the headline bench geometry — n=16,
@@ -287,7 +265,7 @@ impl async_bft::types::Process for PingPong {
 }
 
 /// Runs a two-node ping-pong of `round_trips` frames per directed link
-/// and returns the largest `LinkLogPeak` any writer reported.
+/// and returns the largest `LinkLogPeak` any link's sender reported.
 fn peak_link_log(round_trips: u64) -> u64 {
     let (obs, shared) = Obs::new(VecSink::new());
     let mut rt: NetRuntime<Vec<u8>, u64> =
@@ -306,10 +284,10 @@ fn peak_link_log(round_trips: u64) -> u64 {
             _ => None,
         })
         .max()
-        .expect("writer threads must report LinkLogPeak at teardown")
+        .expect("every link must report LinkLogPeak at teardown")
 }
 
-/// Ack-based log trimming keeps each writer's replay log bounded by the
+/// Ack-based log trimming keeps each sender's replay log bounded by the
 /// ack cadence, not the run length: doubling the traffic horizon must
 /// not move the resident peak, where the untrimmed log's peak would
 /// equal the per-link frame count (96 vs 192 here).

@@ -3,9 +3,9 @@
 //!
 //! The oracle is the deterministic simulator: the same seeded ordering
 //! workload must commit the identical log in `bft-sim` and over loopback
-//! TCP under a chaos schedule of drops and duplicates, and the reactor
-//! alone must deliver a 64 KiB erasure-coded broadcast byte for byte at
-//! n=16 under drops (sim-vs-TCP equality at that geometry is
+//! TCP under a seeded chaos delay schedule, and the reactor alone must
+//! deliver a 64 KiB erasure-coded broadcast byte for byte at n=16 under
+//! delay (sim-vs-TCP equality at that geometry is
 //! `tests/net_loopback.rs::coded_rbc_delivers_identical_log_on_sim_and_tcp`).
 //! Alongside ride three bugfix regressions: bind failures surface as
 //! typed [`SetupError`]s instead of panics, shutdown is never stalled by
@@ -64,9 +64,9 @@ fn ordering_node(cfg: Config, id: NodeId, seed: u64) -> OrderProcess<CommonCoin>
 }
 
 /// The ordering differential at n=4: the log the simulator commits is
-/// the log the reactor commits over loopback TCP while chaos drops 5% and
-/// duplicates 2.5% of frame transmissions — and it holds every payload
-/// of the workload exactly once.
+/// the log the reactor commits over loopback TCP while chaos holds back
+/// 10% of frames by up to 3 ms — and it holds every payload of the
+/// workload exactly once.
 #[test]
 fn reactor_matches_sim_on_ordered_log_under_chaos() {
     let n = 4;
@@ -86,12 +86,7 @@ fn reactor_matches_sim_on_ordered_log_under_chaos() {
     assert!(sim_report.all_correct_decided(), "sim ordering run stalled");
     let sim: OrderLog = sim_report.unanimous_output().expect("sim nodes must agree on one log");
 
-    let chaos = ChaosConfig {
-        seed: 0xD1FF,
-        drop_per_mille: 50,
-        dup_per_mille: 25,
-        ..ChaosConfig::default()
-    };
+    let chaos = ChaosConfig { seed: 0xD1FF, delay_per_mille: 100, max_delay_ms: 3 };
     let mut rt: NetRuntime<OrderMessage, OrderLog> =
         NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
     for id in cfg.nodes() {
@@ -113,16 +108,16 @@ fn reactor_matches_sim_on_ordered_log_under_chaos() {
 }
 
 /// The n=16 coded broadcast over the reactor: a 64 KiB erasure-coded
-/// payload, 3% of frame transmissions dropped, delivered byte for byte
-/// at the full f=5 mesh geometry (240 directed links).
+/// payload, 3% of frames held back by up to 3 ms, delivered byte for
+/// byte at the full f=5 mesh geometry (240 directed links).
 #[test]
-fn reactor_delivers_coded_rbc_at_n16_under_drops() {
+fn reactor_delivers_coded_rbc_at_n16_under_delay() {
     let n = 16;
     let cfg = Config::max_resilience(n).expect("16 >= 3f + 1");
     let sender = NodeId::new(0);
     let payload: Vec<u8> =
         (0..64 * 1024).map(|i| (i as u8).wrapping_mul(97).wrapping_add(13)).collect();
-    let chaos = ChaosConfig { seed: 0xAB16, drop_per_mille: 30, ..ChaosConfig::default() };
+    let chaos = ChaosConfig { seed: 0xAB16, delay_per_mille: 30, max_delay_ms: 3 };
     let mut rt: NetRuntime<_, Vec<u8>> = NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
     for id in cfg.nodes() {
         let mine = (id == sender).then(|| payload.clone());
@@ -504,12 +499,7 @@ fn claimed_port_is_a_typed_setup_error_not_a_panic() {
 /// full five seconds.
 #[test]
 fn shutdown_interrupts_chaos_and_backoff_sleeps() {
-    let chaos = ChaosConfig {
-        seed: 5,
-        delay_per_mille: 1000,
-        max_delay_ms: 5_000,
-        ..ChaosConfig::default()
-    };
+    let chaos = ChaosConfig { seed: 5, delay_per_mille: 1000, max_delay_ms: 5_000 };
     let started = Instant::now();
     let mut rt: NetRuntime<Vec<u8>, u64> =
         NetRuntime::new(2).timeout(Duration::from_millis(500)).chaos(chaos);
