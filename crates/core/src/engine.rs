@@ -33,14 +33,11 @@ pub struct BrachaOptions {
     /// (DESIGN.md "The n⁴ wall"). Lowering it is a protocol-parameter
     /// change with its own proof obligation, not a tuning knob.
     pub extra_rounds: u64,
-    /// Garbage-collect validator and RBC state for rounds that are more
-    /// than two behind the current round.
-    pub prune: bool,
 }
 
 impl Default for BrachaOptions {
     fn default() -> Self {
-        BrachaOptions { validate: true, max_rounds: 10_000, extra_rounds: 2, prune: true }
+        BrachaOptions { validate: true, max_rounds: 10_000, extra_rounds: 2 }
     }
 }
 
@@ -208,8 +205,9 @@ impl<C: CoinScheme> BrachaNode<C> {
         self.validator.pending_count(round)
     }
 
-    /// Number of rounds with live validator state — bounded when
-    /// [`BrachaOptions::prune`] is on (diagnostics / leak detection).
+    /// Number of rounds with live validator state — bounded, since every
+    /// new round frees the validator and RBC state of the rounds more than
+    /// two behind it (diagnostics / leak detection).
     pub fn tracked_rounds(&self) -> usize {
         self.validator.round_count()
     }
@@ -433,13 +431,12 @@ impl<C: CoinScheme> BrachaNode<C> {
         self.obs.emit(self.me, || ObsEvent::RoundStarted { round });
         self.obs.emit(self.me, || ObsEvent::StepEntered { round, step: Step::Initial });
         self.open_round_span();
-        if self.options.prune {
-            if let Some(keep_from) = self.round.get().checked_sub(2) {
-                if keep_from >= 1 {
-                    let keep = Round::new(keep_from);
-                    self.validator.prune_before(keep);
-                    self.rbc.retain(|_, tag| tag.round >= keep);
-                }
+        // Free the validator and RBC state of rounds more than two behind.
+        if let Some(keep_from) = self.round.get().checked_sub(2) {
+            if keep_from >= 1 {
+                let keep = Round::new(keep_from);
+                self.validator.prune_before(keep);
+                self.rbc.retain(|_, tag| tag.round >= keep);
             }
         }
         self.broadcast_current(StepPayload::Initial(self.estimate), out);

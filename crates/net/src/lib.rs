@@ -28,7 +28,7 @@
 //!   severing on a gap). Its tests drive both over a seeded in-memory
 //!   byte pipe that cuts connections at any byte offset.
 //! * [`runtime`] — [`NetRuntime`], its builder API and the
-//!   [`RuntimeReport`] it returns: socket setup, backoff policy, the
+//!   [`RuntimeReport`] it returns: socket setup, the redial backoff, the
 //!   panic ledger.
 //! * [`reactor`] — the engine behind [`NetRuntime`]: one nonblocking
 //!   `poll(2)` loop per node owns every socket the node touches (the
@@ -88,6 +88,5 @@ pub use gateway::{
 };
 pub use handshake::{HandshakeError, Secret};
 pub use runtime::{
-    BackoffPolicy, BoxedProcess, ListenerBounce, NetDriver, NetRuntime, RestartFactory,
-    RuntimeReport, SetupError,
+    BoxedProcess, ListenerBounce, NetDriver, NetRuntime, RestartFactory, RuntimeReport, SetupError,
 };

@@ -31,7 +31,7 @@ use crate::handshake::{
     auth_payload, challenge_payload, hello_payload, next_nonce, parse_auth, parse_challenge,
     parse_hello, Secret,
 };
-use crate::runtime::BackoffPolicy;
+use crate::runtime::BACKOFF;
 use bft_obs::Event;
 use bft_types::hash::Fnv64;
 use bft_types::NodeId;
@@ -83,7 +83,6 @@ pub(crate) struct Sender {
     me: NodeId,
     peer: NodeId,
     secret: Secret,
-    backoff: BackoffPolicy,
     /// The replay log; `log[i]` carries seq `log_base + i + 1`. A deque,
     /// so trimming an acked prefix costs that prefix, not the whole log.
     log: VecDeque<FrameBody>,
@@ -105,13 +104,7 @@ pub(crate) struct Sender {
 }
 
 impl Sender {
-    pub(crate) fn new(
-        me: NodeId,
-        peer: NodeId,
-        secret: Secret,
-        backoff: BackoffPolicy,
-        chaos: LinkChaos,
-    ) -> Self {
+    pub(crate) fn new(me: NodeId, peer: NodeId, secret: Secret, chaos: LinkChaos) -> Self {
         // A per-link jitter stream, so backoff schedules repeat run to run.
         let mut h = Fnv64::new();
         h.update(b"backoff-jitter");
@@ -121,7 +114,6 @@ impl Sender {
             me,
             peer,
             secret,
-            backoff,
             log: VecDeque::new(),
             log_base: 0,
             sent: 0,
@@ -279,7 +271,7 @@ impl Sender {
         } else {
             self.attempt += 1;
             let (attempt, delay_ms) =
-                (self.attempt, self.backoff.delay_ms(self.attempt, &mut self.jitter));
+                (self.attempt, BACKOFF.delay_ms(self.attempt, &mut self.jitter));
             self.next_dial_at_ms = now_ms + delay_ms;
             emit(Event::ReconnectBackoff { peer, attempt, delay_ms });
         }
@@ -435,7 +427,7 @@ mod tests {
 
     fn sender(chaos: &ChaosConfig) -> Sender {
         let chaos = chaos.link(DIALER, ACCEPTER);
-        Sender::new(DIALER, ACCEPTER, SECRET, BackoffPolicy::default(), chaos)
+        Sender::new(DIALER, ACCEPTER, SECRET, chaos)
     }
 
     /// Frame `i`'s body: distinct per frame, some of them empty.

@@ -1086,7 +1086,7 @@ where
             let links: Vec<Link> = NodeId::all(n)
                 .filter(|&peer| peer != me)
                 .map(|peer| Link {
-                    tx: Sender::new(me, peer, rt.secret, rt.backoff, rt.chaos.link(me, peer)),
+                    tx: Sender::new(me, peer, rt.secret, rt.chaos.link(me, peer)),
                     conn: None,
                 })
                 .collect();

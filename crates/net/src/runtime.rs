@@ -37,7 +37,7 @@ use crate::gateway::GatewayPipe;
 use crate::handshake::Secret;
 use bft_obs::{Event as ObsEvent, Obs};
 use bft_types::wire::Codec;
-use bft_types::{NodeId, Process};
+use bft_types::{verdict, NodeId, Process};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -73,31 +73,18 @@ pub struct RuntimeReport<O> {
 impl<O: Clone + PartialEq> RuntimeReport<O> {
     /// Whether every correct node produced an output.
     pub fn all_correct_decided(&self) -> bool {
-        self.correct.iter().all(|id| self.outputs.contains_key(id))
+        verdict::all_correct_decided(&self.correct, &self.outputs)
     }
 
     /// Whether all correct nodes that produced an output agree.
     pub fn agreement_holds(&self) -> bool {
-        let mut first: Option<&O> = None;
-        for id in &self.correct {
-            if let Some(o) = self.outputs.get(id) {
-                match first {
-                    None => first = Some(o),
-                    Some(f) if f == o => {}
-                    Some(_) => return false,
-                }
-            }
-        }
-        true
+        verdict::agreement_holds(&self.correct, &self.outputs)
     }
 
     /// The unanimous output of the correct nodes, if all decided and
     /// agree.
     pub fn unanimous_output(&self) -> Option<O> {
-        if !self.all_correct_decided() || !self.agreement_holds() {
-            return None;
-        }
-        self.correct.first().and_then(|id| self.outputs.get(id)).cloned()
+        verdict::unanimous_output(&self.correct, &self.outputs)
     }
 }
 
@@ -175,20 +162,17 @@ pub(crate) struct RestartSpec<M, O> {
 
 /// Capped exponential backoff with deterministic jitter for redials.
 #[derive(Clone, Copy, Debug)]
-pub struct BackoffPolicy {
+pub(crate) struct BackoffPolicy {
     /// First-retry delay, in milliseconds.
-    pub base_ms: u64,
+    pub(crate) base_ms: u64,
     /// Upper bound on the exponential component, in milliseconds.
-    pub cap_ms: u64,
+    pub(crate) cap_ms: u64,
     /// Additional uniform jitter in `[0, jitter_ms]`, in milliseconds.
-    pub jitter_ms: u64,
+    pub(crate) jitter_ms: u64,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy { base_ms: 5, cap_ms: 200, jitter_ms: 5 }
-    }
-}
+/// The redial backoff every link's sender follows.
+pub(crate) const BACKOFF: BackoffPolicy = BackoffPolicy { base_ms: 5, cap_ms: 200, jitter_ms: 5 };
 
 impl BackoffPolicy {
     /// The delay before redial `attempt` (1-based).
@@ -293,7 +277,6 @@ pub struct NetRuntime<M, O> {
     pub(crate) obs: Obs,
     pub(crate) secret: Secret,
     pub(crate) chaos: ChaosConfig,
-    pub(crate) backoff: BackoffPolicy,
     pub(crate) bounces: Vec<ListenerBounce>,
     pub(crate) restarts: Vec<RestartSpec<M, O>>,
     bind_addr: SocketAddr,
@@ -326,7 +309,6 @@ where
             obs: Obs::disabled(),
             secret: Secret::default(),
             chaos: ChaosConfig::default(),
-            backoff: BackoffPolicy::default(),
             bounces: Vec::new(),
             restarts: Vec::new(),
             bind_addr: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
@@ -390,12 +372,6 @@ where
     /// Installs the link-level chaos configuration.
     pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Overrides the reconnect backoff policy.
-    pub fn backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
         self
     }
 

@@ -355,6 +355,10 @@ events! {
         "epoch_started" => EpochStarted {
             /// The 0-based epoch number.
             epoch: u64,
+            /// Why the pipeline opened it: `"idle"` (nothing of the node's
+            /// own in flight), `"full"` (a full batch waiting) or
+            /// `"joined"` (a peer had opened it).
+            trigger: &'static str,
         },
         /// The epoch's ACS decided: the observing node knows the epoch's
         /// committed batch set.

@@ -95,7 +95,8 @@ metrics_sink! {
     /// * per-round latency — for each round number, [`Samples`] of
     ///   `RoundCompleted − RoundStarted` (or `Decided − RoundStarted`)
     ///   across nodes;
-    /// * epoch commit and checkpoint latency, pipeline occupancy;
+    /// * epoch commit and checkpoint latency, pipeline occupancy, epochs
+    ///   opened by trigger;
     /// * message counts and bytes by classifier kind, validated-message
     ///   counts per step, reactor syscall counts;
     /// * the scalar sums and running maxima of the `scalars` table, one
@@ -111,6 +112,7 @@ metrics_sink! {
         epoch_commit_latency: Samples,
         open_epochs: BTreeMap<(NodeId, u64), u64>,
         inflight_epochs: BTreeMap<NodeId, u64>,
+        epochs_by_trigger: BTreeMap<&'static str, u64>,
         occupancy: Samples,
         checkpoint_latency: Samples,
         open_checkpoints: BTreeMap<(NodeId, u64), u64>,
@@ -160,7 +162,8 @@ metrics_sink! {
         poison_detections: Counter,
             "bft_poison_detections_total", "Transport worker panics detected";
         /// Ordering epochs opened across nodes.
-        epochs_started: Counter, "bft_epochs_started_total", "Epochs opened";
+        epochs_started: Counter, "bft_epochs_started_total", "Epochs opened",
+            then render_triggers;
         /// Ordering epochs whose ACS decided across nodes.
         epochs_committed: Counter, "bft_epochs_committed_total", "Epochs committed";
         /// Own batches proposed into epochs across nodes.
@@ -263,6 +266,12 @@ impl MetricsSink {
         &self.epoch_commit_latency
     }
 
+    /// Epochs opened across nodes under `trigger` (`"idle"`, `"full"` or
+    /// `"joined"`; see `Event::EpochStarted`).
+    pub fn epochs_started_by(&self, trigger: &str) -> u64 {
+        self.epochs_by_trigger.get(trigger).copied().unwrap_or(0)
+    }
+
     /// Pipeline occupancy samples (in-flight epochs at each epoch start).
     pub fn pipeline_occupancy(&self) -> &Samples {
         &self.occupancy
@@ -297,6 +306,9 @@ impl MetricsSink {
             let entry = self.msgs_by_kind.entry(kind).or_insert((0, 0));
             entry.0 += count;
             entry.1 += bytes;
+        }
+        for (&trigger, &count) in &other.epochs_by_trigger {
+            *self.epochs_by_trigger.entry(trigger).or_insert(0) += count;
         }
         for (mine, theirs) in self.validated_by_step.iter_mut().zip(other.validated_by_step) {
             *mine += theirs;
@@ -375,6 +387,13 @@ impl MetricsSink {
             let kind = prom_escape(kind);
             out.push_str(&format!("bft_messages_total{{kind=\"{kind}\"}} {count}\n"));
             out.push_str(&format!("bft_message_bytes_total{{kind=\"{kind}\"}} {bytes}\n"));
+        }
+    }
+
+    fn render_triggers(&self, out: &mut String) {
+        for (trigger, count) in &self.epochs_by_trigger {
+            let trigger = prom_escape(trigger);
+            out.push_str(&format!("bft_epochs_started_total{{trigger=\"{trigger}\"}} {count}\n"));
         }
     }
 
@@ -476,8 +495,9 @@ impl Sink for MetricsSink {
             Event::PayloadRejected { .. } => self.payloads_rejected += 1,
             Event::LinkLogPeak { frames, .. } => Kind::Gauge.fold(&mut self.peak_link_log, *frames),
             Event::ReactorStats { stats } => self.reactor.add(stats),
-            Event::EpochStarted { epoch } => {
+            Event::EpochStarted { epoch, trigger } => {
                 self.epochs_started += 1;
+                *self.epochs_by_trigger.entry(trigger).or_insert(0) += 1;
                 self.open_epochs.insert((node, *epoch), at);
                 let inflight = self.inflight_epochs.entry(node).or_insert(0);
                 *inflight += 1;

@@ -47,7 +47,7 @@ impl<A: Sink, B: Sink> Sink for Tee<A, B> {
 
 /// `Some` forwards, `None` discards — lets a composed sink switch one
 /// branch on or off at runtime without changing the overall sink type
-/// (e.g. `Tee(metrics, jsonl_or_none)` in the CLI binaries).
+/// (e.g. `Tee(metrics, jsonl_or_none)` in the CLI harness).
 impl<S: Sink> Sink for Option<S> {
     fn on_event(&mut self, at: u64, node: NodeId, event: &Event) {
         if let Some(sink) = self {

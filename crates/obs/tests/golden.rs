@@ -40,7 +40,7 @@ fn stream() -> Vec<(u64, NodeId, Event)> {
         (n0, Event::GatewayAccepted { client: 7, seq: 1 }),
         (n0, Event::GatewayNacked { client: 7, seq: 2, reason: "backpressure" }),
         (n0, Event::GatewayCommitted { client: 7, seq: 1, epoch: 0 }),
-        (n0, Event::EpochStarted { epoch: 0 }),
+        (n0, Event::EpochStarted { epoch: 0, trigger: "idle" }),
         (n0, Event::EpochCommitted { epoch: 0, slots: 3, txs: 12 }),
         (n0, Event::BatchSubmitted { epoch: 0, txs: 4, bytes: 64 }),
         (n0, Event::LogDelivered { epoch: 0, entries: 12, total: 12 }),
@@ -143,7 +143,7 @@ const JSONL: &str = r#"{"t":10,"node":0,"ev":"message_sent","to":1,"kind":"send/
 {"t":160,"node":0,"ev":"gateway_accepted","client":7,"seq":1}
 {"t":170,"node":0,"ev":"gateway_nacked","client":7,"seq":2,"reason":"backpressure"}
 {"t":180,"node":0,"ev":"gateway_committed","client":7,"seq":1,"epoch":0}
-{"t":190,"node":0,"ev":"epoch_started","epoch":0}
+{"t":190,"node":0,"ev":"epoch_started","epoch":0,"trigger":"idle"}
 {"t":200,"node":0,"ev":"epoch_committed","epoch":0,"slots":3,"txs":12}
 {"t":210,"node":0,"ev":"batch_submitted","epoch":0,"txs":4,"bytes":64}
 {"t":220,"node":0,"ev":"log_delivered","epoch":0,"entries":12,"total":12}
@@ -252,6 +252,7 @@ bft_poison_detections_total 1
 # HELP bft_epochs_started_total Epochs opened
 # TYPE bft_epochs_started_total counter
 bft_epochs_started_total 1
+bft_epochs_started_total{trigger="idle"} 1
 # HELP bft_epochs_committed_total Epochs committed
 # TYPE bft_epochs_committed_total counter
 bft_epochs_committed_total 1

@@ -133,6 +133,15 @@ pub struct OpenCounts {
     pub joined: u64,
 }
 
+impl OpenCounts {
+    /// The counts behind the trigger labels `Event::EpochStarted` carries
+    /// (`"idle"`, `"full"`, `"joined"`), each read by `count` — e.g. from
+    /// a metrics sink's per-trigger counters.
+    pub fn from_triggers(count: impl Fn(&str) -> u64) -> Self {
+        OpenCounts { idle: count("idle"), full: count("full"), joined: count("joined") }
+    }
+}
+
 impl fmt::Display for OpenCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} idle, {} full, {} joined", self.idle, self.full, self.joined)
@@ -838,15 +847,18 @@ impl<C: CoinScheme> OrderProcess<C> {
         let mut changed = false;
         while self.has_room() {
             let e = self.next_epoch;
-            if self.in_flight() == 0 {
+            let trigger = if self.in_flight() == 0 {
                 self.opened.idle += 1;
+                "idle"
             } else if self.pending.len() >= self.opts.batch_max {
                 self.opened.full += 1;
+                "full"
             } else if self.peer_opened(e) {
                 self.opened.joined += 1;
+                "joined"
             } else {
                 break;
-            }
+            };
             self.next_epoch += 1;
             let submitted = self.mempool_since.unwrap_or_else(|| self.obs.now());
             let take = self.opts.batch_max.min(self.pending.len());
@@ -862,7 +874,7 @@ impl<C: CoinScheme> OrderProcess<C> {
                 txs: batch.len() as u64,
                 bytes: body.len() as u64,
             });
-            self.obs.emit(self.me, || Event::EpochStarted { epoch: e });
+            self.obs.emit(self.me, || Event::EpochStarted { epoch: e, trigger });
             if self.trace_on {
                 // The trace root opens retroactively at submission time
                 // and stays open until this epoch reaches our log; the

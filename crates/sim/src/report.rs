@@ -1,7 +1,7 @@
 //! The result of a simulation run.
 
 use crate::{Metrics, SimTime, TraceEntry};
-use bft_types::NodeId;
+use bft_types::{verdict, NodeId};
 use std::collections::BTreeMap;
 
 /// Why the simulation stopped.
@@ -46,7 +46,7 @@ pub struct Report<O> {
 impl<O: Clone + PartialEq> Report<O> {
     /// Whether every correct node produced an output.
     pub fn all_correct_decided(&self) -> bool {
-        self.correct.iter().all(|id| self.outputs.contains_key(id))
+        verdict::all_correct_decided(&self.correct, &self.outputs)
     }
 
     /// Whether all correct nodes that produced an output agree on it.
@@ -55,17 +55,7 @@ impl<O: Clone + PartialEq> Report<O> {
     /// combine with [`Report::all_correct_decided`] for a full correctness
     /// check.
     pub fn agreement_holds(&self) -> bool {
-        let mut first: Option<&O> = None;
-        for id in &self.correct {
-            if let Some(o) = self.outputs.get(id) {
-                match first {
-                    None => first = Some(o),
-                    Some(f) if f == o => {}
-                    Some(_) => return false,
-                }
-            }
-        }
-        true
+        verdict::agreement_holds(&self.correct, &self.outputs)
     }
 
     /// The output of a specific node, if it produced one.
@@ -77,10 +67,7 @@ impl<O: Clone + PartialEq> Report<O> {
     ///
     /// Returns `None` unless **all** correct nodes decided and they agree.
     pub fn unanimous_output(&self) -> Option<O> {
-        if !self.all_correct_decided() || !self.agreement_holds() {
-            return None;
-        }
-        self.correct.first().and_then(|id| self.outputs.get(id)).cloned()
+        verdict::unanimous_output(&self.correct, &self.outputs)
     }
 
     /// The latest first-output time among correct nodes (decision latency),

@@ -17,6 +17,8 @@
 //!   simulator (`bft-sim`) and the TCP transport (`bft-net`) drive the
 //!   *same* protocol code through this interface.
 //! * [`hash`] — FNV-1a 64, the one hash every layer uses.
+//! * [`verdict`] — a run's verdicts (every correct node decided, they
+//!   agree, the unanimous output), shared by both substrates' reports.
 //! * [`wire`] — the binary wire codec: the [`wire::Codec`] trait, its
 //!   strict [`wire::Reader`] and the encodings of the types above. Each
 //!   protocol crate implements it for its own message types.
@@ -49,6 +51,7 @@ mod id;
 mod process;
 mod round;
 mod value;
+pub mod verdict;
 pub mod wire;
 
 pub use bitset::NodeBitset;

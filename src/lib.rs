@@ -41,6 +41,11 @@
 //!    messages over loopback TCP sockets, with optional chaos injection
 //!    (drive it via the `abnet` binary).
 //!
+//! Both binaries run on one [`harness`]: the flag parser, the mode
+//! banners, one node builder per mode, the per-run observer export and
+//! the summary line are written once, and each binary keeps only its
+//! substrate's run loop and run line.
+//!
 //! This crate ties them together and adds [`Cluster`], a one-stop builder
 //! for simulated consensus experiments:
 //!
@@ -68,12 +73,9 @@
 #![warn(missing_docs)]
 
 mod cluster;
-pub mod gateway_load;
-mod opened;
+pub mod harness;
 
 pub use cluster::{Cluster, CoinChoice, Schedule};
-pub use gateway_load::{run_gateway_load, GatewayLoadOptions, GatewayLoadOutcome};
-pub use opened::{OpenTally, Watched};
 
 pub use bft_adversary::FaultKind;
 
