@@ -303,7 +303,7 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     let mut parity = vec![vec![0u8; len]; n - k];
     parity_into(&data, &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
     shards.extend(parity);
-    let leaves = merkle::leaf_hashes((0u16..).zip(shards.iter().map(Vec::as_slice)));
+    let leaves: Vec<u64> = (0u16..).zip(&shards).map(|(i, s)| merkle::leaf_hash(i, s)).collect();
     let leaves_root = merkle::root(&leaves);
     let root = commitment(leaves_root, total_len, n, k);
     let fragments = shards
@@ -319,32 +319,22 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     Ok(Coded { root, fragments })
 }
 
-/// The shape half of the fragment check, which reads no shard byte:
-/// geometry, index range, shard length and proof length.
-fn well_formed(n: usize, k: usize, frag: &Fragment) -> bool {
-    check_geometry(n, k).is_ok()
-        && (frag.index as usize) < n
-        && frag.shard.len() == shard_len(frag.total_len as usize, k)
-        && frag.proof.len() == merkle::depth(n)
-}
-
-/// The inclusion half: recompute what the commitment's Merkle root must
-/// have been from the fragment's `leaf`, then re-bind it — the proof
-/// authenticates the leaf under that root.
-fn binds(root: u64, n: usize, k: usize, frag: &Fragment, leaf: u64) -> bool {
-    let leaves_root = merkle::fold(frag.index as usize, leaf, &frag.proof);
-    commitment(leaves_root, frag.total_len, n, k) == root
-}
-
 /// The one fragment check: geometry, shard length, and Merkle inclusion.
 /// Returns the fragment's leaf hash — the only pass over the shard bytes
 /// — when the fragment is exactly what the sender committed for its index.
+/// A fragment of the wrong shape is rejected before any byte is hashed.
 fn verified_leaf(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<u64> {
-    if !well_formed(n, k, frag) {
+    let well_formed = check_geometry(n, k).is_ok()
+        && (frag.index as usize) < n
+        && frag.shard.len() == shard_len(frag.total_len as usize, k)
+        && frag.proof.len() == merkle::depth(n);
+    if !well_formed {
         return None;
     }
     let leaf = merkle::leaf_hash(frag.index, &frag.shard);
-    binds(root, n, k, frag, leaf).then_some(leaf)
+    // The proof authenticates the leaf under the root it folds to.
+    let leaves_root = merkle::fold(frag.index as usize, leaf, &frag.proof);
+    (commitment(leaves_root, frag.total_len, n, k) == root).then_some(leaf)
 }
 
 /// Checks a fragment against a commitment: geometry, shard length, and
@@ -377,20 +367,14 @@ impl VerifiedFragment {
 
     /// [`check`](Self::check) for several fragments of one commitment,
     /// taking them by value: entry `i` of the result is the verdict on
-    /// `frags[i]`, the same one `check` gives. The well-formed fragments'
-    /// shards are hashed together, four at a time
-    /// ([`merkle::leaf_hashes`]); a malformed one is rejected unhashed.
+    /// `frags[i]`, the same one `check` gives, and a malformed fragment is
+    /// rejected unhashed.
     pub fn check_many(root: u64, n: usize, k: usize, frags: Vec<Fragment>) -> Vec<Option<Self>> {
-        let shaped: Vec<bool> = frags.iter().map(|f| well_formed(n, k, f)).collect();
-        let hashed = frags.iter().zip(&shaped).filter(|(_, &ok)| ok);
-        let leaves = merkle::leaf_hashes(hashed.map(|(f, _)| (f.index, f.shard.as_slice())));
-        let mut leaves = leaves.into_iter();
         frags
             .into_iter()
-            .zip(shaped)
-            .map(|(fragment, ok)| {
-                let leaf = if ok { leaves.next()? } else { return None };
-                binds(root, n, k, &fragment, leaf).then_some(VerifiedFragment { fragment, leaf })
+            .map(|fragment| {
+                let leaf = verified_leaf(root, n, k, &fragment)?;
+                Some(VerifiedFragment { fragment, leaf })
             })
             .collect()
     }
@@ -517,20 +501,18 @@ fn decode(
     let mut parity = vec![0u8; (n - k) * len];
     parity_into(&data, &mut parity.chunks_mut(len).collect::<Vec<_>>());
     let shards: Vec<&[u8]> = data.iter().copied().chain(parity.chunks(len)).collect();
-    let reused: Vec<Option<u64>> = shards
-        .iter()
+    let mut hashed_shards = 0;
+    let leaves: Vec<u64> = (0u16..)
+        .zip(shards)
         .zip(&by_index)
-        .map(|(&shard, known)| match known {
-            Some((frag, Some(leaf))) if frag.shard == shard => Some(*leaf),
-            _ => None,
+        .map(|((i, shard), known)| match known {
+            Some((frag, Some(leaf))) if frag.shard == shard => *leaf,
+            _ => {
+                hashed_shards += 1;
+                merkle::leaf_hash(i, shard)
+            }
         })
         .collect();
-    let unknown = (0u16..).zip(shards).zip(&reused).filter(|(_, leaf)| leaf.is_none());
-    let fresh = merkle::leaf_hashes(unknown.map(|(item, _)| item));
-    let hashed_shards = fresh.len();
-    let mut fresh = fresh.into_iter();
-    let leaves: Vec<u64> =
-        reused.iter().map(|leaf| leaf.or_else(|| fresh.next()).unwrap_or_default()).collect();
     if commitment(merkle::root(&leaves), total_len, n, k) != root {
         return Err(EcError::RootMismatch);
     }

@@ -9,39 +9,17 @@
 //! Leaf count is padded to the next power of two with a constant empty
 //! hash, which keeps proofs a fixed length `log2(padded)` for every index.
 
-use bft_types::hash::{update_x4, Fnv64};
+use bft_types::hash::{Fnv64, Fnv64x4};
 
 const LEAF_DOMAIN: u8 = 0x4c;
 const INNER_DOMAIN: u8 = 0x49;
 const EMPTY_DOMAIN: u8 = 0x45;
 
-/// Hash of the leaf committing shard `index` to its byte content.
+/// Hash of the leaf committing shard `index` to its byte content: the
+/// striped hash ([`Fnv64x4`]) of the leaf domain byte, the little-endian
+/// index, then the shard.
 pub fn leaf_hash(index: u16, shard: &[u8]) -> u64 {
-    leaf_prefix(index).update(shard).finish()
-}
-
-/// The hasher after the domain byte and the index, before the shard.
-fn leaf_prefix(index: u16) -> Fnv64 {
-    let mut h = Fnv64::new();
-    h.update(&[LEAF_DOMAIN]).update(&index.to_le_bytes());
-    h
-}
-
-/// [`leaf_hash`] of every `(index, shard)` item, in order, four shards at
-/// a time through [`update_x4`]. A last group of fewer than four repeats
-/// its final item in the spare lanes, so it runs interleaved too.
-pub fn leaf_hashes<'a>(items: impl IntoIterator<Item = (u16, &'a [u8])>) -> Vec<u64> {
-    let items: Vec<(u16, &[u8])> = items.into_iter().collect();
-    let mut out = Vec::with_capacity(items.len());
-    for group in items.chunks(4) {
-        let Some(&last) = group.last() else { continue };
-        let lane = |i: usize| group.get(i).copied().unwrap_or(last);
-        let items = [lane(0), lane(1), lane(2), lane(3)];
-        let mut lanes = items.map(|(index, _)| leaf_prefix(index));
-        update_x4(&mut lanes, items.map(|(_, shard)| shard));
-        out.extend(lanes.iter().take(group.len()).map(Fnv64::finish));
-    }
-    out
+    Fnv64x4::new().update(&[LEAF_DOMAIN]).update(&index.to_le_bytes()).update(shard).finish()
 }
 
 fn empty_hash() -> u64 {
@@ -178,21 +156,6 @@ mod tests {
         let ls = leaves(1);
         assert_eq!(depth(1), 0);
         assert!(verify(root(&ls), 1, 0, ls[0], &[]));
-    }
-
-    #[test]
-    fn batched_leaves_equal_one_at_a_time() {
-        for count in 1..=9usize {
-            // Unequal lengths too: the leaves of one batch need not match.
-            let shards: Vec<Vec<u8>> = (0..count)
-                .map(|i| (0..(40 + i % 3)).map(|b| (b * 31 + i) as u8).collect())
-                .collect();
-            let items = shards.iter().enumerate().map(|(i, s)| (i as u16 * 3, s.as_slice()));
-            let batched = leaf_hashes(items.clone());
-            let single: Vec<u64> = items.map(|(i, s)| leaf_hash(i, s)).collect();
-            assert_eq!(batched, single, "{count} items");
-        }
-        assert!(leaf_hashes(std::iter::empty()).is_empty());
     }
 
     #[test]

@@ -50,17 +50,18 @@ use bft_order::{
     Backpressure, LogEntry, LogView, OrderLog, OrderMessage, OrderOptions, OrderProcess,
 };
 use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
-use bft_types::hash::{fnv1a64, Fnv64};
+use bft_types::hash::{Fnv64, Fnv64x4};
 use bft_types::wire::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_types::{Config, Effect, NodeId, Process};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// The FNV-1a hash of a canonical snapshot — the quantity checkpoint
-/// certificates agree on and state transfer verifies against.
+/// The striped FNV-1a hash ([`Fnv64x4`]) of a canonical snapshot — the
+/// quantity checkpoint certificates agree on and state transfer verifies
+/// against.
 pub fn snapshot_hash(bytes: &[u8]) -> u64 {
-    fnv1a64(bytes)
+    Fnv64x4::new().update(bytes).finish()
 }
 
 /// One operation of the replicated key-value service, with a canonical
@@ -262,9 +263,10 @@ impl KvState {
     }
 
     /// Folds one committed log entry into the state. The hash chain
-    /// covers the raw `(epoch, proposer, tx)` bytes regardless of
-    /// whether the payload parses, so Byzantine garbage cannot make
-    /// correct nodes diverge — it just wastes a slot.
+    /// folds the epoch, the proposer and the striped hash ([`Fnv64x4`])
+    /// of the raw tx bytes, regardless of whether the payload parses, so
+    /// Byzantine garbage cannot make correct nodes diverge — it just
+    /// wastes a slot.
     ///
     /// Entries must arrive in log order within `applied_epoch`; the caller
     /// ([`SmrProcess`]) seals epochs with [`KvState::seal_epoch`].
@@ -272,7 +274,7 @@ impl KvState {
         self.chain = Fnv64::resume(self.chain)
             .update_u64(epoch)
             .update_u64(proposer.index() as u64)
-            .update(tx)
+            .update_u64(Fnv64x4::new().update(tx).finish())
             .finish();
         self.applied_slots += 1;
         match OpRef::decode(tx) {
@@ -352,7 +354,7 @@ impl KvState {
     /// The state fingerprint: the snapshot hash of the current state,
     /// folded over the canonical bytes as they stream, never collected.
     pub fn state_hash(&self) -> u64 {
-        let mut hash = Fnv64::new();
+        let mut hash = Fnv64x4::new();
         self.canonical(|bytes| {
             hash.update(bytes);
         });
@@ -1040,8 +1042,15 @@ impl<C: CoinScheme> Process for SmrProcess<C> {
         let mut out = Vec::new();
         match msg {
             SmrMessage::Order(m) => {
+                let committed = self.order.committed_epochs();
                 let effects = self.order.on_message(from, m);
                 self.lift_order(effects, &mut out);
+                // Apply, checkpoint, certify, fetch and output read
+                // nothing else an order message can move, and `advance`
+                // already ran after the last event.
+                if self.order.committed_epochs() == committed {
+                    return out;
+                }
             }
             SmrMessage::Ckpt(m) => {
                 // Only valid boundaries may allocate checkpoint-RBC
@@ -1193,6 +1202,50 @@ mod tests {
             }
             assert!(!s.is_empty(), "seed {seed}: the mix must leave keys to hash");
         }
+    }
+
+    /// Serial FNV-1a from `state`, one byte at a time.
+    fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        state
+    }
+
+    /// The striped FNV-1a definition, one byte at a time and without
+    /// `Fnv64x4`: lane `i % 4` takes byte `i`, then one serial chain folds
+    /// the four lanes and the length.
+    fn striped(bytes: &[u8]) -> u64 {
+        let basis = 0xcbf2_9ce4_8422_2325;
+        let mut lanes = [basis; 4];
+        for (i, &b) in bytes.iter().enumerate() {
+            lanes[i % 4] = fnv1a(lanes[i % 4], &[b]);
+        }
+        let folded = lanes.iter().fold(basis, |h, lane| fnv1a(h, &lane.to_le_bytes()));
+        fnv1a(folded, &(bytes.len() as u64).to_le_bytes())
+    }
+
+    #[test]
+    fn snapshot_hash_and_tx_chain_follow_the_striped_definition() {
+        let me = NodeId::new(2);
+        let mut s = KvState::new();
+        assert_eq!(snapshot_hash(&s.snapshot()), striped(&s.snapshot()));
+        for (i, tx) in seeded_workload(5, me, 16).iter().enumerate() {
+            let before = s.chain;
+            let epoch = s.applied_epoch();
+            s.apply_tx(epoch, me, tx);
+            let expect = [epoch, me.index() as u64, striped(tx)]
+                .iter()
+                .fold(before, |h, word| fnv1a(h, &word.to_le_bytes()));
+            assert_eq!(s.chain, expect, "op {i}: epoch, proposer, striped tx hash");
+            if i % 4 == 3 {
+                s.seal_epoch();
+            }
+            let bytes = s.snapshot();
+            assert_eq!(snapshot_hash(&bytes), striped(&bytes), "op {i}");
+        }
+        let odd: Vec<u8> = (0..1001).map(|i| (i * 7) as u8).collect();
+        assert_eq!(snapshot_hash(&odd), striped(&odd), "a length that ends mid-lane");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The bulk data path — coded-RBC fragment → decoded batch → log entry —
 //! against its definitions: the table-driven Reed–Solomon kernels, the
-//! four-lane leaf hashing and the hash-once decode core must produce,
-//! byte for byte, what the plain `gf256::mul`-per-byte, hash-every-shard,
-//! one-byte-at-a-time FNV-1a path produces.
+//! striped leaf hash and the hash-once decode core must produce, byte for
+//! byte, what the plain `gf256::mul`-per-byte, hash-every-shard,
+//! one-byte-at-a-time path produces.
 
 use async_bft::ec::{self, gf256, merkle, EcError, Fragment, VerifiedFragment};
 use async_bft::order::{batch_tx_count, decode_batch, encode_batch};
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 /// A transliteration of the byte-at-a-time erasure-coding path this repo
 /// shipped before the table-driven kernels: one `gf256::mul` per byte,
 /// every shard of the codeword hashed on every reconstruction, each leaf
-/// by its own serial FNV-1a chain.
+/// by the striped FNV-1a definition written out one byte at a time.
 mod reference {
     use super::*;
 
@@ -24,11 +24,22 @@ mod reference {
         state
     }
 
-    /// The leaf committing shard `index`: FNV-1a over the leaf domain
-    /// byte, the little-endian index, then the shard.
+    /// The leaf committing shard `index`: the striped FNV-1a of the leaf
+    /// domain byte, the little-endian index, then the shard. Stream byte
+    /// `i` goes to lane `i % 4`, each lane a serial chain; one more chain
+    /// folds the four lanes and the stream length.
     pub fn leaf_hash(index: u16, shard: &[u8]) -> u64 {
-        let head = fnv1a(0xcbf2_9ce4_8422_2325, &[0x4c]);
-        fnv1a(fnv1a(head, &index.to_le_bytes()), shard)
+        let basis = 0xcbf2_9ce4_8422_2325;
+        let [lo, hi] = index.to_le_bytes();
+        let stream = [0x4c, lo, hi].into_iter().chain(shard.iter().copied());
+        let mut lanes = [basis; 4];
+        let mut len = 0u64;
+        for (i, b) in stream.enumerate() {
+            lanes[i % 4] = fnv1a(lanes[i % 4], &[b]);
+            len += 1;
+        }
+        let folded = lanes.iter().fold(basis, |h, lane| fnv1a(h, &lane.to_le_bytes()));
+        fnv1a(folded, &len.to_le_bytes())
     }
 
     fn lagrange_coeffs(xs: &[u8], x: u8) -> Vec<u8> {
@@ -307,17 +318,15 @@ fn a_stale_extra_fragment_spares_no_hash_and_changes_no_verdict() {
 }
 
 #[test]
-fn batched_leaf_hashes_equal_the_serial_reference() {
-    for count in 1..=9usize {
-        for len in [0usize, 1, 3, 64, 1000] {
-            let shards: Vec<Vec<u8>> =
-                (0..count).map(|i| payload(len + i % 2, (count * 10 + i) as u64)).collect();
-            let expect = reference::leaves(&shards);
-            let got = merkle::leaf_hashes((0u16..).zip(shards.iter().map(Vec::as_slice)));
-            assert_eq!(got, expect, "{count} leaves of ~{len} B");
-            let single: Vec<u64> =
-                (0u16..).zip(&shards).map(|(i, s)| merkle::leaf_hash(i, s)).collect();
-            assert_eq!(single, expect, "{count} single leaves of ~{len} B");
+fn leaf_hashes_equal_the_striped_reference() {
+    for len in (0..=9).chain([1000]) {
+        for index in [0u16, 1, 6, 255, 256, u16::MAX] {
+            let shard = payload(len, u64::from(index) + len as u64);
+            assert_eq!(
+                merkle::leaf_hash(index, &shard),
+                reference::leaf_hash(index, &shard),
+                "leaf {index} of {len} B"
+            );
         }
     }
 }
