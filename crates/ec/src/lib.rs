@@ -257,15 +257,6 @@ fn interpolate_into(xs: &[u8], shards: &[&[u8]], targets: &[u8], outs: &mut [&mu
     }
 }
 
-/// Evaluates the parity positions `k..k + outs.len()` of the systematic
-/// code from its `k` data shards (which sit at positions `0..k`).
-fn parity_into(data: &[&[u8]], outs: &mut [&mut [u8]]) {
-    let k = data.len();
-    let xs: Vec<u8> = (0..k as u8).collect();
-    let targets: Vec<u8> = (k..k + outs.len()).map(|x| x as u8).collect();
-    interpolate_into(&xs, data, &targets, outs);
-}
-
 /// Binds the Merkle root over the fragment leaves together with the
 /// payload length and the `(n, k)` geometry. Every fragment verified
 /// against one commitment therefore carries the same `total_len`, the same
@@ -299,9 +290,17 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
             shard
         })
         .collect();
+    // Parity positions `k..n` evaluated from the data at positions `0..k`.
+    let xs: Vec<u8> = (0..k as u8).collect();
     let data: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+    let targets: Vec<u8> = (k..n).map(|x| x as u8).collect();
     let mut parity = vec![vec![0u8; len]; n - k];
-    parity_into(&data, &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+    interpolate_into(
+        &xs,
+        &data,
+        &targets,
+        &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+    );
     shards.extend(parity);
     let leaves: Vec<u64> = (0u16..).zip(&shards).map(|(i, s)| merkle::leaf_hash(i, s)).collect();
     let leaves_root = merkle::root(&leaves);
@@ -434,12 +433,14 @@ pub fn reconstruct_verified<'a>(
 /// each supplied fragment comes with the leaf hash of its shard if the
 /// caller knows it.
 ///
-/// The codeword check recomputes the commitment over all `n` re-encoded
-/// shards. A known leaf stands in for hashing a re-encoded shard only when
-/// the two shards are byte-equal — it is then the hash of identical bytes
-/// — so the recomputed commitment is value for value the one a full
-/// re-hash yields, and [`EcError::RootMismatch`] stays uniform across
-/// subsets whatever the caller knows.
+/// One interpolation pass evaluates every position the picked `k` points
+/// do not cover, so the `n` shards it yields are the re-encoding of the
+/// decoded payload without a second pass. The codeword check recomputes
+/// the commitment over them. A known leaf stands in for hashing a shard
+/// only when the two shards are byte-equal — it is then the hash of
+/// identical bytes — so the recomputed commitment is value for value the
+/// one a full re-hash yields, and [`EcError::RootMismatch`] stays uniform
+/// across subsets whatever the caller knows.
 fn decode(
     root: u64,
     n: usize,
@@ -477,15 +478,15 @@ fn decode(
         return Err(EcError::InconsistentFragments);
     }
 
-    // Decode the data shards straight into the payload buffer: a picked
-    // data position is a copy (the code is systematic), any other is
-    // interpolated from the picked `k` points.
+    // A picked position is a copy, every other one is evaluated. The data
+    // positions are the payload buffer itself (the code is systematic).
     let xs: Vec<u8> = picked.iter().map(|f| f.index as u8).collect();
     let views: Vec<&[u8]> = picked.iter().map(|f| f.shard.as_slice()).collect();
     let mut payload = vec![0u8; k * len];
-    let mut missing: Vec<u8> = Vec::new();
-    let mut missing_outs: Vec<&mut [u8]> = Vec::new();
-    for (x, out) in payload.chunks_mut(len).enumerate() {
+    let mut parity = vec![0u8; (n - k) * len];
+    let mut missing: Vec<u8> = Vec::with_capacity(n - k);
+    let mut missing_outs: Vec<&mut [u8]> = Vec::with_capacity(n - k);
+    for (x, out) in payload.chunks_mut(len).chain(parity.chunks_mut(len)).enumerate() {
         match picked.iter().find(|f| f.index as usize == x) {
             Some(frag) => out.copy_from_slice(&frag.shard),
             None => {
@@ -496,11 +497,10 @@ fn decode(
     }
     interpolate_into(&xs, &views, &missing, &mut missing_outs);
 
-    // Codeword check: the decoded payload must re-commit to `root`.
-    let data: Vec<&[u8]> = payload.chunks(len).collect();
-    let mut parity = vec![0u8; (n - k) * len];
-    parity_into(&data, &mut parity.chunks_mut(len).collect::<Vec<_>>());
-    let shards: Vec<&[u8]> = data.iter().copied().chain(parity.chunks(len)).collect();
+    // Codeword check: the unique codeword through the picked points
+    // re-commits to `root` exactly when the sender committed to a
+    // codeword, whichever `k` points were picked.
+    let shards = payload.chunks(len).chain(parity.chunks(len));
     let mut hashed_shards = 0;
     let leaves: Vec<u64> = (0u16..)
         .zip(shards)
@@ -644,14 +644,13 @@ mod tests {
 
     #[test]
     fn non_codeword_commitment_fails_for_every_subset() {
-        // A Byzantine sender commits to fragments of two *different*
-        // payloads: whatever subset a receiver reconstructs from, the
-        // re-encode check must fail (and fail for all of them — totality).
+        // A Byzantine sender commits to a shard vector that is not a
+        // codeword: whatever subset a receiver reconstructs from, the
+        // codeword check must fail (and fail for all of them — totality).
         let (n, k) = (6, 2);
         let a = encode(&payload(40), n, k).unwrap();
         let b = encode(&payload(41), n, k).unwrap();
-        // Forge: take a's shards for even indices, b's for odd, and build
-        // a fresh commitment over the mixed shard vector.
+        // Forge one: a's shards for even indices, b's for odd.
         let mixed: Vec<Vec<u8>> = (0..n)
             .map(|i| {
                 if i % 2 == 0 {
@@ -663,36 +662,45 @@ mod tests {
                 }
             })
             .collect();
-        let leaves: Vec<u64> =
-            mixed.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect();
-        let root = commitment(merkle::root(&leaves), 40, n, k);
-        let frags: Vec<Fragment> = mixed
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| Fragment {
-                index: i as u16,
-                total_len: 40,
-                shard: shard.clone(),
-                proof: merkle::proof(&leaves, i),
-            })
-            .collect();
-        // Every fragment *verifies* (the sender really committed to it)…
-        for f in &frags {
-            assert!(verify(root, n, k, f));
-        }
-        // …but no 2-subset reconstructs: the committed vector is not a
-        // codeword, so every interpolation misses some committed leaf.
-        let mut failures = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let sub = vec![frags[i].clone(), frags[j].clone()];
-                match reconstruct(root, n, k, &sub) {
-                    Err(EcError::RootMismatch) => failures += 1,
-                    other => panic!("subset ({i},{j}) must mismatch, got {other:?}"),
+        // Forge two: a's codeword, wrong in one byte of its last parity
+        // shard only, so a subset that picks that position interpolates
+        // through the one wrong point.
+        let mut one_parity_off: Vec<Vec<u8>> =
+            a.fragments.iter().map(|f| f.shard.clone()).collect();
+        one_parity_off[n - 1][0] ^= 1;
+        for forged in [mixed, one_parity_off] {
+            // A fresh commitment over the forged shard vector.
+            let leaves: Vec<u64> =
+                forged.iter().enumerate().map(|(i, s)| merkle::leaf_hash(i as u16, s)).collect();
+            let root = commitment(merkle::root(&leaves), 40, n, k);
+            let frags: Vec<Fragment> = forged
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| Fragment {
+                    index: i as u16,
+                    total_len: 40,
+                    shard: shard.clone(),
+                    proof: merkle::proof(&leaves, i),
+                })
+                .collect();
+            // Every fragment *verifies* (the sender really committed to it)…
+            for f in &frags {
+                assert!(verify(root, n, k, f));
+            }
+            // …but no 2-subset reconstructs: the committed vector is not a
+            // codeword, so every interpolation misses some committed leaf.
+            let mut failures = 0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let sub = vec![frags[i].clone(), frags[j].clone()];
+                    match reconstruct(root, n, k, &sub) {
+                        Err(EcError::RootMismatch) => failures += 1,
+                        other => panic!("subset ({i},{j}) must mismatch, got {other:?}"),
+                    }
                 }
             }
+            assert_eq!(failures, n * (n - 1) / 2);
         }
-        assert_eq!(failures, n * (n - 1) / 2);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! 3. On `n − f` distinct valid echoes for one root, or `f + 1` Readys:
 //!    broadcast `CodedReady(root)` (once).
 //! 4. On `2f + 1` Readys for a root **and** `n − 2f` verified fragments of
-//!    it: reconstruct, re-encode, check the commitment, and deliver.
+//!    it: reconstruct, check the commitment, and deliver. The sender
+//!    delivers the bytes it encoded under that root instead: decoding
+//!    them back could only return them.
 //!
 //! Totals: one O(n·B/k)·k = O(n·B) dissemination plus n fragment
 //! broadcasts of O(n·B/k) = O(n²·B/k) ≈ O(n·B) for f = Θ(n), plus O(n²)
@@ -119,7 +121,8 @@ impl Echo {
 /// Delivery frees the fragments and keeps no copy of the payload: the
 /// payload moves out in [`RbcAction::Deliver`], and nothing buffered can
 /// change an output already delivered. What remains is a flag and the
-/// Ready bookkeeping, until the host collects the instance.
+/// Ready bookkeeping, until the host collects the instance. The sender
+/// alone holds a payload before delivery: the bytes it encoded.
 #[derive(Clone, Debug)]
 pub struct CodedInstance<P> {
     config: Config,
@@ -131,6 +134,9 @@ pub struct CodedInstance<P> {
     /// This node's own fragment as verified on `CodedSend`, with its root,
     /// until the echo of it loops back: the bytes were hashed then.
     own: Option<(u64, VerifiedFragment)>,
+    /// At the sender, the bytes it encoded and their root, until delivery:
+    /// delivering that root needs no reconstruction.
+    sent: Option<(u64, Vec<u8>)>,
     /// Echo fragments grouped by commitment root then keyed by fragment
     /// index (≡ echoing peer), until delivery: verified ones with the leaf
     /// hash their verification computed, and at most one held, unhashed
@@ -146,7 +152,8 @@ pub struct CodedInstance<P> {
     /// the `n − 2f`-th verified fragment.
     deliver_root: Option<u64>,
     delivered: bool,
-    /// The payload type delivered; no payload is ever stored.
+    /// The payload type delivered; only its coded bytes are ever stored
+    /// (`sent`).
     payload: PhantomData<fn() -> P>,
     obs: Obs,
     tag_label: String,
@@ -170,6 +177,7 @@ where
             sent_echo: false,
             sent_ready: false,
             own: None,
+            sent: None,
             echoes: BTreeMap::new(),
             echoed_peers: NodeBitset::new(config.n()),
             readied_peers: NodeBitset::new(config.n()),
@@ -245,7 +253,8 @@ where
 
     /// Starts the broadcast: encodes the payload and unicasts fragment
     /// `i` to node `i` (processing our own fragment locally, so hosts
-    /// whose transports have no self-unicast path still work).
+    /// whose transports have no self-unicast path still work). The encoded
+    /// bytes stay here until delivery.
     ///
     /// Only meaningful at the designated sender; elsewhere (or on a
     /// repeat call, or if the geometry is unusable) it returns no actions.
@@ -262,6 +271,7 @@ where
             return Vec::new();
         };
         let root = coded.root;
+        self.sent = Some((root, bytes));
         let mut actions = Vec::with_capacity(self.config.n());
         for (i, fragment) in coded.fragments.into_iter().enumerate() {
             let to = NodeId::new(i);
@@ -445,6 +455,11 @@ where
     /// Delivers once both conditions hold: a root reached `2f + 1` Readys
     /// and `n − 2f` verified fragments of it are buffered. Delivery frees
     /// every buffered fragment and hands the payload over by move.
+    ///
+    /// The sender delivering the root it committed to hands over the bytes
+    /// it encoded: it built that commitment from exactly those bytes, so
+    /// every other correct node's reconstruction yields them too. The
+    /// condition, and with it every message, is the same as elsewhere.
     fn maybe_deliver(&mut self, out: &mut Vec<RbcAction<P>>) {
         if self.delivered {
             return;
@@ -456,24 +471,10 @@ where
         if verified.len() < self.k() {
             return;
         }
-        let fragments = verified.len() as u64;
-        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), verified);
-        let (bytes, hashed_shards, consistent) = match decoded {
-            Ok(decoded) => (decoded.payload, decoded.hashed_shards as u64, true),
-            // The sender committed to a non-codeword (or inconsistent
-            // geometry): uniform across subsets, so every correct node
-            // takes this branch — deliver the canonical empty fallback to
-            // preserve totality.
-            Err(_) => (Vec::new(), 0, false),
+        let bytes = match self.sent.take() {
+            Some((sent_root, bytes)) if sent_root == root => bytes,
+            _ => self.reconstruct(root, verified),
         };
-        self.obs.emit(self.me, || ObsEvent::RbcReconstructed {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
-            fragments,
-            bytes: bytes.len() as u64,
-            hashed_shards,
-            consistent,
-        });
         let support =
             self.readies.iter().find(|(r, _)| *r == root).map(|(_, c)| *c).unwrap_or_default();
         // Nothing buffered can change the output from here on (later
@@ -497,6 +498,28 @@ where
             }
         }
         out.push(RbcAction::Deliver(P::from_coded_bytes(bytes)));
+    }
+
+    /// Decodes `root`'s payload from `verified` fragments and reports it.
+    /// A sender that committed to a non-codeword (or to inconsistent
+    /// geometry) fails every subset alike, so every correct node gets the
+    /// canonical empty fallback, which preserves totality.
+    fn reconstruct(&self, root: u64, verified: Vec<&VerifiedFragment>) -> Vec<u8> {
+        let fragments = verified.len() as u64;
+        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), verified);
+        let (bytes, hashed_shards, consistent) = match decoded {
+            Ok(decoded) => (decoded.payload, decoded.hashed_shards as u64, true),
+            Err(_) => (Vec::new(), 0, false),
+        };
+        self.obs.emit(self.me, || ObsEvent::RbcReconstructed {
+            origin: self.sender,
+            tag: self.tag_label.clone(),
+            fragments,
+            bytes: bytes.len() as u64,
+            hashed_shards,
+            consistent,
+        });
+        bytes
     }
 
     /// Verifies `frag` as `owner`'s fragment under `root`: it must sit at
@@ -924,6 +947,69 @@ mod tests {
         }
         for (i, got) in delivered.iter().enumerate() {
             assert_eq!(got.as_ref(), Some(&payload()), "node {i}");
+        }
+    }
+
+    /// Runs one broadcast from sender 0 to quiescence, every message
+    /// delivered in send order, and returns what each node delivered and
+    /// the `RbcReconstructed` events each emitted.
+    fn run_to_quiescence(
+        cfg: Config,
+        payload: &[u8],
+    ) -> (Vec<Option<Vec<u8>>>, Vec<Vec<ObsEvent>>) {
+        use bft_obs::VecSink;
+        let nodes = cfg.n();
+        let (obs, sink) = Obs::new(VecSink::new());
+        let mut insts: Vec<Inst> = (0..nodes)
+            .map(|i| {
+                let mut inst = Inst::new(cfg, n(i), n(0));
+                inst.set_obs(obs.clone(), "t".into());
+                inst
+            })
+            .collect();
+        let mut delivered: Vec<Option<Vec<u8>>> = vec![None; nodes];
+        let mut queue: std::collections::VecDeque<(NodeId, RbcAction<Vec<u8>>)> =
+            insts[0].start(payload.to_vec()).into_iter().map(|a| (n(0), a)).collect();
+        while let Some((from, action)) = queue.pop_front() {
+            let targets: Vec<(NodeId, RbcMessage<Vec<u8>>)> = match action {
+                RbcAction::Send { to, msg } => vec![(to, msg)],
+                RbcAction::Broadcast(msg) => (0..nodes).map(|i| (n(i), msg.clone())).collect(),
+                RbcAction::Deliver(p) => {
+                    assert!(delivered[from.index()].replace(p).is_none(), "one delivery");
+                    continue;
+                }
+            };
+            for (to, msg) in targets {
+                let acts = insts[to.index()].on_message(from, &msg);
+                queue.extend(acts.into_iter().map(|a| (to, a)));
+            }
+        }
+        let mut reconstructed = vec![Vec::new(); nodes];
+        for (_, node, e) in sink.lock().take() {
+            if matches!(e, ObsEvent::RbcReconstructed { .. }) {
+                reconstructed[node.index()].push(e);
+            }
+        }
+        (delivered, reconstructed)
+    }
+
+    #[test]
+    fn the_sender_delivers_what_it_encoded_and_every_other_node_decodes_it() {
+        for nodes in [4usize, 7, 10] {
+            let cfg = Config::new(nodes, (nodes - 1) / 3).unwrap();
+            let sent: Vec<u8> = (0..1000u32).map(|i| (i * 7 + nodes as u32) as u8).collect();
+            let (delivered, reconstructed) = run_to_quiescence(cfg, &sent);
+            for (i, got) in delivered.iter().enumerate() {
+                assert_eq!(got.as_ref(), Some(&sent), "n={nodes}: node {i}'s bytes");
+            }
+            assert!(reconstructed[0].is_empty(), "n={nodes}: the sender reconstructed");
+            for (i, events) in reconstructed.iter().enumerate().skip(1) {
+                let [ObsEvent::RbcReconstructed { bytes, consistent, .. }] = events.as_slice()
+                else {
+                    panic!("n={nodes}: node {i} must reconstruct once: {events:?}");
+                };
+                assert_eq!((*bytes, *consistent), (sent.len() as u64, true), "n={nodes} node {i}");
+            }
         }
     }
 

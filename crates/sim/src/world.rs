@@ -1,11 +1,11 @@
 //! The simulation driver.
 
-use crate::event::{Event, EventKind};
+use crate::event::{EventKind, EventQueue};
 use crate::metrics::MsgClass;
 use crate::{Metrics, Report, Scheduler, SimTime, StopReason, TraceEntry};
 use bft_obs::{Event as ObsEvent, Obs};
 use bft_types::{Effect, Envelope, NodeId, Process};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -120,8 +120,7 @@ pub struct World<M, O, S> {
     procs: Vec<Option<Box<dyn Process<Msg = M, Output = O>>>>,
     faulty: Vec<bool>,
     halted: Vec<bool>,
-    queue: BinaryHeap<Event<M>>,
-    seq: u64,
+    queue: EventQueue<M>,
     /// Last scheduled delivery time per directed link, to enforce FIFO.
     link_clock: Vec<SimTime>,
     classifier: Option<fn(&M) -> MsgClass>,
@@ -156,8 +155,7 @@ where
             procs: (0..n).map(|_| None).collect(),
             faulty: vec![false; n],
             halted: vec![false; n],
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             link_clock: vec![SimTime::ZERO; n * n],
             classifier: None,
             obs: Obs::disabled(),
@@ -205,7 +203,7 @@ where
     /// comes back with empty state and must catch up from its peers.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
         assert!(node.index() < self.config.n, "node {node} out of range");
-        self.push_event(at, EventKind::Crash(node));
+        self.queue.push(at, EventKind::Crash(node));
     }
 
     /// Schedules a restart: at time `at` the node's slot is replaced by
@@ -221,7 +219,7 @@ where
     pub fn schedule_restart(&mut self, node: NodeId, at: SimTime, factory: ProcessFactory<M, O>) {
         assert!(node.index() < self.config.n, "node {node} out of range");
         self.restarts.insert(node, factory);
-        self.push_event(at, EventKind::Restart(node));
+        self.queue.push(at, EventKind::Restart(node));
     }
 
     /// Installs a message classifier used for per-kind and byte
@@ -243,11 +241,6 @@ where
     /// The ids of the correct (non-faulty) nodes.
     pub fn correct_nodes(&self) -> Vec<NodeId> {
         (0..self.config.n).filter(|&i| !self.faulty[i]).map(NodeId::new).collect()
-    }
-
-    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        self.seq += 1;
-        self.queue.push(Event { time, seq: self.seq, kind });
     }
 
     fn classify(&self, msg: &M) -> Option<MsgClass> {
@@ -313,11 +306,11 @@ where
         let delay = self.scheduler.delay(&envelope, self.now);
         let link = from.index() * self.config.n + to.index();
         // FIFO links: delivery times per directed link are non-decreasing,
-        // and ties are broken by enqueue order (the `seq` counter), which
-        // equals send order.
+        // and ties are broken by enqueue order (the queue keeps each
+        // tick's events in push order), which equals send order.
         let at = (self.now + delay).max(self.link_clock[link]);
         self.link_clock[link] = at;
-        self.push_event(at, EventKind::Deliver(envelope));
+        self.queue.push(at, EventKind::Deliver(envelope));
     }
 
     fn stop_satisfied(&self) -> bool {
@@ -344,7 +337,7 @@ where
         // Schedule every process's start at t = 0; the scheduler still
         // controls all subsequent interleaving.
         for id in NodeId::all(self.config.n) {
-            self.push_event(SimTime::ZERO, EventKind::Start(id));
+            self.queue.push(SimTime::ZERO, EventKind::Start(id));
         }
 
         let stop = loop {
@@ -355,21 +348,18 @@ where
             // stays in the queue and counts as in-flight, keeping the
             // conservation identity `sent = delivered + dropped +
             // in_flight_at_stop` exact.
-            let Some(next) = self.queue.peek() else {
+            let Some(next) = self.queue.peek_time() else {
                 break if self.stop_satisfied() {
                     StopReason::Completed
                 } else {
                     StopReason::QueueDrained
                 };
             };
-            if next.time > self.config.max_time
-                || self.metrics.delivered >= self.config.max_delivered
-            {
+            if next > self.config.max_time || self.metrics.delivered >= self.config.max_delivered {
                 break StopReason::BudgetExhausted;
             }
-            // lint: allow(panic) — the loop's `let ... else` above proved the queue non-empty
-            let event = self.queue.pop().expect("peeked above");
-            self.now = event.time;
+            let Some((time, kind)) = self.queue.pop() else { continue };
+            self.now = time;
             self.obs.set_now(self.now.ticks());
             self.metrics.events += 1;
             if self.obs.enabled() && self.metrics.events.is_multiple_of(QUEUE_DEPTH_SAMPLE_EVERY) {
@@ -377,7 +367,7 @@ where
                 // Host-level sample; the node field is 0 by convention.
                 self.obs.emit(NodeId::new(0), || ObsEvent::QueueDepth { depth });
             }
-            match event.kind {
+            match kind {
                 EventKind::Start(id) => {
                     if self.halted[id.index()] {
                         continue;
@@ -454,7 +444,7 @@ where
             }
         };
         self.metrics.in_flight_at_stop =
-            self.queue.iter().filter(|e| matches!(e.kind, EventKind::Deliver(_))).count() as u64;
+            self.queue.iter().filter(|kind| matches!(kind, EventKind::Deliver(_))).count() as u64;
 
         // Capture the final outputs/rounds even for processes that decided
         // without emitting Effect::Output (e.g. via their `output()` hook).
@@ -852,6 +842,90 @@ mod tests {
         assert_eq!(report.metrics.delivered, 100);
         assert!(report.metrics.in_flight_at_stop > 0);
         assert!(report.metrics.conserves(), "budget: {:?}", report.metrics);
+    }
+
+    /// Passes a counter around a ring, each hop to the next node, until it
+    /// reaches `hops`; node 0 starts it.
+    struct Relay {
+        id: NodeId,
+        n: usize,
+        hops: u8,
+    }
+
+    impl Process for Relay {
+        type Msg = u8;
+        type Output = u8;
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_start(&mut self) -> Vec<Effect<u8, u8>> {
+            if self.id.index() == 0 {
+                vec![Effect::Broadcast { msg: 0 }]
+            } else {
+                Vec::new()
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, m: &u8) -> Vec<Effect<u8, u8>> {
+            let next = NodeId::new((self.id.index() + 1) % self.n);
+            if *m < self.hops {
+                vec![Effect::Send { to: next, msg: m + 1 }]
+            } else {
+                vec![Effect::Output(*m)]
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Crashes and restarts near the start of a run or at the far end
+        /// of time, under a delivery budget and every stop policy: the run
+        /// accounts for every message it sent — delivered, dropped at a
+        /// halted node, or still queued — and counts only queued
+        /// deliveries, never a pending crash or restart, as in flight.
+        #[test]
+        fn conservation_holds_with_crashes_and_restarts_anywhere_in_time(
+            n in 2usize..6,
+            hops in 0u8..40,
+            budget in 1u64..400,
+            policy in 0u8..3,
+            victim in 0usize..6,
+            crash in (0u64..30, proptest::bool::ANY),
+            restart in (0u64..60, proptest::bool::ANY),
+            seed in 0u64..1000,
+        ) {
+            let at = |(tick, far): (u64, bool)| {
+                SimTime::from_ticks(if far { u64::MAX - tick } else { tick })
+            };
+            let policies = [
+                StopPolicy::AllCorrectOutput,
+                StopPolicy::AllCorrectHalted,
+                StopPolicy::QueueDrain,
+            ];
+            let policy = policies[usize::from(policy)];
+            let config = WorldConfig::new(n).stop_policy(policy).max_delivered(budget);
+            let mut world: World<u8, u8, _> = World::new(config, UniformDelay::new(1, 6, seed));
+            for id in NodeId::all(n) {
+                world.add_process(Box::new(Relay { id, n, hops }));
+            }
+            let victim = NodeId::new(victim % n);
+            world.schedule_crash(victim, at(crash));
+            world.schedule_restart(
+                victim,
+                at(restart),
+                Box::new(move || Box::new(Relay { id: victim, n, hops })),
+            );
+            let report = world.run();
+            let m = &report.metrics;
+            proptest::prop_assert!(m.delivered <= budget);
+            proptest::prop_assert_eq!(
+                m.sent,
+                m.delivered + m.dropped_to_halted + m.in_flight_at_stop,
+                "{:?}: {:?}",
+                report.stop,
+                m
+            );
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   consumed that history) fetches the snapshot from its peers in
 //!   erasure-coded chunks: each peer sends its own Reed–Solomon fragment
 //!   of the snapshot, `k = n − 2f` verified fragments reconstruct it,
-//!   and the FNV hash is checked against the certificate before the
-//!   state is installed and the order cursor fast-forwarded
+//!   and the restored state's hash is checked against the certificate
+//!   before the state is installed and the order cursor fast-forwarded
 //!   ([`OrderProcess::fast_forward`]). Catch-up therefore costs
 //!   `O(n · B)` bytes for a `B`-byte snapshot — the coded-RBC
 //!   dissemination bound, not full-log replay.
@@ -56,13 +56,6 @@ use bft_types::{Config, Effect, NodeId, Process};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// The striped FNV-1a hash ([`Fnv64x4`]) of a canonical snapshot — the
-/// quantity checkpoint certificates agree on and state transfer verifies
-/// against.
-pub fn snapshot_hash(bytes: &[u8]) -> u64 {
-    Fnv64x4::new().update(bytes).finish()
-}
 
 /// One operation of the replicated key-value service, with a canonical
 /// binary encoding (discriminant byte, then `u32`-length-prefixed
@@ -196,6 +189,29 @@ pub fn seeded_workload(seed: u64, node: NodeId, count: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The striped hash ([`Fnv64x4`]) of one value's bytes: what the tx chain
+/// and the state digest fold in place of the bytes.
+fn value_digest(bytes: &[u8]) -> u64 {
+    Fnv64x4::new().update(bytes).finish()
+}
+
+/// A bound value: an immutable shared buffer and its digest, computed
+/// from the same bytes when they were bound.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Value {
+    bytes: Arc<[u8]>,
+    digest: u64,
+}
+
+/// What the canonical walk emits for each value.
+#[derive(Clone, Copy)]
+enum ValueForm {
+    /// The value's bytes: the snapshot.
+    Bytes,
+    /// The value's digest: the state hash.
+    Digest,
+}
+
 /// The deterministic key-value state: the map, an FNV hash chain folded
 /// over every applied slot (well-formed or not), and the apply cursor.
 ///
@@ -205,10 +221,12 @@ pub fn seeded_workload(seed: u64, node: NodeId, count: usize) -> Vec<Vec<u8>> {
 /// Values are immutable shared buffers: a put or cas binds a fresh `Arc`
 /// and never writes through an existing one, so a clone (a checkpoint)
 /// copies the keys, shares every value, and stays the state it was when
-/// taken whatever is applied afterwards.
+/// taken whatever is applied afterwards. Each value keeps its digest
+/// beside it, so neither the chain nor the state hash reads value bytes
+/// twice.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvState {
-    map: BTreeMap<Vec<u8>, Arc<[u8]>>,
+    map: BTreeMap<Vec<u8>, Value>,
     chain: u64,
     applied_epoch: u64,
     applied_slots: u64,
@@ -247,13 +265,13 @@ impl KvState {
 
     /// The value currently bound to `key`.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.map.get(key).map(|value| &**value)
+        self.map.get(key).map(|value| &*value.bytes)
     }
 
-    /// Binds `key` to a copy of `value`, replacing (not mutating) any
-    /// value a snapshot may share.
-    fn bind(&mut self, key: &[u8], value: &[u8]) {
-        let value = Arc::from(value);
+    /// Binds `key` to a copy of `value`, whose digest is `digest`,
+    /// replacing (not mutating) any value a snapshot may share.
+    fn bind(&mut self, key: &[u8], value: &[u8], digest: u64) {
+        let value = Value { bytes: Arc::from(value), digest };
         match self.map.get_mut(key) {
             Some(slot) => *slot = value,
             None => {
@@ -263,30 +281,46 @@ impl KvState {
     }
 
     /// Folds one committed log entry into the state. The hash chain
-    /// folds the epoch, the proposer and the striped hash ([`Fnv64x4`])
-    /// of the raw tx bytes, regardless of whether the payload parses, so
-    /// Byzantine garbage cannot make correct nodes diverge — it just
-    /// wastes a slot.
+    /// folds the epoch, the proposer and the op's digest form: its kind
+    /// byte, its key (length-prefixed) and the digest ([`Fnv64x4`]) of
+    /// each value field — or, for a payload that does not parse, the kind
+    /// byte `0xff` and the digest of the raw tx. Each tx byte is hashed
+    /// once, and a value's digest is the one its binding keeps. Byzantine
+    /// garbage cannot make correct nodes diverge — it just wastes a slot.
     ///
     /// Entries must arrive in log order within `applied_epoch`; the caller
     /// ([`SmrProcess`]) seals epochs with [`KvState::seal_epoch`].
     pub fn apply_tx(&mut self, epoch: u64, proposer: NodeId, tx: &[u8]) {
-        self.chain = Fnv64::resume(self.chain)
-            .update_u64(epoch)
-            .update_u64(proposer.index() as u64)
-            .update_u64(Fnv64x4::new().update(tx).finish())
-            .finish();
-        self.applied_slots += 1;
+        let mut link = Fnv64::resume(self.chain);
+        link.update_u64(epoch).update_u64(proposer.index() as u64);
+        let keyed = |link: &mut Fnv64, kind: u8, key: &[u8]| {
+            link.update(&[kind]).update_u64(key.len() as u64).update(key);
+        };
         match OpRef::decode(tx) {
-            Some(OpRef::Put { key, value }) => self.bind(key, value),
+            Some(OpRef::Put { key, value }) => {
+                let digest = value_digest(value);
+                keyed(&mut link, 0, key);
+                link.update_u64(digest);
+                self.bind(key, value, digest);
+            }
             Some(OpRef::Del { key }) => {
+                keyed(&mut link, 1, key);
                 self.map.remove(key);
             }
-            Some(OpRef::Cas { key, expect, value }) if self.get(key) == Some(expect) => {
-                self.bind(key, value);
+            Some(OpRef::Cas { key, expect, value }) => {
+                let digest = value_digest(value);
+                keyed(&mut link, 2, key);
+                link.update_u64(value_digest(expect)).update_u64(digest);
+                if self.get(key) == Some(expect) {
+                    self.bind(key, value, digest);
+                }
             }
-            Some(OpRef::Cas { .. }) | None => {}
+            None => {
+                link.update(&[0xff]).update_u64(value_digest(tx));
+            }
         }
+        self.chain = link.finish();
+        self.applied_slots += 1;
     }
 
     /// [`apply_tx`](Self::apply_tx) for an owned log entry.
@@ -299,10 +333,12 @@ impl KvState {
         self.applied_epoch += 1;
     }
 
-    /// Feeds the canonical encoding to `emit` piece by piece: the one
-    /// definition [`snapshot`](Self::snapshot) collects and
+    /// Feeds the canonical walk to `emit` piece by piece: the cursor, slot
+    /// count, chain and key count, then each entry in key order as its
+    /// length-prefixed key, its value length and the value in `form`. The
+    /// one definition [`snapshot`](Self::snapshot) collects and
     /// [`state_hash`](Self::state_hash) folds.
-    fn canonical(&self, mut emit: impl FnMut(&[u8])) {
+    fn canonical(&self, form: ValueForm, mut emit: impl FnMut(&[u8])) {
         emit(&self.applied_epoch.to_le_bytes());
         emit(&self.applied_slots.to_le_bytes());
         emit(&self.chain.to_le_bytes());
@@ -310,25 +346,29 @@ impl KvState {
         for (k, v) in &self.map {
             emit(&(k.len() as u32).to_le_bytes());
             emit(k);
-            emit(&(v.len() as u32).to_le_bytes());
-            emit(v);
+            emit(&(v.bytes.len() as u32).to_le_bytes());
+            match form {
+                ValueForm::Bytes => emit(&v.bytes),
+                ValueForm::Digest => emit(&v.digest.to_le_bytes()),
+            }
         }
     }
 
     /// The canonical snapshot: cursor, slot count, hash chain, then the
     /// sorted key-value pairs with `u32` length prefixes. Identical
     /// states serialize byte-identically (the map iterates in key
-    /// order), so the snapshot hash is a state fingerprint.
+    /// order).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.canonical(|bytes| out.extend_from_slice(bytes));
+        self.canonical(ValueForm::Bytes, |bytes| out.extend_from_slice(bytes));
         out
     }
 
-    /// Total decoder for [`KvState::snapshot`] bytes. State transfer
-    /// verifies the snapshot hash against the checkpoint certificate
-    /// *before* restoring, so a `None` here means a corrupt
-    /// reconstruction, not a protocol fault.
+    /// Total decoder for [`KvState::snapshot`] bytes; each value's digest
+    /// is computed from the bytes read. State transfer checks the
+    /// restored state's [`state_hash`](Self::state_hash) against the
+    /// checkpoint certificate before installing it, so a `None` here, or
+    /// a hash that does not match, means a corrupt reconstruction.
     pub fn restore(bytes: &[u8]) -> Option<KvState> {
         let mut r = Reader::new(bytes);
         let applied_epoch = r.u64().ok()?;
@@ -345,17 +385,18 @@ impl KvState {
         for _ in 0..count {
             let k = take_bytes(&mut r)?;
             let v = take_bytes(&mut r)?;
-            map.insert(k.to_vec(), Arc::from(v));
+            map.insert(k.to_vec(), Value { bytes: Arc::from(v), digest: value_digest(v) });
         }
         r.finish().ok()?;
         Some(KvState { map, chain, applied_epoch, applied_slots })
     }
 
-    /// The state fingerprint: the snapshot hash of the current state,
-    /// folded over the canonical bytes as they stream, never collected.
+    /// The state fingerprint checkpoints certify: the striped hash of the
+    /// canonical walk with each value's digest in place of its bytes, so
+    /// it costs O(keys), not O(state bytes).
     pub fn state_hash(&self) -> u64 {
         let mut hash = Fnv64x4::new();
-        self.canonical(|bytes| {
+        self.canonical(ValueForm::Digest, |bytes| {
             hash.update(bytes);
         });
         hash.finish()
@@ -509,7 +550,7 @@ struct FetchState {
 }
 
 /// A checkpoint: the state at a boundary together with its
-/// [`snapshot_hash`], computed once when the snapshot is taken (or
+/// [`KvState::state_hash`], computed once when the snapshot is taken (or
 /// verified, for a fetched one). The state is a [`KvState`] clone that
 /// shares its values with the live map, so a checkpoint costs its keys
 /// and map nodes; the canonical bytes are built only to serve a fetch.
@@ -953,11 +994,8 @@ impl<C: CoinScheme> SmrProcess<C> {
                 }
                 let Ok(decoded) = reconstruct_verified(r, n, k, frags()) else { continue };
                 let bytes = decoded.payload;
-                if snapshot_hash(&bytes) != fetch.hash {
-                    continue;
-                }
                 let Some(state) = KvState::restore(&bytes) else { continue };
-                if state.applied_epoch() != fetch.epoch {
+                if state.state_hash() != fetch.hash || state.applied_epoch() != fetch.epoch {
                     continue;
                 }
                 found = Some((Snapshot { hash: fetch.hash, state }, bytes.len() as u64));
@@ -1164,6 +1202,68 @@ mod tests {
         assert_ne!(a.state_hash(), c.state_hash());
     }
 
+    /// Serial FNV-1a from `state`, one byte at a time.
+    fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        state
+    }
+
+    /// Serial FNV-1a from `state` over one little-endian word.
+    fn word(state: u64, w: u64) -> u64 {
+        fnv1a(state, &w.to_le_bytes())
+    }
+
+    /// The striped FNV-1a definition, one byte at a time and without
+    /// `Fnv64x4`: lane `i % 4` takes byte `i`, then one serial chain folds
+    /// the four lanes and the length.
+    fn striped(bytes: &[u8]) -> u64 {
+        let basis = 0xcbf2_9ce4_8422_2325;
+        let mut lanes = [basis; 4];
+        for (i, &b) in bytes.iter().enumerate() {
+            lanes[i % 4] = fnv1a(lanes[i % 4], &[b]);
+        }
+        let folded = lanes.iter().fold(basis, |h, lane| word(h, *lane));
+        word(folded, bytes.len() as u64)
+    }
+
+    /// The chain after one tx, by the definition: serial FNV-1a from
+    /// `chain` over the epoch, the proposer and the op's digest form —
+    /// kind byte, key length and key, then the striped hash of each value
+    /// field — or `0xff` and the striped hash of a tx that does not parse.
+    fn chain_link(chain: u64, epoch: u64, proposer: NodeId, tx: &[u8]) -> u64 {
+        let h = word(word(chain, epoch), proposer.index() as u64);
+        let keyed = |kind: u8, key: &[u8]| fnv1a(word(fnv1a(h, &[kind]), key.len() as u64), key);
+        match KvOp::decode(tx) {
+            Some(KvOp::Put { key, value }) => word(keyed(0, &key), striped(&value)),
+            Some(KvOp::Del { key }) => keyed(1, &key),
+            Some(KvOp::Cas { key, expect, value }) => {
+                word(word(keyed(2, &key), striped(&expect)), striped(&value))
+            }
+            None => word(fnv1a(h, &[0xff]), striped(tx)),
+        }
+    }
+
+    /// The state digest by the definition, read off snapshot bytes: the
+    /// striped hash of the 28-byte header and, per entry, the key length,
+    /// the key, the value length and the striped hash of the value.
+    fn digest_of_snapshot(bytes: &[u8]) -> u64 {
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let mut stream = bytes[..28].to_vec();
+        let mut at = 28;
+        while at < bytes.len() {
+            let key_len = u32_at(at);
+            stream.extend_from_slice(&bytes[at..at + 4 + key_len + 4]);
+            at += 4 + key_len;
+            let value_len = u32_at(at);
+            let value = &bytes[at + 4..at + 4 + value_len];
+            stream.extend_from_slice(&striped(value).to_le_bytes());
+            at += 4 + value_len;
+        }
+        striped(&stream)
+    }
+
     #[test]
     fn snapshot_restore_round_trips_and_rejects_corruption() {
         let mut s = KvState::new();
@@ -1172,12 +1272,21 @@ mod tests {
         }
         s.seal_epoch();
         let snap = s.snapshot();
+        // The restored state — map, chain, cursor and every value's
+        // recomputed digest — is the live one.
         assert_eq!(KvState::restore(&snap), Some(s.clone()));
-        assert_eq!(snapshot_hash(&snap), s.state_hash());
+        assert_eq!(digest_of_snapshot(&snap), s.state_hash());
         assert_eq!(KvState::restore(&snap[..snap.len() - 1]), None, "truncated");
         let mut trailing = snap.clone();
         trailing.push(0);
         assert_eq!(KvState::restore(&trailing), None, "trailing bytes");
+        // One value byte altered still parses, but not to this state.
+        let mut altered = snap.clone();
+        if let Some(b) = altered.last_mut() {
+            *b ^= 1;
+        }
+        let restored = KvState::restore(&altered).expect("well-formed");
+        assert_ne!(restored.state_hash(), s.state_hash(), "value byte altered");
         // Hostile entry count.
         let mut hostile = Vec::new();
         put_u64(&mut hostile, 1);
@@ -1191,61 +1300,81 @@ mod tests {
     fn streamed_state_hash_equals_the_hash_of_the_snapshot_bytes() {
         for seed in 0..8u64 {
             let mut s = KvState::new();
-            assert_eq!(s.state_hash(), snapshot_hash(&s.snapshot()));
+            assert_eq!(s.state_hash(), digest_of_snapshot(&s.snapshot()));
             let workload = seeded_workload(seed, NodeId::new(seed as usize % 4), 64);
             for (i, tx) in workload.iter().enumerate() {
                 s.apply_tx(s.applied_epoch(), NodeId::new(i % 4), tx);
                 if i % 8 == 7 {
                     s.seal_epoch();
                 }
-                assert_eq!(s.state_hash(), snapshot_hash(&s.snapshot()), "seed {seed}, op {i}");
+                let bytes = s.snapshot();
+                assert_eq!(s.state_hash(), digest_of_snapshot(&bytes), "seed {seed}, op {i}");
+                // Restored digests are the live ones.
+                assert_eq!(KvState::restore(&bytes).as_ref(), Some(&s), "seed {seed}, op {i}");
             }
             assert!(!s.is_empty(), "seed {seed}: the mix must leave keys to hash");
         }
-    }
-
-    /// Serial FNV-1a from `state`, one byte at a time.
-    fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        state
-    }
-
-    /// The striped FNV-1a definition, one byte at a time and without
-    /// `Fnv64x4`: lane `i % 4` takes byte `i`, then one serial chain folds
-    /// the four lanes and the length.
-    fn striped(bytes: &[u8]) -> u64 {
-        let basis = 0xcbf2_9ce4_8422_2325;
-        let mut lanes = [basis; 4];
-        for (i, &b) in bytes.iter().enumerate() {
-            lanes[i % 4] = fnv1a(lanes[i % 4], &[b]);
-        }
-        let folded = lanes.iter().fold(basis, |h, lane| fnv1a(h, &lane.to_le_bytes()));
-        fnv1a(folded, &(bytes.len() as u64).to_le_bytes())
     }
 
     #[test]
     fn snapshot_hash_and_tx_chain_follow_the_striped_definition() {
         let me = NodeId::new(2);
         let mut s = KvState::new();
-        assert_eq!(snapshot_hash(&s.snapshot()), striped(&s.snapshot()));
-        for (i, tx) in seeded_workload(5, me, 16).iter().enumerate() {
+        assert_eq!(s.state_hash(), digest_of_snapshot(&s.snapshot()));
+        let mut txs = seeded_workload(5, me, 16);
+        // A malformed tx, and a value whose length ends mid-lane.
+        txs.insert(3, vec![0xff, 0xee]);
+        let odd: Vec<u8> = (0..1001).map(|i| (i * 7) as u8).collect();
+        txs.push(KvOp::Put { key: b"odd".to_vec(), value: odd }.encode());
+        for (i, tx) in txs.iter().enumerate() {
             let before = s.chain;
             let epoch = s.applied_epoch();
             s.apply_tx(epoch, me, tx);
-            let expect = [epoch, me.index() as u64, striped(tx)]
-                .iter()
-                .fold(before, |h, word| fnv1a(h, &word.to_le_bytes()));
-            assert_eq!(s.chain, expect, "op {i}: epoch, proposer, striped tx hash");
+            assert_eq!(s.chain, chain_link(before, epoch, me, tx), "op {i}: the chain link");
             if i % 4 == 3 {
                 s.seal_epoch();
             }
-            let bytes = s.snapshot();
-            assert_eq!(snapshot_hash(&bytes), striped(&bytes), "op {i}");
+            assert_eq!(s.state_hash(), digest_of_snapshot(&s.snapshot()), "op {i}");
         }
-        let odd: Vec<u8> = (0..1001).map(|i| (i * 7) as u8).collect();
-        assert_eq!(snapshot_hash(&odd), striped(&odd), "a length that ends mid-lane");
+    }
+
+    #[test]
+    fn state_transfer_rejects_a_snapshot_with_one_value_byte_altered() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let (n, k) = (cfg.n(), cfg.reconstruct_threshold());
+        let mut certified = KvState::new();
+        for tx in seeded_workload(9, NodeId::new(1), 32) {
+            certified.apply_tx(certified.applied_epoch(), NodeId::new(1), &tx);
+        }
+        let epoch = 4;
+        for _ in 0..epoch {
+            certified.seal_epoch();
+        }
+        assert!(!certified.is_empty());
+        let good = certified.snapshot();
+        let mut altered = good.clone();
+        if let Some(b) = altered.last_mut() {
+            *b ^= 1;
+        }
+        // Feeds `k` peers' fragments of `bytes` to a node fetching the
+        // certified checkpoint; returns the epoch it then has applied.
+        let fetch = |bytes: &[u8]| {
+            let mut p =
+                SmrProcess::new(cfg, NodeId::new(0), SmrOptions::default(), Vec::new(), |i| {
+                    CommonCoin::new(1, i)
+                });
+            let hash = certified.state_hash();
+            p.fetch = Some(FetchState { epoch, hash, frags: BTreeMap::new() });
+            let coded = ec_encode(bytes, n, k).expect("valid geometry");
+            for peer in (1..=k).map(NodeId::new) {
+                let fragment = coded.fragments[peer.index()].clone();
+                let _ =
+                    p.on_message(peer, &SmrMessage::Chunk { epoch, root: coded.root, fragment });
+            }
+            p.state().applied_epoch()
+        };
+        assert_eq!(fetch(&good), epoch, "the certified snapshot installs");
+        assert_eq!(fetch(&altered), 0, "a snapshot one value byte off is rejected");
     }
 
     #[test]

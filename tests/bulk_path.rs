@@ -400,7 +400,8 @@ proptest! {
 /// In a live coded-RBC run a node reconstructs from echoes it verified —
 /// and hashed — as they arrived: the codeword check re-hashes only shards
 /// whose echo had not arrived yet, never more than `n − k` of them on
-/// average (it used to re-hash all `n`).
+/// average (it used to re-hash all `n`). A sender delivers the batch it
+/// encoded and reconstructs nothing.
 #[test]
 fn live_reconstructions_rehash_at_most_the_unbuffered_shards() {
     use async_bft::coin::CommonCoin;
@@ -427,7 +428,11 @@ fn live_reconstructions_rehash_at_most_the_unbuffered_shards() {
 
     let metrics = metrics.lock();
     let reconstructions = metrics.rbc_reconstructions();
-    assert_eq!(reconstructions, epochs * (n * n) as u64, "every node decodes every batch");
+    assert_eq!(
+        reconstructions,
+        epochs * (n * (n - 1)) as u64,
+        "every node decodes every batch but its own"
+    );
     assert!(
         metrics.rbc_hashed_shards() <= reconstructions * (n - k) as u64,
         "{} shards re-hashed over {reconstructions} reconstructions: mean above n − k = {}",

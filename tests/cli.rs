@@ -37,7 +37,7 @@ summary: 1/1 completed, 1/1 agreed
 
 const KV: &str = "\
 state-machine mode: n = 4, f = 1, epochs = 8, checkpoint interval = 4, rbc = bracha, restart = yes
-run   0 (seed 0): state hash = 71397fa97d46ff76, epochs = 8, keys = 8, ticks = 2535, msgs = 26038
+run   0 (seed 0): state hash = 76e7b41aefac76b6, epochs = 8, keys = 8, ticks = 2535, msgs = 26038
 
 summary: 1/1 completed, 1/1 agreed
 ";
