@@ -86,7 +86,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_rbc::RbcProcess;
+    use bft_rbc::{RbcKind, RbcProcess};
     use bft_sim::{StopReason, UniformDelay, World, WorldConfig};
     use bft_types::Config;
 
@@ -98,9 +98,20 @@ mod tests {
             let cfg = Config::new(4, 1).unwrap();
             let sender = NodeId::new(0);
             let mut world = World::new(WorldConfig::new(4), UniformDelay::new(1, 20, seed));
-            world.add_faulty_process(Box::new(RbcEquivocator::new(cfg, sender, "a", "b")));
+            world.add_faulty_process(Box::new(RbcEquivocator::new(
+                cfg,
+                sender,
+                "a".to_string(),
+                "b".to_string(),
+            )));
             for id in cfg.nodes().skip(1) {
-                world.add_process(Box::new(RbcProcess::<&str>::new(cfg, id, sender, None)));
+                world.add_process(Box::new(RbcProcess::<String>::new(
+                    cfg,
+                    id,
+                    sender,
+                    RbcKind::Bracha,
+                    None,
+                )));
             }
             let report = world.run();
             // Agreement: whatever was delivered, it is unanimous.

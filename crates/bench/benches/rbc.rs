@@ -1,7 +1,7 @@
 //! Criterion bench backing experiments T3/T4: wall-clock cost of one
 //! reliable-broadcast instance (state machine and full simulation).
 
-use bft_rbc::{RbcInstance, RbcMessage, RbcProcess};
+use bft_rbc::{RbcInstance, RbcKind, RbcMessage, RbcProcess};
 use bft_sim::{FixedDelay, World, WorldConfig};
 use bft_types::{Config, NodeId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -40,7 +40,13 @@ fn bench_full_broadcast(c: &mut Criterion) {
                 let mut world = World::new(WorldConfig::new(n), FixedDelay::new(1));
                 for id in cfg.nodes() {
                     let payload = (id == sender).then(|| "payload".to_string());
-                    world.add_process(Box::new(RbcProcess::new(cfg, id, sender, payload)));
+                    world.add_process(Box::new(RbcProcess::new(
+                        cfg,
+                        id,
+                        sender,
+                        RbcKind::Bracha,
+                        payload,
+                    )));
                 }
                 let report = world.run();
                 assert!(report.all_correct_decided());

@@ -4,7 +4,7 @@
 
 use crate::common::{ExperimentReport, Mode};
 use async_bft::{Cluster, CoinChoice, Schedule};
-use bft_rbc::RbcProcess;
+use bft_rbc::{RbcKind, RbcProcess};
 use bft_sim::{FixedDelay, World, WorldConfig};
 use bft_stats::Table;
 use bft_types::{Config, NodeId};
@@ -16,7 +16,7 @@ fn rbc_messages(n: usize) -> u64 {
     let mut world = World::new(WorldConfig::new(n), FixedDelay::new(1));
     for id in cfg.nodes() {
         let payload = (id == sender).then(|| "m".to_string());
-        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, payload)));
+        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Bracha, payload)));
     }
     let report = world.run();
     assert!(report.all_correct_decided(), "clean RBC must deliver");

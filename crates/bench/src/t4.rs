@@ -4,7 +4,7 @@
 
 use crate::common::{ExperimentReport, Mode, Tally};
 use bft_adversary::{RbcEquivocator, Silent};
-use bft_rbc::{RbcMessage, RbcProcess};
+use bft_rbc::{RbcKind, RbcMessage, RbcProcess};
 use bft_sim::{Report, UniformDelay, World, WorldConfig};
 use bft_stats::Table;
 use bft_types::{Config, NodeId};
@@ -35,6 +35,7 @@ fn run_rbc(n: usize, sender_kind: Sender, seed: u64) -> Report<String> {
             cfg,
             sender,
             sender,
+            RbcKind::Bracha,
             Some("payload".to_string()),
         ))),
         Sender::Equivocating => world.add_faulty_process(Box::new(RbcEquivocator::new(
@@ -48,7 +49,13 @@ fn run_rbc(n: usize, sender_kind: Sender, seed: u64) -> Report<String> {
         }
     }
     for id in cfg.nodes().skip(1) {
-        world.add_process(Box::new(RbcProcess::<String>::new(cfg, id, sender, None)));
+        world.add_process(Box::new(RbcProcess::<String>::new(
+            cfg,
+            id,
+            sender,
+            RbcKind::Bracha,
+            None,
+        )));
     }
     world.run()
 }

@@ -5,7 +5,7 @@ use crate::validation::Validator;
 use crate::{StepPayload, StepTag, Wire};
 use bft_coin::CoinScheme;
 use bft_obs::{Event as ObsEvent, Obs, TraceCtx, TracePhase};
-use bft_rbc::{RbcMux, RbcMuxAction};
+use bft_rbc::{RbcKind, RbcMux, RbcMuxAction};
 use bft_types::{Config, NodeId, Round, Step, Value};
 
 /// Tunables of a [`BrachaNode`].
@@ -94,7 +94,7 @@ impl<C: CoinScheme> BrachaNode<C> {
             me,
             coin,
             options,
-            rbc: RbcMux::new(config, me),
+            rbc: RbcMux::new(config, me, RbcKind::Bracha),
             validator: Validator::new(config, options.validate),
             round: Round::FIRST,
             step: Step::Initial,
@@ -192,11 +192,6 @@ impl<C: CoinScheme> BrachaNode<C> {
     /// The step the node is currently waiting in (diagnostics).
     pub fn step(&self) -> Step {
         self.step
-    }
-
-    /// Number of validated messages for `(round, step)` (diagnostics).
-    pub fn validated_count(&self, round: Round, step: Step) -> usize {
-        self.validator.validated(round, step).len()
     }
 
     /// Number of delivered-but-unvalidated payloads buffered for `round`

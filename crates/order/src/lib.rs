@@ -505,8 +505,6 @@ impl<C: CoinScheme> OrderProcess<C> {
     ) -> Self {
         assert!(opts.batch_max >= 1, "batch_max must be at least 1");
         assert!(opts.pipeline_depth >= 1, "pipeline_depth must be at least 1");
-        let mut rbc = RbcMux::new(config, me);
-        rbc.set_kind(opts.rbc);
         OrderProcess {
             config,
             me,
@@ -514,7 +512,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             coin_for: Box::new(coin_for),
             pending: workload.into(),
             proposed: BTreeMap::new(),
-            rbc,
+            rbc: RbcMux::new(config, me, opts.rbc),
             epochs: BTreeMap::new(),
             next_epoch: 0,
             log: Vec::new(),

@@ -28,10 +28,11 @@
 //! node delivers the canonical empty fallback instead, keeping agreement
 //! and totality intact.
 
+use crate::vote::Votes;
 use crate::{RbcAction, RbcMessage};
 use bft_ec::{self as ec, Fragment, VerifiedFragment};
-use bft_obs::{Event as ObsEvent, Obs, RbcPhase, TraceCtx, TracePhase};
-use bft_types::{Config, NodeBitset, NodeId};
+use bft_obs::{Event as ObsEvent, RbcPhase, TracePhase};
+use bft_types::{Config, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
@@ -100,9 +101,12 @@ impl Echo {
 }
 
 /// The state machine of one erasure-coded reliable-broadcast instance at
-/// one node. Mirrors [`RbcInstance`](crate::RbcInstance) — same action
-/// surface, same observer/trace hooks — but speaks the coded message
-/// variants and buffers fragments instead of full payload copies.
+/// one node. Runs the vote rule of [`RbcInstance`](crate::RbcInstance) —
+/// the shared core, keyed by Merkle root instead of payload, with the
+/// same action surface and events — but speaks the coded message
+/// variants and buffers fragments instead of full payload copies. What it
+/// adds is dissemination: fragment verification and settling, the
+/// sender's own-bytes shortcut, decode, and the `rbc_reconstruct` span.
 ///
 /// Byzantine-resistance notes:
 ///
@@ -125,12 +129,7 @@ impl Echo {
 /// alone holds a payload before delivery: the bytes it encoded.
 #[derive(Clone, Debug)]
 pub struct CodedInstance<P> {
-    config: Config,
-    me: NodeId,
-    sender: NodeId,
-    started: bool,
-    sent_echo: bool,
-    sent_ready: bool,
+    pub(crate) votes: Votes<u64>,
     /// This node's own fragment as verified on `CodedSend`, with its root,
     /// until the echo of it loops back: the bytes were hashed then.
     own: Option<(u64, VerifiedFragment)>,
@@ -142,12 +141,6 @@ pub struct CodedInstance<P> {
     /// hash their verification computed, and at most one held, unhashed
     /// echo per peer. BTree for replay-stable order.
     echoes: BTreeMap<u64, BTreeMap<u16, Echo>>,
-    /// Peers whose (first valid) echo has been counted, any root.
-    echoed_peers: NodeBitset,
-    /// Peers whose (first) ready has been counted, any root.
-    readied_peers: NodeBitset,
-    /// Distinct Ready roots and how many peers support each.
-    readies: Vec<(u64, usize)>,
     /// Root that reached the delivery quorum; delivery then waits only on
     /// the `n − 2f`-th verified fragment.
     deliver_root: Option<u64>,
@@ -155,11 +148,8 @@ pub struct CodedInstance<P> {
     /// The payload type delivered; only its coded bytes are ever stored
     /// (`sent`).
     payload: PhantomData<fn() -> P>,
-    obs: Obs,
-    tag_label: String,
-    trace: Option<TraceCtx>,
-    echo_span_open: bool,
-    ready_span_open: bool,
+    /// Whether this node's `rbc_reconstruct` trace span is open: from the
+    /// delivery quorum to delivery.
     reconstruct_span_open: bool,
 }
 
@@ -170,66 +160,29 @@ where
     /// Creates the instance state for node `me` with designated `sender`.
     pub fn new(config: Config, me: NodeId, sender: NodeId) -> Self {
         CodedInstance {
-            config,
-            me,
-            sender,
-            started: false,
-            sent_echo: false,
-            sent_ready: false,
+            votes: Votes::new(config, me, sender),
             own: None,
             sent: None,
             echoes: BTreeMap::new(),
-            echoed_peers: NodeBitset::new(config.n()),
-            readied_peers: NodeBitset::new(config.n()),
-            readies: Vec::new(),
             deliver_root: None,
             delivered: false,
             payload: PhantomData,
-            obs: Obs::disabled(),
-            tag_label: String::new(),
-            trace: None,
-            echo_span_open: false,
-            ready_span_open: false,
             reconstruct_span_open: false,
         }
     }
 
-    /// Attaches an observer; `tag_label` identifies this instance on the
-    /// emitted events (the multiplexer passes the `Debug`-rendered tag).
-    pub fn set_obs(&mut self, obs: Obs, tag_label: String) {
-        self.obs = obs;
-        self.tag_label = tag_label;
-    }
-
-    /// Attaches the causal-trace identity of this instance's payload (see
-    /// [`RbcInstance::set_trace`](crate::RbcInstance::set_trace)); the
-    /// coded instance additionally spans `rbc_reconstruct` from the
-    /// delivery quorum to reconstruction.
-    pub fn set_trace(&mut self, ctx: TraceCtx) {
-        self.trace = Some(ctx);
-    }
-
-    /// Closes any still-open trace spans at the current observer time.
-    pub fn finish_spans(&mut self) {
-        if let Some(ctx) = self.trace {
-            if self.echo_span_open {
-                self.echo_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcEcho);
-            }
-            if self.ready_span_open {
-                self.ready_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcReady);
-            }
-            if self.reconstruct_span_open {
-                self.reconstruct_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcReconstruct);
-            }
+    /// Closes any still-open trace spans at the current observer time:
+    /// the core's echo and ready spans, then the reconstruct span.
+    pub(crate) fn finish_spans(&mut self) {
+        self.votes.finish_spans();
+        if std::mem::take(&mut self.reconstruct_span_open) {
+            self.votes.end_span(TracePhase::RbcReconstruct);
         }
     }
 
     /// The designated sender of this instance.
     pub fn sender(&self) -> NodeId {
-        self.sender
+        self.votes.sender
     }
 
     /// Whether the instance has delivered. The payload itself is not
@@ -248,7 +201,7 @@ where
     }
 
     fn k(&self) -> usize {
-        self.config.reconstruct_threshold()
+        self.votes.config.reconstruct_threshold()
     }
 
     /// Starts the broadcast: encodes the payload and unicasts fragment
@@ -259,12 +212,12 @@ where
     /// Only meaningful at the designated sender; elsewhere (or on a
     /// repeat call, or if the geometry is unusable) it returns no actions.
     pub fn start(&mut self, payload: P) -> Vec<RbcAction<P>> {
-        if self.me != self.sender || self.started {
+        if !self.votes.start() {
             return Vec::new();
         }
-        self.started = true;
         let bytes = payload.to_coded_bytes();
-        let Ok(coded) = ec::encode(&bytes, self.config.n(), self.k()) else {
+        let n = self.votes.config.n();
+        let Ok(coded) = ec::encode(&bytes, n, self.k()) else {
             // Unusable geometry (n > 255) or oversize payload: nothing to
             // disseminate. The instance stays silent, which is safe — no
             // correct node will ever deliver it.
@@ -272,13 +225,13 @@ where
         };
         let root = coded.root;
         self.sent = Some((root, bytes));
-        let mut actions = Vec::with_capacity(self.config.n());
+        let mut actions = Vec::with_capacity(n);
         for (i, fragment) in coded.fragments.into_iter().enumerate() {
             let to = NodeId::new(i);
             let msg = RbcMessage::CodedSend { root, fragment };
-            if to == self.me {
+            if to == self.votes.me {
                 // Local self-delivery: triggers our own echo immediately.
-                actions.extend(self.on_message(self.me, &msg));
+                actions.extend(self.on_message(to, &msg));
             } else {
                 actions.push(RbcAction::Send { to, msg });
             }
@@ -290,7 +243,7 @@ where
     /// Bracha-variant messages belong to an
     /// [`RbcInstance`](crate::RbcInstance) and are ignored here.
     pub fn on_message(&mut self, from: NodeId, msg: &RbcMessage<P>) -> Vec<RbcAction<P>> {
-        if !self.config.contains(from) {
+        if !self.votes.config.contains(from) {
             return Vec::new();
         }
         let mut actions = Vec::new();
@@ -302,7 +255,13 @@ where
                 self.on_echo(from, *root, fragment, &mut actions);
             }
             RbcMessage::CodedReady { root } => {
-                self.on_ready(from, *root, &mut actions);
+                if self.votes.on_ready(from, root, Self::ready, &mut actions)
+                    && self.deliver_root.is_none()
+                {
+                    self.deliver_root = Some(*root);
+                    self.reconstruct_span_open = self.votes.open_span(TracePhase::RbcReconstruct);
+                    self.maybe_deliver(&mut actions);
+                }
             }
             RbcMessage::Send(_) | RbcMessage::Echo(_) | RbcMessage::Ready(_) => {}
         }
@@ -310,21 +269,15 @@ where
     }
 
     fn on_send(&mut self, from: NodeId, root: u64, frag: &Fragment, out: &mut Vec<RbcAction<P>>) {
-        if from != self.sender || self.sent_echo {
+        if !self.votes.awaits_send(from) {
             return;
         }
-        let Some(verified) = self.check(root, frag, self.me) else {
+        let Some(verified) = self.check(root, frag, self.votes.me) else {
             self.emit_fragment(frag.index, false);
             return;
         };
         self.own = Some((root, verified));
-        self.sent_echo = true;
-        self.emit_phase(RbcPhase::Send);
-        self.emit_phase(RbcPhase::Echo);
-        if let Some(ctx) = self.trace {
-            self.echo_span_open = true;
-            self.obs.span_start(self.me, ctx, TracePhase::RbcEcho, ctx.root);
-        }
+        self.votes.echo();
         out.push(RbcAction::Broadcast(RbcMessage::CodedEcho { root, fragment: frag.clone() }));
     }
 
@@ -339,20 +292,20 @@ where
         // Echoes that can no longer matter are dropped unread: a peer's
         // echo counts once, and after delivery the Ready is out and
         // nothing reads fragments any more.
-        if self.delivered || self.echoed_peers.contains(from) {
+        if self.delivered || self.votes.echoed_peers.contains(from) {
             return;
         }
         // A second echo from a peer settles its held one, which may fill
         // the peer's slot: a replay costs the held echo's hash at most and
         // is never hashed itself.
         self.settle_held_of(from);
-        if self.echoed_peers.contains(from) {
+        if self.votes.echoed_peers.contains(from) {
             return;
         }
         // An echo must carry the echoing peer's own fragment and verify
         // against its commitment. The peer's slot is taken only after
         // verification, so junk cannot burn a correct peer's slot.
-        let echo = if from == self.me {
+        let echo = if from == self.votes.me {
             // A self-echo is checked at once. Our own echo looping back,
             // byte for byte what `on_send` verified under this root, keeps
             // that verdict and leaf.
@@ -364,7 +317,7 @@ where
                 self.emit_fragment(frag.index, false);
                 return;
             };
-            self.echoed_peers.insert(from);
+            self.votes.echoed_peers.insert(from);
             self.emit_fragment(frag.index, true);
             Echo::Verified(verified)
         } else if usize::from(frag.index) == from.index() {
@@ -379,8 +332,8 @@ where
             .echoes
             .get(&root)
             .map_or(0, |frags| frags.values().filter(|echo| echo.verified().is_some()).count());
-        if support >= self.config.quorum() {
-            self.maybe_send_ready(root, RbcPhase::Echo, support, out);
+        if support >= self.votes.config.quorum() {
+            self.votes.maybe_send_ready(&root, RbcPhase::Echo, support, Self::ready, out);
         }
         self.maybe_deliver(out);
     }
@@ -390,7 +343,7 @@ where
     /// that even all of them passing would change no outcome; from then on
     /// every echo of that root is settled the moment it arrives.
     fn settle_if_due(&mut self, root: u64) {
-        let (quorum, k) = (self.config.quorum(), self.k());
+        let (quorum, k) = (self.votes.config.quorum(), self.k());
         let at_delivery = self.deliver_root == Some(root);
         let Some(frags) = self.echoes.get_mut(&root) else { return };
         if frags.len() < quorum && !(at_delivery && frags.len() >= k) {
@@ -419,36 +372,16 @@ where
     /// roots cannot pile up.
     fn settle(&mut self, root: u64, held: Vec<(u16, Fragment)>) {
         let (indices, frags): (Vec<u16>, Vec<Fragment>) = held.into_iter().unzip();
-        let verdicts = VerifiedFragment::check_many(root, self.config.n(), self.k(), frags);
+        let verdicts = VerifiedFragment::check_many(root, self.votes.config.n(), self.k(), frags);
         for (index, verdict) in indices.into_iter().zip(verdicts) {
             self.emit_fragment(index, verdict.is_some());
             if let Some(verified) = verdict {
-                self.echoed_peers.insert(NodeId::new(usize::from(index)));
+                self.votes.echoed_peers.insert(NodeId::new(usize::from(index)));
                 self.echoes.entry(root).or_default().insert(index, Echo::Verified(verified));
             }
         }
         if self.echoes.get(&root).is_some_and(BTreeMap::is_empty) {
             self.echoes.remove(&root);
-        }
-    }
-
-    fn on_ready(&mut self, from: NodeId, root: u64, out: &mut Vec<RbcAction<P>>) {
-        if !self.readied_peers.insert(from) {
-            return;
-        }
-        let count = Self::bump(&mut self.readies, root);
-        if count >= self.config.ready_threshold() {
-            self.maybe_send_ready(root, RbcPhase::Ready, count, out);
-        }
-        if count >= self.config.decide_threshold() && self.deliver_root.is_none() {
-            self.deliver_root = Some(root);
-            if let Some(ctx) = self.trace {
-                if !self.delivered {
-                    self.reconstruct_span_open = true;
-                    self.obs.span_start(self.me, ctx, TracePhase::RbcReconstruct, ctx.root);
-                }
-            }
-            self.maybe_deliver(out);
         }
     }
 
@@ -475,27 +408,14 @@ where
             Some((sent_root, bytes)) if sent_root == root => bytes,
             _ => self.reconstruct(root, verified),
         };
-        let support =
-            self.readies.iter().find(|(r, _)| *r == root).map(|(_, c)| *c).unwrap_or_default();
         // Nothing buffered can change the output from here on (later
         // echoes are dropped unread), so the fragments go now.
         self.delivered = true;
         self.echoes.clear();
         self.own = None;
-        self.obs.emit(self.me, || ObsEvent::RbcDelivered {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
-            support: support as u64,
-        });
-        if let Some(ctx) = self.trace {
-            if self.ready_span_open {
-                self.ready_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcReady);
-            }
-            if self.reconstruct_span_open {
-                self.reconstruct_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcReconstruct);
-            }
+        self.votes.deliver(&root);
+        if std::mem::take(&mut self.reconstruct_span_open) {
+            self.votes.end_span(TracePhase::RbcReconstruct);
         }
         out.push(RbcAction::Deliver(P::from_coded_bytes(bytes)));
     }
@@ -506,14 +426,14 @@ where
     /// canonical empty fallback, which preserves totality.
     fn reconstruct(&self, root: u64, verified: Vec<&VerifiedFragment>) -> Vec<u8> {
         let fragments = verified.len() as u64;
-        let decoded = ec::reconstruct_verified(root, self.config.n(), self.k(), verified);
+        let decoded = ec::reconstruct_verified(root, self.votes.config.n(), self.k(), verified);
         let (bytes, hashed_shards, consistent) = match decoded {
             Ok(decoded) => (decoded.payload, decoded.hashed_shards as u64, true),
             Err(_) => (Vec::new(), 0, false),
         };
-        self.obs.emit(self.me, || ObsEvent::RbcReconstructed {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
+        self.votes.emit(|origin, tag| ObsEvent::RbcReconstructed {
+            origin,
+            tag,
             fragments,
             bytes: bytes.len() as u64,
             hashed_shards,
@@ -528,67 +448,23 @@ where
         if frag.index as usize != owner.index() {
             return None;
         }
-        VerifiedFragment::check(root, self.config.n(), self.k(), frag)
-    }
-
-    fn bump(counts: &mut Vec<(u64, usize)>, root: u64) -> usize {
-        if let Some(entry) = counts.iter_mut().find(|(r, _)| *r == root) {
-            entry.1 += 1;
-            return entry.1;
-        }
-        counts.push((root, 1));
-        1
-    }
-
-    fn emit_phase(&self, phase: RbcPhase) {
-        self.obs.emit(self.me, || ObsEvent::RbcPhaseEntered {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
-            phase,
-        });
+        VerifiedFragment::check(root, self.votes.config.n(), self.k(), frag)
     }
 
     fn emit_fragment(&self, index: u16, verified: bool) {
-        self.obs.emit(self.me, || ObsEvent::RbcFragment {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
-            index: u64::from(index),
-            verified,
-        });
+        let index = u64::from(index);
+        self.votes.emit(|origin, tag| ObsEvent::RbcFragment { origin, tag, index, verified });
     }
 
-    fn maybe_send_ready(
-        &mut self,
-        root: u64,
-        via: RbcPhase,
-        support: usize,
-        actions: &mut Vec<RbcAction<P>>,
-    ) {
-        if !self.sent_ready {
-            self.sent_ready = true;
-            self.obs.emit(self.me, || ObsEvent::RbcQuorumReached {
-                origin: self.sender,
-                tag: self.tag_label.clone(),
-                phase: via,
-                support: support as u64,
-            });
-            self.emit_phase(RbcPhase::Ready);
-            if let Some(ctx) = self.trace {
-                if self.echo_span_open {
-                    self.echo_span_open = false;
-                    self.obs.span_end(self.me, ctx, TracePhase::RbcEcho);
-                }
-                self.ready_span_open = true;
-                self.obs.span_start(self.me, ctx, TracePhase::RbcReady, ctx.root);
-            }
-            actions.push(RbcAction::Broadcast(RbcMessage::CodedReady { root }));
-        }
+    fn ready(&root: &u64) -> RbcMessage<P> {
+        RbcMessage::CodedReady { root }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_obs::{Obs, TraceCtx};
 
     fn cfg() -> Config {
         Config::new(4, 1).unwrap()
@@ -731,7 +607,7 @@ mod tests {
         let (obs, sink) = Obs::new(VecSink::new());
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        inst.set_obs(obs, "t".into());
+        inst.votes.set_obs(obs, "t".into());
         let one = c.fragments[2].weight();
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert_eq!(fragment_events(&sink), 0, "the first echo is held, not yet hashed");
@@ -766,7 +642,7 @@ mod tests {
         let (obs, sink) = Obs::new(VecSink::new());
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        inst.set_obs(obs, "t".into());
+        inst.votes.set_obs(obs, "t".into());
         let mut corrupted = c.fragments[2].clone();
         corrupted.shard[0] ^= 1;
         // Junk, then its replay: the replay settles the junk (one hash, a
@@ -779,11 +655,11 @@ mod tests {
         // and is held in its place.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert_eq!(fragment_events(&sink), 1);
-        assert!(inst.echoed_peers.is_empty(), "no junk took the peer's slot");
+        assert!(inst.votes.echoed_peers.is_empty(), "no junk took the peer's slot");
         // Its replay settles it: the peer is counted, the replay unhashed.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert_eq!(fragment_events(&sink), 1);
-        assert!(inst.echoed_peers.contains(n(2)));
+        assert!(inst.votes.echoed_peers.contains(n(2)));
         assert_eq!(inst.buffered_fragment_bytes(), c.fragments[2].weight());
     }
 
@@ -804,7 +680,7 @@ mod tests {
         // The flood burned nothing: the peer's valid echo still counts.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
-        assert!(inst.echoed_peers.contains(n(2)));
+        assert!(inst.votes.echoed_peers.contains(n(2)));
         assert_eq!(inst.buffered_fragment_bytes(), one);
     }
 
@@ -963,7 +839,7 @@ mod tests {
         let mut insts: Vec<Inst> = (0..nodes)
             .map(|i| {
                 let mut inst = Inst::new(cfg, n(i), n(0));
-                inst.set_obs(obs.clone(), "t".into());
+                inst.votes.set_obs(obs.clone(), "t".into());
                 inst
             })
             .collect();
@@ -1089,9 +965,9 @@ mod tests {
         let (obs, sink) = Obs::new(VecSink::new());
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        inst.set_obs(obs.clone(), "t".into());
+        inst.votes.set_obs(obs.clone(), "t".into());
         let ctx = TraceCtx::derive(n(0), 0, 0);
-        inst.set_trace(ctx);
+        inst.votes.set_trace(Some(ctx));
         let _ = inst.on_message(
             n(0),
             &RbcMessage::CodedSend { root: c.root, fragment: c.fragments[1].clone() },
@@ -1126,8 +1002,8 @@ mod tests {
         let (obs, sink) = Obs::new(VecSink::new());
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        inst.set_obs(obs.clone(), "t".into());
-        inst.set_trace(TraceCtx::derive(n(0), 0, 0));
+        inst.votes.set_obs(obs.clone(), "t".into());
+        inst.votes.set_trace(Some(TraceCtx::derive(n(0), 0, 0)));
         // Reach the ready quorum without fragments: reconstruct span opens.
         for i in [0usize, 2, 3] {
             let _ = inst.on_message(n(i), &RbcMessage::CodedReady { root: c.root });

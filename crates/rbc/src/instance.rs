@@ -1,8 +1,9 @@
 //! A single reliable-broadcast instance.
 
+use crate::vote::{bump, Votes};
 use crate::RbcMessage;
-use bft_obs::{Event as ObsEvent, Obs, RbcPhase, TraceCtx, TracePhase};
-use bft_types::{Config, NodeBitset, NodeId};
+use bft_obs::RbcPhase;
+use bft_types::{Config, NodeId};
 use std::fmt;
 
 /// An instruction produced by an [`RbcInstance`] for its host.
@@ -32,46 +33,23 @@ pub enum RbcAction<P> {
 /// executes the returned actions; if this node is the designated sender it
 /// kicks the instance off with [`RbcInstance::start`].
 ///
+/// The vote rule — echo once, Ready on the echo quorum or `f + 1` Readys,
+/// deliver on `2f + 1` — is the shared core's; this instance adds full
+/// payloads: it echoes the payload it was sent, counts echoes per payload
+/// and keeps the payload it delivered.
+///
 /// Byzantine-resistance notes:
 ///
 /// * A `Send` is honoured only if it arrives from the designated sender
 ///   (channels are authenticated), and only the first one counts.
 /// * At most one `Echo` and one `Ready` per peer are counted; later
 ///   (possibly conflicting) ones from the same peer are ignored.
-///
-/// Hot-path layout: per-peer dedup happens *before* payload counting
-/// (the `*_peers` bitsets), so the per-payload supporter sets collapse to
-/// plain counts — honest runs keep exactly one `(payload, count)` entry
-/// and the adversarial worst case stays at one entry per distinct
-/// payload, probed by linear scan without hashing.
 #[derive(Clone, Debug)]
 pub struct RbcInstance<P> {
-    config: Config,
-    me: NodeId,
-    sender: NodeId,
+    pub(crate) votes: Votes<P>,
     /// Distinct Echo payloads and how many peers support each.
     echoes: Vec<(P, usize)>,
-    /// Distinct Ready payloads and how many peers support each.
-    readies: Vec<(P, usize)>,
-    /// Nodes we've already counted an Echo from (any payload).
-    echoed_peers: NodeBitset,
-    /// Nodes we've already counted a Ready from (any payload).
-    readied_peers: NodeBitset,
-    sent_echo: bool,
-    sent_ready: bool,
-    started: bool,
     delivered: Option<P>,
-    obs: Obs,
-    /// `Debug`-rendered multiplexer tag carried on emitted events (empty
-    /// for untagged instances).
-    tag_label: String,
-    /// Causal-trace identity of the carried payload, when the host
-    /// protocol traces this instance (the ordering layer's batch RBCs).
-    trace: Option<TraceCtx>,
-    /// Whether this node's `rbc_echo` trace span is currently open.
-    echo_span_open: bool,
-    /// Whether this node's `rbc_ready` trace span is currently open.
-    ready_span_open: bool,
 }
 
 impl<P> RbcInstance<P>
@@ -80,62 +58,12 @@ where
 {
     /// Creates the instance state for node `me` with designated `sender`.
     pub fn new(config: Config, me: NodeId, sender: NodeId) -> Self {
-        RbcInstance {
-            config,
-            me,
-            sender,
-            echoes: Vec::new(),
-            readies: Vec::new(),
-            echoed_peers: NodeBitset::new(config.n()),
-            readied_peers: NodeBitset::new(config.n()),
-            sent_echo: false,
-            sent_ready: false,
-            started: false,
-            delivered: None,
-            obs: Obs::disabled(),
-            tag_label: String::new(),
-            trace: None,
-            echo_span_open: false,
-            ready_span_open: false,
-        }
-    }
-
-    /// Attaches an observer; `tag_label` identifies this instance on the
-    /// emitted events (the multiplexer passes the `Debug`-rendered tag).
-    pub fn set_obs(&mut self, obs: Obs, tag_label: String) {
-        self.obs = obs;
-        self.tag_label = tag_label;
-    }
-
-    /// Attaches the causal-trace identity of this instance's payload.
-    /// From here on the instance opens an `rbc_echo` span when it echoes,
-    /// hands over to an `rbc_ready` span when it turns Ready, and closes
-    /// that at delivery. Requires an observer (see [`RbcInstance::set_obs`])
-    /// for the spans to go anywhere.
-    pub fn set_trace(&mut self, ctx: TraceCtx) {
-        self.trace = Some(ctx);
-    }
-
-    /// Closes any still-open trace spans at the current observer time —
-    /// called when the host garbage-collects the instance, so span
-    /// conservation (`SpanStart` ⇔ `SpanEnd`) survives instances that
-    /// never reached delivery.
-    pub fn finish_spans(&mut self) {
-        if let Some(ctx) = self.trace {
-            if self.echo_span_open {
-                self.echo_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcEcho);
-            }
-            if self.ready_span_open {
-                self.ready_span_open = false;
-                self.obs.span_end(self.me, ctx, TracePhase::RbcReady);
-            }
-        }
+        RbcInstance { votes: Votes::new(config, me, sender), echoes: Vec::new(), delivered: None }
     }
 
     /// The designated sender of this instance.
     pub fn sender(&self) -> NodeId {
-        self.sender
+        self.votes.sender
     }
 
     /// The delivered payload, if delivery has occurred.
@@ -149,10 +77,9 @@ where
     /// non-sender node) returns no actions — the instance ignores the
     /// attempt rather than equivocating.
     pub fn start(&mut self, payload: P) -> Vec<RbcAction<P>> {
-        if self.me != self.sender || self.started {
+        if !self.votes.start() {
             return Vec::new();
         }
-        self.started = true;
         vec![RbcAction::Broadcast(RbcMessage::Send(payload))]
     }
 
@@ -162,53 +89,34 @@ where
     /// allocation across recipients); the payload is cloned only when it
     /// is stored or re-broadcast.
     pub fn on_message(&mut self, from: NodeId, msg: &RbcMessage<P>) -> Vec<RbcAction<P>> {
-        if !self.config.contains(from) {
+        if !self.votes.config.contains(from) {
             return Vec::new();
         }
+        let ready = |payload: &P| RbcMessage::Ready(payload.clone());
         let mut actions = Vec::new();
         match msg {
             RbcMessage::Send(payload) => {
-                // Only the designated sender's first Send triggers an Echo.
-                if from == self.sender && !self.sent_echo {
-                    self.sent_echo = true;
-                    self.emit_phase(RbcPhase::Send);
-                    self.emit_phase(RbcPhase::Echo);
-                    if let Some(ctx) = self.trace {
-                        self.echo_span_open = true;
-                        self.obs.span_start(self.me, ctx, TracePhase::RbcEcho, ctx.root);
-                    }
+                if self.votes.awaits_send(from) {
+                    self.votes.echo();
                     actions.push(RbcAction::Broadcast(RbcMessage::Echo(payload.clone())));
                 }
             }
             RbcMessage::Echo(payload) => {
-                if self.echoed_peers.insert(from) {
-                    let count = Self::bump(&mut self.echoes, payload);
-                    if count >= self.config.echo_threshold() {
-                        self.maybe_send_ready(payload, RbcPhase::Echo, count, &mut actions);
+                if self.votes.echoed_peers.insert(from) {
+                    let count = bump(&mut self.echoes, payload);
+                    if count >= self.votes.config.echo_threshold() {
+                        let via = RbcPhase::Echo;
+                        self.votes.maybe_send_ready(payload, via, count, ready, &mut actions);
                     }
                 }
             }
             RbcMessage::Ready(payload) => {
-                if self.readied_peers.insert(from) {
-                    let count = Self::bump(&mut self.readies, payload);
-                    if count >= self.config.ready_threshold() {
-                        self.maybe_send_ready(payload, RbcPhase::Ready, count, &mut actions);
-                    }
-                    if count >= self.config.decide_threshold() && self.delivered.is_none() {
-                        self.delivered = Some(payload.clone());
-                        self.obs.emit(self.me, || ObsEvent::RbcDelivered {
-                            origin: self.sender,
-                            tag: self.tag_label.clone(),
-                            support: count as u64,
-                        });
-                        if let Some(ctx) = self.trace {
-                            if self.ready_span_open {
-                                self.ready_span_open = false;
-                                self.obs.span_end(self.me, ctx, TracePhase::RbcReady);
-                            }
-                        }
-                        actions.push(RbcAction::Deliver(payload.clone()));
-                    }
+                if self.votes.on_ready(from, payload, ready, &mut actions)
+                    && self.delivered.is_none()
+                {
+                    self.delivered = Some(payload.clone());
+                    self.votes.deliver(payload);
+                    actions.push(RbcAction::Deliver(payload.clone()));
                 }
             }
             // Coded-variant traffic belongs to a `CodedInstance`; a Bracha
@@ -219,61 +127,12 @@ where
         }
         actions
     }
-
-    /// Increments `payload`'s supporter count, returning the new count.
-    /// Linear probe: honest executions have exactly one distinct payload.
-    fn bump(counts: &mut Vec<(P, usize)>, payload: &P) -> usize {
-        if let Some(entry) = counts.iter_mut().find(|(p, _)| p == payload) {
-            entry.1 += 1;
-            return entry.1;
-        }
-        counts.push((payload.clone(), 1));
-        1
-    }
-
-    fn emit_phase(&self, phase: RbcPhase) {
-        self.obs.emit(self.me, || ObsEvent::RbcPhaseEntered {
-            origin: self.sender,
-            tag: self.tag_label.clone(),
-            phase,
-        });
-    }
-
-    /// Broadcasts our Ready once, on the first quorum that justifies it:
-    /// `via` records which quorum (echo threshold or `f + 1` Ready
-    /// amplification) and `support` its size.
-    fn maybe_send_ready(
-        &mut self,
-        payload: &P,
-        via: RbcPhase,
-        support: usize,
-        actions: &mut Vec<RbcAction<P>>,
-    ) {
-        if !self.sent_ready {
-            self.sent_ready = true;
-            self.obs.emit(self.me, || ObsEvent::RbcQuorumReached {
-                origin: self.sender,
-                tag: self.tag_label.clone(),
-                phase: via,
-                support: support as u64,
-            });
-            self.emit_phase(RbcPhase::Ready);
-            if let Some(ctx) = self.trace {
-                if self.echo_span_open {
-                    self.echo_span_open = false;
-                    self.obs.span_end(self.me, ctx, TracePhase::RbcEcho);
-                }
-                self.ready_span_open = true;
-                self.obs.span_start(self.me, ctx, TracePhase::RbcReady, ctx.root);
-            }
-            actions.push(RbcAction::Broadcast(RbcMessage::Ready(payload.clone())));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_obs::{Event as ObsEvent, TraceCtx, TracePhase};
 
     fn cfg() -> Config {
         Config::new(4, 1).unwrap()
@@ -383,7 +242,7 @@ mod tests {
     fn messages_from_unknown_nodes_are_dropped() {
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
         assert!(inst.on_message(n(7), &RbcMessage::Ready("m")).is_empty());
-        assert!(inst.readied_peers.is_empty());
+        assert!(inst.votes.readied_peers.is_empty());
     }
 
     fn span_events(events: &[(u64, NodeId, ObsEvent)]) -> Vec<(u64, ObsEvent)> {
@@ -398,9 +257,9 @@ mod tests {
     fn traced_instance_emits_balanced_echo_and_ready_spans() {
         let (obs, sink) = bft_obs::Obs::new(bft_obs::VecSink::new());
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
-        inst.set_obs(obs.clone(), "t".into());
+        inst.votes.set_obs(obs.clone(), "t".into());
         let ctx = TraceCtx::derive(n(0), 0, 0);
-        inst.set_trace(ctx);
+        inst.votes.set_trace(Some(ctx));
         obs.set_now(1);
         let _ = inst.on_message(n(0), &RbcMessage::Send("m"));
         obs.set_now(2);
@@ -443,12 +302,12 @@ mod tests {
     fn finish_spans_closes_open_spans_exactly_once() {
         let (obs, sink) = bft_obs::Obs::new(bft_obs::VecSink::new());
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
-        inst.set_obs(obs.clone(), "t".into());
-        inst.set_trace(TraceCtx::derive(n(0), 0, 0));
+        inst.votes.set_obs(obs.clone(), "t".into());
+        inst.votes.set_trace(Some(TraceCtx::derive(n(0), 0, 0)));
         let _ = inst.on_message(n(0), &RbcMessage::Send("m"));
         obs.set_now(9);
-        inst.finish_spans();
-        inst.finish_spans();
+        inst.votes.finish_spans();
+        inst.votes.finish_spans();
         let events = sink.lock().take();
         let spans = span_events(&events);
         assert_eq!(spans.len(), 2, "one start, one GC close: {spans:?}");

@@ -33,7 +33,14 @@
 //! Big payloads have a second implementation: [`CodedInstance`] speaks an
 //! AVID-style erasure-coded variant (fragment unicast + fragment echoes,
 //! O(n·B) bytes on the wire instead of Bracha's O(n²·B)) behind the same
-//! action surface. [`RbcMux`] selects per-mux via [`RbcKind`].
+//! action surface. Both run one crate-private vote core, which owns steps
+//! 2–4: the echo and Ready flags, per-peer dedup, the Ready tally with its
+//! `f + 1` and `2f + 1` thresholds, and the phase, quorum, delivery and
+//! echo/ready span events. Over it [`RbcInstance`] counts echoes per
+//! payload and keeps the payload it delivered; [`CodedInstance`] votes on
+//! a Merkle root and adds fragment verification, the sender's own-bytes
+//! shortcut, decode and the reconstruct span. The [`RbcKind`] is fixed
+//! when an [`RbcMux`] or [`RbcProcess`] is built.
 //!
 //! # Example
 //!
@@ -62,10 +69,11 @@ mod msg;
 mod mux;
 mod process;
 pub mod simple;
+mod vote;
 
 pub use coded::{CodedInstance, CodedPayload};
 pub use instance::{RbcAction, RbcInstance};
 pub use msg::RbcMessage;
 pub use mux::{RbcKind, RbcMux, RbcMuxAction, RbcMuxMessage};
-pub use process::{CodedProcess, RbcProcess};
+pub use process::RbcProcess;
 pub use simple::EchoBroadcast;

@@ -12,7 +12,8 @@ use bft_types::{Config, NodeId};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Which reliable-broadcast implementation a mux runs for its instances.
+/// Which reliable-broadcast implementation an instance runs, fixed when
+/// the mux or process that holds it is built.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RbcKind {
     /// Bracha's original full-payload Send/Echo/Ready protocol.
@@ -48,7 +49,9 @@ impl fmt::Display for RbcKind {
     }
 }
 
-/// One instance of either implementation, behind a uniform surface.
+/// One instance of either implementation, behind a uniform surface: the
+/// runtime-selected instance [`RbcMux`] and [`RbcProcess`](crate::RbcProcess)
+/// hold. Dispatch is a `match`, static in each arm.
 ///
 /// The coded state is boxed: it is the larger variant, and the agreement
 /// layer keeps thousands of Bracha instances live per epoch in maps of
@@ -57,7 +60,7 @@ impl fmt::Display for RbcKind {
 /// variant would cost those instances an allocation and a hop each.
 #[derive(Clone, Debug)]
 #[allow(clippy::large_enum_variant)]
-enum Inst<P> {
+pub(crate) enum Inst<P> {
     Bracha(RbcInstance<P>),
     Coded(Box<CodedInstance<P>>),
 }
@@ -66,14 +69,36 @@ impl<P> Inst<P>
 where
     P: CodedPayload + Clone + Eq + fmt::Debug,
 {
-    fn on_message(&mut self, from: NodeId, msg: &RbcMessage<P>) -> Vec<RbcAction<P>> {
+    pub(crate) fn new(kind: RbcKind, config: Config, me: NodeId, sender: NodeId) -> Self {
+        match kind {
+            RbcKind::Bracha => Inst::Bracha(RbcInstance::new(config, me, sender)),
+            RbcKind::Coded => Inst::Coded(Box::new(CodedInstance::new(config, me, sender))),
+        }
+    }
+
+    /// Attaches an observer, `tag_label` naming the instance on its events,
+    /// and the payload's causal-trace identity when there is one.
+    fn observe(&mut self, obs: Obs, tag_label: String, trace: Option<TraceCtx>) {
+        match self {
+            Inst::Bracha(i) => {
+                i.votes.set_obs(obs, tag_label);
+                i.votes.set_trace(trace);
+            }
+            Inst::Coded(i) => {
+                i.votes.set_obs(obs, tag_label);
+                i.votes.set_trace(trace);
+            }
+        }
+    }
+
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: &RbcMessage<P>) -> Vec<RbcAction<P>> {
         match self {
             Inst::Bracha(i) => i.on_message(from, msg),
             Inst::Coded(i) => i.on_message(from, msg),
         }
     }
 
-    fn start(&mut self, payload: P) -> Vec<RbcAction<P>> {
+    pub(crate) fn start(&mut self, payload: P) -> Vec<RbcAction<P>> {
         match self {
             Inst::Bracha(i) => i.start(payload),
             Inst::Coded(i) => i.start(payload),
@@ -91,7 +116,7 @@ where
 
     fn finish_spans(&mut self) {
         match self {
-            Inst::Bracha(i) => i.finish_spans(),
+            Inst::Bracha(i) => i.votes.finish_spans(),
             Inst::Coded(i) => i.finish_spans(),
         }
     }
@@ -166,13 +191,13 @@ pub enum RbcMuxAction<T, P> {
 /// # Example
 ///
 /// ```
-/// use bft_rbc::{RbcMux, RbcMuxAction};
+/// use bft_rbc::{RbcKind, RbcMux, RbcMuxAction};
 /// use bft_types::{Config, NodeId};
 ///
 /// # fn main() -> Result<(), bft_types::ConfigError> {
 /// let cfg = Config::new(4, 1)?;
 /// let me = NodeId::new(2);
-/// let mut mux: RbcMux<u64, String> = RbcMux::new(cfg, me);
+/// let mut mux: RbcMux<u64, String> = RbcMux::new(cfg, me, RbcKind::Bracha);
 ///
 /// // Reliably broadcast our round-1 payload.
 /// let actions = mux.broadcast(1, "proposal".to_string());
@@ -184,8 +209,8 @@ pub enum RbcMuxAction<T, P> {
 pub struct RbcMux<T, P> {
     config: Config,
     me: NodeId,
-    /// Which implementation newly-created instances run (existing
-    /// instances keep theirs).
+    /// Which implementation every instance runs. All nodes of a system
+    /// must build their muxes with the same kind.
     kind: RbcKind,
     // Ordered (not hashed) so that `deliveries()` and `retain` visit
     // instances in a replay-stable order.
@@ -202,29 +227,10 @@ where
     T: Clone + Ord + fmt::Debug,
     P: CodedPayload + Clone + Eq + fmt::Debug,
 {
-    /// Creates an empty multiplexer for node `me`, running Bracha
-    /// instances (see [`RbcMux::set_kind`]).
-    pub fn new(config: Config, me: NodeId) -> Self {
-        RbcMux {
-            config,
-            me,
-            kind: RbcKind::Bracha,
-            instances: BTreeMap::new(),
-            obs: Obs::disabled(),
-            tracer: None,
-        }
-    }
-
-    /// Selects the implementation for instances created from here on —
-    /// set it before the first message flows so the whole mux agrees.
-    /// All nodes of a system must configure the same kind.
-    pub fn set_kind(&mut self, kind: RbcKind) {
-        self.kind = kind;
-    }
-
-    /// The implementation newly-created instances run.
-    pub fn kind(&self) -> RbcKind {
-        self.kind
+    /// Creates an empty multiplexer for node `me` whose instances run
+    /// `kind`.
+    pub fn new(config: Config, me: NodeId, kind: RbcKind) -> Self {
+        RbcMux { config, me, kind, instances: BTreeMap::new(), obs: Obs::disabled(), tracer: None }
     }
 
     /// Attaches an observer. Instances created from here on emit RBC
@@ -261,36 +267,14 @@ where
     }
 
     fn instance(&mut self, sender: NodeId, tag: T) -> &mut Inst<P> {
-        let config = self.config;
-        let me = self.me;
-        let kind = self.kind;
-        let obs = &self.obs;
-        let tracer = self.tracer;
+        let (config, me, kind, tracer, obs) =
+            (self.config, self.me, self.kind, self.tracer, &self.obs);
         self.instances.entry((sender, tag)).or_insert_with_key(|(sender, tag)| {
-            let label_ctx =
-                obs.enabled().then(|| (format!("{tag:?}"), tracer.and_then(|t| t(*sender, tag))));
-            match kind {
-                RbcKind::Bracha => {
-                    let mut inst = RbcInstance::new(config, me, *sender);
-                    if let Some((label, ctx)) = label_ctx {
-                        inst.set_obs(obs.clone(), label);
-                        if let Some(ctx) = ctx {
-                            inst.set_trace(ctx);
-                        }
-                    }
-                    Inst::Bracha(inst)
-                }
-                RbcKind::Coded => {
-                    let mut inst = CodedInstance::new(config, me, *sender);
-                    if let Some((label, ctx)) = label_ctx {
-                        inst.set_obs(obs.clone(), label);
-                        if let Some(ctx) = ctx {
-                            inst.set_trace(ctx);
-                        }
-                    }
-                    Inst::Coded(Box::new(inst))
-                }
+            let mut inst = Inst::new(kind, config, me, *sender);
+            if obs.enabled() {
+                inst.observe(obs.clone(), format!("{tag:?}"), tracer.and_then(|t| t(*sender, tag)));
             }
+            inst
         })
     }
 
@@ -403,7 +387,8 @@ mod tests {
     /// simple synchronous message pump, and checks everyone delivers.
     #[test]
     fn four_muxes_deliver_the_senders_payload() {
-        let mut muxes: Vec<RbcMux<u8, String>> = (0..4).map(|i| RbcMux::new(cfg(), n(i))).collect();
+        let mut muxes: Vec<RbcMux<u8, String>> =
+            (0..4).map(|i| RbcMux::new(cfg(), n(i), RbcKind::Bracha)).collect();
         let mut inbox: Vec<(NodeId, RbcMuxMessage<u8, String>)> = Vec::new();
 
         fn dispatch(
@@ -452,13 +437,8 @@ mod tests {
     #[test]
     fn four_coded_muxes_free_fragments_at_delivery() {
         let payload: String = "x".repeat(500);
-        let mut muxes: Vec<RbcMux<u8, String>> = (0..4)
-            .map(|i| {
-                let mut m = RbcMux::new(cfg(), n(i));
-                m.set_kind(RbcKind::Coded);
-                m
-            })
-            .collect();
+        let mut muxes: Vec<RbcMux<u8, String>> =
+            (0..4).map(|i| RbcMux::new(cfg(), n(i), RbcKind::Coded)).collect();
         let mut inbox: Vec<(NodeId, NodeId, RbcMuxMessage<u8, String>)> = Vec::new();
         let mut delivered: Vec<(NodeId, String)> = Vec::new();
 
@@ -508,8 +488,7 @@ mod tests {
     fn kinds_ignore_each_others_messages() {
         let c = bft_ec::encode(b"payload", 4, 2).unwrap();
         // A coded mux ignores Bracha traffic…
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
-        mux.set_kind(RbcKind::Coded);
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Coded);
         for i in [0usize, 2, 3] {
             let acts = mux.on_message(
                 n(i),
@@ -519,7 +498,7 @@ mod tests {
         }
         assert_eq!(mux.delivered(n(0), &1), None);
         // …and a Bracha mux ignores coded traffic.
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         for i in [0usize, 2, 3] {
             let acts = mux.on_message(
                 n(i),
@@ -536,7 +515,7 @@ mod tests {
 
     #[test]
     fn instances_are_isolated_by_tag() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         // Echoes for tag 1 must not count toward tag 2.
         for i in [0usize, 2, 3] {
             let _ = mux.on_message(
@@ -554,7 +533,7 @@ mod tests {
 
     #[test]
     fn instances_are_isolated_by_sender() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         let _ = mux.on_message(
             n(2),
             &RbcMuxMessage { sender: n(2), tag: 1, msg: RbcMessage::Ready("a".to_string()) },
@@ -571,7 +550,7 @@ mod tests {
 
     #[test]
     fn messages_for_out_of_range_senders_are_dropped() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         let acts = mux.on_message(
             n(2),
             &RbcMuxMessage { sender: n(9), tag: 1, msg: RbcMessage::Ready("a".to_string()) },
@@ -582,7 +561,7 @@ mod tests {
 
     #[test]
     fn retain_garbage_collects() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(0));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(0), RbcKind::Bracha);
         let _ = mux.broadcast(1, "a".to_string());
         let _ = mux.broadcast(2, "b".to_string());
         assert_eq!(mux.instance_count(), 2);
@@ -599,7 +578,7 @@ mod tests {
         }
 
         let (obs, sink) = Obs::new(VecSink::new());
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         mux.set_obs(obs.clone());
         mux.set_tracer(tracer);
 
@@ -629,7 +608,7 @@ mod tests {
 
     #[test]
     fn deliveries_iterates_completed_instances() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1));
+        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         for i in [0usize, 2, 3] {
             let _ = mux.on_message(
                 n(i),

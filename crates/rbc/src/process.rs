@@ -1,24 +1,14 @@
 //! Running a single reliable-broadcast instance as a transport-driven
 //! [`Process`].
 
-use crate::{CodedInstance, CodedPayload, RbcAction, RbcInstance, RbcMessage};
+use crate::mux::Inst;
+use crate::{CodedPayload, RbcAction, RbcKind, RbcMessage};
 use bft_types::{Config, Effect, NodeId, Process};
 use std::fmt;
-use std::hash::Hash;
 
-fn lift<P>(actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
-    actions
-        .into_iter()
-        .map(|a| match a {
-            RbcAction::Broadcast(msg) => Effect::Broadcast { msg },
-            RbcAction::Send { to, msg } => Effect::Send { to, msg },
-            RbcAction::Deliver(p) => Effect::Output(p),
-        })
-        .collect()
-}
-
-/// One node participating in one reliable-broadcast instance, packaged as
-/// a [`Process`] so it can run under `bft-sim` or `bft-net`.
+/// One node participating in one reliable-broadcast instance of either
+/// [`RbcKind`], packaged as a [`Process`] so it can run under `bft-sim` or
+/// `bft-net`.
 ///
 /// The designated sender is constructed with the payload it will
 /// broadcast; other nodes are constructed without one. The process output
@@ -27,7 +17,7 @@ fn lift<P>(actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
 /// # Example
 ///
 /// ```
-/// use bft_rbc::RbcProcess;
+/// use bft_rbc::{RbcKind, RbcProcess};
 /// use bft_sim::{FixedDelay, World, WorldConfig};
 /// use bft_types::{Config, NodeId};
 ///
@@ -37,7 +27,7 @@ fn lift<P>(actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
 /// let mut world = World::new(WorldConfig::new(4), FixedDelay::new(1));
 /// for id in cfg.nodes() {
 ///     let payload = (id == sender).then(|| "hello".to_string());
-///     world.add_process(Box::new(RbcProcess::new(cfg, id, sender, payload)));
+///     world.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Bracha, payload)));
 /// }
 /// let report = world.run();
 /// assert_eq!(report.unanimous_output(), Some("hello".to_string()));
@@ -47,85 +37,45 @@ fn lift<P>(actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
 #[derive(Clone, Debug)]
 pub struct RbcProcess<P> {
     id: NodeId,
-    instance: RbcInstance<P>,
+    instance: Inst<P>,
     payload: Option<P>,
+    /// The delivered payload, recorded from the `Deliver` action (a coded
+    /// instance hands it over and keeps none).
+    output: Option<P>,
 }
 
 impl<P> RbcProcess<P>
 where
-    P: Clone + Eq + Hash + fmt::Debug,
+    P: CodedPayload + Clone + Eq + fmt::Debug,
 {
-    /// Creates a participant. `payload` must be `Some` exactly at the
-    /// designated sender (it is ignored elsewhere).
-    pub fn new(config: Config, id: NodeId, sender: NodeId, payload: Option<P>) -> Self {
-        RbcProcess { id, instance: RbcInstance::new(config, id, sender), payload }
+    /// Creates a participant running a `kind` instance. `payload` must be
+    /// `Some` exactly at the designated sender (it is ignored elsewhere).
+    pub fn new(
+        config: Config,
+        id: NodeId,
+        sender: NodeId,
+        kind: RbcKind,
+        payload: Option<P>,
+    ) -> Self {
+        RbcProcess { id, instance: Inst::new(kind, config, id, sender), payload, output: None }
+    }
+
+    fn lift(&mut self, actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
+        actions
+            .into_iter()
+            .map(|action| match action {
+                RbcAction::Broadcast(msg) => Effect::Broadcast { msg },
+                RbcAction::Send { to, msg } => Effect::Send { to, msg },
+                RbcAction::Deliver(p) => {
+                    self.output = Some(p.clone());
+                    Effect::Output(p)
+                }
+            })
+            .collect()
     }
 }
 
 impl<P> Process for RbcProcess<P>
-where
-    P: Clone + Eq + Hash + fmt::Debug,
-{
-    type Msg = RbcMessage<P>;
-    type Output = P;
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn on_start(&mut self) -> Vec<Effect<Self::Msg, Self::Output>> {
-        match self.payload.take() {
-            Some(p) => lift(self.instance.start(p)),
-            None => Vec::new(),
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: &Self::Msg,
-    ) -> Vec<Effect<Self::Msg, Self::Output>> {
-        lift(self.instance.on_message(from, msg))
-    }
-
-    fn output(&self) -> Option<P> {
-        self.instance.delivered().cloned()
-    }
-}
-
-/// One node participating in one **erasure-coded** reliable-broadcast
-/// instance, packaged as a [`Process`] — the coded counterpart of
-/// [`RbcProcess`], runnable under `bft-sim` or `bft-net` unchanged.
-#[derive(Clone, Debug)]
-pub struct CodedProcess<P> {
-    id: NodeId,
-    instance: CodedInstance<P>,
-    payload: Option<P>,
-    /// The delivered payload: the instance hands it over and keeps none.
-    output: Option<P>,
-}
-
-impl<P> CodedProcess<P>
-where
-    P: CodedPayload + Clone + Eq + fmt::Debug,
-{
-    /// Creates a participant. `payload` must be `Some` exactly at the
-    /// designated sender (it is ignored elsewhere).
-    pub fn new(config: Config, id: NodeId, sender: NodeId, payload: Option<P>) -> Self {
-        CodedProcess { id, instance: CodedInstance::new(config, id, sender), payload, output: None }
-    }
-
-    fn lift_and_record(&mut self, actions: Vec<RbcAction<P>>) -> Vec<Effect<RbcMessage<P>, P>> {
-        for a in &actions {
-            if let RbcAction::Deliver(p) = a {
-                self.output = Some(p.clone());
-            }
-        }
-        lift(actions)
-    }
-}
-
-impl<P> Process for CodedProcess<P>
 where
     P: CodedPayload + Clone + Eq + fmt::Debug,
 {
@@ -140,7 +90,7 @@ where
         match self.payload.take() {
             Some(p) => {
                 let actions = self.instance.start(p);
-                self.lift_and_record(actions)
+                self.lift(actions)
             }
             None => Vec::new(),
         }
@@ -152,7 +102,7 @@ where
         msg: &Self::Msg,
     ) -> Vec<Effect<Self::Msg, Self::Output>> {
         let actions = self.instance.on_message(from, msg);
-        self.lift_and_record(actions)
+        self.lift(actions)
     }
 
     fn output(&self) -> Option<P> {
@@ -171,7 +121,7 @@ mod tests {
         let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 20, seed));
         for id in cfg.nodes() {
             let payload = (id == sender).then(|| "payload".to_string());
-            world.add_process(Box::new(RbcProcess::new(cfg, id, sender, payload)));
+            world.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Bracha, payload)));
         }
         world.run()
     }
@@ -222,7 +172,13 @@ mod tests {
         let mut world = World::new(WorldConfig::new(4), FixedDelay::new(1));
         world.add_faulty_process(Box::new(SendThenCrash { id: sender }));
         for id in cfg.nodes().skip(1) {
-            world.add_process(Box::new(RbcProcess::<String>::new(cfg, id, sender, None)));
+            world.add_process(Box::new(RbcProcess::<String>::new(
+                cfg,
+                id,
+                sender,
+                RbcKind::Bracha,
+                None,
+            )));
         }
         let report = world.run();
         assert!(report.all_correct_decided());
@@ -252,7 +208,13 @@ mod tests {
         let mut world = World::new(WorldConfig::new(4), FixedDelay::new(1));
         world.add_faulty_process(Box::new(Silent { id: sender }));
         for id in cfg.nodes().skip(1) {
-            world.add_process(Box::new(RbcProcess::<String>::new(cfg, id, sender, None)));
+            world.add_process(Box::new(RbcProcess::<String>::new(
+                cfg,
+                id,
+                sender,
+                RbcKind::Bracha,
+                None,
+            )));
         }
         let report = world.run();
         // A silent sender stalls the instance — that's allowed: validity

@@ -118,7 +118,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RbcProcess;
+    use crate::{RbcKind, RbcProcess};
     use bft_sim::{FixedDelay, World, WorldConfig};
 
     /// With a correct sender both protocols deliver everywhere.
@@ -193,7 +193,13 @@ mod tests {
         );
         world.add_faulty_process(Box::new(SplittingSender { id: sender }));
         for id in cfg.nodes().skip(1) {
-            world.add_process(Box::new(RbcProcess::<String>::new(cfg, id, sender, None)));
+            world.add_process(Box::new(RbcProcess::<String>::new(
+                cfg,
+                id,
+                sender,
+                RbcKind::Bracha,
+                None,
+            )));
         }
         let report = world.run();
         let deciders = report.correct.iter().filter(|id| report.outputs.contains_key(id)).count();

@@ -238,11 +238,6 @@ where
         self.obs = obs;
     }
 
-    /// The ids of the correct (non-faulty) nodes.
-    pub fn correct_nodes(&self) -> Vec<NodeId> {
-        (0..self.config.n).filter(|&i| !self.faulty[i]).map(NodeId::new).collect()
-    }
-
     fn classify(&self, msg: &M) -> Option<MsgClass> {
         self.classifier.map(|c| c(msg))
     }

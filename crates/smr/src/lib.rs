@@ -49,7 +49,7 @@ use bft_obs::{Event, Obs, TraceCtx, TracePhase};
 use bft_order::{
     Backpressure, LogEntry, LogView, OrderLog, OrderMessage, OrderOptions, OrderProcess,
 };
-use bft_rbc::{RbcMux, RbcMuxAction, RbcMuxMessage};
+use bft_rbc::{RbcKind, RbcMux, RbcMuxAction, RbcMuxMessage};
 use bft_types::hash::{Fnv64, Fnv64x4};
 use bft_types::wire::{put_u32, put_u64, Codec, DecodeError, Reader};
 use bft_types::{Config, Effect, NodeId, Process};
@@ -553,10 +553,13 @@ struct FetchState {
 /// [`KvState::state_hash`], computed once when the snapshot is taken (or
 /// verified, for a fetched one). The state is a [`KvState`] clone that
 /// shares its values with the live map, so a checkpoint costs its keys
-/// and map nodes; the canonical bytes are built only to serve a fetch.
+/// and map nodes; the canonical bytes are built and erasure-coded only to
+/// serve a fetch, once: this node's `(root, fragment)` is kept for every
+/// later request and goes with the snapshot.
 struct Snapshot {
     hash: u64,
     state: KvState,
+    served: Option<(u64, Fragment)>,
 }
 
 type SmrEffect = Effect<SmrMessage, SmrOutput>;
@@ -621,7 +624,7 @@ impl<C: CoinScheme> SmrProcess<C> {
             opts,
             order,
             state: KvState::new(),
-            ckpt: RbcMux::new(config, me),
+            ckpt: RbcMux::new(config, me, RbcKind::Bracha),
             snapshots: BTreeMap::new(),
             ckpt_cursor: 0,
             cert: None,
@@ -690,16 +693,11 @@ impl<C: CoinScheme> SmrProcess<C> {
         self.order.committed_epochs()
     }
 
-    /// Ordered-log entries currently retained: those appended but not
-    /// yet applied, since apply consumes the log epoch by epoch. Whenever
+    /// The order layer's retained log: the entries appended but not yet
+    /// applied, since apply consumes the log epoch by epoch. Whenever
     /// apply has caught up with the order layer only the appended prefix
     /// of the unfinished head epoch is left; a recovering node retains
     /// what it commits until the state transfer lands.
-    pub fn retained_log_slots(&self) -> usize {
-        self.order.log().len()
-    }
-
-    /// The order layer's retained log (see [`Self::retained_log_slots`]).
     pub fn log(&self) -> LogView<'_> {
         self.order.log()
     }
@@ -811,7 +809,8 @@ impl<C: CoinScheme> SmrProcess<C> {
             let sealed = self.state.applied_epoch();
             if self.is_boundary(sealed) {
                 let state = self.state.clone();
-                self.snapshots.insert(sealed, Snapshot { hash: state.state_hash(), state });
+                let hash = state.state_hash();
+                self.snapshots.insert(sealed, Snapshot { hash, state, served: None });
             }
             // Applied slots are dead: the state (and, at a boundary, the
             // snapshot a lagging peer fetches) is all anyone reads again.
@@ -949,14 +948,15 @@ impl<C: CoinScheme> SmrProcess<C> {
             out.push(Effect::Send { to: from, msg: SmrMessage::CkptInfo { epoch: ce, hash: ch } });
             return;
         }
-        let Some(snap) = self.snapshots.get(&ce) else { return };
-        let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
-        let Ok(coded) = ec_encode(&snap.state.snapshot(), n, k) else { return };
-        let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
-        out.push(Effect::Send {
-            to: from,
-            msg: SmrMessage::Chunk { epoch, root: coded.root, fragment },
-        });
+        let Some(snap) = self.snapshots.get_mut(&ce) else { return };
+        if snap.served.is_none() {
+            let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
+            let Ok(coded) = ec_encode(&snap.state.snapshot(), n, k) else { return };
+            let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
+            snap.served = Some((coded.root, fragment));
+        }
+        let Some((root, fragment)) = snap.served.clone() else { return };
+        out.push(Effect::Send { to: from, msg: SmrMessage::Chunk { epoch, root, fragment } });
     }
 
     fn on_chunk(
@@ -998,7 +998,8 @@ impl<C: CoinScheme> SmrProcess<C> {
                 if state.state_hash() != fetch.hash || state.applied_epoch() != fetch.epoch {
                     continue;
                 }
-                found = Some((Snapshot { hash: fetch.hash, state }, bytes.len() as u64));
+                let snapshot = Snapshot { hash: fetch.hash, state, served: None };
+                found = Some((snapshot, bytes.len() as u64));
                 break;
             }
             found
@@ -1646,6 +1647,46 @@ mod tests {
         for (i, node) in nodes.iter().enumerate() {
             assert_output_hash_is_fresh(node, emitted.get(&i), 5);
         }
+        assert_eq!(nodes[3].output(), nodes[0].output());
+    }
+
+    #[test]
+    fn a_checkpoint_is_encoded_once_for_every_requester() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let opts = SmrOptions {
+            order: OrderOptions {
+                batch_max: 2,
+                pipeline_depth: 2,
+                epochs: 4,
+                ..OrderOptions::default()
+            },
+            checkpoint_interval: 2,
+        };
+        let mut nodes: Vec<Node> = cfg.nodes().map(|id| node(cfg, id, opts)).collect();
+        pump(&mut nodes, &[0, 1, 2], &[0, 1, 2]);
+        assert_eq!(nodes[0].certificate().map(|(epoch, _)| epoch), Some(4));
+        // Two requesters for the certified epoch: the first request
+        // encodes the checkpoint and keeps this node's fragment, the
+        // second is served that same chunk.
+        let mut chunk_to = |peer: usize| {
+            let effects =
+                nodes[0].on_message(NodeId::new(peer), &SmrMessage::ChunkReq { epoch: 4 });
+            let [Effect::Send { msg: SmrMessage::Chunk { epoch, root, fragment }, .. }] =
+                effects.as_slice()
+            else {
+                panic!("one chunk per request: {effects:?}");
+            };
+            (*epoch, *root, fragment.clone())
+        };
+        let (first, second) = (chunk_to(3), chunk_to(2));
+        assert_eq!(first, second, "identical chunks");
+        let served = nodes[0].snapshots.get(&4).and_then(|snap| snap.served.clone());
+        assert_eq!(served, Some((first.1, first.2)), "kept from the one encode");
+        // A recovering replacement installs the checkpoint from the
+        // chunks the peers serve, node 0's from its kept fragment.
+        nodes[3] = node(cfg, NodeId::new(3), opts).recovering(true);
+        pump(&mut nodes, &[3], &[0, 1, 2, 3]);
+        assert_eq!(nodes[3].state().applied_epoch(), 4, "installed, not replayed");
         assert_eq!(nodes[3].output(), nodes[0].output());
     }
 

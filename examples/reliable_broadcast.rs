@@ -7,7 +7,7 @@
 //! ```
 
 use async_bft::adversary::RbcEquivocator;
-use async_bft::rbc::RbcProcess;
+use async_bft::rbc::{RbcKind, RbcProcess};
 use async_bft::sim::{StopReason, UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, NodeId};
 
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 15, 7));
     for id in cfg.nodes() {
         let payload = (id == sender).then(|| "block #42".to_string());
-        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, payload)));
+        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Bracha, payload)));
     }
     let report = world.run();
     println!("correct sender:");
@@ -44,7 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "block B".to_string(),
         )));
         for id in cfg.nodes().skip(1) {
-            world.add_process(Box::new(RbcProcess::<String>::new(cfg, id, sender, None)));
+            world.add_process(Box::new(RbcProcess::<String>::new(
+                cfg,
+                id,
+                sender,
+                RbcKind::Bracha,
+                None,
+            )));
         }
         let report = world.run();
         assert!(report.agreement_holds(), "split delivery must be impossible");

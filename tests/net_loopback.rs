@@ -19,7 +19,7 @@ use async_bft::coin::{CoinScheme, CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
 use async_bft::net::{ChaosConfig, ListenerBounce, NetRuntime, RuntimeReport};
 use async_bft::obs::{Event, MetricsSink, Obs, VecSink};
-use async_bft::rbc::{CodedProcess, RbcProcess};
+use async_bft::rbc::{RbcKind, RbcProcess};
 use async_bft::types::{Config, NodeId, Value};
 use std::time::Duration;
 
@@ -181,7 +181,7 @@ fn coded_rbc_delivers_identical_log_on_sim_and_tcp() {
     let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 20, 9));
     for id in cfg.nodes() {
         let mine = (id == sender).then(|| payload.clone());
-        world.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Coded, mine)));
     }
     let sim_report = world.run();
     assert!(sim_report.all_correct_decided());
@@ -191,7 +191,7 @@ fn coded_rbc_delivers_identical_log_on_sim_and_tcp() {
     let mut rt: NetRuntime<_, Vec<u8>> = NetRuntime::new(n).timeout(TIMEOUT);
     for id in cfg.nodes() {
         let mine = (id == sender).then(|| payload.clone());
-        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+        rt.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Coded, mine)));
     }
     let tcp_report = rt.run();
     assert!(!tcp_report.timed_out, "coded broadcast stalled over TCP");
@@ -475,7 +475,7 @@ fn rbc_delivers_string_payload_over_tcp() {
     let mut rt: NetRuntime<_, String> = NetRuntime::new(n).timeout(TIMEOUT);
     for id in cfg.nodes() {
         let mine = (id == sender).then(|| payload.clone());
-        rt.add_process(Box::new(RbcProcess::new(cfg, id, sender, mine)));
+        rt.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Bracha, mine)));
     }
     let report = rt.run();
     assert!(!report.timed_out);

@@ -34,7 +34,7 @@ use async_bft::net::{
 use async_bft::obs::{Event, MetricsSink, Obs, Sink};
 use async_bft::order::gateway::{GatewayCore, OfferOutcome};
 use async_bft::order::{Backpressure, OrderLog, OrderMessage, OrderOptions, OrderProcess};
-use async_bft::rbc::{CodedProcess, RbcKind};
+use async_bft::rbc::{RbcKind, RbcProcess};
 use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, Effect, NodeId, Process, Value};
 use proptest::prelude::*;
@@ -121,7 +121,7 @@ fn reactor_delivers_coded_rbc_at_n16_under_delay() {
     let mut rt: NetRuntime<_, Vec<u8>> = NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
     for id in cfg.nodes() {
         let mine = (id == sender).then(|| payload.clone());
-        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+        rt.add_process(Box::new(RbcProcess::new(cfg, id, sender, RbcKind::Coded, mine)));
     }
     let report = rt.run();
     assert!(!report.timed_out, "coded broadcast stalled at n=16");

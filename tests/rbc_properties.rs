@@ -4,9 +4,7 @@
 //! Last, the coded broadcast's byte budget against Bracha's, counted with
 //! the exact wire encoding.
 
-use async_bft::rbc::{
-    CodedInstance, CodedProcess, RbcAction, RbcInstance, RbcKind, RbcMessage, RbcProcess,
-};
+use async_bft::rbc::{CodedInstance, RbcAction, RbcInstance, RbcKind, RbcMessage, RbcProcess};
 use async_bft::sim::{MsgClass, UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, NodeId};
 use proptest::prelude::*;
@@ -16,11 +14,16 @@ use proptest::prelude::*;
 struct InFlight {
     from: NodeId,
     to: usize,
-    msg: RbcMessage<u8>,
+    msg: RbcMessage<Vec<u8>>,
 }
 
-/// Runs a single RBC instance across `n` nodes where node 0 is Byzantine:
-/// it injects the given raw messages instead of following the protocol.
+/// Runs a single RBC instance of `kind` across `n` nodes where node 0 is
+/// Byzantine: it injects the given raw messages instead of following the
+/// protocol. A Bracha injection carries payload `[p % 2]`. A coded one
+/// commits to that payload (two commitments to equivocate between) and
+/// is the target's fragment (`CodedSend`), the sender's own fragment
+/// (`CodedEcho`), or a `CodedReady` for the commitment's root when
+/// `p < 2` and for a root nothing commits to otherwise.
 /// Delivery order is chosen by `picks` (each pick selects the next
 /// in-flight message modulo queue length).
 ///
@@ -28,24 +31,38 @@ struct InFlight {
 /// delivery).
 fn run_adversarial_rbc(
     n: usize,
+    kind: RbcKind,
     injections: &[(usize, u8, u8)], // (target node, payload, phase 0/1/2)
     picks: &[u16],
-) -> Vec<Option<u8>> {
+) -> Vec<Option<Vec<u8>>> {
     let cfg = Config::max_resilience(n).unwrap();
     let sender = NodeId::new(0);
-    let mut instances: Vec<RbcInstance<u8>> =
+    let mut bracha: Vec<RbcInstance<Vec<u8>>> =
         (1..n).map(|i| RbcInstance::new(cfg, NodeId::new(i), sender)).collect();
-    let mut delivered: Vec<Option<u8>> = vec![None; n - 1];
+    let mut coded: Vec<CodedInstance<Vec<u8>>> =
+        (1..n).map(|i| CodedInstance::new(cfg, NodeId::new(i), sender)).collect();
+    let k = cfg.reconstruct_threshold();
+    let commitments = [0u8, 1].map(|p| async_bft::ec::encode(&[p], n, k).unwrap());
+    let mut delivered: Vec<Option<Vec<u8>>> = vec![None; n - 1];
 
     let mut queue: Vec<InFlight> = Vec::new();
     // The Byzantine sender's injections enter the network first.
     for &(to, payload, phase) in injections {
-        let msg = match phase % 3 {
-            0 => RbcMessage::Send(payload % 2),
-            1 => RbcMessage::Echo(payload % 2),
-            _ => RbcMessage::Ready(payload % 2),
+        let to = 1 + (to % (n - 1));
+        let c = &commitments[usize::from(payload % 2)];
+        let msg = match (kind, phase % 3) {
+            (RbcKind::Bracha, 0) => RbcMessage::Send(vec![payload % 2]),
+            (RbcKind::Bracha, 1) => RbcMessage::Echo(vec![payload % 2]),
+            (RbcKind::Bracha, _) => RbcMessage::Ready(vec![payload % 2]),
+            (RbcKind::Coded, 0) => {
+                RbcMessage::CodedSend { root: c.root, fragment: c.fragments[to].clone() }
+            }
+            (RbcKind::Coded, 1) => {
+                RbcMessage::CodedEcho { root: c.root, fragment: c.fragments[0].clone() }
+            }
+            (RbcKind::Coded, _) => RbcMessage::CodedReady { root: c.root ^ u64::from(payload / 2) },
         };
-        queue.push(InFlight { from: sender, to: 1 + (to % (n - 1)), msg });
+        queue.push(InFlight { from: sender, to, msg });
     }
 
     let mut steps = 0usize;
@@ -56,7 +73,10 @@ fn run_adversarial_rbc(
         pick_idx += 1;
         let inflight = queue.remove(pick);
         let slot = inflight.to - 1;
-        let actions = instances[slot].on_message(inflight.from, &inflight.msg);
+        let actions = match kind {
+            RbcKind::Bracha => bracha[slot].on_message(inflight.from, &inflight.msg),
+            RbcKind::Coded => coded[slot].on_message(inflight.from, &inflight.msg),
+        };
         let me = NodeId::new(inflight.to);
         for action in actions {
             match action {
@@ -75,14 +95,6 @@ fn run_adversarial_rbc(
     delivered
 }
 
-/// One in-flight message of the coded-RBC network (byte payloads).
-#[derive(Clone, Debug)]
-struct CodedInFlight {
-    from: NodeId,
-    to: usize,
-    msg: RbcMessage<Vec<u8>>,
-}
-
 /// Runs one erasure-coded RBC instance across `n` correct nodes with a
 /// correct designated sender (node 0) broadcasting `payload`, delivering
 /// messages in the adversarial order chosen by `picks`. Returns each
@@ -93,23 +105,23 @@ fn run_scheduled_coded(n: usize, payload: &[u8], picks: &[u16]) -> Vec<Option<Ve
     let mut instances: Vec<CodedInstance<Vec<u8>>> =
         (0..n).map(|i| CodedInstance::new(cfg, NodeId::new(i), sender)).collect();
     let mut delivered: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut queue: Vec<CodedInFlight> = Vec::new();
+    let mut queue: Vec<InFlight> = Vec::new();
 
     let enqueue = |from: NodeId,
                    actions: Vec<RbcAction<Vec<u8>>>,
-                   queue: &mut Vec<CodedInFlight>,
+                   queue: &mut Vec<InFlight>,
                    delivered: &mut Vec<Option<Vec<u8>>>| {
         for action in actions {
             match action {
                 RbcAction::Broadcast(msg) => {
                     for to in 0..n {
                         if to != from.index() {
-                            queue.push(CodedInFlight { from, to, msg: msg.clone() });
+                            queue.push(InFlight { from, to, msg: msg.clone() });
                         }
                     }
                 }
                 RbcAction::Send { to, msg } => {
-                    queue.push(CodedInFlight { from, to: to.index(), msg });
+                    queue.push(InFlight { from, to: to.index(), msg });
                 }
                 RbcAction::Deliver(p) => delivered[from.index()] = Some(p),
             }
@@ -141,11 +153,12 @@ proptest! {
     #[test]
     fn rbc_agreement_under_full_byzantine_sender(
         n in 4usize..8,
-        injections in proptest::collection::vec((0usize..8, 0u8..2, 0u8..3), 0..24),
+        kind in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
+        injections in proptest::collection::vec((0usize..8, 0u8..4, 0u8..3), 0..24),
         picks in proptest::collection::vec(0u16..1000, 0..64),
     ) {
-        let delivered = run_adversarial_rbc(n, &injections, &picks);
-        let values: Vec<u8> = delivered.iter().flatten().copied().collect();
+        let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
+        let values: Vec<&Vec<u8>> = delivered.iter().flatten().collect();
         if let Some(first) = values.first() {
             prop_assert!(
                 values.iter().all(|v| v == first),
@@ -160,10 +173,11 @@ proptest! {
     #[test]
     fn rbc_totality_under_full_byzantine_sender(
         n in 4usize..8,
-        injections in proptest::collection::vec((0usize..8, 0u8..2, 0u8..3), 0..24),
+        kind in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
+        injections in proptest::collection::vec((0usize..8, 0u8..4, 0u8..3), 0..24),
         picks in proptest::collection::vec(0u16..1000, 0..64),
     ) {
-        let delivered = run_adversarial_rbc(n, &injections, &picks);
+        let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
         let count = delivered.iter().flatten().count();
         prop_assert!(
             count == 0 || count == delivered.len(),
@@ -183,9 +197,9 @@ proptest! {
         // A correct sender = one Send per node, consistent payload.
         let injections: Vec<(usize, u8, u8)> =
             (0..n - 1).map(|i| (i, payload, 0)).collect();
-        let delivered = run_adversarial_rbc(n, &injections, &picks);
+        let delivered = run_adversarial_rbc(n, RbcKind::Bracha, &injections, &picks);
         prop_assert!(
-            delivered.iter().all(|d| *d == Some(payload % 2)),
+            delivered.iter().all(|d| d.as_deref() == Some(&[payload % 2][..])),
             "validity failed: {delivered:?}"
         );
     }
@@ -210,8 +224,8 @@ proptest! {
         // so — the assertion pins the differential claim).
         let bracha_injections: Vec<(usize, u8, u8)> =
             (0..n - 1).map(|i| (i, 1, 0)).collect();
-        let bracha = run_adversarial_rbc(n, &bracha_injections, &picks);
-        prop_assert!(bracha.iter().all(|d| *d == Some(1)));
+        let bracha = run_adversarial_rbc(n, RbcKind::Bracha, &bracha_injections, &picks);
+        prop_assert!(bracha.iter().all(|d| d.as_deref() == Some(&[1u8][..])));
     }
 
     /// Agreement + totality of the coded broadcast when a Byzantine peer
@@ -231,7 +245,7 @@ proptest! {
         let mut instances: Vec<CodedInstance<Vec<u8>>> =
             (0..n).map(|i| CodedInstance::new(cfg, NodeId::new(i), sender)).collect();
         let mut delivered: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut queue: Vec<CodedInFlight> = Vec::new();
+        let mut queue: Vec<InFlight> = Vec::new();
 
         // The Byzantine peer's junk enters the network first: fake
         // readies for arbitrary roots and corrupted echo fragments.
@@ -239,7 +253,7 @@ proptest! {
         let coded = async_bft::ec::encode(&payload, n, k).unwrap();
         for (j, root) in junk_roots.iter().enumerate() {
             let to = 2 + (j % (n - 2));
-            queue.push(CodedInFlight {
+            queue.push(InFlight {
                 from: byz,
                 to,
                 msg: RbcMessage::CodedReady { root: *root },
@@ -248,7 +262,7 @@ proptest! {
             if let Some(b) = frag.shard.first_mut() {
                 *b ^= (*root as u8) | 1;
             }
-            queue.push(CodedInFlight {
+            queue.push(InFlight {
                 from: byz,
                 to,
                 msg: RbcMessage::CodedEcho { root: coded.root, fragment: frag },
@@ -257,20 +271,20 @@ proptest! {
 
         let enqueue = |from: NodeId,
                        actions: Vec<RbcAction<Vec<u8>>>,
-                       queue: &mut Vec<CodedInFlight>,
+                       queue: &mut Vec<InFlight>,
                        delivered: &mut Vec<Option<Vec<u8>>>| {
             for action in actions {
                 match action {
                     RbcAction::Broadcast(msg) => {
                         for to in 0..n {
                             if to != from.index() && to != byz.index() {
-                                queue.push(CodedInFlight { from, to, msg: msg.clone() });
+                                queue.push(InFlight { from, to, msg: msg.clone() });
                             }
                         }
                     }
                     RbcAction::Send { to, msg } => {
                         if to != byz {
-                            queue.push(CodedInFlight { from, to: to.index(), msg });
+                            queue.push(InFlight { from, to: to.index(), msg });
                         }
                     }
                     RbcAction::Deliver(p) => delivered[from.index()] = Some(p),
@@ -340,10 +354,7 @@ fn one_broadcast(n: usize, payload_len: usize, kind: RbcKind) -> (u64, bool) {
     world.set_classifier(classify_rbc_bytes);
     for id in cfg.nodes() {
         let p = (id == sender).then(|| payload.clone());
-        match kind {
-            RbcKind::Bracha => world.add_process(Box::new(RbcProcess::new(cfg, id, sender, p))),
-            RbcKind::Coded => world.add_process(Box::new(CodedProcess::new(cfg, id, sender, p))),
-        }
+        world.add_process(Box::new(RbcProcess::new(cfg, id, sender, kind, p)));
     }
     let report = world.run();
     let delivered = report.all_correct_decided()

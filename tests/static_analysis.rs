@@ -132,3 +132,28 @@ fn transport_depends_on_no_protocol_crate() {
         }
     }
 }
+
+#[test]
+fn rbc_vote_thresholds_have_one_home() {
+    // The Ready amplification and delivery quorums are the shared vote
+    // core's (`crates/rbc/src/vote.rs`): an instance that counts Readys
+    // against them itself has forked the vote rule.
+    let dir = workspace_root().join("crates/rbc/src");
+    let mut sites: Vec<(String, String)> = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("crates/rbc/src readable") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("source readable");
+        let live = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for (i, line) in live.lines().enumerate() {
+            for read in ["ready_threshold()", "decide_threshold()"] {
+                if line.contains(read) {
+                    sites.push((read.to_string(), format!("{}:{}", path.display(), i + 1)));
+                }
+            }
+        }
+    }
+    for read in ["ready_threshold()", "decide_threshold()"] {
+        let at: Vec<&String> = sites.iter().filter(|(r, _)| r == read).map(|(_, at)| at).collect();
+        assert_eq!(at.len(), 1, "`{read}` must be read in exactly one place: {at:?}");
+    }
+}

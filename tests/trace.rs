@@ -15,6 +15,7 @@
 use async_bft::coin::CommonCoin;
 use async_bft::obs::{Obs, TraceAssembler, TraceSink};
 use async_bft::order::{OrderOptions, OrderProcess};
+use async_bft::rbc::RbcKind;
 use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::Config;
 use proptest::prelude::*;
@@ -22,12 +23,18 @@ use proptest::prelude::*;
 const N: usize = 4;
 const F: usize = 1;
 
-/// Runs one traced ordering scenario on the simulator and returns the
-/// assembled trace trees plus the unanimously ordered payload count.
-fn traced_sim_run(seed: u64, epochs: u64, batch: usize, depth: usize) -> (TraceAssembler, usize) {
+/// Runs one traced ordering scenario on the simulator, its batches
+/// disseminated by `rbc`, and returns the assembled trace trees plus the
+/// unanimously ordered payload count.
+fn traced_sim_run(
+    seed: u64,
+    rbc: RbcKind,
+    epochs: u64,
+    batch: usize,
+    depth: usize,
+) -> (TraceAssembler, usize) {
     let cfg = Config::new(N, F).unwrap();
-    let opts =
-        OrderOptions { batch_max: batch, pipeline_depth: depth, epochs, ..OrderOptions::default() };
+    let opts = OrderOptions { batch_max: batch, pipeline_depth: depth, epochs, rbc };
     let (obs, shared) = Obs::new(TraceSink::new());
     let mut world = World::new(WorldConfig::new(N), UniformDelay::new(1, 7, seed));
     world.set_observer(obs.clone());
@@ -50,15 +57,18 @@ fn traced_sim_run(seed: u64, epochs: u64, batch: usize, depth: usize) -> (TraceA
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Conservation and completeness across random seeds and shapes.
+    /// Conservation and completeness across random seeds, shapes and RBC
+    /// kinds: the coded kind adds the `rbc_reconstruct` span to the echo →
+    /// ready handover both kinds share.
     #[test]
     fn spans_are_conserved_and_critical_paths_complete(
         seed in 0u64..500,
+        rbc in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
         epochs in 1u64..4,
         batch in 1usize..4,
         depth in 1usize..3,
     ) {
-        let (asm, _) = traced_sim_run(seed, epochs, batch, depth);
+        let (asm, _) = traced_sim_run(seed, rbc, epochs, batch, depth);
         prop_assert_eq!(asm.duplicate_starts(), 0, "re-opened span ids");
         prop_assert_eq!(asm.unmatched_ends(), 0, "ends without a start");
         prop_assert_eq!(asm.open_spans(), 0, "spans left open at quiescence");
@@ -83,8 +93,8 @@ proptest! {
     /// Same seed, same trees — byte-identical canonical renderings.
     #[test]
     fn same_seed_runs_produce_identical_trees(seed in 0u64..500) {
-        let (a, txs_a) = traced_sim_run(seed, 2, 2, 2);
-        let (b, txs_b) = traced_sim_run(seed, 2, 2, 2);
+        let (a, txs_a) = traced_sim_run(seed, RbcKind::Bracha, 2, 2, 2);
+        let (b, txs_b) = traced_sim_run(seed, RbcKind::Bracha, 2, 2, 2);
         prop_assert_eq!(txs_a, txs_b);
         prop_assert_eq!(a.canonical_lines(), b.canonical_lines());
     }
@@ -95,8 +105,8 @@ proptest! {
 /// cross-run correlation by trace id is meaningful.
 #[test]
 fn trace_ids_are_seed_independent() {
-    let (a, _) = traced_sim_run(1, 2, 2, 2);
-    let (b, _) = traced_sim_run(99, 2, 2, 2);
+    let (a, _) = traced_sim_run(1, RbcKind::Bracha, 2, 2, 2);
+    let (b, _) = traced_sim_run(99, RbcKind::Bracha, 2, 2, 2);
     assert_eq!(a.trace_ids(), b.trace_ids());
     // But the timings differ, so the canonical trees do not collide.
     assert_ne!(a.canonical_lines(), b.canonical_lines());
