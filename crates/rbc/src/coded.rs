@@ -182,7 +182,7 @@ where
 
     /// The designated sender of this instance.
     pub fn sender(&self) -> NodeId {
-        self.votes.sender
+        self.votes.sender()
     }
 
     /// Whether the instance has delivered. The payload itself is not
@@ -292,14 +292,14 @@ where
         // Echoes that can no longer matter are dropped unread: a peer's
         // echo counts once, and after delivery the Ready is out and
         // nothing reads fragments any more.
-        if self.delivered || self.votes.echoed_peers.contains(from) {
+        if self.delivered || self.votes.echoed(from) {
             return;
         }
         // A second echo from a peer settles its held one, which may fill
         // the peer's slot: a replay costs the held echo's hash at most and
         // is never hashed itself.
         self.settle_held_of(from);
-        if self.votes.echoed_peers.contains(from) {
+        if self.votes.echoed(from) {
             return;
         }
         // An echo must carry the echoing peer's own fragment and verify
@@ -317,7 +317,7 @@ where
                 self.emit_fragment(frag.index, false);
                 return;
             };
-            self.votes.echoed_peers.insert(from);
+            self.votes.count_echo(from);
             self.emit_fragment(frag.index, true);
             Echo::Verified(verified)
         } else if usize::from(frag.index) == from.index() {
@@ -376,7 +376,7 @@ where
         for (index, verdict) in indices.into_iter().zip(verdicts) {
             self.emit_fragment(index, verdict.is_some());
             if let Some(verified) = verdict {
-                self.votes.echoed_peers.insert(NodeId::new(usize::from(index)));
+                self.votes.count_echo(NodeId::new(usize::from(index)));
                 self.echoes.entry(root).or_default().insert(index, Echo::Verified(verified));
             }
         }
@@ -655,11 +655,11 @@ mod tests {
         // and is held in its place.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert_eq!(fragment_events(&sink), 1);
-        assert!(inst.votes.echoed_peers.is_empty(), "no junk took the peer's slot");
+        assert!(!inst.votes.echoed(n(2)), "no junk took the peer's slot");
         // Its replay settles it: the peer is counted, the replay unhashed.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert_eq!(fragment_events(&sink), 1);
-        assert!(inst.votes.echoed_peers.contains(n(2)));
+        assert!(inst.votes.echoed(n(2)));
         assert_eq!(inst.buffered_fragment_bytes(), c.fragments[2].weight());
     }
 
@@ -680,7 +680,7 @@ mod tests {
         // The flood burned nothing: the peer's valid echo still counts.
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
         assert!(inst.on_message(n(2), &echo(c.root, &c.fragments[2])).is_empty());
-        assert!(inst.votes.echoed_peers.contains(n(2)));
+        assert!(inst.votes.echoed(n(2)));
         assert_eq!(inst.buffered_fragment_bytes(), one);
     }
 

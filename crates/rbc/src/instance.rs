@@ -63,7 +63,7 @@ where
 
     /// The designated sender of this instance.
     pub fn sender(&self) -> NodeId {
-        self.votes.sender
+        self.votes.sender()
     }
 
     /// The delivered payload, if delivery has occurred.
@@ -102,7 +102,7 @@ where
                 }
             }
             RbcMessage::Echo(payload) => {
-                if self.votes.echoed_peers.insert(from) {
+                if self.votes.count_echo(from) {
                     let count = bump(&mut self.echoes, payload);
                     if count >= self.votes.config.echo_threshold() {
                         let via = RbcPhase::Echo;
@@ -242,7 +242,8 @@ mod tests {
     fn messages_from_unknown_nodes_are_dropped() {
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
         assert!(inst.on_message(n(7), &RbcMessage::Ready("m")).is_empty());
-        assert!(inst.votes.readied_peers.is_empty());
+        // Had the stranger's Ready counted, this one would be the f + 1-th.
+        assert!(inst.on_message(n(0), &RbcMessage::Ready("m")).is_empty());
     }
 
     fn span_events(events: &[(u64, NodeId, ObsEvent)]) -> Vec<(u64, ObsEvent)> {

@@ -87,13 +87,9 @@ where
     }
 
     fn on_start(&mut self) -> Vec<Effect<Self::Msg, Self::Output>> {
-        match self.payload.take() {
-            Some(p) => {
-                let actions = self.instance.start(p);
-                self.lift(actions)
-            }
-            None => Vec::new(),
-        }
+        let Some(p) = self.payload.take() else { return Vec::new() };
+        let actions = self.instance.start(p);
+        self.lift(actions)
     }
 
     fn on_message(

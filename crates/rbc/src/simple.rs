@@ -15,9 +15,10 @@
 //!
 //! [`RbcInstance`]: crate::RbcInstance
 
+use crate::vote::bump;
 use crate::RbcMessage;
 use bft_types::{Config, Effect, NodeId, Process};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One node of the echo-only broadcast (the ablated protocol).
@@ -30,8 +31,8 @@ pub struct EchoBroadcast<P> {
     sender: NodeId,
     payload: Option<P>,
     echoed: bool,
-    // lint: allow(unbounded-map) — one echo per peer (≤ n keys) and the instance is dropped on delivery
-    echoes: BTreeMap<P, BTreeSet<NodeId>>,
+    /// Distinct Echo payloads and how many peers support each.
+    echoes: Vec<(P, usize)>,
     echoed_peers: BTreeSet<NodeId>,
     delivered: Option<P>,
 }
@@ -49,7 +50,7 @@ where
             sender,
             payload,
             echoed: false,
-            echoes: BTreeMap::new(),
+            echoes: Vec::new(),
             echoed_peers: BTreeSet::new(),
             delivered: None,
         }
@@ -91,10 +92,8 @@ where
             }
             RbcMessage::Echo(p) => {
                 if self.echoed_peers.insert(from) {
-                    let supporters = self.echoes.entry(p.clone()).or_default();
-                    supporters.insert(from);
-                    if supporters.len() >= self.config.echo_threshold() && self.delivered.is_none()
-                    {
+                    let count = bump(&mut self.echoes, p);
+                    if count >= self.config.echo_threshold() && self.delivered.is_none() {
                         self.delivered = Some(p.clone());
                         return vec![Effect::Output(p.clone())];
                     }

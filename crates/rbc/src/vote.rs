@@ -10,8 +10,10 @@ use bft_types::{Config, NodeBitset, NodeId};
 /// The vote state of one instance at one node, over vote key `K`: the
 /// payload for [`RbcInstance`](crate::RbcInstance), the Merkle root for
 /// [`CodedInstance`](crate::CodedInstance). It owns the rule's flags,
-/// dedup and Ready tally, and the events and `rbc_echo` / `rbc_ready`
-/// spans that go with them.
+/// dedup and Ready tally, changed only through its methods, and the
+/// events and `rbc_echo` / `rbc_ready` spans that go with them. The
+/// instances read `config` and `me`, and tally each echo
+/// [`Votes::count_echo`] admits towards their own key.
 ///
 /// Per-peer dedup happens *before* counting (the `*_peers` bitsets), so
 /// the per-key supporter sets collapse to plain counts: honest runs keep
@@ -21,14 +23,14 @@ use bft_types::{Config, NodeBitset, NodeId};
 pub(crate) struct Votes<K> {
     pub(crate) config: Config,
     pub(crate) me: NodeId,
-    pub(crate) sender: NodeId,
+    sender: NodeId,
     started: bool,
     sent_echo: bool,
     sent_ready: bool,
     /// Peers whose echo has been counted, any key.
-    pub(crate) echoed_peers: NodeBitset,
+    echoed_peers: NodeBitset,
     /// Peers whose Ready has been counted, any key.
-    pub(crate) readied_peers: NodeBitset,
+    readied_peers: NodeBitset,
     /// Distinct Ready keys and how many peers support each.
     readies: Vec<(K, usize)>,
     obs: Obs,
@@ -64,6 +66,21 @@ impl<K: Clone + Eq> Votes<K> {
         }
     }
 
+    /// The designated sender.
+    pub(crate) fn sender(&self) -> NodeId {
+        self.sender
+    }
+
+    /// Whether `from`'s echo has been counted, for any key.
+    pub(crate) fn echoed(&self, from: NodeId) -> bool {
+        self.echoed_peers.contains(from)
+    }
+
+    /// Counts `from`'s echo if it is that peer's first; says whether it was.
+    pub(crate) fn count_echo(&mut self, from: NodeId) -> bool {
+        self.echoed_peers.insert(from)
+    }
+
     /// Attaches an observer; `tag_label` identifies this instance on the
     /// emitted events (the multiplexer passes the `Debug`-rendered tag).
     pub(crate) fn set_obs(&mut self, obs: Obs, tag_label: String) {
@@ -72,10 +89,8 @@ impl<K: Clone + Eq> Votes<K> {
     }
 
     /// Attaches the causal-trace identity of this instance's payload
-    /// (`None` leaves it untraced). From here on the instance opens an
-    /// `rbc_echo` span when it echoes, hands over to an `rbc_ready` span
-    /// when it turns Ready, and closes that at delivery. Requires an
-    /// observer for the spans to go anywhere.
+    /// (`None`: untraced). With an observer, the instance then spans its
+    /// echo (`rbc_echo`), then its Ready up to delivery (`rbc_ready`).
     pub(crate) fn set_trace(&mut self, trace: Option<TraceCtx>) {
         self.trace = trace;
     }
@@ -96,11 +111,7 @@ impl<K: Clone + Eq> Votes<K> {
     /// The start guard: true exactly once, at the designated sender. A
     /// repeat (or a non-sender) is ignored rather than equivocating.
     pub(crate) fn start(&mut self) -> bool {
-        if self.me != self.sender || self.started {
-            return false;
-        }
-        self.started = true;
-        true
+        self.me == self.sender && !std::mem::replace(&mut self.started, true)
     }
 
     /// Whether a `Send` from `from` may trigger our echo: only the

@@ -553,13 +553,10 @@ struct FetchState {
 /// [`KvState::state_hash`], computed once when the snapshot is taken (or
 /// verified, for a fetched one). The state is a [`KvState`] clone that
 /// shares its values with the live map, so a checkpoint costs its keys
-/// and map nodes; the canonical bytes are built and erasure-coded only to
-/// serve a fetch, once: this node's `(root, fragment)` is kept for every
-/// later request and goes with the snapshot.
+/// and map nodes; the canonical bytes are built only to serve a fetch.
 struct Snapshot {
     hash: u64,
     state: KvState,
-    served: Option<(u64, Fragment)>,
 }
 
 type SmrEffect = Effect<SmrMessage, SmrOutput>;
@@ -809,8 +806,7 @@ impl<C: CoinScheme> SmrProcess<C> {
             let sealed = self.state.applied_epoch();
             if self.is_boundary(sealed) {
                 let state = self.state.clone();
-                let hash = state.state_hash();
-                self.snapshots.insert(sealed, Snapshot { hash, state, served: None });
+                self.snapshots.insert(sealed, Snapshot { hash: state.state_hash(), state });
             }
             // Applied slots are dead: the state (and, at a boundary, the
             // snapshot a lagging peer fetches) is all anyone reads again.
@@ -948,15 +944,14 @@ impl<C: CoinScheme> SmrProcess<C> {
             out.push(Effect::Send { to: from, msg: SmrMessage::CkptInfo { epoch: ce, hash: ch } });
             return;
         }
-        let Some(snap) = self.snapshots.get_mut(&ce) else { return };
-        if snap.served.is_none() {
-            let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
-            let Ok(coded) = ec_encode(&snap.state.snapshot(), n, k) else { return };
-            let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
-            snap.served = Some((coded.root, fragment));
-        }
-        let Some((root, fragment)) = snap.served.clone() else { return };
-        out.push(Effect::Send { to: from, msg: SmrMessage::Chunk { epoch, root, fragment } });
+        let Some(snap) = self.snapshots.get(&ce) else { return };
+        let (n, k) = (self.config.n(), self.config.reconstruct_threshold());
+        let Ok(coded) = ec_encode(&snap.state.snapshot(), n, k) else { return };
+        let Some(fragment) = coded.fragments.into_iter().nth(self.me.index()) else { return };
+        out.push(Effect::Send {
+            to: from,
+            msg: SmrMessage::Chunk { epoch, root: coded.root, fragment },
+        });
     }
 
     fn on_chunk(
@@ -998,8 +993,7 @@ impl<C: CoinScheme> SmrProcess<C> {
                 if state.state_hash() != fetch.hash || state.applied_epoch() != fetch.epoch {
                     continue;
                 }
-                let snapshot = Snapshot { hash: fetch.hash, state, served: None };
-                found = Some((snapshot, bytes.len() as u64));
+                found = Some((Snapshot { hash: fetch.hash, state }, bytes.len() as u64));
                 break;
             }
             found
@@ -1647,46 +1641,6 @@ mod tests {
         for (i, node) in nodes.iter().enumerate() {
             assert_output_hash_is_fresh(node, emitted.get(&i), 5);
         }
-        assert_eq!(nodes[3].output(), nodes[0].output());
-    }
-
-    #[test]
-    fn a_checkpoint_is_encoded_once_for_every_requester() {
-        let Ok(cfg) = Config::new(4, 1) else { return };
-        let opts = SmrOptions {
-            order: OrderOptions {
-                batch_max: 2,
-                pipeline_depth: 2,
-                epochs: 4,
-                ..OrderOptions::default()
-            },
-            checkpoint_interval: 2,
-        };
-        let mut nodes: Vec<Node> = cfg.nodes().map(|id| node(cfg, id, opts)).collect();
-        pump(&mut nodes, &[0, 1, 2], &[0, 1, 2]);
-        assert_eq!(nodes[0].certificate().map(|(epoch, _)| epoch), Some(4));
-        // Two requesters for the certified epoch: the first request
-        // encodes the checkpoint and keeps this node's fragment, the
-        // second is served that same chunk.
-        let mut chunk_to = |peer: usize| {
-            let effects =
-                nodes[0].on_message(NodeId::new(peer), &SmrMessage::ChunkReq { epoch: 4 });
-            let [Effect::Send { msg: SmrMessage::Chunk { epoch, root, fragment }, .. }] =
-                effects.as_slice()
-            else {
-                panic!("one chunk per request: {effects:?}");
-            };
-            (*epoch, *root, fragment.clone())
-        };
-        let (first, second) = (chunk_to(3), chunk_to(2));
-        assert_eq!(first, second, "identical chunks");
-        let served = nodes[0].snapshots.get(&4).and_then(|snap| snap.served.clone());
-        assert_eq!(served, Some((first.1, first.2)), "kept from the one encode");
-        // A recovering replacement installs the checkpoint from the
-        // chunks the peers serve, node 0's from its kept fragment.
-        nodes[3] = node(cfg, NodeId::new(3), opts).recovering(true);
-        pump(&mut nodes, &[3], &[0, 1, 2, 3]);
-        assert_eq!(nodes[3].state().applied_epoch(), 4, "installed, not replayed");
         assert_eq!(nodes[3].output(), nodes[0].output());
     }
 

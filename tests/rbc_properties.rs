@@ -153,17 +153,18 @@ proptest! {
     #[test]
     fn rbc_agreement_under_full_byzantine_sender(
         n in 4usize..8,
-        kind in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
         injections in proptest::collection::vec((0usize..8, 0u8..4, 0u8..3), 0..24),
         picks in proptest::collection::vec(0u16..1000, 0..64),
     ) {
-        let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
-        let values: Vec<&Vec<u8>> = delivered.iter().flatten().collect();
-        if let Some(first) = values.first() {
-            prop_assert!(
-                values.iter().all(|v| v == first),
-                "correct nodes delivered different payloads: {delivered:?}"
-            );
+        for kind in [RbcKind::Bracha, RbcKind::Coded] {
+            let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
+            let values: Vec<&Vec<u8>> = delivered.iter().flatten().collect();
+            if let Some(first) = values.first() {
+                prop_assert!(
+                    values.iter().all(|v| v == first),
+                    "{kind}: correct nodes delivered different payloads: {delivered:?}"
+                );
+            }
         }
     }
 
@@ -173,16 +174,17 @@ proptest! {
     #[test]
     fn rbc_totality_under_full_byzantine_sender(
         n in 4usize..8,
-        kind in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
         injections in proptest::collection::vec((0usize..8, 0u8..4, 0u8..3), 0..24),
         picks in proptest::collection::vec(0u16..1000, 0..64),
     ) {
-        let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
-        let count = delivered.iter().flatten().count();
-        prop_assert!(
-            count == 0 || count == delivered.len(),
-            "partial delivery (totality violation): {delivered:?}"
-        );
+        for kind in [RbcKind::Bracha, RbcKind::Coded] {
+            let delivered = run_adversarial_rbc(n, kind, &injections, &picks);
+            let count = delivered.iter().flatten().count();
+            prop_assert!(
+                count == 0 || count == delivered.len(),
+                "{kind}: partial delivery (totality violation): {delivered:?}"
+            );
+        }
     }
 
     /// Validity: with a *correct* sender (exactly one consistent Send to

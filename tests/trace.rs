@@ -63,30 +63,32 @@ proptest! {
     #[test]
     fn spans_are_conserved_and_critical_paths_complete(
         seed in 0u64..500,
-        rbc in prop_oneof![Just(RbcKind::Bracha), Just(RbcKind::Coded)],
         epochs in 1u64..4,
         batch in 1usize..4,
         depth in 1usize..3,
     ) {
-        let (asm, _) = traced_sim_run(seed, rbc, epochs, batch, depth);
-        prop_assert_eq!(asm.duplicate_starts(), 0, "re-opened span ids");
-        prop_assert_eq!(asm.unmatched_ends(), 0, "ends without a start");
-        prop_assert_eq!(asm.open_spans(), 0, "spans left open at quiescence");
-        // One trace per (proposer, epoch), each with a complete
-        // submit → commit critical path summing to the root duration.
-        prop_assert_eq!(asm.trace_count() as u64, epochs * N as u64);
-        for trace in asm.trace_ids() {
-            let root = asm.root(trace).expect("submit root observed");
-            let end = root.end.expect("root closed");
-            let path = asm.critical_path(trace).expect("critical path complete");
-            let total: u64 = path.iter().map(|&(_, ticks)| ticks).sum();
-            prop_assert_eq!(
-                total,
-                end - root.start,
-                "attribution must sum to the submit latency (trace {:016x}: {:?})",
-                trace,
-                path
-            );
+        for rbc in [RbcKind::Bracha, RbcKind::Coded] {
+            let (asm, _) = traced_sim_run(seed, rbc, epochs, batch, depth);
+            prop_assert_eq!(asm.duplicate_starts(), 0, "{}: re-opened span ids", rbc);
+            prop_assert_eq!(asm.unmatched_ends(), 0, "{}: ends without a start", rbc);
+            prop_assert_eq!(asm.open_spans(), 0, "{}: spans left open at quiescence", rbc);
+            // One trace per (proposer, epoch), each with a complete
+            // submit → commit critical path summing to the root duration.
+            prop_assert_eq!(asm.trace_count() as u64, epochs * N as u64, "{}", rbc);
+            for trace in asm.trace_ids() {
+                let root = asm.root(trace).expect("submit root observed");
+                let end = root.end.expect("root closed");
+                let path = asm.critical_path(trace).expect("critical path complete");
+                let total: u64 = path.iter().map(|&(_, ticks)| ticks).sum();
+                prop_assert_eq!(
+                    total,
+                    end - root.start,
+                    "{}: attribution must sum to the submit latency (trace {:016x}: {:?})",
+                    rbc,
+                    trace,
+                    path
+                );
+            }
         }
     }
 
