@@ -2,7 +2,7 @@
 
 use bft_adversary::DoubleTalker;
 use bft_coin::LocalCoin;
-use bft_sim::{Report, StopReason, UniformDelay, World, WorldConfig};
+use bft_sim::{Report, UniformDelay, World, WorldConfig};
 use bft_stats::{Samples, Table};
 use bft_types::{Config, NodeId, Value};
 use bracha::benor::BenOrProcess;
@@ -174,12 +174,6 @@ pub fn run_benor(
         }
     }
     world.run()
-}
-
-/// True when the run ended because the message budget blew up — the
-/// signature of a liveness failure in a bounded experiment.
-pub fn budget_blown(report: &Report<Value>) -> bool {
-    report.stop == StopReason::BudgetExhausted
 }
 
 /// The id helper used across experiments.

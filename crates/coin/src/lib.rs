@@ -16,9 +16,8 @@
 //!   of rounds is constant. We model the dealer with a keyed PRF over
 //!   `(instance, round)` — same interface, same unpredictability-to-the-
 //!   protocol property, no crypto (documented substitution, DESIGN.md).
-//! * [`FixedCoin`] and [`CyclingCoin`] — deterministic test doubles used to
-//!   drive protocols into specific executions and for adversarial
-//!   worst-case experiments.
+//! * [`FixedCoin`] — a deterministic test double used to drive protocols
+//!   into specific executions and for adversarial worst-case experiments.
 //!
 //! All schemes implement [`CoinScheme`], which protocols consume via
 //! dependency injection so that the state machines themselves stay
@@ -28,7 +27,7 @@
 #![warn(missing_docs)]
 
 use bft_types::{NodeId, Value};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A source of coin flips for a randomized agreement protocol.
@@ -193,111 +192,9 @@ impl CoinScheme for FixedCoin {
     }
 }
 
-/// A coin that alternates deterministically with the round number
-/// (`round parity`). Test double for executions that need both branches.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CyclingCoin;
-
-impl CoinScheme for CyclingCoin {
-    fn flip(&mut self, round: u64) -> Value {
-        Value::from_bit((round % 2) as u8)
-    }
-
-    fn name(&self) -> &'static str {
-        "cycling"
-    }
-}
-
-/// A biased local coin: returns [`Value::One`] with probability
-/// `bias_num / bias_den`. Used by ablation experiments to show how coin
-/// quality affects expected rounds.
-#[derive(Clone, Debug)]
-pub struct BiasedCoin {
-    rng: ChaCha8Rng,
-    bias_num: u32,
-    bias_den: u32,
-}
-
-impl BiasedCoin {
-    /// Creates a coin biased toward one with probability
-    /// `bias_num / bias_den`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias_den` is zero or `bias_num > bias_den`.
-    pub fn new(seed: u64, node: NodeId, bias_num: u32, bias_den: u32) -> Self {
-        assert!(bias_den > 0, "bias denominator must be positive");
-        assert!(bias_num <= bias_den, "bias must be at most one");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        rng.set_stream(0x8000_0000u64 + node.index() as u64);
-        BiasedCoin { rng, bias_num, bias_den }
-    }
-}
-
-impl CoinScheme for BiasedCoin {
-    fn flip(&mut self, _round: u64) -> Value {
-        Value::from_bool(self.rng.gen_ratio(self.bias_num, self.bias_den))
-    }
-
-    fn name(&self) -> &'static str {
-        "biased"
-    }
-}
-
-/// A wrapper that reports every flip of the inner scheme to an observer.
-///
-/// The Bracha engine observes its own coin natively; this wrapper is for
-/// protocols (or harnesses) that take an opaque [`CoinScheme`] and should
-/// still show up in the event stream.
-#[derive(Clone, Debug)]
-pub struct ObservedCoin<C> {
-    inner: C,
-    node: NodeId,
-    obs: bft_obs::Obs,
-}
-
-impl<C: CoinScheme> ObservedCoin<C> {
-    /// Wraps `inner`, attributing flips to `node` on the event stream.
-    pub fn new(inner: C, node: NodeId, obs: bft_obs::Obs) -> Self {
-        ObservedCoin { inner, node, obs }
-    }
-
-    /// Consumes the wrapper, returning the inner scheme.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: CoinScheme> CoinScheme for ObservedCoin<C> {
-    fn flip(&mut self, round: u64) -> Value {
-        let value = self.inner.flip(round);
-        let scheme = self.inner.name();
-        self.obs.emit(self.node, || bft_obs::Event::CoinFlipped { round, value, scheme });
-        value
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn observed_coin_reports_flips() {
-        let (obs, sink) = bft_obs::Obs::new(bft_obs::VecSink::new());
-        let mut c = ObservedCoin::new(FixedCoin::new(Value::One), NodeId::new(2), obs);
-        assert_eq!(c.flip(7), Value::One);
-        assert_eq!(c.name(), "fixed");
-        let events = sink.lock().take();
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].2,
-            bft_obs::Event::CoinFlipped { round: 7, value: Value::One, scheme: "fixed" }
-        );
-    }
 
     #[test]
     fn local_coins_differ_across_nodes() {
@@ -371,24 +268,6 @@ mod tests {
         let mut f = FixedCoin::new(Value::One);
         assert_eq!(f.flip(1), Value::One);
         assert_eq!(f.flip(2), Value::One);
-        let mut cy = CyclingCoin;
-        assert_eq!(cy.flip(2), Value::Zero);
-        assert_eq!(cy.flip(3), Value::One);
-    }
-
-    #[test]
-    fn biased_coin_respects_bias() {
-        let mut c = BiasedCoin::new(4, NodeId::new(0), 9, 10);
-        let ones: usize = (0..10_000).map(|r| c.flip(r).index()).sum();
-        assert!(ones > 8_500, "expected ~9000 ones, got {ones}");
-        let mut c = BiasedCoin::new(4, NodeId::new(0), 0, 10);
-        assert!((0..100).all(|r| c.flip(r) == Value::Zero));
-    }
-
-    #[test]
-    #[should_panic(expected = "bias must be at most one")]
-    fn biased_coin_rejects_bias_above_one() {
-        let _ = BiasedCoin::new(0, NodeId::new(0), 11, 10);
     }
 
     #[test]
@@ -404,8 +283,6 @@ mod tests {
             LocalCoin::new(0, NodeId::new(0)).name(),
             CommonCoin::new(0, 0).name(),
             FixedCoin::new(Value::Zero).name(),
-            CyclingCoin.name(),
-            BiasedCoin::new(0, NodeId::new(0), 1, 2).name(),
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());

@@ -124,9 +124,9 @@ impl Echo {
 ///
 /// Delivery frees the fragments and keeps no copy of the payload: the
 /// payload moves out in [`RbcAction::Deliver`], and nothing buffered can
-/// change an output already delivered. What remains is a flag and the
-/// Ready bookkeeping, until the host collects the instance. The sender
-/// alone holds a payload before delivery: the bytes it encoded.
+/// change an output already delivered. What remains is the vote core's
+/// flags and Ready bookkeeping, until the host collects the instance. The
+/// sender alone holds a payload before delivery: the bytes it encoded.
 #[derive(Clone, Debug)]
 pub struct CodedInstance<P> {
     pub(crate) votes: Votes<u64>,
@@ -144,7 +144,6 @@ pub struct CodedInstance<P> {
     /// Root that reached the delivery quorum; delivery then waits only on
     /// the `n − 2f`-th verified fragment.
     deliver_root: Option<u64>,
-    delivered: bool,
     /// The payload type delivered; only its coded bytes are ever stored
     /// (`sent`).
     payload: PhantomData<fn() -> P>,
@@ -165,7 +164,6 @@ where
             sent: None,
             echoes: BTreeMap::new(),
             deliver_root: None,
-            delivered: false,
             payload: PhantomData,
             reconstruct_span_open: false,
         }
@@ -180,15 +178,10 @@ where
         }
     }
 
-    /// The designated sender of this instance.
-    pub fn sender(&self) -> NodeId {
-        self.votes.sender()
-    }
-
     /// Whether the instance has delivered. The payload itself is not
     /// kept: it left in the [`RbcAction::Deliver`] action.
     pub fn is_delivered(&self) -> bool {
-        self.delivered
+        self.votes.delivered()
     }
 
     /// Fragment bytes currently buffered — the coded instance's analogue
@@ -292,7 +285,7 @@ where
         // Echoes that can no longer matter are dropped unread: a peer's
         // echo counts once, and after delivery the Ready is out and
         // nothing reads fragments any more.
-        if self.delivered || self.votes.echoed(from) {
+        if self.votes.delivered() || self.votes.echoed(from) {
             return;
         }
         // A second echo from a peer settles its held one, which may fill
@@ -394,7 +387,7 @@ where
     /// every other correct node's reconstruction yields them too. The
     /// condition, and with it every message, is the same as elsewhere.
     fn maybe_deliver(&mut self, out: &mut Vec<RbcAction<P>>) {
-        if self.delivered {
+        if self.votes.delivered() {
             return;
         }
         let Some(root) = self.deliver_root else { return };
@@ -410,7 +403,6 @@ where
         };
         // Nothing buffered can change the output from here on (later
         // echoes are dropped unread), so the fragments go now.
-        self.delivered = true;
         self.echoes.clear();
         self.own = None;
         self.votes.deliver(&root);

@@ -35,8 +35,9 @@ pub enum RbcAction<P> {
 ///
 /// The vote rule — echo once, Ready on the echo quorum or `f + 1` Readys,
 /// deliver on `2f + 1` — is the shared core's; this instance adds full
-/// payloads: it echoes the payload it was sent, counts echoes per payload
-/// and keeps the payload it delivered.
+/// payloads: it echoes the payload it was sent and counts echoes per
+/// payload. The delivered payload leaves in [`RbcAction::Deliver`]; the
+/// instance keeps no copy.
 ///
 /// Byzantine-resistance notes:
 ///
@@ -49,7 +50,6 @@ pub struct RbcInstance<P> {
     pub(crate) votes: Votes<P>,
     /// Distinct Echo payloads and how many peers support each.
     echoes: Vec<(P, usize)>,
-    delivered: Option<P>,
 }
 
 impl<P> RbcInstance<P>
@@ -58,17 +58,7 @@ where
 {
     /// Creates the instance state for node `me` with designated `sender`.
     pub fn new(config: Config, me: NodeId, sender: NodeId) -> Self {
-        RbcInstance { votes: Votes::new(config, me, sender), echoes: Vec::new(), delivered: None }
-    }
-
-    /// The designated sender of this instance.
-    pub fn sender(&self) -> NodeId {
-        self.votes.sender()
-    }
-
-    /// The delivered payload, if delivery has occurred.
-    pub fn delivered(&self) -> Option<&P> {
-        self.delivered.as_ref()
+        RbcInstance { votes: Votes::new(config, me, sender), echoes: Vec::new() }
     }
 
     /// Starts the broadcast. Only meaningful at the designated sender.
@@ -112,9 +102,8 @@ where
             }
             RbcMessage::Ready(payload) => {
                 if self.votes.on_ready(from, payload, ready, &mut actions)
-                    && self.delivered.is_none()
+                    && !self.votes.delivered()
                 {
-                    self.delivered = Some(payload.clone());
                     self.votes.deliver(payload);
                     actions.push(RbcAction::Deliver(payload.clone()));
                 }
@@ -211,16 +200,16 @@ mod tests {
         assert_eq!(a, vec![RbcAction::Broadcast(RbcMessage::Ready("m"))]);
         let a = inst.on_message(n(3), &RbcMessage::Ready("m"));
         assert_eq!(a, vec![RbcAction::Deliver("m")]);
-        assert_eq!(inst.delivered(), Some(&"m"));
     }
 
     #[test]
     fn delivery_happens_once() {
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
-        for i in [0usize, 2, 3] {
-            let _ = inst.on_message(n(i), &RbcMessage::Ready("m"));
-        }
-        assert_eq!(inst.delivered(), Some(&"m"));
+        let a: Vec<_> = [0usize, 2, 3]
+            .iter()
+            .flat_map(|&i| inst.on_message(n(i), &RbcMessage::Ready("m")))
+            .collect();
+        assert_eq!(a, vec![RbcAction::Broadcast(RbcMessage::Ready("m")), RbcAction::Deliver("m")]);
         // A fourth Ready must not deliver again.
         assert!(inst.on_message(n(1), &RbcMessage::Ready("m")).is_empty());
     }
@@ -231,11 +220,11 @@ mod tests {
         // of senders cannot push two payloads to 2f+1 distinct supporters
         // with only n = 4 peers.
         let mut inst = RbcInstance::new(cfg(), n(1), n(0));
-        let _ = inst.on_message(n(0), &RbcMessage::Ready("a"));
-        let _ = inst.on_message(n(2), &RbcMessage::Ready("b"));
-        let _ = inst.on_message(n(3), &RbcMessage::Ready("a"));
-        let _ = inst.on_message(n(1), &RbcMessage::Ready("b"));
-        assert_eq!(inst.delivered(), None);
+        let a: Vec<_> = [(0usize, "a"), (2, "b"), (3, "a"), (1, "b")]
+            .iter()
+            .flat_map(|&(i, p)| inst.on_message(n(i), &RbcMessage::Ready(p)))
+            .collect();
+        assert!(!a.iter().any(|a| matches!(a, RbcAction::Deliver(_))), "{a:?}");
     }
 
     #[test]

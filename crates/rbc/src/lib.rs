@@ -34,13 +34,15 @@
 //! AVID-style erasure-coded variant (fragment unicast + fragment echoes,
 //! O(n·B) bytes on the wire instead of Bracha's O(n²·B)) behind the same
 //! action surface. Both run one crate-private vote core, which owns steps
-//! 2–4: the echo and Ready flags, per-peer dedup, the Ready tally with its
-//! `f + 1` and `2f + 1` thresholds, and the phase, quorum, delivery and
-//! echo/ready span events. Over it [`RbcInstance`] counts echoes per
-//! payload and keeps the payload it delivered; [`CodedInstance`] votes on
-//! a Merkle root and adds fragment verification, the sender's own-bytes
-//! shortcut, decode and the reconstruct span. The [`RbcKind`] is fixed
-//! when an [`RbcMux`] or [`RbcProcess`] is built.
+//! 2–4: the echo, Ready and delivered flags (so an instance delivers at
+//! most once), per-peer dedup, the Ready tally with its `f + 1` and
+//! `2f + 1` thresholds, and the phase, quorum, delivery and echo/ready
+//! span events. Over it [`RbcInstance`] counts echoes per payload;
+//! [`CodedInstance`] votes on a Merkle root and adds fragment
+//! verification, the sender's own-bytes shortcut, decode and the
+//! reconstruct span. Neither keeps the payload it delivered: it leaves in
+//! [`RbcAction::Deliver`] alone. The [`RbcKind`] is fixed when an
+//! [`RbcMux`] or [`RbcProcess`] is built.
 //!
 //! # Example
 //!

@@ -105,15 +105,6 @@ where
         }
     }
 
-    /// The payload a Bracha instance delivered; a coded instance hands
-    /// its payload over in the `Deliver` action and keeps none.
-    fn delivered(&self) -> Option<&P> {
-        match self {
-            Inst::Bracha(i) => i.delivered(),
-            Inst::Coded(_) => None,
-        }
-    }
-
     fn finish_spans(&mut self) {
         match self {
             Inst::Bracha(i) => i.votes.finish_spans(),
@@ -186,7 +177,8 @@ pub enum RbcMuxAction<T, P> {
 }
 
 /// A collection of reliable-broadcast instances keyed by
-/// `(designated sender, tag)`, sharing one node identity.
+/// `(designated sender, tag)`, sharing one node identity. A delivered
+/// payload leaves only in [`RbcMuxAction::Deliver`]: no instance keeps it.
 ///
 /// # Example
 ///
@@ -212,7 +204,7 @@ pub struct RbcMux<T, P> {
     /// Which implementation every instance runs. All nodes of a system
     /// must build their muxes with the same kind.
     kind: RbcKind,
-    // Ordered (not hashed) so that `deliveries()` and `retain` visit
+    // Ordered (not hashed) so that `retain` and `finish_spans` visit
     // instances in a replay-stable order.
     instances: BTreeMap<(NodeId, T), Inst<P>>,
     obs: Obs,
@@ -247,11 +239,6 @@ where
     /// instance untraced.
     pub fn set_tracer(&mut self, tracer: fn(NodeId, &T) -> Option<TraceCtx>) {
         self.tracer = Some(tracer);
-    }
-
-    /// This node's identifier.
-    pub fn me(&self) -> NodeId {
-        self.me
     }
 
     /// Number of instances with any state.
@@ -309,24 +296,6 @@ where
         }
         let actions = self.instance(sender, msg.tag.clone()).on_message(from, &msg.msg);
         Self::lift(sender, msg.tag.clone(), actions)
-    }
-
-    /// The payload delivered by instance `(sender, tag)`, if any.
-    ///
-    /// Only [`RbcKind::Bracha`] instances keep their payload: a coded
-    /// instance frees its state at delivery and hands the payload over in
-    /// [`RbcMuxAction::Deliver`] alone, so this is always `None` for one.
-    pub fn delivered(&self, sender: NodeId, tag: &T) -> Option<&P> {
-        self.instances.get(&(sender, tag.clone())).and_then(|i| i.delivered())
-    }
-
-    /// Iterates over all delivered `(sender, tag, payload)` triples of
-    /// [`RbcKind::Bracha`] instances; coded instances keep no payload to
-    /// read back (see [`RbcMux::delivered`]).
-    pub fn deliveries(&self) -> impl Iterator<Item = (NodeId, &T, &P)> {
-        self.instances
-            .iter()
-            .filter_map(|((sender, tag), inst)| inst.delivered().map(|p| (*sender, tag, p)))
     }
 
     /// Drops all instance state for instances matching `predicate` —
@@ -471,13 +440,14 @@ mod tests {
             dispatch(to, acts, &mut inbox, &mut delivered);
         }
 
-        assert_eq!(delivered.len(), 4, "every node delivers: {delivered:?}");
+        let mut nodes: Vec<usize> = delivered.iter().map(|(id, _)| id.index()).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, vec![0, 1, 2, 3], "every node delivers once: {delivered:?}");
         assert!(delivered.iter().all(|(_, p)| *p == payload));
-        // Delivery already freed every fragment, and no payload is kept;
-        // the host's GC is left only the delivered instances' shells.
+        // Delivery already freed every fragment; the host's GC is left
+        // only the delivered instances' shells.
         for mux in &mut muxes {
             assert_eq!(mux.buffered_fragment_bytes(), 0, "delivery reclaims fragment buffers");
-            assert_eq!(mux.delivered(n(0), &9), None, "a coded instance keeps no payload");
             assert_eq!(mux.instance_count(), 1);
             mux.retain(|_, _| false);
             assert_eq!(mux.instance_count(), 0);
@@ -494,9 +464,8 @@ mod tests {
                 n(i),
                 &RbcMuxMessage { sender: n(0), tag: 1, msg: RbcMessage::Ready("m".to_string()) },
             );
-            assert!(acts.is_empty());
+            assert!(acts.is_empty(), "no Ready is counted, so nothing delivers");
         }
-        assert_eq!(mux.delivered(n(0), &1), None);
         // …and a Bracha mux ignores coded traffic.
         let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
         for i in [0usize, 2, 3] {
@@ -508,23 +477,24 @@ mod tests {
                     msg: RbcMessage::CodedReady { root: c.root },
                 },
             );
-            assert!(acts.is_empty());
+            assert!(acts.is_empty(), "no Ready is counted, so nothing delivers");
         }
-        assert_eq!(mux.delivered(n(0), &1), None);
     }
 
     #[test]
     fn instances_are_isolated_by_tag() {
         let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
-        // Echoes for tag 1 must not count toward tag 2.
+        // Readys for tag 1 must not count toward tag 2.
+        let mut acts = Vec::new();
         for i in [0usize, 2, 3] {
-            let _ = mux.on_message(
+            acts.extend(mux.on_message(
                 n(i),
                 &RbcMuxMessage { sender: n(0), tag: 1, msg: RbcMessage::Ready("m".to_string()) },
-            );
+            ));
         }
-        assert_eq!(mux.delivered(n(0), &1), Some(&"m".to_string()));
-        assert_eq!(mux.delivered(n(0), &2), None);
+        acts.retain(|a| matches!(a, RbcMuxAction::Deliver { .. }));
+        let m = "m".to_string();
+        assert_eq!(acts, vec![RbcMuxAction::Deliver { sender: n(0), tag: 1, payload: m }]);
         assert_eq!(mux.instance_count(), 1);
         assert!(mux.has_tag(&1) && !mux.has_tag(&2));
         mux.retain(|_, tag| *tag != 1);
@@ -534,17 +504,17 @@ mod tests {
     #[test]
     fn instances_are_isolated_by_sender() {
         let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
-        let _ = mux.on_message(
+        let mut acts = mux.on_message(
             n(2),
             &RbcMuxMessage { sender: n(2), tag: 1, msg: RbcMessage::Ready("a".to_string()) },
         );
-        let _ = mux.on_message(
+        acts.extend(mux.on_message(
             n(3),
             &RbcMuxMessage { sender: n(3), tag: 1, msg: RbcMessage::Ready("a".to_string()) },
-        );
-        // Two Readys but for *different* instances: no amplification.
-        assert_eq!(mux.delivered(n(2), &1), None);
-        assert_eq!(mux.delivered(n(3), &1), None);
+        ));
+        // Two Readys but for *different* instances: no amplification, so
+        // neither instance sends a Ready or delivers.
+        assert!(acts.is_empty(), "{acts:?}");
         assert_eq!(mux.instance_count(), 2);
     }
 
@@ -604,18 +574,5 @@ mod tests {
             "the tracer-derived context names the span"
         );
         assert_eq!(spans[1], &(4, n(1), ObsEvent::SpanEnd { trace: ctx.trace, span: echo }));
-    }
-
-    #[test]
-    fn deliveries_iterates_completed_instances() {
-        let mut mux: RbcMux<u8, String> = RbcMux::new(cfg(), n(1), RbcKind::Bracha);
-        for i in [0usize, 2, 3] {
-            let _ = mux.on_message(
-                n(i),
-                &RbcMuxMessage { sender: n(0), tag: 5, msg: RbcMessage::Ready("m".to_string()) },
-            );
-        }
-        let all: Vec<_> = mux.deliveries().collect();
-        assert_eq!(all, vec![(n(0), &5, &"m".to_string())]);
     }
 }

@@ -1,6 +1,6 @@
 //! The vote rule both reliable-broadcast instances share, written once:
 //! echo once, on the designated sender's first accepted `Send`; turn Ready
-//! once, on the instance's echo quorum or `f + 1` Readys; deliver on
+//! once, on the instance's echo quorum or `f + 1` Readys; deliver once, on
 //! `2f + 1` Readys — one Echo and one Ready counted per peer.
 
 use crate::{RbcAction, RbcMessage};
@@ -27,6 +27,7 @@ pub(crate) struct Votes<K> {
     started: bool,
     sent_echo: bool,
     sent_ready: bool,
+    delivered: bool,
     /// Peers whose echo has been counted, any key.
     echoed_peers: NodeBitset,
     /// Peers whose Ready has been counted, any key.
@@ -55,6 +56,7 @@ impl<K: Clone + Eq> Votes<K> {
             started: false,
             sent_echo: false,
             sent_ready: false,
+            delivered: false,
             echoed_peers: NodeBitset::new(config.n()),
             readied_peers: NodeBitset::new(config.n()),
             readies: Vec::new(),
@@ -64,11 +66,6 @@ impl<K: Clone + Eq> Votes<K> {
             echo_span_open: false,
             ready_span_open: false,
         }
-    }
-
-    /// The designated sender.
-    pub(crate) fn sender(&self) -> NodeId {
-        self.sender
     }
 
     /// Whether `from`'s echo has been counted, for any key.
@@ -180,9 +177,16 @@ impl<K: Clone + Eq> Votes<K> {
         count >= self.config.decide_threshold()
     }
 
-    /// Reports the instance's delivery of `key`, with its Ready support
-    /// so far, and closes the `rbc_ready` span.
+    /// Whether the instance has delivered.
+    pub(crate) fn delivered(&self) -> bool {
+        self.delivered
+    }
+
+    /// Marks the instance delivered — at most once, so the instance
+    /// checks [`Votes::delivered`] first — and reports it, with its Ready
+    /// support so far, closing the `rbc_ready` span.
     pub(crate) fn deliver(&mut self, key: &K) {
+        self.delivered = true;
         self.emit(|origin, tag| {
             let support = self.readies.iter().find(|(k, _)| k == key).map_or(0, |&(_, c)| c);
             ObsEvent::RbcDelivered { origin, tag, support: support as u64 }

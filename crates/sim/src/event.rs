@@ -68,27 +68,6 @@ impl<M> EventQueue<M> {
     }
 }
 
-/// One line of a captured execution trace.
-///
-/// Traces are off by default (they allocate); enable them with
-/// [`WorldConfig::capture_trace`](crate::WorldConfig::capture_trace) when
-/// debugging a protocol interleaving.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// When the event fired.
-    pub time: SimTime,
-    /// The node the event was applied to.
-    pub at: NodeId,
-    /// Human-readable description (`start`, `deliver n2: <msg>` …).
-    pub what: String,
-}
-
-impl std::fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}: {}", self.time, self.at, self.what)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,12 +130,5 @@ mod tests {
                 std::iter::from_fn(|| queue.pop()).map(|(t, e)| (t.ticks(), node_of(&e))).collect();
             prop_assert_eq!(rest, reference);
         }
-    }
-
-    #[test]
-    fn trace_entry_displays() {
-        let t =
-            TraceEntry { time: SimTime::from_ticks(9), at: NodeId::new(2), what: "start".into() };
-        assert_eq!(t.to_string(), "[t9] n2: start");
     }
 }

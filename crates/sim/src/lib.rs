@@ -72,7 +72,6 @@ mod scheduler;
 mod time;
 mod world;
 
-pub use event::TraceEntry;
 pub use metrics::{Metrics, MsgClass};
 pub use report::{Report, StopReason};
 pub use scheduler::{
@@ -80,4 +79,4 @@ pub use scheduler::{
     UniformDelay,
 };
 pub use time::SimTime;
-pub use world::{ProcessFactory, StopPolicy, World, WorldConfig, DEFAULT_TRACE_CAPACITY};
+pub use world::{ProcessFactory, StopPolicy, World, WorldConfig};

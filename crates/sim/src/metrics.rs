@@ -1,6 +1,5 @@
 //! Run metrics collected by the simulator.
 
-use bft_types::NodeId;
 use std::collections::BTreeMap;
 
 /// Classification of a message for accounting purposes: a protocol-level
@@ -26,8 +25,6 @@ pub struct Metrics {
     pub delivered: u64,
     /// Messages dropped because the destination had halted.
     pub dropped_to_halted: u64,
-    /// Messages enqueued, per sending node.
-    pub sent_by: BTreeMap<NodeId, u64>,
     /// Approximate bytes enqueued (only if a classifier is installed).
     pub bytes_sent: u64,
     /// Per message-kind counts and bytes (only if a classifier is
@@ -40,10 +37,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Records a message enqueue by `from`, optionally classified.
-    pub(crate) fn record_send(&mut self, from: NodeId, class: Option<MsgClass>) {
+    /// Records a message enqueue, optionally classified.
+    pub(crate) fn record_send(&mut self, class: Option<MsgClass>) {
         self.sent += 1;
-        *self.sent_by.entry(from).or_insert(0) += 1;
         if let Some(c) = class {
             self.bytes_sent += c.bytes as u64;
             let slot = self.by_kind.entry(c.kind).or_insert((0, 0));
@@ -62,11 +58,6 @@ impl Metrics {
         self.dropped_to_halted += 1;
     }
 
-    /// Messages sent by one node.
-    pub fn sent_by(&self, id: NodeId) -> u64 {
-        self.sent_by.get(&id).copied().unwrap_or(0)
-    }
-
     /// Message conservation: every message enqueued was either delivered,
     /// dropped at a halted destination, or still in flight when the run
     /// stopped. The simulator's accounting guarantees this identity; a
@@ -83,14 +74,12 @@ mod tests {
     #[test]
     fn record_send_accumulates_per_node_and_kind() {
         let mut m = Metrics::default();
-        m.record_send(NodeId::new(0), Some(MsgClass { kind: "echo", bytes: 10 }));
-        m.record_send(NodeId::new(0), Some(MsgClass { kind: "echo", bytes: 10 }));
-        m.record_send(NodeId::new(1), Some(MsgClass { kind: "ready", bytes: 4 }));
-        m.record_send(NodeId::new(2), None);
+        m.record_send(Some(MsgClass { kind: "echo", bytes: 10 }));
+        m.record_send(Some(MsgClass { kind: "echo", bytes: 10 }));
+        m.record_send(Some(MsgClass { kind: "ready", bytes: 4 }));
+        m.record_send(None);
 
         assert_eq!(m.sent, 4);
-        assert_eq!(m.sent_by(NodeId::new(0)), 2);
-        assert_eq!(m.sent_by(NodeId::new(9)), 0);
         assert_eq!(m.bytes_sent, 24);
         assert_eq!(m.by_kind["echo"], (2, 20));
         assert_eq!(m.by_kind["ready"], (1, 4));
@@ -100,7 +89,7 @@ mod tests {
     fn conservation_accounts_for_every_send() {
         let mut m = Metrics::default();
         for _ in 0..5 {
-            m.record_send(NodeId::new(0), None);
+            m.record_send(None);
         }
         m.record_delivery();
         m.record_delivery();

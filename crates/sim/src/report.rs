@@ -1,6 +1,6 @@
 //! The result of a simulation run.
 
-use crate::{Metrics, SimTime, TraceEntry};
+use crate::{Metrics, SimTime};
 use bft_types::{verdict, NodeId};
 use std::collections::BTreeMap;
 
@@ -14,9 +14,9 @@ pub enum StopReason {
     /// protocol is stuck (or the run genuinely finished with nothing left
     /// to do).
     QueueDrained,
-    /// The configured budget (max delivered messages or max simulated time)
-    /// was exhausted. For randomized protocols this usually means the
-    /// adversary got astronomically lucky — or the protocol is not live.
+    /// The configured budget of delivered messages was exhausted. For
+    /// randomized protocols this usually means the adversary got
+    /// astronomically lucky — or the protocol is not live.
     BudgetExhausted,
 }
 
@@ -39,8 +39,6 @@ pub struct Report<O> {
     pub metrics: Metrics,
     /// The correct (non-faulty) nodes of the run.
     pub correct: Vec<NodeId>,
-    /// Execution trace, if capture was enabled.
-    pub trace: Vec<TraceEntry>,
 }
 
 impl<O: Clone + PartialEq> Report<O> {
@@ -109,7 +107,6 @@ mod tests {
             max_round: 2,
             metrics: Metrics::default(),
             correct: correct.iter().map(|&i| NodeId::new(i)).collect(),
-            trace: Vec::new(),
         }
     }
 

@@ -2,10 +2,10 @@
 
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::MsgClass;
-use crate::{Metrics, Report, Scheduler, SimTime, StopReason, TraceEntry};
+use crate::{Metrics, Report, Scheduler, SimTime, StopReason};
 use bft_obs::{Event as ObsEvent, Obs};
 use bft_types::{Effect, Envelope, NodeId, Process};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,32 +34,18 @@ pub struct WorldConfig {
     n: usize,
     stop_policy: StopPolicy,
     max_delivered: u64,
-    max_time: SimTime,
-    capture_trace: bool,
-    trace_capacity: usize,
 }
 
-/// Default bound on the captured trace: enough for a whole scripted run,
-/// small enough that week-long soak runs stay at constant memory.
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
 impl WorldConfig {
-    /// Creates a configuration for `n` nodes with default budgets
-    /// (10 million deliveries, unbounded simulated time, no trace).
+    /// Creates a configuration for `n` nodes with the default budget of
+    /// 10 million deliveries.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a world needs at least one node");
-        WorldConfig {
-            n,
-            stop_policy: StopPolicy::default(),
-            max_delivered: 10_000_000,
-            max_time: SimTime::from_ticks(u64::MAX),
-            capture_trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        WorldConfig { n, stop_policy: StopPolicy::default(), max_delivered: 10_000_000 }
     }
 
     /// Sets the stop policy.
@@ -72,35 +58,6 @@ impl WorldConfig {
     /// [`StopReason::BudgetExhausted`] when reached.
     pub fn max_delivered(mut self, max: u64) -> Self {
         self.max_delivered = max;
-        self
-    }
-
-    /// Caps simulated time; events scheduled beyond the cap stop the run.
-    pub fn max_time(mut self, max: SimTime) -> Self {
-        self.max_time = max;
-        self
-    }
-
-    /// Enables capture of an execution trace (allocates; debugging aid).
-    /// The trace is a ring buffer holding the most recent
-    /// [`DEFAULT_TRACE_CAPACITY`] entries unless overridden with
-    /// [`WorldConfig::trace_capacity`].
-    pub fn capture_trace(mut self, on: bool) -> Self {
-        self.capture_trace = on;
-        self
-    }
-
-    /// Bounds the captured trace to the most recent `capacity` entries.
-    /// Long runs would otherwise grow the trace without bound, distorting
-    /// memory measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — use
-    /// [`WorldConfig::capture_trace`]`(false)` to disable tracing.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.trace_capacity = capacity;
         self
     }
 
@@ -132,7 +89,6 @@ pub struct World<M, O, S> {
     /// Replacement factories for scheduled restarts, consumed when the
     /// matching `Restart` event fires.
     restarts: BTreeMap<NodeId, ProcessFactory<M, O>>,
-    trace: VecDeque<TraceEntry>,
     now: SimTime,
 }
 
@@ -164,7 +120,6 @@ where
             output_times: BTreeMap::new(),
             output_rounds: BTreeMap::new(),
             restarts: BTreeMap::new(),
-            trace: VecDeque::new(),
             now: SimTime::ZERO,
         }
     }
@@ -242,14 +197,6 @@ where
         self.classifier.map(|c| c(msg))
     }
 
-    /// Appends a trace entry, evicting the oldest once the ring is full.
-    fn record_trace(&mut self, at: NodeId, what: String) {
-        if self.trace.len() >= self.config.trace_capacity {
-            self.trace.pop_front();
-        }
-        self.trace.push_back(TraceEntry { time: self.now, at, what });
-    }
-
     /// Applies the effects a process produced at the current time.
     fn apply_effects(&mut self, from: NodeId, effects: Vec<Effect<M, O>>) {
         for effect in effects {
@@ -271,9 +218,6 @@ where
                         let round =
                             self.procs[from.index()].as_ref().map(|p| p.round()).unwrap_or(0);
                         self.output_rounds.insert(from, round);
-                        if self.config.capture_trace {
-                            self.record_trace(from, "output".into());
-                        }
                     }
                 }
                 Effect::Halt => self.mark_halted(from),
@@ -292,7 +236,7 @@ where
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: Arc<M>) {
         assert!(to.index() < self.config.n, "destination {to} out of range");
         let class = self.classify(&msg);
-        self.metrics.record_send(from, class);
+        self.metrics.record_send(class);
         if self.obs.enabled() {
             let (kind, bytes) = class.map_or(("msg", 0), |c| (c.kind, c.bytes as u64));
             self.obs.emit(from, || ObsEvent::MessageSent { to, kind, bytes });
@@ -339,18 +283,14 @@ where
             if self.stop_satisfied() {
                 break StopReason::Completed;
             }
-            // Peek before popping: an event that would bust the budget
+            // Check before popping: an event that would bust the budget
             // stays in the queue and counts as in-flight, keeping the
             // conservation identity `sent = delivered + dropped +
             // in_flight_at_stop` exact.
-            let Some(next) = self.queue.peek_time() else {
-                break if self.stop_satisfied() {
-                    StopReason::Completed
-                } else {
-                    StopReason::QueueDrained
-                };
-            };
-            if next > self.config.max_time || self.metrics.delivered >= self.config.max_delivered {
+            if self.queue.peek_time().is_none() {
+                break StopReason::QueueDrained;
+            }
+            if self.metrics.delivered >= self.config.max_delivered {
                 break StopReason::BudgetExhausted;
             }
             let Some((time, kind)) = self.queue.pop() else { continue };
@@ -366,9 +306,6 @@ where
                 EventKind::Start(id) => {
                     if self.halted[id.index()] {
                         continue;
-                    }
-                    if self.config.capture_trace {
-                        self.record_trace(id, "start".into());
                     }
                     let effects =
                         // lint: allow(panic) — World::new populates every slot before run() can be called
@@ -392,10 +329,6 @@ where
                         let from = envelope.from;
                         self.obs.emit(to, || ObsEvent::MessageDelivered { from, kind });
                     }
-                    if self.config.capture_trace {
-                        let what = format!("deliver {}: {:?}", envelope.from, envelope.msg);
-                        self.record_trace(to, what);
-                    }
                     let effects = self.procs[to.index()]
                         .as_mut()
                         // lint: allow(panic) — World::new populates every slot before run() can be called
@@ -408,9 +341,6 @@ where
                     }
                 }
                 EventKind::Crash(id) => {
-                    if self.config.capture_trace {
-                        self.record_trace(id, "crash".into());
-                    }
                     // Halted nodes drop all deliveries — the same
                     // observable behaviour as a dead host.
                     self.mark_halted(id);
@@ -428,9 +358,6 @@ where
                     self.outputs.remove(&id);
                     self.output_times.remove(&id);
                     self.output_rounds.remove(&id);
-                    if self.config.capture_trace {
-                        self.record_trace(id, "restart".into());
-                    }
                     let effects =
                         // lint: allow(panic) — the slot was just populated with the replacement
                         self.procs[id.index()].as_mut().expect("slot populated").on_start();
@@ -469,7 +396,6 @@ where
             max_round,
             metrics: self.metrics,
             correct: (0..self.config.n).filter(|&i| !self.faulty[i]).map(NodeId::new).collect(),
-            trace: self.trace.into(),
         }
     }
 }
@@ -723,56 +649,6 @@ mod tests {
         // but the halting flags must be respected if they were.
         assert_eq!(report.stop, StopReason::QueueDrained);
         assert!(report.all_correct_decided());
-    }
-
-    #[test]
-    fn trace_capture_records_events() {
-        let mut world = token_world(2, FixedDelay::new(1));
-        world.config = WorldConfig::new(2).capture_trace(true);
-        let report = world.run();
-        assert!(report.trace.iter().any(|t| t.what == "start"));
-        assert!(report.trace.iter().any(|t| t.what.starts_with("deliver")));
-        assert!(report.trace.iter().any(|t| t.what == "output"));
-    }
-
-    #[test]
-    fn trace_ring_buffer_keeps_only_the_most_recent_entries() {
-        // A capped ping-pong run generates far more trace entries than
-        // the configured capacity; the ring must retain exactly the last
-        // `capacity`, in order.
-        struct PingPong {
-            id: NodeId,
-        }
-        impl Process for PingPong {
-            type Msg = u8;
-            type Output = u8;
-            fn id(&self) -> NodeId {
-                self.id
-            }
-            fn on_start(&mut self) -> Vec<Effect<u8, u8>> {
-                vec![Effect::Send { to: NodeId::new(1 - self.id.index()), msg: 0 }]
-            }
-            fn on_message(&mut self, from: NodeId, m: &u8) -> Vec<Effect<u8, u8>> {
-                vec![Effect::Send { to: from, msg: *m }]
-            }
-        }
-        let config = WorldConfig::new(2).max_delivered(500).capture_trace(true).trace_capacity(16);
-        let mut world: World<u8, u8, _> = World::new(config, FixedDelay::new(1));
-        world.add_process(Box::new(PingPong { id: NodeId::new(0) }));
-        world.add_process(Box::new(PingPong { id: NodeId::new(1) }));
-        let report = world.run();
-        assert_eq!(report.trace.len(), 16, "ring must be capped at capacity");
-        // Only the most recent entries survive: all retained timestamps
-        // sit at the end of the run, in non-decreasing order.
-        let times: Vec<u64> = report.trace.iter().map(|t| t.time.ticks()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "ring preserved order: {times:?}");
-        assert!(times[0] > 1, "oldest entries must have been evicted");
-    }
-
-    #[test]
-    #[should_panic(expected = "trace capacity must be positive")]
-    fn zero_trace_capacity_rejected() {
-        let _ = WorldConfig::new(2).trace_capacity(0);
     }
 
     #[test]

@@ -575,17 +575,18 @@ pub struct SmrProcess<C> {
     opts: SmrOptions,
     order: OrderProcess<C>,
     state: KvState,
-    /// Checkpoint-hash RBC, of the Bracha kind: its instances keep their
-    /// payloads for [`RbcMux::deliveries`] to read back at certification.
+    /// Checkpoint-hash RBC, of the Bracha kind.
     ckpt: RbcMux<u64, Vec<u8>>,
+    /// Checkpoint-hash deliveries per `(epoch, hash)` above the current
+    /// certificate, tallied as their `Deliver`s arrive.
+    ckpt_votes: BTreeMap<(u64, u64), usize>,
     /// Own snapshots by checkpoint epoch; pruned below the latest
     /// certificate once one exists.
     snapshots: BTreeMap<u64, Snapshot>,
     /// The highest boundary already proposed (or skipped by a restore).
     ckpt_cursor: u64,
     /// The latest checkpoint certificate `(epoch, hash)` this node
-    /// holds, from `2f + 1` matching RBC deliveries or `f + 1` matching
-    /// peer reports.
+    /// holds, from `2f + 1` matching checkpoint-hash deliveries.
     cert: Option<(u64, u64)>,
     /// Latest `CkptInfo` per peer (for `f + 1` bootstrap certification).
     peer_info: BTreeMap<NodeId, (u64, u64)>,
@@ -622,6 +623,7 @@ impl<C: CoinScheme> SmrProcess<C> {
             order,
             state: KvState::new(),
             ckpt: RbcMux::new(config, me, RbcKind::Bracha),
+            ckpt_votes: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             ckpt_cursor: 0,
             cert: None,
@@ -768,9 +770,16 @@ impl<C: CoinScheme> SmrProcess<C> {
                 RbcMuxAction::Send { to, msg } => {
                     out.push(Effect::Send { to, msg: SmrMessage::Ckpt(msg) });
                 }
-                // Deliveries are read back from the mux when counting
-                // certificates.
-                RbcMuxAction::Deliver { .. } => {}
+                // A collected instance can be re-created by a late message
+                // and deliver again: only epochs above the certificate
+                // count.
+                RbcMuxAction::Deliver { tag, payload, .. } => {
+                    let floor = self.cert.map_or(0, |(e, _)| e);
+                    let Ok(bytes) = <[u8; 8]>::try_from(payload.as_slice()) else { continue };
+                    if tag > floor {
+                        *self.ckpt_votes.entry((tag, u64::from_le_bytes(bytes))).or_insert(0) += 1;
+                    }
+                }
             }
         }
     }
@@ -829,22 +838,13 @@ impl<C: CoinScheme> SmrProcess<C> {
         }
     }
 
-    /// Counts matching checkpoint-hash deliveries and adopts a
-    /// certificate once `2f + 1` agree on one hash for a boundary newer
-    /// than the current certificate.
+    /// Adopts a certificate once `2f + 1` checkpoint-hash deliveries
+    /// agree on one hash for a boundary newer than the current
+    /// certificate.
     fn maybe_certify(&mut self, out: &mut Vec<SmrEffect>) {
         let need = self.config.decide_threshold();
-        let floor = self.cert.map_or(0, |(e, _)| e);
-        let mut counts: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-        for (_, &tag, payload) in self.ckpt.deliveries() {
-            if tag <= floor {
-                continue;
-            }
-            let Ok(bytes) = <[u8; 8]>::try_from(payload.as_slice()) else { continue };
-            *counts.entry((tag, u64::from_le_bytes(bytes))).or_insert(0) += 1;
-        }
-        let Some(((epoch, hash), support)) =
-            counts.into_iter().filter(|&(_, c)| c >= need).max_by_key(|&((e, _), _)| e)
+        let Some((&(epoch, hash), &support)) =
+            self.ckpt_votes.iter().filter(|&(_, &c)| c >= need).max_by_key(|&(&(e, _), _)| e)
         else {
             return;
         };
@@ -871,6 +871,7 @@ impl<C: CoinScheme> SmrProcess<C> {
         // state below the certificate.
         self.snapshots.retain(|&b, _| b >= epoch);
         self.ckpt.retain(move |_, tag| *tag >= epoch);
+        self.ckpt_votes.retain(|&(e, _), _| e > epoch);
         for peer in self.subscribers.iter().copied().filter(|&p| p != self.me) {
             out.push(Effect::Send { to: peer, msg: SmrMessage::CkptInfo { epoch, hash } });
         }
@@ -1509,6 +1510,45 @@ mod tests {
         let _ = p.on_message(peer, &chunk(&first));
         let _ = p.on_message(peer, &chunk(&second));
         assert_eq!(held(&p), vec![(peer, first.root)]);
+    }
+
+    #[test]
+    fn checkpoint_tally_counts_deliveries_above_the_certificate_only() {
+        let Ok(cfg) = Config::new(4, 1) else { return };
+        let order = OrderOptions { epochs: 8, ..OrderOptions::default() };
+        let opts = SmrOptions { order, checkpoint_interval: 2 };
+        let mut p =
+            SmrProcess::new(cfg, NodeId::new(0), opts, Vec::new(), |i| CommonCoin::new(1, i));
+        // Three peers' Readys make node 0 deliver `sender`'s `tag` instance.
+        let deliver = |p: &mut SmrProcess<CommonCoin>, sender: usize, tag: u64, payload: &[u8]| {
+            for from in 1..4 {
+                let msg = bft_rbc::RbcMessage::Ready(payload.to_vec());
+                let m = RbcMuxMessage { sender: NodeId::new(sender), tag, msg };
+                let _ = p.on_message(NodeId::new(from), &SmrMessage::Ckpt(m));
+            }
+        };
+        let (h, other) = (0x1122_3344_5566_7788u64, 0x99u64);
+        deliver(&mut p, 1, 3, &h.to_le_bytes());
+        assert!(p.ckpt_votes.is_empty(), "epoch 3 is not a boundary");
+        deliver(&mut p, 1, 2, &[7; 7]);
+        assert!(p.ckpt_votes.is_empty(), "a hash is 8 bytes");
+        deliver(&mut p, 1, 4, &h.to_le_bytes());
+        deliver(&mut p, 1, 6, &other.to_le_bytes());
+        let tally =
+            |p: &SmrProcess<CommonCoin>| p.ckpt_votes.clone().into_iter().collect::<Vec<_>>();
+        assert_eq!(tally(&p), vec![((4, h), 1), ((6, other), 1)]);
+        assert_eq!(p.certificate(), None);
+        deliver(&mut p, 2, 4, &h.to_le_bytes());
+        deliver(&mut p, 3, 4, &h.to_le_bytes());
+        assert_eq!(p.certificate(), Some((4, h)));
+        assert_eq!(tally(&p), vec![((6, other), 1)], "certification at 4 prunes the tally to it");
+        // Deliveries at or below the certificate, including by instances
+        // a late message re-creates after collection, count for nothing.
+        deliver(&mut p, 1, 2, &other.to_le_bytes());
+        deliver(&mut p, 1, 4, &other.to_le_bytes());
+        deliver(&mut p, 0, 4, &other.to_le_bytes());
+        assert_eq!(tally(&p), vec![((6, other), 1)]);
+        assert_eq!(p.certificate(), Some((4, h)));
     }
 
     fn kv_workload(id: NodeId, count: usize) -> Vec<Vec<u8>> {

@@ -40,21 +40,6 @@ pub enum Effect<M, O> {
     Halt,
 }
 
-impl<M, O> Effect<M, O> {
-    /// Returns the output carried by this effect, if any.
-    pub fn as_output(&self) -> Option<&O> {
-        match self {
-            Effect::Output(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Returns whether this effect is [`Effect::Halt`].
-    pub fn is_halt(&self) -> bool {
-        matches!(self, Effect::Halt)
-    }
-}
-
 /// A message in flight, tagged with its (authenticated) sender and its
 /// destination.
 ///
@@ -237,20 +222,10 @@ mod tests {
         assert_eq!(p.on_start(), vec![Effect::Broadcast { msg: Ping }]);
         assert!(!p.is_halted());
         let effects = p.on_message(NodeId::new(2), &Ping);
-        assert!(effects.iter().any(Effect::is_halt));
+        assert!(effects.contains(&Effect::Halt));
         assert!(p.is_halted());
         assert_eq!(p.round(), 0);
         assert_eq!(p.output(), None);
-    }
-
-    #[test]
-    fn effect_accessors() {
-        let e: Effect<Ping, u8> = Effect::Output(3);
-        assert_eq!(e.as_output(), Some(&3));
-        assert!(!e.is_halt());
-        let h: Effect<Ping, u8> = Effect::Halt;
-        assert_eq!(h.as_output(), None);
-        assert!(h.is_halt());
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Round {
             None
         }
     }
-
-    /// Returns whether this is the first round.
-    pub const fn is_first(self) -> bool {
-        self.0 == 1
-    }
 }
 
 impl fmt::Display for Round {
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn round_sequence() {
         let r = Round::FIRST;
-        assert!(r.is_first());
+        assert_eq!(r.get(), 1);
         assert_eq!(r.prev(), None);
         let r5 = Round::new(5);
         assert_eq!(r5.get(), 5);

@@ -1,6 +1,7 @@
 //! Property tests of reliable broadcast at the state-machine level: a
 //! proptest-driven adversary controls both the delivery order and a fully
-//! Byzantine sender's messages, and agreement/totality must still hold.
+//! Byzantine sender's messages, and agreement, totality and integrity (at
+//! most one delivery per node) must still hold.
 //! Last, the coded broadcast's byte budget against Bracha's, counted with
 //! the exact wire encoding.
 
@@ -28,7 +29,8 @@ struct InFlight {
 /// in-flight message modulo queue length).
 ///
 /// Returns the payload delivered by each correct node (None = no
-/// delivery).
+/// delivery). Integrity is checked on the way: a node that delivers a
+/// second time fails the run.
 fn run_adversarial_rbc(
     n: usize,
     kind: RbcKind,
@@ -88,7 +90,10 @@ fn run_adversarial_rbc(
                 RbcAction::Send { to, msg } => {
                     queue.push(InFlight { from: me, to: to.index(), msg });
                 }
-                RbcAction::Deliver(p) => delivered[slot] = Some(p),
+                RbcAction::Deliver(p) => {
+                    let earlier = delivered[slot].replace(p);
+                    assert!(earlier.is_none(), "{kind} node {} delivered twice", inflight.to);
+                }
             }
         }
     }

@@ -120,6 +120,11 @@ fn transport_depends_on_no_protocol_crate() {
     net.sort();
     assert_eq!(net, ["bft-obs", "bft-types", "poll"]);
     assert!(!dependencies("crates/smr/Cargo.toml").iter().any(|d| d == "bft-net"));
+    // Coins are pure functions of their seeds: the protocols observe the
+    // flips they consume, so the coin crate needs no observer either.
+    let mut coin = dependencies("crates/coin/Cargo.toml");
+    coin.sort();
+    assert_eq!(coin, ["bft-types", "rand", "rand_chacha"]);
 
     let crates = std::fs::read_dir(workspace_root().join("crates")).expect("crates/ readable");
     let manifests = crates
