@@ -3,10 +3,25 @@
 //! The field is GF(2)[x] modulo the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (0x11d), the same polynomial QR codes and
 //! most storage erasure codes use. Addition is XOR; multiplication goes
-//! through compile-time exp/log tables of the generator `x` (= 2). The
-//! bulk encode/reconstruct loops multiply whole shards by one coefficient
-//! at a time, so they expand that coefficient into a 256-byte
-//! [`product_row`] once and then pay one table read per byte.
+//! through compile-time exp/log tables of the generator `x` (= 2), and
+//! [`mul`] is the definition every faster form is checked against.
+//!
+//! The bulk encode/reconstruct loops multiply whole shards by one
+//! coefficient at a time, so they expand that coefficient into a table
+//! once and then pay a lookup per byte. Two kernels do that:
+//!
+//! * the portable scalar kernel expands it into a 256-byte
+//!   [`product_row`] and reads one entry per byte, eight targets per read;
+//! * on x86-64 hosts with AVX2, a split-nibble kernel expands it into the
+//!   two 16-entry [`nibble_tables`] and multiplies 32 bytes per `vpshufb`
+//!   pair: `c · b = lo[b & 15] ^ hi[b >> 4]`, since multiplication by `c`
+//!   is linear over XOR.
+//!
+//! Interpolation dispatches to the AVX2 kernel when the host has it and
+//! keeps the scalar kernel for every other host and for tails shorter
+//! than 32 bytes; the two agree bit for bit. The AVX2 kernel's private
+//! module is the crate's one `unsafe` module (the crate root denies
+//! `unsafe_code` everywhere else).
 
 /// The exp table holds `2^i` for `i` in `0..255`, repeated twice so that
 /// `exp[log(a) + log(b)]` never needs a modulo reduction.
@@ -63,6 +78,18 @@ pub fn product_row(coeff: u8) -> [u8; 256] {
         *slot = mul(coeff, b as u8);
     }
     row
+}
+
+/// The split-nibble form of `coeff`'s products: `lo[i] == mul(coeff, i)`
+/// and `hi[i] == mul(coeff, i << 4)` for `i` in `0..16`, so
+/// `mul(coeff, b) == lo[b & 15] ^ hi[b >> 4]` for every byte `b`.
+pub fn nibble_tables(coeff: u8) -> [[u8; 16]; 2] {
+    let (mut lo, mut hi) = ([0u8; 16], [0u8; 16]);
+    for (i, (l, h)) in (0u8..).zip(lo.iter_mut().zip(&mut hi)) {
+        *l = mul(coeff, i);
+        *h = mul(coeff, i << 4);
+    }
+    [lo, hi]
 }
 
 /// Multiplicative inverse. `inv(0)` is defined as 0 so the function is
@@ -125,6 +152,17 @@ mod tests {
                 for c in (0..=255u8).step_by(13) {
                     assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn nibble_tables_equal_mul_for_all_65536_pairs() {
+        for coeff in 0..=255u8 {
+            let [lo, hi] = nibble_tables(coeff);
+            for b in 0..=255u8 {
+                let split = lo[usize::from(b & 15)] ^ hi[usize::from(b >> 4)];
+                assert_eq!(split, mul(coeff, b), "{coeff} · {b}");
             }
         }
     }

@@ -21,19 +21,33 @@
 //! committed leaves *is* a codeword), so correct nodes agree on
 //! success-with-identical-bytes or uniform failure — never a split.
 //!
+//! Encode and decode spend their time interpolating shards over
+//! [`gf256`]. Two kernels do it, with bit-identical output: on x86-64
+//! hosts where `is_x86_feature_detected!("avx2")` holds, a split-nibble
+//! AVX2 kernel covers every whole 32-byte chunk; every other host, and
+//! every tail shorter than 32 bytes, takes the portable 8-lane scalar
+//! kernel, which is also the AVX2 kernel's test oracle. The AVX2 kernel
+//! lives in the crate's one private `unsafe` module; the crate root
+//! denies `unsafe_code` everywhere else. A fragment's shard is one shared
+//! buffer ([`Fragment::shard`]): cloning a fragment copies no shard byte.
+//!
 //! The crate is deterministic and depends only on `bft-types`, whose
 //! workspace-wide placeholder FNV-1a it uses (see [`bft_types::hash`] for
 //! the caveat).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
 pub mod gf256;
 pub mod merkle;
 
 use bft_types::hash::Fnv64;
 use bft_types::wire::{put_u16, put_u32, put_u64, Codec, DecodeError, Reader, MAX_PAYLOAD};
 use std::fmt;
+use std::sync::Arc;
 
 /// One erasure-coded fragment of a payload, as handed to (and echoed by)
 /// one node.
@@ -43,8 +57,10 @@ pub struct Fragment {
     pub index: u16,
     /// Byte length of the original payload (shards are zero-padded).
     pub total_len: u32,
-    /// This position's shard: `shard_len(total_len, k)` code bytes.
-    pub shard: Vec<u8>,
+    /// This position's shard: `shard_len(total_len, k)` code bytes, in one
+    /// shared allocation, so a clone of the fragment (into a verified
+    /// fragment, an echo or a held echo) copies none of them.
+    pub shard: Arc<[u8]>,
     /// Merkle inclusion proof of `(index, shard)` under the commitment.
     pub proof: Vec<u64>,
 }
@@ -79,7 +95,7 @@ impl Codec for Fragment {
         if shard_len > MAX_PAYLOAD as usize {
             return Err(DecodeError::Oversize(shard_len as u32));
         }
-        let shard = r.take(shard_len)?.to_vec();
+        let shard = Arc::from(r.take(shard_len)?);
         let proof_len = r.u16()? as usize;
         if proof_len > 64 {
             return Err(DecodeError::Invalid {
@@ -220,13 +236,32 @@ const LANES: usize = 8;
 /// must be at least as long as the outputs (callers validate the geometry
 /// first).
 ///
+/// On x86-64 the AVX2 kernel covers the whole 32-byte chunks when the host
+/// has it; the scalar kernel ([`interpolate_scalar`]) covers the rest —
+/// everything, on any other host.
+fn interpolate_into(xs: &[u8], shards: &[&[u8]], targets: &[u8], outs: &mut [&mut [u8]]) {
+    #[cfg(target_arch = "x86_64")]
+    let done = {
+        let coeffs: Vec<Vec<u8>> = targets.iter().map(|&x| lagrange_coeffs(xs, x)).collect();
+        avx2::interpolate(&coeffs, shards, outs)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    let shards: Vec<&[u8]> = shards.iter().map(|s| s.get(done..).unwrap_or(&[])).collect();
+    let mut outs: Vec<&mut [u8]> =
+        outs.iter_mut().map(|o| o.get_mut(done..).unwrap_or(&mut [])).collect();
+    interpolate_scalar(xs, &shards, targets, &mut outs);
+}
+
+/// The portable kernel behind [`interpolate_into`], with the same contract.
+///
 /// A byte of source `j` contributes `coeff(t, j) · byte` to every target
 /// `t`. The 256-byte product rows of up to [`LANES`] targets' coefficients
 /// are packed side by side into one row of `u64`s per source, so one
 /// table read multiplies a source byte for all of those targets at once:
 /// the per-byte work is `acc[i] ^= row[src[i]]`, then one shift per
 /// target to unpack.
-fn interpolate_into(xs: &[u8], shards: &[&[u8]], targets: &[u8], outs: &mut [&mut [u8]]) {
+fn interpolate_scalar(xs: &[u8], shards: &[&[u8]], targets: &[u8], outs: &mut [&mut [u8]]) {
     for (targets, outs) in targets.chunks(LANES).zip(outs.chunks_mut(LANES)) {
         let mut rows = vec![[0u64; 256]; shards.len()];
         for (lane, &x) in targets.iter().enumerate() {
@@ -278,28 +313,32 @@ pub fn encode(payload: &[u8], n: usize, k: usize) -> Result<Coded, EcError> {
     let total_len = u32::try_from(payload.len())
         .map_err(|_| EcError::PayloadTooLarge { len: payload.len() })?;
     let len = shard_len(payload.len(), k);
-    // Each shard is built once, in the buffer its fragment will own.
-    let mut shards: Vec<Vec<u8>> = payload
+    // Each shard is built in the buffer its fragment will own: a whole
+    // payload chunk is copied in once; a padded chunk and every parity
+    // shard start out zeroed.
+    let zeroed = || -> Arc<[u8]> { std::iter::repeat_n(0, len).collect() };
+    let mut shards: Vec<Arc<[u8]>> = payload
         .chunks(len)
         .chain(std::iter::repeat(&[][..]))
         .take(k)
         .map(|chunk| {
-            let mut shard = Vec::with_capacity(len);
-            shard.extend_from_slice(chunk);
-            shard.resize(len, 0);
+            if chunk.len() == len {
+                return Arc::from(chunk);
+            }
+            let mut shard = zeroed();
+            Arc::make_mut(&mut shard)[..chunk.len()].copy_from_slice(chunk);
             shard
         })
         .collect();
     // Parity positions `k..n` evaluated from the data at positions `0..k`.
     let xs: Vec<u8> = (0..k as u8).collect();
-    let data: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
     let targets: Vec<u8> = (k..n).map(|x| x as u8).collect();
-    let mut parity = vec![vec![0u8; len]; n - k];
+    let mut parity: Vec<Arc<[u8]>> = targets.iter().map(|_| zeroed()).collect();
     interpolate_into(
         &xs,
-        &data,
+        &shards.iter().map(|s| &s[..]).collect::<Vec<_>>(),
         &targets,
-        &mut parity.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+        &mut parity.iter_mut().map(Arc::make_mut).collect::<Vec<_>>(),
     );
     shards.extend(parity);
     let leaves: Vec<u64> = (0u16..).zip(&shards).map(|(i, s)| merkle::leaf_hash(i, s)).collect();
@@ -358,7 +397,8 @@ pub struct VerifiedFragment {
 
 impl VerifiedFragment {
     /// [`verify`]s `frag` against a commitment and, if it passes, keeps a
-    /// copy of it with its leaf hash.
+    /// clone of it with its leaf hash: the shard buffer is shared, not
+    /// copied.
     pub fn check(root: u64, n: usize, k: usize, frag: &Fragment) -> Option<Self> {
         let leaf = verified_leaf(root, n, k, frag)?;
         Some(VerifiedFragment { fragment: frag.clone(), leaf })
@@ -481,7 +521,7 @@ fn decode(
     // A picked position is a copy, every other one is evaluated. The data
     // positions are the payload buffer itself (the code is systematic).
     let xs: Vec<u8> = picked.iter().map(|f| f.index as u8).collect();
-    let views: Vec<&[u8]> = picked.iter().map(|f| f.shard.as_slice()).collect();
+    let views: Vec<&[u8]> = picked.iter().map(|f| &f.shard[..]).collect();
     let mut payload = vec![0u8; k * len];
     let mut parity = vec![0u8; (n - k) * len];
     let mut missing: Vec<u8> = Vec::with_capacity(n - k);
@@ -506,7 +546,7 @@ fn decode(
         .zip(shards)
         .zip(&by_index)
         .map(|((i, shard), known)| match known {
-            Some((frag, Some(leaf))) if frag.shard == shard => *leaf,
+            Some((frag, Some(leaf))) if *frag.shard == *shard => *leaf,
             _ => {
                 hashed_shards += 1;
                 merkle::leaf_hash(i, shard)
@@ -524,6 +564,7 @@ fn decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 + 7) as u8).collect()
@@ -547,7 +588,7 @@ mod tests {
         for frag in &coded.fragments {
             assert!(verify(coded.root, 10, 4, frag));
             let mut bad = frag.clone();
-            bad.shard[0] ^= 1;
+            Arc::make_mut(&mut bad.shard)[0] ^= 1;
             assert!(!verify(coded.root, 10, 4, &bad), "corrupted shard must fail");
             let mut bad = frag.clone();
             bad.index = (bad.index + 1) % 10;
@@ -572,9 +613,9 @@ mod tests {
             let mut f = frag.clone();
             match i % 5 {
                 0 => {}
-                1 => f.shard[0] ^= 1,
+                1 => Arc::make_mut(&mut f.shard)[0] ^= 1,
                 2 => f.index = (f.index + 1) % 10,
-                3 => f.shard.push(0),
+                3 => f.shard = f.shard.iter().copied().chain([0]).collect(),
                 // Another commitment's fragment: well formed, wrong root.
                 _ => f = other.fragments[i].clone(),
             }
@@ -654,9 +695,9 @@ mod tests {
         let mixed: Vec<Vec<u8>> = (0..n)
             .map(|i| {
                 if i % 2 == 0 {
-                    a.fragments[i].shard.clone()
+                    a.fragments[i].shard.to_vec()
                 } else {
-                    let mut s = b.fragments[i].shard.clone();
+                    let mut s = b.fragments[i].shard.to_vec();
                     s.resize(a.fragments[i].shard.len(), 0);
                     s
                 }
@@ -666,7 +707,7 @@ mod tests {
         // shard only, so a subset that picks that position interpolates
         // through the one wrong point.
         let mut one_parity_off: Vec<Vec<u8>> =
-            a.fragments.iter().map(|f| f.shard.clone()).collect();
+            a.fragments.iter().map(|f| f.shard.to_vec()).collect();
         one_parity_off[n - 1][0] ^= 1;
         for forged in [mixed, one_parity_off] {
             // A fresh commitment over the forged shard vector.
@@ -679,7 +720,7 @@ mod tests {
                 .map(|(i, shard)| Fragment {
                     index: i as u16,
                     total_len: 40,
-                    shard: shard.clone(),
+                    shard: shard.as_slice().into(),
                     proof: merkle::proof(&leaves, i),
                 })
                 .collect();
@@ -730,8 +771,62 @@ mod tests {
             0,
             3,
             4,
-            &Fragment { index: 0, total_len: 1, shard: vec![1], proof: vec![] }
+            &Fragment { index: 0, total_len: 1, shard: Arc::new([1]), proof: vec![] }
         ));
+    }
+
+    /// `len` pseudo-random bytes (xorshift64 from `seed`), so every byte
+    /// value and nibble pair reaches the kernels.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encode_root_is_pinned() {
+        // The root commits to every leaf, so any parity byte a kernel
+        // computes differently from `gf256::mul` moves it. The value is
+        // the root the scalar-only encoder gave this payload.
+        let coded = encode(&noise(256 << 10, 0x9e37_79b9_7f4a_7c15), 7, 3).unwrap();
+        assert_eq!(coded.root, 0x0dc5_09de_f62f_1349);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The dispatching kernel (AVX2 where the host has it) writes
+        /// exactly what the scalar kernel does, for any distinct points,
+        /// any `1 ≤ k ≤ n ≤ 255` and shard lengths around every tail.
+        #[test]
+        fn dispatching_kernel_agrees_with_the_scalar_kernel(
+            // Half the cases small: a wide geometry costs O(n³) to set up.
+            n in prop_oneof![1usize..=16, 1usize..=255],
+            k_pick in 0usize..255,
+            len in 0usize..=300,
+            seed in 0u64..u64::MAX,
+        ) {
+            let k = 1 + k_pick % n;
+            // Points: a seeded shuffle of 0..n; the first k are sources.
+            let mut points: Vec<u8> = (0..n as u8).collect();
+            for (i, r) in (1..n).rev().zip(noise(n, seed)) {
+                points.swap(i, usize::from(r) % (i + 1));
+            }
+            let (xs, targets) = points.split_at(k);
+            let shards: Vec<Vec<u8>> = (0..k as u64).map(|j| noise(len, seed ^ (j << 32))).collect();
+            let views: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let mut fast = vec![vec![0xa5u8; len]; targets.len()];
+            let mut slow = vec![vec![0x5au8; len]; targets.len()];
+            interpolate_into(xs, &views, targets, &mut fast.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+            interpolate_scalar(xs, &views, targets, &mut slow.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+            prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

@@ -259,7 +259,7 @@ fn golden_coded_wire_encoding() {
             fragment: Fragment {
                 index: 2,
                 total_len: 5,
-                shard: vec![0xAA, 0xBB],
+                shard: vec![0xAA, 0xBB].into(),
                 proof: vec![0x0102_0304_0506_0708],
             },
         },
@@ -286,7 +286,7 @@ fn golden_coded_wire_encoding() {
 fn golden_coded_send_and_ready_discriminants() {
     let send: RbcMessage<Vec<u8>> = RbcMessage::CodedSend {
         root: 1,
-        fragment: Fragment { index: 0, total_len: 1, shard: vec![9], proof: Vec::new() },
+        fragment: Fragment { index: 0, total_len: 1, shard: vec![9].into(), proof: Vec::new() },
     };
     #[rustfmt::skip]
     assert_eq!(send.to_bytes(), vec![

@@ -178,15 +178,11 @@ where
         }
     }
 
-    /// Whether the instance has delivered. The payload itself is not
-    /// kept: it left in the [`RbcAction::Deliver`] action.
-    pub fn is_delivered(&self) -> bool {
-        self.votes.delivered()
-    }
-
-    /// Fragment bytes currently buffered — the coded instance's analogue
+    /// Fragment bytes currently referenced — the coded instance's analogue
     /// of Bracha's per-payload Echo copies, used by memory-bound tests.
-    /// Zero once delivered.
+    /// A shard shares its buffer with the message it arrived in (and with
+    /// every other holder of that message), so this counts the bytes the
+    /// instance keeps alive, not bytes it copied. Zero once delivered.
     pub fn buffered_fragment_bytes(&self) -> usize {
         let own = self.own.iter().map(|(_, v)| v.fragment().weight());
         let echoes = self.echoes.values().flat_map(|frags| frags.values());
@@ -533,8 +529,7 @@ mod tests {
         let mut inst = Inst::new(cfg(), n(1), n(0));
         let wrong_index = RbcMessage::CodedSend { root: c.root, fragment: c.fragments[2].clone() };
         assert!(inst.on_message(n(0), &wrong_index).is_empty());
-        let mut corrupted = c.fragments[1].clone();
-        corrupted.shard[0] ^= 1;
+        let corrupted = corrupt(&c.fragments[1]);
         let bad = RbcMessage::CodedSend { root: c.root, fragment: corrupted };
         assert!(inst.on_message(n(0), &bad).is_empty());
         let not_sender = RbcMessage::CodedSend { root: c.root, fragment: c.fragments[1].clone() };
@@ -565,8 +560,7 @@ mod tests {
     fn invalid_echo_does_not_burn_the_peers_slot() {
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        let mut corrupted = c.fragments[2].clone();
-        corrupted.shard[0] ^= 1;
+        let corrupted = corrupt(&c.fragments[2]);
         assert!(inst.on_message(n(2), &echo(c.root, &corrupted)).is_empty());
         // The same peer's valid echo still counts afterwards.
         let _ = inst.on_message(n(0), &echo(c.root, &c.fragments[0]));
@@ -619,8 +613,7 @@ mod tests {
         assert_eq!(inst.buffered_fragment_bytes(), one);
         // Further replays — byte-identical or corrupted — are neither
         // verified (no fragment event, so no shard hash) nor acted on.
-        let mut corrupted = c.fragments[2].clone();
-        corrupted.shard[0] ^= 1;
+        let corrupted = corrupt(&c.fragments[2]);
         for replay in [&c.fragments[2], &corrupted] {
             assert!(inst.on_message(n(2), &echo(c.root, replay)).is_empty());
             assert_eq!(fragment_events(&sink), 0);
@@ -635,8 +628,7 @@ mod tests {
         let c = coded();
         let mut inst = Inst::new(cfg(), n(1), n(0));
         inst.votes.set_obs(obs, "t".into());
-        let mut corrupted = c.fragments[2].clone();
-        corrupted.shard[0] ^= 1;
+        let corrupted = corrupt(&c.fragments[2]);
         // Junk, then its replay: the replay settles the junk (one hash, a
         // rejection, the slot stays open) and is itself held, unhashed.
         assert!(inst.on_message(n(2), &echo(c.root, &corrupted)).is_empty());
@@ -663,7 +655,7 @@ mod tests {
         for i in 0..40u64 {
             // Corrupted shards under the real root and under junk roots.
             let mut junk = c.fragments[2].clone();
-            junk.shard[(i % 7) as usize] ^= 1 + i as u8;
+            std::sync::Arc::make_mut(&mut junk.shard)[(i % 7) as usize] ^= 1 + i as u8;
             let root = if i % 2 == 0 { c.root } else { c.root ^ (i + 1) };
             assert!(inst.on_message(n(2), &echo(root, &junk)).is_empty());
             assert!(inst.buffered_fragment_bytes() <= one, "flood message {i}");
@@ -690,10 +682,42 @@ mod tests {
         // A self-echo that is not what was verified takes the normal path.
         let mut other = Inst::new(cfg(), n(1), n(0));
         assert_eq!(other.on_message(n(0), &send).len(), 1);
-        let mut corrupted = c.fragments[1].clone();
-        corrupted.shard[0] ^= 1;
+        let corrupted = corrupt(&c.fragments[1]);
         assert!(other.on_message(n(1), &echo(c.root, &corrupted)).is_empty());
         assert_eq!(other.buffered_fragment_bytes(), 0, "a corrupted self-echo is rejected");
+    }
+
+    /// Whether `frag`'s shard is the very buffer `msg`'s fragment carries.
+    fn shares_shard(frag: &Fragment, msg: &RbcMessage<Vec<u8>>) -> bool {
+        match msg {
+            RbcMessage::CodedSend { fragment, .. } | RbcMessage::CodedEcho { fragment, .. } => {
+                std::sync::Arc::ptr_eq(&frag.shard, &fragment.shard)
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn buffered_fragments_share_the_incoming_shard() {
+        let c = coded();
+        let mut inst = Inst::new(cfg(), n(1), n(0));
+        let send = RbcMessage::CodedSend { root: c.root, fragment: c.fragments[1].clone() };
+        let acts = inst.on_message(n(0), &send);
+        // The own verified fragment and the echo of it hold the send's shard.
+        let Some((_, own)) = &inst.own else { panic!("the send verified") };
+        assert!(shares_shard(own.fragment(), &send));
+        let [RbcAction::Broadcast(own_echo)] = acts.as_slice() else { panic!("{acts:?}") };
+        let RbcMessage::CodedEcho { fragment, .. } = own_echo else { panic!("{own_echo:?}") };
+        assert!(shares_shard(fragment, &send));
+        // A peer's held echo holds the shard its message carried.
+        let peer = echo(c.root, &c.fragments[2]);
+        assert!(inst.on_message(n(2), &peer).is_empty());
+        let held = &inst.echoes[&c.root][&2];
+        assert!(held.verified().is_none() && shares_shard(held.fragment(), &peer));
+        // The own echo looping back is counted on the send's buffer still.
+        assert!(inst.on_message(n(1), own_echo).is_empty());
+        let counted = &inst.echoes[&c.root][&1];
+        assert!(counted.verified().is_some() && shares_shard(counted.fragment(), &send));
     }
 
     #[test]
@@ -712,15 +736,15 @@ mod tests {
         let mut inst = Inst::new(cfg(), n(1), n(0));
         let ready = RbcMessage::CodedReady { root: c.root };
         // 2f+1 = 3 readys, but no fragments yet: no delivery.
-        assert_eq!(inst.on_message(n(0), &ready).len(), 0);
-        assert_eq!(inst.on_message(n(2), &ready).len(), 1, "amplified own ready");
-        assert_eq!(inst.on_message(n(3), &ready).len(), 0);
-        assert!(!inst.is_delivered());
+        let mut a = inst.on_message(n(0), &ready);
+        a.extend(inst.on_message(n(2), &ready));
+        a.extend(inst.on_message(n(3), &ready));
+        let amplified = RbcAction::Broadcast(RbcMessage::CodedReady { root: c.root });
+        assert_eq!(a, vec![amplified], "the amplified own ready alone, no Deliver");
         // k = n−2f = 2 verified fragments complete the delivery.
         assert!(inst.on_message(n(0), &echo(c.root, &c.fragments[0])).is_empty());
         let a = inst.on_message(n(2), &echo(c.root, &c.fragments[2]));
         assert_eq!(a, vec![RbcAction::Deliver(payload())]);
-        assert!(inst.is_delivered());
     }
 
     #[test]
@@ -760,7 +784,6 @@ mod tests {
         }
         // The payload left in the action; the instance kept a flag only.
         assert_eq!(delivered, vec![payload()]);
-        assert!(inst.is_delivered());
         assert_eq!(inst.buffered_fragment_bytes(), 0);
         assert!(inst.own.is_none() && inst.echoes.is_empty());
         // The own echo looping back late is dropped unread.
@@ -771,11 +794,11 @@ mod tests {
     #[test]
     fn readies_for_conflicting_roots_cannot_both_win() {
         let mut inst = Inst::new(cfg(), n(1), n(0));
-        let _ = inst.on_message(n(0), &RbcMessage::CodedReady { root: 1 });
-        let _ = inst.on_message(n(2), &RbcMessage::CodedReady { root: 2 });
-        let _ = inst.on_message(n(3), &RbcMessage::CodedReady { root: 1 });
-        let _ = inst.on_message(n(1), &RbcMessage::CodedReady { root: 2 });
-        assert!(!inst.is_delivered());
+        let a: Vec<_> = [(0, 1), (2, 2), (3, 1), (1, 2)]
+            .into_iter()
+            .flat_map(|(from, root)| inst.on_message(n(from), &RbcMessage::CodedReady { root }))
+            .collect();
+        assert!(!a.iter().any(|a| matches!(a, RbcAction::Deliver(_))), "{a:?}");
         assert_eq!(inst.deliver_root, None);
     }
 
@@ -888,7 +911,7 @@ mod tests {
         // check fails and the canonical empty payload is delivered.
         let a = ec::encode(&payload(), 4, 2).unwrap();
         let b = ec::encode(&[9u8; 100], 4, 2).unwrap();
-        let mixed: Vec<Vec<u8>> = (0..4)
+        let mixed: Vec<std::sync::Arc<[u8]>> = (0..4)
             .map(|i| {
                 if i % 2 == 0 {
                     a.fragments[i].shard.clone()
@@ -967,10 +990,12 @@ mod tests {
         for i in [0usize, 2, 3] {
             let _ = inst.on_message(n(i), &echo(c.root, &c.fragments[i].clone()));
         }
-        for i in [0usize, 2, 3] {
-            let _ = inst.on_message(n(i), &RbcMessage::CodedReady { root: c.root });
-        }
-        assert!(inst.is_delivered());
+        let delivered = [0usize, 2, 3]
+            .into_iter()
+            .flat_map(|i| inst.on_message(n(i), &RbcMessage::CodedReady { root: c.root }))
+            .filter(|a| matches!(a, RbcAction::Deliver(_)))
+            .count();
+        assert_eq!(delivered, 1);
         let events = sink.lock().take();
         let mut open = 0i64;
         let mut starts = 0;
@@ -1017,7 +1042,7 @@ mod tests {
 
     fn corrupt(frag: &Fragment) -> Fragment {
         let mut bad = frag.clone();
-        bad.shard[0] ^= 1;
+        std::sync::Arc::make_mut(&mut bad.shard)[0] ^= 1;
         bad
     }
 

@@ -143,7 +143,7 @@ mod tests {
     use super::*;
 
     fn frag() -> Fragment {
-        Fragment { index: 1, total_len: 3, shard: vec![7, 8], proof: vec![9] }
+        Fragment { index: 1, total_len: 3, shard: vec![7, 8].into(), proof: vec![9] }
     }
 
     #[test]

@@ -1416,7 +1416,7 @@ mod tests {
                 fragment: Fragment {
                     index: 2,
                     total_len: 32,
-                    shard: vec![1, 2, 3],
+                    shard: vec![1, 2, 3].into(),
                     proof: vec![5, 6],
                 },
             },
@@ -1439,7 +1439,8 @@ mod tests {
             tag: 4,
             msg: bft_rbc::RbcMessage::Echo(vec![9]),
         };
-        let fragment = Fragment { index: 2, total_len: 300, shard: vec![7, 8], proof: vec![6] };
+        let fragment =
+            Fragment { index: 2, total_len: 300, shard: vec![7, 8].into(), proof: vec![6] };
         #[rustfmt::skip]
         let cases = [
             (SmrMessage::Order(OrderMessage::Batch(ckpt.clone())), vec![

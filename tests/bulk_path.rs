@@ -113,7 +113,7 @@ mod reference {
             .map(|(i, shard)| Fragment {
                 index: i as u16,
                 total_len: payload.len() as u32,
-                shard,
+                shard: shard.into(),
                 proof: merkle::proof(&leaves, i),
             })
             .collect();
@@ -132,7 +132,7 @@ mod reference {
         let total_len = picked[0].total_len;
         let len = ec::shard_len(total_len as usize, k);
         let xs: Vec<u8> = picked.iter().map(|f| f.index as u8).collect();
-        let views: Vec<&[u8]> = picked.iter().map(|f| f.shard.as_slice()).collect();
+        let views: Vec<&[u8]> = picked.iter().map(|f| &f.shard[..]).collect();
         let data: Vec<Vec<u8>> =
             (0..k).map(|x| interpolate_shard(&xs, &views, x as u8, len)).collect();
         let shards = extend(&data, n, len);
@@ -266,7 +266,7 @@ fn forged(n: usize, k: usize) -> ec::Coded {
     let a = reference::encode(&payload(40, 1), n, k);
     let b = reference::encode(&payload(40, 2), n, k);
     let mixed: Vec<Vec<u8>> = (0..n)
-        .map(|i| if i % 2 == 0 { &a.fragments[i] } else { &b.fragments[i] }.shard.clone())
+        .map(|i| if i % 2 == 0 { &a.fragments[i] } else { &b.fragments[i] }.shard.to_vec())
         .collect();
     let leaves = reference::leaves(&mixed);
     let root = reference::commitment(merkle::root(&leaves), 40, n, k);
@@ -276,7 +276,7 @@ fn forged(n: usize, k: usize) -> ec::Coded {
         .map(|(i, shard)| Fragment {
             index: i as u16,
             total_len: 40,
-            shard,
+            shard: shard.into(),
             proof: merkle::proof(&leaves, i),
         })
         .collect();

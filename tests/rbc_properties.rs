@@ -266,7 +266,7 @@ proptest! {
                 msg: RbcMessage::CodedReady { root: *root },
             });
             let mut frag = coded.fragments[byz.index()].clone();
-            if let Some(b) = frag.shard.first_mut() {
+            if let Some(b) = std::sync::Arc::make_mut(&mut frag.shard).first_mut() {
                 *b ^= (*root as u8) | 1;
             }
             queue.push(InFlight {

@@ -5,7 +5,7 @@
 //! test` so a bare threshold, stray wall-clock read, or naked unwrap
 //! fails the ordinary test suite too.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -160,5 +160,69 @@ fn rbc_vote_thresholds_have_one_home() {
     for read in ["ready_threshold()", "decide_threshold()"] {
         let at: Vec<&String> = sites.iter().filter(|(r, _)| r == read).map(|(_, at)| at).collect();
         assert_eq!(at.len(), 1, "`{read}` must be read in exactly one place: {at:?}");
+    }
+}
+
+/// Every `.rs` file under `dir`, build output excluded.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source dir readable") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|name| name != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `path`'s source lines with strings and comments blanked out.
+fn code_lines(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("source readable");
+    bft_lint::lexer::mask_source(&text).code_lines
+}
+
+#[test]
+fn unsafe_code_stays_in_its_two_modules() {
+    // `unsafe` is confined to the raw `poll(2)` syscall and to the AVX2
+    // GF(2⁸) kernel; tokens are read from masked source, so the word in a
+    // string or a comment does not count.
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut holders: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let tokens = bft_lint::lexer::tokenize(&code_lines(path));
+            tokens.iter().any(|t| t.is_ident("unsafe"))
+        })
+        .map(|path| path.strip_prefix(root).expect("under the root").display().to_string())
+        .collect();
+    holders.sort();
+    assert_eq!(holders, ["crates/ec/src/avx2.rs", "crates/shim-poll/src/lib.rs"]);
+
+    // Every other library root forbids it outright; `bft-ec` denies it
+    // and allows it on the kernel module alone.
+    let has =
+        |path: &Path, attr: &str| code_lines(path).iter().filter(|l| l.trim() == attr).count();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ readable");
+    let roots = crates.map(|e| e.expect("dir entry").path().join("src/lib.rs"));
+    for lib in roots.chain([root.join("src/lib.rs")]) {
+        let name = lib.strip_prefix(root).expect("under the root").display().to_string();
+        match name.as_str() {
+            "crates/shim-poll/src/lib.rs" => {}
+            "crates/ec/src/lib.rs" => {
+                assert_eq!(has(&lib, "#![deny(unsafe_code)]"), 1, "{name}");
+                assert_eq!(has(&lib, "#[allow(unsafe_code)]"), 1, "{name}");
+                let lines = code_lines(&lib);
+                let allowed = lines.iter().position(|l| l.trim() == "#[allow(unsafe_code)]");
+                let item = allowed.and_then(|i| lines.get(i + 1)).map(|l| l.trim());
+                assert_eq!(item, Some("mod avx2;"), "{name}: the allow covers the kernel only");
+            }
+            _ => assert_eq!(has(&lib, "#![forbid(unsafe_code)]"), 1, "{name}"),
+        }
     }
 }

@@ -47,7 +47,7 @@ proptest! {
         let frag = Fragment {
             index: 3,
             total_len: 96,
-            shard: vec![0x5A; shard_len],
+            shard: vec![0x5A; shard_len].into(),
             proof: vec![1, 2, 3],
         };
         let mut bytes = to_bytes(&frag);
