@@ -112,8 +112,8 @@ impl<C: CoinScheme> BrachaNode<C> {
     }
 
     /// Attaches an observer; the node (and its RBC layer) emits
-    /// consensus-level events through it. Attach before [`start`]
-    /// (`BrachaNode::start`) so the whole run is covered.
+    /// consensus-level events through it. Attach before
+    /// [`start`](Self::start) so the whole run is covered.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.rbc.set_obs(obs.clone());
         self.obs = obs;

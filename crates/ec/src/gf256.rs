@@ -1,6 +1,6 @@
 //! Arithmetic in GF(2^8), the field the Reed–Solomon code works over.
 //!
-//! The field is GF(2)[x] modulo the primitive polynomial
+//! The field is GF(2)\[x\] modulo the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (0x11d), the same polynomial QR codes and
 //! most storage erasure codes use. Addition is XOR; multiplication goes
 //! through compile-time exp/log tables of the generator `x` (= 2), and

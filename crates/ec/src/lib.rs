@@ -12,11 +12,12 @@
 //! A Byzantine sender could hand out fragments of *different* payloads; the
 //! [`merkle`] commitment pins it down. The sender builds a Merkle tree over
 //! the `n` fragment hashes and binds the root together with the payload
-//! length and the `(n, k)` geometry into a single [`Commitment`] that
-//! travels with every message. Receivers [`verify`] a fragment's inclusion
-//! proof before counting it, and [`reconstruct`] re-encodes the decoded
-//! payload and recomputes the commitment: if the sender committed to
-//! anything other than a valid codeword, the check fails for **every**
+//! length and the `(n, k)` geometry into a single commitment
+//! ([`Coded::root`]) that travels with every message. Receivers [`verify`]
+//! a fragment's inclusion proof before counting it, and [`reconstruct`]
+//! re-encodes the decoded payload and recomputes the commitment: if the
+//! sender committed to anything other than a valid codeword, the check
+//! fails for **every**
 //! `k`-subset of committed fragments (a subset that re-encodes to the
 //! committed leaves *is* a codeword), so correct nodes agree on
 //! success-with-identical-bytes or uniform failure — never a split.

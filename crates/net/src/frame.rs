@@ -25,7 +25,7 @@
 //!
 //! The checksum trailer guards against accidental corruption and makes
 //! stream desynchronisation fail loudly; it is *not* an authenticator
-//! (see [`crate::hash`]). Decoding is strict: bad magic, unknown
+//! (see [`bft_types::hash`]). Decoding is strict: bad magic, unknown
 //! version/kind, oversize lengths, truncation and checksum mismatches
 //! are typed [`DecodeError`]s.
 
@@ -224,7 +224,7 @@ impl<'a> FrameRef<'a> {
 
 /// The typed encode-side failure: the payload exceeds [`MAX_PAYLOAD`].
 ///
-/// Encoding enforces the same hard cap that [`parse_header`] enforces on
+/// Encoding enforces the same hard cap that header parsing enforces on
 /// decode ([`DecodeError::Oversize`]); the limits are symmetric, so a
 /// frame that encodes successfully is never rejected for size by a
 /// receiver.

@@ -204,6 +204,7 @@ struct PipeInner {
     intake: Mutex<VecDeque<ClientSubmit>>,
     notices: Mutex<VecDeque<GatewayNotice>>,
     addr: Mutex<Option<SocketAddr>>,
+    finished: AtomicBool,
 }
 
 /// The queues between one node's reactor and its process (cheaply
@@ -232,6 +233,7 @@ impl GatewayPipe {
                 intake: Mutex::new(VecDeque::new()),
                 notices: Mutex::new(VecDeque::new()),
                 addr: Mutex::new(None),
+                finished: AtomicBool::new(false),
             }),
         }
     }
@@ -285,6 +287,21 @@ impl GatewayPipe {
         let mut q = crate::runtime::locked(&self.inner.notices);
         q.drain(..).collect()
     }
+
+    /// Ends the service: no more clients will come. Submissions already
+    /// in the intake, and any a connected client still sends, are admitted
+    /// and ordered as before; the process side reads the flag at its next
+    /// tick or completed epoch and stops waiting for payloads (an ordering
+    /// node then winds down to its horizon). Called by the host, e.g. once
+    /// its load generator has returned. Idempotent.
+    pub fn finish(&self) {
+        self.inner.finished.store(true, Ordering::Release);
+    }
+
+    /// Whether [`finish`](Self::finish) has been called on any clone.
+    pub fn is_finished(&self) -> bool {
+        self.inner.finished.load(Ordering::Acquire)
+    }
 }
 
 impl std::fmt::Debug for GatewayPipe {
@@ -310,10 +327,10 @@ pub struct LoadGenConfig {
     pub duration_ms: u64,
     /// After the cluster run ends (the harness flips `stop`), how long
     /// to keep reading in-flight commit acks before giving up, in
-    /// milliseconds. While `stop` stays clear the generator drains
-    /// indefinitely — a slow cluster's acks arrive long after the
-    /// submit window, and the harness bounds the wait with its own
-    /// cluster timeout.
+    /// milliseconds. While `stop` stays clear the generator drains until
+    /// every submission a gateway holds is acknowledged — a slow
+    /// cluster's acks arrive long after the submit window, and the
+    /// harness bounds the wait with its own cluster timeout.
     pub drain_ms: u64,
     /// Per-client pipelining bound: a client with this many
     /// unacknowledged submissions defers its slot (counted as
@@ -498,7 +515,11 @@ fn gen_tx(client: u64, seq: u64, tx_bytes: usize) -> Vec<u8> {
 /// rescheduled. After the submit window the generator keeps draining
 /// commit acks until `stop` is set (the harness flips it when the
 /// cluster run ends — that bounds the wait) plus a `drain_ms` grace for
-/// in-flight frames, or until nothing is outstanding.
+/// in-flight frames, or until nothing is outstanding: no gateway holds a
+/// submission of ours unacknowledged. A refused seq the window has
+/// rewound past is never resent once submitting ends, so it is not
+/// waited for — a cluster that orders only what it holds (and winds
+/// down once its host finishes the intake) would never ack it.
 pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) -> LoadGenReport {
     let mut report = LoadGenReport::default();
     if addrs.is_empty() || cfg.clients == 0 {
@@ -540,7 +561,10 @@ pub fn run_load(addrs: &[SocketAddr], cfg: &LoadGenConfig, stop: &AtomicBool) ->
             // (the run ended), linger `drain_ms` for in-flight frames.
             let grace_over =
                 stopped_at_ms.is_some_and(|t| now_ms >= t.saturating_add(cfg.drain_ms));
-            if stamps.is_empty() || grace_over {
+            let held = stamps
+                .keys()
+                .any(|&(c, seq)| clients.get(c as usize).is_some_and(|cs| seq < cs.next));
+            if !held || grace_over {
                 break;
             }
         }

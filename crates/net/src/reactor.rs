@@ -13,18 +13,19 @@
 //! listener bounce, accepts, every inbound connection (each decoded
 //! frame is stepped at once, and the self-addressed messages the step
 //! queues are stepped before the next frame), the client gateway (read
-//! submissions, one `on_tick` if any was admitted, then every completion
-//! notice queued so far is written back), and finally every outbound link
+//! submissions, one `on_tick` if any was admitted or the last poll
+//! reported nothing, then every completion notice queued so far is
+//! written back), and finally every outbound link
 //! (encode what the steps queued, flush). So every frame and every
 //! gateway notice a step produces is on its connection before the loop
 //! parks in `poll` — no other thread feeds this loop, so there is nothing
 //! to wake it for. The one flag set from outside, shutdown, is read at
 //! the top of each pass: a node sees it within one poll cap (10 ms).
 //! Every connection — inbound peer, outbound link, gateway client — is
-//! read one [`READ_CHUNK`] at a time, and a chunk's frames are parsed
+//! read one `READ_CHUNK` at a time, and a chunk's frames are parsed
 //! (inbound: stepped) before the next read. Before its process starts, a
 //! node connects to every running peer, and no process starts until
-//! every node has ([`StartGate`]).
+//! every node has (`StartGate`).
 //!
 //! # What the links guarantee
 //!
@@ -33,7 +34,7 @@
 //! dedup floor, backoff, severing on a gap, the chaos delay) is not kept
 //! here: it is the sans-io `Sender` and `Receiver` machines of
 //! `link.rs`. The reactor owns the sockets and moves bytes: each outbound
-//! [`Link`] pairs a sender with its connection, each [`InConn`] pairs an
+//! `Link` pairs a sender with its connection, each `InConn` pairs an
 //! accepted connection with its handshake state, and the node's one
 //! receiver holds the floors. Decoded frames go in as `FrameRef` views of
 //! the connection's input buffer, and the machines encode straight into
@@ -61,6 +62,13 @@
 //! any runs the process's `on_tick` hook, and the completion notices it
 //! and earlier steps pushed go back to the submitting clients'
 //! connections.
+//!
+//! A pass after a poll that reported nothing runs `on_tick` too, on
+//! every node, gateway or not: a quiet cluster sends no message, so
+//! without it a process would never see a flag raised outside the
+//! protocol (the host finishing the gateway's intake, a harness asking
+//! for its output). That costs at most one tick per idle node per poll
+//! cap, and a tick on a node with nothing to order sends nothing.
 
 use crate::clock::{sleep_ms, Clock};
 use crate::frame::{encode_frame_into, FrameKind, FrameRef, PayloadTooLarge, FRAME_OVERHEAD};
@@ -537,9 +545,12 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
 
     /// Refreshes the shared stamp before a protocol step, so events
     /// emitted from inside the process (spans included) carry the time of
-    /// *this* step.
+    /// *this* step. A disabled observer discards the stamp, so the clock
+    /// is read only when one is attached.
     fn stamp(&self) {
-        self.obs.set_now(self.clock.now_us());
+        if self.obs.enabled() {
+            self.obs.set_now(self.clock.now_us());
+        }
     }
 
     /// Runs `on_start` (at launch and after a restart).
@@ -557,8 +568,9 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> Host<M, O
         self.drain_local(links);
     }
 
-    /// Out-of-band input is queued (gateway intake): gives the process a
-    /// turn even though no message arrived.
+    /// Out-of-band input is queued (gateway intake), or a pass found
+    /// nothing at all: gives the process a turn even though no message
+    /// arrived.
     fn tick(&mut self, links: &mut [Link]) {
         if self.dead() {
             return;
@@ -761,6 +773,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         if gate.arrive(&self.shutdown) {
             self.host.start(&mut self.links);
         }
+        let mut quiet = false;
         while !self.shutdown.load(Ordering::Relaxed) {
             let now_ms = self.clock.now_ms();
             let mut deadline = now_ms + POLL_CAP_MS;
@@ -768,9 +781,9 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
             self.step_bounce(now_ms, &mut deadline);
             self.accept_peers(now_ms);
             self.pump_inbound(now_ms);
-            self.pump_gateway();
+            self.pump_gateway(quiet);
             self.pump_links(now_ms, &mut deadline);
-            self.sleep(deadline);
+            quiet = self.sleep(deadline);
         }
         let mut stats = self.io;
         stats.frames_out += self.receiver.frames_out;
@@ -900,15 +913,20 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
     }
 
     /// Pumps the client gateway: reads submissions into the intake, gives
-    /// the process one `on_tick` if any was admitted, then answers every
-    /// completion notice queued so far — this step's and the pass's
-    /// earlier ones.
-    fn pump_gateway(&mut self) {
-        let Some(gw) = self.gateway.as_mut() else { return };
-        if gw.read(&mut self.io, &self.obs, self.clock, self.me) {
+    /// the process one `on_tick` if any was admitted — or, gateway or not,
+    /// if the last poll reported nothing (`quiet`: a node with no traffic
+    /// still sees out-of-band flags such as a finished intake) — then
+    /// answers every completion notice queued so far: this step's and the
+    /// pass's earlier ones.
+    fn pump_gateway(&mut self, quiet: bool) {
+        let (io, obs, clock, me) = (&mut self.io, &self.obs, self.clock, self.me);
+        let admitted = self.gateway.as_mut().is_some_and(|gw| gw.read(io, obs, clock, me));
+        if admitted || quiet {
             self.host.tick(&mut self.links);
         }
-        gw.reply(&mut self.io);
+        if let Some(gw) = self.gateway.as_mut() {
+            gw.reply(&mut self.io);
+        }
     }
 
     /// Parks in `poll(2)` until the earliest deadline or a socket turns
@@ -916,8 +934,9 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
     /// returned `revents` as readiness flags, so the next pass issues
     /// read/accept syscalls only where poll saw something. A poll error
     /// degrades to flagging everything (one wasted `WouldBlock` per
-    /// descriptor, same as the pre-readiness behaviour).
-    fn sleep(&mut self, deadline_ms: u64) {
+    /// descriptor, same as the pre-readiness behaviour). Returns whether
+    /// the poll reported nothing (it timed out).
+    fn sleep(&mut self, deadline_ms: u64) -> bool {
         let mut fds = std::mem::take(&mut self.fds);
         let mut targets = std::mem::take(&mut self.targets);
         fds.clear();
@@ -951,7 +970,8 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         let now = self.clock.now_ms();
         let wait = deadline_ms.saturating_sub(now).clamp(1, POLL_CAP_MS) as i32;
         self.io.polls += 1;
-        match poll::poll(&mut fds, wait) {
+        let polled = poll::poll(&mut fds, wait);
+        match polled {
             Ok(0) => {}
             Ok(_) => {
                 for (fd, target) in fds.iter().zip(&targets) {
@@ -968,6 +988,7 @@ impl<M: Codec + Clone + fmt::Debug, O: Clone + fmt::Debug + PartialEq> NodeReact
         }
         self.fds = fds;
         self.targets = targets;
+        matches!(polled, Ok(0))
     }
 
     /// Arms the readiness flag behind one poll-set entry. The index-based

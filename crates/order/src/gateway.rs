@@ -16,7 +16,11 @@
 //!   `(client, seq)` identity, and reading each newly appended log slot
 //!   for the stamped payloads to surface commit acks as soon as the slot
 //!   is in. A message that appends nothing costs the inner process's
-//!   step and one cursor comparison.
+//!   step and one cursor comparison. While the intake is open the inner
+//!   process opens an idle epoch only for payloads, so a cluster with no
+//!   client traffic sends nothing; once the host calls
+//!   [`GatewayPipe::finish`] the process winds down to its horizon like a
+//!   bare one.
 //!
 //! The stamp is `0xC3 ‖ client ‖ seq ‖ body` (little-endian words).
 //! Stamping happens *before* ordering, so the identity rides through
@@ -171,8 +175,10 @@ impl GatewayCore {
 ///
 /// Runs wherever `OrderProcess` runs; the gateway path only activates
 /// on hosts that deliver [`Process::on_tick`] with a connected
-/// [`GatewayPipe`] (the `bft-net` reactor driver). Under `bft-sim`,
-/// which never ticks, it behaves exactly like the inner process.
+/// [`GatewayPipe`] (the `bft-net` reactor driver, which also ticks every
+/// node on a pass that found nothing to read). Under `bft-sim`, which
+/// never ticks, no payload arrives: the process opens an epoch only for
+/// what its inner mempool held at construction or for a peer's opening.
 pub struct GatewayProcess<C> {
     inner: OrderProcess<C>,
     pipe: GatewayPipe,
@@ -186,9 +192,12 @@ pub struct GatewayProcess<C> {
 }
 
 impl<C: CoinScheme> GatewayProcess<C> {
-    /// Wraps `inner`, draining client submissions from `pipe`.
-    pub fn new(inner: OrderProcess<C>, pipe: GatewayPipe) -> Self {
+    /// Wraps `inner`, draining client submissions from `pipe`. Until the
+    /// pipe is [finished](GatewayPipe::finish), `inner` serves: it opens
+    /// an epoch for payloads or a peer's opening, never for a heartbeat.
+    pub fn new(mut inner: OrderProcess<C>, pipe: GatewayPipe) -> Self {
         let per_slot = MAX_PAYLOAD as usize / inner.batch_max().max(1);
+        inner.serving = true;
         GatewayProcess {
             inner,
             pipe,
@@ -289,6 +298,18 @@ impl<C: CoinScheme> GatewayProcess<C> {
         admitted
     }
 
+    /// Once the host has finished the intake, ends the inner process's
+    /// service, so it winds down to its horizon; returns whether that
+    /// happened in this call (the caller pokes). Callers drain the intake
+    /// first, so what the pipe held when the host finished it is ordered.
+    fn wind_down_if_finished(&mut self) -> bool {
+        let finished = self.inner.serving && self.pipe.is_finished();
+        if finished {
+            self.inner.serving = false;
+        }
+        finished
+    }
+
     /// Scans the newly appended log slots for stamped payloads and
     /// acknowledges the ones belonging to this node's clients.
     fn scan_log(&mut self) {
@@ -343,12 +364,17 @@ impl<C: CoinScheme> Process for GatewayProcess<C> {
         // has payloads to acknowledge; a completed epoch makes mempool room
         // for waiting clients (the proposal after it empties the mempool).
         // Payloads admitted here can complete a full batch, which opens the
-        // next epoch — in this step, not at the next tick.
+        // next epoch — in this step, not at the next tick. A completed
+        // epoch is also where a busy node notices that its host finished
+        // the intake (a quiet one does at its next tick).
         if self.inner.append_cursor() != cursor {
             self.scan_log();
-            if self.inner.committed_epochs() != cursor.0 && self.drain_clients() {
-                out.extend(self.inner.poke());
-                self.scan_log();
+            if self.inner.committed_epochs() != cursor.0 {
+                let admitted = self.drain_clients();
+                if self.wind_down_if_finished() || admitted {
+                    out.extend(self.inner.poke());
+                    self.scan_log();
+                }
             }
         }
         out
@@ -356,6 +382,7 @@ impl<C: CoinScheme> Process for GatewayProcess<C> {
 
     fn on_tick(&mut self) -> Vec<Effect<OrderMessage, OrderLog>> {
         self.drain_clients();
+        self.wind_down_if_finished();
         let out = self.inner.poke();
         self.scan_log();
         out
@@ -519,7 +546,8 @@ mod tests {
             })
             .collect();
         let mut fifo = crate::tests::Fifo::start(nodes);
-        // Two full batches, what the mempool takes: epochs 1 and 2 carry them.
+        // Two full batches, what the mempool takes: epochs 0 and 1 carry
+        // them (a gateway opens no epoch before its first payload).
         let submitted: Vec<(u64, u64)> =
             (1..=2).flat_map(|c| (1..=2).map(move |s| (c, s))).collect();
         for &(client, seq) in &submitted {

@@ -487,6 +487,11 @@ pub struct OrderProcess<C> {
     fixpoint_runs: u64,
     /// Epochs opened so far, by trigger.
     opened: OpenCounts,
+    /// The node fronts an open client intake: it opens an idle epoch only
+    /// for payloads, so a quiet cluster sends nothing. Otherwise it is
+    /// winding down and heartbeats to its horizon. Set and cleared by
+    /// [`gateway::GatewayProcess`].
+    pub(crate) serving: bool,
 }
 
 impl<C: CoinScheme> OrderProcess<C> {
@@ -527,6 +532,7 @@ impl<C: CoinScheme> OrderProcess<C> {
             open_roots: BTreeSet::new(),
             fixpoint_runs: 0,
             opened: OpenCounts::default(),
+            serving: false,
         }
     }
 
@@ -833,10 +839,12 @@ impl<C: CoinScheme> OrderProcess<C> {
     /// Opens epochs while the pipeline has room and one is called for.
     ///
     /// An epoch costs its Θ(n⁴) messages whatever it carries, so with
-    /// room the next one opens only if nothing of ours is in flight (the
-    /// depth-1 pipeline: every correct node opens the oldest unappended
-    /// epoch as soon as it has appended the one before, which is all
-    /// liveness and a finite horizon's wind-down need), or a full batch
+    /// room the next one opens only if nothing of ours is in flight and
+    /// there is work to order — a payload waits, or the node is winding
+    /// down (the depth-1 pipeline: a correct node opens the oldest
+    /// unappended epoch as soon as it has appended the one before, which
+    /// is all liveness and a finite horizon's wind-down need; a node that
+    /// serves clients stays quiet on an empty mempool) — or a full batch
     /// is waiting (a saturated node fills the pipeline), or a peer opened
     /// it (it gets its n − f proposals one hop later). A faulty peer that
     /// opens every epoch as early as it may drives the others to exactly
@@ -845,7 +853,8 @@ impl<C: CoinScheme> OrderProcess<C> {
         let mut changed = false;
         while self.has_room() {
             let e = self.next_epoch;
-            let trigger = if self.in_flight() == 0 {
+            let work = !self.pending.is_empty() || !self.serving;
+            let trigger = if self.in_flight() == 0 && work {
                 self.opened.idle += 1;
                 "idle"
             } else if self.pending.len() >= self.opts.batch_max {
@@ -1020,15 +1029,16 @@ impl<C: CoinScheme> OrderProcess<C> {
     ///
     /// The rules read `delivered` (Rule 1, Rule 3), the agreement
     /// instances' `decided()` (Rule 2, Rule 3) and `is_halted()` (epoch
-    /// GC, wind-down), whether state exists for the next epoch to open
-    /// and whether the mempool holds a full batch (opening), and the
+    /// GC, wind-down), whether state exists for the next epoch to open,
+    /// how much the mempool holds and whether the node serves clients
+    /// (opening), and the
     /// proposal/append cursors, which only the rules themselves move. A
     /// state that is a fixpoint therefore stays one until a batch is
     /// delivered, an instance decides or halts, or the next epoch's first
     /// message arrives — [`Process::on_message`] calls this after exactly
     /// those events, and every other message costs its one instance step
-    /// — or a payload is submitted, after which the host calls
-    /// [`poke`](Self::poke).
+    /// — or a payload is submitted or the node stops serving, after which
+    /// the host calls [`poke`](Self::poke).
     fn progress(&mut self, out: &mut Vec<OrderEffect>) {
         self.fixpoint_runs += 1;
         loop {

@@ -187,7 +187,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Sizes accepted by [`vec`]: an exact length or a half-open range.
+    /// Sizes accepted by [`vec()`]: an exact length or a half-open range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -46,7 +46,13 @@
 //! scenario: a TCP cluster of gateway-wrapped ordering
 //! processes, each with a real client-facing listener, driven by the
 //! open-loop load generator (C simulated clients at `--rate`
-//! submissions/s aggregate for `--load-ms`). The final line is a JSON
+//! submissions/s aggregate for `--load-ms`). While clients may come, a
+//! gateway opens an epoch only for payloads (or to join a peer's), so an
+//! idle cluster sends nothing; once the generator returns (its window is
+//! over and every submission a gateway holds is acknowledged) the binary
+//! finishes every gateway's intake and the cluster winds down to epoch E
+//! (`--epochs`, 24 by default) with empty heartbeat epochs, which ends
+//! the run. The final line is a JSON
 //! summary (`committed`, `nacked`, latency percentiles, epochs `opened`
 //! by trigger, `anomalies`) for the CI smoke job; the exit code is
 //! nonzero when nothing committed or an anomaly surfaced.
@@ -247,8 +253,9 @@ fn smr(opts: &Options, chaos: &ChaosConfig) {
 /// The client-gateway mode: `--clients C` simulated clients submit
 /// through real gateway sockets into a cluster of gateway-wrapped
 /// ordering processes (empty mempools, a fixed epoch horizon). The open-
-/// loop generator runs on a side thread; the final line is a JSON
-/// summary for the CI smoke job.
+/// loop generator runs on a side thread; once it returns, every pipe is
+/// finished and the cluster winds down to its horizon. The final line is
+/// a JSON summary for the CI smoke job.
 fn gateway(opts: &Options) {
     let cfg = opts.config();
     let epochs = if opts.epochs > 0 { opts.epochs } else { 24 };
@@ -300,10 +307,17 @@ fn gateway(opts: &Options) {
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            if addrs.len() != pipes.len() {
-                return LoadGenReport::default();
+            let load = if addrs.len() == pipes.len() {
+                run_load(&addrs, &offered, &stop)
+            } else {
+                LoadGenReport::default()
+            };
+            // No more clients: every gateway orders what it holds, then
+            // winds down to the horizon, which ends the run.
+            for pipe in &pipes {
+                pipe.finish();
             }
-            run_load(&addrs, &offered, &stop)
+            load
         })
     };
     let ran = rt.try_run();

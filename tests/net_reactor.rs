@@ -16,7 +16,9 @@
 //! The one-pass node loop rides here too: a frame a step produces leaves
 //! in the same pass (no hop waits out the poll cap), a scheduled restart
 //! fires on its deadline with no traffic to wake the node, the
-//! allocation-free frame paths are the allocating ones byte for byte, and
+//! allocation-free frame paths are the allocating ones byte for byte, a
+//! gateway cluster with no traffic is ticked (it sees a flag raised
+//! outside the protocol without a message sent), and
 //! the reactor's own counters show the batching (the `BufConn`
 //! short-read cases are unit tests next to the private type, in
 //! `crates/net/src/reactor.rs`).
@@ -28,16 +30,18 @@ use async_bft::coin::{CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
 use async_bft::net::frame::decode_prefix;
 use async_bft::net::{
-    encode_frame, encode_frame_into, ChaosConfig, Frame, FrameKind, FrameRef, NetRuntime,
-    SetupError,
+    encode_frame, encode_frame_into, ChaosConfig, Frame, FrameKind, FrameRef, GatewayPipe,
+    NetRuntime, SetupError,
 };
 use async_bft::obs::{Event, MetricsSink, Obs, Sink};
-use async_bft::order::gateway::{GatewayCore, OfferOutcome};
+use async_bft::order::gateway::{GatewayCore, GatewayProcess, OfferOutcome};
 use async_bft::order::{Backpressure, OrderLog, OrderMessage, OrderOptions, OrderProcess};
 use async_bft::rbc::{RbcKind, RbcProcess};
 use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, Effect, NodeId, Process, Value};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -244,6 +248,108 @@ fn a_restart_fires_on_its_deadline_with_no_traffic() {
         "the restart due at {restart_at:?} ended the run only at {:?}",
         report.elapsed
     );
+}
+
+/// A gateway node that surfaces its log at its first step after `flag`
+/// is raised (a harness ending a run at a wall-clock instant), and counts
+/// the messages it sends.
+struct OutputOnFlag {
+    inner: GatewayProcess<CommonCoin>,
+    flag: Arc<AtomicBool>,
+    sent: Arc<AtomicU64>,
+    emitted: bool,
+}
+
+impl OutputOnFlag {
+    fn after(
+        &mut self,
+        mut out: Vec<Effect<OrderMessage, OrderLog>>,
+    ) -> Vec<Effect<OrderMessage, OrderLog>> {
+        let sends =
+            out.iter().filter(|e| matches!(e, Effect::Send { .. } | Effect::Broadcast { .. }));
+        self.sent.fetch_add(sends.count() as u64, Ordering::Relaxed);
+        if !self.emitted && self.flag.load(Ordering::Relaxed) {
+            self.emitted = true;
+            out.push(Effect::Output(self.inner.inner().log().to_vec()));
+        }
+        out
+    }
+}
+
+impl Process for OutputOnFlag {
+    type Msg = OrderMessage;
+    type Output = OrderLog;
+
+    fn id(&self) -> NodeId {
+        self.inner.id()
+    }
+
+    fn on_start(&mut self) -> Vec<Effect<OrderMessage, OrderLog>> {
+        let out = self.inner.on_start();
+        self.after(out)
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: &OrderMessage,
+    ) -> Vec<Effect<OrderMessage, OrderLog>> {
+        let out = self.inner.on_message(from, msg);
+        self.after(out)
+    }
+
+    fn on_tick(&mut self) -> Vec<Effect<OrderMessage, OrderLog>> {
+        let out = self.inner.on_tick();
+        self.after(out)
+    }
+}
+
+/// A gateway cluster with no client traffic sends no message, yet its
+/// processes still get turns: a reactor pass whose poll found nothing
+/// ticks its node, gateway listener or not (node 3 has a pipe but no
+/// listener), so a flag raised outside the protocol is seen and every
+/// node outputs within a second.
+#[test]
+fn an_idle_gateway_cluster_is_ticked_and_sees_an_external_flag() {
+    let n = 4;
+    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
+    let opts = OrderOptions { epochs: 1 << 40, ..OrderOptions::default() };
+    let flag = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicU64::new(0));
+    let mut rt: NetRuntime<OrderMessage, OrderLog> =
+        NetRuntime::new(n).timeout(Duration::from_secs(10));
+    for id in cfg.nodes() {
+        let pipe = GatewayPipe::new();
+        if id.index() < 3 {
+            rt = rt.gateway(id, pipe.clone());
+        }
+        let inner = OrderProcess::new(cfg, id, opts, Vec::new(), |inst| CommonCoin::new(5, inst));
+        rt.add_process(Box::new(OutputOnFlag {
+            inner: GatewayProcess::new(inner, pipe),
+            flag: Arc::clone(&flag),
+            sent: Arc::clone(&sent),
+            emitted: false,
+        }));
+    }
+    let raiser = {
+        let flag = Arc::clone(&flag);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            flag.store(true, Ordering::Relaxed);
+            Instant::now()
+        })
+    };
+    let report = rt.run();
+    let raised_at = raiser.join().expect("the raiser thread does not panic");
+    assert!(!report.timed_out, "no node saw the flag");
+    assert_eq!(
+        report.unanimous_output(),
+        Some(OrderLog::default()),
+        "every node output an empty log"
+    );
+    let lag = raised_at.elapsed();
+    assert!(lag < Duration::from_secs(1), "the flag was seen only {lag:?} after it was raised");
+    assert_eq!(sent.load(Ordering::Relaxed), 0, "an idle gateway cluster sent messages");
 }
 
 /// The reactor's own counters on a loaded n=4 ordering run: the

@@ -21,6 +21,10 @@
 //! * **gateway differential** — a gated `GatewayProcess` cluster against
 //!   one that drains, pokes and scans after every message: same logs,
 //!   same client notices, same effects;
+//! * **quiescence** — a gateway cluster sends nothing until its first
+//!   payload and nothing once its payloads are in the log, however often
+//!   it is ticked, and winds down to its horizon once its intakes are
+//!   finished;
 //! * **prefix commit** — a slot is appended once it and every earlier slot
 //!   of its epoch have decided: every log is a prefix of the final one
 //!   after every message, a gateway acks a payload before its epoch
@@ -905,6 +909,21 @@ impl GatewayNode {
         self.record(effects)
     }
 
+    /// The host ends the service: the intake is finished and the node
+    /// ticked, as the reactor ticks a node after a pass with nothing to
+    /// read.
+    fn finish(&mut self) -> Vec<OrderEffect> {
+        self.pipe.finish();
+        self.tick()
+    }
+
+    /// One tick with nothing queued (a reactor pass that read nothing).
+    fn tick(&mut self) -> Vec<OrderEffect> {
+        self.ticks += 1;
+        let effects = self.gp.on_tick();
+        self.record(effects)
+    }
+
     fn record(&mut self, effects: Vec<OrderEffect>) -> Vec<OrderEffect> {
         self.effects.extend(effects.iter().cloned());
         self.notices.extend(self.pipe.drain_notices());
@@ -946,25 +965,41 @@ fn start_gateways(
 }
 
 /// Hand-pumps a gateway-fronted cluster in a seeded random delivery order
-/// with scripted client intake — every `period` deliveries the next node
-/// in turn gets a burst from its four clients, over capacity every third
-/// time — until the horizon is reached and the network is empty, then
-/// offers one more burst to the wound-down nodes. The last `silent` nodes
-/// never take a step.
+/// with scripted client intake — every `period` deliveries, and at once
+/// whenever the network runs dry, the next node in turn gets a burst from
+/// its four clients, over capacity every third time — until each node has
+/// had two bursts. Once the network is empty after that, every intake is
+/// finished, and the cluster is pumped until the horizon is reached and
+/// the network is empty again; then one more burst is offered to the
+/// wound-down nodes. The last `silent` nodes never take a step.
 fn pump_gateways(n: usize, silent: usize, seed: u64, per_message: bool) -> Vec<GatewayNode> {
     let live = n - silent;
     let (mut nodes, mut net) = start_gateways(n, live, options(2, 2, 5), seed, per_message);
+    assert!(net.is_empty(), "n={n} seed={seed}: idle gateways opened an epoch at start");
     let clients_of = |i: usize| (4 * i as u64)..(4 * i as u64 + 4);
     let mut rng = proptest::TestRng::deterministic(seed);
 
     let period = (n * n) as u64;
-    let (mut step, mut bursts) = (0u64, 0usize);
-    while !net.is_empty() {
-        let (from, to, msg) = net.swap_remove(rng.below(net.len() as u64) as usize);
-        let effects = nodes[to.index()].deliver(from, &msg);
-        fan_out(&mut net, live, to, effects);
-        step += 1;
-        if step.is_multiple_of(period) {
+    let (mut step, mut bursts, mut finished) = (0u64, 0usize, false);
+    loop {
+        if net.is_empty() && bursts == 2 * live {
+            if finished {
+                break;
+            }
+            finished = true;
+            for (i, node) in nodes.iter_mut().enumerate() {
+                let effects = node.finish();
+                fan_out(&mut net, live, NodeId::new(i), effects);
+            }
+            continue;
+        }
+        if !net.is_empty() {
+            let (from, to, msg) = net.swap_remove(rng.below(net.len() as u64) as usize);
+            let effects = nodes[to.index()].deliver(from, &msg);
+            fan_out(&mut net, live, to, effects);
+            step += 1;
+        }
+        if bursts < 2 * live && (net.is_empty() || step.is_multiple_of(period)) {
             let i = bursts % live;
             // Mempool capacity is 4: a burst of 1 each fits an empty one,
             // a burst of 3 each overruns it (backpressure, then gaps).
@@ -1026,14 +1061,19 @@ fn a_drain_at_an_append_that_completes_a_batch_opens_its_epoch_in_that_step() {
     let (n, live, seed) = (4, 3, 61);
     let (mut nodes, mut net) = start_gateways(n, live, options(2, 3, 6), seed, false);
     let node_0 = NodeId::new(0);
+    assert!(net.is_empty(), "idle gateways open nothing at start");
 
-    // Two payloads are a full batch: epoch 1 opens beside epoch 0.
+    // The first payloads open epoch 0 on an idle pipeline; two more are a
+    // full batch, and epoch 1 opens beside it.
     let effects = nodes[0].intake(0..2, 1);
+    assert_eq!(opened_in(node_0, &effects), vec![0]);
+    fan_out(&mut net, live, node_0, effects);
+    let effects = nodes[0].intake(2..4, 1);
     assert_eq!(opened_in(node_0, &effects), vec![1]);
     fan_out(&mut net, live, node_0, effects);
-    // A third waits alone (`batch_max − 1`), a fourth in the pipe.
-    assert!(nodes[0].intake(2..3, 1).is_empty());
-    assert!(nodes[0].pipe.push_intake(ClientSubmit { client: 3, seq: 1, tx: vec![3, 1] }));
+    // A fifth waits alone (`batch_max − 1`), a sixth in the pipe.
+    assert!(nodes[0].intake(4..5, 1).is_empty());
+    assert!(nodes[0].pipe.push_intake(ClientSubmit { client: 5, seq: 1, tx: vec![5, 1] }));
     let inner = nodes[0].gp.inner();
     assert_eq!((inner.in_flight(), inner.pending_len()), (2, 1));
 
@@ -1053,6 +1093,101 @@ fn a_drain_at_an_append_that_completes_a_batch_opens_its_epoch_in_that_step() {
     let inner = nodes[0].gp.inner();
     assert_eq!((inner.in_flight(), inner.pending_len(), inner.opened().full), (2, 0, 2));
     assert!(nodes[0].gp.on_tick().is_empty(), "the step left the tick nothing to do");
+}
+
+/// Pumps the hand-held network in a seeded random order until it is empty.
+fn pump_until_quiet(nodes: &mut [GatewayNode], net: &mut Vec<InFlight>, live: usize, seed: u64) {
+    let mut rng = proptest::TestRng::deterministic(seed);
+    while !net.is_empty() {
+        let (from, to, msg) = net.swap_remove(rng.below(net.len() as u64) as usize);
+        let effects = nodes[to.index()].deliver(from, &msg);
+        fan_out(net, live, to, effects);
+    }
+}
+
+/// Ticks every node `ticks` times; returns how many effects that drew.
+fn tick_all(nodes: &mut [GatewayNode], ticks: usize) -> usize {
+    let mut drawn = 0;
+    for _ in 0..ticks {
+        for node in nodes.iter_mut() {
+            drawn += node.tick().len();
+        }
+    }
+    drawn
+}
+
+/// A gateway cluster with an open intake orders payloads, not heartbeats:
+/// from `on_start` to the first submission it sends nothing, however often
+/// it is ticked; that submission opens epoch 0 at its node, whose peers
+/// join it; and once the payload is acknowledged the cluster is silent
+/// again for a hundred more ticks of every node.
+#[test]
+fn an_idle_gateway_cluster_sends_nothing_before_or_after_its_payloads() {
+    let (n, live, seed) = (4, 3, 17);
+    let (mut nodes, mut net) = start_gateways(n, live, options(2, 2, 5), seed, false);
+    assert!(net.is_empty(), "idle gateways sent something at start");
+    assert_eq!(tick_all(&mut nodes, 100), 0, "an idle tick drew effects");
+
+    let node_0 = NodeId::new(0);
+    let effects = nodes[0].intake(7..8, 1);
+    assert_eq!(opened_in(node_0, &effects), vec![0], "the first payload opens epoch 0");
+    fan_out(&mut net, live, node_0, effects);
+    pump_until_quiet(&mut nodes, &mut net, live, seed);
+
+    assert_eq!(nodes[0].notices, vec![GatewayNotice::Committed { client: 7, seq: 1 }]);
+    for (i, node) in nodes.iter().enumerate() {
+        let inner = node.gp.inner();
+        assert_eq!(inner.committed_epochs(), 1, "node {i}: only the payload's epoch ran");
+        assert_eq!(inner.log().len(), 1, "node {i}: the payload is in the log");
+        assert_eq!(
+            inner.opened(),
+            OpenCounts { idle: u64::from(i == 0), full: 0, joined: u64::from(i != 0) }
+        );
+    }
+    assert_eq!(tick_all(&mut nodes, 100), 0, "a committed cluster drew effects");
+    for node in &nodes {
+        assert!(node.gp.output().is_none() && !node.gp.is_halted(), "no horizon yet");
+    }
+}
+
+/// Finishing the intakes winds a quiet gateway cluster down: each node
+/// orders what it still holds (a submission parked in a pipe when the
+/// host finished it included), heartbeats the remaining epochs, and
+/// surfaces its log as `Output`, then `Halt`s, at the horizon.
+#[test]
+fn finishing_the_intakes_winds_a_gateway_cluster_down_to_its_horizon() {
+    let (n, live, seed, epochs) = (4, 3, 29, 5);
+    let (mut nodes, mut net) = start_gateways(n, live, options(2, 2, epochs), seed, false);
+    let effects = nodes[1].intake(3..4, 1);
+    fan_out(&mut net, live, NodeId::new(1), effects);
+    pump_until_quiet(&mut nodes, &mut net, live, seed);
+    assert_eq!(tick_all(&mut nodes, 100), 0, "a committed cluster drew effects");
+    assert!(nodes[2].pipe.push_intake(ClientSubmit { client: 9, seq: 1, tx: vec![9, 1] }));
+
+    for (i, node) in nodes.iter_mut().enumerate() {
+        let effects = node.finish();
+        fan_out(&mut net, live, NodeId::new(i), effects);
+    }
+    pump_until_quiet(&mut nodes, &mut net, live, seed);
+
+    let log = nodes[0].gp.inner().log().to_vec();
+    assert_eq!(log.len(), 2, "both payloads are ordered");
+    for (i, node) in nodes.iter().enumerate() {
+        assert_eq!(node.gp.inner().committed_epochs(), epochs, "node {i} reached the horizon");
+        assert_eq!(node.gp.output(), Some(log.clone()), "node {i}: output is the common log");
+        assert!(node.gp.is_halted(), "node {i} did not halt");
+        let tail: Vec<&OrderEffect> =
+            node.effects.iter().filter(|e| matches!(e, Effect::Output(_) | Effect::Halt)).collect();
+        assert!(
+            matches!(tail.as_slice(), [Effect::Output(out), Effect::Halt] if *out == log),
+            "node {i}: one Output of the log, then Halt"
+        );
+    }
+    assert_eq!(
+        nodes[2].notices,
+        vec![GatewayNotice::Committed { client: 9, seq: 1 }],
+        "the parked submission was admitted and acknowledged"
+    );
 }
 
 /// What appending used to do to a committed body: one owned payload per
